@@ -4,9 +4,8 @@
 import numpy as np
 
 from scengen import (DensityMatrix, KrausModel, TrainConfig, cayley_step,
-                     finite_difference_gradient, nll_gradient, nll_loss,
-                     orthonormality_residual, qhmm_sample, random_stiefel,
-                     train_qhmm, validate_kraus)
+                     nll_gradient, nll_loss, orthonormality_residual,
+                     qhmm_sample, random_stiefel, train_qhmm, validate_kraus)
 
 # --- the pieces -----------------------------------------------------------
 # The M*mu operators live stacked in one tall matrix with orthonormal
@@ -21,8 +20,18 @@ grad = nll_gradient(kappa, batch, pi0, alphabet_size=2, multiplicity=1)
 print("batch loss:", loss)
 
 # The analytic gradient matches central finite differences to ~1e-9,
-# which pins down the complex-derivative convention.
-fd = finite_difference_gradient(kappa, batch, pi0, 2, 1)
+# which pins down the complex-derivative convention: entry (i, j) of the
+# gradient is half of d/dRe + 1j * d/dIm of the loss.
+step = 1e-6
+fd = np.zeros_like(grad)
+for i, j in np.ndindex(*fd.shape):
+    parts = []
+    for unit in (1.0, 1j):
+        probe = np.zeros_like(kappa.matrix)
+        probe[i, j] = step * unit
+        parts.append((nll_loss(kappa.matrix + probe, batch, pi0, 2, 1)
+                      - nll_loss(kappa.matrix - probe, batch, pi0, 2, 1)) / (2.0 * step))
+    fd[i, j] = 0.5 * (parts[0] + 1j * parts[1])
 print("gradient vs finite differences:", np.max(np.abs(grad - fd)))
 
 stepped = cayley_step(kappa, grad, tau=0.1)

@@ -20,7 +20,7 @@ from .hmm import (BaumWelchResult, CategoricalHmm, TrellisResult,
                   baum_welch_fit, hmm_backward, hmm_forward, hmm_posterior,
                   hmm_sample)
 from .metrics import (average_da, da_for_sequence, da_nonlinearity, da_score,
-                      sequence_log_prob, write_da_report)
+                      log_likelihoods, sequence_log_prob, write_da_report)
 from .psa import (FAIL, NO_PROBABLE, PROBABLE, REPAIR, BasicEvent, Scenario,
                   ScenarioDataset, ScenarioRecord, SystemModel, apply_event,
                   build_datasets, decode_scenario, encode_scenario,
@@ -32,8 +32,7 @@ from .qhmm import (DensityMatrix, KrausModel, KrausValidationReport,
                    qhmm_log_likelihood, qhmm_sample, validate_kraus)
 from .serialization import load_model, save_model
 from .trainer import (StiefelPoint, TrainConfig, TrainRecord, cayley_step,
-                      finite_difference_gradient, nll_gradient, nll_loss,
-                      orthonormality_residual, random_stiefel, train_qhmm,
-                      write_training_log)
+                      nll_gradient, nll_loss, orthonormality_residual,
+                      random_stiefel, train_qhmm, write_training_log)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .errors import AlphabetMismatchError, InputError
-from .metrics import da_for_sequence
+from .metrics import _scores
 from .psa import NO_PROBABLE, PROBABLE
 
 LABELS = (PROBABLE, NO_PROBABLE)
@@ -52,12 +52,17 @@ class ClassificationResult:
     da_no_probable: float
 
 
+def _classify_all(clf: TwoModelClassifier, sequences: list) -> list:
+    """One ClassificationResult per sequence, each model scoring the whole list once."""
+    _, da_p = _scores(clf.model_probable, sequences)
+    _, da_n = _scores(clf.model_no_probable, sequences)
+    return [ClassificationResult(PROBABLE if p > n else NO_PROBABLE, p, n)
+            for p, n in zip(da_p, da_n)]
+
+
 def classify(clf: TwoModelClassifier, sequence) -> ClassificationResult:
     """Label a sequence by the larger description accuracy (ties -> no_probable)."""
-    da_p = da_for_sequence(clf.model_probable, sequence)
-    da_n = da_for_sequence(clf.model_no_probable, sequence)
-    label = PROBABLE if da_p > da_n else NO_PROBABLE
-    return ClassificationResult(label, da_p, da_n)
+    return _classify_all(clf, [sequence])[0]
 
 
 @dataclass
@@ -80,14 +85,14 @@ def evaluate_classifier(clf: TwoModelClassifier, labeled) -> ClassifierEvaluatio
     labeled = list(labeled)
     if not labeled:
         raise InputError("labeled dataset must be nonempty")
+    results = _classify_all(clf, [sequence for sequence, _ in labeled])
     confusion = np.zeros((2, 2), dtype=int)
     per_class = {label: {"model_probable": [], "model_no_probable": []}
                  for label in LABELS}
     correct = 0
-    for sequence, label in labeled:
+    for (_, label), result in zip(labeled, results):
         if label not in LABELS:
             raise InputError(f"unknown label {label!r}")
-        result = classify(clf, sequence)
         confusion[LABELS.index(label), LABELS.index(result.label)] += 1
         correct += int(result.label == label)
         per_class[label]["model_probable"].append(result.da_probable)
@@ -109,14 +114,14 @@ def write_classification_report(path, clf: TwoModelClassifier, data) -> Optional
     data = list(data)
     if not data:
         raise InputError("dataset must be nonempty")
+    results = _classify_all(clf, [sequence for sequence, _ in data])
     correct = 0
     labeled = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sequence_id", "true_label", "pred_label",
                          "da_probable", "da_no_probable"])
-        for i, (sequence, label) in enumerate(data):
-            result = classify(clf, sequence)
+        for i, ((_, label), result) in enumerate(zip(data, results)):
             if label is not None:
                 labeled += 1
                 correct += int(result.label == label)

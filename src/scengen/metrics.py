@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .hmm import CategoricalHmm, hmm_forward
-from .qhmm import KrausModel, qhmm_log_likelihood
+from .qhmm import KrausModel, _pad, _propagate
 
 _LOGPROB_SLACK = 1e-9
 
@@ -63,11 +63,7 @@ def da_score(log_prob: float, length: int, alphabet_size: int) -> float:
 
 def sequence_log_prob(model, sequence) -> float:
     """Natural-log sequence probability under either model kind."""
-    if isinstance(model, CategoricalHmm):
-        return hmm_forward(model, sequence).log_likelihood
-    if isinstance(model, KrausModel):
-        return qhmm_log_likelihood(model, sequence)
-    raise InputError(f"unsupported model type {type(model).__name__}")
+    return float(log_likelihoods(model, [sequence])[0])
 
 
 def da_for_sequence(model, sequence) -> float:
@@ -76,26 +72,45 @@ def da_for_sequence(model, sequence) -> float:
                     model.alphabet_size)
 
 
-def average_da(model, dataset) -> float:
-    """Mean per-sequence description accuracy (sentinel -1 terms included)."""
-    seqs = list(dataset)
+def log_likelihoods(model, sequences) -> np.ndarray:
+    """Natural-log probability of each sequence under either model kind, in input order.
+
+    A Kraus-operator model filters all sequences in one batched pass; a
+    categorical HMM runs one forward recursion per sequence.
+    """
+    seqs = list(sequences)
     if not seqs:
         raise InputError("dataset must be nonempty")
-    return float(np.mean([da_for_sequence(model, s) for s in seqs]))
+    if isinstance(model, CategoricalHmm):
+        return np.array([hmm_forward(model, s).log_likelihood for s in seqs])
+    if isinstance(model, KrausModel):
+        padded, lengths, order = _pad(seqs, model.alphabet_size)
+        scores = np.empty(len(seqs))
+        scores[order] = _propagate(model.operators, model.initial_state.matrix,
+                                   padded, lengths)
+        return scores
+    raise InputError(f"unsupported model type {type(model).__name__}")
+
+
+def _scores(model, seqs: list):
+    """Log-probabilities and description accuracies of a list of sequences."""
+    log_probs = log_likelihoods(model, seqs)
+    return log_probs, [da_score(lp, len(s), model.alphabet_size)
+                       for lp, s in zip(log_probs, seqs)]
+
+
+def average_da(model, dataset) -> float:
+    """Mean per-sequence description accuracy (sentinel -1 terms included)."""
+    return float(np.mean(_scores(model, list(dataset))[1]))
 
 
 def write_da_report(path, model, dataset) -> float:
     """Write the per-sequence CSV (sequence_id,length,log_prob,da); returns the mean."""
     seqs = list(dataset)
-    if not seqs:
-        raise InputError("dataset must be nonempty")
-    scores = []
+    log_probs, scores = _scores(model, seqs)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sequence_id", "length", "log_prob", "da"])
-        for i, seq in enumerate(seqs):
-            log_prob = sequence_log_prob(model, seq)
-            da = da_score(log_prob, len(seq), model.alphabet_size)
-            scores.append(da)
+        for i, (seq, log_prob, da) in enumerate(zip(seqs, log_probs, scores)):
             writer.writerow([i, len(seq), repr(float(log_prob)), repr(da)])
     return float(np.mean(scores))

@@ -36,10 +36,6 @@ def min_eigenvalue(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
 
 
-def _dagger(ops: np.ndarray) -> np.ndarray:
-    return ops.conj().transpose(0, 2, 1)
-
-
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace belief state."""
 
@@ -162,30 +158,71 @@ class KrausModel:
         return model
 
 
-def _check_symbol(symbol, alphabet_size: int) -> int:
-    s = int(symbol)
-    if not 0 <= s < alphabet_size:
-        raise InputError(f"symbol {s} out of range for alphabet of size {alphabet_size}")
-    return s
+def _as_matrix(rho) -> np.ndarray:
+    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
-def _apply_symbol(operators: np.ndarray, rho: np.ndarray, symbol: int):
-    """Unnormalized post-observation state and its trace (the probability)."""
-    ops = operators[symbol]
-    updated = (ops @ rho @ _dagger(ops)).sum(axis=0)
-    return updated, float(updated.trace().real)
+def _kraus_step(operators: np.ndarray, rho: np.ndarray, symbols: np.ndarray):
+    """Updates sum_l A_{x,l} rho A_{x,l}^dagger of (B, K, K) beliefs, row b by
+    symbol x = symbols[b], and their traces (the observation probabilities).
+    A single (1, K, K) belief is shared by every symbol."""
+    ops = operators[symbols]
+    updated = (ops @ rho[:, None] @ ops.conj().swapaxes(2, 3)).sum(axis=1)
+    return updated, updated.trace(axis1=1, axis2=2).real
 
 
-def _raw_log_likelihood(operators: np.ndarray, rho0: np.ndarray, seq) -> float:
-    rho = rho0
-    ll = 0.0
-    for x in seq:
-        updated, prob = _apply_symbol(operators, rho, int(x))
-        if prob <= UNDERFLOW_PROB:
-            return float("-inf")
-        ll += np.log(prob)
-        rho = (updated + updated.conj().T) / (2.0 * prob)
-    return float(ll)
+def _renormalize(updated: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Next beliefs: each update Hermitized and divided by its probability."""
+    return (updated + updated.conj().swapaxes(1, 2)) / (2.0 * probs)[:, None, None]
+
+
+def _pad(sequences, alphabet_size: int):
+    """Validated sequences as zero-padded rows, longest first: ``(padded,
+    lengths, order)``, where row i holds input sequence ``order[i]``."""
+    seqs = [_as_symbols(s, alphabet_size) for s in sequences]
+    if not seqs:
+        raise InputError("need at least one sequence")
+    lengths = np.array([s.size for s in seqs])
+    order = np.argsort(-lengths, kind="stable")
+    padded = np.zeros((len(seqs), lengths[order[0]]), dtype=np.int64)
+    for row, i in enumerate(order):
+        padded[row, :lengths[i]] = seqs[i]
+    return padded, lengths[order], order
+
+
+def _row_blocks(count: int, dim: int) -> list:
+    """Slices of at most 2048 // K^2 rows, which bounds the per-step temporaries."""
+    size = max(1, 2048 // dim ** 2)
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _propagate(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
+               lengths: np.ndarray, history: Optional[list] = None) -> np.ndarray:
+    """Natural-log probability of each padded row, filtering from ``rho0``.
+
+    Rows come longest first, so the rows still running at step t are a
+    leading slice. A row whose step probability underflows scores -inf
+    while the other rows carry on. When ``history`` is a list, the beliefs
+    entering each step and the step probabilities are appended to it;
+    callers collecting history pass one row block at a time.
+    """
+    log_probs = np.zeros(len(lengths))
+    dim = rho0.shape[0]
+    for rows in _row_blocks(len(lengths), dim):
+        symbols, block_ll, block_len = padded[rows], log_probs[rows], lengths[rows]
+        rho = rho0[None]  # broadcasts against the rows until the first update
+        running = np.count_nonzero(block_len[:, None] > np.arange(block_len[0]), axis=0)
+        for t, n in enumerate(running.tolist()):
+            updated, probs = _kraus_step(operators, rho[:n], symbols[:n, t])
+            if history is not None:
+                history.append((rho[:n], probs))
+            if probs.min() <= UNDERFLOW_PROB:
+                dead = probs <= UNDERFLOW_PROB
+                block_ll[:n][dead] = -np.inf
+                probs = np.where(dead, 1.0, probs)
+            block_ll[:n] += np.log(probs)
+            rho = _renormalize(updated, probs)
+    return log_probs
 
 
 def belief_update(rho, model: KrausModel, symbol) -> Tuple[Optional[DensityMatrix], float]:
@@ -198,13 +235,12 @@ def belief_update(rho, model: KrausModel, symbol) -> Tuple[Optional[DensityMatri
         to [0, 1]. When it falls at or below the underflow threshold the
         belief cannot be renormalized and ``next_belief`` is None.
     """
-    x = _check_symbol(symbol, model.alphabet_size)
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    updated, prob = _apply_symbol(model.operators, mat, x)
+    symbols = _as_symbols([symbol], model.alphabet_size)
+    updated, probs = _kraus_step(model.operators, _as_matrix(rho)[None], symbols)
+    prob = float(probs[0])
     if prob <= UNDERFLOW_PROB:
         return None, max(prob, 0.0)
-    nxt = DensityMatrix((updated + updated.conj().T) / (2.0 * prob))
-    return nxt, min(max(prob, 0.0), 1.0)
+    return DensityMatrix(_renormalize(updated, probs)[0]), min(max(prob, 0.0), 1.0)
 
 
 def qhmm_log_likelihood(model: KrausModel, sequence) -> float:
@@ -216,15 +252,14 @@ def qhmm_log_likelihood(model: KrausModel, sequence) -> float:
     underflows.
     """
     seq = _as_symbols(sequence, model.alphabet_size)
-    return _raw_log_likelihood(model.operators, model.initial_state.matrix, seq)
+    return float(_propagate(model.operators, model.initial_state.matrix,
+                            seq[None], np.array([seq.size]))[0])
 
 
 def next_symbol_distribution(model: KrausModel, rho) -> np.ndarray:
     """Probability of each symbol being observed next from the given belief."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    probs = np.empty(model.alphabet_size)
-    for x in range(model.alphabet_size):
-        _, probs[x] = _apply_symbol(model.operators, mat, x)
+    _, probs = _kraus_step(model.operators, _as_matrix(rho)[None],
+                           np.arange(model.alphabet_size))
     return np.clip(probs, 0.0, None)
 
 
@@ -235,28 +270,31 @@ def qhmm_sample(model: KrausModel, length: int, rng_seed, *, prefix=()) -> list:
     complete model) is computed from the current belief, a symbol is
     drawn, and the belief advances. A nonempty ``prefix`` first filters
     the belief through those symbols; the output continues the prefix
-    without including it.
+    without including it. Raises InputError for a zero-probability prefix,
+    or when the probabilities miss 1 by more than K * COMPLETENESS_TOL, the
+    most a model passing :func:`validate_kraus` can move them.
     """
     if length < 1:
         raise InputError("length must be >= 1")
+    m, k = model.alphabet_size, model.dim
+    prefix = _as_symbols(prefix, m).tolist() if len(prefix) else []
     rng = np.random.default_rng(rng_seed)
     rho = model.initial_state.matrix
-    for x in prefix:
-        updated, prob = _apply_symbol(model.operators, rho,
-                                      _check_symbol(x, model.alphabet_size))
-        if prob <= UNDERFLOW_PROB:
-            raise InputError("prefix has zero probability under the model")
-        rho = (updated + updated.conj().T) / (2.0 * prob)
-    symbols = []
-    for _ in range(length):
-        probs = next_symbol_distribution(model, rho)
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise InputError("per-symbol probabilities do not sum to 1; "
-                             "the operators are not complete")
-        x = int(rng.choice(model.alphabet_size, p=probs / probs.sum()))
-        symbols.append(x)
-        updated, prob = _apply_symbol(model.operators, rho, x)
-        rho = (updated + updated.conj().T) / (2.0 * prob)
+    symbols, every_symbol = [], np.arange(m)
+    for step in range(len(prefix) + length):
+        updated, probs = _kraus_step(model.operators, rho[None], every_symbol)
+        if step < len(prefix):
+            x = prefix[step]
+            if probs[x] <= UNDERFLOW_PROB:
+                raise InputError("prefix has zero probability under the model")
+        else:
+            probs = np.clip(probs, 0.0, None)
+            if abs(probs.sum() - 1.0) > k * COMPLETENESS_TOL:
+                raise InputError("per-symbol probabilities do not sum to 1; "
+                                 "the operators are not complete")
+            x = int(rng.choice(m, p=probs / probs.sum()))
+            symbols.append(x)
+        rho = _renormalize(updated[x:x + 1], probs[x:x + 1])[0]
     return symbols
 
 

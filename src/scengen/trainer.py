@@ -4,7 +4,8 @@ The M * mu operators of a model are stacked into one tall complex matrix
 with orthonormal columns; each update moves along the manifold with a
 Cayley-style retraction, so the completeness constraint holds after every
 accepted step. Per-sequence loss terms within a batch are independent and
-reduced in dataset order, so results are deterministic for a fixed seed.
+reduced longest sequence first, so results are deterministic for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import numpy as np
 
 from .errors import (GradientUndefinedError, InputError, StepFailureError,
                      TrainingError)
-from .hmm import _as_symbols
-from .qhmm import (UNDERFLOW_PROB, DensityMatrix, KrausModel, _dagger,
-                   _raw_log_likelihood)
+from .qhmm import (DensityMatrix, KrausModel, _as_matrix, _kraus_step, _pad,
+                   _propagate, _row_blocks)
 
 STIEFEL_TOL = 1e-8
 MAX_STEP_HALVINGS = 30
@@ -87,10 +87,6 @@ def _as_kappa(kappa) -> np.ndarray:
     return arr
 
 
-def _as_state(pi0) -> np.ndarray:
-    return pi0.matrix if isinstance(pi0, DensityMatrix) else np.asarray(pi0, dtype=complex)
-
-
 def _partition(arr: np.ndarray, alphabet_size: int, multiplicity: int) -> np.ndarray:
     k = arr.shape[1]
     if arr.shape[0] != alphabet_size * multiplicity * k:
@@ -105,48 +101,11 @@ def nll_loss(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -> fl
 
     A sequence with zero (or underflowed) probability makes the whole
     batch loss +inf. Off-manifold matrices are accepted, which keeps the
-    loss differentiable for finite-difference probes. Equal-length batches
-    propagate all belief states at once (stacked matmuls); mixed lengths
-    fall back to a per-sequence loop.
+    loss differentiable for finite-difference probes.
     """
-    arr = _as_kappa(kappa)
-    ops = _partition(arr, alphabet_size, multiplicity)
-    rho0 = _as_state(pi0)
-    seqs = [_as_symbols(seq, alphabet_size) for seq in batch]
-    if not seqs:
-        raise InputError("batch must be nonempty")
-    if len(seqs) > 1 and len({len(s) for s in seqs}) == 1:
-        return _nll_loss_equal_length(ops, rho0, np.stack(seqs))
-    total = 0.0
-    for seq in seqs:
-        ll = _raw_log_likelihood(ops, rho0, seq)
-        if ll == float("-inf"):
-            return math.inf
-        total += ll
-    return -total / len(seqs)
-
-
-def _nll_loss_equal_length(ops: np.ndarray, rho0: np.ndarray,
-                           seqs: np.ndarray) -> float:
-    batch_size, length = seqs.shape
-    dim = rho0.shape[0]
-    beliefs = np.broadcast_to(rho0, (batch_size, dim, dim)).copy()
-    log_prob = np.zeros(batch_size)
-    for t in range(length):
-        symbols = seqs[:, t]
-        updated = np.empty_like(beliefs)
-        for x in np.unique(symbols):
-            rows = np.nonzero(symbols == x)[0]
-            sym_ops = ops[x]
-            updated[rows] = (sym_ops[None] @ beliefs[rows][:, None]
-                             @ _dagger(sym_ops)[None]).sum(axis=1)
-        probs = np.trace(updated, axis1=1, axis2=2).real
-        if probs.min() <= UNDERFLOW_PROB:
-            return math.inf
-        log_prob += np.log(probs)
-        updated = (updated + updated.conj().transpose(0, 2, 1)) / 2.0
-        beliefs = updated / probs[:, None, None]
-    return float(-log_prob.mean())
+    ops = _partition(_as_kappa(kappa), alphabet_size, multiplicity)
+    padded, lengths, _ = _pad(batch, alphabet_size)
+    return float(-_propagate(ops, _as_matrix(pi0), padded, lengths).sum() / len(lengths))
 
 
 def nll_gradient(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -> np.ndarray:
@@ -164,56 +123,42 @@ def nll_gradient(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -
     """
     arr = _as_kappa(kappa)
     ops = _partition(arr, alphabet_size, multiplicity)
-    rho0 = _as_state(pi0)
-    batch = list(batch)
-    if not batch:
-        raise InputError("batch must be nonempty")
-    k = arr.shape[1]
-    grad_ops = np.zeros_like(ops)
-    for raw_seq in batch:
-        seq = _as_symbols(raw_seq, alphabet_size)
-        states = [rho0]
-        probs = []
-        rho = rho0
-        for x in seq:
-            sym_ops = ops[x]
-            updated = (sym_ops @ rho @ _dagger(sym_ops)).sum(axis=0)
-            prob = float(updated.trace().real)
-            if prob <= UNDERFLOW_PROB:
-                raise GradientUndefinedError("loss is not finite on this batch")
-            rho = (updated + updated.conj().T) / (2.0 * prob)
-            states.append(rho)
-            probs.append(prob)
-        # adjoint pass: accumulate one term per position, then pull the
-        # dual matrix back through that position's operators
-        dual = np.eye(k, dtype=complex)
-        for t in range(len(seq) - 1, -1, -1):
-            x = seq[t]
-            grad_ops[x] -= (dual @ ops[x] @ states[t]) / probs[t]
-            dual = (_dagger(ops[x]) @ dual @ ops[x]).sum(axis=0) / probs[t]
-    return (grad_ops / len(batch)).reshape(arr.shape)
+    padded, lengths, _ = _pad(batch, alphabet_size)
+    _, grad = _loss_and_gradient(ops, _as_matrix(pi0), padded, lengths)
+    if grad is None:
+        raise GradientUndefinedError("loss is not finite on this batch")
+    return grad.reshape(arr.shape)
 
 
-def finite_difference_gradient(kappa, batch, pi0, alphabet_size: int,
-                               multiplicity: int = 1, step: float = 1e-6) -> np.ndarray:
-    """Central-difference estimate of :func:`nll_gradient` (slow; the checking oracle)."""
-    arr = _as_kappa(kappa).copy()
-    grad = np.zeros_like(arr)
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            parts = []
-            for unit in (1.0, 1j):
-                plus = arr.copy()
-                plus[i, j] += step * unit
-                minus = arr.copy()
-                minus[i, j] -= step * unit
-                hi = nll_loss(plus, batch, pi0, alphabet_size, multiplicity)
-                lo = nll_loss(minus, batch, pi0, alphabet_size, multiplicity)
-                if not (math.isfinite(hi) and math.isfinite(lo)):
-                    raise GradientUndefinedError("loss is not finite near this point")
-                parts.append((hi - lo) / (2.0 * step))
-            grad[i, j] = 0.5 * (parts[0] + 1j * parts[1])
-    return grad
+def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
+                       lengths: np.ndarray):
+    """Mean NLL of padded rows (longest first), as :func:`nll_loss` computes it,
+    and its gradient w.r.t. conj(ops).
+
+    Returns ``(inf, None)`` when a row's probability underflows.
+    """
+    m, _, k, _ = ops.shape
+    adjoint_ops = ops.conj().swapaxes(2, 3)
+    symbol_ids = np.arange(m)[:, None]
+    grad = np.zeros((m, ops[0].size), dtype=complex)
+    log_probs = np.empty(len(lengths))
+    for rows in _row_blocks(len(lengths), k):
+        block, steps = padded[rows], []
+        log_probs[rows] = _propagate(ops, rho0, block, lengths[rows], steps)
+        if log_probs[rows].min() == -math.inf:
+            return math.inf, None
+        # adjoint pass, last step first: each position adds its term, then
+        # the dual matrix is pulled back through that position's operators
+        dual = np.repeat(np.eye(k, dtype=complex)[None], len(block), axis=0)
+        for t in range(len(steps) - 1, -1, -1):
+            rho, probs = steps[t]
+            n = len(probs)
+            x = block[:n, t]
+            scaled = dual[:n] / probs[:, None, None]
+            terms = scaled[:, None] @ ops[x] @ rho[:, None]
+            grad -= (x == symbol_ids) @ terms.reshape(n, -1)
+            dual[:n] = _kraus_step(adjoint_ops, scaled, x)[0]
+    return float(-log_probs.sum() / len(lengths)), grad.reshape(ops.shape) / len(lengths)
 
 
 def cayley_step(kappa, gradient, tau: float) -> StiefelPoint:
@@ -271,7 +216,6 @@ class TrainConfig:
     epochs: int = 100
     multiplicity: int = 1
     seed: int = 0
-    gradient_mode: str = "analytic"
 
     def __post_init__(self):
         if self.dim < 1:
@@ -286,20 +230,18 @@ class TrainConfig:
             raise InputError("epochs must be >= 0")
         if self.multiplicity < 1:
             raise InputError("multiplicity must be >= 1")
-        if self.gradient_mode not in ("analytic", "finite_difference"):
-            raise InputError("gradient_mode must be 'analytic' or 'finite_difference'")
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "learning_rate": self.learning_rate,
                 "decay": self.decay, "num_batches": self.num_batches,
                 "epochs": self.epochs, "multiplicity": self.multiplicity,
-                "seed": self.seed, "gradient_mode": self.gradient_mode}
+                "seed": self.seed}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainConfig":
         """Build a config from a JSON-style mapping (unknown keys rejected)."""
         known = {"dim", "learning_rate", "decay", "num_batches", "epochs",
-                 "multiplicity", "seed", "gradient_mode"}
+                 "multiplicity", "seed"}
         unknown = set(payload) - known
         if unknown:
             raise InputError(f"unknown config fields {sorted(unknown)}")
@@ -329,34 +271,35 @@ def train_qhmm(dataset, config: TrainConfig, alphabet_size: int,
     not finite is retried with tau halved, up to 30 times, before training
     aborts with a :class:`TrainingError`.
     """
-    dataset = list(dataset)
-    if not dataset:
-        raise InputError("dataset must contain at least one sequence")
-    seqs = [_as_symbols(s, alphabet_size) for s in dataset]
+    # validated and padded once; each mini-batch is a set of rows, kept
+    # longest first by taking the row indices in increasing order
+    padded, lengths, order = _pad(dataset, alphabet_size)
+    row_of = np.argsort(order)
     k, mu = config.dim, config.multiplicity
+    shape = (alphabet_size, mu, k, k)
     if initial_state is None:
         initial_state = DensityMatrix.maximally_mixed(k)
     if initial_state.dim != k:
         raise InputError("initial state dimension disagrees with config.dim")
+    rho0 = initial_state.matrix
 
     rng = np.random.default_rng(config.seed)
     kappa = StiefelPoint(_draw_stiefel(rng, alphabet_size * mu * k, k))
-    gradient = nll_gradient if config.gradient_mode == "analytic" \
-        else finite_difference_gradient
 
     records = []
     tau = config.learning_rate
     for epoch in range(config.epochs):
-        order = rng.permutation(len(seqs))
-        for index, chunk in enumerate(np.array_split(order, config.num_batches)):
+        permutation = rng.permutation(len(lengths))
+        for index, chunk in enumerate(np.array_split(permutation, config.num_batches)):
             if chunk.size == 0:
                 continue
-            batch = [seqs[i] for i in chunk]
-            loss = nll_loss(kappa, batch, initial_state, alphabet_size, mu)
-            if not math.isfinite(loss):
+            rows = np.sort(row_of[chunk])
+            batch = padded[rows], lengths[rows]
+            loss, grad = _loss_and_gradient(kappa.matrix.reshape(shape), rho0, *batch)
+            if grad is None:
                 raise TrainingError(
                     f"batch loss is not finite at epoch {epoch} batch {index}")
-            grad = gradient(kappa, batch, initial_state, alphabet_size, mu)
+            grad = grad.reshape(kappa.matrix.shape)
             step_tau = tau
             for _ in range(1 + MAX_STEP_HALVINGS):
                 try:
@@ -364,8 +307,7 @@ def train_qhmm(dataset, config: TrainConfig, alphabet_size: int,
                 except StepFailureError:
                     step_tau /= 2.0
                     continue
-                if math.isfinite(nll_loss(candidate, batch, initial_state,
-                                          alphabet_size, mu)):
+                if _propagate(candidate.matrix.reshape(shape), rho0, *batch).min() > -math.inf:
                     break
                 step_tau /= 2.0
             else:

@@ -24,6 +24,23 @@ def det_hmm():
 
 
 @pytest.fixture
+def absorbing_hmm():
+    """State 0 is absorbing and never emits symbol 2, so "0 then 2" is impossible."""
+    return CategoricalHmm(
+        transition=[[1.0, 0.0], [0.4, 0.6]],
+        emission=[[0.9, 0.1, 0.0], [0.0, 0.2, 0.8]],
+        start=[0.5, 0.5],
+    )
+
+
+@pytest.fixture
+def underflow_batch():
+    """Mixed-length batch under ``absorbing_hmm`` where only row 1 is impossible,
+    and only from its third symbol on."""
+    return [(1, 1, 2), (1, 0, 2, 1), (2, 1, 0, 0, 1), (0, 0)]
+
+
+@pytest.fixture
 def single_state_hmm():
     return CategoricalHmm(transition=[[1.0]], emission=[[0.5, 0.5]], start=[1.0])
 

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from scengen import (InputError, average_da, da_for_sequence, da_nonlinearity,
-                     da_score, embed_hmm, sequence_log_prob, write_da_report)
+                     da_score, embed_hmm, hmm_forward, log_likelihoods,
+                     qhmm_log_likelihood, sequence_log_prob, write_da_report)
+
+from oracles import kraus_path_probability, random_kraus_model
 
 F_AT_MINUS_FOUR = (1.0 - math.e) / (1.0 + math.e)  # = -0.46211715726000974
 
@@ -117,6 +120,37 @@ class TestSequenceLogProb:
     def test_unknown_model_kind(self):
         with pytest.raises(InputError):
             sequence_log_prob(object(), [0, 1])
+        with pytest.raises(InputError):
+            log_likelihoods(object(), [[0, 1]])
+
+
+class TestLogLikelihoods:
+    def test_mixed_lengths_match_kraus_path_enumeration(self):
+        rng = np.random.default_rng(3)
+        model = random_kraus_model(rng, 3, 3, multiplicity=2)
+        seqs = [list(rng.integers(0, 3, size=length)) for length in (2, 5, 1, 4, 5, 3)]
+        got = log_likelihoods(model, seqs)
+        assert got.shape == (len(seqs),)
+        for seq, log_prob in zip(seqs, got):
+            assert np.exp(log_prob) == pytest.approx(kraus_path_probability(model, seq),
+                                                     rel=1e-10)
+
+    def test_underflowing_row_is_isolated(self, absorbing_hmm, underflow_batch):
+        model = embed_hmm(absorbing_hmm)
+        got = log_likelihoods(model, underflow_batch)
+        assert got[1] == float("-inf")
+        for i in (0, 2, 3):
+            assert math.isfinite(got[i])
+            assert got[i] == qhmm_log_likelihood(model, underflow_batch[i])
+
+    def test_hmm_rows_match_forward(self, ref_hmm):
+        seqs = [[0, 1], [1, 1, 0], [0]]
+        want = [hmm_forward(ref_hmm, s).log_likelihood for s in seqs]
+        np.testing.assert_array_equal(log_likelihoods(ref_hmm, seqs), want)
+
+    def test_empty_dataset_errors(self, ref_hmm):
+        with pytest.raises(InputError):
+            log_likelihoods(embed_hmm(ref_hmm), [])
 
 
 class TestReport:

@@ -4,7 +4,7 @@ import pytest
 from scengen import (DensityMatrix, InputError, KrausModel,
                      belief_update, embed_hmm, hmm_forward,
                      next_symbol_distribution, qhmm_log_likelihood,
-                     qhmm_sample, validate_kraus)
+                     qhmm_sample, random_stiefel, validate_kraus)
 
 from oracles import all_sequences, kraus_path_probability, random_kraus_model
 
@@ -201,6 +201,21 @@ class TestSample:
         rng = np.random.default_rng(99)
         draws = np.array([qhmm_sample(model, 1, rng)[0] for _ in range(100_000)])
         assert abs(draws.mean() - want[1]) < 0.01
+
+    def test_any_model_passing_validation_samples(self):
+        # a completeness residual of 8e-9 passes validate_kraus, so sampling
+        # must accept the probability sum it moves (by at most K * 8e-9)
+        stacked = random_stiefel(6, 3, 0).matrix * (1.0 + 4e-9)
+        model = KrausModel.from_stiefel(stacked, 2, 1, DensityMatrix.maximally_mixed(3))
+        report = validate_kraus(model)
+        assert report.passes and report.completeness_residual > 1e-9
+        assert len(qhmm_sample(model, 10, 0)) == 10
+
+    def test_incomplete_model_is_rejected(self):
+        ops = np.full((1, 1, 1, 1), 1.1, dtype=complex)
+        model = KrausModel(ops, DensityMatrix.maximally_mixed(1))
+        with pytest.raises(InputError):
+            qhmm_sample(model, 3, 0)
 
     def test_prefix_conditioning(self, det_hmm):
         model = embed_hmm(det_hmm)

@@ -6,9 +6,9 @@ import pytest
 
 from scengen import (DensityMatrix, GradientUndefinedError, InputError,
                      StiefelPoint, TrainConfig, cayley_step, embed_hmm,
-                     finite_difference_gradient, nll_gradient, nll_loss,
-                     qhmm_log_likelihood, qhmm_sample, random_stiefel,
-                     train_qhmm, validate_kraus, write_training_log)
+                     nll_gradient, nll_loss, qhmm_log_likelihood, qhmm_sample,
+                     random_stiefel, train_qhmm, validate_kraus,
+                     write_training_log)
 
 from oracles import central_difference_gradient, random_kraus_model
 
@@ -54,11 +54,13 @@ class TestNllLoss:
         kappa = np.eye(1, dtype=complex)
         assert nll_loss(kappa, [(0, 0, 0)], DensityMatrix.maximally_mixed(1), 1) == 0.0
 
-    def test_impossible_sequence_gives_infinite_loss(self, det_hmm):
-        model = embed_hmm(det_hmm)
-        loss = nll_loss(model.to_stiefel(), [(0, 1)], model.initial_state,
-                        model.alphabet_size, model.multiplicity)
-        assert loss == math.inf
+    def test_impossible_sequence_gives_infinite_loss(self, det_hmm, absorbing_hmm,
+                                                     underflow_batch):
+        for hmm, batch in ((det_hmm, [(0, 1)]), (absorbing_hmm, underflow_batch)):
+            model = embed_hmm(hmm)
+            loss = nll_loss(model.to_stiefel(), batch, model.initial_state,
+                            model.alphabet_size, model.multiplicity)
+            assert loss == math.inf
 
     def test_matches_per_sequence_log_likelihoods(self):
         rng = np.random.default_rng(0)
@@ -107,7 +109,8 @@ class TestNllGradient:
         rng = np.random.default_rng(7)
         kappa, batch, pi0, alphabet, mu = random_instance(rng, dim=2, alphabet=2, mu=1)
         a = nll_gradient(kappa, batch, pi0, alphabet, mu)
-        b = finite_difference_gradient(kappa, batch, pi0, alphabet, mu)
+        b = central_difference_gradient(
+            lambda m: nll_loss(m, batch, pi0, alphabet, mu), kappa.matrix)
         np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_scalar_radial_gradient(self):
@@ -122,11 +125,12 @@ class TestNllGradient:
         np.testing.assert_allclose(grad[2:], 0.0, atol=1e-8)
         assert np.max(np.abs(grad[:2])) > 1e-3
 
-    def test_infinite_loss_is_rejected(self, det_hmm):
-        model = embed_hmm(det_hmm)
-        with pytest.raises(GradientUndefinedError):
-            nll_gradient(model.to_stiefel(), [(0, 1)], model.initial_state,
-                         model.alphabet_size, model.multiplicity)
+    def test_infinite_loss_is_rejected(self, det_hmm, absorbing_hmm, underflow_batch):
+        for hmm, batch in ((det_hmm, [(0, 1)]), (absorbing_hmm, underflow_batch)):
+            model = embed_hmm(hmm)
+            with pytest.raises(GradientUndefinedError):
+                nll_gradient(model.to_stiefel(), batch, model.initial_state,
+                             model.alphabet_size, model.multiplicity)
 
 
 class TestCayleyStep:
@@ -179,7 +183,7 @@ class TestTrainConfig:
         {"dim": 0}, {"dim": 2, "learning_rate": 0.0},
         {"dim": 2, "decay": 0.0}, {"dim": 2, "decay": 1.5},
         {"dim": 2, "num_batches": 0}, {"dim": 2, "epochs": -1},
-        {"dim": 2, "multiplicity": 0}, {"dim": 2, "gradient_mode": "exact"},
+        {"dim": 2, "multiplicity": 0},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(InputError):
@@ -246,13 +250,6 @@ class TestTrainQhmm:
         b_model, b_records = train_qhmm(dataset, config, 2)
         np.testing.assert_array_equal(a_model.to_stiefel(), b_model.to_stiefel())
         assert a_records == b_records
-
-    def test_finite_difference_mode_runs(self):
-        config = TrainConfig(dim=1, epochs=2, num_batches=1, seed=0,
-                             gradient_mode="finite_difference")
-        model, records = train_qhmm([(0, 1), (1, 0)], config, 2)
-        assert validate_kraus(model).passes
-        assert len(records) == 2
 
     def test_empty_dataset_errors(self):
         with pytest.raises(InputError):
