@@ -38,11 +38,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, args, inputs, outputs,
-                    started_wall: str, started_clock: float) -> None:
+def _write_manifest(args, outputs, started_wall: str, started_clock: float) -> None:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    inputs = []
+    for flag in ("model", "model_probable", "model_no_probable", "data", "system"):
+        value = getattr(args, flag, None)  # compare's --data is a list
+        if value is not None:
+            inputs += value if isinstance(value, list) else [value]
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "seed": getattr(args, "seed", getattr(args, "seeds", None)),
         "config": config,
@@ -51,24 +55,33 @@ def _write_manifest(out: Path, command: str, args, inputs, outputs,
         "started_at": started_wall,
         "duration_seconds": time.perf_counter() - started_clock,
     }
-    with open(out / "manifest.json", "w") as fh:
+    with open(Path(args.out) / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
         fh.write("\n")
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _int_list(text: str) -> list:
+    """argparse type of a comma-separated integer list; empty fields are skipped."""
+    try:
+        return [int(s) for s in text.split(",") if s != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
 
 
-def _split_filter(split: str):
-    return None if split == "all" else split
+def _load_split(args, model_alphabet=None):
+    """``args.data`` and its nonempty ``args.split`` as (sequence, label) pairs.
 
-
-def _check_alphabet(sequences, alphabet_size: int) -> None:
-    top = max((max(s) for s in sequences if len(s) > 0), default=-1)
-    if top >= alphabet_size:
+    Symbols outside ``model_alphabet``, when it is given, are rejected.
+    """
+    data = load_dataset(args.data, alphabet_size=getattr(args, "alphabet_size", None))
+    pairs = data.labeled(None if args.split == "all" else args.split)
+    if not pairs:
+        raise InputError(f"no sequences in split {args.split!r} of {args.data}")
+    top = max((max(seq) for seq, _ in pairs if len(seq) > 0), default=-1)
+    if model_alphabet is not None and top >= model_alphabet:
         raise AlphabetMismatchError(
-            f"data uses symbol {top} but the model alphabet has size {alphabet_size}")
+            f"data uses symbol {top} but the model alphabet has size {model_alphabet}")
+    return data, pairs
 
 
 def _train_one(kind: str, sequences, alphabet_size: int, args, seed: int):
@@ -85,29 +98,23 @@ def _train_one(kind: str, sequences, alphabet_size: int, args, seed: int):
     return result.model, records
 
 
-def cmd_make_dataset(args) -> int:
-    started, clock = _now(), time.perf_counter()
+# each command returns the paths it wrote; main writes the manifest
+def cmd_make_dataset(args) -> list:
     system = SystemModel.load(args.system)
     out = _out_dir(args)
     build_datasets(system, max_len=args.max_len, p_min=args.p_min,
                    test_fraction=args.test_fraction, seed=args.seed,
                    out_dir=out)
-    outputs = [out / "probable.jsonl", out / "no_probable.jsonl"]
-    _write_manifest(out, "make-dataset", args, [args.system], outputs, started, clock)
-    return 0
+    return [out / "probable.jsonl", out / "no_probable.jsonl"]
 
 
-def cmd_train(args) -> int:
-    started, clock = _now(), time.perf_counter()
-    data = load_dataset(args.data, alphabet_size=args.alphabet_size)
-    sequences = data.sequences(_split_filter(args.split))
-    if not sequences:
-        raise InputError(f"no sequences in split {args.split!r} of {args.data}")
+def cmd_train(args) -> list:
+    data, pairs = _load_split(args)
     out = _out_dir(args)
     model_path, loss_path = out / "model.json", out / "loss.csv"
     try:
-        model, records = _train_one(args.kind, sequences, data.alphabet_size,
-                                    args, args.seed)
+        model, records = _train_one(args.kind, [seq for seq, _ in pairs],
+                                    data.alphabet_size, args, args.seed)
         if isinstance(model, KrausModel) and not validate_kraus(model).passes:
             raise TrainingError("trained model fails the completeness check")
         save_model(model, model_path)
@@ -116,44 +123,32 @@ def cmd_train(args) -> int:
         for path in (model_path, loss_path):
             path.unlink(missing_ok=True)
         raise
-    _write_manifest(out, "train", args, [args.data], [model_path, loss_path],
-                    started, clock)
-    return 0
+    return [model_path, loss_path]
 
 
-def cmd_eval(args) -> int:
-    started, clock = _now(), time.perf_counter()
+def cmd_eval(args) -> list:
     model = load_model(args.model)
-    data = load_dataset(args.data)
-    sequences = data.sequences(_split_filter(args.split))
-    if not sequences:
-        raise InputError(f"no sequences in split {args.split!r} of {args.data}")
-    _check_alphabet(sequences, model.alphabet_size)
+    _, pairs = _load_split(args, model.alphabet_size)
     out = _out_dir(args)
     report = out / "report.csv"
-    mean = write_da_report(report, model, sequences)
+    mean = write_da_report(report, model, [seq for seq, _ in pairs])
     print(f"mean_da {mean!r}")
-    _write_manifest(out, "eval", args, [args.model, args.data], [report],
-                    started, clock)
-    return 0
+    return [report]
 
 
-def cmd_generate(args) -> int:
-    started, clock = _now(), time.perf_counter()
+def cmd_generate(args) -> list:
     model = load_model(args.model)
     if args.count < 0:
         raise InputError("count must be >= 0")
-    prefix = tuple(int(s) for s in args.prefix.split(",") if s != "")
+    prefix = tuple(args.prefix)
     system = SystemModel.load(args.system) if args.system else None
     # generated sequences continue the prefix, so step decoding starts from
     # the system state the prefix walks to (all-up when there is none)
     decode_start = 0
     if system is not None and prefix:
         try:
-            state = 0
             for idx, action in decode_scenario(system, prefix):
-                state = apply_event(state, idx, action)
-            decode_start = state
+                decode_start = apply_event(decode_start, idx, action)
         except InputError as exc:
             print(f"warning: prefix is not a legal walk ({exc}); "
                   "decoding from the all-up state", file=sys.stderr)
@@ -161,8 +156,9 @@ def cmd_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
     out = _out_dir(args)
     path = out / "sequences.jsonl"
+    illegal = 0
     with open(path, "w") as fh:
-        for i in range(args.count):
+        for _ in range(args.count):
             sequence = sample(model, args.length, rng, prefix=prefix)
             payload = {"sequence": sequence}
             if system is not None:
@@ -171,40 +167,30 @@ def cmd_generate(args) -> int:
                                             initial_state=decode_start)
                     payload["steps"] = [[system.events[idx].id, action]
                                         for idx, action in steps]
-                except InputError as exc:
-                    print(f"warning: sequence {i} does not decode: {exc}",
-                          file=sys.stderr)
+                except InputError:
+                    illegal += 1
                     payload["steps"] = None
             fh.write(json.dumps(payload) + "\n")
-    inputs = [args.model] + ([args.system] if args.system else [])
-    _write_manifest(out, "generate", args, inputs, [path], started, clock)
-    return 0
+    if illegal:
+        print(f"warning: {illegal} of {args.count} sequences do not decode "
+              "as legal walks", file=sys.stderr)
+    return [path]
 
 
-def cmd_classify(args) -> int:
-    started, clock = _now(), time.perf_counter()
+def cmd_classify(args) -> list:
     clf = TwoModelClassifier(load_model(args.model_probable),
                              load_model(args.model_no_probable))
-    data = load_dataset(args.data)
-    pairs = data.labeled(_split_filter(args.split))
-    if not pairs:
-        raise InputError(f"no sequences in split {args.split!r} of {args.data}")
-    _check_alphabet([seq for seq, _ in pairs], clf.alphabet_size)
+    _, pairs = _load_split(args, clf.alphabet_size)
     out = _out_dir(args)
     report = out / "report.csv"
     accuracy = write_classification_report(report, clf, pairs)
     if accuracy is not None:
         print(f"accuracy {accuracy!r}")
-    _write_manifest(out, "classify", args,
-                    [args.model_probable, args.model_no_probable, args.data],
-                    [report], started, clock)
-    return 0
+    return [report]
 
 
-def cmd_compare(args) -> int:
-    started, clock = _now(), time.perf_counter()
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
-    if not seeds:
+def cmd_compare(args) -> list:
+    if not args.seeds:
         raise InputError("at least one seed is required")
     out = _out_dir(args)
     rows = []
@@ -217,7 +203,7 @@ def cmd_compare(args) -> int:
         for kind in ("hmm", "qhmm"):
             per_split = {"train": [], "test": []}
             failed = False
-            for seed in seeds:
+            for seed in args.seeds:
                 try:
                     model, _ = _train_one(kind, train_seqs, data.alphabet_size,
                                           args, seed)
@@ -241,8 +227,7 @@ def cmd_compare(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "model_kind", "split", "mean_da", "std_da"])
         writer.writerows(rows)
-    _write_manifest(out, "compare", args, list(args.data), [path], started, clock)
-    return 0
+    return [path]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--prefix", default="",
+    p.add_argument("--prefix", type=_int_list, default="",
                    help="comma-separated symbols of the event history to "
                         "condition on (filters the belief before sampling)")
     p.add_argument("--system", default=None,
@@ -320,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batches", type=int, default=5)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seeds", required=True, help="comma-separated seed list")
+    p.add_argument("--seeds", type=_int_list, required=True,
+                   help="comma-separated seed list")
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -328,20 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started, clock = datetime.now(timezone.utc).isoformat(), time.perf_counter()
     try:
-        return args.func(args)
+        _write_manifest(args, args.func(args), started, clock)
+        return 0
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
         return 2
-    except InputError as exc:
+    except (ScengenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScengenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 if __name__ == "__main__":

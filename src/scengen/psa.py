@@ -157,12 +157,12 @@ def _as_steps(scenario) -> Tuple[Tuple[int, str], ...]:
     return tuple(out)
 
 
-def scenario_probability(system: SystemModel, scenario, initial_state: int = 0) -> float:
-    """Product of per-step failure/repair probabilities along a legal walk."""
+def scenario_probability(system: SystemModel, scenario) -> float:
+    """Product of the step probabilities along a legal walk from the all-up state."""
     steps = _as_steps(scenario)
     if not steps:
         raise InputError("a scenario must contain at least one step")
-    state = initial_state
+    state = 0
     prob = 1.0
     for idx, action in steps:
         if idx >= system.num_events:
@@ -201,11 +201,8 @@ def decode_scenario(system: SystemModel, symbols,
     return steps
 
 
-def enumerate_scenarios(system: SystemModel, initial_state: int = 0,
-                        max_len: int = 4, p_min: float = 1e-3, *,
-                        max_events: int = MAX_EVENTS,
-                        max_len_limit: int = MAX_SCENARIO_LEN):
-    """Exhaustively search the state graph for severe-terminated walks.
+def enumerate_scenarios(system: SystemModel, max_len: int = 4, p_min: float = 1e-3):
+    """Exhaustively search the state graph for severe-terminated walks from all-up.
 
     Walks stop the first time they enter a severe state, so no proper
     prefix of a returned scenario is severe. Scenarios with probability
@@ -213,14 +210,15 @@ def enumerate_scenarios(system: SystemModel, initial_state: int = 0,
     no_probable; both lists are sorted by descending probability with ties
     broken by the encoded symbols, so the order is deterministic.
 
-    The search is exponential in ``max_len``; systems beyond the default
-    bounds are rejected with a :class:`ResourceLimitError`.
+    The search is exponential in ``max_len``; systems of more than
+    ``MAX_EVENTS`` events or ``max_len`` above ``MAX_SCENARIO_LEN`` are
+    rejected with a :class:`ResourceLimitError`.
     """
     n = system.num_events
-    if n > max_events:
-        raise ResourceLimitError(f"system has {n} events; bound is {max_events}")
-    if max_len > max_len_limit:
-        raise ResourceLimitError(f"max_len {max_len} exceeds bound {max_len_limit}")
+    if n > MAX_EVENTS:
+        raise ResourceLimitError(f"system has {n} events; bound is {MAX_EVENTS}")
+    if max_len > MAX_SCENARIO_LEN:
+        raise ResourceLimitError(f"max_len {max_len} exceeds bound {MAX_SCENARIO_LEN}")
     if max_len < 1:
         raise InputError("max_len must be >= 1")
 
@@ -241,7 +239,7 @@ def enumerate_scenarios(system: SystemModel, initial_state: int = 0,
             else:
                 explore(next_state, depth + 1, next_prob, next_steps)
 
-    explore(initial_state, 0, 1.0, ())
+    explore(0, 0, 1.0, ())
 
     probable: List[Scenario] = []
     no_probable: List[Scenario] = []
@@ -321,8 +319,7 @@ def load_dataset(path, alphabet_size: Optional[int] = None) -> ScenarioDataset:
 
 
 def build_datasets(system: SystemModel, *, max_len: int = 4, p_min: float = 1e-3,
-                   test_fraction: float = 0.25, seed: int = 0,
-                   initial_state: int = 0, out_dir=None):
+                   test_fraction: float = 0.25, seed: int = 0, out_dir=None):
     """Enumerate, encode, and split the two scenario classes.
 
     ``round(test_fraction * class size)`` records per class go to the test
@@ -336,8 +333,7 @@ def build_datasets(system: SystemModel, *, max_len: int = 4, p_min: float = 1e-3
     """
     if not 0.0 < test_fraction < 1.0:
         raise InputError("test_fraction must lie in (0, 1)")
-    probable, no_probable = enumerate_scenarios(
-        system, initial_state=initial_state, max_len=max_len, p_min=p_min)
+    probable, no_probable = enumerate_scenarios(system, max_len=max_len, p_min=p_min)
     if not probable or not no_probable:
         raise DatasetConstructionError(
             f"enumeration produced {len(probable)} probable and "

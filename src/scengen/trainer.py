@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -260,16 +259,15 @@ class TrainRecord:
     tau: float
 
 
-def train_qhmm(dataset, config: TrainConfig, alphabet_size: int,
-               initial_state: Optional[DensityMatrix] = None):
+def train_qhmm(dataset, config: TrainConfig, alphabet_size: int):
     """Fit Kraus operators to a dataset of symbol sequences.
 
     Returns ``(model, records)``: the trained model (stacked operators
     repartitioned, fixed initial state) and one :class:`TrainRecord` per
-    processed batch. The initial state defaults to maximally mixed and is
-    not learned. A step whose solve fails or whose post-step batch loss is
-    not finite is retried with tau halved, up to 30 times, before training
-    aborts with a :class:`TrainingError`.
+    processed batch. The initial state is maximally mixed, not learned. A
+    step whose solve fails or whose post-step batch loss is not finite is
+    retried with tau halved, up to 30 times, before training aborts with a
+    :class:`TrainingError`.
     """
     # validated and padded once; each mini-batch is a set of rows, kept
     # longest first by taking the row indices in increasing order
@@ -277,10 +275,7 @@ def train_qhmm(dataset, config: TrainConfig, alphabet_size: int,
     row_of = np.argsort(order)
     k, mu = config.dim, config.multiplicity
     shape = (alphabet_size, mu, k, k)
-    if initial_state is None:
-        initial_state = DensityMatrix.maximally_mixed(k)
-    if initial_state.dim != k:
-        raise InputError("initial state dimension disagrees with config.dim")
+    initial_state = DensityMatrix.maximally_mixed(k)
     rho0 = initial_state.matrix
 
     rng = np.random.default_rng(config.seed)

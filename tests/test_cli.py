@@ -171,7 +171,7 @@ class TestGenerate:
             assert "steps" in record
 
     def test_continuations_decode_from_the_post_prefix_state(self, system_path,
-                                                             tmp_path):
+                                                             tmp_path, capsys):
         # a one-state model over the 6-symbol alphabet that only emits
         # fail-A or repair-A, so continuations of prefix [fail A] that
         # start with repair-A are legal walks from the prefixed state
@@ -201,6 +201,11 @@ class TestGenerate:
             assert (record["steps"] is not None) == expect
             if record["steps"] is not None and record["sequence"][0] == 1:
                 assert record["steps"][0] == ["A", "repair"]
+        illegal = sum(r["steps"] is None for r in records)
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if "do not decode" in line]
+        assert warnings == [f"warning: {illegal} of 8 sequences do not decode "
+                            "as legal walks"]
 
     def test_symbols_stay_in_alphabet(self, dataset_dir, tmp_path):
         model_dir = tmp_path / "model"
@@ -282,11 +287,73 @@ class TestCompare:
         assert read_data_files(tmp_path / "a") == read_data_files(tmp_path / "b")
 
 
+class TestManifest:
+    def test_every_command_records_its_inputs_and_outputs(self, dataset_dir,
+                                                           system_path, tmp_path):
+        probable = dataset_dir / "probable.jsonl"
+        no_probable = dataset_dir / "no_probable.jsonl"
+        model = tmp_path / "model" / "model.json"
+        train_small(dataset_dir, model.parent)
+        runs = {
+            "eval": ["--model", model, "--data", probable],
+            "classify": ["--model-probable", model, "--model-no-probable", model,
+                         "--data", no_probable],
+            "generate": ["--model", model, "--count", 2, "--length", 3, "--seed", 0,
+                         "--system", system_path],
+            "compare": ["--data", probable, "--data", no_probable, "--K", 2,
+                        "--epochs", 1, "--seeds", "0"],
+        }
+        for command, argv in runs.items():
+            assert run(command, *argv, "--out", tmp_path / command) == 0
+        expected = {
+            dataset_dir: ("make-dataset", [system_path],
+                          ["probable.jsonl", "no_probable.jsonl"]),
+            model.parent: ("train", [probable], ["model.json", "loss.csv"]),
+            tmp_path / "eval": ("eval", [model, probable], ["report.csv"]),
+            tmp_path / "classify": ("classify", [model, model, no_probable],
+                                    ["report.csv"]),
+            tmp_path / "generate": ("generate", [model, system_path],
+                                    ["sequences.jsonl"]),
+            tmp_path / "compare": ("compare", [probable, no_probable],
+                                   ["comparison.csv"]),
+        }
+        for out, (command, inputs, outputs) in expected.items():
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["command"] == command
+            assert manifest["inputs"] == [str(p) for p in inputs]
+            assert manifest["outputs"] == [str(out / name) for name in outputs]
+        # a command that fails (here on an empty split) writes no manifest,
+        # even into an existing output directory
+        empty_split = tmp_path / "train-only.jsonl"
+        empty_split.write_text('{"sequence": [0, 1], "split": "train"}\n')
+        failed = tmp_path / "failed"
+        failed.mkdir()
+        assert run("eval", "--model", model, "--data", empty_split, "--split", "test",
+                   "--out", failed) == 2
+        assert not (failed / "manifest.json").exists()
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--model", "m.json", "--out", "gen", "--count", 1,
+         "--length", 2, "--seed", 0, "--prefix", "a"],
+        ["compare", "--data", "d.jsonl", "--out", "cmp", "--K", 2,
+         "--seeds", "0,x"],
+    ])
+    def test_malformed_integer_list_exits_two(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv)
+        assert excinfo.value.code == 2
+
+    def test_empty_seed_list_is_an_input_error(self, tmp_path, capsys):
+        assert run("compare", "--data", tmp_path / "d.jsonl",
+                   "--out", tmp_path / "cmp", "--K", 2, "--seeds", "") == 2
+        assert "at least one seed" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
