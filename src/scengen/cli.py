@@ -192,21 +192,23 @@ def cmd_classify(args) -> list:
 def cmd_compare(args) -> list:
     if not args.seeds:
         raise InputError("at least one seed is required")
-    out = _out_dir(args)
-    rows = []
+    datasets = []
     for data_path in args.data:
         data = load_dataset(data_path)
         train_seqs = data.sequences("train")
         test_seqs = data.sequences("test")
         if not train_seqs or not test_seqs:
             raise InputError(f"{data_path}: both train and test splits are required")
+        datasets.append((data_path, data.alphabet_size, train_seqs, test_seqs))
+    out = _out_dir(args)
+    rows = []
+    for data_path, alphabet_size, train_seqs, test_seqs in datasets:
         for kind in ("hmm", "qhmm"):
             per_split = {"train": [], "test": []}
             failed = False
             for seed in args.seeds:
                 try:
-                    model, _ = _train_one(kind, train_seqs, data.alphabet_size,
-                                          args, seed)
+                    model, _ = _train_one(kind, train_seqs, alphabet_size, args, seed)
                 except TrainingError as exc:
                     print(f"warning: {kind} training failed on {data_path} "
                           f"(seed {seed}): {exc}", file=sys.stderr)

@@ -1,9 +1,12 @@
 """Categorical hidden Markov models.
 
-Likelihoods are computed with per-step scaled forward/backward recursions
-so that long sequences stay inside the float range; the log-likelihood is
-accumulated from the per-step normalizers. A sequence the model cannot
-produce is reported with a ``-inf`` log-likelihood instead of an error.
+Likelihoods come from the per-step scaled forward/backward recursions of
+Rabiner (1989), so long sequences stay inside the float range; the
+log-likelihood is accumulated from the per-step normalizers. One batched
+kernel runs them over zero-padded rows, longest first, in row blocks; the
+per-sequence trellises, Baum-Welch and dataset scoring all call it. A
+sequence the model cannot produce is reported with a ``-inf``
+log-likelihood instead of an error.
 
 Models are immutable after construction and every operation here is a
 pure function, so concurrent use across threads is safe.
@@ -20,6 +23,8 @@ from .errors import InputError, PosteriorUndefinedError, TrainingError
 
 ROW_SUM_TOL = 1e-9
 _ENTRY_TOL = 1e-12
+# rows per block of the batched trellis are this many float64 entries over K
+_TRELLIS_BUDGET = 1024
 
 
 def _check_rows(name: str, arr: np.ndarray) -> None:
@@ -38,7 +43,7 @@ def _as_symbols(sequence, alphabet_size: int) -> np.ndarray:
         if not np.all(np.mod(seq, 1) == 0):
             raise InputError("symbols must be integers")
     seq = seq.astype(np.int64)
-    if np.any(seq < 0) or np.any(seq >= alphabet_size):
+    if seq.min() < 0 or seq.max() >= alphabet_size:
         raise InputError(f"symbol out of range for alphabet of size {alphabet_size}")
     return seq
 
@@ -125,6 +130,69 @@ class TrellisResult:
     backward: Optional[np.ndarray] = None
 
 
+def _pad(sequences, alphabet_size: int):
+    """Validated sequences as zero-padded rows, longest first: ``(padded,
+    lengths, order)``, where row i holds input sequence ``order[i]``."""
+    seqs = [_as_symbols(s, alphabet_size) for s in sequences]
+    if not seqs:
+        raise InputError("need at least one sequence")
+    lengths = np.array([s.size for s in seqs])
+    order = np.argsort(-lengths, kind="stable")
+    padded = np.zeros((len(seqs), lengths[order[0]]), dtype=np.int64)
+    for row, i in enumerate(order):
+        padded[row, :lengths[i]] = seqs[i]
+    return padded, lengths[order], order
+
+
+def _row_blocks(count: int, row_entries: int, budget: int) -> list:
+    """Slices of at most ``budget // row_entries`` rows (at least one), which
+    bounds the per-step temporaries of a batched recursion."""
+    size = max(1, budget // row_entries)
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _trellis_blocks(model: CategoricalHmm, padded: np.ndarray, lengths: np.ndarray,
+                    backward: bool = False):
+    """Scaled forward (and backward) passes of Rabiner (1989) over padded rows.
+
+    Rows come longest first, so the rows still running at step t are a
+    leading slice. Yields ``(rows, log_probs, forward, scaling, backward)``
+    for each block of rows (``backward`` is None unless asked for); past a
+    row's end its trellis entries are zero and its scalings one. A row
+    whose step total reaches 0 scores -inf while the other rows carry on;
+    its forward rows from that step on, its later scalings and its whole
+    backward trellis are zero.
+    """
+    emission_of = model.emission.T  # row x: emission probability of x per state
+    for rows in _row_blocks(len(lengths), model.num_states, _TRELLIS_BUDGET):
+        symbols, block_len = padded[rows], lengths[rows]
+        count, steps = len(block_len), block_len[0]
+        forward = np.zeros((count, steps, model.num_states))
+        scaling = np.ones((count, steps))  # padding counts as a factor 1
+        running = (block_len[:, None] > np.arange(steps)).sum(axis=0).tolist()
+        prior = model.start[None]
+        for t, n in enumerate(running):
+            if t:
+                prior = forward[:n, t - 1] @ model.transition
+            vec = prior * emission_of[symbols[:n, t]]
+            scaling[:n, t] = total = vec.sum(axis=1)
+            total[total <= 0.0] = np.inf  # the row keeps zero forward rows from here on
+            forward[:n, t] = vec / total[:, None]
+        with np.errstate(divide="ignore"):  # a total of 0 scores -inf
+            log_probs = np.log(scaling.clip(0.0)).sum(axis=1)
+        back = None
+        if backward:
+            back = np.zeros_like(forward)
+            back[np.arange(count), block_len - 1] = 1.0
+            divisor = np.where(scaling > 0.0, scaling, 1.0)
+            for t in range(steps - 2, -1, -1):
+                n = running[t + 1]
+                weighted = emission_of[symbols[:n, t + 1]] * back[:n, t + 1]
+                back[:n, t] = (weighted @ model.transition.T) / divisor[:n, t + 1, None]
+            back[log_probs == -np.inf] = 0.0
+        yield rows, log_probs, forward, scaling, back
+
+
 def hmm_forward(model: CategoricalHmm, sequence) -> TrellisResult:
     """Run the scaled forward recursion.
 
@@ -137,19 +205,9 @@ def hmm_forward(model: CategoricalHmm, sequence) -> TrellisResult:
         extinction point stay zero.
     """
     seq = _as_symbols(sequence, model.alphabet_size)
-    length, k = len(seq), model.num_states
-    forward = np.zeros((length, k))
-    scaling = np.zeros(length)
-    vec = model.start * model.emission[:, seq[0]]
-    for t in range(length):
-        if t > 0:
-            vec = (forward[t - 1] @ model.transition) * model.emission[:, seq[t]]
-        total = vec.sum()
-        scaling[t] = total
-        if total <= 0.0:
-            return TrellisResult(float("-inf"), forward, scaling)
-        forward[t] = vec / total
-    return TrellisResult(float(np.log(scaling).sum()), forward, scaling)
+    _, log_probs, forward, scaling, _ = next(
+        _trellis_blocks(model, seq[None], np.array([seq.size])))
+    return TrellisResult(float(log_probs[0]), forward[0], scaling[0])
 
 
 def hmm_backward(model: CategoricalHmm, sequence) -> TrellisResult:
@@ -157,20 +215,13 @@ def hmm_backward(model: CategoricalHmm, sequence) -> TrellisResult:
 
     For a sequence with positive probability, the identity
     ``P(X) = sum_l start[l] * emission[l, x_1] * b_l(1)`` recovers the same
-    probability as :func:`hmm_forward`.
+    probability as :func:`hmm_forward`. The backward trellis of a sequence
+    the model cannot produce is all zero.
     """
     seq = _as_symbols(sequence, model.alphabet_size)
-    res = hmm_forward(model, seq)
-    length, k = len(seq), model.num_states
-    backward = np.zeros((length, k))
-    if not np.isfinite(res.log_likelihood):
-        return TrellisResult(res.log_likelihood, res.forward, res.scaling, backward)
-    backward[length - 1] = 1.0
-    for t in range(length - 2, -1, -1):
-        backward[t] = (
-            model.transition @ (model.emission[:, seq[t + 1]] * backward[t + 1])
-        ) / res.scaling[t + 1]
-    return TrellisResult(res.log_likelihood, res.forward, res.scaling, backward)
+    _, log_probs, forward, scaling, backward = next(
+        _trellis_blocks(model, seq[None], np.array([seq.size]), backward=True))
+    return TrellisResult(float(log_probs[0]), forward[0], scaling[0], backward[0])
 
 
 def hmm_posterior(model: CategoricalHmm, sequence, position: int) -> np.ndarray:
@@ -238,7 +289,7 @@ def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = N
         raise InputError("num_states must be >= 1")
     if alphabet_size is None:
         alphabet_size = 1 + max(int(np.max(np.asarray(s))) for s in dataset)
-    seqs = [_as_symbols(s, alphabet_size) for s in dataset]
+    padded, lengths, _ = _pad(dataset, alphabet_size)
 
     rng = np.random.default_rng(seed)
     k, m = num_states, alphabet_size
@@ -254,25 +305,27 @@ def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = N
         trans_acc = np.zeros((k, k))
         emit_acc = np.zeros((k, m))
         total_ll = 0.0
-        for seq in seqs:
-            res = hmm_backward(model, seq)
-            if not np.isfinite(res.log_likelihood):
+        for rows, log_probs, forward, scaling, backward in _trellis_blocks(
+                model, padded, lengths, backward=True):
+            symbols = padded[rows, :scaling.shape[1]]
+            if log_probs.min() == -np.inf:
                 raise TrainingError("a training sequence has zero probability "
                                     "under the current parameters")
-            total_ll += res.log_likelihood
-            gamma = res.forward * res.backward
-            start_acc += gamma[0]
-            for t in range(len(seq) - 1):
-                trans_acc += (
-                    res.forward[t][:, None] * model.transition
-                    * (model.emission[:, seq[t + 1]] * res.backward[t + 1])[None, :]
-                ) / res.scaling[t + 1]
-            np.add.at(emit_acc.T, seq, gamma)
+            total_ll += log_probs.sum()
+            gamma = forward * backward
+            start_acc += gamma[:, 0].sum(axis=0)
+            np.add.at(emit_acc.T, symbols, gamma)
+            # expected k -> l transitions without their common factor
+            # transition[k, l], applied once at the update; the summand is
+            # zero past each row's end, where backward is zero
+            arriving = (model.emission.T[symbols[:, 1:]] * backward[:, 1:]
+                        / scaling[:, 1:, None])
+            trans_acc += np.einsum("ntk,ntl->kl", forward[:, :-1], arriving)
         history.append(float(total_ll))
         if len(history) > 1 and history[-1] - history[-2] < tol:
             break
         model = CategoricalHmm(
-            _rows_or_uniform(trans_acc),
+            _rows_or_uniform(trans_acc * model.transition),
             _rows_or_uniform(emit_acc),
             _rows_or_uniform(start_acc[None, :])[0],
         )

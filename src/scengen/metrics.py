@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .hmm import CategoricalHmm, hmm_forward
-from .qhmm import KrausModel, _pad, _propagate
+from .hmm import CategoricalHmm, _pad, _trellis_blocks
+from .qhmm import KrausModel, _propagate
 
 _LOGPROB_SLACK = 1e-9
 
@@ -75,21 +75,24 @@ def da_for_sequence(model, sequence) -> float:
 def log_likelihoods(model, sequences) -> np.ndarray:
     """Natural-log probability of each sequence under either model kind, in input order.
 
-    A Kraus-operator model filters all sequences in one batched pass; a
-    categorical HMM runs one forward recursion per sequence.
+    The sequences are padded into rows, longest first, and scored by one
+    batched call: the scaled forward pass of a categorical HMM, or the
+    belief filter of a Kraus-operator model.
     """
     seqs = list(sequences)
     if not seqs:
         raise InputError("dataset must be nonempty")
+    if not isinstance(model, (CategoricalHmm, KrausModel)):
+        raise InputError(f"unsupported model type {type(model).__name__}")
+    padded, lengths, order = _pad(seqs, model.alphabet_size)
+    scores = np.empty(len(seqs))
     if isinstance(model, CategoricalHmm):
-        return np.array([hmm_forward(model, s).log_likelihood for s in seqs])
-    if isinstance(model, KrausModel):
-        padded, lengths, order = _pad(seqs, model.alphabet_size)
-        scores = np.empty(len(seqs))
+        for rows, block_scores, *_ in _trellis_blocks(model, padded, lengths):
+            scores[order[rows]] = block_scores
+    else:
         scores[order] = _propagate(model.operators, model.initial_state.matrix,
                                    padded, lengths)
-        return scores
-    raise InputError(f"unsupported model type {type(model).__name__}")
+    return scores
 
 
 def _scores(model, seqs: list):

@@ -26,6 +26,8 @@ NO_PROBABLE = "no_probable"
 
 MAX_EVENTS = 12
 MAX_SCENARIO_LEN = 12
+# walk steps one enumeration may explore before it gives up
+MAX_WALK_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,8 @@ def enumerate_scenarios(system: SystemModel, max_len: int = 4, p_min: float = 1e
     broken by the encoded symbols, so the order is deterministic.
 
     The search is exponential in ``max_len``; systems of more than
-    ``MAX_EVENTS`` events or ``max_len`` above ``MAX_SCENARIO_LEN`` are
+    ``MAX_EVENTS`` events, ``max_len`` above ``MAX_SCENARIO_LEN``, and a
+    search that explores more than ``MAX_WALK_STEPS`` walk steps are
     rejected with a :class:`ResourceLimitError`.
     """
     n = system.num_events
@@ -223,10 +226,16 @@ def enumerate_scenarios(system: SystemModel, max_len: int = 4, p_min: float = 1e
         raise InputError("max_len must be >= 1")
 
     found: List[Tuple[Tuple[Tuple[int, str], ...], float]] = []
+    walk_steps = 0
 
     def explore(state: int, depth: int, prob: float, steps) -> None:
+        nonlocal walk_steps
         if depth == max_len:
             return
+        walk_steps += n
+        if walk_steps > MAX_WALK_STEPS:
+            raise ResourceLimitError(f"enumeration explored more than {MAX_WALK_STEPS} "
+                                     f"walk steps; lower max_len")
         for idx in range(n):
             down = bool(state >> idx & 1)
             action = REPAIR if down else FAIL

@@ -15,13 +15,15 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InputError
-from .hmm import CategoricalHmm, _as_symbols
+from .hmm import CategoricalHmm, _as_symbols, _row_blocks
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
 UNDERFLOW_PROB = 1e-300
+# rows per block of the batched filter are this many belief entries over K^2
+_BLOCK_BUDGET = 2048
 
 
 def hermiticity_residual(matrix: np.ndarray) -> float:
@@ -176,26 +178,6 @@ def _renormalize(updated: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return (updated + updated.conj().swapaxes(1, 2)) / (2.0 * probs)[:, None, None]
 
 
-def _pad(sequences, alphabet_size: int):
-    """Validated sequences as zero-padded rows, longest first: ``(padded,
-    lengths, order)``, where row i holds input sequence ``order[i]``."""
-    seqs = [_as_symbols(s, alphabet_size) for s in sequences]
-    if not seqs:
-        raise InputError("need at least one sequence")
-    lengths = np.array([s.size for s in seqs])
-    order = np.argsort(-lengths, kind="stable")
-    padded = np.zeros((len(seqs), lengths[order[0]]), dtype=np.int64)
-    for row, i in enumerate(order):
-        padded[row, :lengths[i]] = seqs[i]
-    return padded, lengths[order], order
-
-
-def _row_blocks(count: int, dim: int) -> list:
-    """Slices of at most 2048 // K^2 rows, which bounds the per-step temporaries."""
-    size = max(1, 2048 // dim ** 2)
-    return [slice(start, start + size) for start in range(0, count, size)]
-
-
 def _propagate(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
                lengths: np.ndarray, history: Optional[list] = None) -> np.ndarray:
     """Natural-log probability of each padded row, filtering from ``rho0``.
@@ -208,7 +190,7 @@ def _propagate(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     """
     log_probs = np.zeros(len(lengths))
     dim = rho0.shape[0]
-    for rows in _row_blocks(len(lengths), dim):
+    for rows in _row_blocks(len(lengths), dim ** 2, _BLOCK_BUDGET):
         symbols, block_ll, block_len = padded[rows], log_probs[rows], lengths[rows]
         rho = rho0[None]  # broadcasts against the rows until the first update
         running = np.count_nonzero(block_len[:, None] > np.arange(block_len[0]), axis=0)

@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import (GradientUndefinedError, InputError, StepFailureError,
                      TrainingError)
-from .qhmm import (DensityMatrix, KrausModel, _as_matrix, _kraus_step, _pad,
-                   _propagate, _row_blocks)
+from .hmm import _pad, _row_blocks
+from .qhmm import (_BLOCK_BUDGET, DensityMatrix, KrausModel, _as_matrix,
+                   _kraus_step, _propagate)
 
 STIEFEL_TOL = 1e-8
 MAX_STEP_HALVINGS = 30
@@ -141,7 +142,7 @@ def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     symbol_ids = np.arange(m)[:, None]
     grad = np.zeros((m, ops[0].size), dtype=complex)
     log_probs = np.empty(len(lengths))
-    for rows in _row_blocks(len(lengths), k):
+    for rows in _row_blocks(len(lengths), k * k, _BLOCK_BUDGET):
         block, steps = padded[rows], []
         log_probs[rows] = _propagate(ops, rho0, block, lengths[rows], steps)
         if log_probs[rows].min() == -math.inf:

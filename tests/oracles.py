@@ -1,8 +1,8 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately written from first principles (explicit
-path enumeration, breadth-first search, central differences) and stays
-independent of the library's recursions.
+path enumeration, breadth-first search, central differences, one sequence
+at a time) and stays independent of the library's recursions.
 """
 
 import itertools
@@ -45,6 +45,82 @@ def posterior_by_enumeration(model, sequence, position):
             term *= model.transition[path[t - 1], path[t]] * model.emission[path[t], seq[t]]
         mass[path[position - 1]] += term
     return mass / mass.sum()
+
+
+def _sequence_trellis(model, seq):
+    """Scaled forward/backward trellis of one sequence, one position at a time.
+
+    Returns ``(log_likelihood, forward, scaling, backward)``; the log-likelihood
+    is -inf when the model cannot produce the sequence.
+    """
+    length, k = len(seq), model.num_states
+    forward = np.zeros((length, k))
+    scaling = np.zeros(length)
+    vec = model.start * model.emission[:, seq[0]]
+    for t in range(length):
+        if t > 0:
+            vec = (forward[t - 1] @ model.transition) * model.emission[:, seq[t]]
+        total = vec.sum()
+        scaling[t] = total
+        if total <= 0.0:
+            return float("-inf"), forward, scaling, np.zeros((length, k))
+        forward[t] = vec / total
+    backward = np.zeros((length, k))
+    backward[length - 1] = 1.0
+    for t in range(length - 2, -1, -1):
+        backward[t] = (
+            model.transition @ (model.emission[:, seq[t + 1]] * backward[t + 1])
+        ) / scaling[t + 1]
+    return float(np.log(scaling).sum()), forward, scaling, backward
+
+
+def baum_welch_reference(dataset, num_states, alphabet_size, max_iters=100,
+                         tol=1e-6, seed=0):
+    """Baum-Welch with the E-step accumulated one sequence and one position at a time.
+
+    Same initialization, stopping rule and M-step as
+    :func:`scengen.baum_welch_fit`; returns ``(model, history)``.
+    """
+    from scengen import CategoricalHmm, TrainingError
+    from scengen.hmm import _rows_or_uniform
+
+    seqs = [np.asarray(s, dtype=np.int64) for s in dataset]
+    rng = np.random.default_rng(seed)
+    k, m = num_states, alphabet_size
+    model = CategoricalHmm(
+        rng.dirichlet(np.ones(k), size=k),
+        rng.dirichlet(np.ones(m), size=k),
+        rng.dirichlet(np.ones(k)),
+    )
+    history = []
+    for _ in range(max_iters):
+        start_acc = np.zeros(k)
+        trans_acc = np.zeros((k, k))
+        emit_acc = np.zeros((k, m))
+        total_ll = 0.0
+        for seq in seqs:
+            log_likelihood, forward, scaling, backward = _sequence_trellis(model, seq)
+            if not np.isfinite(log_likelihood):
+                raise TrainingError("a training sequence has zero probability "
+                                    "under the current parameters")
+            total_ll += log_likelihood
+            gamma = forward * backward
+            start_acc += gamma[0]
+            for t in range(len(seq) - 1):
+                trans_acc += (
+                    forward[t][:, None] * model.transition
+                    * (model.emission[:, seq[t + 1]] * backward[t + 1])[None, :]
+                ) / scaling[t + 1]
+            np.add.at(emit_acc.T, seq, gamma)
+        history.append(float(total_ll))
+        if len(history) > 1 and history[-1] - history[-2] < tol:
+            break
+        model = CategoricalHmm(
+            _rows_or_uniform(trans_acc),
+            _rows_or_uniform(emit_acc),
+            _rows_or_uniform(start_acc[None, :])[0],
+        )
+    return model, history
 
 
 def kraus_path_probability(model, sequence):

@@ -279,6 +279,13 @@ class TestCompare:
         with open(out / "comparison.csv", newline="") as fh:
             assert len(list(csv.reader(fh))) == 9
 
+    def test_unloadable_data_leaves_no_output_directory(self, dataset_dir, tmp_path):
+        out = tmp_path / "cmp"
+        assert run("compare", "--data", dataset_dir / "probable.jsonl",
+                   "--data", tmp_path / "nope.jsonl", "--out", out,
+                   "--K", 2, "--epochs", 1, "--seeds", "0") == 2
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, dataset_dir, tmp_path):
         for out in ("a", "b"):
             assert run("compare", "--data", dataset_dir / "probable.jsonl",

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from scengen import (CategoricalHmm, InputError, PosteriorUndefinedError,
-                     baum_welch_fit, hmm_backward, hmm_forward, hmm_posterior,
-                     hmm_sample)
+                     TrainingError, baum_welch_fit, hmm_backward, hmm_forward,
+                     hmm_posterior, hmm_sample)
+from scengen.hmm import _TRELLIS_BUDGET
 
-from oracles import (all_sequences, path_sum_probability,
+from oracles import (all_sequences, baum_welch_reference, path_sum_probability,
                      posterior_by_enumeration, random_hmm)
 
 # frozen with the path-sum oracle before the recursions were written
@@ -128,6 +129,21 @@ class TestBackward:
                 hmm_forward(model, seq).log_likelihood, rel=1e-10)
 
 
+    def test_extinct_sequence_keeps_zero_rows_and_scalings(self, absorbing_hmm):
+        # "1 0" ends in the absorbing state 0, which never emits 2
+        seq = [1, 0, 2, 1]
+        for res in (hmm_forward(absorbing_hmm, seq), hmm_backward(absorbing_hmm, seq)):
+            assert res.log_likelihood == float("-inf")
+            np.testing.assert_allclose(res.forward[:2], [[1 / 3, 2 / 3], [1.0, 0.0]],
+                                       rtol=1e-15)
+            np.testing.assert_array_equal(res.forward[2:], 0.0)
+            np.testing.assert_allclose(res.scaling[:2], [0.15, 0.54], rtol=1e-15)
+            np.testing.assert_array_equal(res.scaling[2:], 0.0)
+        backward = hmm_backward(absorbing_hmm, seq).backward
+        assert backward.shape == (4, 2)
+        np.testing.assert_array_equal(backward, 0.0)
+
+
 class TestPosterior:
     def test_single_state_is_always_one(self, single_state_hmm):
         for t in (1, 2):
@@ -200,6 +216,46 @@ class TestBaumWelch:
     def test_empty_dataset_errors(self):
         with pytest.raises(InputError):
             baum_welch_fit([], 2, alphabet_size=2)
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_matches_per_sequence_reference(self, k):
+        # mixed lengths over several row blocks of the batched E-step
+        rng = np.random.default_rng(k)
+        truth = random_hmm(rng, 3, 4)
+        count = 2 * (_TRELLIS_BUDGET // k) + 7
+        dataset = [hmm_sample(truth, int(rng.integers(1, 9)), rng) for _ in range(count)]
+        got = baum_welch_fit(dataset, k, alphabet_size=4, max_iters=12, seed=k)
+        model, history = baum_welch_reference(dataset, k, 4, max_iters=12, seed=k)
+        assert len(got.log_likelihoods) == len(history)
+        np.testing.assert_allclose(got.log_likelihoods, history, rtol=1e-9, atol=0)
+        for name in ("transition", "emission", "start"):
+            np.testing.assert_allclose(getattr(got.model, name), getattr(model, name),
+                                       rtol=0, atol=1e-12)
+
+    def test_zero_probability_row_raises(self, monkeypatch):
+        # initial emissions that never produce symbol 2; only one row, in the
+        # middle of a batch of several row blocks, contains it
+        real_rng = np.random.default_rng
+
+        class RngWithoutSymbolTwo:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def dirichlet(self, alpha, size=None):
+                draw = self._rng.dirichlet(alpha, size=size)
+                if len(alpha) == 3:
+                    draw[..., 2] = 0.0
+                    draw /= draw.sum(axis=-1, keepdims=True)
+                return draw
+
+        rng = real_rng(4)
+        dataset = [list(rng.integers(0, 2, size=int(rng.integers(1, 7))))
+                   for _ in range(3 * (_TRELLIS_BUDGET // 2))]
+        dataset[len(dataset) // 2] = [0, 2, 1]
+        monkeypatch.setattr(np.random, "default_rng", RngWithoutSymbolTwo)
+        for fit in (baum_welch_fit, baum_welch_reference):
+            with pytest.raises(TrainingError):
+                fit(dataset, 2, alphabet_size=3, seed=0)
 
 
 class TestSample:

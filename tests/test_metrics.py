@@ -7,8 +7,10 @@ import pytest
 from scengen import (InputError, average_da, da_for_sequence, da_nonlinearity,
                      da_score, embed_hmm, hmm_forward, log_likelihoods,
                      qhmm_log_likelihood, sequence_log_prob, write_da_report)
+from scengen.hmm import _TRELLIS_BUDGET
 
-from oracles import kraus_path_probability, random_kraus_model
+from oracles import (kraus_path_probability, path_sum_probability, random_hmm,
+                     random_kraus_model)
 
 F_AT_MINUS_FOUR = (1.0 - math.e) / (1.0 + math.e)  # = -0.46211715726000974
 
@@ -142,6 +144,30 @@ class TestLogLikelihoods:
         for i in (0, 2, 3):
             assert math.isfinite(got[i])
             assert got[i] == qhmm_log_likelihood(model, underflow_batch[i])
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_hmm_batch_matches_path_sum(self, k):
+        # mixed lengths, more rows than one block of the batched forward pass
+        rng = np.random.default_rng(k)
+        model = random_hmm(rng, k, 3)
+        seqs = [tuple(rng.integers(0, 3, size=int(rng.integers(1, 5))))
+                for _ in range(_TRELLIS_BUDGET // k + 40)]
+        oracle = {s: path_sum_probability(model, s) for s in set(seqs)}
+        got = log_likelihoods(model, seqs)
+        np.testing.assert_allclose(np.exp(got), [oracle[s] for s in seqs], rtol=1e-12)
+
+    def test_impossible_hmm_row_is_isolated(self, absorbing_hmm, underflow_batch):
+        possible = [underflow_batch[i] for i in (0, 2, 3)]
+        seqs = [possible[i % 3] for i in range(_TRELLIS_BUDGET // 2 + 11)]
+        middle = len(seqs) // 2
+        seqs[middle] = underflow_batch[1]
+        got = log_likelihoods(absorbing_hmm, seqs)
+        assert np.flatnonzero(np.isinf(got)).tolist() == [middle]
+        assert got[middle] == float("-inf")
+        for seq, log_prob in zip(seqs[:middle] + seqs[middle + 1:],
+                                 np.delete(got, middle)):
+            assert np.exp(log_prob) == pytest.approx(
+                path_sum_probability(absorbing_hmm, seq), rel=1e-12)
 
     def test_hmm_rows_match_forward(self, ref_hmm):
         seqs = [[0, 1], [1, 1, 0], [0]]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from scengen import psa
 from scengen import (FAIL, REPAIR, BasicEvent, DatasetConstructionError,
                      InputError, ResourceLimitError, Scenario, SystemModel,
                      TransitionError, apply_event, build_datasets,
@@ -198,6 +199,15 @@ class TestEnumerate:
         small = SystemModel("small", events[:2], [("E0",)])
         with pytest.raises(ResourceLimitError):
             enumerate_scenarios(small, max_len=13)
+
+    def test_walk_budget(self, ref_system, monkeypatch):
+        # the three-event system explores 84 walk steps at max_len 4
+        monkeypatch.setattr(psa, "MAX_WALK_STEPS", 84)
+        probable, no_probable = enumerate_scenarios(ref_system, max_len=4)
+        assert len(probable) + len(no_probable) == 16
+        monkeypatch.setattr(psa, "MAX_WALK_STEPS", 83)
+        with pytest.raises(ResourceLimitError, match="walk steps"):
+            enumerate_scenarios(ref_system, max_len=4)
 
 
 class TestBuildDatasets:
