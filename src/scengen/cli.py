@@ -29,7 +29,8 @@ from .psa import (SystemModel, apply_event, build_datasets, decode_scenario,
                   load_dataset)
 from .qhmm import KrausModel, qhmm_sample, validate_kraus
 from .serialization import load_model, save_model
-from .trainer import TrainConfig, TrainRecord, train_qhmm, write_training_log
+from .trainer import (TrainConfig, TrainRecord, train_qhmm, train_qhmm_seeds,
+                      write_training_log)
 
 
 def _out_dir(args) -> Path:
@@ -84,13 +85,16 @@ def _load_split(args, model_alphabet=None):
     return data, pairs
 
 
+def _qhmm_config(args, seed: int) -> TrainConfig:
+    return TrainConfig(dim=args.K, learning_rate=args.lr, decay=args.decay,
+                       num_batches=args.batches, epochs=args.epochs,
+                       multiplicity=args.mu, seed=seed)
+
+
 def _train_one(kind: str, sequences, alphabet_size: int, args, seed: int):
     """Train one model of the requested kind; returns (model, loss records)."""
     if kind == "qhmm":
-        config = TrainConfig(dim=args.K, learning_rate=args.lr, decay=args.decay,
-                             num_batches=args.batches, epochs=args.epochs,
-                             multiplicity=args.mu, seed=seed)
-        return train_qhmm(sequences, config, alphabet_size)
+        return train_qhmm(sequences, _qhmm_config(args, seed), alphabet_size)
     result = baum_welch_fit(sequences, args.K, alphabet_size=alphabet_size,
                             max_iters=args.epochs, tol=args.tol, seed=seed)
     records = [TrainRecord(i, 0, -ll / len(sequences), 0.0)
@@ -204,26 +208,32 @@ def cmd_compare(args) -> list:
     rows = []
     for data_path, alphabet_size, train_seqs, test_seqs in datasets:
         for kind in ("hmm", "qhmm"):
-            per_split = {"train": [], "test": []}
-            failed = False
-            for seed in args.seeds:
-                try:
-                    model, _ = _train_one(kind, train_seqs, alphabet_size, args, seed)
-                except TrainingError as exc:
-                    print(f"warning: {kind} training failed on {data_path} "
-                          f"(seed {seed}): {exc}", file=sys.stderr)
-                    failed = True
-                    break
-                per_split["train"].append(average_da(model, train_seqs))
-                per_split["test"].append(average_da(model, test_seqs))
-            for split in ("train", "test"):
-                if failed:
-                    rows.append([str(data_path), kind, split, "failed", "failed"])
-                else:
-                    values = np.asarray(per_split[split])
-                    rows.append([str(data_path), kind, split,
-                                 repr(float(values.mean())),
-                                 repr(float(values.std()))])
+            # one (model, records) pair or TrainingError per seed; the QHMM
+            # seeds train in one stacked pass, the HMM seeds one at a time
+            # up to the first failure
+            if kind == "qhmm":
+                fits = train_qhmm_seeds(train_seqs, _qhmm_config(args, args.seeds[0]),
+                                        alphabet_size, args.seeds)
+            else:
+                fits = []
+                for seed in args.seeds:
+                    try:
+                        fits.append(_train_one(kind, train_seqs, alphabet_size, args, seed))
+                    except TrainingError as exc:
+                        fits.append(exc)
+                        break
+            failure = next(((seed, fit) for seed, fit in zip(args.seeds, fits)
+                            if isinstance(fit, TrainingError)), None)
+            if failure is not None:
+                print(f"warning: {kind} training failed on {data_path} "
+                      f"(seed {failure[0]}): {failure[1]}", file=sys.stderr)
+                rows += [[str(data_path), kind, split, "failed", "failed"]
+                         for split in ("train", "test")]
+                continue
+            for split, seqs in (("train", train_seqs), ("test", test_seqs)):
+                values = np.asarray([average_da(model, seqs) for model, _ in fits])
+                rows.append([str(data_path), kind, split,
+                             repr(float(values.mean())), repr(float(values.std()))])
     path = out / "comparison.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -288,7 +288,9 @@ def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = N
     if num_states < 1:
         raise InputError("num_states must be >= 1")
     if alphabet_size is None:
-        alphabet_size = 1 + max(int(np.max(np.asarray(s))) for s in dataset)
+        # empty sequences are left for _pad to reject
+        alphabet_size = 1 + max((int(np.max(seq)) for seq in map(np.asarray, dataset)
+                                 if seq.size), default=-1)
     padded, lengths, _ = _pad(dataset, alphabet_size)
 
     rng = np.random.default_rng(seed)

@@ -6,6 +6,16 @@ Cayley-style retraction, so the completeness constraint holds after every
 accepted step. Per-sequence loss terms within a batch are independent and
 reduced longest sequence first, so results are deterministic for a fixed
 seed.
+
+Several seeds train in one stacked pass: the S seeds' operators are
+stacked as S * M symbols, each seed's mini-batch rows have their symbols
+offset by its position times M, and the rows of all seeds are merged
+longest first. The batched kernels then run unchanged on the stack, and
+the one-hot gradient scatter keeps each seed's gradient apart. Cayley
+steps, step halvings and failures stay per seed, so every seed gets the
+model, loss trace and error of a run on its own. A stack holds as many
+seeds as fit their mini-batches into one row block of the kernels;
+further seeds go to the next stack.
 """
 
 from __future__ import annotations
@@ -127,26 +137,28 @@ def nll_gradient(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -
     _, grad = _loss_and_gradient(ops, _as_matrix(pi0), padded, lengths)
     if grad is None:
         raise GradientUndefinedError("loss is not finite on this batch")
-    return grad.reshape(arr.shape)
+    return grad.reshape(arr.shape) / len(lengths)
 
 
 def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
                        lengths: np.ndarray):
-    """Mean NLL of padded rows (longest first), as :func:`nll_loss` computes it,
-    and its gradient w.r.t. conj(ops).
+    """Natural-log probability of each padded row (longest first), as
+    :func:`_propagate` computes it, and the gradient of their negated sum
+    w.r.t. conj(ops); callers divide by their row counts.
 
-    Returns ``(inf, None)`` when a row's probability underflows.
+    Returns ``(log_probs, None)`` when a row's probability underflows; rows
+    of the blocks after that row's are then left at 0.
     """
     m, _, k, _ = ops.shape
     adjoint_ops = ops.conj().swapaxes(2, 3)
     symbol_ids = np.arange(m)[:, None]
     grad = np.zeros((m, ops[0].size), dtype=complex)
-    log_probs = np.empty(len(lengths))
+    log_probs = np.zeros(len(lengths))
     for rows in _row_blocks(len(lengths), k * k, _BLOCK_BUDGET):
         block, steps = padded[rows], []
         log_probs[rows] = _propagate(ops, rho0, block, lengths[rows], steps)
         if log_probs[rows].min() == -math.inf:
-            return math.inf, None
+            return log_probs, None
         # adjoint pass, last step first: each position adds its term, then
         # the dual matrix is pulled back through that position's operators
         dual = np.repeat(np.eye(k, dtype=complex)[None], len(block), axis=0)
@@ -158,7 +170,7 @@ def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
             terms = scaled[:, None] @ ops[x] @ rho[:, None]
             grad -= (x == symbol_ids) @ terms.reshape(n, -1)
             dual[:n] = _kraus_step(adjoint_ops, scaled, x)[0]
-    return float(-log_probs.sum() / len(lengths)), grad.reshape(ops.shape) / len(lengths)
+    return log_probs, grad.reshape(ops.shape)
 
 
 def cayley_step(kappa, gradient, tau: float) -> StiefelPoint:
@@ -270,51 +282,142 @@ def train_qhmm(dataset, config: TrainConfig, alphabet_size: int):
     retried with tau halved, up to 30 times, before training aborts with a
     :class:`TrainingError`.
     """
+    (result,) = train_qhmm_seeds(dataset, config, alphabet_size, [config.seed])
+    if isinstance(result, TrainingError):
+        raise result
+    return result
+
+
+class _SeedRun:
+    """One seed's training state within a stacked pass."""
+
+    def __init__(self, rng: np.random.Generator, kappa: StiefelPoint):
+        self.rng, self.kappa = rng, kappa
+        self.records = []
+        self.error = None  # the TrainingError that ended the run
+        # the current step: batch rows (longest first), pre-step loss and
+        # gradient, and the step size
+        self.rows = self.loss = self.grad = self.step_tau = None
+
+
+def train_qhmm_seeds(dataset, config: TrainConfig, alphabet_size: int, seeds) -> list:
+    """Train one model per seed, with the seeds stacked into shared kernel calls.
+
+    Returns one entry per seed, in order: the ``(model, records)`` pair
+    that :func:`train_qhmm` returns for ``config`` with its seed replaced
+    by that seed, or the :class:`TrainingError` it raises. A failing seed
+    leaves its stack and the others carry on.
+    """
     # validated and padded once; each mini-batch is a set of rows, kept
     # longest first by taking the row indices in increasing order
     padded, lengths, order = _pad(dataset, alphabet_size)
     row_of = np.argsort(order)
+    # a stack pays while its mini-batches fit one row block of the kernels
+    # together: past that the blocks are full anyway, and the one-hot
+    # gradient scatter grows with the number of stacked symbols
+    batch_rows = -(-len(lengths) // config.num_batches)
+    per_stack = max(1, _BLOCK_BUDGET // config.dim ** 2 // batch_rows)
+    seeds = list(seeds)
+    return [result for start in range(0, len(seeds), per_stack)
+            for result in _train_stack(padded, lengths, row_of, config, alphabet_size,
+                                       seeds[start:start + per_stack])]
+
+
+def _train_stack(padded, lengths, row_of, config: TrainConfig, alphabet_size: int,
+                 seeds) -> list:
+    """:func:`train_qhmm_seeds` for seeds that share every kernel call."""
     k, mu = config.dim, config.multiplicity
     shape = (alphabet_size, mu, k, k)
     initial_state = DensityMatrix.maximally_mixed(k)
     rho0 = initial_state.matrix
 
-    rng = np.random.default_rng(config.seed)
-    kappa = StiefelPoint(_draw_stiefel(rng, alphabet_size * mu * k, k))
+    def stack(runs):
+        # the symbols of runs[j] are offset by j*M, to index its operators
+        # in the stack; members[j] selects its merged rows, which keep their
+        # order
+        if len(runs) == 1:  # nothing to merge or offset
+            return padded[runs[0].rows], lengths[runs[0].rows], [slice(None)]
+        owner = np.repeat(np.arange(len(runs)), [len(run.rows) for run in runs])
+        rows = np.concatenate([run.rows for run in runs])
+        merged = np.argsort(-lengths[rows], kind="stable")
+        rows, owner = rows[merged], owner[merged]
+        members = [owner == j for j in range(len(runs))]
+        return padded[rows] + alphabet_size * owner[:, None], lengths[rows], members
 
-    records = []
+    def stacked_ops(points):
+        if len(points) == 1:  # a view; the kernels do not write to it
+            return points[0].matrix.reshape(shape)
+        return np.concatenate([point.matrix.reshape(shape) for point in points])
+
+    runs = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        runs.append(_SeedRun(rng, StiefelPoint(_draw_stiefel(rng, alphabet_size * mu * k, k))))
+
     tau = config.learning_rate
     for epoch in range(config.epochs):
-        permutation = rng.permutation(len(lengths))
-        for index, chunk in enumerate(np.array_split(permutation, config.num_batches)):
-            if chunk.size == 0:
-                continue
-            rows = np.sort(row_of[chunk])
-            batch = padded[rows], lengths[rows]
-            loss, grad = _loss_and_gradient(kappa.matrix.reshape(shape), rho0, *batch)
-            if grad is None:
-                raise TrainingError(
-                    f"batch loss is not finite at epoch {epoch} batch {index}")
-            grad = grad.reshape(kappa.matrix.shape)
-            step_tau = tau
-            for _ in range(1 + MAX_STEP_HALVINGS):
-                try:
-                    candidate = cayley_step(kappa, grad, step_tau)
-                except StepFailureError:
-                    step_tau /= 2.0
-                    continue
-                if _propagate(candidate.matrix.reshape(shape), rho0, *batch).min() > -math.inf:
+        live = [run for run in runs if run.error is None]
+        chunks = [np.array_split(run.rng.permutation(len(lengths)), config.num_batches)
+                  for run in live]
+        for index in range(config.num_batches):
+            stepping = []
+            for run, chunk in zip(live, chunks):
+                if run.error is None and chunk[index].size:
+                    run.rows = np.sort(row_of[chunk[index]])
+                    stepping.append(run)
+            # a run whose batch loss is not finite leaves the stack
+            while stepping:
+                stacked, (symbols, lens, members) = stepping, stack(stepping)
+                ops = stacked_ops([run.kappa for run in stepping])
+                log_probs, grad = _loss_and_gradient(ops, rho0, symbols, lens)
+                if grad is not None:
                     break
-                step_tau /= 2.0
-            else:
-                raise TrainingError(
+                log_probs = _propagate(ops, rho0, symbols, lens)
+                stepping = [run for run, rows in zip(stacked, members)
+                            if log_probs[rows].min() > -math.inf]
+                for run in stacked:
+                    if run not in stepping:
+                        run.error = TrainingError(
+                            f"batch loss is not finite at epoch {epoch} batch {index}")
+            for j, run in enumerate(stepping):
+                run.loss = float(-log_probs[members[j]].sum() / len(run.rows))
+                run.grad = (grad[j * alphabet_size:(j + 1) * alphabet_size]
+                            / len(run.rows)).reshape(run.kappa.matrix.shape)
+                run.step_tau = tau
+            # every run still halving tries one step per round; their
+            # candidates are checked together for a finite batch loss
+            for _ in range(1 + MAX_STEP_HALVINGS):
+                if not stepping:
+                    break
+                checked, candidates = [], []
+                for run in stepping:
+                    try:
+                        candidates.append(cayley_step(run.kappa, run.grad, run.step_tau))
+                        checked.append(run)
+                    except StepFailureError:
+                        run.step_tau /= 2.0
+                accepted = []
+                if checked:
+                    if checked != stacked:
+                        stacked, (symbols, lens, members) = checked, stack(checked)
+                    log_probs = _propagate(stacked_ops(candidates), rho0, symbols, lens)
+                    for run, candidate, rows in zip(checked, candidates, members):
+                        if log_probs[rows].min() > -math.inf:
+                            run.records.append(TrainRecord(epoch, index, run.loss, run.step_tau))
+                            run.kappa = candidate
+                            accepted.append(run)
+                        else:
+                            run.step_tau /= 2.0
+                stepping = [run for run in stepping if run not in accepted]
+            for run in stepping:
+                run.error = TrainingError(
                     f"step failed after {MAX_STEP_HALVINGS} halvings at "
-                    f"epoch {epoch} batch {index} (loss {loss:.6g}, tau {tau:.3g})")
-            records.append(TrainRecord(epoch, index, loss, step_tau))
-            kappa = candidate
+                    f"epoch {epoch} batch {index} (loss {run.loss:.6g}, tau {tau:.3g})")
         tau *= config.decay
-    model = KrausModel.from_stiefel(kappa.matrix, alphabet_size, mu, initial_state)
-    return model, records
+    return [run.error if run.error is not None else
+            (KrausModel.from_stiefel(run.kappa.matrix, alphabet_size, mu, initial_state),
+             run.records)
+            for run in runs]
 
 
 def write_training_log(path, records) -> None:

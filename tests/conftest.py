@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from scengen import CategoricalHmm, reference_three_event_system
+from scengen import (CategoricalHmm, StepFailureError, reference_three_event_system,
+                     trainer)
 
 
 @pytest.fixture
@@ -48,3 +50,21 @@ def single_state_hmm():
 @pytest.fixture
 def ref_system():
     return reference_three_event_system()
+
+
+@pytest.fixture
+def capped_steps(monkeypatch):
+    """Make ``cayley_step`` fail while tau * max|G| exceeds ``cap``, so seeds
+    with larger gradients need more halvings; returns a setter for the cap
+    and the number of halvings allowed."""
+    real_step = trainer.cayley_step
+
+    def configure(cap, max_halvings=trainer.MAX_STEP_HALVINGS):
+        def capped(kappa, gradient, tau):
+            if tau * np.abs(gradient).max() > cap:
+                raise StepFailureError("step too long")
+            return real_step(kappa, gradient, tau)
+        monkeypatch.setattr(trainer, "cayley_step", capped)
+        monkeypatch.setattr(trainer, "MAX_STEP_HALVINGS", max_halvings)
+
+    return configure

@@ -209,3 +209,69 @@ def random_kraus_model(rng, dim, alphabet_size, multiplicity=1):
     q, _ = np.linalg.qr(z)
     return KrausModel.from_stiefel(q, alphabet_size, multiplicity,
                                    DensityMatrix.maximally_mixed(dim))
+
+
+def train_qhmm_reference(dataset, config, alphabet_size):
+    """QHMM training one seed at a time, one mini-batch step after another.
+
+    The serial loop :func:`scengen.train_qhmm` ran before seeds were
+    stacked: the same kernels, initialization, batching, halving rule and
+    error messages, with each step's loss, gradient and candidate check
+    computed on this seed's rows alone. Returns ``(model, records)`` or
+    raises :class:`scengen.TrainingError`.
+    """
+    import math
+
+    from scengen import (DensityMatrix, KrausModel, StepFailureError,
+                         StiefelPoint, TrainingError, TrainRecord, trainer)
+    from scengen.hmm import _pad
+    from scengen.qhmm import _propagate
+    from scengen.trainer import _draw_stiefel, _loss_and_gradient
+
+    # looked up in the module, as the library does, so tests can patch them
+    cayley_step, max_halvings = trainer.cayley_step, trainer.MAX_STEP_HALVINGS
+
+    padded, lengths, order = _pad(dataset, alphabet_size)
+    row_of = np.argsort(order)
+    k, mu = config.dim, config.multiplicity
+    shape = (alphabet_size, mu, k, k)
+    initial_state = DensityMatrix.maximally_mixed(k)
+    rho0 = initial_state.matrix
+
+    rng = np.random.default_rng(config.seed)
+    kappa = StiefelPoint(_draw_stiefel(rng, alphabet_size * mu * k, k))
+
+    records = []
+    tau = config.learning_rate
+    for epoch in range(config.epochs):
+        permutation = rng.permutation(len(lengths))
+        for index, chunk in enumerate(np.array_split(permutation, config.num_batches)):
+            if chunk.size == 0:
+                continue
+            rows = np.sort(row_of[chunk])
+            batch = padded[rows], lengths[rows]
+            log_probs, grad = _loss_and_gradient(kappa.matrix.reshape(shape), rho0, *batch)
+            if grad is None:
+                raise TrainingError(
+                    f"batch loss is not finite at epoch {epoch} batch {index}")
+            loss = float(-log_probs.sum() / len(rows))
+            grad = grad.reshape(kappa.matrix.shape) / len(rows)
+            step_tau = tau
+            for _ in range(1 + max_halvings):
+                try:
+                    candidate = cayley_step(kappa, grad, step_tau)
+                except StepFailureError:
+                    step_tau /= 2.0
+                    continue
+                if _propagate(candidate.matrix.reshape(shape), rho0, *batch).min() > -math.inf:
+                    break
+                step_tau /= 2.0
+            else:
+                raise TrainingError(
+                    f"step failed after {max_halvings} halvings at "
+                    f"epoch {epoch} batch {index} (loss {loss:.6g}, tau {tau:.3g})")
+            records.append(TrainRecord(epoch, index, loss, step_tau))
+            kappa = candidate
+        tau *= config.decay
+    model = KrausModel.from_stiefel(kappa.matrix, alphabet_size, mu, initial_state)
+    return model, records

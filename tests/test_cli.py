@@ -1,12 +1,16 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from scengen import (CategoricalHmm, average_da, load_dataset, load_model,
-                     random_stiefel, save_model, validate_kraus)
+from scengen import (CategoricalHmm, TrainConfig, TrainingError, average_da,
+                     baum_welch_fit, load_dataset, load_model, random_stiefel,
+                     save_model, validate_kraus)
 from scengen.cli import main
+
+from oracles import train_qhmm_reference
 
 
 def run(*argv):
@@ -292,6 +296,65 @@ class TestCompare:
                        "--out", tmp_path / out, "--K", 2, "--epochs", 2,
                        "--seeds", "0,1") == 0
         assert read_data_files(tmp_path / "a") == read_data_files(tmp_path / "b")
+
+    def test_desk_table_equals_separate_reference_runs(self, system_path, tmp_path):
+        # the README pipeline: split seed 9, K=4, three seeds, default epochs
+        data = tmp_path / "desk"
+        assert run("make-dataset", "--system", system_path, "--out", data, "--seed", 9) == 0
+        paths = [data / "probable.jsonl", data / "no_probable.jsonl"]
+        out = tmp_path / "cmp"
+        assert run("compare", "--data", paths[0], "--data", paths[1], "--out", out,
+                   "--K", 4, "--seeds", "0,1,2") == 0
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["dataset", "model_kind", "split", "mean_da", "std_da"])
+        for path in paths:
+            ds = load_dataset(path)
+            train, test = ds.sequences("train"), ds.sequences("test")
+            fits = {
+                "hmm": [baum_welch_fit(train, 4, alphabet_size=ds.alphabet_size,
+                                       max_iters=100, tol=1e-6, seed=seed).model
+                        for seed in (0, 1, 2)],
+                "qhmm": [train_qhmm_reference(train, TrainConfig(dim=4, seed=seed),
+                                              ds.alphabet_size)[0]
+                         for seed in (0, 1, 2)],
+            }
+            for kind, models in fits.items():
+                for split, seqs in (("train", train), ("test", test)):
+                    values = np.asarray([average_da(model, seqs) for model in models])
+                    writer.writerow([str(path), kind, split, repr(float(values.mean())),
+                                     repr(float(values.std()))])
+        assert (out / "comparison.csv").read_bytes() == want.getvalue().encode()
+
+    def test_failing_seed_warns_once_in_seed_order(self, dataset_dir, tmp_path, capsys,
+                                                   capped_steps):
+        # with steps capped, seed 0 trains, seed 3 fails at epoch 0 batch 4
+        # and seed 2, listed after it, fails earlier (batch 0)
+        capped_steps(0.1, max_halvings=1)
+        path = dataset_dir / "probable.jsonl"
+        out = tmp_path / "cmp"
+        assert run("compare", "--data", path, "--out", out, "--K", 2, "--epochs", 3,
+                   "--seeds", "0,3,2") == 0
+        ds = load_dataset(path)
+        errors = {}
+        for seed in (0, 3, 2):
+            try:
+                train_qhmm_reference(ds.sequences("train"), TrainConfig(dim=2, epochs=3,
+                                                                       seed=seed),
+                                     ds.alphabet_size)
+            except TrainingError as exc:
+                errors[seed] = str(exc)
+        assert sorted(errors) == [2, 3]
+        assert "batch 4" in errors[3] and "batch 0" in errors[2]
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert warnings == [f"warning: qhmm training failed on {path} (seed 3): {errors[3]}"]
+        with open(out / "comparison.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[3:] == [[str(path), "qhmm", "train", "failed", "failed"],
+                            [str(path), "qhmm", "test", "failed", "failed"]]
+        for row in rows[1:3]:
+            float(row[3])
 
 
 class TestManifest:

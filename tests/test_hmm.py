@@ -217,6 +217,10 @@ class TestBaumWelch:
         with pytest.raises(InputError):
             baum_welch_fit([], 2, alphabet_size=2)
 
+    def test_empty_sequence_is_an_input_error_with_inferred_alphabet(self):
+        with pytest.raises(InputError):
+            baum_welch_fit([[0, 1], []], 2)
+
     @pytest.mark.parametrize("k", [3, 8])
     def test_matches_per_sequence_reference(self, k):
         # mixed lengths over several row blocks of the batched E-step

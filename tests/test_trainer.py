@@ -1,16 +1,20 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scengen import (DensityMatrix, GradientUndefinedError, InputError,
-                     StiefelPoint, TrainConfig, cayley_step, embed_hmm,
-                     nll_gradient, nll_loss, qhmm_log_likelihood, qhmm_sample,
-                     random_stiefel, train_qhmm, validate_kraus,
+                     StiefelPoint, TrainConfig, TrainingError,
+                     build_datasets, cayley_step, embed_hmm, nll_gradient,
+                     nll_loss, qhmm_log_likelihood, qhmm_sample, random_stiefel,
+                     reference_four_event_system, reference_three_event_system,
+                     train_qhmm, train_qhmm_seeds, trainer, validate_kraus,
                      write_training_log)
 
-from oracles import central_difference_gradient, random_kraus_model
+from oracles import (central_difference_gradient, random_kraus_model,
+                     train_qhmm_reference)
 
 
 def random_instance(rng, dim=None, alphabet=None, mu=None, batch_size=3, max_len=5):
@@ -263,6 +267,118 @@ class TestTrainQhmm:
                                     probable.alphabet_size)
         assert records[-1].loss < records[0].loss
         assert validate_kraus(model).passes
+
+
+def desk_training_sets():
+    """Train splits of the README pipeline's two datasets (split seed 9)."""
+    datasets = build_datasets(reference_three_event_system(), max_len=4, p_min=1e-3,
+                              test_fraction=0.25, seed=9)
+    return [(ds.sequences("train"), ds.alphabet_size) for ds in datasets]
+
+
+def reference_or_error(dataset, config, alphabet_size):
+    try:
+        return train_qhmm_reference(dataset, config, alphabet_size)
+    except TrainingError as exc:
+        return exc
+
+
+def assert_same_fit(got, want, tol=0.0):
+    if isinstance(want, TrainingError):
+        assert isinstance(got, TrainingError) and str(got) == str(want)
+        return
+    (model, records), (want_model, want_records) = got, want
+    if tol == 0.0:
+        np.testing.assert_array_equal(model.operators, want_model.operators)
+        assert records == want_records
+        return
+    np.testing.assert_allclose(model.operators, want_model.operators, rtol=0, atol=tol)
+    assert [(r.epoch, r.batch, r.tau) for r in records] \
+        == [(r.epoch, r.batch, r.tau) for r in want_records]
+    np.testing.assert_allclose([r.loss for r in records],
+                               [r.loss for r in want_records], rtol=0, atol=tol)
+
+
+def halvings(records, config):
+    return sum(round(math.log2(config.learning_rate * config.decay ** r.epoch / r.tau))
+               for r in records)
+
+
+class TestTrainQhmmSeeds:
+    def test_single_block_stacks_are_bit_identical_to_separate_runs(self):
+        config = TrainConfig(dim=4, epochs=20)
+        for dataset, alphabet in desk_training_sets():
+            results = train_qhmm_seeds(dataset, config, alphabet, [1, 2, 3])
+            for seed, got in zip([1, 2, 3], results):
+                want = train_qhmm_reference(dataset, replace(config, seed=seed), alphabet)
+                assert_same_fit(got, want)
+
+    @pytest.mark.parametrize("dim, mu, epochs, num_batches", [
+        (4, 1, 3, 5),      # 64-row batches, two seeds per 128-row block
+        (16, 2, 1, 5),     # 64-row batches over 8-row blocks, no stacking
+        (16, 2, 1, 106),   # 3-row batches, two seeds per 8-row block
+    ])
+    def test_four_event_seeds_match_separate_runs(self, dim, mu, epochs, num_batches):
+        _, no_probable = build_datasets(reference_four_event_system(), max_len=6,
+                                        p_min=1e-3, test_fraction=0.25, seed=1)
+        dataset = no_probable.sequences("train")
+        config = TrainConfig(dim=dim, multiplicity=mu, epochs=epochs,
+                             num_batches=num_batches)
+        results = train_qhmm_seeds(dataset, config, no_probable.alphabet_size, [0, 1, 2])
+        for seed, got in zip([0, 1, 2], results):
+            want = train_qhmm_reference(dataset, replace(config, seed=seed),
+                                        no_probable.alphabet_size)
+            assert_same_fit(got, want, tol=1e-12)
+
+    def test_train_qhmm_is_bit_identical_to_reference(self):
+        (dataset, alphabet), _ = desk_training_sets()
+        config = TrainConfig(dim=3, multiplicity=2, epochs=10, seed=5)
+        assert_same_fit(train_qhmm(dataset, config, alphabet),
+                        train_qhmm_reference(dataset, config, alphabet))
+
+    def test_halving_and_failing_seeds_leave_the_others_alone(self, capped_steps):
+        (dataset, alphabet), _ = desk_training_sets()
+        config = TrainConfig(dim=2, epochs=3)
+        seeds = [4, 1, 3, 2]
+        capped_steps(0.1, max_halvings=1)
+        results = train_qhmm_seeds(dataset, config, alphabet, seeds)
+        solo = [reference_or_error(dataset, replace(config, seed=s), alphabet)
+                for s in seeds]
+        for got, want in zip(results, solo):
+            assert_same_fit(got, want)
+        # seed 4 never halves, seeds 3 and 2 halve, seed 1 needs too many
+        assert halvings(results[0][1], config) == 0
+        assert isinstance(results[1], TrainingError)
+        assert str(results[1]).startswith("step failed after 1 halvings")
+        assert halvings(results[2][1], config) > 0 and halvings(results[3][1], config) > 0
+
+    def test_impossible_batches_drop_only_their_seeds(self, monkeypatch):
+        # the steps of seeds 3 and 7 land on operators that cannot emit
+        # symbol 0: seed 3 accepts one and then meets a batch with a 0, the
+        # candidates of seed 7 fail the check on its first batch
+        dataset = [(1,), (0, 1), (1, 1), (1, 0), (1, 1, 1), (0,)]
+        config = TrainConfig(dim=2, epochs=2, num_batches=len(dataset))
+        targets = [random_stiefel(4, 2, seed).matrix for seed in (3, 7)]
+        silent_zero = StiefelPoint(np.vstack([np.zeros((2, 2)), np.eye(2)]))
+        real_step = trainer.cayley_step
+
+        def poisoned(kappa, gradient, tau):
+            if kappa is silent_zero or any(np.array_equal(kappa.matrix, t) for t in targets):
+                return silent_zero
+            return real_step(kappa, gradient, tau)
+
+        monkeypatch.setattr(trainer, "cayley_step", poisoned)
+        seeds = [5, 3, 6, 7]
+        results = train_qhmm_seeds(dataset, config, 2, seeds)
+        for seed, got in zip(seeds, results):
+            assert_same_fit(got, reference_or_error(dataset, replace(config, seed=seed), 2))
+        assert str(results[1]).startswith("batch loss is not finite")
+        assert str(results[3]).startswith("step failed after 30 halvings")
+        assert not isinstance(results[0], TrainingError)
+        assert not isinstance(results[2], TrainingError)
+
+    def test_no_seeds_train_nothing(self):
+        assert train_qhmm_seeds([(0, 1)], TrainConfig(dim=2), 2, []) == []
 
 
 class TestTrainingLog:
