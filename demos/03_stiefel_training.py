@@ -5,7 +5,7 @@ import numpy as np
 
 from scengen import (DensityMatrix, KrausModel, TrainConfig, cayley_step,
                      nll_gradient, nll_loss, orthonormality_residual,
-                     qhmm_sample, random_stiefel, train_qhmm, validate_kraus)
+                     qhmm_samples, random_stiefel, train_qhmm, validate_kraus)
 
 # --- the pieces -----------------------------------------------------------
 # The M*mu operators live stacked in one tall matrix with orthonormal
@@ -44,7 +44,7 @@ truth = KrausModel.from_stiefel(random_stiefel(2 * 1 * 2, 2, 3).matrix,
                                 alphabet_size=2, multiplicity=1,
                                 initial_state=DensityMatrix.maximally_mixed(2))
 rng = np.random.default_rng(4)
-dataset = [qhmm_sample(truth, 8, rng) for _ in range(30)]
+dataset = qhmm_samples(truth, 8, 30, rng).tolist()
 
 config = TrainConfig(dim=2, learning_rate=0.05, decay=0.95, num_batches=5,
                      epochs=50, multiplicity=1, seed=0)

@@ -5,7 +5,7 @@ import numpy as np
 
 from scengen import (TrainConfig, TwoModelClassifier, average_da,
                      baum_welch_fit, build_datasets, classify,
-                     decode_scenario, evaluate_classifier, qhmm_sample,
+                     decode_scenario, evaluate_classifier, qhmm_samples,
                      reference_three_event_system, train_qhmm)
 
 system = reference_three_event_system()
@@ -48,8 +48,7 @@ for sequence, label in labeled_test:
 prefix = [0]  # the walk so far: event A failed
 print("\nscenarios generated by the probable model after prefix [fail A]:")
 rng = np.random.default_rng(5)
-for _ in range(5):
-    tail = qhmm_sample(models["probable"], 3, rng, prefix=prefix)
+for tail in qhmm_samples(models["probable"], 3, 5, rng, prefix=prefix).tolist():
     full = prefix + tail
     try:
         steps = [(system.events[i].id, a)

@@ -18,7 +18,7 @@ from .errors import (AlphabetMismatchError, DatasetConstructionError,
                      TransitionError)
 from .hmm import (BaumWelchResult, CategoricalHmm, TrellisResult,
                   baum_welch_fit, hmm_backward, hmm_forward, hmm_posterior,
-                  hmm_sample)
+                  hmm_sample, hmm_samples)
 from .metrics import (average_da, da_for_sequence, da_nonlinearity, da_score,
                       log_likelihoods, sequence_log_prob, write_da_report)
 from .psa import (FAIL, NO_PROBABLE, PROBABLE, REPAIR, BasicEvent, Scenario,
@@ -29,7 +29,8 @@ from .psa import (FAIL, NO_PROBABLE, PROBABLE, REPAIR, BasicEvent, Scenario,
                   save_dataset, scenario_probability)
 from .qhmm import (DensityMatrix, KrausModel, KrausValidationReport,
                    belief_update, embed_hmm, next_symbol_distribution,
-                   qhmm_log_likelihood, qhmm_sample, validate_kraus)
+                   qhmm_log_likelihood, qhmm_sample, qhmm_samples,
+                   validate_kraus)
 from .serialization import load_model, save_model
 from .trainer import (StiefelPoint, TrainConfig, TrainRecord, cayley_step,
                       nll_gradient, nll_loss, orthonormality_residual,

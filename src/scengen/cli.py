@@ -23,11 +23,11 @@ import numpy as np
 from . import __version__
 from .classifier import TwoModelClassifier, write_classification_report
 from .errors import AlphabetMismatchError, InputError, ScengenError, TrainingError
-from .hmm import CategoricalHmm, baum_welch_fit, hmm_sample
+from .hmm import CategoricalHmm, baum_welch_fit, hmm_samples
 from .metrics import average_da, write_da_report
 from .psa import (SystemModel, apply_event, build_datasets, decode_scenario,
                   load_dataset)
-from .qhmm import KrausModel, qhmm_sample, validate_kraus
+from .qhmm import KrausModel, qhmm_samples, validate_kraus
 from .serialization import load_model, save_model
 from .trainer import (TrainConfig, TrainRecord, train_qhmm, train_qhmm_seeds,
                       write_training_log)
@@ -142,8 +142,6 @@ def cmd_eval(args) -> list:
 
 def cmd_generate(args) -> list:
     model = load_model(args.model)
-    if args.count < 0:
-        raise InputError("count must be >= 0")
     prefix = tuple(args.prefix)
     system = SystemModel.load(args.system) if args.system else None
     # generated sequences continue the prefix, so step decoding starts from
@@ -156,14 +154,13 @@ def cmd_generate(args) -> list:
         except InputError as exc:
             print(f"warning: prefix is not a legal walk ({exc}); "
                   "decoding from the all-up state", file=sys.stderr)
-    sample = hmm_sample if isinstance(model, CategoricalHmm) else qhmm_sample
-    rng = np.random.default_rng(args.seed)
+    sample = hmm_samples if isinstance(model, CategoricalHmm) else qhmm_samples
+    sequences = sample(model, args.length, args.count, args.seed, prefix=prefix).tolist()
     out = _out_dir(args)
     path = out / "sequences.jsonl"
     illegal = 0
     with open(path, "w") as fh:
-        for _ in range(args.count):
-            sequence = sample(model, args.length, rng, prefix=prefix)
+        for sequence in sequences:
             payload = {"sequence": sequence}
             if system is not None:
                 try:

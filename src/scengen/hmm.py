@@ -334,31 +334,53 @@ def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = N
     return BaumWelchResult(model, history)
 
 
-def hmm_sample(model: CategoricalHmm, length: int, rng_seed, *, prefix=()) -> list:
-    """Draw a symbol sequence of the given length, deterministic per seed.
+def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Index drawn from each row of ``probs`` (broadcast against the
+    uniforms) by its uniform in [0, 1).
+
+    This is the arithmetic of ``Generator.choice(m, p=p / p.sum())``, which
+    takes one uniform and searches the normalized cumulative sum with
+    ``searchsorted(..., 'right')``, so a row drawn here with the uniform
+    ``choice`` would take gets the same index bit for bit.
+    """
+    cdf = np.add.accumulate(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[..., -1:]
+    return (cdf <= uniforms[:, None]).sum(axis=-1)
+
+
+def hmm_samples(model: CategoricalHmm, length: int, count: int, rng_seed, *,
+                prefix=()) -> np.ndarray:
+    """Draw ``count`` symbol sequences of the given length as the rows of a
+    ``(count, length)`` int array, deterministic per seed.
 
     ``rng_seed`` may be an int or a ``numpy.random.Generator``. With a
     nonempty ``prefix`` the hidden-state distribution is first filtered
-    through those symbols and the returned sequence continues them (the
-    prefix itself is not included in the output).
+    through those symbols and every row continues them (the prefix itself
+    is not included in the output). Each row takes ``2 * length`` uniforms
+    (one more after a prefix) in order, so row i equals the i-th of
+    ``count`` one-row calls on one generator, which ends in the same state.
     """
     if length < 1:
         raise InputError("length must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    k, m = model.num_states, model.alphabet_size
-    symbols = []
-    if len(prefix) > 0:
+    if count < 0:
+        raise InputError("count must be >= 0")
+    # the chain emits from the state it starts in; after a prefix it moves first
+    moved, first = len(prefix) > 0, model.start
+    if moved:
         res = hmm_forward(model, prefix)
         if not np.isfinite(res.log_likelihood):
             raise InputError("prefix has zero probability under the model")
-        weights = res.forward[-1]
-        state = int(rng.choice(k, p=weights / weights.sum()))
-    else:
-        state = int(rng.choice(k, p=model.start / model.start.sum()))
-        symbols.append(int(rng.choice(m, p=model.emission[state] / model.emission[state].sum())))
-    while len(symbols) < length:
-        row = model.transition[state]
-        state = int(rng.choice(k, p=row / row.sum()))
-        erow = model.emission[state]
-        symbols.append(int(rng.choice(m, p=erow / erow.sum())))
-    return symbols
+        first = res.forward[-1]
+    columns = iter(np.random.default_rng(rng_seed).random((count, 2 * length + moved)).T)
+    state = _inverse_cdf(first, next(columns))
+    samples = np.empty((count, length), dtype=np.int64)
+    for t in range(length):
+        if t or moved:
+            state = _inverse_cdf(model.transition[state], next(columns))
+        samples[:, t] = _inverse_cdf(model.emission[state], next(columns))
+    return samples
+
+
+def hmm_sample(model: CategoricalHmm, length: int, rng_seed, *, prefix=()) -> list:
+    """One sequence of :func:`hmm_samples` as a list."""
+    return hmm_samples(model, length, 1, rng_seed, prefix=prefix)[0].tolist()

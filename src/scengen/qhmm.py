@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InputError
-from .hmm import CategoricalHmm, _as_symbols, _row_blocks
+from .hmm import CategoricalHmm, _as_symbols, _inverse_cdf, _row_blocks
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -245,39 +245,61 @@ def next_symbol_distribution(model: KrausModel, rho) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
-def qhmm_sample(model: KrausModel, length: int, rng_seed, *, prefix=()) -> list:
-    """Draw a symbol sequence of the given length, deterministic per seed.
+def qhmm_samples(model: KrausModel, length: int, count: int, rng_seed, *,
+                 prefix=()) -> np.ndarray:
+    """Draw ``count`` symbol sequences of the given length as the rows of a
+    ``(count, length)`` int array, deterministic per seed.
 
     At each step the per-symbol distribution (which sums to 1 for a
-    complete model) is computed from the current belief, a symbol is
-    drawn, and the belief advances. A nonempty ``prefix`` first filters
-    the belief through those symbols; the output continues the prefix
-    without including it. Raises InputError for a zero-probability prefix,
-    or when the probabilities miss 1 by more than K * COMPLETENESS_TOL, the
+    complete model) is computed from each row's belief, a symbol is drawn,
+    and the belief advances; the rows run together in blocks. A nonempty
+    ``prefix`` first filters the belief through those symbols; every row
+    continues the prefix without including it. Each row takes ``length``
+    uniforms in order, so row i equals the i-th of ``count`` one-row calls
+    on one generator. Raises InputError for a zero-probability prefix, or
+    when the probabilities miss 1 by more than K * COMPLETENESS_TOL, the
     most a model passing :func:`validate_kraus` can move them.
     """
     if length < 1:
         raise InputError("length must be >= 1")
+    if count < 0:
+        raise InputError("count must be >= 0")
     m, k = model.alphabet_size, model.dim
-    prefix = _as_symbols(prefix, m).tolist() if len(prefix) else []
-    rng = np.random.default_rng(rng_seed)
-    rho = model.initial_state.matrix
-    symbols, every_symbol = [], np.arange(m)
-    for step in range(len(prefix) + length):
-        updated, probs = _kraus_step(model.operators, rho[None], every_symbol)
-        if step < len(prefix):
-            x = prefix[step]
-            if probs[x] <= UNDERFLOW_PROB:
-                raise InputError("prefix has zero probability under the model")
-        else:
-            probs = np.clip(probs, 0.0, None)
-            if abs(probs.sum() - 1.0) > k * COMPLETENESS_TOL:
+    every_symbol = np.arange(m)
+    rho = model.initial_state.matrix[None]
+    for x in _as_symbols(prefix, m).tolist() if len(prefix) else ():
+        updated, probs = _kraus_step(model.operators, rho, every_symbol)
+        if probs[x] <= UNDERFLOW_PROB:
+            raise InputError("prefix has zero probability under the model")
+        rho = _renormalize(updated[x:x + 1], probs[x:x + 1])
+    uniforms = np.random.default_rng(rng_seed).random((count, length))
+    samples = np.empty((count, length), dtype=np.int64)
+    for rows in _row_blocks(count, m * k ** 2, _BLOCK_BUDGET):
+        block = uniforms[rows]
+        # the block's rows share one belief until their first draw; after
+        # it, a block of several rows stacks its beliefs so that row
+        # b * m + x of a step is row b's update by symbol x
+        beliefs, symbols = rho, every_symbol
+        for t in range(length):
+            updated, probs = _kraus_step(model.operators, beliefs, symbols)
+            probs = np.maximum(probs, 0.0)
+            table = probs.reshape(-1, m)
+            if np.abs(table.sum(axis=1) - 1.0).max() > k * COMPLETENESS_TOL:
                 raise InputError("per-symbol probabilities do not sum to 1; "
                                  "the operators are not complete")
-            x = int(rng.choice(m, p=probs / probs.sum()))
-            symbols.append(x)
-        rho = _renormalize(updated[x:x + 1], probs[x:x + 1])[0]
-    return symbols
+            drawn = samples[rows, t] = _inverse_cdf(table, block[:, t])
+            if t + 1 < length:
+                picked = drawn + m * np.arange(len(table))
+                beliefs = _renormalize(updated[picked], probs[picked])
+                if len(block) > 1:
+                    beliefs = np.repeat(beliefs, m, axis=0)
+                    symbols = np.tile(every_symbol, len(block))
+    return samples
+
+
+def qhmm_sample(model: KrausModel, length: int, rng_seed, *, prefix=()) -> list:
+    """One sequence of :func:`qhmm_samples` as a list."""
+    return qhmm_samples(model, length, 1, rng_seed, prefix=prefix)[0].tolist()
 
 
 def embed_hmm(hmm: CategoricalHmm) -> KrausModel:

@@ -275,3 +275,70 @@ def train_qhmm_reference(dataset, config, alphabet_size):
         tau *= config.decay
     model = KrausModel.from_stiefel(kappa.matrix, alphabet_size, mu, initial_state)
     return model, records
+
+
+def qhmm_sample_reference(model, length, rng_seed, *, prefix=()):
+    """One QHMM sample drawn step by step with ``Generator.choice``.
+
+    The per-sample loop :func:`scengen.qhmm_sample` ran before samples were
+    drawn as rows: the same kernels, checks and error messages, and one
+    uniform per drawn symbol.
+    """
+    from scengen import InputError
+    from scengen.hmm import _as_symbols
+    from scengen.qhmm import (COMPLETENESS_TOL, UNDERFLOW_PROB, _kraus_step,
+                              _renormalize)
+
+    if length < 1:
+        raise InputError("length must be >= 1")
+    m, k = model.alphabet_size, model.dim
+    prefix = _as_symbols(prefix, m).tolist() if len(prefix) else []
+    rng = np.random.default_rng(rng_seed)
+    rho = model.initial_state.matrix
+    symbols, every_symbol = [], np.arange(m)
+    for step in range(len(prefix) + length):
+        updated, probs = _kraus_step(model.operators, rho[None], every_symbol)
+        if step < len(prefix):
+            x = prefix[step]
+            if probs[x] <= UNDERFLOW_PROB:
+                raise InputError("prefix has zero probability under the model")
+        else:
+            probs = np.clip(probs, 0.0, None)
+            if abs(probs.sum() - 1.0) > k * COMPLETENESS_TOL:
+                raise InputError("per-symbol probabilities do not sum to 1; "
+                                 "the operators are not complete")
+            x = int(rng.choice(m, p=probs / probs.sum()))
+            symbols.append(x)
+        rho = _renormalize(updated[x:x + 1], probs[x:x + 1])[0]
+    return symbols
+
+
+def hmm_sample_reference(model, length, rng_seed, *, prefix=()):
+    """One HMM sample drawn state by state with ``Generator.choice``.
+
+    The per-sample loop :func:`scengen.hmm_sample` ran before samples were
+    drawn as rows: two uniforms per symbol, plus one for the first state
+    after a prefix.
+    """
+    from scengen import InputError, hmm_forward
+
+    if length < 1:
+        raise InputError("length must be >= 1")
+    rng = np.random.default_rng(rng_seed)
+    k, m = model.num_states, model.alphabet_size
+    symbols = []
+    if len(prefix) > 0:
+        res = hmm_forward(model, prefix)
+        if not np.isfinite(res.log_likelihood):
+            raise InputError("prefix has zero probability under the model")
+        weights = res.forward[-1]
+        state = int(rng.choice(k, p=weights / weights.sum()))
+    else:
+        state = int(rng.choice(k, p=model.start / model.start.sum()))
+        symbols.append(int(rng.choice(m, p=model.emission[state] / model.emission[state].sum())))
+    while len(symbols) < length:
+        row = model.transition[state]
+        state = int(rng.choice(k, p=row / row.sum()))
+        erow = model.emission[state]
+        symbols.append(int(rng.choice(m, p=erow / erow.sum())))
+    return symbols

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from scengen import (CategoricalHmm, TrainConfig, TrainingError, average_da,
-                     baum_welch_fit, load_dataset, load_model, random_stiefel,
+from scengen import (CategoricalHmm, InputError, TrainConfig, TrainingError,
+                     apply_event, average_da, baum_welch_fit, decode_scenario,
+                     embed_hmm, load_dataset, load_model, random_stiefel,
                      save_model, validate_kraus)
 from scengen.cli import main
 
-from oracles import train_qhmm_reference
+from oracles import hmm_sample_reference, qhmm_sample_reference, train_qhmm_reference
 
 
 def run(*argv):
@@ -210,6 +211,51 @@ class TestGenerate:
                     if "do not decode" in line]
         assert warnings == [f"warning: {illegal} of 8 sequences do not decode "
                             "as legal walks"]
+
+    @pytest.mark.parametrize("kind", ["hmm", "qhmm"])
+    @pytest.mark.parametrize("argv", [
+        ["--count", 3, "--length", 2, "--prefix", "2"],  # symbol 2 is never emitted
+        ["--count", 3, "--length", 2, "--prefix", "6"],  # outside the alphabet
+        ["--count", 3, "--length", 0],
+        ["--count", 0, "--length", 0],
+        ["--count", -1, "--length", 2],
+    ])
+    def test_failing_generate_leaves_no_output(self, tmp_path, kind, argv):
+        hmm = CategoricalHmm([[1.0]], [[0.5, 0.5, 0, 0, 0, 0]], [1.0])
+        model_path = tmp_path / "model.json"
+        save_model(hmm if kind == "hmm" else embed_hmm(hmm), model_path)
+        out = tmp_path / "gen"
+        assert run("generate", "--model", model_path, "--out", out, "--seed", 0,
+                   *argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["qhmm", "hmm"])
+    def test_readme_output_equals_reference_loop(self, ref_system, system_path,
+                                                 tmp_path, kind):
+        # the README pipeline: split seed 9, K=4, training seed 0
+        data, model_dir, out = tmp_path / "desk", tmp_path / "model", tmp_path / "gen"
+        assert run("make-dataset", "--system", system_path, "--out", data, "--seed", 9) == 0
+        assert run("train", "--kind", kind, "--data", data / "probable.jsonl",
+                   "--out", model_dir, "--K", 4, "--seed", 0) == 0
+        assert run("generate", "--model", model_dir / "model.json", "--out", out,
+                   "--count", 10, "--length", 4, "--seed", 1, "--prefix", "0",
+                   "--system", system_path) == 0
+        model = load_model(model_dir / "model.json")
+        sample = qhmm_sample_reference if kind == "qhmm" else hmm_sample_reference
+        start = 0
+        for idx, action in decode_scenario(ref_system, [0]):
+            start = apply_event(start, idx, action)
+        rng = np.random.default_rng(1)
+        want = ""
+        for _ in range(10):
+            sequence = sample(model, 4, rng, prefix=[0])
+            try:
+                steps = [[ref_system.events[idx].id, action] for idx, action
+                         in decode_scenario(ref_system, sequence, initial_state=start)]
+            except InputError:
+                steps = None
+            want += json.dumps({"sequence": sequence, "steps": steps}) + "\n"
+        assert (out / "sequences.jsonl").read_bytes() == want.encode()
 
     def test_symbols_stay_in_alphabet(self, dataset_dir, tmp_path):
         model_dir = tmp_path / "model"

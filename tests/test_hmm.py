@@ -3,11 +3,11 @@ import pytest
 
 from scengen import (CategoricalHmm, InputError, PosteriorUndefinedError,
                      TrainingError, baum_welch_fit, hmm_backward, hmm_forward,
-                     hmm_posterior, hmm_sample)
+                     hmm_posterior, hmm_sample, hmm_samples)
 from scengen.hmm import _TRELLIS_BUDGET
 
-from oracles import (all_sequences, baum_welch_reference, path_sum_probability,
-                     posterior_by_enumeration, random_hmm)
+from oracles import (all_sequences, baum_welch_reference, hmm_sample_reference,
+                     path_sum_probability, posterior_by_enumeration, random_hmm)
 
 # frozen with the path-sum oracle before the recursions were written
 LN_P_011 = -2.3018853378797726
@@ -288,3 +288,37 @@ class TestSample:
     def test_length_validation(self, ref_hmm):
         with pytest.raises(InputError):
             hmm_sample(ref_hmm, 0, 1)
+
+
+class TestSamples:
+    """The batched sampler against one-sample reference calls on one generator."""
+
+    @pytest.mark.parametrize("prefix", [(), (0,), (1, 0)])
+    @pytest.mark.parametrize("k, m, count", [(4, 8, 400), (16, 8, 30), (2, 3, 0)])
+    def test_rows_equal_sequential_reference_calls(self, k, m, count, prefix):
+        model = random_hmm(np.random.default_rng(k + m), k, m)
+        want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
+        want = [hmm_sample_reference(model, 6, want_rng, prefix=prefix)
+                for _ in range(count)]
+        got = hmm_samples(model, 6, count, got_rng, prefix=prefix)
+        assert got.shape == (count, 6) and got.dtype == np.int64
+        assert got.tolist() == want
+        # the shared generator ends where the sequential calls left it
+        assert got_rng.random() == want_rng.random()
+
+    def test_one_row_call_is_a_list_of_the_reference(self, ref_hmm):
+        assert hmm_sample(ref_hmm, 9, 11, prefix=[1]) == \
+            hmm_sample_reference(ref_hmm, 9, 11, prefix=[1])
+
+    def test_zero_probability_prefix_error_is_unchanged(self, det_hmm):
+        message = "prefix has zero probability under the model"
+        with pytest.raises(InputError, match=message):
+            hmm_sample_reference(det_hmm, 3, 0, prefix=[1])
+        for count in (0, 5):
+            with pytest.raises(InputError, match=message):
+                hmm_samples(det_hmm, 3, count, 0, prefix=[1])
+
+    def test_bad_length_or_count_is_rejected_before_sampling(self, ref_hmm):
+        for length, count in ((0, 0), (0, 3), (2, -1)):
+            with pytest.raises(InputError):
+                hmm_samples(ref_hmm, length, count, 0)

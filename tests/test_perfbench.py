@@ -28,6 +28,14 @@ def test_four_train_tiny_run_is_correct():
     assert result["attempted"] > 0
 
 
+def test_wide_tiny_run_is_correct():
+    # K=16, mu=2 sampling end to end, with the benchmark's rerun-identity check
+    result = run_tiny("wide", 0)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+
+
 def test_desk_tiny_trace_run():
     # the tracer sees training through the traced trainer.cayley_step
     result = run_tiny("desk", 1)

@@ -3,10 +3,13 @@ import pytest
 
 from scengen import (DensityMatrix, InputError, KrausModel,
                      belief_update, embed_hmm, hmm_forward,
-                     next_symbol_distribution, qhmm_log_likelihood,
-                     qhmm_sample, random_stiefel, validate_kraus)
+                     next_symbol_distribution, qhmm, qhmm_log_likelihood,
+                     qhmm_sample, qhmm_samples, random_stiefel, validate_kraus)
+from scengen.hmm import _row_blocks
+from scengen.qhmm import _BLOCK_BUDGET
 
-from oracles import all_sequences, kraus_path_probability, random_kraus_model
+from oracles import (all_sequences, kraus_path_probability, qhmm_sample_reference,
+                     random_kraus_model)
 
 LN_P_011 = -2.3018853378797726
 
@@ -223,6 +226,70 @@ class TestSample:
         with pytest.raises(InputError):
             qhmm_sample(model, 3, 0, prefix=[1])
 
+
+class TestSamples:
+    """The batched sampler against one-sample reference calls on one generator."""
+
+    @pytest.mark.parametrize("prefix", [(), (0,), (1, 0)])
+    @pytest.mark.parametrize("k, m, mu, count, blocks", [
+        (4, 8, 1, 400, 25),   # 16 rows per block
+        (16, 8, 2, 3, 3),     # one row per block
+        (2, 3, 1, 0, 0),
+    ])
+    def test_rows_equal_sequential_reference_calls(self, k, m, mu, count, blocks, prefix):
+        assert len(_row_blocks(count, m * k ** 2, _BLOCK_BUDGET)) == blocks
+        model = random_kraus_model(np.random.default_rng(k + m + mu), k, m, mu)
+        want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
+        want = [qhmm_sample_reference(model, 6, want_rng, prefix=prefix)
+                for _ in range(count)]
+        got = qhmm_samples(model, 6, count, got_rng, prefix=prefix)
+        assert got.shape == (count, 6) and got.dtype == np.int64
+        assert got.tolist() == want
+        # the shared generator ends where the sequential calls left it
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("k, m, mu, count", [(4, 8, 1, 400), (16, 8, 2, 3)])
+    def test_kernel_calls_stay_within_one_row_block(self, monkeypatch, k, m, mu, count):
+        # the per-step temporaries hold one block of samples, M rows each
+        real_step, rows = qhmm._kraus_step, []
+
+        def recording_step(operators, rho, symbols):
+            rows.append(len(symbols))
+            return real_step(operators, rho, symbols)
+
+        monkeypatch.setattr(qhmm, "_kraus_step", recording_step)
+        model = random_kraus_model(np.random.default_rng(1), k, m, mu)
+        qhmm_samples(model, 4, count, 0, prefix=[0])
+        assert max(rows) == m * max(1, _BLOCK_BUDGET // (m * k ** 2))
+
+    def test_one_row_call_is_a_list_of_the_reference(self):
+        model = random_kraus_model(np.random.default_rng(3), 3, 4, 2)
+        assert qhmm_sample(model, 9, 11, prefix=[2]) == \
+            qhmm_sample_reference(model, 9, 11, prefix=[2])
+
+    def test_incomplete_model_error_is_unchanged(self):
+        ops = np.full((1, 1, 1, 1), 1.1, dtype=complex)
+        model = KrausModel(ops, DensityMatrix.maximally_mixed(1))
+        message = "per-symbol probabilities do not sum to 1"
+        with pytest.raises(InputError, match=message):
+            qhmm_sample_reference(model, 3, 0)
+        with pytest.raises(InputError, match=message):
+            qhmm_samples(model, 3, 20, 0)
+
+    def test_zero_probability_prefix_error_is_unchanged(self, det_hmm):
+        model = embed_hmm(det_hmm)
+        message = "prefix has zero probability under the model"
+        with pytest.raises(InputError, match=message):
+            qhmm_sample_reference(model, 3, 0, prefix=[0, 1])
+        for count in (0, 5):
+            with pytest.raises(InputError, match=message):
+                qhmm_samples(model, 3, count, 0, prefix=[0, 1])
+
+    def test_bad_length_or_count_is_rejected_before_sampling(self):
+        model = random_kraus_model(np.random.default_rng(2), 2, 2)
+        for length, count in ((0, 0), (0, 3), (2, -1)):
+            with pytest.raises(InputError):
+                qhmm_samples(model, length, count, 0)
 
 class TestEmbedHmm:
     def test_single_state_scalar(self, single_state_hmm):
