@@ -20,7 +20,8 @@ from .hmm import (BaumWelchResult, CategoricalHmm, TrellisResult,
                   baum_welch_fit, hmm_backward, hmm_forward, hmm_posterior,
                   hmm_sample, hmm_samples)
 from .metrics import (average_da, da_for_sequence, da_nonlinearity, da_score,
-                      log_likelihoods, sequence_log_prob, write_da_report)
+                      da_scores, log_likelihoods, sequence_log_prob,
+                      write_da_report)
 from .psa import (FAIL, NO_PROBABLE, PROBABLE, REPAIR, BasicEvent, Scenario,
                   ScenarioDataset, ScenarioRecord, SystemModel, apply_event,
                   build_datasets, decode_scenario, encode_scenario,

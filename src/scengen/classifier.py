@@ -9,14 +9,15 @@ evidence that a scenario is probable.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from .errors import AlphabetMismatchError, InputError
-from .metrics import _scores
-from .psa import NO_PROBABLE, PROBABLE
+from .metrics import _check_model, _padded, _scores
+from .psa import NO_PROBABLE, PROBABLE, ScenarioDataset
 
 LABELS = (PROBABLE, NO_PROBABLE)
 
@@ -34,6 +35,8 @@ class TwoModelClassifier:
     model_no_probable: object
 
     def __post_init__(self):
+        _check_model(self.model_probable)
+        _check_model(self.model_no_probable)
         if self.model_probable.alphabet_size != self.model_no_probable.alphabet_size:
             raise AlphabetMismatchError(
                 f"models disagree on alphabet size "
@@ -52,12 +55,18 @@ class ClassificationResult:
     da_no_probable: float
 
 
+def _da_pairs(clf: TwoModelClassifier, data):
+    """DA arrays of a list of sequences or a dataset under the probable and
+    the no-probable model, in input order, from rows padded once."""
+    rows = _padded(clf.model_probable, data)
+    return _scores(clf.model_probable, rows)[2], _scores(clf.model_no_probable, rows)[2]
+
+
 def _classify_all(clf: TwoModelClassifier, sequences: list) -> list:
     """One ClassificationResult per sequence, each model scoring the whole list once."""
-    _, da_p = _scores(clf.model_probable, sequences)
-    _, da_n = _scores(clf.model_no_probable, sequences)
+    da_p, da_n = _da_pairs(clf, sequences)
     return [ClassificationResult(PROBABLE if p > n else NO_PROBABLE, p, n)
-            for p, n in zip(da_p, da_n)]
+            for p, n in zip(da_p.tolist(), da_n.tolist())]
 
 
 def classify(clf: TwoModelClassifier, sequence) -> ClassificationResult:
@@ -108,26 +117,26 @@ def evaluate_classifier(clf: TwoModelClassifier, labeled) -> ClassifierEvaluatio
 def write_classification_report(path, clf: TwoModelClassifier, data) -> Optional[float]:
     """Write the per-sequence CSV; returns accuracy when every record is labeled.
 
-    ``data`` is a list of (sequence, label-or-None) pairs. Columns:
+    ``data`` is a list of (sequence, label-or-None) pairs or a
+    :class:`ScenarioDataset`. Columns:
     sequence_id,true_label,pred_label,da_probable,da_no_probable.
     """
-    data = list(data)
-    if not data:
+    if isinstance(data, ScenarioDataset):
+        sequences, labels = data, data.labels
+    else:
+        data = list(data)
+        sequences, labels = [sequence for sequence, _ in data], [label for _, label in data]
+    if not labels:
         raise InputError("dataset must be nonempty")
-    results = _classify_all(clf, [sequence for sequence, _ in data])
-    correct = 0
-    labeled = 0
+    da_p, da_n = _da_pairs(clf, sequences)
+    predicted = np.where(da_p > da_n, PROBABLE, NO_PROBABLE).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sequence_id", "true_label", "pred_label",
                          "da_probable", "da_no_probable"])
-        for i, ((_, label), result) in enumerate(zip(data, results)):
-            if label is not None:
-                labeled += 1
-                correct += int(result.label == label)
-            writer.writerow([i, label if label is not None else "",
-                             result.label, repr(result.da_probable),
-                             repr(result.da_no_probable)])
-    if labeled == len(data):
-        return correct / len(data)
-    return None
+        # csv writes a missing (None) label as an empty field
+        writer.writerows(zip(range(len(labels)), labels, predicted,
+                             map(repr, da_p.tolist()), map(repr, da_n.tolist())))
+    if None in labels:
+        return None
+    return sum(map(operator.eq, labels, predicted)) / len(labels)

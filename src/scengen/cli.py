@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .classifier import TwoModelClassifier, write_classification_report
 from .errors import AlphabetMismatchError, InputError, ScengenError, TrainingError
-from .hmm import CategoricalHmm, baum_welch_fit, hmm_samples
-from .metrics import average_da, write_da_report
+from .hmm import CategoricalHmm, _pad, baum_welch_fit, hmm_samples
+from .metrics import _scores, write_da_report
 from .psa import (SystemModel, apply_event, build_datasets, decode_scenario,
                   load_dataset)
 from .qhmm import KrausModel, qhmm_samples, validate_kraus
@@ -70,19 +70,19 @@ def _int_list(text: str) -> list:
 
 
 def _load_split(args, model_alphabet=None):
-    """``args.data`` and its nonempty ``args.split`` as (sequence, label) pairs.
+    """The nonempty ``args.split`` of ``args.data`` (every record for "all").
 
     Symbols outside ``model_alphabet``, when it is given, are rejected.
     """
     data = load_dataset(args.data, alphabet_size=getattr(args, "alphabet_size", None))
-    pairs = data.labeled(None if args.split == "all" else args.split)
-    if not pairs:
+    data = data.subset(None if args.split == "all" else args.split)
+    if not len(data):
         raise InputError(f"no sequences in split {args.split!r} of {args.data}")
-    top = max((max(seq) for seq, _ in pairs if len(seq) > 0), default=-1)
+    top = int(data.symbols.max())
     if model_alphabet is not None and top >= model_alphabet:
         raise AlphabetMismatchError(
             f"data uses symbol {top} but the model alphabet has size {model_alphabet}")
-    return data, pairs
+    return data
 
 
 def _qhmm_config(args, seed: int) -> TrainConfig:
@@ -113,12 +113,12 @@ def cmd_make_dataset(args) -> list:
 
 
 def cmd_train(args) -> list:
-    data, pairs = _load_split(args)
+    data = _load_split(args)
     out = _out_dir(args)
     model_path, loss_path = out / "model.json", out / "loss.csv"
     try:
-        model, records = _train_one(args.kind, [seq for seq, _ in pairs],
-                                    data.alphabet_size, args, args.seed)
+        model, records = _train_one(args.kind, data.sequences(), data.alphabet_size,
+                                    args, args.seed)
         if isinstance(model, KrausModel) and not validate_kraus(model).passes:
             raise TrainingError("trained model fails the completeness check")
         save_model(model, model_path)
@@ -132,10 +132,10 @@ def cmd_train(args) -> list:
 
 def cmd_eval(args) -> list:
     model = load_model(args.model)
-    _, pairs = _load_split(args, model.alphabet_size)
+    data = _load_split(args, model.alphabet_size)
     out = _out_dir(args)
     report = out / "report.csv"
-    mean = write_da_report(report, model, [seq for seq, _ in pairs])
+    mean = write_da_report(report, model, data)
     print(f"mean_da {mean!r}")
     return [report]
 
@@ -181,10 +181,10 @@ def cmd_generate(args) -> list:
 def cmd_classify(args) -> list:
     clf = TwoModelClassifier(load_model(args.model_probable),
                              load_model(args.model_no_probable))
-    _, pairs = _load_split(args, clf.alphabet_size)
+    data = _load_split(args, clf.alphabet_size)
     out = _out_dir(args)
     report = out / "report.csv"
-    accuracy = write_classification_report(report, clf, pairs)
+    accuracy = write_classification_report(report, clf, data)
     if accuracy is not None:
         print(f"accuracy {accuracy!r}")
     return [report]
@@ -196,14 +196,17 @@ def cmd_compare(args) -> list:
     datasets = []
     for data_path in args.data:
         data = load_dataset(data_path)
-        train_seqs = data.sequences("train")
-        test_seqs = data.sequences("test")
-        if not train_seqs or not test_seqs:
+        train, test = data.subset("train"), data.subset("test")
+        if not len(train) or not len(test):
             raise InputError(f"{data_path}: both train and test splits are required")
-        datasets.append((data_path, data.alphabet_size, train_seqs, test_seqs))
+        datasets.append((data_path, data.alphabet_size, train, test))
     out = _out_dir(args)
     rows = []
-    for data_path, alphabet_size, train_seqs, test_seqs in datasets:
+    for data_path, alphabet_size, train, test in datasets:
+        train_seqs = train.sequences()
+        # each split is padded once and scored under every trained model
+        padded = {"train": _pad(train.symbols, train.lengths, alphabet_size),
+                  "test": _pad(test.symbols, test.lengths, alphabet_size)}
         for kind in ("hmm", "qhmm"):
             # one (model, records) pair or TrainingError per seed; the QHMM
             # seeds train in one stacked pass, the HMM seeds one at a time
@@ -227,8 +230,9 @@ def cmd_compare(args) -> list:
                 rows += [[str(data_path), kind, split, "failed", "failed"]
                          for split in ("train", "test")]
                 continue
-            for split, seqs in (("train", train_seqs), ("test", test_seqs)):
-                values = np.asarray([average_da(model, seqs) for model, _ in fits])
+            for split, split_rows in padded.items():
+                values = np.asarray([np.mean(_scores(model, split_rows)[2])
+                                     for model, _ in fits])
                 rows.append([str(data_path), kind, split,
                              repr(float(values.mean())), repr(float(values.std()))])
     path = out / "comparison.csv"

@@ -35,17 +35,34 @@ def _check_rows(name: str, arr: np.ndarray) -> None:
         raise InputError(f"every row of {name} must sum to 1 (deviation {dev:.3e})")
 
 
-def _as_symbols(sequence, alphabet_size: int) -> np.ndarray:
-    seq = np.asarray(sequence)
-    if seq.ndim != 1 or seq.size == 0:
+def _flatten(sequences):
+    """The symbols of a list of sequences as one int64 array, plus the int64
+    lengths; each sequence must be a nonempty 1-D run of integers."""
+    seqs = list(sequences)
+    try:
+        lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+        symbols = np.concatenate(seqs) if seqs else np.zeros(0, np.int64)
+    except (TypeError, ValueError):  # a scalar, or rows of mismatched depth
+        symbols = None
+    if symbols is None or symbols.ndim != 1 or np.any(lengths == 0):
         raise InputError("sequence must be a nonempty 1-D list of symbol indices")
-    if seq.dtype.kind not in "iu":
-        if not np.all(np.mod(seq, 1) == 0):
+    if symbols.dtype.kind not in "iu":
+        if symbols.dtype.kind not in "bf" or not np.all(np.mod(symbols, 1) == 0):
             raise InputError("symbols must be integers")
-    seq = seq.astype(np.int64)
-    if seq.min() < 0 or seq.max() >= alphabet_size:
+    return symbols.astype(np.int64, copy=False), lengths
+
+
+def _check_range(symbols: np.ndarray, alphabet_size: int) -> None:
+    if symbols.min() < 0:
+        raise InputError(f"symbol {symbols.min()} is negative")
+    if symbols.max() >= alphabet_size:
         raise InputError(f"symbol out of range for alphabet of size {alphabet_size}")
-    return seq
+
+
+def _as_symbols(sequence, alphabet_size: int) -> np.ndarray:
+    symbols, _ = _flatten([sequence])
+    _check_range(symbols, alphabet_size)
+    return symbols
 
 
 @dataclass
@@ -130,17 +147,21 @@ class TrellisResult:
     backward: Optional[np.ndarray] = None
 
 
-def _pad(sequences, alphabet_size: int):
-    """Validated sequences as zero-padded rows, longest first: ``(padded,
-    lengths, order)``, where row i holds input sequence ``order[i]``."""
-    seqs = [_as_symbols(s, alphabet_size) for s in sequences]
-    if not seqs:
+def _pad(symbols: np.ndarray, lengths: np.ndarray, alphabet_size: int):
+    """Flat int64 symbols of sequences with the given lengths as zero-padded
+    rows, longest first: ``(padded, lengths, order)``, where row i holds
+    input sequence ``order[i]``. A list of sequences is first flattened by
+    :func:`_flatten`."""
+    if not len(lengths):
         raise InputError("need at least one sequence")
-    lengths = np.array([s.size for s in seqs])
+    _check_range(symbols, alphabet_size)
     order = np.argsort(-lengths, kind="stable")
-    padded = np.zeros((len(seqs), lengths[order[0]]), dtype=np.int64)
-    for row, i in enumerate(order):
-        padded[row, :lengths[i]] = seqs[i]
+    row_of = np.empty_like(order)
+    row_of[order] = np.arange(len(order))
+    starts = np.cumsum(lengths) - lengths
+    padded = np.zeros((len(lengths), lengths[order[0]]), dtype=np.int64)
+    padded[np.repeat(row_of, lengths),
+           np.arange(len(symbols)) - np.repeat(starts, lengths)] = symbols
     return padded, lengths[order], order
 
 
@@ -282,16 +303,14 @@ def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = N
     alphabet_size : int, optional
         Inferred as ``1 + max symbol`` when omitted.
     """
-    dataset = list(dataset)
-    if not dataset:
+    symbols, lengths = _flatten(dataset)
+    if not len(lengths):
         raise InputError("dataset must contain at least one sequence")
     if num_states < 1:
         raise InputError("num_states must be >= 1")
     if alphabet_size is None:
-        # empty sequences are left for _pad to reject
-        alphabet_size = 1 + max((int(np.max(seq)) for seq in map(np.asarray, dataset)
-                                 if seq.size), default=-1)
-    padded, lengths, _ = _pad(dataset, alphabet_size)
+        alphabet_size = 1 + int(symbols.max())  # _pad reports a negative symbol
+    padded, lengths, _ = _pad(symbols, lengths, alphabet_size)
 
     rng = np.random.default_rng(seed)
     k, m = num_states, alphabet_size

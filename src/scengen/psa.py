@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import eq, itemgetter
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import (DatasetConstructionError, InputError, ResourceLimitError,
                      TransitionError)
+from .hmm import _flatten
 
 FAIL = "fail"
 REPAIR = "repair"
@@ -28,6 +31,8 @@ MAX_EVENTS = 12
 MAX_SCENARIO_LEN = 12
 # walk steps one enumeration may explore before it gives up
 MAX_WALK_STEPS = 1_000_000
+# symbols of a dataset whose alphabet is inferred must fit in int64
+_INT64_BOUND = 2 ** 63
 
 
 @dataclass(frozen=True)
@@ -273,58 +278,157 @@ class ScenarioRecord:
     split: Optional[str] = None
 
 
-@dataclass
 class ScenarioDataset:
-    """Encoded scenario sequences with labels, probabilities, and a split."""
+    """Encoded scenario sequences with labels, probabilities, and a split,
+    stored by column.
 
-    alphabet_size: int
-    records: List[ScenarioRecord]
+    ``symbols`` holds every sequence's symbols in record order as one int64
+    array and ``lengths`` the int64 length of each (nonempty) sequence;
+    ``labels``, ``probs`` and ``splits`` are lists with one entry per record,
+    None where a record has none. ``records``, :meth:`sequences` and
+    :meth:`labeled` are views built on each call; :meth:`subset` selects a
+    split's columns without building them, and scoring functions take the
+    columns directly.
+    """
+
+    def __init__(self, alphabet_size: int, records):
+        """Columns of a list of :class:`ScenarioRecord`; every sequence must be
+        a nonempty run of integers."""
+        records = list(records)
+        symbols, lengths = _flatten([r.sequence for r in records])
+        self._assign(alphabet_size, symbols, lengths, [r.label for r in records],
+                     [r.prob for r in records], [r.split for r in records])
+
+    @classmethod
+    def from_columns(cls, alphabet_size: int, symbols: np.ndarray, lengths: np.ndarray,
+                     labels: list, probs: list, splits: list) -> "ScenarioDataset":
+        """A dataset over checked columns: nonempty lengths that sum to the
+        number of symbols, symbols in ``[0, alphabet_size)``, and one label,
+        probability and split per record."""
+        dataset = cls.__new__(cls)
+        dataset._assign(alphabet_size, symbols, lengths, labels, probs, splits)
+        return dataset
+
+    def _assign(self, alphabet_size, symbols, lengths, labels, probs, splits) -> None:
+        self.alphabet_size = int(alphabet_size)
+        self.symbols, self.lengths = symbols, lengths
+        self.labels, self.probs, self.splits = labels, probs, splits
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @property
+    def records(self) -> List[ScenarioRecord]:
+        return list(map(ScenarioRecord, self.sequences(), self.labels, self.probs,
+                        self.splits))
+
+    def subset(self, split: Optional[str]) -> "ScenarioDataset":
+        """The records of one split (all records for None), in record order."""
+        if split is None:
+            return self
+        keep = np.fromiter(map(eq, self.splits, repeat(split)), bool,
+                           len(self.splits))
+        return ScenarioDataset.from_columns(
+            self.alphabet_size, self.symbols[np.repeat(keep, self.lengths)],
+            self.lengths[keep], *(list(compress(column, keep))
+                                  for column in (self.labels, self.probs, self.splits)))
 
     def sequences(self, split: Optional[str] = None) -> List[Tuple[int, ...]]:
-        return [r.sequence for r in self.records if split is None or r.split == split]
+        data = self.subset(split)
+        flat, ends = data.symbols.tolist(), np.cumsum(data.lengths).tolist()
+        return [tuple(flat[start:end]) for start, end in zip([0] + ends, ends)]
 
     def labeled(self, split: Optional[str] = None):
-        return [(r.sequence, r.label) for r in self.records
-                if split is None or r.split == split]
+        data = self.subset(split)
+        return list(zip(data.sequences(), data.labels))
 
 
 def save_dataset(dataset: ScenarioDataset, path) -> None:
     """One JSON object per line: {"sequence", "label", "prob", "split"}."""
     with open(path, "w") as fh:
-        for rec in dataset.records:
-            payload = {"sequence": list(rec.sequence), "label": rec.label,
-                       "prob": rec.prob, "split": rec.split}
+        for sequence, label, prob, split in zip(dataset.sequences(), dataset.labels,
+                                                dataset.probs, dataset.splits):
+            payload = {"sequence": sequence, "label": label,
+                       "prob": prob, "split": split}
             fh.write(json.dumps(payload) + "\n")
+
+
+_decode = json.JSONDecoder().raw_decode
+
+
+def _read_columns(lines: List[str]):
+    """``(symbols, lengths, labels, probs, splits)`` of stripped nonempty JSONL
+    lines, or None when a line is not a valid record: one JSON object whose
+    "sequence" is a nonempty list of JSON integers that fit in int64."""
+    try:
+        decoded = list(map(_decode, lines))
+        if list(map(itemgetter(1), decoded)) != list(map(len, lines)):
+            return None  # a line holds more than one JSON value
+        payloads = list(map(itemgetter(0), decoded))
+        sequences = list(map(itemgetter("sequence"), payloads))
+        labels, probs, splits = (list(map(dict.get, payloads, repeat(key)))
+                                 for key in ("label", "prob", "split"))
+    except (ValueError, KeyError, TypeError):
+        return None
+    if set(map(type, sequences)) != {list}:
+        return None
+    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
+    flat = list(chain.from_iterable(sequences))
+    if not lengths.all() or set(map(type, flat)) != {int}:  # bool is not int here
+        return None
+    try:
+        symbols = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        return None
+    return symbols, lengths, labels, probs, splits
+
+
+def _check_record(path, line_no: int, line: str, alphabet_size: Optional[int]) -> None:
+    """Raise the InputError naming ``path:line`` when a line is not a valid
+    record (against ``alphabet_size``, or int64 when it is to be inferred)."""
+    where = f"{path}:{line_no}"
+    try:
+        sequence = json.loads(line)["sequence"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise InputError(f"{where}: malformed record: {exc}") from exc
+    if type(sequence) is not list or not sequence:
+        raise InputError(f"{where}: \"sequence\" must be a nonempty list of integers")
+    bound = _INT64_BOUND if alphabet_size is None else alphabet_size
+    for symbol in sequence:
+        if type(symbol) is not int:
+            raise InputError(f"{where}: symbol {json.dumps(symbol)} is not an integer")
+        if not 0 <= symbol < bound:
+            raise InputError(f"{where}: symbol {symbol} outside [0, {bound})")
 
 
 def load_dataset(path, alphabet_size: Optional[int] = None) -> ScenarioDataset:
     """Read a JSONL dataset; tolerant of records carrying only a sequence.
 
-    When ``alphabet_size`` is omitted it is inferred as the smallest even
-    bound on the observed symbols (symbols come in fail/repair pairs).
+    Each nonblank line holds one JSON object whose "sequence" is a nonempty
+    list of JSON integers (``true`` and ``1.0`` are not integers). When
+    ``alphabet_size`` is omitted it is inferred as the smallest even bound
+    on the observed symbols (symbols come in fail/repair pairs). The file is
+    decoded and checked column by column; an invalid record raises an
+    :class:`InputError` that names ``path:line``.
     """
-    records = []
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                seq = tuple(int(x) for x in payload["sequence"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{path}:{line_no}: malformed record: {exc}") from exc
-            records.append(ScenarioRecord(seq, payload.get("label"),
-                                          payload.get("prob"), payload.get("split")))
-    if not records:
+        lines = fh.read().split("\n")
+    body = list(filter(None, map(str.strip, lines)))
+    if not body:
         raise InputError(f"{path}: dataset is empty")
-    if alphabet_size is None:
-        top = max((max(r.sequence) for r in records if r.sequence), default=-1)
-        alphabet_size = top + 1 + (top + 1) % 2
-    for rec in records:
-        if any(s >= alphabet_size or s < 0 for s in rec.sequence):
-            raise InputError(f"{path}: symbol outside alphabet of size {alphabet_size}")
-    return ScenarioDataset(alphabet_size, records)
+    columns = _read_columns(body)
+    if columns is not None:
+        symbols = columns[0]
+        if alphabet_size is None:
+            top = int(symbols.max())
+            alphabet_size = top + 1 + (top + 1) % 2
+        if symbols.min() >= 0 and symbols.max() < alphabet_size:
+            return ScenarioDataset.from_columns(alphabet_size, *columns)
+    # the error path: find and name the first invalid line
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip():
+            _check_record(path, line_no, line.strip(), alphabet_size)
+    raise InputError(f"{path}: invalid dataset")
 
 
 def build_datasets(system: SystemModel, *, max_len: int = 4, p_min: float = 1e-3,
@@ -352,13 +456,14 @@ def build_datasets(system: SystemModel, *, max_len: int = 4, p_min: float = 1e-3
     datasets = []
     for scenarios in (probable, no_probable):
         n_test = int(round(test_fraction * len(scenarios)))
-        test_indices = set(rng.permutation(len(scenarios))[:n_test].tolist())
-        records = [
-            ScenarioRecord(tuple(encode_scenario(system, sc)), sc.label,
-                           sc.probability, "test" if i in test_indices else "train")
-            for i, sc in enumerate(scenarios)
-        ]
-        datasets.append(ScenarioDataset(system.alphabet_size, records))
+        test = np.zeros(len(scenarios), dtype=bool)
+        test[rng.permutation(len(scenarios))[:n_test]] = True
+        sequences = [encode_scenario(system, sc) for sc in scenarios]
+        datasets.append(ScenarioDataset.from_columns(
+            system.alphabet_size, np.fromiter(chain.from_iterable(sequences), np.int64),
+            np.fromiter(map(len, sequences), np.int64, len(sequences)),
+            [sc.label for sc in scenarios], [sc.probability for sc in scenarios],
+            np.where(test, "test", "train").tolist()))
     if out_dir is not None:
         from pathlib import Path
         out = Path(out_dir)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (GradientUndefinedError, InputError, StepFailureError,
                      TrainingError)
-from .hmm import _pad, _row_blocks
+from .hmm import _flatten, _pad, _row_blocks
 from .qhmm import (_BLOCK_BUDGET, DensityMatrix, KrausModel, _as_matrix,
                    _kraus_step, _propagate)
 
@@ -114,7 +114,7 @@ def nll_loss(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -> fl
     loss differentiable for finite-difference probes.
     """
     ops = _partition(_as_kappa(kappa), alphabet_size, multiplicity)
-    padded, lengths, _ = _pad(batch, alphabet_size)
+    padded, lengths, _ = _pad(*_flatten(batch), alphabet_size)
     return float(-_propagate(ops, _as_matrix(pi0), padded, lengths).sum() / len(lengths))
 
 
@@ -133,7 +133,7 @@ def nll_gradient(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -
     """
     arr = _as_kappa(kappa)
     ops = _partition(arr, alphabet_size, multiplicity)
-    padded, lengths, _ = _pad(batch, alphabet_size)
+    padded, lengths, _ = _pad(*_flatten(batch), alphabet_size)
     _, grad = _loss_and_gradient(ops, _as_matrix(pi0), padded, lengths)
     if grad is None:
         raise GradientUndefinedError("loss is not finite on this batch")
@@ -310,7 +310,7 @@ def train_qhmm_seeds(dataset, config: TrainConfig, alphabet_size: int, seeds) ->
     """
     # validated and padded once; each mini-batch is a set of rows, kept
     # longest first by taking the row indices in increasing order
-    padded, lengths, order = _pad(dataset, alphabet_size)
+    padded, lengths, order = _pad(*_flatten(dataset), alphabet_size)
     row_of = np.argsort(order)
     # a stack pays while its mini-batches fit one row block of the kernels
     # together: past that the blocks are full anyway, and the one-hot

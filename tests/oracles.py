@@ -211,6 +211,33 @@ def random_kraus_model(rng, dim, alphabet_size, multiplicity=1):
                                    DensityMatrix.maximally_mixed(dim))
 
 
+def pad_reference(sequences, alphabet_size):
+    """Validated sequences as zero-padded rows, longest first, built one
+    sequence at a time: ``(padded, lengths, order)``, where row i holds input
+    sequence ``order[i]``."""
+    from scengen import InputError
+
+    seqs = []
+    for sequence in sequences:
+        seq = np.asarray(sequence)
+        if seq.ndim != 1 or seq.size == 0:
+            raise InputError("sequence must be a nonempty 1-D list of symbol indices")
+        if seq.dtype.kind not in "iu" and not np.all(np.mod(seq, 1) == 0):
+            raise InputError("symbols must be integers")
+        seq = seq.astype(np.int64)
+        if seq.min() < 0 or seq.max() >= alphabet_size:
+            raise InputError(f"symbol out of range for alphabet of size {alphabet_size}")
+        seqs.append(seq)
+    if not seqs:
+        raise InputError("need at least one sequence")
+    lengths = np.array([s.size for s in seqs])
+    order = np.argsort(-lengths, kind="stable")
+    padded = np.zeros((len(seqs), lengths[order[0]]), dtype=np.int64)
+    for row, i in enumerate(order):
+        padded[row, :lengths[i]] = seqs[i]
+    return padded, lengths[order], order
+
+
 def train_qhmm_reference(dataset, config, alphabet_size):
     """QHMM training one seed at a time, one mini-batch step after another.
 
@@ -224,14 +251,13 @@ def train_qhmm_reference(dataset, config, alphabet_size):
 
     from scengen import (DensityMatrix, KrausModel, StepFailureError,
                          StiefelPoint, TrainingError, TrainRecord, trainer)
-    from scengen.hmm import _pad
     from scengen.qhmm import _propagate
     from scengen.trainer import _draw_stiefel, _loss_and_gradient
 
     # looked up in the module, as the library does, so tests can patch them
     cayley_step, max_halvings = trainer.cayley_step, trainer.MAX_STEP_HALVINGS
 
-    padded, lengths, order = _pad(dataset, alphabet_size)
+    padded, lengths, order = pad_reference(dataset, alphabet_size)
     row_of = np.argsort(order)
     k, mu = config.dim, config.multiplicity
     shape = (alphabet_size, mu, k, k)

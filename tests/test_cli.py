@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from scengen import (CategoricalHmm, InputError, TrainConfig, TrainingError,
-                     apply_event, average_da, baum_welch_fit, decode_scenario,
-                     embed_hmm, load_dataset, load_model, random_stiefel,
-                     save_model, validate_kraus)
+                     apply_event, average_da, baum_welch_fit, da_score,
+                     decode_scenario, embed_hmm, load_dataset, load_model,
+                     random_stiefel, reference_four_event_system, save_model,
+                     validate_kraus)
 from scengen.cli import main
+from scengen.hmm import _trellis_blocks
+from scengen.qhmm import _propagate
 
-from oracles import hmm_sample_reference, qhmm_sample_reference, train_qhmm_reference
+from oracles import (hmm_sample_reference, pad_reference, qhmm_sample_reference,
+                     train_qhmm_reference)
 
 
 def run(*argv):
@@ -44,6 +48,105 @@ def train_small(dataset_dir, out, kind="qhmm", epochs=5, seed=0, **extra):
     for flag, value in extra.items():
         argv += [f"--{flag}", value]
     return run(*argv)
+
+
+def reference_split(path, split):
+    """(sequence, label) pairs of a dataset split, read one line at a time."""
+    pairs = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        if split == "all" or record.get("split") == split:
+            pairs.append((record["sequence"], record.get("label")))
+    return pairs
+
+
+def reference_scores(model, sequences):
+    """Log-probabilities of reference-padded rows and the scalar DA of each."""
+    padded, lengths, order = pad_reference(sequences, model.alphabet_size)
+    log_probs = np.empty(len(sequences))
+    if isinstance(model, CategoricalHmm):
+        for rows, block, *_ in _trellis_blocks(model, padded, lengths):
+            log_probs[order[rows]] = block
+    else:
+        log_probs[order] = _propagate(model.operators, model.initial_state.matrix,
+                                      padded, lengths)
+    return log_probs.tolist(), [da_score(lp, len(seq), model.alphabet_size)
+                                for lp, seq in zip(log_probs, sequences)]
+
+
+def csv_bytes(header, rows):
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return out.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def four_event_run(tmp_path_factory):
+    """Four-event max_len=8 data (3508 scenarios), a QHMM and an HMM of the
+    probable class, and 50 unlabeled generated sequences."""
+    work = tmp_path_factory.mktemp("four")
+    system = work / "system.json"
+    reference_four_event_system().save(system)
+    data = work / "data"
+    assert run("make-dataset", "--system", system, "--out", data, "--max-len", 8,
+               "--seed", 3) == 0
+    for kind in ("qhmm", "hmm"):
+        assert run("train", "--kind", kind, "--data", data / "probable.jsonl",
+                   "--out", work / kind, "--K", 4, "--epochs", 5, "--seed", 1) == 0
+    assert run("generate", "--model", work / "qhmm" / "model.json", "--out",
+               work / "gen", "--count", 50, "--length", 8, "--seed", 2) == 0
+    return work
+
+
+class TestReadPathAgainstReferences:
+    """eval and classify reports on four-event max_len=8 data equal reports
+    built one record at a time from the reference padding and scalar DA."""
+
+    @pytest.mark.parametrize("kind", ["qhmm", "hmm"])
+    @pytest.mark.parametrize("split", ["test", "all"])
+    def test_eval_report(self, four_event_run, tmp_path, capsys, kind, split):
+        data = four_event_run / "data" / "no_probable.jsonl"
+        model_path = four_event_run / kind / "model.json"
+        assert run("eval", "--model", model_path, "--data", data, "--out", tmp_path,
+                   "--split", split) == 0
+        sequences = [seq for seq, _ in reference_split(data, split)]
+        log_probs, scores = reference_scores(load_model(model_path), sequences)
+        assert len(sequences) == (874 if split == "test" else 3496)
+        want = csv_bytes(["sequence_id", "length", "log_prob", "da"],
+                         [[i, len(seq), repr(lp), repr(da)] for i, (seq, lp, da)
+                          in enumerate(zip(sequences, log_probs, scores))])
+        assert (tmp_path / "report.csv").read_bytes() == want
+        assert capsys.readouterr().out == f"mean_da {float(np.mean(scores))!r}\n"
+
+    @pytest.mark.parametrize("data_name", ["data/no_probable.jsonl",
+                                           "data/probable.jsonl",
+                                           "gen/sequences.jsonl"])
+    def test_classify_report(self, four_event_run, tmp_path, capsys, data_name):
+        data = four_event_run / data_name
+        models = [four_event_run / kind / "model.json" for kind in ("qhmm", "hmm")]
+        assert run("classify", "--model-probable", models[0], "--model-no-probable",
+                   models[1], "--data", data, "--out", tmp_path) == 0
+        pairs = reference_split(data, "all")
+        sequences = [seq for seq, _ in pairs]
+        da_p = reference_scores(load_model(models[0]), sequences)[1]
+        da_n = reference_scores(load_model(models[1]), sequences)[1]
+        predicted = ["probable" if p > n else "no_probable" for p, n in zip(da_p, da_n)]
+        want = csv_bytes(
+            ["sequence_id", "true_label", "pred_label", "da_probable", "da_no_probable"],
+            [[i, "" if label is None else label, pred, repr(p), repr(n)]
+             for i, ((_, label), pred, p, n)
+             in enumerate(zip(pairs, predicted, da_p, da_n))])
+        assert (tmp_path / "report.csv").read_bytes() == want
+        labels = [label for _, label in pairs]
+        printed = capsys.readouterr().out
+        if None in labels:
+            assert printed == ""
+        else:
+            correct = sum(label == pred for label, pred in zip(labels, predicted))
+            assert printed == f"accuracy {correct / len(labels)!r}\n"
 
 
 class TestMakeDataset:

@@ -4,10 +4,11 @@ import pytest
 from scengen import (CategoricalHmm, InputError, PosteriorUndefinedError,
                      TrainingError, baum_welch_fit, hmm_backward, hmm_forward,
                      hmm_posterior, hmm_sample, hmm_samples)
-from scengen.hmm import _TRELLIS_BUDGET
+from scengen.hmm import _TRELLIS_BUDGET, _flatten, _pad
 
 from oracles import (all_sequences, baum_welch_reference, hmm_sample_reference,
-                     path_sum_probability, posterior_by_enumeration, random_hmm)
+                     pad_reference, path_sum_probability, posterior_by_enumeration,
+                     random_hmm)
 
 # frozen with the path-sum oracle before the recursions were written
 LN_P_011 = -2.3018853378797726
@@ -96,6 +97,36 @@ class TestForward:
             hmm_forward(ref_hmm, [0, 2])
         with pytest.raises(InputError):
             hmm_forward(ref_hmm, [-1])
+
+
+class TestPad:
+    """Flat padding against the sequence-at-a-time reference."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: [[0, 1, 2], [3], [1, 1, 1, 1], [2, 0], [0], [3, 3, 3, 3]],
+        lambda: [[2, 0, 1]],
+        lambda: [[0, 1], [1, 0], [3, 3]],
+        lambda: [(0, 1, 2), (3,), (1, 0)],
+        lambda: [np.array([0, 3, 1], dtype=np.int32), np.array([2], dtype=np.int32)],
+        lambda: ([i % 4] * (1 + i % 5) for i in range(40)),
+        lambda: [[0.0, 2.0], [1]],
+    ])
+    def test_rows_equal_reference(self, make):
+        want = pad_reference(make(), 4)
+        got = _pad(*_flatten(make()), 4)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("sequences", [
+        [], [[]], [[0, 1], []], [[[0, 1]]], [[0, [1]]], [[0, 1], 2], ["01"],
+        [[0, 0.5]], [[0, np.nan]], [[0, 4]], [[-1, 0]], [[0, "1"]],
+    ])
+    def test_invalid_input_is_an_input_error(self, sequences):
+        # the reference leaks a bare ValueError or TypeError on [[0, [1]]] and
+        # [[0, "1"]]
+        with pytest.raises(InputError):
+            _pad(*_flatten(sequences), 4)
 
 
 class TestBackward:
@@ -221,6 +252,10 @@ class TestBaumWelch:
         with pytest.raises(InputError):
             baum_welch_fit([[0, 1], []], 2)
 
+    def test_negative_symbol_is_reported_with_inferred_alphabet(self):
+        with pytest.raises(InputError, match="symbol -1 is negative"):
+            baum_welch_fit([[0, -1]], 2)
+
     @pytest.mark.parametrize("k", [3, 8])
     def test_matches_per_sequence_reference(self, k):
         # mixed lengths over several row blocks of the batched E-step
@@ -275,10 +310,12 @@ class TestSample:
         assert set(hmm_sample(ref_hmm, 200, 0)) <= {0, 1}
 
     def test_length_one_frequencies(self, single_state_hmm):
-        rng = np.random.default_rng(123)
-        draws = np.array([hmm_sample(single_state_hmm, 1, rng)[0]
-                          for _ in range(100_000)])
+        # the rows of one batched call are the draws of 100,000 sequential
+        # one-row calls on this generator (TestSamples pins that)
+        draws = hmm_samples(single_state_hmm, 1, 100_000, np.random.default_rng(123))[:, 0]
         assert abs(draws.mean() - 0.5) < 0.01
+        assert hmm_sample(single_state_hmm, 1, 123) == \
+            hmm_sample_reference(single_state_hmm, 1, 123)
 
     def test_prefix_conditioning(self, det_hmm):
         assert hmm_sample(det_hmm, 3, 0, prefix=[0, 0]) == [0, 0, 0]

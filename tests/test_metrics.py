@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scengen import (InputError, average_da, da_for_sequence, da_nonlinearity,
-                     da_score, embed_hmm, hmm_forward, log_likelihoods,
+                     da_score, da_scores, embed_hmm, hmm_forward, log_likelihoods,
                      qhmm_log_likelihood, sequence_log_prob, write_da_report)
 from scengen.hmm import _TRELLIS_BUDGET
 
@@ -83,6 +83,39 @@ class TestDaScore:
             da_score(0.0, 3, 1)
         with pytest.raises(InputError):
             da_score(0.5, 3, 2)
+
+
+class TestDaScores:
+    """The vectorised score against the scalar one, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise_equal(log_probs, lengths, alphabet_size):
+        got = da_scores(log_probs, lengths, alphabet_size)
+        want = np.array([da_score(lp, n, alphabet_size)
+                         for lp, n in zip(log_probs, lengths)])
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_anchor_points(self):
+        log_probs = [-np.inf, 0.0, -0.0, 1e-9, 5e-10, -1e-300, -np.log(6) * 3]
+        self.assert_bitwise_equal(log_probs, [3] * len(log_probs), 6)
+        assert da_scores([-np.inf, 1e-9], [1, 4], 2).tolist() == [-1.0, 1.0]
+
+    @pytest.mark.parametrize("alphabet_size", [2, 6, 8, 24])
+    def test_random_negative_log_probs(self, alphabet_size):
+        rng = np.random.default_rng(alphabet_size)
+        count = 100_000
+        # spread over both branches: P from near 1 down to far below s^-L
+        log_probs = -np.exp(rng.uniform(-20.0, 8.0, count))
+        lengths = rng.integers(1, 13, count)
+        self.assert_bitwise_equal(log_probs, lengths, alphabet_size)
+
+    def test_input_validation(self):
+        for log_probs, lengths, alphabet_size in (
+                ([0.0], [0], 2), ([0.0], [3], 1), ([0.5], [3], 2),
+                ([-1.0, 2e-9], [3, 3], 2), ([np.nan], [3], 2)):
+            with pytest.raises(InputError):
+                da_scores(log_probs, lengths, alphabet_size)
 
 
 class TestAverageDa:

@@ -28,6 +28,15 @@ def test_four_train_tiny_run_is_correct():
     assert result["attempted"] > 0
 
 
+def test_four_score_tiny_run_is_correct():
+    # the read path: eval log_prob against the benchmark's own oracle, and
+    # byte-identical reruns
+    result = run_tiny("four-score", 0)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+
+
 def test_wide_tiny_run_is_correct():
     # K=16, mu=2 sampling end to end, with the benchmark's rerun-identity check
     result = run_tiny("wide", 0)

@@ -5,8 +5,8 @@ import pytest
 
 from scengen import psa
 from scengen import (FAIL, REPAIR, BasicEvent, DatasetConstructionError,
-                     InputError, ResourceLimitError, Scenario, SystemModel,
-                     TransitionError, apply_event, build_datasets,
+                     InputError, ResourceLimitError, Scenario, ScenarioDataset,
+                     SystemModel, TransitionError, apply_event, build_datasets,
                      decode_scenario, encode_scenario, enumerate_scenarios,
                      is_severe, load_dataset, save_dataset,
                      scenario_probability)
@@ -232,6 +232,14 @@ class TestBuildDatasets:
             assert got == want
             assert len(set(got)) == len(got)
 
+    def test_split_follows_one_seeded_permutation_per_class(self, ref_system):
+        probable, no_probable = build_datasets(ref_system, test_fraction=0.25, seed=4)
+        rng = np.random.default_rng(4)
+        for ds in (probable, no_probable):
+            n = len(ds)
+            test = set(rng.permutation(n)[:round(0.25 * n)].tolist())
+            assert ds.splits == ["test" if i in test else "train" for i in range(n)]
+
     def test_alphabet_and_labels(self, ref_system):
         probable, no_probable = build_datasets(ref_system, seed=0)
         assert probable.alphabet_size == 6
@@ -288,3 +296,62 @@ class TestDatasetIo:
         path.write_text('{"sequence": [0]}\nnot json\n')
         with pytest.raises(InputError):
             load_dataset(path)
+
+    def test_record_constructor_matches_loaded_columns(self, ref_system, tmp_path):
+        _, no_probable = build_datasets(ref_system, seed=2)
+        path = tmp_path / "no_probable.jsonl"
+        save_dataset(no_probable, path)
+        loaded = load_dataset(path)
+        rebuilt = ScenarioDataset(loaded.alphabet_size, loaded.records)
+        for ds in (loaded, rebuilt):
+            assert ds.symbols.dtype == np.int64 and ds.lengths.dtype == np.int64
+            np.testing.assert_array_equal(ds.symbols, no_probable.symbols)
+            np.testing.assert_array_equal(ds.lengths, no_probable.lengths)
+            assert (ds.labels, ds.probs, ds.splits) == \
+                (no_probable.labels, no_probable.probs, no_probable.splits)
+        save_dataset(rebuilt, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+    def test_record_constructor_rejects_empty_sequences(self):
+        with pytest.raises(InputError):
+            ScenarioDataset(6, [psa.ScenarioRecord((0, 1)), psa.ScenarioRecord(())])
+
+    @pytest.mark.parametrize("split", [None, "train", "test", "other"])
+    def test_views_filter_records_by_split(self, ref_system, split):
+        probable, _ = build_datasets(ref_system, seed=5)
+        kept = [r for r in probable.records if split is None or r.split == split]
+        assert probable.sequences(split) == [r.sequence for r in kept]
+        assert probable.labeled(split) == [(r.sequence, r.label) for r in kept]
+        subset = probable.subset(split)
+        assert len(subset) == len(kept) and subset.records == kept
+        assert all(type(x) is int for seq in probable.sequences(split) for x in seq)
+
+    @pytest.mark.parametrize("lines, line_no", [
+        (['{"sequence": [0, 1.5, "3", true]}'], 1),
+        (['{"sequence": [0, 1]}', '{"sequence": [0, true]}'], 2),
+        (['{"sequence": [0, 1.0]}'], 1),
+        (['{"sequence": [0, "3"]}'], 1),
+        (['{"sequence": [0, null]}'], 1),
+        (['{"sequence": [0, [1]]}'], 1),
+        (['{"sequence": [0, 1]}', '', '{"sequence": []}'], 3),
+        (['{"sequence": "01"}'], 1),
+        (['{"sequence": {"0": 1}}'], 1),
+        (['{"sequence": [0, -1]}'], 1),
+        (['{"sequence": [0, 18446744073709551616]}'], 1),
+        (['{"label": "probable"}'], 1),
+        (['[0, 1]'], 1),
+        (['{"sequence": [0]}', '{"sequence": [0]} {"sequence": [1]}'], 2),
+        (['{"sequence": [0]}, {"sequence": [1', '2]}'], 1),
+    ])
+    def test_invalid_record_names_its_line(self, tmp_path, lines, line_no):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=f"bad.jsonl:{line_no}: "):
+            load_dataset(path)
+
+    def test_symbol_outside_explicit_alphabet_names_its_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"sequence": [0, 5]}\n\n{"sequence": [6, 1]}\n')
+        assert load_dataset(path, alphabet_size=7).alphabet_size == 7
+        with pytest.raises(InputError, match="data.jsonl:3: symbol 6 "):
+            load_dataset(path, alphabet_size=6)

@@ -201,9 +201,11 @@ class TestSample:
     def test_length_one_frequencies_match_analytic(self):
         model = random_kraus_model(np.random.default_rng(9), 2, 2)
         want = next_symbol_distribution(model, model.initial_state)
-        rng = np.random.default_rng(99)
-        draws = np.array([qhmm_sample(model, 1, rng)[0] for _ in range(100_000)])
+        # the rows of one batched call are the draws of 100,000 sequential
+        # one-row calls on this generator (TestSamples pins that)
+        draws = qhmm_samples(model, 1, 100_000, np.random.default_rng(99))[:, 0]
         assert abs(draws.mean() - want[1]) < 0.01
+        assert qhmm_sample(model, 1, 99) == qhmm_sample_reference(model, 1, 99)
 
     def test_any_model_passing_validation_samples(self):
         # a completeness residual of 8e-9 passes validate_kraus, so sampling
