@@ -35,7 +35,7 @@ from .qhmm import (DensityMatrix, KrausModel, KrausValidationReport,
 from .serialization import load_model, save_model
 from .trainer import (StiefelPoint, TrainConfig, TrainRecord, cayley_step,
                       nll_gradient, nll_loss, orthonormality_residual,
-                      random_stiefel, train_qhmm, train_qhmm_seeds,
-                      write_training_log)
+                      random_stiefel, train_qhmm, train_qhmm_datasets,
+                      train_qhmm_seeds, write_training_log)
 
 __version__ = "0.1.0"

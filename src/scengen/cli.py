@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -29,7 +30,7 @@ from .psa import (SystemModel, apply_event, build_datasets, decode_scenario,
                   load_dataset)
 from .qhmm import KrausModel, qhmm_samples, validate_kraus
 from .serialization import load_model, save_model
-from .trainer import (TrainConfig, TrainRecord, train_qhmm, train_qhmm_seeds,
+from .trainer import (TrainConfig, TrainRecord, train_qhmm, train_qhmm_datasets,
                       write_training_log)
 
 
@@ -199,29 +200,28 @@ def cmd_compare(args) -> list:
         train, test = data.subset("train"), data.subset("test")
         if not len(train) or not len(test):
             raise InputError(f"{data_path}: both train and test splits are required")
-        datasets.append((data_path, data.alphabet_size, train, test))
+        datasets.append((data_path, data.alphabet_size, train.sequences(), train, test))
     out = _out_dir(args)
+    # one (model, records) pair or TrainingError per dataset and seed; the
+    # QHMM runs of all datasets train in shared stacks
+    qhmm_fits = train_qhmm_datasets([(seqs, alphabet_size)
+                                     for _, alphabet_size, seqs, _, _ in datasets],
+                                    _qhmm_config(args, args.seeds[0]), args.seeds)
     rows = []
-    for data_path, alphabet_size, train, test in datasets:
-        train_seqs = train.sequences()
+    for (data_path, alphabet_size, train_seqs, train, test), qhmm in zip(datasets,
+                                                                          qhmm_fits):
         # each split is padded once and scored under every trained model
         padded = {"train": _pad(train.symbols, train.lengths, alphabet_size),
                   "test": _pad(test.symbols, test.lengths, alphabet_size)}
-        for kind in ("hmm", "qhmm"):
-            # one (model, records) pair or TrainingError per seed; the QHMM
-            # seeds train in one stacked pass, the HMM seeds one at a time
-            # up to the first failure
-            if kind == "qhmm":
-                fits = train_qhmm_seeds(train_seqs, _qhmm_config(args, args.seeds[0]),
-                                        alphabet_size, args.seeds)
-            else:
-                fits = []
-                for seed in args.seeds:
-                    try:
-                        fits.append(_train_one(kind, train_seqs, alphabet_size, args, seed))
-                    except TrainingError as exc:
-                        fits.append(exc)
-                        break
+        # the HMM seeds train one at a time up to the first failure
+        hmm_fits = []
+        for seed in args.seeds:
+            try:
+                hmm_fits.append(_train_one("hmm", train_seqs, alphabet_size, args, seed))
+            except TrainingError as exc:
+                hmm_fits.append(exc)
+                break
+        for kind, fits in (("hmm", hmm_fits), ("qhmm", qhmm)):
             failure = next(((seed, fit) for seed, fit in zip(args.seeds, fits)
                             if isinstance(fit, TrainingError)), None)
             if failure is not None:
@@ -325,8 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser: building the tree costs far more than a parse,
+    and parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started, clock = datetime.now(timezone.utc).isoformat(), time.perf_counter()
     try:
         _write_manifest(args, args.func(args), started, clock)

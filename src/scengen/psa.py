@@ -148,11 +148,13 @@ def is_severe(state: int, system: SystemModel) -> bool:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A legal fail/repair walk whose final step first reaches a severe state."""
+    """A legal fail/repair walk whose final step first reaches a severe state,
+    with its steps encoded as :func:`encode_scenario` encodes them."""
 
     steps: Tuple[Tuple[int, str], ...]
     probability: float
     label: str
+    symbols: Tuple[int, ...]
 
 
 def _as_steps(scenario) -> Tuple[Tuple[int, str], ...]:
@@ -230,10 +232,12 @@ def enumerate_scenarios(system: SystemModel, max_len: int = 4, p_min: float = 1e
     if max_len < 1:
         raise InputError("max_len must be >= 1")
 
-    found: List[Tuple[Tuple[Tuple[int, str], ...], float]] = []
+    # (steps, symbols, probability) of each scenario; each walk step is
+    # encoded once, as it is taken
+    found: List[Tuple[Tuple[Tuple[int, str], ...], Tuple[int, ...], float]] = []
     walk_steps = 0
 
-    def explore(state: int, depth: int, prob: float, steps) -> None:
+    def explore(state: int, depth: int, prob: float, steps, symbols) -> None:
         nonlocal walk_steps
         if depth == max_len:
             return
@@ -248,21 +252,22 @@ def enumerate_scenarios(system: SystemModel, max_len: int = 4, p_min: float = 1e
             next_prob = prob * (event.p_repair if down else event.p_down)
             next_state = state ^ (1 << idx)
             next_steps = steps + ((idx, action),)
+            next_symbols = symbols + (2 * idx + down,)
             if is_severe(next_state, system):
-                found.append((next_steps, next_prob))
+                found.append((next_steps, next_symbols, next_prob))
             else:
-                explore(next_state, depth + 1, next_prob, next_steps)
+                explore(next_state, depth + 1, next_prob, next_steps, next_symbols)
 
-    explore(0, 0, 1.0, ())
+    explore(0, 0, 1.0, (), ())
 
     probable: List[Scenario] = []
     no_probable: List[Scenario] = []
-    for steps, prob in found:
+    for steps, symbols, prob in found:
         if prob > p_min:
-            probable.append(Scenario(steps, prob, PROBABLE))
+            probable.append(Scenario(steps, prob, PROBABLE, symbols))
         else:
-            no_probable.append(Scenario(steps, prob, NO_PROBABLE))
-    key = lambda s: (-s.probability, tuple(encode_scenario(system, s)))
+            no_probable.append(Scenario(steps, prob, NO_PROBABLE, symbols))
+    key = lambda s: (-s.probability, s.symbols)
     probable.sort(key=key)
     no_probable.sort(key=key)
     return probable, no_probable
@@ -458,7 +463,7 @@ def build_datasets(system: SystemModel, *, max_len: int = 4, p_min: float = 1e-3
         n_test = int(round(test_fraction * len(scenarios)))
         test = np.zeros(len(scenarios), dtype=bool)
         test[rng.permutation(len(scenarios))[:n_test]] = True
-        sequences = [encode_scenario(system, sc) for sc in scenarios]
+        sequences = [sc.symbols for sc in scenarios]
         datasets.append(ScenarioDataset.from_columns(
             system.alphabet_size, np.fromiter(chain.from_iterable(sequences), np.int64),
             np.fromiter(map(len, sequences), np.int64, len(sequences)),

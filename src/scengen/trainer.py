@@ -7,15 +7,20 @@ accepted step. Per-sequence loss terms within a batch are independent and
 reduced longest sequence first, so results are deterministic for a fixed
 seed.
 
-Several seeds train in one stacked pass: the S seeds' operators are
-stacked as S * M symbols, each seed's mini-batch rows have their symbols
-offset by its position times M, and the rows of all seeds are merged
-longest first. The batched kernels then run unchanged on the stack, and
-the one-hot gradient scatter keeps each seed's gradient apart. Cayley
-steps, step halvings and failures stay per seed, so every seed gets the
-model, loss trace and error of a run on its own. A stack holds as many
-seeds as fit their mini-batches into one row block of the kernels;
-further seeds go to the next stack.
+Several runs, one per (dataset, seed) pair, train in one stacked pass.
+Their operators are stacked symbol by symbol, so a run's symbols are
+offset by the alphabet sizes of the runs before it (datasets of different
+systems may differ in M); every dataset is zero-padded to one width, and
+the mini-batch rows of all runs are merged longest first. The batched
+kernels then run unchanged on the stack, and the one-hot gradient scatter
+keeps each run's gradient apart. Cayley steps, step halvings, random
+streams and failures stay per run, so every run gets the model, loss
+trace and error of a run on its own. Runs are packed greedily, in order,
+into stacks whose mini-batches fit one row block of the kernels together.
+That is bit for bit while the scatter's matrix product sums at most 128
+rows, which holds for every stack at K >= 4; over longer sums OpenBLAS
+0.3.31 may group the terms differently, and a run can then differ from
+its own in the last bits.
 """
 
 from __future__ import annotations
@@ -288,11 +293,28 @@ def train_qhmm(dataset, config: TrainConfig, alphabet_size: int):
     return result
 
 
-class _SeedRun:
-    """One seed's training state within a stacked pass."""
+def train_qhmm_seeds(dataset, config: TrainConfig, alphabet_size: int, seeds) -> list:
+    """Train one model per seed, with the seeds stacked into shared kernel calls.
 
-    def __init__(self, rng: np.random.Generator, kappa: StiefelPoint):
-        self.rng, self.kappa = rng, kappa
+    Returns one entry per seed, in order: the ``(model, records)`` pair
+    that :func:`train_qhmm` returns for ``config`` with its seed replaced
+    by that seed, or the :class:`TrainingError` it raises.
+    """
+    (results,) = train_qhmm_datasets([(dataset, alphabet_size)], config, seeds)
+    return results
+
+
+class _Run:
+    """The training state of one (dataset, seed) run within a stacked pass."""
+
+    def __init__(self, padded, lengths, row_of, alphabet_size: int, seed, config):
+        # the dataset's padded rows (longest first), their lengths, and the
+        # row of each input sequence; shared by the runs of one dataset
+        self.padded, self.lengths, self.row_of = padded, lengths, row_of
+        self.alphabet_size = alphabet_size
+        self.rng = np.random.default_rng(seed)
+        self.kappa = StiefelPoint(_draw_stiefel(
+            self.rng, alphabet_size * config.multiplicity * config.dim, config.dim))
         self.records = []
         self.error = None  # the TrainingError that ended the run
         # the current step: batch rows (longest first), pre-step loss and
@@ -300,70 +322,85 @@ class _SeedRun:
         self.rows = self.loss = self.grad = self.step_tau = None
 
 
-def train_qhmm_seeds(dataset, config: TrainConfig, alphabet_size: int, seeds) -> list:
-    """Train one model per seed, with the seeds stacked into shared kernel calls.
+def train_qhmm_datasets(datasets, config: TrainConfig, seeds) -> list:
+    """Train one model per seed on each dataset, all runs in shared stacks.
 
-    Returns one entry per seed, in order: the ``(model, records)`` pair
-    that :func:`train_qhmm` returns for ``config`` with its seed replaced
-    by that seed, or the :class:`TrainingError` it raises. A failing seed
-    leaves its stack and the others carry on.
+    ``datasets`` holds ``(sequences, alphabet_size)`` pairs. Returns one list
+    per dataset with one entry per seed, in order: the ``(model, records)``
+    pair that :func:`train_qhmm` returns on that dataset for ``config`` with
+    its seed replaced by that seed, or the :class:`TrainingError` it raises.
+    A failing run leaves its stack and the others carry on.
     """
-    # validated and padded once; each mini-batch is a set of rows, kept
-    # longest first by taking the row indices in increasing order
-    padded, lengths, order = _pad(*_flatten(dataset), alphabet_size)
-    row_of = np.argsort(order)
-    # a stack pays while its mini-batches fit one row block of the kernels
-    # together: past that the blocks are full anyway, and the one-hot
-    # gradient scatter grows with the number of stacked symbols
-    batch_rows = -(-len(lengths) // config.num_batches)
-    per_stack = max(1, _BLOCK_BUDGET // config.dim ** 2 // batch_rows)
-    seeds = list(seeds)
-    return [result for start in range(0, len(seeds), per_stack)
-            for result in _train_stack(padded, lengths, row_of, config, alphabet_size,
-                                       seeds[start:start + per_stack])]
+    # each dataset is validated and padded once, all to one width; each
+    # mini-batch is a set of rows, kept longest first by taking the row
+    # indices in increasing order
+    padded = [_pad(*_flatten(sequences), alphabet_size)
+              for sequences, alphabet_size in datasets]
+    width = max((rows.shape[1] for rows, _, _ in padded), default=0)
+    seeds, groups = list(seeds), []
+    for (rows, lengths, order), (_, alphabet_size) in zip(padded, datasets):
+        if rows.shape[1] < width:
+            rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
+        row_of = np.argsort(order)
+        groups.append([_Run(rows, lengths, row_of, alphabet_size, seed, config)
+                       for seed in seeds])
+    # a stack pays while its runs' mini-batches fit one row block of the
+    # kernels together: past that the blocks are full anyway, and the
+    # one-hot gradient scatter grows with the number of stacked symbols
+    block_rows, stacks = _BLOCK_BUDGET // config.dim ** 2, []
+    for run in (run for group in groups for run in group):
+        batch_rows = -(-len(run.lengths) // config.num_batches)
+        if stacks and used + batch_rows <= block_rows:
+            stacks[-1].append(run)
+            used += batch_rows
+        else:
+            stacks.append([run])
+            used = batch_rows
+    for stack in stacks:
+        _train_stack(stack, config)
+    initial_state = DensityMatrix.maximally_mixed(config.dim)
+    return [[run.error if run.error is not None else
+             (KrausModel.from_stiefel(run.kappa.matrix, run.alphabet_size,
+                                      config.multiplicity, initial_state), run.records)
+             for run in group] for group in groups]
 
 
-def _train_stack(padded, lengths, row_of, config: TrainConfig, alphabet_size: int,
-                 seeds) -> list:
-    """:func:`train_qhmm_seeds` for seeds that share every kernel call."""
-    k, mu = config.dim, config.multiplicity
-    shape = (alphabet_size, mu, k, k)
-    initial_state = DensityMatrix.maximally_mixed(k)
-    rho0 = initial_state.matrix
+def _train_stack(runs, config: TrainConfig) -> None:
+    """:func:`train_qhmm_datasets` for runs that share every kernel call."""
+    rho0 = DensityMatrix.maximally_mixed(config.dim).matrix
+    shape = (-1, config.multiplicity, config.dim, config.dim)
 
     def stack(runs):
-        # the symbols of runs[j] are offset by j*M, to index its operators
-        # in the stack; members[j] selects its merged rows, which keep their
-        # order
+        # the symbols of each run are offset by the alphabet sizes of the
+        # runs before it, to index its operators in the stack; members[j]
+        # selects the merged rows of runs[j], which keep their order
         if len(runs) == 1:  # nothing to merge or offset
-            return padded[runs[0].rows], lengths[runs[0].rows], [slice(None)]
+            (run,) = runs
+            return run.padded[run.rows], run.lengths[run.rows], [slice(None)]
+        offsets = np.cumsum([0] + [run.alphabet_size for run in runs[:-1]])
+        symbols = np.concatenate([run.padded[run.rows] + offset
+                                  for run, offset in zip(runs, offsets)])
+        lens = np.concatenate([run.lengths[run.rows] for run in runs])
         owner = np.repeat(np.arange(len(runs)), [len(run.rows) for run in runs])
-        rows = np.concatenate([run.rows for run in runs])
-        merged = np.argsort(-lengths[rows], kind="stable")
-        rows, owner = rows[merged], owner[merged]
-        members = [owner == j for j in range(len(runs))]
-        return padded[rows] + alphabet_size * owner[:, None], lengths[rows], members
+        merged = np.argsort(-lens, kind="stable")
+        owner = owner[merged]
+        return symbols[merged], lens[merged], [owner == j for j in range(len(runs))]
 
     def stacked_ops(points):
         if len(points) == 1:  # a view; the kernels do not write to it
             return points[0].matrix.reshape(shape)
         return np.concatenate([point.matrix.reshape(shape) for point in points])
 
-    runs = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        runs.append(_SeedRun(rng, StiefelPoint(_draw_stiefel(rng, alphabet_size * mu * k, k))))
-
     tau = config.learning_rate
     for epoch in range(config.epochs):
         live = [run for run in runs if run.error is None]
-        chunks = [np.array_split(run.rng.permutation(len(lengths)), config.num_batches)
+        chunks = [np.array_split(run.rng.permutation(len(run.lengths)), config.num_batches)
                   for run in live]
         for index in range(config.num_batches):
             stepping = []
             for run, chunk in zip(live, chunks):
                 if run.error is None and chunk[index].size:
-                    run.rows = np.sort(row_of[chunk[index]])
+                    run.rows = np.sort(run.row_of[chunk[index]])
                     stepping.append(run)
             # a run whose batch loss is not finite leaves the stack
             while stepping:
@@ -379,11 +416,13 @@ def _train_stack(padded, lengths, row_of, config: TrainConfig, alphabet_size: in
                     if run not in stepping:
                         run.error = TrainingError(
                             f"batch loss is not finite at epoch {epoch} batch {index}")
+            start = 0
             for j, run in enumerate(stepping):
                 run.loss = float(-log_probs[members[j]].sum() / len(run.rows))
-                run.grad = (grad[j * alphabet_size:(j + 1) * alphabet_size]
+                run.grad = (grad[start:start + run.alphabet_size]
                             / len(run.rows)).reshape(run.kappa.matrix.shape)
                 run.step_tau = tau
+                start += run.alphabet_size
             # every run still halving tries one step per round; their
             # candidates are checked together for a finite batch loss
             for _ in range(1 + MAX_STEP_HALVINGS):
@@ -414,10 +453,6 @@ def _train_stack(padded, lengths, row_of, config: TrainConfig, alphabet_size: in
                     f"step failed after {MAX_STEP_HALVINGS} halvings at "
                     f"epoch {epoch} batch {index} (loss {run.loss:.6g}, tau {tau:.3g})")
         tau *= config.decay
-    return [run.error if run.error is not None else
-            (KrausModel.from_stiefel(run.kappa.matrix, alphabet_size, mu, initial_state),
-             run.records)
-            for run in runs]
 
 
 def write_training_log(path, records) -> None:

@@ -10,6 +10,7 @@ from scengen import (CategoricalHmm, InputError, TrainConfig, TrainingError,
                      decode_scenario, embed_hmm, load_dataset, load_model,
                      random_stiefel, reference_four_event_system, save_model,
                      validate_kraus)
+from scengen import cli
 from scengen.cli import main
 from scengen.hmm import _trellis_blocks
 from scengen.qhmm import _propagate
@@ -505,6 +506,54 @@ class TestCompare:
         for row in rows[1:3]:
             float(row[3])
 
+    @pytest.fixture
+    def two_systems(self, dataset_dir, tmp_path):
+        """Dataset A of the three-event system (M=6) and dataset B of the
+        four-event system at max_len 6 (M=8)."""
+        system = tmp_path / "four.json"
+        reference_four_event_system().save(system)
+        assert run("make-dataset", "--system", system, "--out", tmp_path / "four",
+                   "--max-len", 6, "--seed", 1) == 0
+        return dataset_dir / "probable.jsonl", tmp_path / "four" / "no_probable.jsonl"
+
+    def compare(self, tmp_path, capsys, name, paths, *flags):
+        argv = ["compare", "--out", tmp_path / name, "--seeds", "0,1,2", *flags]
+        for path in paths:
+            argv += ["--data", path]
+        assert run(*argv) == 0
+        with open(tmp_path / name / "comparison.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        return rows, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("a_first", [True, False])
+    def test_rows_equal_one_call_per_dataset(self, two_systems, tmp_path, capsys,
+                                             a_first):
+        # at K=4 the QHMM runs pack into a stack of the three runs of A and
+        # one of B, and a stack of two runs of B (in the other order: two
+        # runs of B, then one of B and the three of A)
+        a, b = two_systems if a_first else two_systems[::-1]
+        flags = ("--K", 4, "--epochs", 3)
+        both, _ = self.compare(tmp_path, capsys, "ab", [a, b], *flags)
+        only_a, _ = self.compare(tmp_path, capsys, "a", [a], *flags)
+        only_b, _ = self.compare(tmp_path, capsys, "b", [b], *flags)
+        assert both == only_a + only_b[1:]
+        assert len(both) == 9 and "failed" not in both[4] + both[8]
+
+    def test_warnings_keep_the_dataset_order(self, two_systems, tmp_path, capsys,
+                                             capped_steps):
+        # with steps capped, seed 0 fails on A (first stack) and seed 1 on
+        # B (second stack)
+        capped_steps(0.05, max_halvings=0)
+        a, b = two_systems
+        flags = ("--K", 4, "--epochs", 3)
+        both, both_err = self.compare(tmp_path, capsys, "ab", [a, b], *flags)
+        only_a, a_err = self.compare(tmp_path, capsys, "a", [a], *flags)
+        only_b, b_err = self.compare(tmp_path, capsys, "b", [b], *flags)
+        assert both == only_a + only_b[1:]
+        assert both_err == a_err + b_err
+        assert [line.split(" (seed")[0] for line in both_err] == [
+            f"warning: qhmm training failed on {path}" for path in (a, b)]
+
 
 class TestManifest:
     def test_every_command_records_its_inputs_and_outputs(self, dataset_dir,
@@ -573,6 +622,34 @@ class TestUsage:
         assert run("compare", "--data", tmp_path / "d.jsonl",
                    "--out", tmp_path / "cmp", "--K", 2, "--seeds", "") == 2
         assert "at least one seed" in capsys.readouterr().err
+
+    def test_one_parser_parses_as_fresh_ones_after_a_usage_error(
+            self, dataset_dir, system_path, tmp_path, monkeypatch):
+        model = tmp_path / "model" / "model.json"
+        train_small(dataset_dir, model.parent)
+        with pytest.raises(SystemExit) as excinfo:
+            run("train", "--kind", "qhmm", "--data", dataset_dir / "probable.jsonl")
+        assert excinfo.value.code == 2
+        fresh_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        calls = {
+            "generate": ["--model", model, "--count", 2, "--length", 3, "--seed", 0,
+                         "--prefix", ""],
+            "eval": ["--model", model, "--data", dataset_dir / "probable.jsonl"],
+            "compare": ["--data", dataset_dir / "probable.jsonl", "--K", 2,
+                        "--epochs", 1, "--seeds", "0"],
+            "make-dataset": ["--system", system_path, "--seed", 1, "--p-min", 0.01],
+        }
+        for command, flags in calls.items():
+            out = tmp_path / command
+            argv = [str(a) for a in (command, *flags, "--out", out)]
+            assert main(argv) == 0
+            fresh = {k: v for k, v in sorted(vars(fresh_parser().parse_args(argv)).items())
+                     if k != "func"}
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config == json.loads(json.dumps(fresh, default=str))
+        assert json.loads((tmp_path / "generate" / "manifest.json").read_text()
+                          )["config"]["prefix"] == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -186,6 +187,15 @@ class TestEnumerate:
             probs = [sc.probability for sc in group]
             assert probs == sorted(probs, reverse=True)
 
+    def test_symbols_are_the_encoded_steps(self):
+        system = psa.reference_four_event_system()
+        probable, no_probable = enumerate_scenarios(system, max_len=6, p_min=1e-3)
+        for group in (probable, no_probable):
+            assert all(sc.symbols == tuple(encode_scenario(system, sc)) for sc in group)
+            # ties in probability are broken by the encoded symbols
+            keys = [(-sc.probability, sc.symbols) for sc in group]
+            assert keys == sorted(keys)
+
     def test_deterministic_order(self, ref_system):
         a = enumerate_scenarios(ref_system, max_len=4, p_min=1e-3)
         b = enumerate_scenarios(ref_system, max_len=4, p_min=1e-3)
@@ -211,6 +221,23 @@ class TestEnumerate:
 
 
 class TestBuildDatasets:
+    @pytest.mark.parametrize("system, max_len, seed, digests", [
+        (psa.reference_three_event_system, 4, 9,
+         ("cc9fafc37c460eeadcd3ecfb6103c7bebd8008becdc36760ef9e2e25a31b305b",
+          "cb77ff0955e51ec8918d0d6d4d7fc80247be9ac0a056677e270dda0bf3bdae00")),
+        (psa.reference_four_event_system, 8, 1,
+         ("4cc7cbc0cfa05e4174051bd3560b3a699827b7bf2505ecf25707d9bc57bc34f5",
+          "52ec0c9df9a305550d206aa6dcbf4611603d78307955c0480e07ab151c11dc94")),
+    ])
+    def test_saved_bytes_are_pinned(self, tmp_path, system, max_len, seed, digests):
+        # SHA-256 of the files as encode_scenario's symbols give them; the
+        # symbols built during the walk must not change a byte
+        build_datasets(system(), max_len=max_len, p_min=1e-3, test_fraction=0.25,
+                       seed=seed, out_dir=tmp_path)
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("probable.jsonl", "no_probable.jsonl"))
+        assert got == digests
+
     def test_split_sizes(self, ref_system):
         probable, no_probable = build_datasets(ref_system, test_fraction=0.25, seed=0)
         for ds in (probable, no_probable):

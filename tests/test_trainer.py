@@ -10,8 +10,8 @@ from scengen import (DensityMatrix, GradientUndefinedError, InputError,
                      build_datasets, cayley_step, embed_hmm, nll_gradient,
                      nll_loss, qhmm_log_likelihood, qhmm_sample, random_stiefel,
                      reference_four_event_system, reference_three_event_system,
-                     train_qhmm, train_qhmm_seeds, trainer, validate_kraus,
-                     write_training_log)
+                     train_qhmm, train_qhmm_datasets, train_qhmm_seeds, trainer,
+                     validate_kraus, write_training_log)
 
 from oracles import (central_difference_gradient, random_kraus_model,
                      train_qhmm_reference)
@@ -379,6 +379,71 @@ class TestTrainQhmmSeeds:
 
     def test_no_seeds_train_nothing(self):
         assert train_qhmm_seeds([(0, 1)], TrainConfig(dim=2), 2, []) == []
+
+
+def two_system_training_sets():
+    """Train splits of two systems' datasets: the desk probable class (M=6,
+    6 sequences of length <= 4) and the four-event max_len=6 no_probable
+    class (M=8, 318 sequences of length <= 6)."""
+    desk = build_datasets(reference_three_event_system(), max_len=4, p_min=1e-3,
+                          test_fraction=0.25, seed=9)[0]
+    four = build_datasets(reference_four_event_system(), max_len=6, p_min=1e-3,
+                          test_fraction=0.25, seed=1)[1]
+    return [(ds.sequences("train"), ds.alphabet_size) for ds in (desk, four)]
+
+
+class TestTrainQhmmDatasets:
+    # at K=4 a kernel row block holds 128 rows, and the runs are packed in
+    # order: the three desk runs (1-2 rows per batch) share a stack with one
+    # four-event run (63-64 rows), and two four-event runs fill the other
+    config = TrainConfig(dim=4, epochs=3)
+    seeds = [0, 1, 2]
+
+    @pytest.mark.parametrize("desk_first", [True, False])
+    def test_runs_of_two_systems_are_bit_identical_to_separate_runs(self, monkeypatch,
+                                                                    desk_first):
+        sets = two_system_training_sets()[::1 if desk_first else -1]
+        rows = []
+        real = trainer._loss_and_gradient
+
+        def spy(ops, rho0, padded, lengths):
+            rows.append(len(lengths))
+            return real(ops, rho0, padded, lengths)
+
+        monkeypatch.setattr(trainer, "_loss_and_gradient", spy)
+        results = train_qhmm_datasets(sets, self.config, self.seeds)
+        monkeypatch.undo()
+        assert [len(group) for group in results] == [3, 3]
+        for (dataset, alphabet), group in zip(sets, results):
+            for seed, got in zip(self.seeds, group):
+                assert_same_fit(got, train_qhmm_reference(
+                    dataset, replace(self.config, seed=seed), alphabet))
+        # two stacks per step, so one of them holds runs of both datasets,
+        # and none is larger than one row block
+        assert len(rows) == 2 * self.config.epochs * self.config.num_batches
+        assert max(rows) <= 2048 // self.config.dim ** 2
+
+    @pytest.mark.parametrize("cap, max_halvings", [
+        (0.02, 2),   # every desk run fails, the four-event runs halve
+        (0.05, 1),   # desk seeds 1 and 2 fail
+    ])
+    def test_failing_runs_leave_the_other_dataset_alone(self, capped_steps, cap,
+                                                        max_halvings):
+        sets = two_system_training_sets()
+        capped_steps(cap, max_halvings=max_halvings)
+        results = train_qhmm_datasets(sets, self.config, self.seeds)
+        desk, four = ([reference_or_error(dataset, replace(self.config, seed=seed),
+                                          alphabet) for seed in self.seeds]
+                      for dataset, alphabet in sets)
+        assert isinstance(desk[1], TrainingError) and isinstance(desk[2], TrainingError)
+        assert not any(isinstance(want, TrainingError) for want in four)
+        for group, solo in zip(results, (desk, four)):
+            for got, want in zip(group, solo):
+                assert_same_fit(got, want)
+
+    def test_no_datasets_or_no_seeds_train_nothing(self):
+        assert train_qhmm_datasets([], self.config, self.seeds) == []
+        assert train_qhmm_datasets(two_system_training_sets(), self.config, []) == [[], []]
 
 
 class TestTrainingLog:
