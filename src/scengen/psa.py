@@ -33,6 +33,9 @@ MAX_SCENARIO_LEN = 12
 MAX_WALK_STEPS = 1_000_000
 # symbols of a dataset whose alphabet is inferred must fit in int64
 _INT64_BOUND = 2 ** 63
+# lines load_dataset decodes at a time: only one chunk's decoded records
+# are alive at once, so their transient memory does not grow with the file
+_DECODE_LINES = 1024
 
 
 @dataclass(frozen=True)
@@ -364,21 +367,26 @@ _decode = json.JSONDecoder().raw_decode
 def _read_columns(lines: List[str]):
     """``(symbols, lengths, labels, probs, splits)`` of stripped nonempty JSONL
     lines, or None when a line is not a valid record: one JSON object whose
-    "sequence" is a nonempty list of JSON integers that fit in int64."""
-    try:
-        decoded = list(map(_decode, lines))
-        if list(map(itemgetter(1), decoded)) != list(map(len, lines)):
-            return None  # a line holds more than one JSON value
-        payloads = list(map(itemgetter(0), decoded))
-        sequences = list(map(itemgetter("sequence"), payloads))
-        labels, probs, splits = (list(map(dict.get, payloads, repeat(key)))
-                                 for key in ("label", "prob", "split"))
-    except (ValueError, KeyError, TypeError):
-        return None
-    if set(map(type, sequences)) != {list}:
-        return None
-    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
-    flat = list(chain.from_iterable(sequences))
+    "sequence" is a nonempty list of JSON integers that fit in int64. Lines
+    are decoded ``_DECODE_LINES`` at a time."""
+    flat, lengths, labels, probs, splits = [], [], [], [], []
+    for start in range(0, len(lines), _DECODE_LINES):
+        chunk = lines[start:start + _DECODE_LINES]
+        try:
+            decoded = list(map(_decode, chunk))
+            if list(map(itemgetter(1), decoded)) != list(map(len, chunk)):
+                return None  # a line holds more than one JSON value
+            payloads = list(map(itemgetter(0), decoded))
+            sequences = list(map(itemgetter("sequence"), payloads))
+            for column, key in ((labels, "label"), (probs, "prob"), (splits, "split")):
+                column += map(dict.get, payloads, repeat(key))
+        except (ValueError, KeyError, TypeError):
+            return None
+        if set(map(type, sequences)) != {list}:
+            return None
+        lengths += map(len, sequences)
+        flat += chain.from_iterable(sequences)
+    lengths = np.array(lengths, dtype=np.int64)
     if not lengths.all() or set(map(type, flat)) != {int}:  # bool is not int here
         return None
     try:
@@ -413,8 +421,8 @@ def load_dataset(path, alphabet_size: Optional[int] = None) -> ScenarioDataset:
     list of JSON integers (``true`` and ``1.0`` are not integers). When
     ``alphabet_size`` is omitted it is inferred as the smallest even bound
     on the observed symbols (symbols come in fail/repair pairs). The file is
-    decoded and checked column by column; an invalid record raises an
-    :class:`InputError` that names ``path:line``.
+    decoded in chunks of lines and checked column by column; an invalid
+    record raises an :class:`InputError` that names ``path:line``.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")

@@ -13,14 +13,15 @@ offset by the alphabet sizes of the runs before it (datasets of different
 systems may differ in M); every dataset is zero-padded to one width, and
 the mini-batch rows of all runs are merged longest first. The batched
 kernels then run unchanged on the stack, and the one-hot gradient scatter
-keeps each run's gradient apart. Cayley steps, step halvings, random
-streams and failures stay per run, so every run gets the model, loss
-trace and error of a run on its own. Runs are packed greedily, in order,
-into stacks whose mini-batches fit one row block of the kernels together.
-That is bit for bit while the scatter's matrix product sums at most 128
-rows, which holds for every stack at K >= 4; over longer sums OpenBLAS
-0.3.31 may group the terms differently, and a run can then differ from
-its own in the last bits.
+keeps each run's gradient apart. Each round of step halvings retracts
+the runs still stepping with one call of the list form of
+:func:`cayley_step`. Step sizes, halvings, random streams and failures
+stay per run, so every run gets the model, loss trace and error of a run
+on its own, bit for bit. Runs are packed greedily, in order, into stacks
+whose mini-batches fit one row block of the kernels together and hold at
+most 128 rows: over longer sums the scatter's matrix product may group
+its terms differently in OpenBLAS (0.3.31), and a run would then differ
+from its own in the last bits.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .qhmm import (_BLOCK_BUDGET, DensityMatrix, KrausModel, _as_matrix,
 
 STIEFEL_TOL = 1e-8
 MAX_STEP_HALVINGS = 30
+# the most mini-batch rows a training stack holds
+_STACK_ROWS = 128
 
 
 def orthonormality_residual(matrix) -> float:
@@ -74,6 +77,14 @@ class StiefelPoint:
 
     def residual(self) -> float:
         return orthonormality_residual(self.matrix)
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "StiefelPoint":
+        """A point over a read-only complex matrix whose residual the caller
+        has already checked against STIEFEL_TOL; not validated again."""
+        point = cls.__new__(cls)
+        point.matrix = matrix
+        return point
 
 
 def _draw_stiefel(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -178,12 +189,37 @@ def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     return log_probs, grad.reshape(ops.shape)
 
 
-def cayley_step(kappa, gradient, tau: float) -> StiefelPoint:
+def _step_inputs(kappa, gradient, tau):
+    arr = _as_kappa(kappa)
+    grad = np.asarray(gradient, dtype=complex)
+    if grad.shape != arr.shape:
+        raise InputError("gradient shape must match kappa")
+    if tau < 0:
+        raise InputError("tau must be >= 0")
+    return arr, grad
+
+
+def _stepped_point(new: np.ndarray, finite: bool, residual: float):
+    """The point over a step's result, or the StepFailureError it earns."""
+    if not finite:
+        return StepFailureError("step produced non-finite entries")
+    if residual > STIEFEL_TOL:
+        return StepFailureError(f"columns are not orthonormal (residual {residual:.3e})")
+    new.setflags(write=False)
+    return StiefelPoint._trusted(new)
+
+
+def cayley_step(kappa, gradient, tau):
     """One descent step along the manifold.
 
     Computes ``kappa - tau * U (I + (tau/2) V^dagger U)^-1 V^dagger kappa``
     with U = [G | kappa], V = [kappa | -G]; the result has orthonormal
     columns for any G. ``tau = 0`` returns kappa unchanged.
+
+    Given lists of points, gradients and taus (one entry per run), returns
+    a list with one :class:`StiefelPoint` or one :class:`StepFailureError`
+    per entry: what that entry's own call returns or raises, bit for bit.
+    Entries of one shape are retracted together, in batched solves.
 
     Raises
     ------
@@ -191,12 +227,18 @@ def cayley_step(kappa, gradient, tau: float) -> StiefelPoint:
         If the inner solve is singular or orthonormality is lost to
         roundoff; callers halve tau and retry.
     """
-    arr = _as_kappa(kappa)
-    grad = np.asarray(gradient, dtype=complex)
-    if grad.shape != arr.shape:
-        raise InputError("gradient shape must match kappa")
-    if tau < 0:
-        raise InputError("tau must be >= 0")
+    if isinstance(tau, list):
+        return _cayley_steps(kappa, gradient, tau)
+    point = _one_point_step(kappa, gradient, tau)
+    if isinstance(point, StepFailureError):
+        raise point
+    return point
+
+
+def _one_point_step(kappa, gradient, tau):
+    """The one-point form, returning its StepFailureError; the list form
+    calls it directly, not through the module's (maybe rebound) name."""
+    arr, grad = _step_inputs(kappa, gradient, tau)
     if tau == 0.0:
         return kappa if isinstance(kappa, StiefelPoint) else StiefelPoint(arr)
     u = np.concatenate([grad, arr], axis=1)
@@ -204,15 +246,68 @@ def cayley_step(kappa, gradient, tau: float) -> StiefelPoint:
     lhs = np.eye(2 * arr.shape[1], dtype=complex) + (tau / 2.0) * (v.conj().T @ u)
     try:
         y = np.linalg.solve(lhs, v.conj().T @ arr)
-    except np.linalg.LinAlgError as exc:
-        raise StepFailureError("inner solve is singular") from exc
+    except np.linalg.LinAlgError:
+        return StepFailureError("inner solve is singular")
     new = arr - tau * (u @ y)
-    if not np.all(np.isfinite(new)):
-        raise StepFailureError("step produced non-finite entries")
+    return _stepped_point(new, np.all(np.isfinite(new)), orthonormality_residual(new))
+
+
+def _cayley_steps(points, gradients, taus) -> list:
+    """The list form of :func:`cayley_step`.
+
+    Entries are grouped by shape, never padded. A group is retracted in
+    stacks of at most ``_BLOCK_BUDGET`` kappa entries: past that the
+    stacked temporaries outgrow the cache, and separate solves are faster.
+    A stack of one entry, and a tau of 0, take the one-point arithmetic.
+    """
+    if not len(points) == len(gradients) == len(taus):
+        raise InputError("need one gradient and one tau per point")
+    if len(points) == 1:  # nothing to group; the one-point call's cost
+        return [_one_point_step(points[0], gradients[0], taus[0])]
+    inputs = [_step_inputs(*entry) for entry in zip(points, gradients, taus)]
+    groups, results = {}, {}
+    for i, (arr, _) in enumerate(inputs):
+        if taus[i] != 0.0:
+            groups.setdefault(arr.shape, []).append(i)
+    for (rows, cols), members in groups.items():
+        for block in _row_blocks(len(members), rows * cols, _BLOCK_BUDGET):
+            stack = members[block]
+            if len(stack) > 1:
+                results.update(zip(stack, _stacked_steps(
+                    [inputs[i] for i in stack], [taus[i] for i in stack])))
+    return [results[i] if i in results else _one_point_step(*entry)
+            for i, entry in enumerate(zip(points, gradients, taus))]
+
+
+def _stacked_steps(inputs, taus) -> list:
+    """:func:`cayley_step`'s arithmetic on an (S, rows, cols) stack of
+    ``(kappa, gradient)`` pairs, with one batched Gram residual."""
+    arr = np.array([entry[0] for entry in inputs])
+    grad = np.array([entry[1] for entry in inputs])
+    tau = np.array(taus)[:, None, None]
+    u = np.concatenate([grad, arr], axis=2)
+    v = np.concatenate([arr, -grad], axis=2)
+    vh = v.conj().swapaxes(1, 2)
+    lhs = np.eye(u.shape[2], dtype=complex) + (tau / 2.0) * (vh @ u)
+    rhs = vh @ arr
+    singular = set()
     try:
-        return StiefelPoint(new)
-    except InputError as exc:
-        raise StepFailureError(str(exc)) from exc
+        y = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        # the batched solve fails as a whole; find the singular entries
+        y = np.zeros_like(rhs)
+        for j in range(len(inputs)):
+            try:
+                y[j] = np.linalg.solve(lhs[j], rhs[j])
+            except np.linalg.LinAlgError:
+                singular.add(j)
+    new = arr - tau * (u @ y)
+    finite = np.isfinite(new).all(axis=(1, 2))
+    gram = new.conj().swapaxes(1, 2) @ new
+    residual = np.abs(gram - np.eye(new.shape[2])).max(axis=(1, 2))
+    return [StepFailureError("inner solve is singular") if j in singular
+            else _stepped_point(new[j], finite[j], residual[j])
+            for j in range(len(inputs))]
 
 
 @dataclass
@@ -346,8 +441,11 @@ def train_qhmm_datasets(datasets, config: TrainConfig, seeds) -> list:
                        for seed in seeds])
     # a stack pays while its runs' mini-batches fit one row block of the
     # kernels together: past that the blocks are full anyway, and the
-    # one-hot gradient scatter grows with the number of stacked symbols
-    block_rows, stacks = _BLOCK_BUDGET // config.dim ** 2, []
+    # one-hot gradient scatter grows with the number of stacked symbols.
+    # The scatter's matrix product sums every stacked row, and OpenBLAS
+    # may group a sum of more than 128 rows differently from each run's
+    # own sum, so a stack holds at most 128 rows.
+    block_rows, stacks = min(_BLOCK_BUDGET // config.dim ** 2, _STACK_ROWS), []
     for run in (run for group in groups for run in group):
         batch_rows = -(-len(run.lengths) // config.num_batches)
         if stacks and used + batch_rows <= block_rows:
@@ -419,22 +517,27 @@ def _train_stack(runs, config: TrainConfig) -> None:
             start = 0
             for j, run in enumerate(stepping):
                 run.loss = float(-log_probs[members[j]].sum() / len(run.rows))
-                run.grad = (grad[start:start + run.alphabet_size]
-                            / len(run.rows)).reshape(run.kappa.matrix.shape)
+                own = grad[start:start + run.alphabet_size]
+                own /= len(run.rows)
+                run.grad = own.reshape(run.kappa.matrix.shape)  # a view
                 run.step_tau = tau
                 start += run.alphabet_size
-            # every run still halving tries one step per round; their
-            # candidates are checked together for a finite batch loss
+            # every run still halving tries one step per round, all in one
+            # call; their candidates are checked together for a finite
+            # batch loss
             for _ in range(1 + MAX_STEP_HALVINGS):
                 if not stepping:
                     break
+                steps = cayley_step([run.kappa for run in stepping],
+                                    [run.grad for run in stepping],
+                                    [run.step_tau for run in stepping])
                 checked, candidates = [], []
-                for run in stepping:
-                    try:
-                        candidates.append(cayley_step(run.kappa, run.grad, run.step_tau))
-                        checked.append(run)
-                    except StepFailureError:
+                for run, step in zip(stepping, steps):
+                    if isinstance(step, StepFailureError):
                         run.step_tau /= 2.0
+                    else:
+                        candidates.append(step)
+                        checked.append(run)
                 accepted = []
                 if checked:
                     if checked != stacked:

@@ -53,18 +53,50 @@ def ref_system():
 
 
 @pytest.fixture
-def capped_steps(monkeypatch):
+def patch_steps(monkeypatch):
+    """Replace ``trainer.cayley_step`` by one that applies ``rule`` to each
+    step: in the one-point form, and to each entry of the list form.
+    ``rule(kappa, gradient, tau)`` returns a point, raises StepFailureError,
+    or returns None to leave the step to the real ``cayley_step``; a list
+    call forwards its remaining entries as one list call."""
+    real_step = trainer.cayley_step
+
+    def entry(rule, kappa, gradient, tau):
+        try:
+            return rule(kappa, gradient, tau)
+        except StepFailureError as exc:
+            return exc
+
+    def install(rule):
+        def patched(kappa, gradient, tau):
+            if not isinstance(tau, list):
+                result = rule(kappa, gradient, tau)
+                return real_step(kappa, gradient, tau) if result is None else result
+            results = [entry(rule, *step) for step in zip(kappa, gradient, tau)]
+            rest = [i for i, result in enumerate(results) if result is None]
+            if rest:
+                forwarded = real_step(*([arg[i] for i in rest]
+                                        for arg in (kappa, gradient, tau)))
+                for i, result in zip(rest, forwarded):
+                    results[i] = result
+            return results
+        monkeypatch.setattr(trainer, "cayley_step", patched)
+
+    return install
+
+
+@pytest.fixture
+def capped_steps(monkeypatch, patch_steps):
     """Make ``cayley_step`` fail while tau * max|G| exceeds ``cap``, so seeds
     with larger gradients need more halvings; returns a setter for the cap
     and the number of halvings allowed."""
-    real_step = trainer.cayley_step
 
     def configure(cap, max_halvings=trainer.MAX_STEP_HALVINGS):
         def capped(kappa, gradient, tau):
             if tau * np.abs(gradient).max() > cap:
                 raise StepFailureError("step too long")
-            return real_step(kappa, gradient, tau)
-        monkeypatch.setattr(trainer, "cayley_step", capped)
+            return None
+        patch_steps(capped)
         monkeypatch.setattr(trainer, "MAX_STEP_HALVINGS", max_halvings)
 
     return configure

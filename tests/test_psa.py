@@ -9,8 +9,8 @@ from scengen import (FAIL, REPAIR, BasicEvent, DatasetConstructionError,
                      InputError, ResourceLimitError, Scenario, ScenarioDataset,
                      SystemModel, TransitionError, apply_event, build_datasets,
                      decode_scenario, encode_scenario, enumerate_scenarios,
-                     is_severe, load_dataset, save_dataset,
-                     scenario_probability)
+                     is_severe, load_dataset, reference_four_event_system,
+                     save_dataset, scenario_probability)
 
 from oracles import bfs_scenarios
 
@@ -374,6 +374,27 @@ class TestDatasetIo:
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match=f"bad.jsonl:{line_no}: "):
+            load_dataset(path)
+
+    def test_file_longer_than_one_chunk(self, tmp_path):
+        _, no_probable = build_datasets(reference_four_event_system(), max_len=8,
+                                        p_min=1e-3, test_fraction=0.25, seed=1)
+        path = tmp_path / "data.jsonl"
+        save_dataset(no_probable, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) > 2 * psa._DECODE_LINES
+        lines.insert(psa._DECODE_LINES - 1, "")  # a blank line moves the rest
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_dataset(path)
+        assert loaded.alphabet_size == no_probable.alphabet_size
+        np.testing.assert_array_equal(loaded.symbols, no_probable.symbols)
+        np.testing.assert_array_equal(loaded.lengths, no_probable.lengths)
+        assert (loaded.labels, loaded.probs, loaded.splits) == \
+            (no_probable.labels, no_probable.probs, no_probable.splits)
+        line_no = 2 * psa._DECODE_LINES + 7
+        lines[line_no - 1] = '{"sequence": [0, true]}'
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=f"data.jsonl:{line_no}: symbol true "):
             load_dataset(path)
 
     def test_symbol_outside_explicit_alphabet_names_its_line(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scengen import (DensityMatrix, GradientUndefinedError, InputError,
-                     StiefelPoint, TrainConfig, TrainingError,
+                     StepFailureError, StiefelPoint, TrainConfig, TrainingError,
                      build_datasets, cayley_step, embed_hmm, nll_gradient,
                      nll_loss, qhmm_log_likelihood, qhmm_sample, random_stiefel,
                      reference_four_event_system, reference_three_event_system,
@@ -178,6 +178,131 @@ class TestCayleyStep:
             cayley_step(kappa, np.ones((4, 2), dtype=complex), -0.1)
 
 
+def step_entries(rng, shapes, tau_range=(0.01, 0.5)):
+    """(point, gradient, tau) per (alphabet, multiplicity, dim) shape, with
+    gradients of the size training produces."""
+    entries = []
+    for alphabet, mu, dim in shapes:
+        rows = alphabet * mu * dim
+        grad = 0.3 * (rng.standard_normal((rows, dim))
+                      + 1j * rng.standard_normal((rows, dim)))
+        entries.append((random_stiefel(rows, dim, int(rng.integers(2**31))), grad,
+                        float(rng.uniform(*tau_range))))
+    return entries
+
+
+def one_point_step(kappa, gradient, tau):
+    try:
+        return cayley_step(kappa, gradient, tau)
+    except StepFailureError as exc:
+        return exc
+
+
+def assert_same_step(got, want):
+    if isinstance(want, StepFailureError):
+        assert isinstance(got, StepFailureError) and str(got) == str(want)
+        return
+    assert isinstance(got, StiefelPoint)
+    np.testing.assert_array_equal(got.matrix, want.matrix)
+
+
+def list_step(entries):
+    return cayley_step(*(list(column) for column in zip(*entries)))
+
+
+class TestCayleyStepList:
+    @pytest.mark.parametrize("shapes", [
+        [(6, 1, 4)],                       # one run
+        [(6, 1, 4)] * 2,
+        [(6, 1, 4)] * 6,                   # desk compare: one stack
+        [(6, 1, 4), (8, 1, 4), (6, 1, 4), (8, 1, 4), (8, 1, 4)],  # two systems
+        [(8, 1, 4)] * 20,                  # stacks of 16 and 4 entries
+        [(8, 2, 16)] * 3,                  # wide: one entry per stack
+    ])
+    def test_each_entry_equals_its_one_point_call(self, shapes):
+        entries = step_entries(np.random.default_rng(len(shapes)), shapes)
+        got = list_step(entries)
+        assert len(got) == len(entries)
+        for result, entry in zip(got, entries):
+            assert_same_step(result, one_point_step(*entry))
+            assert result.residual() <= trainer.STIEFEL_TOL
+
+    def test_one_batched_solve_per_shape(self, monkeypatch):
+        entries = step_entries(np.random.default_rng(3), [(6, 1, 4), (8, 1, 4)] * 3)
+        real_solve, solved = np.linalg.solve, []
+
+        def spy(a, b):
+            solved.append(a.shape)
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        list_step(entries)
+        assert solved == [(3, 8, 8), (3, 8, 8)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_fails_alone(self, bad):
+        entries = step_entries(np.random.default_rng(4), [(6, 1, 4)] * 4)
+        point, grad, tau = entries[2]
+        grad = grad.copy()
+        grad[5, 1] = bad
+        entries[2] = point, grad, tau
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = list_step(entries)
+            want = [one_point_step(*entry) for entry in entries]
+        assert isinstance(want[2], StepFailureError)
+        for result, expected in zip(got, want):
+            assert_same_step(result, expected)
+
+    def test_singular_entry_falls_back_to_separate_solves(self, monkeypatch):
+        # no finite input makes the solve singular, so one entry's matrix is
+        # made to fail the solve, alone and within the batch
+        entries = step_entries(np.random.default_rng(5), [(6, 1, 4)] * 4)
+        point, grad, tau = entries[1]
+        u = np.concatenate([grad, point.matrix], axis=1)
+        v = np.concatenate([point.matrix, -grad], axis=1)
+        poisoned = np.eye(8) + (tau / 2.0) * (v.conj().T @ u)
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            if any(np.allclose(m, poisoned) for m in a.reshape(-1, 8, 8)):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        got = list_step(entries)
+        want = [one_point_step(*entry) for entry in entries]
+        assert str(want[1]) == "inner solve is singular"
+        for result, expected in zip(got, want):
+            assert_same_step(result, expected)
+
+    def test_zero_tau_returns_its_point(self):
+        entries = step_entries(np.random.default_rng(6), [(6, 1, 4)] * 3)
+        point, grad, _ = entries[1]
+        entries[1] = point, grad, 0.0
+        got = list_step(entries)
+        assert got[1] is point
+        for i in (0, 2):
+            assert_same_step(got[i], one_point_step(*entries[i]))
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_input_errors_name_the_one_point_fault(self, position):
+        entries = step_entries(np.random.default_rng(7), [(6, 1, 4)] * 3)
+        point, grad, tau = entries[position]
+        for bad, message in (((point, grad[:-1], tau), "gradient shape must match kappa"),
+                             ((point, grad, -0.1), "tau must be >= 0")):
+            with pytest.raises(InputError, match=message):
+                cayley_step(*bad)
+            wrong = list(entries)
+            wrong[position] = bad
+            with pytest.raises(InputError, match=message):
+                list_step(wrong)
+        with pytest.raises(InputError):
+            cayley_step([point, point], [grad], [tau, tau])
+
+    def test_empty_lists_step_nothing(self):
+        assert cayley_step([], [], []) == []
+
+
 class TestTrainConfig:
     def test_defaults_are_valid(self):
         config = TrainConfig(dim=2)
@@ -313,12 +438,15 @@ class TestTrainQhmmSeeds:
                 want = train_qhmm_reference(dataset, replace(config, seed=seed), alphabet)
                 assert_same_fit(got, want)
 
-    @pytest.mark.parametrize("dim, mu, epochs, num_batches", [
-        (4, 1, 3, 5),      # 64-row batches, two seeds per 128-row block
-        (16, 2, 1, 5),     # 64-row batches over 8-row blocks, no stacking
-        (16, 2, 1, 106),   # 3-row batches, two seeds per 8-row block
-    ])
-    def test_four_event_seeds_match_separate_runs(self, dim, mu, epochs, num_batches):
+    @pytest.mark.parametrize("dim, mu, epochs, num_batches, tol", [
+        (4, 1, 3, 5, 1e-12),      # 64-row batches, two seeds per 128-row block
+        (16, 2, 1, 5, 1e-12),     # 64-row batches over 8-row blocks, no stacking
+        (16, 2, 1, 106, 1e-12),   # 3-row batches, two seeds per 8-row block
+        (2, 1, 3, 5, 0.0),        # 512-row blocks, stacks capped at 128 rows
+        (3, 1, 3, 5, 0.0),        # 227-row blocks, stacks capped at 128 rows
+    ], ids=["4-1-3-5", "16-2-1-5", "16-2-1-106", "2-1-3-5", "3-1-3-5"])
+    def test_four_event_seeds_match_separate_runs(self, dim, mu, epochs, num_batches,
+                                                  tol):
         _, no_probable = build_datasets(reference_four_event_system(), max_len=6,
                                         p_min=1e-3, test_fraction=0.25, seed=1)
         dataset = no_probable.sequences("train")
@@ -328,7 +456,7 @@ class TestTrainQhmmSeeds:
         for seed, got in zip([0, 1, 2], results):
             want = train_qhmm_reference(dataset, replace(config, seed=seed),
                                         no_probable.alphabet_size)
-            assert_same_fit(got, want, tol=1e-12)
+            assert_same_fit(got, want, tol=tol)
 
     def test_train_qhmm_is_bit_identical_to_reference(self):
         (dataset, alphabet), _ = desk_training_sets()
@@ -352,7 +480,7 @@ class TestTrainQhmmSeeds:
         assert str(results[1]).startswith("step failed after 1 halvings")
         assert halvings(results[2][1], config) > 0 and halvings(results[3][1], config) > 0
 
-    def test_impossible_batches_drop_only_their_seeds(self, monkeypatch):
+    def test_impossible_batches_drop_only_their_seeds(self, patch_steps):
         # the steps of seeds 3 and 7 land on operators that cannot emit
         # symbol 0: seed 3 accepts one and then meets a batch with a 0, the
         # candidates of seed 7 fail the check on its first batch
@@ -360,14 +488,13 @@ class TestTrainQhmmSeeds:
         config = TrainConfig(dim=2, epochs=2, num_batches=len(dataset))
         targets = [random_stiefel(4, 2, seed).matrix for seed in (3, 7)]
         silent_zero = StiefelPoint(np.vstack([np.zeros((2, 2)), np.eye(2)]))
-        real_step = trainer.cayley_step
 
         def poisoned(kappa, gradient, tau):
             if kappa is silent_zero or any(np.array_equal(kappa.matrix, t) for t in targets):
                 return silent_zero
-            return real_step(kappa, gradient, tau)
+            return None
 
-        monkeypatch.setattr(trainer, "cayley_step", poisoned)
+        patch_steps(poisoned)
         seeds = [5, 3, 6, 7]
         results = train_qhmm_seeds(dataset, config, 2, seeds)
         for seed, got in zip(seeds, results):
@@ -440,6 +567,27 @@ class TestTrainQhmmDatasets:
         for group, solo in zip(results, (desk, four)):
             for got, want in zip(group, solo):
                 assert_same_fit(got, want)
+
+    def test_one_step_call_per_halving_round(self, monkeypatch):
+        calls = []
+        real_step = trainer.cayley_step
+
+        def spy(kappa, gradient, tau):
+            calls.append(len(tau))
+            return real_step(kappa, gradient, tau)
+
+        monkeypatch.setattr(trainer, "cayley_step", spy)
+        # the six desk runs share one stack and never halve
+        results = train_qhmm_datasets(desk_training_sets(), self.config, self.seeds)
+        assert all(halvings(records, self.config) == 0
+                   for group in results for _, records in group)
+        assert calls == [6] * self.config.epochs * self.config.num_batches
+        # a run on its own makes one one-entry call per step
+        calls.clear()
+        (dataset, alphabet), _ = desk_training_sets()
+        _, records = train_qhmm(dataset, self.config, alphabet)
+        assert halvings(records, self.config) == 0
+        assert calls == [1] * len(records)
 
     def test_no_datasets_or_no_seeds_train_nothing(self):
         assert train_qhmm_datasets([], self.config, self.seeds) == []
