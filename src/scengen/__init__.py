@@ -36,6 +36,6 @@ from .serialization import load_model, save_model
 from .trainer import (StiefelPoint, TrainConfig, TrainRecord, cayley_step,
                       nll_gradient, nll_loss, orthonormality_residual,
                       random_stiefel, train_qhmm, train_qhmm_datasets,
-                      train_qhmm_seeds, write_training_log)
+                      write_training_log)
 
 __version__ = "0.1.0"

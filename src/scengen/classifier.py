@@ -55,18 +55,19 @@ class ClassificationResult:
     da_no_probable: float
 
 
-def _da_pairs(clf: TwoModelClassifier, data):
-    """DA arrays of a list of sequences or a dataset under the probable and
-    the no-probable model, in input order, from rows padded once."""
+def _predictions(clf: TwoModelClassifier, data):
+    """Predicted labels and the DA lists under the probable and the
+    no-probable model of a list of sequences or a dataset, in input order,
+    from rows padded once; a tie goes to no_probable."""
     rows = _padded(clf.model_probable, data)
-    return _scores(clf.model_probable, rows)[2], _scores(clf.model_no_probable, rows)[2]
+    da_p, da_n = _scores(clf.model_probable, rows)[2], _scores(clf.model_no_probable, rows)[2]
+    return (np.where(da_p > da_n, PROBABLE, NO_PROBABLE).tolist(),
+            da_p.tolist(), da_n.tolist())
 
 
 def _classify_all(clf: TwoModelClassifier, sequences: list) -> list:
     """One ClassificationResult per sequence, each model scoring the whole list once."""
-    da_p, da_n = _da_pairs(clf, sequences)
-    return [ClassificationResult(PROBABLE if p > n else NO_PROBABLE, p, n)
-            for p, n in zip(da_p.tolist(), da_n.tolist())]
+    return list(map(ClassificationResult, *_predictions(clf, sequences)))
 
 
 def classify(clf: TwoModelClassifier, sequence) -> ClassificationResult:
@@ -128,15 +129,14 @@ def write_classification_report(path, clf: TwoModelClassifier, data) -> Optional
         sequences, labels = [sequence for sequence, _ in data], [label for _, label in data]
     if not labels:
         raise InputError("dataset must be nonempty")
-    da_p, da_n = _da_pairs(clf, sequences)
-    predicted = np.where(da_p > da_n, PROBABLE, NO_PROBABLE).tolist()
+    predicted, da_p, da_n = _predictions(clf, sequences)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sequence_id", "true_label", "pred_label",
                          "da_probable", "da_no_probable"])
         # csv writes a missing (None) label as an empty field
         writer.writerows(zip(range(len(labels)), labels, predicted,
-                             map(repr, da_p.tolist()), map(repr, da_n.tolist())))
+                             map(repr, da_p), map(repr, da_n)))
     if None in labels:
         return None
     return sum(map(operator.eq, labels, predicted)) / len(labels)

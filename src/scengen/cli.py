@@ -243,6 +243,18 @@ def cmd_compare(args) -> list:
     return [path]
 
 
+def _add_training_options(p: argparse.ArgumentParser) -> None:
+    """The model and training options that ``train`` and ``compare`` share."""
+    p.add_argument("--K", type=int, required=True, help="hidden dimension")
+    p.add_argument("--mu", type=int, default=1, help="Kraus operators per symbol")
+    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--decay", type=float, default=0.95)
+    p.add_argument("--batches", type=int, default=5)
+    p.add_argument("--epochs", type=int, default=100,
+                   help="epochs (qhmm) or EM iterations (hmm)")
+    p.add_argument("--tol", type=float, default=1e-6, help="EM stopping tolerance")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scengen",
@@ -265,14 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset JSONL path")
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=("train", "test", "all"), default="train")
-    p.add_argument("--K", type=int, required=True, help="hidden dimension")
-    p.add_argument("--mu", type=int, default=1, help="Kraus operators per symbol")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--decay", type=float, default=0.95)
-    p.add_argument("--batches", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=100,
-                   help="epochs (qhmm) or EM iterations (hmm)")
-    p.add_argument("--tol", type=float, default=1e-6, help="EM stopping tolerance")
+    _add_training_options(p)
     p.add_argument("--alphabet-size", type=int, default=None)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_train)
@@ -311,13 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", action="append", required=True,
                    help="dataset JSONL path (repeatable)")
     p.add_argument("--out", required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--mu", type=int, default=1)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--decay", type=float, default=0.95)
-    p.add_argument("--batches", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
+    _add_training_options(p)
     p.add_argument("--seeds", type=_int_list, required=True,
                    help="comma-separated seed list")
     p.set_defaults(func=cmd_compare)

@@ -47,27 +47,14 @@ def da_score(log_prob: float, length: int, alphabet_size: int) -> float:
     ``f(1 + log_s P / L)``. P = 1 scores exactly 1; P = s^-L scores
     exactly 0; ``-inf`` scores the -1 sentinel.
     """
-    if length < 1:
-        raise InputError("length must be >= 1")
-    if alphabet_size < 2:
-        raise InputError("alphabet_size must be >= 2")
-    log_prob = float(log_prob)
-    if math.isnan(log_prob):
-        raise InputError("log_prob must not be NaN")
-    if log_prob > _LOGPROB_SLACK:
-        raise InputError("log-probability must be <= 0 (probabilities <= 1)")
-    if log_prob == float("-inf"):
-        return -1.0
-    log_prob = min(log_prob, 0.0)
-    return da_nonlinearity(1.0 + log_prob / (math.log(alphabet_size) * length))
+    return float(da_scores([float(log_prob)], [length], alphabet_size)[0])
 
 
 def da_scores(log_probs, lengths, alphabet_size: int) -> np.ndarray:
     """:func:`da_score` of each (log-probability, length) pair, as an array.
 
-    Every entry equals the scalar function's result bit for bit: the
-    arithmetic is the same IEEE operations, and the negative branch applies
-    ``math.tanh`` per entry (``np.tanh`` can differ in the last ulp).
+    The negative branch applies ``math.tanh`` per entry, as
+    :func:`da_nonlinearity` does (``np.tanh`` can differ in the last ulp).
     """
     log_probs = np.asarray(log_probs, dtype=float)
     lengths = np.asarray(lengths)

@@ -41,20 +41,19 @@ def min_eigenvalue(matrix: np.ndarray) -> float:
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace belief state."""
 
-    def __init__(self, matrix, *, validate: bool = True):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError("density matrix must be square")
-        if validate:
-            res = hermiticity_residual(m)
-            if res > HERMITICITY_TOL:
-                raise InputError(f"matrix is not Hermitian (residual {res:.3e})")
-            tr = m.trace()
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise InputError(f"trace must be 1 (got {tr})")
-            lo = min_eigenvalue(m)
-            if lo < -PSD_TOL:
-                raise InputError(f"matrix is not positive semidefinite (min eig {lo:.3e})")
+        res = hermiticity_residual(m)
+        if res > HERMITICITY_TOL:
+            raise InputError(f"matrix is not Hermitian (residual {res:.3e})")
+        tr = m.trace()
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise InputError(f"trace must be 1 (got {tr})")
+        lo = min_eigenvalue(m)
+        if lo < -PSD_TOL:
+            raise InputError(f"matrix is not positive semidefinite (min eig {lo:.3e})")
         m.setflags(write=False)
         self.matrix = m
 

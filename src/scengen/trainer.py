@@ -3,9 +3,10 @@
 The M * mu operators of a model are stacked into one tall complex matrix
 with orthonormal columns; each update moves along the manifold with a
 Cayley-style retraction, so the completeness constraint holds after every
-accepted step. Per-sequence loss terms within a batch are independent and
-reduced longest sequence first, so results are deterministic for a fixed
-seed.
+accepted step. The retraction is written once, for stacks of points, and
+one point is a stack of one. Per-sequence loss terms within a batch are
+independent and reduced longest sequence first, so results are
+deterministic for a fixed seed.
 
 Several runs, one per (dataset, seed) pair, train in one stacked pass.
 Their operators are stacked symbol by symbol, so a run's symbols are
@@ -13,15 +14,16 @@ offset by the alphabet sizes of the runs before it (datasets of different
 systems may differ in M); every dataset is zero-padded to one width, and
 the mini-batch rows of all runs are merged longest first. The batched
 kernels then run unchanged on the stack, and the one-hot gradient scatter
-keeps each run's gradient apart. Each round of step halvings retracts
-the runs still stepping with one call of the list form of
-:func:`cayley_step`. Step sizes, halvings, random streams and failures
-stay per run, so every run gets the model, loss trace and error of a run
-on its own, bit for bit. Runs are packed greedily, in order, into stacks
-whose mini-batches fit one row block of the kernels together and hold at
-most 128 rows: over longer sums the scatter's matrix product may group
-its terms differently in OpenBLAS (0.3.31), and a run would then differ
-from its own in the last bits.
+keeps each run's gradient apart. A batch loss that is not finite drops
+the runs whose rows underflow, as that same kernel pass scored them. Each
+round of step halvings retracts the runs still stepping with one call of
+the list form of :func:`cayley_step`. Step sizes, halvings, random
+streams and failures stay per run, so every run gets the model, loss
+trace and error of a run on its own, bit for bit. Runs are packed
+greedily, in order, into stacks whose mini-batches fit one row block of
+the kernels together and hold at most 128 rows: over longer sums the
+scatter's matrix product may group its terms differently in OpenBLAS
+(0.3.31), and a run would then differ from its own in the last bits.
 """
 
 from __future__ import annotations
@@ -162,8 +164,8 @@ def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     :func:`_propagate` computes it, and the gradient of their negated sum
     w.r.t. conj(ops); callers divide by their row counts.
 
-    Returns ``(log_probs, None)`` when a row's probability underflows; rows
-    of the blocks after that row's are then left at 0.
+    Returns ``(log_probs, None)`` when a row's probability underflows; every
+    row is still scored, and only the adjoint passes are skipped.
     """
     m, _, k, _ = ops.shape
     adjoint_ops = ops.conj().swapaxes(2, 3)
@@ -173,8 +175,9 @@ def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     for rows in _row_blocks(len(lengths), k * k, _BLOCK_BUDGET):
         block, steps = padded[rows], []
         log_probs[rows] = _propagate(ops, rho0, block, lengths[rows], steps)
-        if log_probs[rows].min() == -math.inf:
-            return log_probs, None
+        if grad is None or log_probs[rows].min() == -math.inf:
+            grad = None  # undefined; the later blocks are only scored
+            continue
         # adjoint pass, last step first: each position adds its term, then
         # the dual matrix is pulled back through that position's operators
         dual = np.repeat(np.eye(k, dtype=complex)[None], len(block), axis=0)
@@ -186,27 +189,7 @@ def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
             terms = scaled[:, None] @ ops[x] @ rho[:, None]
             grad -= (x == symbol_ids) @ terms.reshape(n, -1)
             dual[:n] = _kraus_step(adjoint_ops, scaled, x)[0]
-    return log_probs, grad.reshape(ops.shape)
-
-
-def _step_inputs(kappa, gradient, tau):
-    arr = _as_kappa(kappa)
-    grad = np.asarray(gradient, dtype=complex)
-    if grad.shape != arr.shape:
-        raise InputError("gradient shape must match kappa")
-    if tau < 0:
-        raise InputError("tau must be >= 0")
-    return arr, grad
-
-
-def _stepped_point(new: np.ndarray, finite: bool, residual: float):
-    """The point over a step's result, or the StepFailureError it earns."""
-    if not finite:
-        return StepFailureError("step produced non-finite entries")
-    if residual > STIEFEL_TOL:
-        return StepFailureError(f"columns are not orthonormal (residual {residual:.3e})")
-    new.setflags(write=False)
-    return StiefelPoint._trusted(new)
+    return log_probs, None if grad is None else grad.reshape(ops.shape)
 
 
 def cayley_step(kappa, gradient, tau):
@@ -218,8 +201,9 @@ def cayley_step(kappa, gradient, tau):
 
     Given lists of points, gradients and taus (one entry per run), returns
     a list with one :class:`StiefelPoint` or one :class:`StepFailureError`
-    per entry: what that entry's own call returns or raises, bit for bit.
-    Entries of one shape are retracted together, in batched solves.
+    per entry. Entries of one shape are retracted together, in batched
+    solves; each entry's result does not depend on the others, and a
+    single point is the list form's one-entry call.
 
     Raises
     ------
@@ -229,59 +213,45 @@ def cayley_step(kappa, gradient, tau):
     """
     if isinstance(tau, list):
         return _cayley_steps(kappa, gradient, tau)
-    point = _one_point_step(kappa, gradient, tau)
+    (point,) = _cayley_steps([kappa], [gradient], [tau])
     if isinstance(point, StepFailureError):
         raise point
     return point
-
-
-def _one_point_step(kappa, gradient, tau):
-    """The one-point form, returning its StepFailureError; the list form
-    calls it directly, not through the module's (maybe rebound) name."""
-    arr, grad = _step_inputs(kappa, gradient, tau)
-    if tau == 0.0:
-        return kappa if isinstance(kappa, StiefelPoint) else StiefelPoint(arr)
-    u = np.concatenate([grad, arr], axis=1)
-    v = np.concatenate([arr, -grad], axis=1)
-    lhs = np.eye(2 * arr.shape[1], dtype=complex) + (tau / 2.0) * (v.conj().T @ u)
-    try:
-        y = np.linalg.solve(lhs, v.conj().T @ arr)
-    except np.linalg.LinAlgError:
-        return StepFailureError("inner solve is singular")
-    new = arr - tau * (u @ y)
-    return _stepped_point(new, np.all(np.isfinite(new)), orthonormality_residual(new))
 
 
 def _cayley_steps(points, gradients, taus) -> list:
     """The list form of :func:`cayley_step`.
 
     Entries are grouped by shape, never padded. A group is retracted in
-    stacks of at most ``_BLOCK_BUDGET`` kappa entries: past that the
-    stacked temporaries outgrow the cache, and separate solves are faster.
-    A stack of one entry, and a tau of 0, take the one-point arithmetic.
+    stacks of at most ``_BLOCK_BUDGET`` kappa entries (at least one): past
+    that the stacked temporaries outgrow the cache.
     """
     if not len(points) == len(gradients) == len(taus):
         raise InputError("need one gradient and one tau per point")
-    if len(points) == 1:  # nothing to group; the one-point call's cost
-        return [_one_point_step(points[0], gradients[0], taus[0])]
-    inputs = [_step_inputs(*entry) for entry in zip(points, gradients, taus)]
-    groups, results = {}, {}
-    for i, (arr, _) in enumerate(inputs):
-        if taus[i] != 0.0:
+    inputs, groups, results = [], {}, {}
+    for i, (kappa, gradient, tau) in enumerate(zip(points, gradients, taus)):
+        arr, grad = _as_kappa(kappa), np.asarray(gradient, dtype=complex)
+        if grad.shape != arr.shape:
+            raise InputError("gradient shape must match kappa")
+        if tau < 0:
+            raise InputError("tau must be >= 0")
+        inputs.append((arr, grad))
+        if tau == 0.0:
+            results[i] = kappa if isinstance(kappa, StiefelPoint) else StiefelPoint(arr)
+        else:
             groups.setdefault(arr.shape, []).append(i)
     for (rows, cols), members in groups.items():
         for block in _row_blocks(len(members), rows * cols, _BLOCK_BUDGET):
             stack = members[block]
-            if len(stack) > 1:
-                results.update(zip(stack, _stacked_steps(
-                    [inputs[i] for i in stack], [taus[i] for i in stack])))
-    return [results[i] if i in results else _one_point_step(*entry)
-            for i, entry in enumerate(zip(points, gradients, taus))]
+            results.update(zip(stack, _stacked_steps(
+                [inputs[i] for i in stack], [taus[i] for i in stack])))
+    return [results[i] for i in range(len(points))]
 
 
 def _stacked_steps(inputs, taus) -> list:
     """:func:`cayley_step`'s arithmetic on an (S, rows, cols) stack of
-    ``(kappa, gradient)`` pairs, with one batched Gram residual."""
+    ``(kappa, gradient)`` pairs, with one batched Gram residual: one point,
+    or the StepFailureError it earns, per pair."""
     arr = np.array([entry[0] for entry in inputs])
     grad = np.array([entry[1] for entry in inputs])
     tau = np.array(taus)[:, None, None]
@@ -302,12 +272,22 @@ def _stacked_steps(inputs, taus) -> list:
             except np.linalg.LinAlgError:
                 singular.add(j)
     new = arr - tau * (u @ y)
+    new.setflags(write=False)
     finite = np.isfinite(new).all(axis=(1, 2))
     gram = new.conj().swapaxes(1, 2) @ new
     residual = np.abs(gram - np.eye(new.shape[2])).max(axis=(1, 2))
-    return [StepFailureError("inner solve is singular") if j in singular
-            else _stepped_point(new[j], finite[j], residual[j])
-            for j in range(len(inputs))]
+    results = []
+    for j in range(len(inputs)):
+        if j in singular:
+            results.append(StepFailureError("inner solve is singular"))
+        elif not finite[j]:
+            results.append(StepFailureError("step produced non-finite entries"))
+        elif residual[j] > STIEFEL_TOL:
+            results.append(StepFailureError(
+                f"columns are not orthonormal (residual {residual[j]:.3e})"))
+        else:
+            results.append(StiefelPoint._trusted(new[j]))
+    return results
 
 
 @dataclass
@@ -382,21 +362,10 @@ def train_qhmm(dataset, config: TrainConfig, alphabet_size: int):
     retried with tau halved, up to 30 times, before training aborts with a
     :class:`TrainingError`.
     """
-    (result,) = train_qhmm_seeds(dataset, config, alphabet_size, [config.seed])
+    ((result,),) = train_qhmm_datasets([(dataset, alphabet_size)], config, [config.seed])
     if isinstance(result, TrainingError):
         raise result
     return result
-
-
-def train_qhmm_seeds(dataset, config: TrainConfig, alphabet_size: int, seeds) -> list:
-    """Train one model per seed, with the seeds stacked into shared kernel calls.
-
-    Returns one entry per seed, in order: the ``(model, records)`` pair
-    that :func:`train_qhmm` returns for ``config`` with its seed replaced
-    by that seed, or the :class:`TrainingError` it raises.
-    """
-    (results,) = train_qhmm_datasets([(dataset, alphabet_size)], config, seeds)
-    return results
 
 
 class _Run:
@@ -471,22 +440,24 @@ def _train_stack(runs, config: TrainConfig) -> None:
     def stack(runs):
         # the symbols of each run are offset by the alphabet sizes of the
         # runs before it, to index its operators in the stack; members[j]
-        # selects the merged rows of runs[j], which keep their order
-        if len(runs) == 1:  # nothing to merge or offset
+        # holds the positions of runs[j]'s rows among the merged rows, in
+        # increasing order, as the rows keep their order when merged
+        if len(runs) == 1:
+            # nothing to merge or offset; merging one run anyway made desk
+            # one-run training about 10% slower
             (run,) = runs
             return run.padded[run.rows], run.lengths[run.rows], [slice(None)]
         offsets = np.cumsum([0] + [run.alphabet_size for run in runs[:-1]])
         symbols = np.concatenate([run.padded[run.rows] + offset
                                   for run, offset in zip(runs, offsets)])
         lens = np.concatenate([run.lengths[run.rows] for run in runs])
-        owner = np.repeat(np.arange(len(runs)), [len(run.rows) for run in runs])
         merged = np.argsort(-lens, kind="stable")
-        owner = owner[merged]
-        return symbols[merged], lens[merged], [owner == j for j in range(len(runs))]
+        position = np.empty_like(merged)
+        position[merged] = np.arange(len(merged))
+        ends = np.cumsum([len(run.rows) for run in runs])
+        return symbols[merged], lens[merged], np.split(position, ends[:-1])
 
     def stacked_ops(points):
-        if len(points) == 1:  # a view; the kernels do not write to it
-            return points[0].matrix.reshape(shape)
         return np.concatenate([point.matrix.reshape(shape) for point in points])
 
     tau = config.learning_rate
@@ -507,7 +478,6 @@ def _train_stack(runs, config: TrainConfig) -> None:
                 log_probs, grad = _loss_and_gradient(ops, rho0, symbols, lens)
                 if grad is not None:
                     break
-                log_probs = _propagate(ops, rho0, symbols, lens)
                 stepping = [run for run, rows in zip(stacked, members)
                             if log_probs[rows].min() > -math.inf]
                 for run in stacked:

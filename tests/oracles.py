@@ -238,6 +238,66 @@ def pad_reference(sequences, alphabet_size):
     return padded, lengths[order], order
 
 
+def da_score_reference(log_prob, length, alphabet_size):
+    """Description accuracy of one sequence, computed one scalar at a time:
+    ``f(1 + log_s P / L)`` with f the identity above 0 and ``math.tanh(x /
+    8)`` below, and the -1 sentinel for ``-inf``; the same checks and
+    messages as :func:`scengen.da_score`."""
+    import math
+
+    from scengen import InputError, da_nonlinearity
+    from scengen.metrics import _LOGPROB_SLACK
+
+    if length < 1:
+        raise InputError("length must be >= 1")
+    if alphabet_size < 2:
+        raise InputError("alphabet_size must be >= 2")
+    log_prob = float(log_prob)
+    if math.isnan(log_prob):
+        raise InputError("log_prob must not be NaN")
+    if log_prob > _LOGPROB_SLACK:
+        raise InputError("log-probability must be <= 0 (probabilities <= 1)")
+    if log_prob == float("-inf"):
+        return -1.0
+    log_prob = min(log_prob, 0.0)
+    return da_nonlinearity(1.0 + log_prob / (math.log(alphabet_size) * length))
+
+
+def cayley_step_reference(kappa, gradient, tau):
+    """One Cayley step on one point, as the library computed it before its
+    steps were stacked: ``kappa - tau * U (I + (tau/2) V^dagger U)^-1
+    V^dagger kappa`` with U = [G | kappa], V = [kappa | -G], one 2-D solve
+    and one Gram residual. Returns the :class:`scengen.StiefelPoint` or the
+    :class:`scengen.StepFailureError` that the step earns; a tau of 0
+    returns kappa.
+    """
+    from scengen import InputError, StepFailureError, StiefelPoint
+    from scengen.trainer import STIEFEL_TOL, orthonormality_residual
+
+    arr = kappa.matrix if isinstance(kappa, StiefelPoint) else np.asarray(kappa, dtype=complex)
+    grad = np.asarray(gradient, dtype=complex)
+    if grad.shape != arr.shape:
+        raise InputError("gradient shape must match kappa")
+    if tau < 0:
+        raise InputError("tau must be >= 0")
+    if tau == 0.0:
+        return kappa if isinstance(kappa, StiefelPoint) else StiefelPoint(arr)
+    u = np.concatenate([grad, arr], axis=1)
+    v = np.concatenate([arr, -grad], axis=1)
+    lhs = np.eye(2 * arr.shape[1], dtype=complex) + (tau / 2.0) * (v.conj().T @ u)
+    try:
+        y = np.linalg.solve(lhs, v.conj().T @ arr)
+    except np.linalg.LinAlgError:
+        return StepFailureError("inner solve is singular")
+    new = arr - tau * (u @ y)
+    if not np.all(np.isfinite(new)):
+        return StepFailureError("step produced non-finite entries")
+    residual = orthonormality_residual(new)
+    if residual > STIEFEL_TOL:
+        return StepFailureError(f"columns are not orthonormal (residual {residual:.3e})")
+    return StiefelPoint(new)
+
+
 def train_qhmm_reference(dataset, config, alphabet_size):
     """QHMM training one seed at a time, one mini-batch step after another.
 

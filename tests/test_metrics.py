@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scengen import (InputError, average_da, da_for_sequence, da_nonlinearity,
                      qhmm_log_likelihood, sequence_log_prob, write_da_report)
 from scengen.hmm import _TRELLIS_BUDGET
 
-from oracles import (kraus_path_probability, path_sum_probability, random_hmm,
-                     random_kraus_model)
+from oracles import (da_score_reference, kraus_path_probability,
+                     path_sum_probability, random_hmm, random_kraus_model)
 
 F_AT_MINUS_FOUR = (1.0 - math.e) / (1.0 + math.e)  # = -0.46211715726000974
 
@@ -86,12 +87,12 @@ class TestDaScore:
 
 
 class TestDaScores:
-    """The vectorised score against the scalar one, bit for bit."""
+    """The vectorised score against a scalar one, bit for bit."""
 
     @staticmethod
     def assert_bitwise_equal(log_probs, lengths, alphabet_size):
         got = da_scores(log_probs, lengths, alphabet_size)
-        want = np.array([da_score(lp, n, alphabet_size)
+        want = np.array([da_score_reference(lp, n, alphabet_size)
                          for lp, n in zip(log_probs, lengths)])
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -116,6 +117,20 @@ class TestDaScores:
                 ([-1.0, 2e-9], [3, 3], 2), ([np.nan], [3], 2)):
             with pytest.raises(InputError):
                 da_scores(log_probs, lengths, alphabet_size)
+
+    def test_scalar_score_is_the_one_entry_array(self):
+        for log_prob in (-np.inf, 0.0, -0.0, 1e-10, 1e-9, -1e-300, -0.3, -7.5):
+            for length, alphabet_size in ((1, 2), (2, 6), (7, 24)):
+                got = da_score(log_prob, length, alphabet_size)
+                want = da_score_reference(log_prob, length, alphabet_size)
+                assert type(got) is float
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+                assert got == want
+        for args in ((0.0, 0, 2), (0.0, 3, 1), (0.5, 3, 2), (np.nan, 3, 2)):
+            with pytest.raises(InputError) as want:
+                da_score_reference(*args)
+            with pytest.raises(InputError, match=f"^{re.escape(str(want.value))}$"):
+                da_score(*args)
 
 
 class TestAverageDa:

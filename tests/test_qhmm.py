@@ -44,10 +44,6 @@ class TestDensityMatrix:
         with pytest.raises(InputError):
             DensityMatrix([[1.5, 0.0], [0.0, -0.5]])
 
-    def test_validate_flag_skips_checks(self):
-        m = DensityMatrix(np.eye(2), validate=False)
-        assert m.dim == 2
-
     def test_read_only(self):
         rho = DensityMatrix.maximally_mixed(2)
         with pytest.raises(ValueError):

@@ -10,11 +10,11 @@ from scengen import (DensityMatrix, GradientUndefinedError, InputError,
                      build_datasets, cayley_step, embed_hmm, nll_gradient,
                      nll_loss, qhmm_log_likelihood, qhmm_sample, random_stiefel,
                      reference_four_event_system, reference_three_event_system,
-                     train_qhmm, train_qhmm_datasets, train_qhmm_seeds, trainer,
-                     validate_kraus, write_training_log)
+                     train_qhmm, train_qhmm_datasets, trainer, validate_kraus,
+                     write_training_log)
 
-from oracles import (central_difference_gradient, random_kraus_model,
-                     train_qhmm_reference)
+from oracles import (cayley_step_reference, central_difference_gradient,
+                     random_kraus_model, train_qhmm_reference)
 
 
 def random_instance(rng, dim=None, alphabet=None, mu=None, batch_size=3, max_len=5):
@@ -191,11 +191,8 @@ def step_entries(rng, shapes, tau_range=(0.01, 0.5)):
     return entries
 
 
-def one_point_step(kappa, gradient, tau):
-    try:
-        return cayley_step(kappa, gradient, tau)
-    except StepFailureError as exc:
-        return exc
+# the independent one-point arithmetic, returning the StepFailureError it earns
+one_point_step = cayley_step_reference
 
 
 def assert_same_step(got, want):
@@ -433,7 +430,7 @@ class TestTrainQhmmSeeds:
     def test_single_block_stacks_are_bit_identical_to_separate_runs(self):
         config = TrainConfig(dim=4, epochs=20)
         for dataset, alphabet in desk_training_sets():
-            results = train_qhmm_seeds(dataset, config, alphabet, [1, 2, 3])
+            results = train_qhmm_datasets([(dataset, alphabet)], config, [1, 2, 3])[0]
             for seed, got in zip([1, 2, 3], results):
                 want = train_qhmm_reference(dataset, replace(config, seed=seed), alphabet)
                 assert_same_fit(got, want)
@@ -452,7 +449,8 @@ class TestTrainQhmmSeeds:
         dataset = no_probable.sequences("train")
         config = TrainConfig(dim=dim, multiplicity=mu, epochs=epochs,
                              num_batches=num_batches)
-        results = train_qhmm_seeds(dataset, config, no_probable.alphabet_size, [0, 1, 2])
+        results = train_qhmm_datasets([(dataset, no_probable.alphabet_size)], config,
+                                      [0, 1, 2])[0]
         for seed, got in zip([0, 1, 2], results):
             want = train_qhmm_reference(dataset, replace(config, seed=seed),
                                         no_probable.alphabet_size)
@@ -469,7 +467,7 @@ class TestTrainQhmmSeeds:
         config = TrainConfig(dim=2, epochs=3)
         seeds = [4, 1, 3, 2]
         capped_steps(0.1, max_halvings=1)
-        results = train_qhmm_seeds(dataset, config, alphabet, seeds)
+        results = train_qhmm_datasets([(dataset, alphabet)], config, seeds)[0]
         solo = [reference_or_error(dataset, replace(config, seed=s), alphabet)
                 for s in seeds]
         for got, want in zip(results, solo):
@@ -480,12 +478,14 @@ class TestTrainQhmmSeeds:
         assert str(results[1]).startswith("step failed after 1 halvings")
         assert halvings(results[2][1], config) > 0 and halvings(results[3][1], config) > 0
 
-    def test_impossible_batches_drop_only_their_seeds(self, patch_steps):
-        # the steps of seeds 3 and 7 land on operators that cannot emit
-        # symbol 0: seed 3 accepts one and then meets a batch with a 0, the
-        # candidates of seed 7 fail the check on its first batch
-        dataset = [(1,), (0, 1), (1, 1), (1, 0), (1, 1, 1), (0,)]
-        config = TrainConfig(dim=2, epochs=2, num_batches=len(dataset))
+    # the steps of seeds 3 and 7 land on operators that cannot emit symbol
+    # 0: seed 3 accepts one and then meets a batch with a 0, the candidates
+    # of seed 7 fail the check on its first batch
+    impossible_data = [(1,), (0, 1), (1, 1), (1, 0), (1, 1, 1), (0,)]
+    impossible_config = TrainConfig(dim=2, epochs=2, num_batches=len(impossible_data))
+    impossible_seeds = [5, 3, 6, 7]
+
+    def train_impossible(self, patch_steps):
         targets = [random_stiefel(4, 2, seed).matrix for seed in (3, 7)]
         silent_zero = StiefelPoint(np.vstack([np.zeros((2, 2)), np.eye(2)]))
 
@@ -495,17 +495,48 @@ class TestTrainQhmmSeeds:
             return None
 
         patch_steps(poisoned)
-        seeds = [5, 3, 6, 7]
-        results = train_qhmm_seeds(dataset, config, 2, seeds)
-        for seed, got in zip(seeds, results):
-            assert_same_fit(got, reference_or_error(dataset, replace(config, seed=seed), 2))
+        return train_qhmm_datasets([(self.impossible_data, 2)], self.impossible_config,
+                                   self.impossible_seeds)[0]
+
+    def test_impossible_batches_drop_only_their_seeds(self, patch_steps):
+        results = self.train_impossible(patch_steps)
+        for seed, got in zip(self.impossible_seeds, results):
+            assert_same_fit(got, reference_or_error(
+                self.impossible_data, replace(self.impossible_config, seed=seed), 2))
         assert str(results[1]).startswith("batch loss is not finite")
         assert str(results[3]).startswith("step failed after 30 halvings")
         assert not isinstance(results[0], TrainingError)
         assert not isinstance(results[2], TrainingError)
 
+    def test_impossible_batch_is_filtered_once(self, monkeypatch, patch_steps):
+        # a batch whose loss is not finite is scored by the loss kernel
+        # alone: the next filter is the loss of the runs left in the stack
+        events = []
+        real_loss, real_propagate = trainer._loss_and_gradient, trainer._propagate
+
+        def loss(*args):
+            events.append("loss")
+            log_probs, grad = real_loss(*args)
+            events.append("scored" if grad is not None else "failed")
+            return log_probs, grad
+
+        def propagate(*args):
+            events.append("propagate")
+            return real_propagate(*args)
+
+        monkeypatch.setattr(trainer, "_loss_and_gradient", loss)
+        monkeypatch.setattr(trainer, "_propagate", propagate)
+        results = self.train_impossible(patch_steps)
+        failed = [i for i, event in enumerate(events) if event == "failed"]
+        assert len(failed) == 1
+        assert events[failed[0] + 1] == "loss"
+        want = reference_or_error(self.impossible_data,
+                                  replace(self.impossible_config, seed=3), 2)
+        assert str(results[1]) == str(want) == "batch loss is not finite at epoch 0 batch 1"
+        assert [isinstance(got, TrainingError) for got in results] == [False, True, False, True]
+
     def test_no_seeds_train_nothing(self):
-        assert train_qhmm_seeds([(0, 1)], TrainConfig(dim=2), 2, []) == []
+        assert train_qhmm_datasets([([(0, 1)], 2)], TrainConfig(dim=2), []) == [[]]
 
 
 def two_system_training_sets():
