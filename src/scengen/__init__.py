@@ -30,12 +30,11 @@ from .psa import (FAIL, NO_PROBABLE, PROBABLE, REPAIR, BasicEvent, Scenario,
                   save_dataset, scenario_probability)
 from .qhmm import (DensityMatrix, KrausModel, KrausValidationReport,
                    belief_update, embed_hmm, next_symbol_distribution,
-                   qhmm_log_likelihood, qhmm_sample, qhmm_samples,
-                   validate_kraus)
+                   orthonormality_residual, qhmm_log_likelihood, qhmm_sample,
+                   qhmm_samples, validate_kraus)
 from .serialization import load_model, save_model
 from .trainer import (StiefelPoint, TrainConfig, TrainRecord, cayley_step,
-                      nll_gradient, nll_loss, orthonormality_residual,
-                      random_stiefel, train_qhmm, train_qhmm_datasets,
-                      write_training_log)
+                      nll_gradient, nll_loss, random_stiefel, train_qhmm,
+                      train_qhmm_datasets, write_training_log)
 
 __version__ = "0.1.0"

@@ -56,23 +56,25 @@ class ClassificationResult:
 
 
 def _predictions(clf: TwoModelClassifier, data):
-    """Predicted labels and the DA lists under the probable and the
-    no-probable model of a list of sequences or a dataset, in input order,
-    from rows padded once; a tie goes to no_probable."""
+    """Arrays of the predicted labels and the DAs under the probable and
+    the no-probable model of a list of sequences or a dataset, in input
+    order, from rows padded once; a tie goes to no_probable."""
     rows = _padded(clf.model_probable, data)
     da_p, da_n = _scores(clf.model_probable, rows)[2], _scores(clf.model_no_probable, rows)[2]
-    return (np.where(da_p > da_n, PROBABLE, NO_PROBABLE).tolist(),
-            da_p.tolist(), da_n.tolist())
+    return np.where(da_p > da_n, PROBABLE, NO_PROBABLE), da_p, da_n
 
 
-def _classify_all(clf: TwoModelClassifier, sequences: list) -> list:
-    """One ClassificationResult per sequence, each model scoring the whole list once."""
-    return list(map(ClassificationResult, *_predictions(clf, sequences)))
+def _check_labels(labels, unlabeled=()) -> None:
+    """Raise InputError on the first label outside LABELS and ``unlabeled``."""
+    for label in labels:
+        if label not in LABELS and label not in unlabeled:
+            raise InputError(f"unknown label {label!r}")
 
 
 def classify(clf: TwoModelClassifier, sequence) -> ClassificationResult:
     """Label a sequence by the larger description accuracy (ties -> no_probable)."""
-    return _classify_all(clf, [sequence])[0]
+    return ClassificationResult(*(column[0].item()
+                                  for column in _predictions(clf, [sequence])))
 
 
 @dataclass
@@ -95,31 +97,26 @@ def evaluate_classifier(clf: TwoModelClassifier, labeled) -> ClassifierEvaluatio
     labeled = list(labeled)
     if not labeled:
         raise InputError("labeled dataset must be nonempty")
-    results = _classify_all(clf, [sequence for sequence, _ in labeled])
-    confusion = np.zeros((2, 2), dtype=int)
-    per_class = {label: {"model_probable": [], "model_no_probable": []}
-                 for label in LABELS}
-    correct = 0
-    for (_, label), result in zip(labeled, results):
-        if label not in LABELS:
-            raise InputError(f"unknown label {label!r}")
-        confusion[LABELS.index(label), LABELS.index(result.label)] += 1
-        correct += int(result.label == label)
-        per_class[label]["model_probable"].append(result.da_probable)
-        per_class[label]["model_no_probable"].append(result.da_no_probable)
-    mean_da = {
-        label: {name: (float(np.mean(vals)) if vals else float("nan"))
-                for name, vals in scores.items()}
-        for label, scores in per_class.items()
-    }
-    return ClassifierEvaluation(correct / len(labeled), confusion, mean_da)
+    labels = [label for _, label in labeled]
+    _check_labels(labels)
+    predicted, da_p, da_n = _predictions(clf, [sequence for sequence, _ in labeled])
+    # the index in LABELS of each true and each predicted label
+    true, pred = np.array(labels) == NO_PROBABLE, predicted == NO_PROBABLE
+    confusion = np.bincount(2 * true + pred, minlength=4).reshape(2, 2)
+    mean_da = {label: {name: float(da[true == i].mean()) if confusion[i].any()
+                       else float("nan")
+                       for name, da in (("model_probable", da_p), ("model_no_probable", da_n))}
+               for i, label in enumerate(LABELS)}
+    return ClassifierEvaluation(np.count_nonzero(true == pred) / len(labels), confusion,
+                                mean_da)
 
 
 def write_classification_report(path, clf: TwoModelClassifier, data) -> Optional[float]:
     """Write the per-sequence CSV; returns accuracy when every record is labeled.
 
     ``data`` is a list of (sequence, label-or-None) pairs or a
-    :class:`ScenarioDataset`. Columns:
+    :class:`ScenarioDataset`; a label outside LABELS is an InputError, raised
+    before the file is opened. Columns:
     sequence_id,true_label,pred_label,da_probable,da_no_probable.
     """
     if isinstance(data, ScenarioDataset):
@@ -129,7 +126,8 @@ def write_classification_report(path, clf: TwoModelClassifier, data) -> Optional
         sequences, labels = [sequence for sequence, _ in data], [label for _, label in data]
     if not labels:
         raise InputError("dataset must be nonempty")
-    predicted, da_p, da_n = _predictions(clf, sequences)
+    _check_labels(labels, unlabeled=(None,))
+    predicted, da_p, da_n = (column.tolist() for column in _predictions(clf, sequences))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sequence_id", "true_label", "pred_label",

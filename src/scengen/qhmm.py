@@ -32,6 +32,14 @@ def hermiticity_residual(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
+def orthonormality_residual(matrix) -> float:
+    """Max-norm of (matrix^dagger matrix - identity): the completeness
+    residual of a stacked (M*mu*K, K) operator matrix."""
+    m = np.asarray(matrix)
+    gram = m.conj().T @ m
+    return float(np.max(np.abs(gram - np.eye(m.shape[1]))))
+
+
 def min_eigenvalue(matrix: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part of a (near-Hermitian) matrix."""
     m = np.asarray(matrix, dtype=complex)
@@ -118,15 +126,7 @@ class KrausModel:
     def from_stiefel(cls, matrix, alphabet_size: int, multiplicity: int,
                      initial_state: DensityMatrix) -> "KrausModel":
         """Partition a stacked (M*mu*K, K) matrix into the (M, mu, K, K) operators."""
-        arr = np.asarray(matrix, dtype=complex)
-        if arr.ndim != 2:
-            raise InputError("expected a 2-D stacked operator matrix")
-        k = arr.shape[1]
-        if arr.shape[0] != alphabet_size * multiplicity * k:
-            raise InputError(
-                f"stacked matrix has {arr.shape[0]} rows, expected "
-                f"{alphabet_size * multiplicity * k} (= M * mu * K)")
-        return cls(arr.reshape(alphabet_size, multiplicity, k, k), initial_state)
+        return cls(_partition(matrix, alphabet_size, multiplicity), initial_state)
 
     def to_stiefel(self) -> np.ndarray:
         """Stack the operators back into one (M*mu*K, K) matrix."""
@@ -159,6 +159,19 @@ class KrausModel:
         return model
 
 
+def _partition(matrix, alphabet_size: int, multiplicity: int) -> np.ndarray:
+    """The (M, mu, K, K) operators of a stacked (M*mu*K, K) matrix, as a view."""
+    arr = np.asarray(matrix, dtype=complex)
+    if arr.ndim != 2:
+        raise InputError("expected a 2-D stacked operator matrix")
+    k = arr.shape[1]
+    if arr.shape[0] != alphabet_size * multiplicity * k:
+        raise InputError(
+            f"stacked matrix has {arr.shape[0]} rows, expected "
+            f"{alphabet_size * multiplicity * k} (= M * mu * K)")
+    return arr.reshape(alphabet_size, multiplicity, k, k)
+
+
 def _as_matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
@@ -183,9 +196,11 @@ def _propagate(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
 
     Rows come longest first, so the rows still running at step t are a
     leading slice. A row whose step probability underflows scores -inf
-    while the other rows carry on. When ``history`` is a list, the beliefs
-    entering each step and the step probabilities are appended to it;
-    callers collecting history pass one row block at a time.
+    while the other rows carry on; that probability is taken as 1, so the
+    row's beliefs stay finite. When ``history`` is a list, the beliefs
+    entering each step and the step probabilities, with that 1 in place,
+    are appended to it; callers collecting history pass one row block at a
+    time.
     """
     log_probs = np.zeros(len(lengths))
     dim = rho0.shape[0]
@@ -195,12 +210,12 @@ def _propagate(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
         running = np.count_nonzero(block_len[:, None] > np.arange(block_len[0]), axis=0)
         for t, n in enumerate(running.tolist()):
             updated, probs = _kraus_step(operators, rho[:n], symbols[:n, t])
-            if history is not None:
-                history.append((rho[:n], probs))
             if probs.min() <= UNDERFLOW_PROB:
                 dead = probs <= UNDERFLOW_PROB
                 block_ll[:n][dead] = -np.inf
                 probs = np.where(dead, 1.0, probs)
+            if history is not None:
+                history.append((rho[:n], probs))
             block_ll[:n] += np.log(probs)
             rho = _renormalize(updated, probs)
     return log_probs
@@ -332,14 +347,12 @@ class KrausValidationReport:
 def validate_kraus(model: KrausModel) -> KrausValidationReport:
     """Measure the completeness residual and the initial-state invariants.
 
-    Report-only: never raises. ``passes`` is true iff the summed
-    ``op^dagger op`` matrix is the identity within 1e-8 (max norm) and the
-    initial state is Hermitian/unit-trace within 1e-10 with smallest
-    eigenvalue >= -1e-9.
+    Report-only: never raises. ``passes`` is true iff the stacked
+    operators' :func:`orthonormality_residual` (the residual training
+    accepts a step by) is within 1e-8 and the initial state is
+    Hermitian/unit-trace within 1e-10 with smallest eigenvalue >= -1e-9.
     """
-    flat = model.operators.reshape(-1, model.dim, model.dim)
-    gram = np.einsum("nij,nik->jk", flat.conj(), flat)
-    completeness = float(np.max(np.abs(gram - np.eye(model.dim))))
+    completeness = orthonormality_residual(model.to_stiefel())
     state = model.initial_state.matrix
     herm = hermiticity_residual(state)
     trace = float(abs(state.trace() - 1.0))

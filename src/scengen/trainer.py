@@ -14,16 +14,18 @@ offset by the alphabet sizes of the runs before it (datasets of different
 systems may differ in M); every dataset is zero-padded to one width, and
 the mini-batch rows of all runs are merged longest first. The batched
 kernels then run unchanged on the stack, and the one-hot gradient scatter
-keeps each run's gradient apart. A batch loss that is not finite drops
-the runs whose rows underflow, as that same kernel pass scored them. Each
-round of step halvings retracts the runs still stepping with one call of
-the list form of :func:`cayley_step`. Step sizes, halvings, random
-streams and failures stay per run, so every run gets the model, loss
-trace and error of a run on its own, bit for bit. Runs are packed
-greedily, in order, into stacks whose mini-batches fit one row block of
-the kernels together and hold at most 128 rows: over longer sums the
-scatter's matrix product may group its terms differently in OpenBLAS
-(0.3.31), and a run would then differ from its own in the last bits.
+keeps each run's gradient apart. A step keeps one stack layout: a run
+whose batch rows underflow leaves the step with its error, each round of
+step halvings retracts the runs still stepping with one call of the list
+form of :func:`cayley_step`, and one filter pass over the step's rows
+checks their candidates (a run without a candidate keeps its point, and
+its rows are ignored). Step sizes, halvings, random streams and failures
+stay per run, so every run gets the model, loss trace and error of a run
+on its own, bit for bit. Runs are packed greedily, in order, into stacks
+whose mini-batches fit one row block of the kernels together and hold at
+most 128 rows: over longer sums the scatter's matrix product may group its
+terms differently in OpenBLAS (0.3.31), and a run would then differ from
+its own in the last bits.
 """
 
 from __future__ import annotations
@@ -37,20 +39,13 @@ import numpy as np
 from .errors import (GradientUndefinedError, InputError, StepFailureError,
                      TrainingError)
 from .hmm import _flatten, _pad, _row_blocks
-from .qhmm import (_BLOCK_BUDGET, DensityMatrix, KrausModel, _as_matrix,
-                   _kraus_step, _propagate)
+from .qhmm import (_BLOCK_BUDGET, COMPLETENESS_TOL, DensityMatrix, KrausModel,
+                   _as_matrix, _kraus_step, _partition, _propagate,
+                   orthonormality_residual)
 
-STIEFEL_TOL = 1e-8
 MAX_STEP_HALVINGS = 30
 # the most mini-batch rows a training stack holds
 _STACK_ROWS = 128
-
-
-def orthonormality_residual(matrix) -> float:
-    """Max-norm of (matrix^dagger matrix - identity)."""
-    m = np.asarray(matrix)
-    gram = m.conj().T @ m
-    return float(np.max(np.abs(gram - np.eye(m.shape[1]))))
 
 
 @dataclass
@@ -64,7 +59,7 @@ class StiefelPoint:
         if m.ndim != 2 or m.shape[0] < m.shape[1] or m.shape[1] < 1:
             raise InputError("expected a tall 2-D matrix (rows >= cols >= 1)")
         res = orthonormality_residual(m)
-        if res > STIEFEL_TOL:
+        if res > COMPLETENESS_TOL:
             raise InputError(f"columns are not orthonormal (residual {res:.3e})")
         m.setflags(write=False)
         self.matrix = m
@@ -83,7 +78,7 @@ class StiefelPoint:
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "StiefelPoint":
         """A point over a read-only complex matrix whose residual the caller
-        has already checked against STIEFEL_TOL; not validated again."""
+        has already checked against COMPLETENESS_TOL; not validated again."""
         point = cls.__new__(cls)
         point.matrix = matrix
         return point
@@ -115,15 +110,6 @@ def _as_kappa(kappa) -> np.ndarray:
     return arr
 
 
-def _partition(arr: np.ndarray, alphabet_size: int, multiplicity: int) -> np.ndarray:
-    k = arr.shape[1]
-    if arr.shape[0] != alphabet_size * multiplicity * k:
-        raise InputError(
-            f"kappa has {arr.shape[0]} rows, expected "
-            f"{alphabet_size * multiplicity * k} (= M * mu * K)")
-    return arr.reshape(alphabet_size, multiplicity, k, k)
-
-
 def nll_loss(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -> float:
     """Mean negative log-likelihood of a batch under the stacked operators.
 
@@ -149,13 +135,12 @@ def nll_gradient(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -
     GradientUndefinedError
         If the loss is not finite on the batch.
     """
-    arr = _as_kappa(kappa)
-    ops = _partition(arr, alphabet_size, multiplicity)
+    ops = _partition(_as_kappa(kappa), alphabet_size, multiplicity)
     padded, lengths, _ = _pad(*_flatten(batch), alphabet_size)
-    _, grad = _loss_and_gradient(ops, _as_matrix(pi0), padded, lengths)
-    if grad is None:
+    log_probs, grad = _loss_and_gradient(ops, _as_matrix(pi0), padded, lengths)
+    if log_probs.min() == -math.inf:
         raise GradientUndefinedError("loss is not finite on this batch")
-    return grad.reshape(arr.shape) / len(lengths)
+    return grad.reshape(-1, ops.shape[3]) / len(lengths)
 
 
 def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
@@ -164,8 +149,10 @@ def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     :func:`_propagate` computes it, and the gradient of their negated sum
     w.r.t. conj(ops); callers divide by their row counts.
 
-    Returns ``(log_probs, None)`` when a row's probability underflows; every
-    row is still scored, and only the adjoint passes are skipped.
+    The gradient is finite even when a row underflows: :func:`_propagate`
+    takes that step's probability as 1, so the row adds finite terms, and
+    only to the operators of the symbols it holds. A caller whose rows
+    score -inf discards its own part of the gradient.
     """
     m, _, k, _ = ops.shape
     adjoint_ops = ops.conj().swapaxes(2, 3)
@@ -175,9 +162,6 @@ def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     for rows in _row_blocks(len(lengths), k * k, _BLOCK_BUDGET):
         block, steps = padded[rows], []
         log_probs[rows] = _propagate(ops, rho0, block, lengths[rows], steps)
-        if grad is None or log_probs[rows].min() == -math.inf:
-            grad = None  # undefined; the later blocks are only scored
-            continue
         # adjoint pass, last step first: each position adds its term, then
         # the dual matrix is pulled back through that position's operators
         dual = np.repeat(np.eye(k, dtype=complex)[None], len(block), axis=0)
@@ -189,7 +173,7 @@ def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
             terms = scaled[:, None] @ ops[x] @ rho[:, None]
             grad -= (x == symbol_ids) @ terms.reshape(n, -1)
             dual[:n] = _kraus_step(adjoint_ops, scaled, x)[0]
-    return log_probs, None if grad is None else grad.reshape(ops.shape)
+    return log_probs, grad.reshape(ops.shape)
 
 
 def cayley_step(kappa, gradient, tau):
@@ -282,7 +266,7 @@ def _stacked_steps(inputs, taus) -> list:
             results.append(StepFailureError("inner solve is singular"))
         elif not finite[j]:
             results.append(StepFailureError("step produced non-finite entries"))
-        elif residual[j] > STIEFEL_TOL:
+        elif residual[j] > COMPLETENESS_TOL:
             results.append(StepFailureError(
                 f"columns are not orthonormal (residual {residual[j]:.3e})"))
         else:
@@ -462,65 +446,56 @@ def _train_stack(runs, config: TrainConfig) -> None:
 
     tau = config.learning_rate
     for epoch in range(config.epochs):
-        live = [run for run in runs if run.error is None]
         chunks = [np.array_split(run.rng.permutation(len(run.lengths)), config.num_batches)
-                  for run in live]
+                  for run in runs]
         for index in range(config.num_batches):
-            stepping = []
-            for run, chunk in zip(live, chunks):
+            stacked = []
+            for run, chunk in zip(runs, chunks):
                 if run.error is None and chunk[index].size:
                     run.rows = np.sort(run.row_of[chunk[index]])
-                    stepping.append(run)
-            # a run whose batch loss is not finite leaves the stack
-            while stepping:
-                stacked, (symbols, lens, members) = stepping, stack(stepping)
-                ops = stacked_ops([run.kappa for run in stepping])
-                log_probs, grad = _loss_and_gradient(ops, rho0, symbols, lens)
-                if grad is not None:
-                    break
-                stepping = [run for run, rows in zip(stacked, members)
-                            if log_probs[rows].min() > -math.inf]
-                for run in stacked:
-                    if run not in stepping:
-                        run.error = TrainingError(
-                            f"batch loss is not finite at epoch {epoch} batch {index}")
+                    stacked.append(run)
+            if not stacked:
+                continue
+            # the step keeps this one layout: a run whose batch loss is not
+            # finite leaves the step, and its rows are ignored from then on
+            symbols, lens, members = stack(stacked)
+            # held until replaced: freeing it before the Cayley step let glibc trim the
+            # heap, and at K=16 the step's temporaries re-faulted (10x on wide compare)
+            ops = stacked_ops([run.kappa for run in stacked])
+            log_probs, grad = _loss_and_gradient(ops, rho0, symbols, lens)
             start = 0
-            for j, run in enumerate(stepping):
-                run.loss = float(-log_probs[members[j]].sum() / len(run.rows))
+            for run, rows in zip(stacked, members):
+                run.loss = float(-log_probs[rows].sum() / len(run.rows))
                 own = grad[start:start + run.alphabet_size]
                 own /= len(run.rows)
                 run.grad = own.reshape(run.kappa.matrix.shape)  # a view
                 run.step_tau = tau
                 start += run.alphabet_size
+                if not math.isfinite(run.loss):
+                    run.error = TrainingError(
+                        f"batch loss is not finite at epoch {epoch} batch {index}")
+            stepping = [run for run in stacked if run.error is None]
             # every run still halving tries one step per round, all in one
             # call; their candidates are checked together for a finite
-            # batch loss
+            # batch loss, each run without one keeping its point
             for _ in range(1 + MAX_STEP_HALVINGS):
                 if not stepping:
                     break
                 steps = cayley_step([run.kappa for run in stepping],
                                     [run.grad for run in stepping],
                                     [run.step_tau for run in stepping])
-                checked, candidates = [], []
-                for run, step in zip(stepping, steps):
-                    if isinstance(step, StepFailureError):
+                candidates = {run: step for run, step in zip(stepping, steps)
+                              if not isinstance(step, StepFailureError)}
+                if candidates:
+                    ops = stacked_ops([candidates.get(run, run.kappa) for run in stacked])
+                    log_probs = _propagate(ops, rho0, symbols, lens)
+                for run, rows in zip(stacked, members):
+                    if run in candidates and log_probs[rows].min() > -math.inf:
+                        run.records.append(TrainRecord(epoch, index, run.loss, run.step_tau))
+                        run.kappa = candidates[run]
+                        stepping.remove(run)
+                    elif run in stepping:  # its step or its candidate failed
                         run.step_tau /= 2.0
-                    else:
-                        candidates.append(step)
-                        checked.append(run)
-                accepted = []
-                if checked:
-                    if checked != stacked:
-                        stacked, (symbols, lens, members) = checked, stack(checked)
-                    log_probs = _propagate(stacked_ops(candidates), rho0, symbols, lens)
-                    for run, candidate, rows in zip(checked, candidates, members):
-                        if log_probs[rows].min() > -math.inf:
-                            run.records.append(TrainRecord(epoch, index, run.loss, run.step_tau))
-                            run.kappa = candidate
-                            accepted.append(run)
-                        else:
-                            run.step_tau /= 2.0
-                stepping = [run for run in stepping if run not in accepted]
             for run in stepping:
                 run.error = TrainingError(
                     f"step failed after {MAX_STEP_HALVINGS} halvings at "

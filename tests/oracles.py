@@ -272,7 +272,7 @@ def cayley_step_reference(kappa, gradient, tau):
     returns kappa.
     """
     from scengen import InputError, StepFailureError, StiefelPoint
-    from scengen.trainer import STIEFEL_TOL, orthonormality_residual
+    from scengen.qhmm import COMPLETENESS_TOL, orthonormality_residual
 
     arr = kappa.matrix if isinstance(kappa, StiefelPoint) else np.asarray(kappa, dtype=complex)
     grad = np.asarray(gradient, dtype=complex)
@@ -293,7 +293,7 @@ def cayley_step_reference(kappa, gradient, tau):
     if not np.all(np.isfinite(new)):
         return StepFailureError("step produced non-finite entries")
     residual = orthonormality_residual(new)
-    if residual > STIEFEL_TOL:
+    if residual > COMPLETENESS_TOL:
         return StepFailureError(f"columns are not orthonormal (residual {residual:.3e})")
     return StiefelPoint(new)
 
@@ -337,7 +337,7 @@ def train_qhmm_reference(dataset, config, alphabet_size):
             rows = np.sort(row_of[chunk])
             batch = padded[rows], lengths[rows]
             log_probs, grad = _loss_and_gradient(kappa.matrix.reshape(shape), rho0, *batch)
-            if grad is None:
+            if log_probs.min() == -math.inf:
                 raise TrainingError(
                     f"batch loss is not finite at epoch {epoch} batch {index}")
             loss = float(-log_probs.sum() / len(rows))

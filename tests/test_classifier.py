@@ -6,6 +6,7 @@ import pytest
 from scengen import (AlphabetMismatchError, CategoricalHmm, InputError,
                      TwoModelClassifier, classify, da_for_sequence, embed_hmm,
                      evaluate_classifier, write_classification_report)
+from scengen.classifier import LABELS, _predictions
 
 
 def uniform_hmm(alphabet_size=2):
@@ -71,6 +72,28 @@ class TestEvaluate:
         assert ev.accuracy == pytest.approx(want, abs=1e-15)
         assert ev.confusion.sum() == 30
 
+    def test_matches_per_record_tallies(self, ref_hmm):
+        # the confusion counts, accuracy and per-class means of the
+        # per-record results, bit for bit
+        clf = TwoModelClassifier(ref_hmm, uniform_hmm())
+        rng = np.random.default_rng(2)
+        labeled = [(list(rng.integers(0, 2, size=int(rng.integers(1, 7)))),
+                    LABELS[int(rng.random() < 0.4)]) for _ in range(40)]
+        results = list(zip(*(column.tolist() for column in
+                             _predictions(clf, [sequence for sequence, _ in labeled]))))
+        confusion = np.zeros((2, 2), dtype=int)
+        for (_, label), (predicted, _, _) in zip(labeled, results):
+            confusion[LABELS.index(label), LABELS.index(predicted)] += 1
+        ev = evaluate_classifier(clf, labeled)
+        np.testing.assert_array_equal(ev.confusion, confusion)
+        assert ev.confusion.dtype == confusion.dtype
+        assert ev.accuracy == int(np.trace(confusion)) / len(labeled)
+        for label in LABELS:
+            mine = [result for (_, true), result in zip(labeled, results) if true == label]
+            assert ev.mean_da[label] == {
+                "model_probable": float(np.mean([da_p for _, da_p, _ in mine])),
+                "model_no_probable": float(np.mean([da_n for _, _, da_n in mine]))}
+
     def test_single_sequence_accuracy_is_zero_or_one(self, separating_clf):
         assert evaluate_classifier(separating_clf, [([0, 0], "probable")]).accuracy == 1.0
         assert evaluate_classifier(separating_clf, [([0, 0], "no_probable")]).accuracy == 0.0
@@ -92,6 +115,8 @@ class TestEvaluate:
             evaluate_classifier(separating_clf, [])
         with pytest.raises(InputError):
             evaluate_classifier(separating_clf, [([0, 0], "maybe")])
+        with pytest.raises(InputError, match="unknown label None"):
+            evaluate_classifier(separating_clf, [([0, 0], None)])
 
 
 class TestReport:
@@ -105,6 +130,15 @@ class TestReport:
         assert rows[0] == ["sequence_id", "true_label", "pred_label",
                            "da_probable", "da_no_probable"]
         assert len(rows) == 3
+
+    def test_unknown_label_is_rejected_before_writing(self, separating_clf, tmp_path):
+        path = tmp_path / "report.csv"
+        records = [([0, 0], None), ([1, 1], "Probable")]
+        with pytest.raises(InputError, match="unknown label 'Probable'"):
+            write_classification_report(path, separating_clf, records)
+        assert not path.exists()
+        with pytest.raises(InputError, match="unknown label 'Probable'"):
+            evaluate_classifier(separating_clf, records[1:])
 
     def test_unlabeled_report_returns_none(self, separating_clf, tmp_path):
         path = tmp_path / "report.csv"

@@ -398,6 +398,22 @@ class TestClassify:
                    "--data", gen / "sequences.jsonl", "--out", out) == 0
         assert "accuracy" not in capsys.readouterr().out
 
+    def test_unknown_label_exits_two_without_a_report(self, dataset_dir, tmp_path,
+                                                      capsys):
+        model_dir = tmp_path / "model"
+        train_small(dataset_dir, model_dir)
+        lines = (dataset_dir / "probable.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record["label"] = "Probable"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+        out = tmp_path / "clf"
+        assert run("classify", "--model-probable", model_dir / "model.json",
+                   "--model-no-probable", model_dir / "model.json",
+                   "--data", bad, "--out", out) == 2
+        assert "unknown label 'Probable'" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     def test_alphabet_mismatch_exits_two(self, dataset_dir, tmp_path):
         model_dir = tmp_path / "model"
         train_small(dataset_dir, model_dir)

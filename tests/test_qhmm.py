@@ -342,6 +342,22 @@ class TestValidateKraus:
         assert report.completeness_residual == pytest.approx(0.21, abs=1e-12)
         assert not report.passes
 
+    def test_completeness_is_the_residual_training_accepts_by(self):
+        # one residual for one constraint, so a point that training accepts
+        # cannot fail the completeness check at the tolerance boundary
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            k, m, mu = (int(rng.integers(lo, hi)) for lo, hi in ((2, 17), (1, 4), (1, 3)))
+            point = random_stiefel(m * mu * k, k, int(rng.integers(2**31)))
+            model = KrausModel.from_stiefel(point.matrix, m, mu,
+                                            DensityMatrix.maximally_mixed(k))
+            assert validate_kraus(model).completeness_residual == point.residual()
+
+    def test_one_residual_function(self):
+        from scengen import orthonormality_residual, trainer
+        assert trainer.orthonormality_residual is orthonormality_residual \
+            is qhmm.orthonormality_residual
+
     def test_random_stiefel_model_passes(self):
         model = random_kraus_model(np.random.default_rng(11), 3, 2, 2)
         report = validate_kraus(model)
