@@ -19,13 +19,25 @@ whose batch rows underflow leaves the step with its error, each round of
 step halvings retracts the runs still stepping with one call of the list
 form of :func:`cayley_step`, and one filter pass over the step's rows
 checks their candidates (a run without a candidate keeps its point, and
-its rows are ignored). Step sizes, halvings, random streams and failures
-stay per run, so every run gets the model, loss trace and error of a run
-on its own, bit for bit. Runs are packed greedily, in order, into stacks
-whose mini-batches fit one row block of the kernels together and hold at
-most 128 rows: over longer sums the scatter's matrix product may group its
-terms differently in OpenBLAS (0.3.31), and a run would then differ from
-its own in the last bits.
+its rows are ignored).
+
+A step's check and the next step's forward pass filter under the same
+operators whenever every candidate passes, so they share one pass: when
+every run steps and the next mini-batch stacks the same runs in one row
+block together with this one, the first round's check also filters the
+next batch's rows and keeps their history. If every candidate passes, the
+next step runs only the adjoint, over that history gathered into its own
+layout; otherwise it runs its own forward pass. Every row is filtered by
+the same arithmetic in either pass, and the one-hot scatter sums the same
+rows in the same order, so nothing depends on which pass filtered a row.
+
+Step sizes, halvings, random streams and failures stay per run, so every
+run gets the model, loss trace and error of a run on its own, bit for
+bit. Runs are packed greedily, in order, into stacks whose mini-batches
+fit one row block of the kernels together and hold at most 128 rows: over
+longer sums the scatter's matrix product may group its terms differently
+in OpenBLAS (0.3.31), and a run would then differ from its own in the
+last bits.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -149,6 +162,33 @@ def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     :func:`_propagate` computes it, and the gradient of their negated sum
     w.r.t. conj(ops); callers divide by their row counts.
 
+    This is the forward pass, :func:`_propagate` keeping history, then
+    :func:`_adjoint` over that history, one row block at a time, so history
+    is held for one block only. A training step whose rows an earlier pass
+    already filtered under ``ops`` runs :func:`_adjoint` alone.
+    """
+    log_probs = np.zeros(len(lengths))
+
+    def forward():
+        for rows in _row_blocks(len(lengths), ops.shape[2] ** 2, _BLOCK_BUDGET):
+            block, history = padded[rows], []
+            log_probs[rows] = _propagate(ops, rho0, block, lengths[rows], history)
+            yield block, history
+
+    return log_probs, _adjoint(ops, forward())
+
+
+def _adjoint(ops: np.ndarray, blocks) -> np.ndarray:
+    """Gradient w.r.t. conj(ops) of the negated log-probability sum of
+    padded rows, from the history their forward pass recorded.
+
+    ``blocks`` yields ``(padded, history)`` pairs, one per row block: the
+    block's rows, longest first, and the history :func:`_propagate` kept
+    while filtering them. The terms of each block are summed into the
+    gradient in order, by a one-hot matrix product over the block's rows,
+    so the result depends on the rows and their order, not on which pass
+    filtered them.
+
     The gradient is finite even when a row underflows: :func:`_propagate`
     takes that step's probability as 1, so the row adds finite terms, and
     only to the operators of the symbols it holds. A caller whose rows
@@ -158,22 +198,23 @@ def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     adjoint_ops = ops.conj().swapaxes(2, 3)
     symbol_ids = np.arange(m)[:, None]
     grad = np.zeros((m, ops[0].size), dtype=complex)
-    log_probs = np.zeros(len(lengths))
-    for rows in _row_blocks(len(lengths), k * k, _BLOCK_BUDGET):
-        block, steps = padded[rows], []
-        log_probs[rows] = _propagate(ops, rho0, block, lengths[rows], steps)
-        # adjoint pass, last step first: each position adds its term, then
-        # the dual matrix is pulled back through that position's operators
+    for block, history in blocks:
+        # last step first: each position adds its term, then the dual
+        # matrix is pulled back through that position's operators (the
+        # first position has no earlier one to pass it to)
         dual = np.repeat(np.eye(k, dtype=complex)[None], len(block), axis=0)
-        for t in range(len(steps) - 1, -1, -1):
-            rho, probs = steps[t]
+        for t in range(len(history) - 1, -1, -1):
+            rho, probs = history[t]
             n = len(probs)
             x = block[:n, t]
             scaled = dual[:n] / probs[:, None, None]
             terms = scaled[:, None] @ ops[x] @ rho[:, None]
             grad -= (x == symbol_ids) @ terms.reshape(n, -1)
-            dual[:n] = _kraus_step(adjoint_ops, scaled, x)[0]
-    return log_probs, grad.reshape(ops.shape)
+            if t:
+                dual[:n] = _kraus_step(adjoint_ops, scaled, x)[0]
+        # freed before the next block's forward pass records its own
+        del history
+    return grad.reshape(ops.shape)
 
 
 def cayley_step(kappa, gradient, tau):
@@ -365,9 +406,8 @@ class _Run:
             self.rng, alphabet_size * config.multiplicity * config.dim, config.dim))
         self.records = []
         self.error = None  # the TrainingError that ended the run
-        # the current step: batch rows (longest first), pre-step loss and
-        # gradient, and the step size
-        self.rows = self.loss = self.grad = self.step_tau = None
+        # the current step: pre-step loss and gradient, and the step size
+        self.loss = self.grad = self.step_tau = None
 
 
 def train_qhmm_datasets(datasets, config: TrainConfig, seeds) -> list:
@@ -420,87 +460,144 @@ def _train_stack(runs, config: TrainConfig) -> None:
     """:func:`train_qhmm_datasets` for runs that share every kernel call."""
     rho0 = DensityMatrix.maximally_mixed(config.dim).matrix
     shape = (-1, config.multiplicity, config.dim, config.dim)
+    # the rows of one kernel row block, the most a forward pass keeping
+    # history may filter at once
+    block_rows = max(1, _BLOCK_BUDGET // config.dim ** 2)
 
-    def stack(runs):
-        # the symbols of each run are offset by the alphabet sizes of the
-        # runs before it, to index its operators in the stack; members[j]
-        # holds the positions of runs[j]'s rows among the merged rows, in
-        # increasing order, as the rows keep their order when merged
-        if len(runs) == 1:
-            # nothing to merge or offset; merging one run anyway made desk
-            # one-run training about 10% slower
-            (run,) = runs
-            return run.padded[run.rows], run.lengths[run.rows], [slice(None)]
-        offsets = np.cumsum([0] + [run.alphabet_size for run in runs[:-1]])
-        symbols = np.concatenate([run.padded[run.rows] + offset
-                                  for run, offset in zip(runs, offsets)])
-        lens = np.concatenate([run.lengths[run.rows] for run in runs])
+    def batches():
+        # every mini-batch in order as (epoch, index, tau, [(run, rows)]),
+        # over the runs with rows in it; each batch is looked ahead to one
+        # step early, so an epoch's permutations are drawn at the previous
+        # epoch's last batch, from the same stream
+        tau = config.learning_rate
+        for epoch in range(config.epochs):
+            chunks = [np.array_split(run.rng.permutation(len(run.lengths)),
+                                     config.num_batches) for run in runs]
+            for index in range(config.num_batches):
+                yield epoch, index, tau, [
+                    (run, np.sort(run.row_of[chunk[index]]))
+                    for run, chunk in zip(runs, chunks)
+                    if run.error is None and chunk[index].size]
+            tau *= config.decay
+
+    def merge(parts):
+        # (symbols, lengths) row sets, each longest first, merged longest
+        # first; also the positions of each set's rows among the merged
+        # rows, in increasing order, as the rows keep their order
+        lens = np.concatenate([part[1] for part in parts])
         merged = np.argsort(-lens, kind="stable")
         position = np.empty_like(merged)
         position[merged] = np.arange(len(merged))
-        ends = np.cumsum([len(run.rows) for run in runs])
-        return symbols[merged], lens[merged], np.split(position, ends[:-1])
+        ends = list(accumulate(len(part[1]) for part in parts))
+        return (np.concatenate([part[0] for part in parts])[merged], lens[merged],
+                [position[start:end] for start, end in zip([0] + ends, ends)])
+
+    def stack(batch):
+        # the symbols of each run are offset by the alphabet sizes of the
+        # runs before it, to index its operators in the stack; members[j]
+        # holds the positions of batch[j]'s rows among the merged rows
+        if len(batch) == 1:
+            # nothing to merge or offset; merging one run anyway made desk
+            # one-run training about 10% slower
+            ((run, rows),) = batch
+            return run.padded[rows], run.lengths[rows], [slice(None)]
+        offsets = np.cumsum([0] + [run.alphabet_size for run, _ in batch[:-1]])
+        return merge([(run.padded[rows] + offset, run.lengths[rows])
+                      for (run, rows), offset in zip(batch, offsets)])
 
     def stacked_ops(points):
         return np.concatenate([point.matrix.reshape(shape) for point in points])
 
-    tau = config.learning_rate
-    for epoch in range(config.epochs):
-        chunks = [np.array_split(run.rng.permutation(len(run.lengths)), config.num_batches)
-                  for run in runs]
-        for index in range(config.num_batches):
-            stacked = []
-            for run, chunk in zip(runs, chunks):
-                if run.error is None and chunk[index].size:
-                    run.rows = np.sort(run.row_of[chunk[index]])
-                    stacked.append(run)
-            if not stacked:
-                continue
-            # the step keeps this one layout: a run whose batch loss is not
-            # finite leaves the step, and its rows are ignored from then on
-            symbols, lens, members = stack(stacked)
+    def gathered(history, positions, lens):
+        # the history of the rows at ``positions`` of a forward pass (longest
+        # first, so the rows running at step t are a leading slice); the
+        # first step's belief is the one that all rows share
+        running = (lens[:, None] > np.arange(lens[0])).sum(axis=0)
+        return [(rho if t == 0 else rho[positions[:n]], probs[positions[:n]])
+                for t, ((rho, probs), n) in enumerate(zip(history, running.tolist()))]
+
+    schedule = batches()
+    # ahead: the layout, operators, log-probabilities and history of the
+    # next step's rows, when this step's check filtered them
+    upcoming, ahead = next(schedule, None), None
+    while upcoming is not None:
+        (epoch, index, tau, batch), upcoming = upcoming, next(schedule, None)
+        batch = [(run, rows) for run, rows in batch if run.error is None]
+        if not batch:
+            continue
+        stacked = [run for run, _ in batch]
+        # the step keeps one layout: a run whose batch loss is not finite
+        # leaves the step, and its rows are ignored from then on
+        if ahead is None:
+            symbols, lens, members = stack(batch)
             # held until replaced: freeing it before the Cayley step let glibc trim the
             # heap, and at K=16 the step's temporaries re-faulted (10x on wide compare)
             ops = stacked_ops([run.kappa for run in stacked])
             log_probs, grad = _loss_and_gradient(ops, rho0, symbols, lens)
-            start = 0
-            for run, rows in zip(stacked, members):
-                run.loss = float(-log_probs[rows].sum() / len(run.rows))
-                own = grad[start:start + run.alphabet_size]
-                own /= len(run.rows)
-                run.grad = own.reshape(run.kappa.matrix.shape)  # a view
-                run.step_tau = tau
-                start += run.alphabet_size
-                if not math.isfinite(run.loss):
-                    run.error = TrainingError(
-                        f"batch loss is not finite at epoch {epoch} batch {index}")
-            stepping = [run for run in stacked if run.error is None]
-            # every run still halving tries one step per round, all in one
-            # call; their candidates are checked together for a finite
-            # batch loss, each run without one keeping its point
-            for _ in range(1 + MAX_STEP_HALVINGS):
-                if not stepping:
-                    break
-                steps = cayley_step([run.kappa for run in stepping],
-                                    [run.grad for run in stepping],
-                                    [run.step_tau for run in stepping])
-                candidates = {run: step for run, step in zip(stepping, steps)
-                              if not isinstance(step, StepFailureError)}
-                if candidates:
-                    ops = stacked_ops([candidates.get(run, run.kappa) for run in stacked])
-                    log_probs = _propagate(ops, rho0, symbols, lens)
-                for run, rows in zip(stacked, members):
-                    if run in candidates and log_probs[rows].min() > -math.inf:
-                        run.records.append(TrainRecord(epoch, index, run.loss, run.step_tau))
-                        run.kappa = candidates[run]
-                        stepping.remove(run)
-                    elif run in stepping:  # its step or its candidate failed
-                        run.step_tau /= 2.0
-            for run in stepping:
+        else:
+            # the previous step's check filtered these rows under these operators
+            (symbols, lens, members), (ops, log_probs, history) = ahead
+            ahead = None
+            grad = _adjoint(ops, [(symbols, history)])
+        start = 0
+        for (run, rows), own_rows in zip(batch, members):
+            run.loss = float(-log_probs[own_rows].sum() / len(rows))
+            own = grad[start:start + run.alphabet_size]
+            own /= len(rows)
+            run.grad = own.reshape(run.kappa.matrix.shape)  # a view
+            run.step_tau = tau
+            start += run.alphabet_size
+            if not math.isfinite(run.loss):
                 run.error = TrainingError(
-                    f"step failed after {MAX_STEP_HALVINGS} halvings at "
-                    f"epoch {epoch} batch {index} (loss {run.loss:.6g}, tau {tau:.3g})")
-        tau *= config.decay
+                    f"batch loss is not finite at epoch {epoch} batch {index}")
+        stepping = [run for run in stacked if run.error is None]
+        # when every run steps and the next batch stacks the same runs in
+        # one row block with this one, the next batch's rows join the first
+        # round's check; if every candidate passes, those are the next
+        # step's operators, and that pass is its forward pass
+        fused = None
+        if upcoming is not None and len(stepping) == len(stacked):
+            following = upcoming[3]
+            if ([run for run, _ in following] == stacked and
+                    len(lens) + sum(len(rows) for _, rows in following) <= block_rows):
+                layout = stack(following)
+                fused = merge([(symbols, lens), layout[:2]])
+        # every run still halving tries one step per round, all in one
+        # call; their candidates are checked together for a finite batch
+        # loss, each run without one keeping its point
+        for _ in range(1 + MAX_STEP_HALVINGS):
+            if not stepping:
+                break
+            steps = cayley_step([run.kappa for run in stepping],
+                                [run.grad for run in stepping],
+                                [run.step_tau for run in stepping])
+            candidates = {run: step for run, step in zip(stepping, steps)
+                          if not isinstance(step, StepFailureError)}
+            history = None
+            if candidates:
+                ops = stacked_ops([candidates.get(run, run.kappa) for run in stacked])
+                if fused is not None and len(candidates) == len(stacked):
+                    fused_symbols, fused_lens, (this_rows, next_rows) = fused
+                    history = []
+                    scored = _propagate(ops, rho0, fused_symbols, fused_lens, history)
+                    log_probs = scored[this_rows]
+                else:
+                    log_probs = _propagate(ops, rho0, symbols, lens)
+            for run, rows in zip(stacked, members):
+                if run in candidates and log_probs[rows].min() > -math.inf:
+                    run.records.append(TrainRecord(epoch, index, run.loss, run.step_tau))
+                    run.kappa = candidates[run]
+                    stepping.remove(run)
+                elif run in stepping:  # its step or its candidate failed
+                    run.step_tau /= 2.0
+            if history is not None and not stepping:  # every candidate passed
+                ahead = layout, (ops, scored[next_rows],
+                                 gathered(history, next_rows, layout[1]))
+            fused = None
+        for run in stepping:
+            run.error = TrainingError(
+                f"step failed after {MAX_STEP_HALVINGS} halvings at "
+                f"epoch {epoch} batch {index} (loss {run.loss:.6g}, tau {tau:.3g})")
 
 
 def write_training_log(path, records) -> None:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -412,7 +413,7 @@ class TestClassify:
                    "--model-no-probable", model_dir / "model.json",
                    "--data", bad, "--out", out) == 2
         assert "unknown label 'Probable'" in capsys.readouterr().err
-        assert not (out / "report.csv").exists()
+        assert not out.exists()
 
     def test_alphabet_mismatch_exits_two(self, dataset_dir, tmp_path):
         model_dir = tmp_path / "model"
@@ -606,6 +607,10 @@ class TestManifest:
             assert manifest["command"] == command
             assert manifest["inputs"] == [str(p) for p in inputs]
             assert manifest["outputs"] == [str(out / name) for name in outputs]
+        # every manifest records the numpy/BLAS build and the BLAS thread settings
+        for out in expected:
+            environment = json.loads((out / "manifest.json").read_text())["environment"]
+            assert environment == cli._environment()
         # a command that fails (here on an empty split) writes no manifest,
         # even into an existing output directory
         empty_split = tmp_path / "train-only.jsonl"
@@ -615,6 +620,17 @@ class TestManifest:
         assert run("eval", "--model", model, "--data", empty_split, "--split", "test",
                    "--out", failed) == 2
         assert not (failed / "manifest.json").exists()
+
+
+    def test_environment_block(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert cli._environment.__wrapped__() == {
+            "numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None,
+            "cpu_count": os.cpu_count()}
 
 
 class TestUsage:

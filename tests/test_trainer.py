@@ -1,5 +1,6 @@
 import csv
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -436,6 +437,117 @@ def halvings(records, config):
                for r in records)
 
 
+@pytest.fixture
+def record_kernels(monkeypatch):
+    """Returns an installer that wraps the trainer's kernels, and
+    ``cayley_step`` as it is then (so it goes after any patch of it), and
+    returns a new list that it records their calls into, in order:
+
+    - ``("forward", padded, lengths, fresh)`` starts each step, fresh when
+      the step ran its own forward pass and not when it ran only the
+      adjoint over the history kept by the previous step's check;
+    - ``("step", entries)`` is a :func:`cayley_step` call;
+    - ``("check", padded, lengths, kept)`` is a candidate check, kept when
+      it kept history for the next step.
+    """
+
+    real_loss, real_adjoint = trainer._loss_and_gradient, trainer._adjoint
+    real_propagate = trainer._propagate
+
+    def install():
+        calls, inside_loss = [], []
+        real_step = trainer.cayley_step
+
+        def loss(ops, rho0, padded, lengths):
+            calls.append(("forward", padded, lengths, True))
+            inside_loss.append(True)
+            try:
+                return real_loss(ops, rho0, padded, lengths)
+            finally:
+                inside_loss.pop()
+
+        def adjoint(ops, blocks):
+            if not inside_loss:
+                ((padded, history),) = blocks = list(blocks)
+                # a row runs for as many steps as the history has entries for it
+                lengths = np.array([sum(len(probs) > row for _, probs in history)
+                                    for row in range(len(padded))])
+                calls.append(("forward", padded, lengths, False))
+            return real_adjoint(ops, blocks)
+
+        def propagate(ops, rho0, padded, lengths, history=None):
+            if not inside_loss:
+                calls.append(("check", padded, lengths, history is not None))
+            return real_propagate(ops, rho0, padded, lengths, history)
+
+        def step(kappa, gradient, tau):
+            calls.append(("step", len(tau)))
+            return real_step(kappa, gradient, tau)
+
+        monkeypatch.setattr(trainer, "_loss_and_gradient", loss)
+        monkeypatch.setattr(trainer, "_adjoint", adjoint)
+        monkeypatch.setattr(trainer, "_propagate", propagate)
+        monkeypatch.setattr(trainer, "cayley_step", step)
+        return calls
+
+    return install
+
+
+def recorded_steps(calls):
+    """The recorded kernel calls split into steps, each led by its forward pass."""
+    steps = []
+    for call in calls:
+        if call[0] == "forward":
+            steps.append([call])
+        else:
+            steps[-1].append(call)
+    return steps
+
+
+def as_rows(padded, lengths):
+    return [(length, tuple(symbols)) for length, symbols in zip(lengths.tolist(),
+                                                                padded.tolist())]
+
+
+def assert_one_forward_per_step(calls, dim):
+    """Check the recorded calls of a training, stack after stack:
+
+    - a step runs its own forward pass unless its previous step's first
+      check kept history and every candidate passed there;
+    - every check filters its step's rows, and only those unless it keeps
+      history; one that does is a first round and fits one kernel row block;
+    - a step that ran no forward pass of its own got its history from
+      exactly its rows and the previous step's, merged longest first;
+    - the one-hot scatter sees a step's rows only, at most 128 of them.
+
+    Returns, per step, whether it ran its own forward pass."""
+    steps = recorded_steps(calls)
+    assert steps and steps[0][0][3]
+    for i, ((_, padded, lengths, _), *rest) in enumerate(steps):
+        assert len(lengths) <= 128
+        rows = as_rows(padded, lengths)
+        checks = [call[1:] for call in rest if call[0] == "check"]
+        for j, (check_padded, check_lengths, kept) in enumerate(checks):
+            checked = as_rows(check_padded, check_lengths)
+            if not kept:
+                assert checked == rows
+                continue
+            assert j == 0 and len(checked) <= 2048 // dim ** 2
+            assert check_lengths.tolist() == sorted(check_lengths.tolist(), reverse=True)
+            unchecked = Counter(rows)
+            unchecked.subtract(checked)
+            assert max(unchecked.values()) <= 0
+            next_padded, next_lengths, next_fresh = steps[i + 1][0][1:]
+            if not next_fresh:
+                following = as_rows(next_padded, next_lengths)
+                assert checked == sorted(rows + following, key=lambda row: -row[0])
+        rounds = sum(call[0] == "step" for call in rest)
+        carried = bool(checks) and checks[0][2] and rounds == 1
+        if i + 1 < len(steps):
+            assert steps[i + 1][0][3] == (not carried)
+    return [step[0][3] for step in steps]
+
+
 class TestTrainQhmmSeeds:
     def test_single_block_stacks_are_bit_identical_to_separate_runs(self):
         config = TrainConfig(dim=4, epochs=20)
@@ -451,7 +563,10 @@ class TestTrainQhmmSeeds:
         (16, 2, 1, 106),   # 3-row batches, two seeds per 8-row block
         (2, 1, 3, 5),      # 512-row blocks, stacks capped at 128 rows
         (3, 1, 3, 5),      # 227-row blocks, stacks capped at 128 rows
-    ], ids=["4-1-3-5", "16-2-1-5", "16-2-1-106", "2-1-3-5", "3-1-3-5"])
+        (2, 1, 1, 5),      # one epoch: the last step has no next batch
+        (4, 1, 2, 400),    # 82 empty batches closing each epoch
+    ], ids=["4-1-3-5", "16-2-1-5", "16-2-1-106", "2-1-3-5", "3-1-3-5", "2-1-1-5",
+            "4-1-2-400"])
     def test_four_event_seeds_match_separate_runs(self, dim, mu, epochs, num_batches):
         _, no_probable = build_datasets(reference_four_event_system(), max_len=6,
                                         p_min=1e-3, test_fraction=0.25, seed=1)
@@ -471,14 +586,16 @@ class TestTrainQhmmSeeds:
         assert_same_fit(train_qhmm(dataset, config, alphabet),
                         train_qhmm_reference(dataset, config, alphabet))
 
-    def test_halving_and_failing_seeds_leave_the_others_alone(self, capped_steps):
+    def test_halving_and_failing_seeds_leave_the_others_alone(self, capped_steps,
+                                                              record_kernels):
         (dataset, alphabet), _ = desk_training_sets()
         config = TrainConfig(dim=2, epochs=3)
         seeds = [4, 1, 3, 2]
         capped_steps(0.1, max_halvings=1)
-        results = train_qhmm_datasets([(dataset, alphabet)], config, seeds)[0]
         solo = [reference_or_error(dataset, replace(config, seed=s), alphabet)
                 for s in seeds]
+        calls = record_kernels()
+        results = train_qhmm_datasets([(dataset, alphabet)], config, seeds)[0]
         for got, want in zip(results, solo):
             assert_same_fit(got, want)
         # seed 4 never halves, seeds 3 and 2 halve, seed 1 needs too many
@@ -486,17 +603,64 @@ class TestTrainQhmmSeeds:
         assert isinstance(results[1], TrainingError)
         assert str(results[1]).startswith("step failed after 1 halvings")
         assert halvings(results[2][1], config) > 0 and halvings(results[3][1], config) > 0
+        # seed 3 halves at the last batch of epochs 0 and 2, where the next
+        # batch comes from the next epoch's permutation
+        assert [(r.epoch, r.batch) for r in results[2][1]
+                if halvings([r], config) and r.batch == config.num_batches - 1] \
+            == [(0, 4), (2, 4)]
+        fresh = assert_one_forward_per_step(calls, config.dim)
+        assert True in fresh[1:] and False in fresh
+
+    def test_candidate_rejected_at_an_epochs_last_batch(self, monkeypatch, patch_steps,
+                                                        record_kernels):
+        # every sequence holds a 0, so a candidate whose symbol-0 operator is
+        # zero fails its check; seeds 0 and 2 get one at the last batch of
+        # epoch 0, which is checked with the rows of epoch 1's first batch
+        data = [(0,), (0, 1), (1, 0), (0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 1, 0)]
+        config = TrainConfig(dim=2, epochs=3, num_batches=4)
+        seeds, last = [0, 1, 2], config.num_batches - 1
+        real_step, targets = trainer.cayley_step, []
+        for seed in (0, 2):
+            points = []
+
+            def spy(kappa, gradient, tau):
+                points.append(kappa.matrix)
+                return real_step(kappa, gradient, tau)
+
+            monkeypatch.setattr(trainer, "cayley_step", spy)
+            _, records = train_qhmm_reference(data, replace(config, seed=seed), 2)
+            assert halvings(records[:last], config) == 0
+            targets.append(points[last])
+        monkeypatch.setattr(trainer, "cayley_step", real_step)
+        silent_zero = StiefelPoint(np.vstack([np.zeros((2, 2)), np.eye(2)]))
+
+        def poisoned(kappa, gradient, tau):
+            if tau == config.learning_rate and any(np.array_equal(kappa.matrix, t)
+                                                   for t in targets):
+                return silent_zero
+            return None
+
+        patch_steps(poisoned)
+        solo = [train_qhmm_reference(data, replace(config, seed=s), 2) for s in seeds]
+        calls = record_kernels()
+        results = train_qhmm_datasets([(data, 2)], config, seeds)[0]
+        for got, want in zip(results, solo):
+            assert_same_fit(got, want)
+        halved = [[(r.epoch, r.batch) for r in records if halvings([r], config)]
+                  for _, records in results]
+        assert halved[0] == halved[2] == [(0, last)] and halved[1] == []
+        fresh = assert_one_forward_per_step(calls, config.dim)
+        assert [step for step, own in enumerate(fresh) if own] == [0, last + 1]
 
     # the steps of seeds 3 and 7 land on operators that cannot emit symbol
     # 0: seed 3 accepts one and then meets a batch with a 0, the candidates
     # of seed 7 fail the check on its first batch
     impossible_data = [(1,), (0, 1), (1, 1), (1, 0), (1, 1, 1), (0,)]
     impossible_config = TrainConfig(dim=2, epochs=2, num_batches=len(impossible_data))
-    impossible_seeds = [5, 3, 6, 7]
 
-    def train_impossible(self):
+    def train_impossible(self, seeds):
         return train_qhmm_datasets([(self.impossible_data, 2)], self.impossible_config,
-                                   self.impossible_seeds)[0]
+                                   seeds)[0]
 
     @staticmethod
     def poison_steps(patch_steps):
@@ -512,58 +676,49 @@ class TestTrainQhmmSeeds:
 
     def test_impossible_batches_drop_only_their_seeds(self, patch_steps):
         self.poison_steps(patch_steps)
-        results = self.train_impossible()
-        for seed, got in zip(self.impossible_seeds, results):
-            assert_same_fit(got, reference_or_error(
-                self.impossible_data, replace(self.impossible_config, seed=seed), 2))
-        assert str(results[1]).startswith("batch loss is not finite")
-        assert str(results[3]).startswith("step failed after 30 halvings")
-        assert not isinstance(results[0], TrainingError)
-        assert not isinstance(results[2], TrainingError)
+        # without seed 7 every candidate of the first step passes, so seed
+        # 3's batch underflows in the forward pass of that step's check
+        for seeds in ([5, 3, 6, 7], [5, 3, 6]):
+            results = self.train_impossible(seeds)
+            for seed, got in zip(seeds, results):
+                assert_same_fit(got, reference_or_error(
+                    self.impossible_data, replace(self.impossible_config, seed=seed), 2))
+            assert str(results[1]) == "batch loss is not finite at epoch 0 batch 1"
+            assert not isinstance(results[0], TrainingError)
+            assert not isinstance(results[2], TrainingError)
+            if 7 in seeds:
+                assert str(results[3]).startswith("step failed after 30 halvings")
 
-    def test_one_stack_layout_per_step(self, monkeypatch, patch_steps):
-        # seed 3's batch underflows at epoch 0 batch 1, and seed 7's
-        # candidates fail their check, all in one stack: each step scores
-        # its rows once, and every candidate check runs over those rows
-        kernel_calls, step_sizes = [], []
-        real_loss, real_propagate = trainer._loss_and_gradient, trainer._propagate
-
-        def loss(ops, rho0, padded, lengths):
-            kernel_calls.append(("loss", padded, lengths))
-            return real_loss(ops, rho0, padded, lengths)
-
-        def propagate(ops, rho0, padded, lengths, history=None):
-            if history is None:  # not the loss kernel's own forward pass
-                kernel_calls.append(("check", padded, lengths))
-            return real_propagate(ops, rho0, padded, lengths, history)
-
+    def test_one_stack_layout_per_step(self, monkeypatch, patch_steps, record_kernels):
         self.poison_steps(patch_steps)
         poisoned = trainer.cayley_step
-
-        def counted(kappa, gradient, tau):
-            step_sizes.append(len(tau))
-            return poisoned(kappa, gradient, tau)
-
-        monkeypatch.setattr(trainer, "cayley_step", counted)
-        monkeypatch.setattr(trainer, "_loss_and_gradient", loss)
-        monkeypatch.setattr(trainer, "_propagate", propagate)
-        results = self.train_impossible()
-        kinds = [kind for kind, *_ in kernel_calls]
-        config = self.impossible_config
-        assert kinds.count("loss") == config.epochs * config.num_batches
-        assert kinds.count("check") == 31 + 11
-        for kind, padded, lengths in kernel_calls:
-            if kind == "loss":
-                rows = padded, lengths
-            else:
-                np.testing.assert_array_equal(padded, rows[0])
-                np.testing.assert_array_equal(lengths, rows[1])
-        # seed 7 halves 30 times alone at the first step; from the second
-        # step on, seed 3 no longer steps
-        assert step_sizes == [4] + [1] * 30 + [2] * 11
-        assert str(results[1]) == "batch loss is not finite at epoch 0 batch 1"
-        assert [isinstance(got, TrainingError) for got in results] \
-            == [False, True, False, True]
+        for seeds, fresh, kept in [
+            # seed 7's candidate fails the first step's check, which covered
+            # the next step's rows; seed 7 then halves alone, over its
+            # step's rows, and fails; seed 3 fails in the second step's own
+            # forward pass
+            ([5, 3, 6, 7], [True] * 3 + [False] * 9, [True, False] + [True] * 9 + [False]),
+            # every candidate of the first step passes: seed 3 fails in the
+            # forward pass of that step's check
+            ([5, 3, 6], [True, False, True] + [False] * 9,
+             [True, False] + [True] * 9 + [False]),
+        ]:
+            monkeypatch.setattr(trainer, "cayley_step", poisoned)
+            calls = record_kernels()
+            results = self.train_impossible(seeds)
+            assert [isinstance(got, TrainingError) for got in results] \
+                == [False, True, False, True][:len(seeds)]
+            # a fresh forward pass at the first step and after a step with a
+            # rejected candidate, a failed run or another set of runs; the
+            # last step has no next batch to check
+            assert assert_one_forward_per_step(calls, self.impossible_config.dim) == fresh
+            assert [any(call[0] == "check" and call[3] for call in step)
+                    for step in recorded_steps(calls)] == kept
+            # one step call per halving round, and one check after each
+            step_sizes = [call[1] for call in calls if call[0] == "step"]
+            assert step_sizes == ([4] + [1] * 30 + [2] * 11 if 7 in seeds
+                                  else [3] + [2] * 11)
+            assert sum(call[0] == "check" for call in calls) == len(step_sizes)
 
     def test_no_seeds_train_nothing(self):
         assert train_qhmm_datasets([([(0, 1)], 2)], TrainConfig(dim=2), []) == [[]]
@@ -588,28 +743,34 @@ class TestTrainQhmmDatasets:
     seeds = [0, 1, 2]
 
     @pytest.mark.parametrize("desk_first", [True, False])
-    def test_runs_of_two_systems_are_bit_identical_to_separate_runs(self, monkeypatch,
-                                                                    desk_first):
+    @pytest.mark.parametrize("dim, num_batches", [
+        # two stacks per step, one of them holding runs of both datasets;
+        # two steps' rows never fit one row block, so every step runs its
+        # own forward pass
+        (4, 5),
+        # one stack of all six runs, in a 512-row block: the desk runs' last
+        # two chunks of every epoch are empty, so the set of runs changes
+        # at batches 6 and 0, and those steps run their own forward pass
+        (2, 8),
+    ])
+    def test_runs_of_two_systems_are_bit_identical_to_separate_runs(
+            self, monkeypatch, record_kernels, desk_first, dim, num_batches):
+        config = replace(self.config, dim=dim, num_batches=num_batches)
         sets = two_system_training_sets()[::1 if desk_first else -1]
-        rows = []
-        real = trainer._loss_and_gradient
-
-        def spy(ops, rho0, padded, lengths):
-            rows.append(len(lengths))
-            return real(ops, rho0, padded, lengths)
-
-        monkeypatch.setattr(trainer, "_loss_and_gradient", spy)
-        results = train_qhmm_datasets(sets, self.config, self.seeds)
+        calls = record_kernels()
+        results = train_qhmm_datasets(sets, config, self.seeds)
         monkeypatch.undo()
         assert [len(group) for group in results] == [3, 3]
         for (dataset, alphabet), group in zip(sets, results):
             for seed, got in zip(self.seeds, group):
                 assert_same_fit(got, train_qhmm_reference(
-                    dataset, replace(self.config, seed=seed), alphabet))
-        # two stacks per step, so one of them holds runs of both datasets,
-        # and none is larger than one row block
-        assert len(rows) == 2 * self.config.epochs * self.config.num_batches
-        assert max(rows) <= 2048 // self.config.dim ** 2
+                    dataset, replace(config, seed=seed), alphabet))
+        fresh = assert_one_forward_per_step(calls, dim)
+        if num_batches == 5:
+            assert fresh == [True] * 2 * config.epochs * num_batches
+        else:
+            assert [index for index, own in enumerate(fresh) if own] \
+                == [index for index in range(len(fresh)) if index % 8 in (0, 6)]
 
     @pytest.mark.parametrize("cap, max_halvings", [
         (0.02, 2),   # every desk run fails, the four-event runs halve
