@@ -128,7 +128,7 @@ def _train_one(kind: str, sequences, alphabet_size: int, args, seed: int):
 # each command returns the paths it wrote; main writes the manifest
 def cmd_make_dataset(args) -> list:
     system = SystemModel.load(args.system)
-    out = _out_dir(args)
+    out = Path(args.out)  # created once both classes are built
     build_datasets(system, max_len=args.max_len, p_min=args.p_min,
                    test_fraction=args.test_fraction, seed=args.seed,
                    out_dir=out)
@@ -137,13 +137,14 @@ def cmd_make_dataset(args) -> list:
 
 def cmd_train(args) -> list:
     data = _load_split(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     model_path, loss_path = out / "model.json", out / "loss.csv"
     try:
         model, records = _train_one(args.kind, data.sequences(), data.alphabet_size,
                                     args, args.seed)
         if isinstance(model, KrausModel) and not validate_kraus(model).passes:
             raise TrainingError("trained model fails the completeness check")
+        _out_dir(args)
         save_model(model, model_path)
         write_training_log(loss_path, records)
     except Exception:
@@ -224,7 +225,6 @@ def cmd_compare(args) -> list:
         if not len(train) or not len(test):
             raise InputError(f"{data_path}: both train and test splits are required")
         datasets.append((data_path, data.alphabet_size, train.sequences(), train, test))
-    out = _out_dir(args)
     # one (model, records) pair or TrainingError per dataset and seed; the
     # QHMM runs of all datasets train in shared stacks
     qhmm_fits = train_qhmm_datasets([(seqs, alphabet_size)
@@ -258,7 +258,7 @@ def cmd_compare(args) -> list:
                                      for model, _ in fits])
                 rows.append([str(data_path), kind, split,
                              repr(float(values.mean())), repr(float(values.std()))])
-    path = out / "comparison.csv"
+    path = _out_dir(args) / "comparison.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "model_kind", "split", "mean_da", "std_da"])

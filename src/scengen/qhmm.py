@@ -217,7 +217,8 @@ def _propagate(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
             if history is not None:
                 history.append((rho[:n], probs))
             block_ll[:n] += np.log(probs)
-            rho = _renormalize(updated, probs)
+            if t + 1 < len(running):  # nothing reads the last step's beliefs
+                rho = _renormalize(updated, probs)
     return log_probs
 
 

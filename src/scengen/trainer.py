@@ -9,27 +9,30 @@ independent and reduced longest sequence first, so results are
 deterministic for a fixed seed.
 
 Several runs, one per (dataset, seed) pair, train in one stacked pass.
-Their operators are stacked symbol by symbol, so a run's symbols are
-offset by the alphabet sizes of the runs before it (datasets of different
-systems may differ in M); every dataset is zero-padded to one width, and
-the mini-batch rows of all runs are merged longest first. The batched
-kernels then run unchanged on the stack, and the one-hot gradient scatter
-keeps each run's gradient apart. A step keeps one stack layout: a run
-whose batch rows underflow leaves the step with its error, each round of
-step halvings retracts the runs still stepping with one call of the list
-form of :func:`cayley_step`, and one filter pass over the step's rows
-checks their candidates (a run without a candidate keeps its point, and
-its rows are ignored).
+Every step stacks the operators of all runs symbol by symbol, so each
+run's symbols are offset once, by the alphabet sizes of the runs before it
+(datasets of different systems may differ in M); every dataset is
+zero-padded to one width, and the mini-batch rows of all runs are merged
+longest first. The batched kernels then run unchanged on the stack, and
+the one-hot gradient scatter keeps each run's gradient apart. A run that
+fails keeps its last point, which nothing reads, and its rows are ignored
+from then on: a run whose batch rows underflow leaves the step with its
+error, each round of step halvings retracts the runs still stepping with
+one call of the list form of :func:`cayley_step`, and one filter pass over
+the step's rows checks their candidates (a run without a candidate keeps
+its point).
 
-A step's check and the next step's forward pass filter under the same
-operators whenever every candidate passes, so they share one pass: when
-every run steps and the next mini-batch stacks the same runs in one row
-block together with this one, the first round's check also filters the
-next batch's rows and keeps their history. If every candidate passes, the
-next step runs only the adjoint, over that history gathered into its own
-layout; otherwise it runs its own forward pass. Every row is filtered by
-the same arithmetic in either pass, and the one-hot scatter sums the same
-rows in the same order, so nothing depends on which pass filtered a row.
+Once a step's last candidate passes, its check has filtered under the
+operators the next step starts from. So whenever both steps' rows fit one
+kernel row block, every check also filters the next step's rows and keeps
+their history, and the last check that ran is the next step's forward
+pass: that step runs only the adjoint, over the history gathered into its
+own layout, which was stacked one step early. A step runs its own forward
+pass only at a stack's first step, when its rows and the next step's
+overflow one row block, and after a step in which no check ran (every run
+of it failed). Every row is filtered by the same arithmetic in either
+pass, and the one-hot scatter sums the same rows in the same order, so
+nothing depends on which pass filtered a row.
 
 Step sizes, halvings, random streams and failures stay per run, so every
 run gets the model, loss trace and error of a run on its own, bit for
@@ -460,25 +463,14 @@ def _train_stack(runs, config: TrainConfig) -> None:
     """:func:`train_qhmm_datasets` for runs that share every kernel call."""
     rho0 = DensityMatrix.maximally_mixed(config.dim).matrix
     shape = (-1, config.multiplicity, config.dim, config.dim)
-    # the rows of one kernel row block, the most a forward pass keeping
-    # history may filter at once
+    # the rows of one kernel row block, the most a pass keeping history may
+    # filter at once
     block_rows = max(1, _BLOCK_BUDGET // config.dim ** 2)
-
-    def batches():
-        # every mini-batch in order as (epoch, index, tau, [(run, rows)]),
-        # over the runs with rows in it; each batch is looked ahead to one
-        # step early, so an epoch's permutations are drawn at the previous
-        # epoch's last batch, from the same stream
-        tau = config.learning_rate
-        for epoch in range(config.epochs):
-            chunks = [np.array_split(run.rng.permutation(len(run.lengths)),
-                                     config.num_batches) for run in runs]
-            for index in range(config.num_batches):
-                yield epoch, index, tau, [
-                    (run, np.sort(run.row_of[chunk[index]]))
-                    for run, chunk in zip(runs, chunks)
-                    if run.error is None and chunk[index].size]
-            tau *= config.decay
+    # every step stacks the operators of all runs, so each run's symbols are
+    # offset once, by the alphabet sizes of the runs before it
+    offsets = dict(zip(runs, accumulate([run.alphabet_size for run in runs[:-1]],
+                                        initial=0)))
+    symbols = {run: run.padded + offset for run, offset in offsets.items()}
 
     def merge(parts):
         # (symbols, lengths) row sets, each longest first, merged longest
@@ -493,75 +485,87 @@ def _train_stack(runs, config: TrainConfig) -> None:
                 [position[start:end] for start, end in zip([0] + ends, ends)])
 
     def stack(batch):
-        # the symbols of each run are offset by the alphabet sizes of the
-        # runs before it, to index its operators in the stack; members[j]
-        # holds the positions of batch[j]'s rows among the merged rows
+        # the batch's rows and lengths, and members[j], the positions of
+        # batch[j]'s rows among them
         if len(batch) == 1:
-            # nothing to merge or offset; merging one run anyway made desk
-            # one-run training about 10% slower
+            # nothing to merge; merging one run anyway made desk one-run
+            # training about 10% slower
             ((run, rows),) = batch
-            return run.padded[rows], run.lengths[rows], [slice(None)]
-        offsets = np.cumsum([0] + [run.alphabet_size for run, _ in batch[:-1]])
-        return merge([(run.padded[rows] + offset, run.lengths[rows])
-                      for (run, rows), offset in zip(batch, offsets)])
+            return symbols[run][rows], run.lengths[rows], [slice(None)]
+        return merge([(symbols[run][rows], run.lengths[rows]) for run, rows in batch])
+
+    def batches():
+        # every mini-batch that has rows, in order, as (epoch, index, tau,
+        # [(run, rows)], layout), over the runs with rows in it; each batch
+        # is looked ahead to one step early, so an epoch's permutations are
+        # drawn at the previous epoch's last batch, from the same stream
+        tau = config.learning_rate
+        for epoch in range(config.epochs):
+            chunks = [np.array_split(run.rng.permutation(len(run.lengths)),
+                                     config.num_batches) for run in runs]
+            for index in range(config.num_batches):
+                batch = [(run, np.sort(run.row_of[chunk[index]]))
+                         for run, chunk in zip(runs, chunks)
+                         if run.error is None and chunk[index].size]
+                if batch:
+                    yield epoch, index, tau, batch, stack(batch)
+            tau *= config.decay
 
     def stacked_ops(points):
         return np.concatenate([point.matrix.reshape(shape) for point in points])
 
-    def gathered(history, positions, lens):
-        # the history of the rows at ``positions`` of a forward pass (longest
-        # first, so the rows running at step t are a leading slice); the
-        # first step's belief is the one that all rows share
-        running = (lens[:, None] > np.arange(lens[0])).sum(axis=0)
+    def gathered(history, positions):
+        # the history of the rows at ``positions`` of a check's rows (longest
+        # first, so the rows running at step t are a leading slice, as many
+        # as that step's probabilities); the first step's belief is the one
+        # that all rows share
+        running = np.searchsorted(positions, [len(probs) for _, probs in history])
         return [(rho if t == 0 else rho[positions[:n]], probs[positions[:n]])
-                for t, ((rho, probs), n) in enumerate(zip(history, running.tolist()))]
+                for t, ((rho, probs), n) in enumerate(zip(history, running.tolist()))
+                if n]
 
     schedule = batches()
-    # ahead: the layout, operators, log-probabilities and history of the
-    # next step's rows, when this step's check filtered them
-    upcoming, ahead = next(schedule, None), None
+    # carried: the operators, log-probabilities and history of the last
+    # check that ran, and the positions of the next step's rows in it, when
+    # it filtered them
+    upcoming, carried = next(schedule, None), None
     while upcoming is not None:
-        (epoch, index, tau, batch), upcoming = upcoming, next(schedule, None)
-        batch = [(run, rows) for run, rows in batch if run.error is None]
-        if not batch:
-            continue
-        stacked = [run for run, _ in batch]
-        # the step keeps one layout: a run whose batch loss is not finite
-        # leaves the step, and its rows are ignored from then on
-        if ahead is None:
-            symbols, lens, members = stack(batch)
+        (epoch, index, tau, batch, (padded, lens, members)), upcoming = \
+            upcoming, next(schedule, None)
+        if carried is None:
             # held until replaced: freeing it before the Cayley step let glibc trim the
             # heap, and at K=16 the step's temporaries re-faulted (10x on wide compare)
-            ops = stacked_ops([run.kappa for run in stacked])
-            log_probs, grad = _loss_and_gradient(ops, rho0, symbols, lens)
+            ops = stacked_ops([run.kappa for run in runs])
+            log_probs, grad = _loss_and_gradient(ops, rho0, padded, lens)
         else:
-            # the previous step's check filtered these rows under these operators
-            (symbols, lens, members), (ops, log_probs, history) = ahead
-            ahead = None
-            grad = _adjoint(ops, [(symbols, history)])
-        start = 0
+            ops, scored, history, positions = carried
+            log_probs = scored[positions]
+            grad = _adjoint(ops, [(padded, gathered(history, positions))])
+            carried = None
+        stepping = []
         for (run, rows), own_rows in zip(batch, members):
+            # the layout was stacked one step early: a run that failed in
+            # that step keeps its rows in it, and they are ignored
+            if run.error is not None:
+                continue
             run.loss = float(-log_probs[own_rows].sum() / len(rows))
-            own = grad[start:start + run.alphabet_size]
+            own = grad[offsets[run]:offsets[run] + run.alphabet_size]
             own /= len(rows)
             run.grad = own.reshape(run.kappa.matrix.shape)  # a view
             run.step_tau = tau
-            start += run.alphabet_size
-            if not math.isfinite(run.loss):
+            if math.isfinite(run.loss):
+                stepping.append(run)
+            else:
                 run.error = TrainingError(
                     f"batch loss is not finite at epoch {epoch} batch {index}")
-        stepping = [run for run in stacked if run.error is None]
-        # when every run steps and the next batch stacks the same runs in
-        # one row block with this one, the next batch's rows join the first
-        # round's check; if every candidate passes, those are the next
-        # step's operators, and that pass is its forward pass
-        fused = None
-        if upcoming is not None and len(stepping) == len(stacked):
-            following = upcoming[3]
-            if ([run for run, _ in following] == stacked and
-                    len(lens) + sum(len(rows) for _, rows in following) <= block_rows):
-                layout = stack(following)
-                fused = merge([(symbols, lens), layout[:2]])
+        # once a step's last candidate passes, its check has filtered under
+        # the operators the next step starts from; so when both steps' rows
+        # fit one row block, every check also filters the next step's rows
+        # and keeps their history, and the last one is the next step's
+        # forward pass
+        check = None
+        if upcoming is not None and len(lens) + len(upcoming[4][1]) <= block_rows:
+            check = merge([(padded, lens), upcoming[4][:2]])
         # every run still halving tries one step per round, all in one
         # call; their candidates are checked together for a finite batch
         # loss, each run without one keeping its point
@@ -573,27 +577,22 @@ def _train_stack(runs, config: TrainConfig) -> None:
                                 [run.step_tau for run in stepping])
             candidates = {run: step for run, step in zip(stepping, steps)
                           if not isinstance(step, StepFailureError)}
-            history = None
             if candidates:
-                ops = stacked_ops([candidates.get(run, run.kappa) for run in stacked])
-                if fused is not None and len(candidates) == len(stacked):
-                    fused_symbols, fused_lens, (this_rows, next_rows) = fused
-                    history = []
-                    scored = _propagate(ops, rho0, fused_symbols, fused_lens, history)
-                    log_probs = scored[this_rows]
+                ops = stacked_ops([candidates.get(run, run.kappa) for run in runs])
+                if check is None:
+                    log_probs = _propagate(ops, rho0, padded, lens)
                 else:
-                    log_probs = _propagate(ops, rho0, symbols, lens)
-            for run, rows in zip(stacked, members):
+                    (check_padded, check_lens, (this_rows, next_rows)), history = check, []
+                    scored = _propagate(ops, rho0, check_padded, check_lens, history)
+                    log_probs = scored[this_rows]
+                    carried = ops, scored, history, next_rows
+            for (run, _), rows in zip(batch, members):
                 if run in candidates and log_probs[rows].min() > -math.inf:
                     run.records.append(TrainRecord(epoch, index, run.loss, run.step_tau))
                     run.kappa = candidates[run]
                     stepping.remove(run)
                 elif run in stepping:  # its step or its candidate failed
                     run.step_tau /= 2.0
-            if history is not None and not stepping:  # every candidate passed
-                ahead = layout, (ops, scored[next_rows],
-                                 gathered(history, next_rows, layout[1]))
-            fused = None
         for run in stepping:
             run.error = TrainingError(
                 f"step failed after {MAX_STEP_HALVINGS} halvings at "

@@ -171,6 +171,17 @@ class TestMakeDataset:
                    tmp_path / "out", "--max-len", 2, "--seed", 0)
         assert code == 1
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--test-fraction", 1.5], 2),
+        (["--p-min", 0.9], 1),   # no probable scenario
+    ])
+    def test_failing_make_dataset_leaves_no_output_directory(self, system_path, tmp_path,
+                                                             argv, code):
+        out = tmp_path / "out"
+        assert run("make-dataset", "--system", system_path, "--out", out, "--seed", 0,
+                   *argv) == code
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, system_path, tmp_path):
         for out in ("a", "b"):
             assert run("make-dataset", "--system", system_path,
@@ -211,6 +222,14 @@ class TestTrain:
 
     def test_missing_data_exits_two(self, tmp_path):
         assert train_small(tmp_path / "missing", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("qhmm", {"K": 0}), ("hmm", {"K": 0}), ("qhmm", {"lr": -1})])
+    def test_failing_train_leaves_no_output_directory(self, dataset_dir, tmp_path,
+                                                      kind, flags):
+        out = tmp_path / "out"
+        assert train_small(dataset_dir, out, kind=kind, **flags) == 2
+        assert not out.exists()
 
 
 class TestEval:
@@ -455,6 +474,14 @@ class TestCompare:
         assert run("compare", "--data", dataset_dir / "probable.jsonl",
                    "--data", tmp_path / "nope.jsonl", "--out", out,
                    "--K", 2, "--epochs", 1, "--seeds", "0") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--K", 0], ["--batches", 0]])
+    def test_failing_compare_leaves_no_output_directory(self, dataset_dir, tmp_path,
+                                                        argv):
+        out = tmp_path / "cmp"
+        assert run("compare", "--data", dataset_dir / "probable.jsonl", "--out", out,
+                   "--K", 2, "--epochs", 1, "--seeds", "0", *argv) == 2
         assert not out.exists()
 
     def test_reruns_are_byte_identical(self, dataset_dir, tmp_path):

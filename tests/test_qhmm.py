@@ -177,6 +177,60 @@ class TestLogLikelihood:
         assert qhmm_log_likelihood(model, [0, 1]) == float("-inf")
 
 
+def filter_renormalizing_every_step(operators, rho0, padded, lengths, history):
+    """:func:`qhmm._propagate`'s filter with the beliefs renormalized after
+    every step of a block, its last step included."""
+    log_probs = np.zeros(len(lengths))
+    for rows in _row_blocks(len(lengths), rho0.shape[0] ** 2, _BLOCK_BUDGET):
+        symbols, block_ll, block_len = padded[rows], log_probs[rows], lengths[rows]
+        rho = rho0[None]
+        for t in range(block_len[0]):
+            n = int(np.count_nonzero(block_len > t))
+            updated, probs = qhmm._kraus_step(operators, rho[:n], symbols[:n, t])
+            dead = probs <= qhmm.UNDERFLOW_PROB
+            block_ll[:n][dead] = -np.inf
+            probs = np.where(dead, 1.0, probs)
+            history.append((rho[:n], probs))
+            block_ll[:n] += np.log(probs)
+            rho = qhmm._renormalize(updated, probs)
+    return log_probs
+
+
+class TestPropagate:
+    def test_skipping_each_blocks_last_renormalization_changes_nothing(
+            self, monkeypatch):
+        # 300 rows of lengths 1 to 7 over three 128-row blocks at K=4;
+        # symbol 2 cannot be emitted, so every 50th row underflows
+        rng = np.random.default_rng(4)
+        ops = random_kraus_model(rng, 4, 3).operators.copy()
+        ops[2] = 0.0
+        lengths = np.sort(rng.integers(1, 8, size=300))[::-1]
+        padded = rng.integers(0, 2, size=(300, 7)) * (np.arange(7) < lengths[:, None])
+        padded[::50, 0] = 2
+        rho0 = DensityMatrix.maximally_mixed(4).matrix
+        want_history = []
+        want = filter_renormalizing_every_step(ops, rho0, padded, lengths, want_history)
+        assert np.isinf(want).sum() == 6 and np.isfinite(want).sum() == 294
+        real, calls = qhmm._renormalize, []
+
+        def counted(updated, probs):
+            calls.append(len(probs))
+            return real(updated, probs)
+
+        monkeypatch.setattr(qhmm, "_renormalize", counted)
+        history = []
+        got = qhmm._propagate(ops, rho0, padded, lengths, history)
+        np.testing.assert_array_equal(got, want)
+        assert len(history) == len(want_history)
+        for (rho, probs), (want_rho, want_probs) in zip(history, want_history):
+            np.testing.assert_array_equal(rho, want_rho)
+            np.testing.assert_array_equal(probs, want_probs)
+        # steps - 1 renormalizations per block
+        blocks = _row_blocks(300, 16, _BLOCK_BUDGET)
+        assert len(blocks) == 3
+        assert len(calls) == sum(lengths[rows][0] - 1 for rows in blocks)
+
+
 class TestSample:
     def test_projective_from_pure_state_is_constant(self):
         ops = projective_model().operators

@@ -1,6 +1,5 @@
 import csv
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -443,23 +442,28 @@ def record_kernels(monkeypatch):
     ``cayley_step`` as it is then (so it goes after any patch of it), and
     returns a new list that it records their calls into, in order:
 
-    - ``("forward", padded, lengths, fresh)`` starts each step, fresh when
-      the step ran its own forward pass and not when it ran only the
-      adjoint over the history kept by the previous step's check;
+    - ``("stack",)`` starts each training stack;
+    - ``("forward", padded, lengths, fresh, ops)`` starts each step, fresh
+      when the step ran its own forward pass and not when it ran only the
+      adjoint over history an earlier check kept;
     - ``("step", entries)`` is a :func:`cayley_step` call;
-    - ``("check", padded, lengths, kept)`` is a candidate check, kept when
-      it kept history for the next step.
+    - ``("check", padded, lengths, kept, ops)`` is a candidate check, kept
+      when it kept history for the next step.
     """
 
     real_loss, real_adjoint = trainer._loss_and_gradient, trainer._adjoint
-    real_propagate = trainer._propagate
+    real_propagate, real_stack = trainer._propagate, trainer._train_stack
 
     def install():
         calls, inside_loss = [], []
         real_step = trainer.cayley_step
 
+        def train_stack(runs, config):
+            calls.append(("stack",))
+            return real_stack(runs, config)
+
         def loss(ops, rho0, padded, lengths):
-            calls.append(("forward", padded, lengths, True))
+            calls.append(("forward", padded, lengths, True, ops))
             inside_loss.append(True)
             try:
                 return real_loss(ops, rho0, padded, lengths)
@@ -472,18 +476,19 @@ def record_kernels(monkeypatch):
                 # a row runs for as many steps as the history has entries for it
                 lengths = np.array([sum(len(probs) > row for _, probs in history)
                                     for row in range(len(padded))])
-                calls.append(("forward", padded, lengths, False))
+                calls.append(("forward", padded, lengths, False, ops))
             return real_adjoint(ops, blocks)
 
         def propagate(ops, rho0, padded, lengths, history=None):
             if not inside_loss:
-                calls.append(("check", padded, lengths, history is not None))
+                calls.append(("check", padded, lengths, history is not None, ops))
             return real_propagate(ops, rho0, padded, lengths, history)
 
         def step(kappa, gradient, tau):
             calls.append(("step", len(tau)))
             return real_step(kappa, gradient, tau)
 
+        monkeypatch.setattr(trainer, "_train_stack", train_stack)
         monkeypatch.setattr(trainer, "_loss_and_gradient", loss)
         monkeypatch.setattr(trainer, "_adjoint", adjoint)
         monkeypatch.setattr(trainer, "_propagate", propagate)
@@ -493,15 +498,23 @@ def record_kernels(monkeypatch):
     return install
 
 
+def recorded_stacks(calls):
+    """The recorded kernel calls split into stacks, each a list of steps led
+    by their forward passes."""
+    stacks = []
+    for call in calls:
+        if call[0] == "stack":
+            stacks.append([])
+        elif call[0] == "forward":
+            stacks[-1].append([call])
+        else:
+            stacks[-1][-1].append(call)
+    return stacks
+
+
 def recorded_steps(calls):
     """The recorded kernel calls split into steps, each led by its forward pass."""
-    steps = []
-    for call in calls:
-        if call[0] == "forward":
-            steps.append([call])
-        else:
-            steps[-1].append(call)
-    return steps
+    return [step for stack in recorded_stacks(calls) for step in stack]
 
 
 def as_rows(padded, lengths):
@@ -512,40 +525,39 @@ def as_rows(padded, lengths):
 def assert_one_forward_per_step(calls, dim):
     """Check the recorded calls of a training, stack after stack:
 
-    - a step runs its own forward pass unless its previous step's first
-      check kept history and every candidate passed there;
-    - every check filters its step's rows, and only those unless it keeps
-      history; one that does is a first round and fits one kernel row block;
-    - a step that ran no forward pass of its own got its history from
-      exactly its rows and the previous step's, merged longest first;
+    - a step runs its own forward pass only at its stack's first step, when
+      its rows and the next step's overflow one kernel row block, and after
+      a step in which no check ran;
+    - every check filters its step's rows, merged longest first with the
+      next step's and keeping history when both fit one row block, and
+      alone otherwise;
+    - a step that ran no forward pass of its own ran the adjoint under the
+      operators of the previous step's last check;
     - the one-hot scatter sees a step's rows only, at most 128 of them.
 
     Returns, per step, whether it ran its own forward pass."""
-    steps = recorded_steps(calls)
-    assert steps and steps[0][0][3]
-    for i, ((_, padded, lengths, _), *rest) in enumerate(steps):
-        assert len(lengths) <= 128
-        rows = as_rows(padded, lengths)
-        checks = [call[1:] for call in rest if call[0] == "check"]
-        for j, (check_padded, check_lengths, kept) in enumerate(checks):
-            checked = as_rows(check_padded, check_lengths)
-            if not kept:
-                assert checked == rows
-                continue
-            assert j == 0 and len(checked) <= 2048 // dim ** 2
-            assert check_lengths.tolist() == sorted(check_lengths.tolist(), reverse=True)
-            unchecked = Counter(rows)
-            unchecked.subtract(checked)
-            assert max(unchecked.values()) <= 0
-            next_padded, next_lengths, next_fresh = steps[i + 1][0][1:]
-            if not next_fresh:
+    fresh = []
+    for stack in recorded_stacks(calls):
+        assert stack[0][0][3]
+        for i, ((_, padded, lengths, own, _), *rest) in enumerate(stack):
+            assert len(lengths) <= 128
+            rows = as_rows(padded, lengths)
+            checks = [call[1:] for call in rest if call[0] == "check"]
+            following, fits = None, False
+            if i + 1 < len(stack):
+                _, next_padded, next_lengths, next_own, next_ops = stack[i + 1][0]
                 following = as_rows(next_padded, next_lengths)
-                assert checked == sorted(rows + following, key=lambda row: -row[0])
-        rounds = sum(call[0] == "step" for call in rest)
-        carried = bool(checks) and checks[0][2] and rounds == 1
-        if i + 1 < len(steps):
-            assert steps[i + 1][0][3] == (not carried)
-    return [step[0][3] for step in steps]
+                fits = len(rows) + len(following) <= 2048 // dim ** 2
+            for check_padded, check_lengths, kept, _ in checks:
+                assert kept == fits
+                assert as_rows(check_padded, check_lengths) == (
+                    sorted(rows + following, key=lambda row: -row[0]) if fits else rows)
+            if following is not None:
+                assert next_own == (not (fits and checks))
+                if not next_own:
+                    assert next_ops is checks[-1][3]
+            fresh.append(own)
+    return fresh
 
 
 class TestTrainQhmmSeeds:
@@ -608,8 +620,12 @@ class TestTrainQhmmSeeds:
         assert [(r.epoch, r.batch) for r in results[2][1]
                 if halvings([r], config) and r.batch == config.num_batches - 1] \
             == [(0, 4), (2, 4)]
+        # halving rounds do not make a step run its own forward pass: the
+        # last check of a step that halved carried the next step's rows
         fresh = assert_one_forward_per_step(calls, config.dim)
-        assert True in fresh[1:] and False in fresh
+        assert fresh == [True] + [False] * (len(fresh) - 1)
+        assert any(sum(call[0] == "check" for call in step) > 1
+                   for step in recorded_steps(calls))
 
     def test_candidate_rejected_at_an_epochs_last_batch(self, monkeypatch, patch_steps,
                                                         record_kernels):
@@ -649,8 +665,12 @@ class TestTrainQhmmSeeds:
         halved = [[(r.epoch, r.batch) for r in records if halvings([r], config)]
                   for _, records in results]
         assert halved[0] == halved[2] == [(0, last)] and halved[1] == []
+        # the rejected round's check and the passing round's both carried
+        # the next rows, and the step after the halving ran only the adjoint
         fresh = assert_one_forward_per_step(calls, config.dim)
-        assert [step for step, own in enumerate(fresh) if own] == [0, last + 1]
+        assert fresh == [True] + [False] * (len(fresh) - 1)
+        assert [call[0] for call in recorded_steps(calls)[last][1:]] \
+            == ["step", "check"] * 2
 
     # the steps of seeds 3 and 7 land on operators that cannot emit symbol
     # 0: seed 3 accepts one and then meets a batch with a 0, the candidates
@@ -692,32 +712,35 @@ class TestTrainQhmmSeeds:
     def test_one_stack_layout_per_step(self, monkeypatch, patch_steps, record_kernels):
         self.poison_steps(patch_steps)
         poisoned = trainer.cayley_step
-        for seeds, fresh, kept in [
-            # seed 7's candidate fails the first step's check, which covered
-            # the next step's rows; seed 7 then halves alone, over its
-            # step's rows, and fails; seed 3 fails in the second step's own
-            # forward pass
-            ([5, 3, 6, 7], [True] * 3 + [False] * 9, [True, False] + [True] * 9 + [False]),
+        for seeds, fresh, kept, step_sizes in [
+            # seed 7's candidate fails the first step's check; seed 7 then
+            # halves alone and fails, each of its checks filtering both
+            # steps' rows; its rows of the second step are ignored there,
+            # and seed 3 fails in the forward pass of the first step's last
+            # check
+            ([5, 3, 6, 7], [True] + [False] * 11, [True] * 11 + [False],
+             [4] + [1] * 30 + [2] * 11),
             # every candidate of the first step passes: seed 3 fails in the
             # forward pass of that step's check
-            ([5, 3, 6], [True, False, True] + [False] * 9,
-             [True, False] + [True] * 9 + [False]),
+            ([5, 3, 6], [True] + [False] * 11, [True] * 11 + [False], [3] + [2] * 11),
+            # seed 3 alone fails in its second step, before any check; its
+            # third step was stacked a step early and runs its own forward
+            # pass, over rows that are then ignored
+            ([3], [True, False, True], [True, False, False], [1]),
         ]:
             monkeypatch.setattr(trainer, "cayley_step", poisoned)
             calls = record_kernels()
             results = self.train_impossible(seeds)
             assert [isinstance(got, TrainingError) for got in results] \
-                == [False, True, False, True][:len(seeds)]
-            # a fresh forward pass at the first step and after a step with a
-            # rejected candidate, a failed run or another set of runs; the
-            # last step has no next batch to check
+                == [seed in (3, 7) for seed in seeds]
+            # a fresh forward pass at the first step, and after a step in
+            # which no check ran, though runs fail and halve; the last step
+            # has no next batch to check
             assert assert_one_forward_per_step(calls, self.impossible_config.dim) == fresh
             assert [any(call[0] == "check" and call[3] for call in step)
                     for step in recorded_steps(calls)] == kept
             # one step call per halving round, and one check after each
-            step_sizes = [call[1] for call in calls if call[0] == "step"]
-            assert step_sizes == ([4] + [1] * 30 + [2] * 11 if 7 in seeds
-                                  else [3] + [2] * 11)
+            assert [call[1] for call in calls if call[0] == "step"] == step_sizes
             assert sum(call[0] == "check" for call in calls) == len(step_sizes)
 
     def test_no_seeds_train_nothing(self):
@@ -750,7 +773,8 @@ class TestTrainQhmmDatasets:
         (4, 5),
         # one stack of all six runs, in a 512-row block: the desk runs' last
         # two chunks of every epoch are empty, so the set of runs changes
-        # at batches 6 and 0, and those steps run their own forward pass
+        # at batches 6 and 0, and still only the first step runs its own
+        # forward pass
         (2, 8),
     ])
     def test_runs_of_two_systems_are_bit_identical_to_separate_runs(
@@ -769,8 +793,7 @@ class TestTrainQhmmDatasets:
         if num_batches == 5:
             assert fresh == [True] * 2 * config.epochs * num_batches
         else:
-            assert [index for index, own in enumerate(fresh) if own] \
-                == [index for index in range(len(fresh)) if index % 8 in (0, 6)]
+            assert fresh == [True] + [False] * (config.epochs * num_batches - 1)
 
     @pytest.mark.parametrize("cap, max_halvings", [
         (0.02, 2),   # every desk run fails, the four-event runs halve
