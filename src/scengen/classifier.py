@@ -16,7 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .errors import AlphabetMismatchError, InputError
-from .metrics import _check_model, _padded, _scores
+from .metrics import _check_model, _scores
 from .psa import NO_PROBABLE, PROBABLE, ScenarioDataset
 
 LABELS = (PROBABLE, NO_PROBABLE)
@@ -59,8 +59,7 @@ def _predictions(clf: TwoModelClassifier, data):
     """Arrays of the predicted labels and the DAs under the probable and
     the no-probable model of a list of sequences or a dataset, in input
     order, from rows padded once; a tie goes to no_probable."""
-    rows = _padded(clf.model_probable, data)
-    da_p, da_n = _scores(clf.model_probable, rows)[2], _scores(clf.model_no_probable, rows)[2]
+    da_p, da_n = _scores([clf.model_probable, clf.model_no_probable], data)[2]
     return np.where(da_p > da_n, PROBABLE, NO_PROBABLE), da_p, da_n
 
 

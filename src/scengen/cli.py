@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .classifier import TwoModelClassifier, _check_labels, write_classification_report
 from .errors import AlphabetMismatchError, InputError, ScengenError, TrainingError
-from .hmm import CategoricalHmm, _pad, baum_welch_fit, hmm_samples
+from .hmm import CategoricalHmm, baum_welch_fit, hmm_samples
 from .metrics import _scores, write_da_report
 from .psa import (SystemModel, apply_event, build_datasets, decode_scenario,
                   load_dataset)
@@ -233,9 +233,6 @@ def cmd_compare(args) -> list:
     rows = []
     for (data_path, alphabet_size, train_seqs, train, test), qhmm in zip(datasets,
                                                                           qhmm_fits):
-        # each split is padded once and scored under every trained model
-        padded = {"train": _pad(train.symbols, train.lengths, alphabet_size),
-                  "test": _pad(test.symbols, test.lengths, alphabet_size)}
         # the HMM seeds train one at a time up to the first failure
         hmm_fits = []
         for seed in args.seeds:
@@ -253,9 +250,9 @@ def cmd_compare(args) -> list:
                 rows += [[str(data_path), kind, split, "failed", "failed"]
                          for split in ("train", "test")]
                 continue
-            for split, split_rows in padded.items():
-                values = np.asarray([np.mean(_scores(model, split_rows)[2])
-                                     for model, _ in fits])
+            # each split is padded once and scored under all of the kind's models
+            for split, split_data in (("train", train), ("test", test)):
+                values = _scores([model for model, _ in fits], split_data)[2].mean(axis=1)
                 rows.append([str(data_path), kind, split,
                              repr(float(values.mean())), repr(float(values.std()))])
     path = _out_dir(args) / "comparison.csv"

@@ -92,7 +92,7 @@ def log_likelihoods(model, sequences) -> np.ndarray:
     the scaled forward pass of a categorical HMM, or the belief filter of a
     Kraus-operator model.
     """
-    return _row_log_likelihoods(model, _padded(model, sequences))
+    return _scores([model], sequences, da=False)[1][0]
 
 
 def _check_model(model) -> None:
@@ -100,36 +100,34 @@ def _check_model(model) -> None:
         raise InputError(f"unsupported model type {type(model).__name__}")
 
 
-def _padded(model, sequences):
-    """The ``(padded, lengths, order)`` rows of :func:`hmm._pad` for a list of
-    sequences or a dataset's columns, checked against the model's alphabet."""
-    _check_model(model)
-    if isinstance(sequences, ScenarioDataset):
-        return _pad(sequences.symbols, sequences.lengths, model.alphabet_size)
-    return _pad(*_flatten(sequences), model.alphabet_size)
+def _scores(models, data, da: bool = True):
+    """Lengths, in input order, and each model's log-probabilities and
+    description accuracies of a list of sequences or a :class:`ScenarioDataset`.
 
-
-def _row_log_likelihoods(model, rows) -> np.ndarray:
-    """Log-probabilities of padded rows ``(padded, lengths, order)``, in input order."""
-    padded, lengths, order = rows
-    scores = np.empty(len(lengths))
-    if isinstance(model, CategoricalHmm):
-        for block, block_scores, *_ in _trellis_blocks(model, padded, lengths):
-            scores[order[block]] = block_scores
+    The models must share one alphabet, which callers check: the data are
+    padded once, by :func:`hmm._pad` against the first model's alphabet,
+    and every model scores the same rows. Returns ``(lengths, log_probs,
+    das)``, with one row per model in ``log_probs`` and ``das``;
+    ``da=False`` leaves ``das`` None (a one-symbol alphabet has no DA).
+    """
+    for model in models:
+        _check_model(model)
+    alphabet_size = models[0].alphabet_size
+    if isinstance(data, ScenarioDataset):
+        padded, row_lengths, order = _pad(data.symbols, data.lengths, alphabet_size)
     else:
-        scores[order] = _propagate(model.operators, model.initial_state.matrix,
-                                   padded, lengths)
-    return scores
-
-
-def _scores(model, rows):
-    """Lengths, log-probabilities and description accuracies of padded rows,
-    in input order."""
-    _, row_lengths, order = rows
+        padded, row_lengths, order = _pad(*_flatten(data), alphabet_size)
     lengths = np.empty_like(row_lengths)
     lengths[order] = row_lengths
-    log_probs = _row_log_likelihoods(model, rows)
-    return lengths, log_probs, da_scores(log_probs, lengths, model.alphabet_size)
+    log_probs = np.empty((len(models), len(lengths)))
+    for model, scores in zip(models, log_probs):
+        if isinstance(model, CategoricalHmm):
+            for block, block_scores, *_ in _trellis_blocks(model, padded, row_lengths):
+                scores[order[block]] = block_scores
+        else:
+            scores[order] = _propagate(model.operators, model.initial_state.matrix,
+                                       padded, row_lengths)
+    return lengths, log_probs, da_scores(log_probs, lengths, alphabet_size) if da else None
 
 
 def average_da(model, dataset) -> float:
@@ -137,7 +135,7 @@ def average_da(model, dataset) -> float:
 
     ``dataset`` is a list of sequences or a :class:`ScenarioDataset`.
     """
-    return float(np.mean(_scores(model, _padded(model, dataset))[2]))
+    return float(np.mean(_scores([model], dataset)[2][0]))
 
 
 def write_da_report(path, model, dataset) -> float:
@@ -145,7 +143,7 @@ def write_da_report(path, model, dataset) -> float:
 
     ``dataset`` is a list of sequences or a :class:`ScenarioDataset`.
     """
-    lengths, log_probs, scores = _scores(model, _padded(model, dataset))
+    lengths, (log_probs,), (scores,) = _scores([model], dataset)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sequence_id", "length", "log_prob", "da"])

@@ -23,9 +23,14 @@ def load_model(path):
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InputError(f"{path} does not hold a JSON object")
     kind = payload.get("type")
-    if kind == "hmm":
-        return CategoricalHmm.from_dict(payload)
-    if kind == "qhmm":
-        return KrausModel.from_dict(payload)
-    raise InputError(f"unknown model type {kind!r} in {path}")
+    if kind not in ("hmm", "qhmm"):
+        raise InputError(f"unknown model type {kind!r} in {path}")
+    try:
+        return (CategoricalHmm if kind == "hmm" else KrausModel).from_dict(payload)
+    except KeyError as exc:
+        raise InputError(f"malformed model in {path}: missing field {exc}") from exc
+    except (InputError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed model in {path}: {exc}") from exc

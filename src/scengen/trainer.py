@@ -30,9 +30,11 @@ pass: that step runs only the adjoint, over the history gathered into its
 own layout, which was stacked one step early. A step runs its own forward
 pass only at a stack's first step, when its rows and the next step's
 overflow one row block, and after a step in which no check ran (every run
-of it failed). Every row is filtered by the same arithmetic in either
-pass, and the one-hot scatter sums the same rows in the same order, so
-nothing depends on which pass filtered a row.
+of it failed) or that was skipped: a step whose runs have all failed,
+which the lookahead stacked before they did, runs no pass. Every row is
+filtered by the same arithmetic in either pass, and the one-hot scatter
+sums the same rows in the same order, so nothing depends on which pass
+filtered a row.
 
 Step sizes, halvings, random streams and failures stay per run, so every
 run gets the model, loss trace and error of a run on its own, bit for
@@ -49,6 +51,7 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -338,9 +341,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        integers = ("dim", "num_batches", "epochs", "multiplicity")
+        for name in integers + ("learning_rate", "decay"):
+            value, kind = getattr(self, name), Integral if name in integers else Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is Integral else "a real number"
+                raise InputError(f"{name} must be {noun}, not {value!r}")
         if self.dim < 1:
             raise InputError("dim must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise InputError("learning_rate must be positive")
         if not 0.0 < self.decay <= 1.0:
             raise InputError("decay must lie in (0, 1]")
@@ -532,6 +541,12 @@ def _train_stack(runs, config: TrainConfig) -> None:
     while upcoming is not None:
         (epoch, index, tau, batch, (padded, lens, members)), upcoming = \
             upcoming, next(schedule, None)
+        if all(run.error is not None for run, _ in batch):
+            # the lookahead stacked this step before its runs failed: no
+            # pass over its rows would be read, and the next step runs its
+            # own forward pass
+            carried = None
+            continue
         if carried is None:
             # held until replaced: freeing it before the Cayley step let glibc trim the
             # heap, and at K=16 the step's temporaries re-faulted (10x on wide compare)

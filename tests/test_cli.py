@@ -223,6 +223,18 @@ class TestTrain:
     def test_missing_data_exits_two(self, tmp_path):
         assert train_small(tmp_path / "missing", tmp_path / "out") == 2
 
+    def test_failed_training_removes_earlier_outputs(self, dataset_dir, tmp_path,
+                                                     capsys, capped_steps):
+        # with steps capped, seed 2 fails at epoch 0 batch 0
+        capped_steps(0.1, max_halvings=1)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("model.json", "loss.csv"):
+            (out / name).write_text("from an earlier run\n")
+        assert train_small(dataset_dir, out, seed=2) == 1
+        assert capsys.readouterr().err.startswith("error: step failed after 1 halvings")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("kind, flags", [
         ("qhmm", {"K": 0}), ("hmm", {"K": 0}), ("qhmm", {"lr": -1})])
     def test_failing_train_leaves_no_output_directory(self, dataset_dir, tmp_path,
@@ -265,6 +277,23 @@ class TestEval:
         data.write_text('{"sequence": [0, 5]}\n')
         assert run("eval", "--model", model_path, "--data", data,
                    "--out", tmp_path / "eval") == 2
+
+    @pytest.mark.parametrize("payload", [
+        {"type": "hmm"},
+        {"type": "qhmm", "K": 2},
+        {"type": "hmm", "K": 1, "M": 2, "transition": [[1.0]],
+         "emission": [[0.5, 0.5]], "start": ["one"]},
+        [{"type": "hmm"}],
+    ], ids=["hmm-no-arrays", "qhmm-no-operators", "text-start", "list"])
+    def test_malformed_model_file_exits_two(self, tmp_path, capsys, payload):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"sequence": [0, 1]}\n')
+        out = tmp_path / "eval"
+        assert run("eval", "--model", model_path, "--data", data, "--out", out) == 2
+        assert str(model_path) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenerate:
@@ -335,6 +364,29 @@ class TestGenerate:
                     if "do not decode" in line]
         assert warnings == [f"warning: {illegal} of 8 sequences do not decode "
                             "as legal walks"]
+
+    def test_illegal_prefix_warns_and_decodes_from_all_up(self, ref_system, system_path,
+                                                          tmp_path, capsys):
+        # the prefix [repair A] is not a legal walk: A is up in the all-up state
+        model_path = tmp_path / "hmm.json"
+        save_model(CategoricalHmm([[1.0]], [[0.5, 0.5, 0, 0, 0, 0]], [1.0]),
+                   model_path)
+        out = tmp_path / "gen"
+        assert run("generate", "--model", model_path, "--out", out,
+                   "--count", 8, "--length", 2, "--seed", 0,
+                   "--prefix", "1", "--system", system_path) == 0
+        assert capsys.readouterr().err.splitlines()[0].startswith(
+            "warning: prefix is not a legal walk (")
+        records = [json.loads(line) for line in
+                   (out / "sequences.jsonl").read_text().strip().splitlines()]
+        assert any(r["steps"] is not None for r in records)
+        for record in records:
+            try:
+                want = [[ref_system.events[idx].id, action]
+                        for idx, action in decode_scenario(ref_system, record["sequence"])]
+            except InputError:
+                want = None
+            assert record["steps"] == want
 
     @pytest.mark.parametrize("kind", ["hmm", "qhmm"])
     @pytest.mark.parametrize("argv", [
@@ -549,6 +601,35 @@ class TestCompare:
                             [str(path), "qhmm", "test", "failed", "failed"]]
         for row in rows[1:3]:
             float(row[3])
+
+    def test_failing_hmm_seed_leaves_the_qhmm_rows_alone(self, dataset_dir, tmp_path,
+                                                         capsys, monkeypatch):
+        path = dataset_dir / "probable.jsonl"
+        argv = ["compare", "--data", path, "--K", 2, "--epochs", 3, "--seeds", "0,1,2"]
+        assert run(*argv, "--out", tmp_path / "ok") == 0
+        real_fit, fitted = cli.baum_welch_fit, []
+
+        def fit(*args, seed, **kwargs):
+            fitted.append(seed)
+            if seed == 1:
+                raise TrainingError("EM failed")
+            return real_fit(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(cli, "baum_welch_fit", fit)
+        capsys.readouterr()
+        assert run(*argv, "--out", tmp_path / "cmp") == 0
+        # the HMM seeds stop at the first failure
+        assert fitted == [0, 1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: hmm training failed on {path} (seed 1): EM failed"]
+        rows = {}
+        for name in ("ok", "cmp"):
+            with open(tmp_path / name / "comparison.csv", newline="") as fh:
+                rows[name] = list(csv.reader(fh))
+        assert rows["cmp"][1:3] == [[str(path), "hmm", split, "failed", "failed"]
+                                    for split in ("train", "test")]
+        assert rows["cmp"][3:] == rows["ok"][3:]
+        assert "failed" not in rows["ok"][1] + rows["ok"][2]
 
     @pytest.fixture
     def two_systems(self, dataset_dir, tmp_path):

@@ -194,6 +194,13 @@ class TestCayleyStep:
         with pytest.raises(InputError):
             cayley_step(kappa, np.ones((4, 2), dtype=complex), -0.1)
 
+    def test_nan_gradient_raises_step_failure(self):
+        gradient = np.zeros((4, 2), dtype=complex)
+        gradient[1, 0] = np.nan
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(StepFailureError, match="^step produced non-finite entries$"):
+            cayley_step(random_stiefel(4, 2, 0), gradient, 0.1)
+
 
 def step_entries(rng, shapes, tau_range=(0.01, 0.5)):
     """(point, gradient, tau) per (alphabet, multiplicity, dim) shape, with
@@ -327,6 +334,10 @@ class TestTrainConfig:
         {"dim": 2, "decay": 0.0}, {"dim": 2, "decay": 1.5},
         {"dim": 2, "num_batches": 0}, {"dim": 2, "epochs": -1},
         {"dim": 2, "multiplicity": 0},
+        {"dim": 2.5}, {"dim": True}, {"dim": "3"}, {"dim": 2, "epochs": 1.5},
+        {"dim": 2, "num_batches": 2.0}, {"dim": 2, "multiplicity": None},
+        {"dim": 2, "learning_rate": "0.1"}, {"dim": 2, "learning_rate": float("nan")},
+        {"dim": 2, "decay": None},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(InputError):
@@ -724,9 +735,8 @@ class TestTrainQhmmSeeds:
             # forward pass of that step's check
             ([5, 3, 6], [True] + [False] * 11, [True] * 11 + [False], [3] + [2] * 11),
             # seed 3 alone fails in its second step, before any check; its
-            # third step was stacked a step early and runs its own forward
-            # pass, over rows that are then ignored
-            ([3], [True, False, True], [True, False, False], [1]),
+            # third step was stacked a step early, and is skipped
+            ([3], [True, False], [True, False], [1]),
         ]:
             monkeypatch.setattr(trainer, "cayley_step", poisoned)
             calls = record_kernels()
@@ -742,6 +752,27 @@ class TestTrainQhmmSeeds:
             # one step call per halving round, and one check after each
             assert [call[1] for call in calls if call[0] == "step"] == step_sizes
             assert sum(call[0] == "check" for call in calls) == len(step_sizes)
+
+    def test_step_after_a_skipped_step_runs_its_own_forward(self, patch_steps,
+                                                             record_kernels):
+        # seed 7 fails after 30 halvings at the first batch, and every check
+        # of that step carries the second batch, which holds seed 7's rows
+        # alone and is skipped; the one-sequence dataset has rows only in
+        # each epoch's first batch, so its run steps next at epoch 1
+        self.poison_steps(patch_steps)
+        datasets = [(self.impossible_data, 2), ([(1, 1)], 2)]
+        solo = [reference_or_error(data, replace(self.impossible_config, seed=7), alphabet)
+                for data, alphabet in datasets]
+        calls = record_kernels()
+        results = [group[0] for group in
+                   train_qhmm_datasets(datasets, self.impossible_config, [7])]
+        for got, want in zip(results, solo):
+            assert_same_fit(got, want)
+        assert str(results[0]).startswith("step failed after 30 halvings at epoch 0 batch 0")
+        steps = recorded_steps(calls)
+        assert [step[0][3] for step in steps] == [True, True]
+        assert all(call[3] for call in steps[0] if call[0] == "check")
+        assert steps[1][0][2].tolist() == [2]
 
     def test_no_seeds_train_nothing(self):
         assert train_qhmm_datasets([([(0, 1)], 2)], TrainConfig(dim=2), []) == [[]]
