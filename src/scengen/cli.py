@@ -35,6 +35,10 @@ from .trainer import (TrainConfig, TrainRecord, train_qhmm, train_qhmm_datasets,
                       write_training_log)
 
 
+# rows that generate draws and writes at a time, which bounds its memory
+_GENERATE_CHUNK = 4096
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -90,6 +94,23 @@ def _int_list(text: str) -> list:
         return [int(s) for s in text.split(",") if s != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    """argparse type of a seed: numpy seeds its generators from non-negative
+    integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
+def _seed_list(text: str) -> list:
+    """argparse type of a comma-separated seed list; empty fields are skipped."""
+    return [_seed(s) for s in text.split(",") if s != ""]
 
 
 def _load_split(args, model_alphabet=None):
@@ -179,27 +200,50 @@ def cmd_generate(args) -> list:
             print(f"warning: prefix is not a legal walk ({exc}); "
                   "decoding from the all-up state", file=sys.stderr)
     sample = hmm_samples if isinstance(model, CategoricalHmm) else qhmm_samples
-    sequences = sample(model, args.length, args.count, args.seed, prefix=prefix).tolist()
-    out = _out_dir(args)
-    path = out / "sequences.jsonl"
+    # rows are drawn and written a chunk at a time from one generator; row i
+    # of a call equals the i-th one-row call, so the file does not depend on
+    # the chunk size
+    rng = np.random.default_rng(args.seed)
+
+    def draw(rows):
+        return sample(model, args.length, min(rows, _GENERATE_CHUNK), rng, prefix=prefix)
+
+    chunk = draw(args.count)  # checks length, count and prefix before --out exists
+    path = _out_dir(args) / "sequences.jsonl"
     illegal = 0
-    with open(path, "w") as fh:
-        for sequence in sequences:
-            payload = {"sequence": sequence}
-            if system is not None:
-                try:
-                    steps = decode_scenario(system, sequence,
-                                            initial_state=decode_start)
-                    payload["steps"] = [[system.events[idx].id, action]
-                                        for idx, action in steps]
-                except InputError:
-                    illegal += 1
-                    payload["steps"] = None
-            fh.write(json.dumps(payload) + "\n")
+    try:
+        with open(path, "w") as fh:
+            for start in range(0, args.count, _GENERATE_CHUNK):
+                if start:
+                    chunk = draw(args.count - start)
+                lines = {}  # the chunk's line of each distinct sample, and if it is illegal
+                for sequence in map(tuple, chunk.tolist()):
+                    if sequence not in lines:
+                        lines[sequence] = _sequence_line(sequence, system, decode_start)
+                    line, bad = lines[sequence]
+                    illegal += bad
+                    fh.write(line)
+    except Exception:
+        path.unlink(missing_ok=True)
+        raise
     if illegal:
         print(f"warning: {illegal} of {args.count} sequences do not decode "
               "as legal walks", file=sys.stderr)
     return [path]
+
+
+def _sequence_line(sequence: tuple, system, decode_start: int):
+    """The JSON line of one generated sequence, decoded into steps from
+    ``decode_start`` when a system is given, and whether it failed to decode."""
+    payload = {"sequence": list(sequence)}
+    if system is None:
+        return json.dumps(payload) + "\n", False
+    try:
+        steps = decode_scenario(system, sequence, initial_state=decode_start)
+        payload["steps"] = [[system.events[idx].id, action] for idx, action in steps]
+    except InputError:
+        payload["steps"] = None
+    return json.dumps(payload) + "\n", payload["steps"] is None
 
 
 def cmd_classify(args) -> list:
@@ -289,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=4)
     p.add_argument("--p-min", type=float, default=1e-3)
     p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=cmd_make_dataset)
 
     p = sub.add_parser("train", help="fit a model to a dataset split")
@@ -299,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test", "all"), default="train")
     _add_training_options(p)
     p.add_argument("--alphabet-size", type=int, default=None)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a dataset and write a DA report")
@@ -314,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--prefix", type=_int_list, default="",
                    help="comma-separated symbols of the event history to "
                         "condition on (filters the belief before sampling)")
@@ -337,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset JSONL path (repeatable)")
     p.add_argument("--out", required=True)
     _add_training_options(p)
-    p.add_argument("--seeds", type=_int_list, required=True,
+    p.add_argument("--seeds", type=_seed_list, required=True,
                    help="comma-separated seed list")
     p.set_defaults(func=cmd_compare)
 

@@ -22,7 +22,8 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
 UNDERFLOW_PROB = 1e-300
-# rows per block of the batched filter are this many belief entries over K^2
+# rows per block of the batched filter are this many entries over K^2, the
+# entries of one belief; the sampler's over mu * K^2, one belief's Kraus update
 _BLOCK_BUDGET = 2048
 
 
@@ -253,11 +254,24 @@ def qhmm_log_likelihood(model: KrausModel, sequence) -> float:
                             seq[None], np.array([seq.size]))[0])
 
 
+def _effects(operators: np.ndarray) -> np.ndarray:
+    """The (M, K^2) table whose row x is the effect E_x = sum_l A_{x,l}^dagger
+    A_{x,l}, transposed and flattened, so that a belief rho flattened to K^2
+    entries dotted with row x is tr(rho E_x), the probability of x."""
+    m, _, k, _ = operators.shape
+    effects = (operators.conj().swapaxes(2, 3) @ operators).sum(axis=1)
+    return effects.swapaxes(1, 2).reshape(m, k * k)
+
+
+def _symbol_probabilities(effects: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The (B, M) probabilities tr(rho E_x) of (B, K, K) beliefs, clipped at 0."""
+    return np.maximum((rho.reshape(len(rho), -1) @ effects.T).real, 0.0)
+
+
 def next_symbol_distribution(model: KrausModel, rho) -> np.ndarray:
-    """Probability of each symbol being observed next from the given belief."""
-    _, probs = _kraus_step(model.operators, _as_matrix(rho)[None],
-                           np.arange(model.alphabet_size))
-    return np.clip(probs, 0.0, None)
+    """Probability of each symbol being observed next from the given belief:
+    tr(rho E_x) for the effect E_x of each symbol x, clipped at 0."""
+    return _symbol_probabilities(_effects(model.operators), _as_matrix(rho)[None])[0]
 
 
 def qhmm_samples(model: KrausModel, length: int, count: int, rng_seed, *,
@@ -266,49 +280,43 @@ def qhmm_samples(model: KrausModel, length: int, count: int, rng_seed, *,
     ``(count, length)`` int array, deterministic per seed.
 
     At each step the per-symbol distribution (which sums to 1 for a
-    complete model) is computed from each row's belief, a symbol is drawn,
-    and the belief advances; the rows run together in blocks. A nonempty
-    ``prefix`` first filters the belief through those symbols; every row
-    continues the prefix without including it. Each row takes ``length``
-    uniforms in order, so row i equals the i-th of ``count`` one-row calls
-    on one generator. Raises InputError for a zero-probability prefix, or
-    when the probabilities miss 1 by more than K * COMPLETENESS_TOL, the
-    most a model passing :func:`validate_kraus` can move them.
+    complete model) is read from each row's belief through the symbols'
+    effects, a symbol is drawn, and only then does the belief advance, by
+    the drawn symbol's Kraus operators alone, renormalized by the trace of
+    that update; the rows run together in blocks. A nonempty ``prefix``
+    first filters the belief through those symbols; every row continues the
+    prefix without including it. Each row takes ``length`` uniforms in
+    order, so row i equals the i-th of ``count`` one-row calls on one
+    generator. Raises InputError for a zero-probability prefix, or when the
+    probabilities miss 1 by more than K * COMPLETENESS_TOL, the most a model
+    passing :func:`validate_kraus` can move them.
     """
     if length < 1:
         raise InputError("length must be >= 1")
     if count < 0:
         raise InputError("count must be >= 0")
-    m, k = model.alphabet_size, model.dim
-    every_symbol = np.arange(m)
+    operators, k = model.operators, model.dim
     rho = model.initial_state.matrix[None]
-    for x in _as_symbols(prefix, m).tolist() if len(prefix) else ():
-        updated, probs = _kraus_step(model.operators, rho, every_symbol)
-        if probs[x] <= UNDERFLOW_PROB:
+    for x in _as_symbols(prefix, model.alphabet_size).tolist() if len(prefix) else ():
+        updated, probs = _kraus_step(operators, rho, np.array([x]))
+        if probs[0] <= UNDERFLOW_PROB:
             raise InputError("prefix has zero probability under the model")
-        rho = _renormalize(updated[x:x + 1], probs[x:x + 1])
+        rho = _renormalize(updated, probs)
+    effects = _effects(operators)
     uniforms = np.random.default_rng(rng_seed).random((count, length))
     samples = np.empty((count, length), dtype=np.int64)
-    for rows in _row_blocks(count, m * k ** 2, _BLOCK_BUDGET):
+    for rows in _row_blocks(count, model.multiplicity * k ** 2, _BLOCK_BUDGET):
         block = uniforms[rows]
-        # the block's rows share one belief until their first draw; after
-        # it, a block of several rows stacks its beliefs so that row
-        # b * m + x of a step is row b's update by symbol x
-        beliefs, symbols = rho, every_symbol
+        beliefs = rho  # the block's rows share one belief until their first draw
         for t in range(length):
-            updated, probs = _kraus_step(model.operators, beliefs, symbols)
-            probs = np.maximum(probs, 0.0)
-            table = probs.reshape(-1, m)
+            table = _symbol_probabilities(effects, beliefs)
             if np.abs(table.sum(axis=1) - 1.0).max() > k * COMPLETENESS_TOL:
                 raise InputError("per-symbol probabilities do not sum to 1; "
                                  "the operators are not complete")
             drawn = samples[rows, t] = _inverse_cdf(table, block[:, t])
             if t + 1 < length:
-                picked = drawn + m * np.arange(len(table))
-                beliefs = _renormalize(updated[picked], probs[picked])
-                if len(block) > 1:
-                    beliefs = np.repeat(beliefs, m, axis=0)
-                    symbols = np.tile(every_symbol, len(block))
+                updated, probs = _kraus_step(operators, beliefs, drawn)
+                beliefs = _renormalize(updated, np.maximum(probs, 0.0))
     return samples
 
 

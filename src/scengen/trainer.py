@@ -341,7 +341,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        integers = ("dim", "num_batches", "epochs", "multiplicity")
+        integers = ("dim", "num_batches", "epochs", "multiplicity", "seed")
         for name in integers + ("learning_rate", "decay"):
             value, kind = getattr(self, name), Integral if name in integers else Real
             if isinstance(value, bool) or not isinstance(value, kind):
@@ -359,6 +359,8 @@ class TrainConfig:
             raise InputError("epochs must be >= 0")
         if self.multiplicity < 1:
             raise InputError("multiplicity must be >= 1")
+        if self.seed < 0:  # numpy seeds its generators from non-negative integers
+            raise InputError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "learning_rate": self.learning_rate,

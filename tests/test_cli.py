@@ -433,6 +433,69 @@ class TestGenerate:
             want += json.dumps({"sequence": sequence, "steps": steps}) + "\n"
         assert (out / "sequences.jsonl").read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("prefix", [[], ["--prefix", "0"]])
+    @pytest.mark.parametrize("kind", ["hmm", "qhmm"])
+    def test_chunked_file_equals_the_one_chunk_file(self, dataset_dir, system_path,
+                                                    tmp_path, monkeypatch, kind, prefix):
+        model_dir = tmp_path / "model"
+        assert train_small(dataset_dir, model_dir, kind=kind) == 0
+        argv = ["generate", "--model", model_dir / "model.json", "--count", 11,
+                "--length", 4, "--seed", 5, "--system", system_path, *prefix]
+        assert run(*argv, "--out", tmp_path / "one") == 0
+        name = f"{kind}_samples"
+        real, rows = getattr(cli, name), []
+
+        def recording(model, length, count, rng, **kwargs):
+            rows.append(count)
+            return real(model, length, count, rng, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+        monkeypatch.setattr(cli, "_GENERATE_CHUNK", 3)
+        assert run(*argv, "--out", tmp_path / "chunked") == 0
+        assert rows == [3, 3, 3, 2]
+        assert read_data_files(tmp_path / "chunked") == read_data_files(tmp_path / "one")
+
+    def test_failure_in_a_later_chunk_removes_the_file(self, dataset_dir, tmp_path,
+                                                       monkeypatch, capsys):
+        model_dir = tmp_path / "model"
+        assert train_small(dataset_dir, model_dir) == 0
+        real, calls = cli.qhmm_samples, []
+
+        def failing_second_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise InputError("chunk failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "qhmm_samples", failing_second_call)
+        monkeypatch.setattr(cli, "_GENERATE_CHUNK", 2)
+        out = tmp_path / "gen"
+        assert run("generate", "--model", model_dir / "model.json", "--out", out,
+                   "--count", 5, "--length", 3, "--seed", 0) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: chunk failed"
+        assert not (out / "sequences.jsonl").exists()
+
+    def test_each_distinct_sample_is_decoded_once(self, system_path, tmp_path,
+                                                  monkeypatch):
+        # two symbols over length 2 give at most 4 distinct samples of 40
+        model_path = tmp_path / "hmm.json"
+        save_model(CategoricalHmm([[1.0]], [[0.5, 0.5, 0, 0, 0, 0]], [1.0]),
+                   model_path)
+        real, decoded = cli.decode_scenario, []
+
+        def recording(system, sequence, **kwargs):
+            decoded.append(tuple(sequence))
+            return real(system, sequence, **kwargs)
+
+        monkeypatch.setattr(cli, "decode_scenario", recording)
+        out = tmp_path / "gen"
+        assert run("generate", "--model", model_path, "--out", out, "--count", 40,
+                   "--length", 2, "--seed", 0, "--system", system_path) == 0
+        records = [json.loads(line) for line in
+                   (out / "sequences.jsonl").read_text().splitlines()]
+        assert len(records) == 40
+        assert sorted(decoded) == sorted({tuple(r["sequence"]) for r in records})
+
     def test_symbols_stay_in_alphabet(self, dataset_dir, tmp_path):
         model_dir = tmp_path / "model"
         train_small(dataset_dir, model_dir)
@@ -757,6 +820,36 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             run(*argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command, flags", [
+        ("make-dataset", ["--seed", -1]),
+        ("train", ["--kind", "qhmm", "--seed", -3]),
+        ("train", ["--kind", "hmm", "--seed", -3]),
+        ("generate", ["--count", 2, "--length", 3, "--seed", -1]),
+        ("compare", ["--seeds", -1]),
+        ("compare", ["--seeds", "0,-1"]),
+    ])
+    def test_negative_seed_exits_two(self, dataset_dir, system_path, tmp_path, capsys,
+                                     command, flags):
+        model = tmp_path / "model" / "model.json"
+        if command == "generate":
+            assert train_small(dataset_dir, model.parent) == 0
+        inputs = {
+            "make-dataset": ["--system", system_path],
+            "train": ["--data", dataset_dir / "probable.jsonl", "--K", 2],
+            "generate": ["--model", model],
+            "compare": ["--data", dataset_dir / "probable.jsonl", "--K", 2],
+        }[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            run(command, *inputs, *flags, "--out", out)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "non-negative" in errors[0]
+        assert not out.exists()
 
     def test_empty_seed_list_is_an_input_error(self, tmp_path, capsys):
         assert run("compare", "--data", tmp_path / "d.jsonl",

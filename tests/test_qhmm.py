@@ -13,6 +13,20 @@ from oracles import (all_sequences, kraus_path_probability, qhmm_sample_referenc
 
 LN_P_011 = -2.3018853378797726
 
+# qhmm_samples rows of two seeded random_kraus_models, recorded before the
+# sampler read its probabilities from the effects (TestSamples.test_golden_rows)
+GOLDEN_K4 = [[2, 0, 1, 1, 0, 1, 1, 2], [2, 0, 0, 1, 0, 2, 2, 0], [1, 2, 0, 0, 0, 1, 2, 1],
+             [2, 2, 1, 0, 0, 2, 1, 2], [1, 0, 1, 2, 1, 1, 1, 1], [2, 1, 0, 2, 0, 0, 0, 0]]
+GOLDEN_K16 = [[2, 2, 0, 0, 2, 3, 0, 0], [2, 1, 1, 1, 0, 1, 1, 1], [2, 2, 2, 3, 0, 2, 2, 3],
+              [3, 0, 3, 1, 2, 3, 3, 3], [2, 3, 1, 0, 0, 2, 3, 1], [2, 0, 3, 1, 3, 2, 3, 1],
+              [0, 1, 1, 1, 3, 1, 3, 0], [2, 1, 0, 1, 3, 2, 2, 3], [2, 0, 0, 2, 1, 0, 3, 1],
+              [3, 1, 2, 2, 0, 2, 1, 1]]
+GOLDEN_K16_PREFIX_0 = [[2, 2, 0, 0, 2, 3, 0, 0], [2, 1, 1, 1, 0, 1, 1, 1],
+                       [2, 2, 2, 3, 0, 2, 2, 3], [3, 0, 3, 1, 2, 3, 3, 3],
+                       [2, 3, 1, 0, 0, 2, 3, 1], [2, 0, 3, 1, 3, 2, 3, 1],
+                       [0, 1, 1, 1, 3, 1, 3, 0], [2, 1, 0, 1, 3, 2, 2, 3],
+                       [1, 0, 0, 2, 1, 0, 3, 1], [3, 1, 2, 2, 0, 2, 1, 1]]
+
 
 def identity_channel():
     return KrausModel(np.eye(1, dtype=complex).reshape(1, 1, 1, 1),
@@ -248,6 +262,38 @@ class TestSample:
         probs = next_symbol_distribution(model, rho)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_next_symbol_distribution_is_a_ratio_of_path_sums(self):
+        rng = np.random.default_rng(13)
+        for _ in range(6):
+            model = random_kraus_model(rng, int(rng.integers(1, 5)),
+                                       int(rng.integers(2, 4)),
+                                       multiplicity=int(rng.integers(1, 3)))
+            seq = rng.integers(0, model.alphabet_size,
+                               size=int(rng.integers(0, 4))).tolist()
+            rho = model.initial_state
+            for x in seq:
+                rho, _ = belief_update(rho, model, x)
+            want = [kraus_path_probability(model, seq + [x])
+                    / kraus_path_probability(model, seq)
+                    for x in range(model.alphabet_size)]
+            np.testing.assert_allclose(next_symbol_distribution(model, rho), want,
+                                       rtol=0, atol=1e-12)
+
+    def test_effects_sum_to_identity_within_the_completeness_residual(self):
+        scaled = KrausModel.from_stiefel(random_stiefel(12, 3, 0).matrix * (1.0 + 4e-9),
+                                         2, 2, DensityMatrix.maximally_mixed(3))
+        models = [scaled] + [random_kraus_model(np.random.default_rng(seed), k, m, mu)
+                             for seed, (k, m, mu) in enumerate([(4, 8, 1), (16, 8, 2),
+                                                                (3, 2, 3)])]
+        for model in models:
+            report = validate_kraus(model)
+            assert report.passes
+            k = model.dim
+            total = qhmm._effects(model.operators).sum(axis=0).reshape(k, k)
+            # the residual sums the same products in another order
+            slack = model.to_stiefel().shape[0] * np.finfo(float).eps
+            assert np.abs(total - np.eye(k)).max() <= report.completeness_residual + slack
+
     def test_length_one_frequencies_match_analytic(self):
         model = random_kraus_model(np.random.default_rng(9), 2, 2)
         want = next_symbol_distribution(model, model.initial_state)
@@ -284,12 +330,15 @@ class TestSamples:
 
     @pytest.mark.parametrize("prefix", [(), (0,), (1, 0)])
     @pytest.mark.parametrize("k, m, mu, count, blocks", [
-        (4, 8, 1, 400, 25),   # 16 rows per block
-        (16, 8, 2, 3, 3),     # one row per block
+        (4, 8, 1, 400, 4),    # 128 rows per block
+        (16, 8, 2, 3, 1),     # 4 rows per block
+        (16, 8, 2, 10, 3),
         (2, 3, 1, 0, 0),
     ])
     def test_rows_equal_sequential_reference_calls(self, k, m, mu, count, blocks, prefix):
-        assert len(_row_blocks(count, m * k ** 2, _BLOCK_BUDGET)) == blocks
+        # the reference reads each step's probabilities from the traces of
+        # every symbol's Kraus update, not from the effects
+        assert len(_row_blocks(count, mu * k ** 2, _BLOCK_BUDGET)) == blocks
         model = random_kraus_model(np.random.default_rng(k + m + mu), k, m, mu)
         want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
         want = [qhmm_sample_reference(model, 6, want_rng, prefix=prefix)
@@ -302,7 +351,8 @@ class TestSamples:
 
     @pytest.mark.parametrize("k, m, mu, count", [(4, 8, 1, 400), (16, 8, 2, 3)])
     def test_kernel_calls_stay_within_one_row_block(self, monkeypatch, k, m, mu, count):
-        # the per-step temporaries hold one block of samples, M rows each
+        # the per-step temporaries hold one block of samples, one Kraus
+        # update each
         real_step, rows = qhmm._kraus_step, []
 
         def recording_step(operators, rho, symbols):
@@ -312,7 +362,38 @@ class TestSamples:
         monkeypatch.setattr(qhmm, "_kraus_step", recording_step)
         model = random_kraus_model(np.random.default_rng(1), k, m, mu)
         qhmm_samples(model, 4, count, 0, prefix=[0])
-        assert max(rows) == m * max(1, _BLOCK_BUDGET // (m * k ** 2))
+        assert max(rows) == min(count, _BLOCK_BUDGET // (mu * k ** 2))
+
+    @pytest.mark.parametrize("prefix", [(), (2,), (1, 0, 2)])
+    @pytest.mark.parametrize("k, m, mu, count", [(4, 8, 1, 300), (16, 3, 2, 9)])
+    def test_kraus_updates_only_by_drawn_or_prefix_symbols(self, monkeypatch, k, m, mu,
+                                                           count, prefix):
+        real_step, seen = qhmm._kraus_step, []
+
+        def recording_step(operators, rho, symbols):
+            seen.append(symbols.tolist())
+            return real_step(operators, rho, symbols)
+
+        monkeypatch.setattr(qhmm, "_kraus_step", recording_step)
+        model = random_kraus_model(np.random.default_rng(k + mu), k, m, mu)
+        got = qhmm_samples(model, 5, count, 4, prefix=prefix)
+        blocks = _row_blocks(count, mu * k ** 2, _BLOCK_BUDGET)
+        assert len(blocks) >= 3
+        # each prefix symbol alone, then each block's drawn symbols of every
+        # step but the last, whose update nothing reads
+        want = [[x] for x in prefix] + [got[rows, t].tolist()
+                                        for rows in blocks for t in range(4)]
+        assert len(seen) == len(prefix) + sum(5 - 1 for _ in blocks)
+        assert seen == want
+
+    def test_golden_rows(self):
+        # rows recorded from the sampler that read every step's probabilities
+        # from the traces of every symbol's Kraus update
+        small = random_kraus_model(np.random.default_rng(401), 4, 3, 1)
+        assert qhmm_samples(small, 8, 6, 17).tolist() == GOLDEN_K4
+        wide = random_kraus_model(np.random.default_rng(1602), 16, 4, 2)
+        assert qhmm_samples(wide, 8, 10, 23).tolist() == GOLDEN_K16
+        assert qhmm_samples(wide, 8, 10, 23, prefix=(0,)).tolist() == GOLDEN_K16_PREFIX_0
 
     def test_one_row_call_is_a_list_of_the_reference(self):
         model = random_kraus_model(np.random.default_rng(3), 3, 4, 2)

@@ -338,6 +338,8 @@ class TestTrainConfig:
         {"dim": 2, "num_batches": 2.0}, {"dim": 2, "multiplicity": None},
         {"dim": 2, "learning_rate": "0.1"}, {"dim": 2, "learning_rate": float("nan")},
         {"dim": 2, "decay": None},
+        {"dim": 2, "seed": -1}, {"dim": 2, "seed": True}, {"dim": 2, "seed": 1.5},
+        {"dim": 2, "seed": "3"}, {"dim": 2, "seed": None},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(InputError):
