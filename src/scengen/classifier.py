@@ -55,11 +55,12 @@ class ClassificationResult:
     da_no_probable: float
 
 
-def _predictions(clf: TwoModelClassifier, data):
+def _predictions(clf: TwoModelClassifier, data, work=None):
     """Arrays of the predicted labels and the DAs under the probable and
     the no-probable model of a list of sequences or a dataset, in input
-    order, from rows padded once; a tie goes to no_probable."""
-    da_p, da_n = _scores([clf.model_probable, clf.model_no_probable], data)[2]
+    order, from rows padded once; a tie goes to no_probable. ``work`` is
+    passed on to :func:`metrics._scores`."""
+    da_p, da_n = _scores([clf.model_probable, clf.model_no_probable], data, work=work)[2]
     return np.where(da_p > da_n, PROBABLE, NO_PROBABLE), da_p, da_n
 
 
@@ -110,13 +111,16 @@ def evaluate_classifier(clf: TwoModelClassifier, labeled) -> ClassifierEvaluatio
                                 mean_da)
 
 
-def write_classification_report(path, clf: TwoModelClassifier, data) -> Optional[float]:
+def write_classification_report(path, clf: TwoModelClassifier, data, *,
+                                work=None) -> Optional[float]:
     """Write the per-sequence CSV; returns accuracy when every record is labeled.
 
     ``data`` is a list of (sequence, label-or-None) pairs or a
     :class:`ScenarioDataset`; a label outside LABELS is an InputError, raised
     before the file is opened. Columns:
-    sequence_id,true_label,pred_label,da_probable,da_no_probable.
+    sequence_id,true_label,pred_label,da_probable,da_no_probable. ``work``,
+    when a :class:`collections.Counter`, counts the scoring work as
+    :func:`metrics._scores` does.
     """
     if isinstance(data, ScenarioDataset):
         sequences, labels = data, data.labels
@@ -126,7 +130,8 @@ def write_classification_report(path, clf: TwoModelClassifier, data) -> Optional
     if not labels:
         raise InputError("dataset must be nonempty")
     _check_labels(labels, unlabeled=(None,))
-    predicted, da_p, da_n = (column.tolist() for column in _predictions(clf, sequences))
+    predicted, da_p, da_n = (column.tolist()
+                             for column in _predictions(clf, sequences, work))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sequence_id", "true_label", "pred_label",

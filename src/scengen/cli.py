@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -65,7 +66,7 @@ def _environment() -> dict:
             "cpu_count": os.cpu_count()}
 
 
-def _write_manifest(args, outputs, started_wall: str, started_clock: float) -> None:
+def _write_manifest(args, outputs, work, started_wall: str, started_clock: float) -> None:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     inputs = []
     for flag in ("model", "model_probable", "model_no_probable", "data", "system"):
@@ -83,6 +84,8 @@ def _write_manifest(args, outputs, started_wall: str, started_clock: float) -> N
         "duration_seconds": time.perf_counter() - started_clock,
         "environment": _environment(),
     }
+    if work:
+        manifest["scoring"] = dict(work)
     with open(Path(args.out) / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
         fh.write("\n")
@@ -146,8 +149,9 @@ def _train_one(kind: str, sequences, alphabet_size: int, args, seed: int):
     return result.model, records
 
 
-# each command returns the paths it wrote; main writes the manifest
-def cmd_make_dataset(args) -> list:
+# each command returns the paths it wrote, and the scoring commands add their
+# scoring work (see metrics._scores) to ``work``; main writes the manifest
+def cmd_make_dataset(args, work: Counter) -> list:
     system = SystemModel.load(args.system)
     out = Path(args.out)  # created once both classes are built
     build_datasets(system, max_len=args.max_len, p_min=args.p_min,
@@ -156,7 +160,7 @@ def cmd_make_dataset(args) -> list:
     return [out / "probable.jsonl", out / "no_probable.jsonl"]
 
 
-def cmd_train(args) -> list:
+def cmd_train(args, work: Counter) -> list:
     data = _load_split(args)
     out = Path(args.out)
     model_path, loss_path = out / "model.json", out / "loss.csv"
@@ -175,17 +179,17 @@ def cmd_train(args) -> list:
     return [model_path, loss_path]
 
 
-def cmd_eval(args) -> list:
+def cmd_eval(args, work: Counter) -> list:
     model = load_model(args.model)
     data = _load_split(args, model.alphabet_size)
     out = _out_dir(args)
     report = out / "report.csv"
-    mean = write_da_report(report, model, data)
+    mean = write_da_report(report, model, data, work=work)
     print(f"mean_da {mean!r}")
     return [report]
 
 
-def cmd_generate(args) -> list:
+def cmd_generate(args, work: Counter) -> list:
     model = load_model(args.model)
     prefix = tuple(args.prefix)
     system = SystemModel.load(args.system) if args.system else None
@@ -246,20 +250,20 @@ def _sequence_line(sequence: tuple, system, decode_start: int):
     return json.dumps(payload) + "\n", payload["steps"] is None
 
 
-def cmd_classify(args) -> list:
+def cmd_classify(args, work: Counter) -> list:
     clf = TwoModelClassifier(load_model(args.model_probable),
                              load_model(args.model_no_probable))
     data = _load_split(args, clf.alphabet_size)
     _check_labels(data.labels, unlabeled=(None,))  # before --out is created
     out = _out_dir(args)
     report = out / "report.csv"
-    accuracy = write_classification_report(report, clf, data)
+    accuracy = write_classification_report(report, clf, data, work=work)
     if accuracy is not None:
         print(f"accuracy {accuracy!r}")
     return [report]
 
 
-def cmd_compare(args) -> list:
+def cmd_compare(args, work: Counter) -> list:
     if not args.seeds:
         raise InputError("at least one seed is required")
     datasets = []
@@ -296,7 +300,8 @@ def cmd_compare(args) -> list:
                 continue
             # each split is padded once and scored under all of the kind's models
             for split, split_data in (("train", train), ("test", test)):
-                values = _scores([model for model, _ in fits], split_data)[2].mean(axis=1)
+                values = _scores([model for model, _ in fits], split_data,
+                                 work=work)[2].mean(axis=1)
                 rows.append([str(data_path), kind, split,
                              repr(float(values.mean())), repr(float(values.std()))])
     path = _out_dir(args) / "comparison.csv"
@@ -398,8 +403,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started, clock = datetime.now(timezone.utc).isoformat(), time.perf_counter()
+    work = Counter()
     try:
-        _write_manifest(args, args.func(args), started, clock)
+        outputs = args.func(args, work)
+        _write_manifest(args, outputs, work, started, clock)
         return 0
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)

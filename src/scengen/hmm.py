@@ -6,7 +6,10 @@ log-likelihood is accumulated from the per-step normalizers. One batched
 kernel runs them over zero-padded rows, longest first, in row blocks; the
 per-sequence trellises, Baum-Welch and dataset scoring all call it. A
 sequence the model cannot produce is reported with a ``-inf``
-log-likelihood instead of an error.
+log-likelihood instead of an error. Unlike a Kraus-operator model's, an
+HMM's dataset scores do not share the filtering of common prefixes: a
+row's last bits depend on its longest-first block (see
+:func:`_trellis_blocks`).
 
 Models are immutable after construction and every operation here is a
 pure function, so concurrent use across threads is safe.
@@ -183,6 +186,18 @@ def _trellis_blocks(model: CategoricalHmm, padded: np.ndarray, lengths: np.ndarr
     whose step total reaches 0 scores -inf while the other rows carry on;
     its forward rows from that step on, its later scalings and its whole
     backward trellis are zero.
+
+    A row's bits depend on its block in two ways, so a caller that must
+    reproduce them keeps these blocks:
+
+    - its log-probability sums the logs of the block's full width of
+      scalings, padding included; numpy sums 8 or more terms pairwise, so
+      the same scalings summed over another width can differ in the last
+      bits;
+    - a step that runs one row alone multiplies a (1, K) forward row by
+      the transition matrix, which numpy hands to BLAS as a matrix-vector
+      product, whose rounding differs from that of the matrix product of
+      two or more rows (seen with OpenBLAS 0.3.31 from K = 4 on).
     """
     emission_of = model.emission.T  # row x: emission probability of x per state
     for rows in _row_blocks(len(lengths), model.num_states, _TRELLIS_BUDGET):
@@ -292,7 +307,9 @@ def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = N
     per-iteration total log-likelihood (evaluated before each update) is
     recorded in the result; it is non-decreasing up to float roundoff.
     Iteration stops when the improvement drops below ``tol`` or after
-    ``max_iters`` iterations.
+    ``max_iters`` iterations; ``max_iters = 0`` returns the seeded
+    initialization untouched. A negative ``max_iters`` and a NaN ``tol``
+    (which no improvement falls below) are input errors.
 
     Parameters
     ----------
@@ -308,6 +325,10 @@ def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = N
         raise InputError("dataset must contain at least one sequence")
     if num_states < 1:
         raise InputError("num_states must be >= 1")
+    if max_iters < 0:
+        raise InputError("max_iters must be >= 0")
+    if np.isnan(tol):
+        raise InputError("tol must not be NaN")
     if alphabet_size is None:
         alphabet_size = 1 + int(symbols.max())  # _pad reports a negative symbol
     padded, lengths, _ = _pad(symbols, lengths, alphabet_size)

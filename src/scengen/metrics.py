@@ -4,6 +4,17 @@ The score lives in (-1, 1]: 1 means the model predicted a sequence with
 certainty, 0 matches a uniform model over the alphabet, and anything above
 0 beats random. Sequences a model cannot produce are reported with the -1
 sentinel (the open lower bound, "impossible under the model").
+
+Scoring pads a dataset once for all the models of a call. A Kraus-operator
+model filters the rows in lexicographic order, cut into the row blocks of
+its kernel, and filters each distinct prefix of a block once: a prefix's
+belief comes from its parent's by one Kraus update. Enumerated scenarios
+share most of their prefixes, so this filters about a quarter as many
+beliefs as one per symbol position would. The results do not depend on it:
+a row's Kraus update does not depend on the rows beside it, and each row's
+log-probability is the running sum along its own path, so every row gets
+the bits of a filter over that row alone. An HMM keeps its longest-first
+rows (see :func:`hmm._trellis_blocks` for why sharing would move its bits).
 """
 
 from __future__ import annotations
@@ -14,9 +25,9 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .hmm import CategoricalHmm, _flatten, _pad, _trellis_blocks
+from .hmm import CategoricalHmm, _flatten, _pad, _row_blocks, _trellis_blocks
 from .psa import ScenarioDataset
-from .qhmm import KrausModel, _propagate
+from .qhmm import _BLOCK_BUDGET, KrausModel, _filter
 
 _LOGPROB_SLACK = 1e-9
 
@@ -100,15 +111,26 @@ def _check_model(model) -> None:
         raise InputError(f"unsupported model type {type(model).__name__}")
 
 
-def _scores(models, data, da: bool = True):
+def _scores(models, data, da: bool = True, work=None):
     """Lengths, in input order, and each model's log-probabilities and
     description accuracies of a list of sequences or a :class:`ScenarioDataset`.
 
     The models must share one alphabet, which callers check: the data are
     padded once, by :func:`hmm._pad` against the first model's alphabet,
-    and every model scores the same rows. Returns ``(lengths, log_probs,
-    das)``, with one row per model in ``log_probs`` and ``das``;
-    ``da=False`` leaves ``das`` None (a one-symbol alphabet has no DA).
+    and every model scores the same rows. An HMM runs them longest first
+    through :func:`hmm._trellis_blocks`. The Kraus-operator models take
+    them in lexicographic order, sorted once per call, and cut into their
+    kernel's row blocks; each block's prefix tree (:func:`_prefix_layout`)
+    is built once for all the models of its K, which filter each distinct
+    prefix of the block once. This gives each row the bits of a filter
+    over that row alone (:func:`qhmm._filter`).
+
+    Returns ``(lengths, log_probs, das)``, with one row per model in
+    ``log_probs`` and ``das``; ``da=False`` leaves ``das`` None (a
+    one-symbol alphabet has no DA). ``work``, when a
+    :class:`collections.Counter`, has the call's scoring work added to it,
+    summed over the models: the sequences scored, their symbol positions
+    and the rows filtered, one per prefix a filter step computed.
     """
     for model in models:
         _check_model(model)
@@ -120,14 +142,71 @@ def _scores(models, data, da: bool = True):
     lengths = np.empty_like(row_lengths)
     lengths[order] = row_lengths
     log_probs = np.empty((len(models), len(lengths)))
+    positions, filtered = int(row_lengths.sum()), 0
+    kraus = {}  # the Kraus models and their score rows, by K
     for model, scores in zip(models, log_probs):
         if isinstance(model, CategoricalHmm):
             for block, block_scores, *_ in _trellis_blocks(model, padded, row_lengths):
                 scores[order[block]] = block_scores
+            filtered += positions
         else:
-            scores[order] = _propagate(model.operators, model.initial_state.matrix,
-                                       padded, row_lengths)
+            kraus.setdefault(model.dim, []).append((model, scores))
+    if kraus:
+        places, starts = _lexicographic(padded, row_lengths)
+        rows_of, place_lengths = order[places], row_lengths[places]
+    for dim, group in kraus.items():
+        for rows in _row_blocks(len(lengths), dim ** 2, _BLOCK_BUDGET):
+            steps, nodes, leaves = _prefix_layout(padded[places[rows]], place_lengths[rows],
+                                                  starts[rows])
+            for model, scores in group:
+                _filter(model.operators, model.initial_state.matrix, steps)
+                scores[rows_of[rows]] = nodes[leaves]
+                filtered += len(nodes)
+    if work is not None:
+        work.update(sequences_scored=len(models) * len(lengths),
+                    symbol_positions=len(models) * positions, prefixes_filtered=filtered)
     return lengths, log_probs, da_scores(log_probs, lengths, alphabet_size) if da else None
+
+
+def _lexicographic(padded: np.ndarray, lengths: np.ndarray):
+    """The padded rows in lexicographic order, each sequence before its
+    extensions: ``(places, starts)``, where place i holds row ``places[i]``
+    and ``starts[i, t]`` is whether place i's prefix through position t
+    exists and differs from place i - 1's.
+
+    In this order the rows sharing a prefix are adjacent, so within any run
+    of places each distinct prefix starts at exactly one place.
+    """
+    keys = padded + 1
+    keys *= lengths[:, None] > np.arange(padded.shape[1])  # a row's end, 0, sorts first
+    places = np.lexsort(keys.T[::-1])
+    keys = keys[places]
+    starts = np.ones(keys.shape, dtype=bool)
+    np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1, out=starts[1:])
+    return places, np.logical_and(starts, keys, out=starts)  # keys are 0 past the end
+
+
+def _prefix_layout(symbols: np.ndarray, lengths: np.ndarray, starts: np.ndarray):
+    """The per-step layout, as :func:`qhmm._filter` takes it, of a run of
+    places from :func:`_lexicographic` in which each distinct prefix is one
+    node, numbered by depth, then by place: ``(steps, nodes, leaves)``,
+    where the filter writes each node's log-probability to ``nodes`` and
+    ``leaves[i]`` is the node of place i's whole sequence."""
+    depth, last = int(lengths.max()), lengths - 1
+    starts = starts[:, :depth].copy()
+    starts[0, :lengths[0]] = True  # the run's first place starts each of its prefixes
+    counts = starts.cumsum(axis=0)  # per depth, the nodes up to each place
+    bounds = counts[-1].cumsum()
+    at = starts.T
+    node_symbols = symbols[:, :depth].T[at]
+    parents = counts[:, :-1].T[at[1:]] - 1  # numbered within their depth
+    leaves = counts[np.arange(len(last)), last] + (bounds - counts[-1] - 1)[last]
+    bounds = bounds.tolist()
+    first, nodes = bounds[0], np.empty(bounds[-1])
+    steps = [(slice(first), node_symbols[:first], nodes[:first])]
+    steps += [(parents[start - first:stop - first], node_symbols[start:stop],
+               nodes[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    return steps, nodes, leaves
 
 
 def average_da(model, dataset) -> float:
@@ -138,12 +217,14 @@ def average_da(model, dataset) -> float:
     return float(np.mean(_scores([model], dataset)[2][0]))
 
 
-def write_da_report(path, model, dataset) -> float:
+def write_da_report(path, model, dataset, *, work=None) -> float:
     """Write the per-sequence CSV (sequence_id,length,log_prob,da); returns the mean.
 
-    ``dataset`` is a list of sequences or a :class:`ScenarioDataset`.
+    ``dataset`` is a list of sequences or a :class:`ScenarioDataset`;
+    ``work``, when a :class:`collections.Counter`, counts the scoring work
+    as :func:`_scores` does.
     """
-    lengths, (log_probs,), (scores,) = _scores([model], dataset)
+    lengths, (log_probs,), (scores,) = _scores([model], dataset, work=work)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sequence_id", "length", "log_prob", "da"])

@@ -5,6 +5,13 @@ matrix; observing a symbol applies that symbol's operators and renormalizes
 by the observation probability. Models are immutable after construction and
 all operations return new objects, so concurrent evaluation across
 sequences is safe.
+
+One filter loop, :func:`_filter`, runs every batched likelihood. It takes
+a per-step layout: which of the previous step's beliefs continue, with
+which symbols. Training runs padded rows, each its own path
+(:func:`_propagate`); scoring runs a prefix tree, in which rows that share
+a prefix share its beliefs (:func:`metrics._scores`). Both give each row
+the same bits.
 """
 
 from __future__ import annotations
@@ -191,35 +198,71 @@ def _renormalize(updated: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return (updated + updated.conj().swapaxes(1, 2)) / (2.0 * probs)[:, None, None]
 
 
+def _running_layout(padded: np.ndarray, lengths: np.ndarray, log_probs: np.ndarray) -> list:
+    """The per-step layout of padded rows, longest first: each row is its own
+    path, and the rows still running at step t, a leading slice of the
+    previous step's, continue with their step-t symbols and keep their
+    running log-probability in their entry of ``log_probs``."""
+    running = np.searchsorted(-lengths, -np.arange(lengths[0]))  # rows longer than t
+    return [(slice(n), padded[:n, t], log_probs[:n]) for t, n in enumerate(running.tolist())]
+
+
+def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[list] = None):
+    """Filter the nodes of a per-step layout from ``rho0``, writing each
+    node's natural-log probability.
+
+    ``steps`` is a list of one ``(parents, symbols, log_probs)`` triple per
+    step: node j of step t continues node ``parents[j]`` of step t - 1
+    (``parents`` is a slice or an index array into that step's nodes),
+    observes ``symbols[j]`` and gets its log-probability written to
+    ``log_probs[j]``; the nodes of step 0 continue ``rho0``. A node whose
+    step probability underflows scores -inf, as does every node continuing
+    it; that probability is taken as 1, so its belief stays finite. When
+    ``history`` is a list, the beliefs entering each step and the step
+    probabilities, with that 1 in place, are appended to it.
+
+    A node's belief and log-probability depend only on its own path: the
+    Kraus update of a row does not depend on the rows beside it, and each
+    log-probability adds the step's log to its parent's, as a running sum
+    along one row would. So longest-first rows, each its own path
+    (:func:`_running_layout`), and a prefix tree's nodes get the same bits.
+    """
+    rho, previous = rho0[None], None  # rho0 broadcasts against step 0's nodes
+    for t, (parents, symbols, log_probs) in enumerate(steps):
+        rho = rho[parents]
+        updated, probs = _kraus_step(operators, rho, symbols)
+        dead = None
+        if probs.min() <= UNDERFLOW_PROB:
+            dead = probs <= UNDERFLOW_PROB
+            probs = np.where(dead, 1.0, probs)
+        if history is not None:
+            history.append((rho, probs))
+        if previous is None:  # step 0 adds to 0, which leaves its logs as they are
+            np.log(probs, out=log_probs)
+        else:
+            np.add(previous[parents], np.log(probs), out=log_probs)
+        if dead is not None:
+            log_probs[dead] = -np.inf
+        previous = log_probs
+        if t + 1 < len(steps):  # nothing reads the last step's beliefs
+            rho = _renormalize(updated, probs)
+
+
 def _propagate(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
                lengths: np.ndarray, history: Optional[list] = None) -> np.ndarray:
     """Natural-log probability of each padded row, filtering from ``rho0``.
 
     Rows come longest first, so the rows still running at step t are a
-    leading slice. A row whose step probability underflows scores -inf
-    while the other rows carry on; that probability is taken as 1, so the
-    row's beliefs stay finite. When ``history`` is a list, the beliefs
-    entering each step and the step probabilities, with that 1 in place,
-    are appended to it; callers collecting history pass one row block at a
-    time.
+    leading slice, and :func:`_filter` runs each row block with every row
+    its own path (:func:`_running_layout`). A row whose step probability
+    underflows scores -inf while the other rows carry on. When ``history``
+    is a list, :func:`_filter` appends to it; callers collecting history
+    pass one row block at a time.
     """
     log_probs = np.zeros(len(lengths))
-    dim = rho0.shape[0]
-    for rows in _row_blocks(len(lengths), dim ** 2, _BLOCK_BUDGET):
-        symbols, block_ll, block_len = padded[rows], log_probs[rows], lengths[rows]
-        rho = rho0[None]  # broadcasts against the rows until the first update
-        running = np.count_nonzero(block_len[:, None] > np.arange(block_len[0]), axis=0)
-        for t, n in enumerate(running.tolist()):
-            updated, probs = _kraus_step(operators, rho[:n], symbols[:n, t])
-            if probs.min() <= UNDERFLOW_PROB:
-                dead = probs <= UNDERFLOW_PROB
-                block_ll[:n][dead] = -np.inf
-                probs = np.where(dead, 1.0, probs)
-            if history is not None:
-                history.append((rho[:n], probs))
-            block_ll[:n] += np.log(probs)
-            if t + 1 < len(running):  # nothing reads the last step's beliefs
-                rho = _renormalize(updated, probs)
+    for rows in _row_blocks(len(lengths), rho0.shape[0] ** 2, _BLOCK_BUDGET):
+        _filter(operators, rho0, _running_layout(padded[rows], lengths[rows],
+                                                 log_probs[rows]), history)
     return log_probs
 
 

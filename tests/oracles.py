@@ -211,6 +211,18 @@ def random_kraus_model(rng, dim, alphabet_size, multiplicity=1):
                                    DensityMatrix.maximally_mixed(dim))
 
 
+def distinct_prefixes_per_block(sequences, rows_per_block):
+    """Per lexicographic row block, and per depth within it, the number of
+    distinct prefixes of that length: the rows a filter step must compute."""
+    ordered = sorted(map(tuple, sequences))
+    counts = []
+    for start in range(0, len(ordered), rows_per_block):
+        block = ordered[start:start + rows_per_block]
+        counts += [len({seq[:depth] for seq in block if len(seq) >= depth})
+                   for depth in range(1, max(map(len, block)) + 1)]
+    return counts
+
+
 def pad_reference(sequences, alphabet_size):
     """Validated sequences as zero-padded rows, longest first, built one
     sequence at a time: ``(padded, lengths, order)``, where row i holds input

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from scengen import (CategoricalHmm, InputError, TrainConfig, TrainingError,
 from scengen import cli
 from scengen.cli import main
 from scengen.hmm import _trellis_blocks
-from scengen.qhmm import _propagate
+from scengen.qhmm import _BLOCK_BUDGET, _propagate
 
-from oracles import (hmm_sample_reference, pad_reference, qhmm_sample_reference,
-                     train_qhmm_reference)
+from oracles import (distinct_prefixes_per_block, hmm_sample_reference, pad_reference,
+                     qhmm_sample_reference, train_qhmm_reference)
 
 
 def run(*argv):
@@ -236,7 +237,8 @@ class TestTrain:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("kind, flags", [
-        ("qhmm", {"K": 0}), ("hmm", {"K": 0}), ("qhmm", {"lr": -1})])
+        ("qhmm", {"K": 0}), ("hmm", {"K": 0}), ("qhmm", {"lr": -1}),
+        ("qhmm", {"epochs": -3}), ("hmm", {"epochs": -3}), ("hmm", {"tol": "nan"})])
     def test_failing_train_leaves_no_output_directory(self, dataset_dir, tmp_path,
                                                       kind, flags):
         out = tmp_path / "out"
@@ -792,6 +794,50 @@ class TestManifest:
                    "--out", failed) == 2
         assert not (failed / "manifest.json").exists()
 
+
+    def test_scoring_work_of_the_scoring_commands(self, dataset_dir, tmp_path):
+        # K=2 models: a Kraus model filters each distinct prefix of a
+        # lexicographic row block of 2048 // 2**2 rows once, an HMM every
+        # symbol position
+        probable = dataset_dir / "probable.jsonl"
+        no_probable = dataset_dir / "no_probable.jsonl"
+        for kind in ("qhmm", "hmm"):
+            assert train_small(dataset_dir, tmp_path / kind, kind=kind) == 0
+        qhmm_model, hmm_model = (tmp_path / kind / "model.json" for kind in ("qhmm", "hmm"))
+
+        def work(path, split, kraus_models, hmm_models):
+            sequences = [seq for seq, _ in reference_split(path, split)]
+            positions = sum(map(len, sequences))
+            prefixes = sum(distinct_prefixes_per_block(sequences, _BLOCK_BUDGET // 2 ** 2))
+            return Counter(sequences_scored=(kraus_models + hmm_models) * len(sequences),
+                           symbol_positions=(kraus_models + hmm_models) * positions,
+                           prefixes_filtered=kraus_models * prefixes + hmm_models * positions)
+
+        runs = {
+            "eval": (["eval", "--model", qhmm_model, "--data", probable, "--split", "test"],
+                     work(probable, "test", 1, 0)),
+            "classify": (["classify", "--model-probable", qhmm_model,
+                          "--model-no-probable", hmm_model, "--data", no_probable],
+                         work(no_probable, "all", 1, 1)),
+            # two seeds of each kind score each split of each dataset
+            "compare": (["compare", "--data", probable, "--data", no_probable, "--K", 2,
+                         "--epochs", 1, "--seeds", "0,1"],
+                        sum((work(path, split, 2, 2) for path in (probable, no_probable)
+                             for split in ("train", "test")), Counter())),
+        }
+        for command, (argv, want) in runs.items():
+            out = tmp_path / command
+            assert run(*argv, "--out", out) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["scoring"] == dict(want)
+            assert 0 < want["prefixes_filtered"] < 2 * want["symbol_positions"]
+            # the counts live in the manifest only
+            for path in out.iterdir():
+                if path.name != "manifest.json":
+                    assert b"prefixes" not in path.read_bytes()
+        for command in ("qhmm", "hmm"):
+            assert "scoring" not in json.loads(
+                (tmp_path / command / "manifest.json").read_text())
 
     def test_environment_block(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -252,6 +252,22 @@ class TestBaumWelch:
         with pytest.raises(InputError):
             baum_welch_fit([[0, 1], []], 2)
 
+    @pytest.mark.parametrize("options, message", [
+        ({"max_iters": -3}, "max_iters must be >= 0"),
+        ({"tol": float("nan")}, "tol must not be NaN"),
+    ])
+    def test_negative_iterations_and_nan_tolerance_are_input_errors(self, options,
+                                                                    message):
+        with pytest.raises(InputError, match=message):
+            baum_welch_fit([[0, 1], [1]], 2, **options)
+
+    def test_zero_iterations_return_the_seeded_initialization(self):
+        result = baum_welch_fit([[0, 1], [1]], 2, max_iters=0, seed=3)
+        assert result.log_likelihoods == []
+        rng = np.random.default_rng(3)
+        np.testing.assert_array_equal(result.model.transition,
+                                      rng.dirichlet(np.ones(2), size=2))
+
     def test_negative_symbol_is_reported_with_inferred_alphabet(self):
         with pytest.raises(InputError, match="symbol -1 is negative"):
             baum_welch_fit([[0, -1]], 2)

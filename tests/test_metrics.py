@@ -1,17 +1,23 @@
 import csv
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from scengen import (InputError, average_da, da_for_sequence, da_nonlinearity,
-                     da_score, da_scores, embed_hmm, hmm_forward, log_likelihoods,
-                     qhmm_log_likelihood, sequence_log_prob, write_da_report)
-from scengen.hmm import _TRELLIS_BUDGET
+from scengen import (CategoricalHmm, InputError, average_da, da_for_sequence,
+                     da_nonlinearity, da_score, da_scores, embed_hmm, enumerate_scenarios,
+                     hmm_forward, log_likelihoods, qhmm_log_likelihood,
+                     reference_four_event_system, sequence_log_prob, write_da_report)
+from scengen import qhmm, trainer
+from scengen.hmm import _TRELLIS_BUDGET, _trellis_blocks
+from scengen.metrics import _scores
+from scengen.qhmm import _BLOCK_BUDGET
 
-from oracles import (da_score_reference, kraus_path_probability,
-                     path_sum_probability, random_hmm, random_kraus_model)
+from oracles import (da_score_reference, distinct_prefixes_per_block,
+                     kraus_path_probability, pad_reference, path_sum_probability,
+                     random_hmm, random_kraus_model)
 
 F_AT_MINUS_FOUR = (1.0 - math.e) / (1.0 + math.e)  # = -0.46211715726000974
 
@@ -239,3 +245,158 @@ class TestReport:
         das = [float(r[3]) for r in rows[1:]]
         assert mean == pytest.approx(np.mean(das), abs=1e-15)
         assert mean == pytest.approx(average_da(ref_hmm, dataset), abs=1e-12)
+
+
+def row_wise_log_probs(model, sequences):
+    """Each sequence's log-probability from a filter over its own row: a
+    one-row :func:`qhmm_log_likelihood` for a Kraus model; for an HMM, the
+    longest-first row blocks of the reference padding, whose per-block
+    widths and one-row products fix the last bits of every row."""
+    if not isinstance(model, CategoricalHmm):
+        return np.array([qhmm_log_likelihood(model, seq) for seq in sequences])
+    padded, lengths, order = pad_reference(sequences, model.alphabet_size)
+    log_probs = np.empty(len(sequences))
+    for rows, block, *_ in _trellis_blocks(model, padded, lengths):
+        log_probs[order[rows]] = block
+    return log_probs
+
+
+def stem_sequences(rng, alphabet_size, count, max_len, stems=3):
+    """Sequences that share prefixes: cuts of a few random stems, some
+    extended by up to three random symbols."""
+    roots = [rng.integers(0, alphabet_size, size=max_len).tolist() for _ in range(stems)]
+    sequences = []
+    for _ in range(count):
+        seq = roots[int(rng.integers(stems))][:int(rng.integers(1, max_len + 1))]
+        if rng.random() < 0.3:
+            seq = seq + rng.integers(0, alphabet_size, size=int(rng.integers(4))).tolist()
+        sequences.append(seq)
+    return sequences
+
+
+def assert_scores_equal_row_wise(models, sequences):
+    lengths, log_probs, das = _scores(models, sequences)
+    assert lengths.tolist() == [len(seq) for seq in sequences]
+    for model, got, got_da in zip(models, log_probs, das):
+        want = row_wise_log_probs(model, sequences)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            got_da, [da_score(lp, len(seq), model.alphabet_size)
+                     for lp, seq in zip(want, sequences)])
+
+
+class TestPrefixSharedScores:
+    """Every row of :func:`metrics._scores` equals its own row-wise filter
+    at tolerance 0, whichever prefixes the rows share."""
+
+    def test_duplicates_and_sequences_that_prefix_others(self):
+        model = random_kraus_model(np.random.default_rng(1), 4, 3)
+        sequences = [[0, 1, 2], [0, 1], [0, 1, 2], [0], [0, 1, 2, 0], [1], [0, 1],
+                     [2, 2, 2, 2, 2], [0, 1, 2], [0, 0]]
+        assert_scores_equal_row_wise([model], sequences)
+
+    def test_underflowing_row_beside_a_live_sibling(self):
+        # symbol 2 cannot be emitted: [0, 1, 2] and its extension score -inf,
+        # while [0, 1, 1] and [0, 1], which share its prefix, do not
+        ops = random_kraus_model(np.random.default_rng(2), 3, 3).operators.copy()
+        ops[2] = 0.0
+        model = qhmm.KrausModel(ops, qhmm.DensityMatrix.maximally_mixed(3))
+        sequences = [[0, 1, 2], [0, 1, 1], [0, 1, 2, 0], [0, 1], [2], [0, 1, 1, 0]]
+        log_probs = _scores([model], sequences, da=False)[1][0]
+        assert np.isinf(log_probs).tolist() == [True, False, True, False, True, False]
+        assert_scores_equal_row_wise([model], sequences)
+
+    def test_k16_mu2_over_several_row_blocks(self):
+        rng = np.random.default_rng(3)
+        model = random_kraus_model(rng, 16, 4, 2)
+        sequences = stem_sequences(rng, 4, 60, 6)
+        assert len(sequences) > 5 * (_BLOCK_BUDGET // (2 * 16 ** 2))  # 8 rows a block
+        assert_scores_equal_row_wise([model], sequences)
+
+    @pytest.mark.parametrize("sequence", [[2], [0, 1, 2, 1]])
+    def test_one_row(self, sequence):
+        rng = np.random.default_rng(4)
+        assert_scores_equal_row_wise([random_kraus_model(rng, 4, 3), random_hmm(rng, 4, 3)],
+                                     [sequence])
+
+    def test_hmm_rows_of_length_eight_and_more_in_blocks_of_different_widths(self):
+        # 16 rows a block at K=64: longest-first blocks of widths 12 down to
+        # 1, most with a longest row that runs on alone; shared prefixes
+        # would give each row the same scalings, but summed over other widths
+        # and multiplied by other products than its own block's
+        rng = np.random.default_rng(5)
+        model = random_hmm(rng, 64, 3)
+        sequences = stem_sequences(rng, 3, 200, 12)
+        lengths = sorted(map(len, sequences), reverse=True)
+        widths = set(lengths[::_TRELLIS_BUDGET // 64])
+        assert len({width for width in widths if width >= 8}) >= 3
+        assert_scores_equal_row_wise([model], sequences)
+
+    def test_qhmm_and_hmm_share_one_padding(self):
+        rng = np.random.default_rng(6)
+        models = [random_kraus_model(rng, 4, 3), random_hmm(rng, 4, 3),
+                  random_kraus_model(rng, 2, 3, 2), random_kraus_model(rng, 4, 3)]
+        sequences = stem_sequences(rng, 3, 300, 9)
+        assert_scores_equal_row_wise(models, sequences)
+        together = _scores(models, sequences)[1]
+        for model, row in zip(models, together):
+            np.testing.assert_array_equal(row, _scores([model], sequences)[1][0])
+
+
+@pytest.fixture
+def recorded_kraus_rows(monkeypatch):
+    """The number of rows of each :func:`qhmm._kraus_step` call the filter makes."""
+    real_step, rows = qhmm._kraus_step, []
+
+    def recording_step(operators, rho, symbols):
+        rows.append(len(symbols))
+        return real_step(operators, rho, symbols)
+
+    monkeypatch.setattr(qhmm, "_kraus_step", recording_step)
+    return rows
+
+
+class TestScoringWork:
+    def test_four_event_scenarios_filter_each_prefix_of_a_block_once(
+            self, recorded_kraus_rows):
+        _, no_probable = enumerate_scenarios(reference_four_event_system(), 8)
+        sequences = [list(scenario.symbols) for scenario in no_probable]
+        model = random_kraus_model(np.random.default_rng(7), 4, 8)
+        work = Counter()
+        got = _scores([model], sequences, work=work)[1][0]
+        want = distinct_prefixes_per_block(sequences, _BLOCK_BUDGET // 4 ** 2)
+        assert recorded_kraus_rows == want
+        assert (len(sequences), sum(want)) == (3496, 6863)
+        assert work == Counter(sequences_scored=3496, symbol_positions=25880,
+                               prefixes_filtered=6863)
+        # an unbounded tree would filter 6712 prefixes
+        assert len({tuple(seq[:depth]) for seq in sequences
+                    for depth in range(1, len(seq) + 1)}) == 6712
+        np.testing.assert_array_equal(got, row_wise_log_probs(model, sequences))
+
+    def test_every_model_adds_its_work(self):
+        rng = np.random.default_rng(8)
+        sequences = [[0, 1], [0, 1, 2], [0, 1], [2]]
+        models = [random_kraus_model(rng, 2, 3), random_hmm(rng, 2, 3),
+                  random_kraus_model(rng, 16, 3, 2)]
+        work = Counter(prefixes_filtered=1)
+        _scores(models, sequences, work=work)
+        # the Kraus models filter the prefixes 0, 01, 012 and 2, the HMM
+        # every position; at K=16, mu=2 a block holds 8 rows, all four here
+        assert work == Counter(sequences_scored=12, symbol_positions=24,
+                               prefixes_filtered=1 + 4 + 8 + 4)
+
+    def test_training_filters_one_row_per_running_sequence_per_step(
+            self, recorded_kraus_rows):
+        rng = np.random.default_rng(9)
+        model = random_kraus_model(rng, 4, 3)
+        sequences = stem_sequences(rng, 3, 300, 7)
+        padded, lengths, _ = pad_reference(sequences, 3)
+        trainer._loss_and_gradient(model.operators, model.initial_state.matrix,
+                                   padded, lengths)
+        block = _BLOCK_BUDGET // 4 ** 2
+        want = [int(np.count_nonzero(lengths[start:start + block] > t))
+                for start in range(0, len(lengths), block)
+                for t in range(lengths[start])]
+        assert len(want) > lengths[0]  # more than one row block
+        assert recorded_kraus_rows == want
