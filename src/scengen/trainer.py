@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 from numbers import Integral, Real
 
@@ -363,17 +363,12 @@ class TrainConfig:
             raise InputError("seed must be >= 0")
 
     def to_dict(self) -> dict:
-        return {"dim": self.dim, "learning_rate": self.learning_rate,
-                "decay": self.decay, "num_batches": self.num_batches,
-                "epochs": self.epochs, "multiplicity": self.multiplicity,
-                "seed": self.seed}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainConfig":
         """Build a config from a JSON-style mapping (unknown keys rejected)."""
-        known = {"dim", "learning_rate", "decay", "num_batches", "epochs",
-                 "multiplicity", "seed"}
-        unknown = set(payload) - known
+        unknown = set(payload) - {field.name for field in fields(cls)}
         if unknown:
             raise InputError(f"unknown config fields {sorted(unknown)}")
         if "dim" not in payload:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ from scengen import (CategoricalHmm, InputError, TrainConfig, TrainingError,
                      decode_scenario, embed_hmm, load_dataset, load_model,
                      random_stiefel, reference_four_event_system, save_model,
                      validate_kraus)
-from scengen import cli
+from scengen import cli, psa
 from scengen.cli import main
 from scengen.hmm import _trellis_blocks
 from scengen.qhmm import _BLOCK_BUDGET, _propagate
@@ -435,10 +436,11 @@ class TestGenerate:
             want += json.dumps({"sequence": sequence, "steps": steps}) + "\n"
         assert (out / "sequences.jsonl").read_bytes() == want.encode()
 
-    @pytest.mark.parametrize("prefix", [[], ["--prefix", "0"]])
-    @pytest.mark.parametrize("kind", ["hmm", "qhmm"])
-    def test_chunked_file_equals_the_one_chunk_file(self, dataset_dir, system_path,
-                                                    tmp_path, monkeypatch, kind, prefix):
+    @staticmethod
+    def chunk_rows(dataset_dir, system_path, tmp_path, monkeypatch, kind, prefix,
+                   symbols):
+        """The rows of each draw of an 11-row, length-4 call chunked at
+        ``symbols`` symbols, after checking its file equals the one-chunk file."""
         model_dir = tmp_path / "model"
         assert train_small(dataset_dir, model_dir, kind=kind) == 0
         argv = ["generate", "--model", model_dir / "model.json", "--count", 11,
@@ -452,10 +454,24 @@ class TestGenerate:
             return real(model, length, count, rng, **kwargs)
 
         monkeypatch.setattr(cli, name, recording)
-        monkeypatch.setattr(cli, "_GENERATE_CHUNK", 3)
+        monkeypatch.setattr(cli, "_GENERATE_CHUNK", symbols)
         assert run(*argv, "--out", tmp_path / "chunked") == 0
-        assert rows == [3, 3, 3, 2]
         assert read_data_files(tmp_path / "chunked") == read_data_files(tmp_path / "one")
+        return rows
+
+    @pytest.mark.parametrize("prefix", [[], ["--prefix", "0"]])
+    @pytest.mark.parametrize("kind", ["hmm", "qhmm"])
+    def test_chunked_file_equals_the_one_chunk_file(self, dataset_dir, system_path,
+                                                    tmp_path, monkeypatch, kind, prefix):
+        # 12 symbols hold three rows of length 4
+        assert self.chunk_rows(dataset_dir, system_path, tmp_path, monkeypatch, kind,
+                               prefix, 12) == [3, 3, 3, 2]
+
+    @pytest.mark.parametrize("kind", ["hmm", "qhmm"])
+    def test_rows_longer_than_a_chunk_are_drawn_one_at_a_time(
+            self, dataset_dir, system_path, tmp_path, monkeypatch, kind):
+        assert self.chunk_rows(dataset_dir, system_path, tmp_path, monkeypatch, kind,
+                               [], 3) == [1] * 11
 
     def test_failure_in_a_later_chunk_removes_the_file(self, dataset_dir, tmp_path,
                                                        monkeypatch, capsys):
@@ -497,6 +513,17 @@ class TestGenerate:
                    (out / "sequences.jsonl").read_text().splitlines()]
         assert len(records) == 40
         assert sorted(decoded) == sorted({tuple(r["sequence"]) for r in records})
+
+    def test_system_of_another_alphabet_exits_two(self, system_path, tmp_path, capsys):
+        # a four-event model (8 symbols) with the three-event system (6 symbols)
+        model_path = tmp_path / "hmm.json"
+        save_model(CategoricalHmm([[1.0]], [[0.125] * 8], [1.0]), model_path)
+        out = tmp_path / "gen"
+        assert run("generate", "--model", model_path, "--out", out, "--count", 20,
+                   "--length", 4, "--seed", 0, "--system", system_path) == 2
+        assert capsys.readouterr().err == (
+            "error: the system alphabet has size 6 but the model alphabet has size 8\n")
+        assert not out.exists()
 
     def test_symbols_stay_in_alphabet(self, dataset_dir, tmp_path):
         model_dir = tmp_path / "model"
@@ -934,3 +961,101 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+
+def write_then_fail(real):
+    """``real``, made to raise once it has written."""
+    def failing(*args, **kwargs):
+        real(*args, **kwargs)
+        raise OSError("disk full")
+    return failing
+
+
+class TestRunContract:
+    """A command leaves its outputs and manifest, or none of its files."""
+
+    @pytest.fixture
+    def calls(self, dataset_dir, system_path, tmp_path):
+        """Each case's command and flags (all but --out), and the exit code it
+        fails with."""
+        model = tmp_path / "model" / "model.json"
+        assert train_small(dataset_dir, model.parent) == 0
+        # a one-symbol model trains, but DA needs at least two symbols
+        one_symbol = tmp_path / "one-symbol.json"
+        save_model(CategoricalHmm([[1.0]], [[1.0]], [1.0]), one_symbol)
+        zeros = tmp_path / "zeros.jsonl"
+        zeros.write_text('{"sequence": [0, 0], "label": "probable"}\n')
+        probable = dataset_dir / "probable.jsonl"
+        return {
+            "make-dataset": (["make-dataset", "--system", system_path, "--seed", 0], 1),
+            "train": (["train", "--kind", "qhmm", "--data", probable, "--K", 2,
+                       "--epochs", 1, "--seed", 0], 1),
+            "eval": (["eval", "--model", model, "--data", probable], 1),
+            "eval-one-symbol": (["eval", "--model", one_symbol, "--data", zeros], 2),
+            "generate": (["generate", "--model", model, "--count", 3, "--length", 2,
+                          "--seed", 0], 1),
+            "classify": (["classify", "--model-probable", model,
+                          "--model-no-probable", model, "--data", probable], 1),
+            "classify-one-symbol": (["classify", "--model-probable", one_symbol,
+                                     "--model-no-probable", one_symbol,
+                                     "--data", zeros], 2),
+            "compare": (["compare", "--data", probable, "--K", 2, "--epochs", 1,
+                         "--seeds", "0"], 1),
+        }
+
+    # the writer each case's failure is injected into, after it has written;
+    # the one-symbol cases fail in scoring, after --out is created
+    WRITERS = {"make-dataset": (psa, "save_dataset"), "train": (cli, "write_training_log"),
+               "eval": (cli, "write_da_report"), "generate": (cli, "_sequence_line"),
+               "classify": (cli, "write_classification_report"), "compare": (csv, "writer")}
+
+    @pytest.mark.parametrize("case", ["make-dataset", "train", "eval", "eval-one-symbol",
+                                      "generate", "classify", "classify-one-symbol",
+                                      "compare"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_a_failed_command_leaves_none_of_its_files(self, calls, tmp_path, capsys,
+                                                       monkeypatch, case, existing):
+        argv, code = calls[case]
+        command = argv[0]
+        if existing:
+            out = tmp_path / "out"
+            out.mkdir()
+            for name in (*cli._OUTPUTS[command], "manifest.json", "notes.txt"):
+                (out / name).write_text("from an earlier run\n")
+        else:
+            out = tmp_path / "new" / "nested" / "out"
+        if case in self.WRITERS:
+            module, name = self.WRITERS[case]
+            monkeypatch.setattr(module, name, write_then_fail(getattr(module, name)))
+        capsys.readouterr()
+        assert run(*argv, "--out", out) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        else:
+            assert not (tmp_path / "new").exists()
+
+    def test_outputs_table_names_every_command(self):
+        (commands,) = [action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert sorted(cli._OUTPUTS) == sorted(commands)
+
+    @pytest.mark.parametrize("command", list(cli._OUTPUTS))
+    def test_out_below_a_file_is_one_error_line(self, calls, tmp_path, capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        capsys.readouterr()
+        assert run(*calls[command][0], "--out", blocker / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert blocker.read_text() == "a file\n"
+
+    def test_missing_model_below_a_file_is_a_missing_file(self, dataset_dir, tmp_path,
+                                                          capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        missing = tmp_path / "nope.json"
+        assert run("eval", "--model", missing, "--data", dataset_dir / "probable.jsonl",
+                   "--out", blocker / "out") == 2
+        assert capsys.readouterr().err == f"error: missing file: {missing}\n"
