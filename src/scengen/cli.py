@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from datetime import datetime, timezone
 from itertools import chain, takewhile
 from pathlib import Path
@@ -80,7 +80,8 @@ def _environment() -> dict:
             "cpu_count": os.cpu_count()}
 
 
-def _write_manifest(args, out: Path, work, started_wall: str, started_clock: float) -> None:
+def _write_manifest(args, out: Path, work: dict, started_wall: str,
+                    started_clock: float) -> None:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     inputs = []
     for flag in ("model", "model_probable", "model_no_probable", "data", "system"):
@@ -98,11 +99,10 @@ def _write_manifest(args, out: Path, work, started_wall: str, started_clock: flo
         "duration_seconds": time.perf_counter() - started_clock,
         "environment": _environment(),
     }
-    if work:
-        manifest["scoring"] = dict(work)
+    manifest.update((block, dict(counts)) for block, counts in work.items() if counts)
+    # one write: json.dump with an indent writes each token on its own
     with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, default=str) + "\n")
 
 
 def _int_list(text: str) -> list:
@@ -163,16 +163,20 @@ def _train_one(kind: str, sequences, alphabet_size: int, args, seed: int):
     return result.model, records
 
 
-# each command writes its _OUTPUTS files, and the scoring commands add their
-# scoring work (see metrics._scores) to ``work``; main writes the manifest
-def cmd_make_dataset(args, work: Counter) -> None:
+# each command writes its _OUTPUTS files and adds its work to a block of
+# ``work`` (block name -> Counter): make-dataset its "enumeration", the scoring
+# commands their "scoring" (see metrics._scores); main writes the manifest
+def cmd_make_dataset(args, work: dict) -> None:
     build_datasets(SystemModel.load(args.system), max_len=args.max_len,
                    p_min=args.p_min, test_fraction=args.test_fraction,
-                   seed=args.seed, out_dir=args.out)
+                   seed=args.seed, out_dir=args.out, work=work["enumeration"])
 
 
-def cmd_train(args, work: Counter) -> None:
+def cmd_train(args, work: dict) -> None:
     data = _load_split(args)
+    if data.alphabet_size < 2:  # no scoring command could use the model
+        raise InputError(f"--alphabet-size {data.alphabet_size}: a model needs at "
+                         "least two symbols to be scored (DA)")
     model, records = _train_one(args.kind, data.sequences(), data.alphabet_size,
                                 args, args.seed)
     if isinstance(model, KrausModel) and not validate_kraus(model).passes:
@@ -182,14 +186,15 @@ def cmd_train(args, work: Counter) -> None:
     write_training_log(out / "loss.csv", records)
 
 
-def cmd_eval(args, work: Counter) -> None:
+def cmd_eval(args, work: dict) -> None:
     model = load_model(args.model)
     data = _load_split(args, model.alphabet_size)
-    mean = write_da_report(_out_dir(args) / "report.csv", model, data, work=work)
+    mean = write_da_report(_out_dir(args) / "report.csv", model, data,
+                           work=work["scoring"])
     print(f"mean_da {mean!r}")
 
 
-def cmd_generate(args, work: Counter) -> None:
+def cmd_generate(args, work: dict) -> None:
     model = load_model(args.model)
     prefix = tuple(args.prefix)
     system = SystemModel.load(args.system) if args.system else None
@@ -245,17 +250,17 @@ def _sequence_line(sequence: tuple, system, decode_start: int):
     return json.dumps(payload) + "\n", payload["steps"] is None
 
 
-def cmd_classify(args, work: Counter) -> None:
+def cmd_classify(args, work: dict) -> None:
     clf = TwoModelClassifier(load_model(args.model_probable),
                              load_model(args.model_no_probable))
     data = _load_split(args, clf.alphabet_size)
     accuracy = write_classification_report(_out_dir(args) / "report.csv", clf, data,
-                                           work=work)
+                                           work=work["scoring"])
     if accuracy is not None:
         print(f"accuracy {accuracy!r}")
 
 
-def cmd_compare(args, work: Counter) -> None:
+def cmd_compare(args, work: dict) -> None:
     if not args.seeds:
         raise InputError("at least one seed is required")
     datasets = []
@@ -293,7 +298,7 @@ def cmd_compare(args, work: Counter) -> None:
             # each split is padded once and scored under all of the kind's models
             for split, split_data in (("train", train), ("test", test)):
                 values = _scores([model for model, _ in fits], split_data,
-                                 work=work)[2].mean(axis=1)
+                                 work=work["scoring"])[2].mean(axis=1)
                 rows.append([str(data_path), kind, split,
                              repr(float(values.mean())), repr(float(values.std()))])
     with open(_out_dir(args) / "comparison.csv", "w", newline="") as fh:
@@ -393,7 +398,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started, clock = datetime.now(timezone.utc).isoformat(), time.perf_counter()
-    out, work = Path(args.out), Counter()
+    out, work = Path(args.out), defaultdict(Counter)
     created = list(takewhile(lambda d: not d.exists(), chain([out], out.parents)))
     try:
         args.func(args, work)

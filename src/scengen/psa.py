@@ -11,6 +11,7 @@ Scenarios encode to symbol sequences over an alphabet of size 2n
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import eq, itemgetter
@@ -213,6 +214,63 @@ def decode_scenario(system: SystemModel, symbols,
     return steps
 
 
+def _scenario_columns(system: SystemModel, max_len: int):
+    """Every scenario of up to ``max_len`` steps, by column and sorted by
+    (-probability, symbols): ``(symbols, lengths, probs, walk_steps)``, with
+    every scenario's symbols in one int64 array.
+
+    The search expands its whole frontier one depth at a time, with one
+    gather from each table over the 2^n states (per event: the next state,
+    the step probability, the symbol and whether the next state is severe).
+    A node carries its state, its probability (the left-to-right product of
+    its steps) and its symbols as base-(2n + 1) digits (symbol + 1, then 0
+    past the end), so that one lexsort gives tuple order. Each expanded node
+    counts n walk steps, and ``MAX_WALK_STEPS`` is checked before a depth is
+    expanded, so it bounds the search's memory as well as its time.
+    """
+    n = system.num_events
+    if n > MAX_EVENTS:
+        raise ResourceLimitError(f"system has {n} events; bound is {MAX_EVENTS}")
+    if max_len > MAX_SCENARIO_LEN:
+        raise ResourceLimitError(f"max_len {max_len} exceeds bound {MAX_SCENARIO_LEN}")
+    if max_len < 1:
+        raise InputError("max_len must be >= 1")
+    # per state (row) and event (column); 2n + 1 digits of max_len steps fit int64
+    states = np.arange(1 << n)[:, None]
+    bits = 1 << np.arange(n)
+    down = (states & bits) != 0
+    next_state = states ^ bits
+    factor = np.where(down, [e.p_repair for e in system.events],
+                      [e.p_down for e in system.events])
+    digit = 2 * np.arange(n) + down + 1
+    masks = np.array(system.severe_masks, dtype=np.int64)
+    severe = ((next_state[..., None] & masks) == masks).any(axis=-1)
+    base = 2 * n + 1
+    places = base ** np.arange(max_len - 1, -1, -1)  # step t is the digit at places[t]
+
+    state, prob, key = np.zeros(1, np.int64), np.ones(1), np.zeros(1, np.int64)
+    found_probs, found_keys = [], []
+    walk_steps = 0
+    for depth in range(max_len):
+        walk_steps += n * len(state)
+        if walk_steps > MAX_WALK_STEPS:
+            raise ResourceLimitError(f"enumeration explored more than {MAX_WALK_STEPS} "
+                                     f"walk steps; lower max_len")
+        hit = severe[state]  # (node, event) pairs; a boolean index keeps row order
+        prob = prob[:, None] * factor[state]
+        key = key[:, None] + digit[state] * places[depth]
+        found_probs.append(prob[hit])
+        found_keys.append(key[hit])
+        if depth < max_len - 1:  # the walks still going expand at the next depth
+            going = ~hit
+            state, prob, key = next_state[state][going], prob[going], key[going]
+    probs, keys = np.concatenate(found_probs), np.concatenate(found_keys)
+    order = np.lexsort((keys, -probs))
+    digits = keys[order, None] // places % base
+    return (digits[digits > 0] - 1, np.count_nonzero(digits, axis=1), probs[order],
+            walk_steps)
+
+
 def enumerate_scenarios(system: SystemModel, max_len: int = 4, p_min: float = 1e-3):
     """Exhaustively search the state graph for severe-terminated walks from all-up.
 
@@ -222,58 +280,30 @@ def enumerate_scenarios(system: SystemModel, max_len: int = 4, p_min: float = 1e
     no_probable; both lists are sorted by descending probability with ties
     broken by the encoded symbols, so the order is deterministic.
 
-    The search is exponential in ``max_len``; systems of more than
-    ``MAX_EVENTS`` events, ``max_len`` above ``MAX_SCENARIO_LEN``, and a
-    search that explores more than ``MAX_WALK_STEPS`` walk steps are
-    rejected with a :class:`ResourceLimitError`.
+    The search expands every walk one depth at a time (see
+    ``_scenario_columns``, which :func:`build_datasets` reads directly);
+    this builds its :class:`Scenario` lists. It is exponential in
+    ``max_len``; systems of more than ``MAX_EVENTS`` events, ``max_len``
+    above ``MAX_SCENARIO_LEN``, and a search that would explore more than
+    ``MAX_WALK_STEPS`` walk steps are rejected with a
+    :class:`ResourceLimitError`, which bounds its memory as well as its time.
     """
-    n = system.num_events
-    if n > MAX_EVENTS:
-        raise ResourceLimitError(f"system has {n} events; bound is {MAX_EVENTS}")
-    if max_len > MAX_SCENARIO_LEN:
-        raise ResourceLimitError(f"max_len {max_len} exceeds bound {MAX_SCENARIO_LEN}")
-    if max_len < 1:
-        raise InputError("max_len must be >= 1")
-
-    # (steps, symbols, probability) of each scenario; each walk step is
-    # encoded once, as it is taken
-    found: List[Tuple[Tuple[Tuple[int, str], ...], Tuple[int, ...], float]] = []
-    walk_steps = 0
-
-    def explore(state: int, depth: int, prob: float, steps, symbols) -> None:
-        nonlocal walk_steps
-        if depth == max_len:
-            return
-        walk_steps += n
-        if walk_steps > MAX_WALK_STEPS:
-            raise ResourceLimitError(f"enumeration explored more than {MAX_WALK_STEPS} "
-                                     f"walk steps; lower max_len")
-        for idx in range(n):
-            down = bool(state >> idx & 1)
-            action = REPAIR if down else FAIL
-            event = system.events[idx]
-            next_prob = prob * (event.p_repair if down else event.p_down)
-            next_state = state ^ (1 << idx)
-            next_steps = steps + ((idx, action),)
-            next_symbols = symbols + (2 * idx + down,)
-            if is_severe(next_state, system):
-                found.append((next_steps, next_symbols, next_prob))
-            else:
-                explore(next_state, depth + 1, next_prob, next_steps, next_symbols)
-
-    explore(0, 0, 1.0, (), ())
-
+    symbols, lengths, probs, _ = _scenario_columns(system, max_len)
     probable: List[Scenario] = []
     no_probable: List[Scenario] = []
-    for steps, symbols, prob in found:
+    for row, prob in zip(map(tuple, _rows(symbols, lengths)), probs.tolist()):
+        steps = tuple((s >> 1, REPAIR if s & 1 else FAIL) for s in row)
         if prob > p_min:
-            probable.append(Scenario(steps, prob, PROBABLE, symbols))
+            probable.append(Scenario(steps, prob, PROBABLE, row))
         else:
-            no_probable.append(Scenario(steps, prob, NO_PROBABLE, symbols))
-    key = lambda s: (-s.probability, s.symbols)
-    probable.sort(key=key)
-    no_probable.sort(key=key)
+            no_probable.append(Scenario(steps, prob, NO_PROBABLE, row))
     return probable, no_probable
+
+
+def _rows(symbols: np.ndarray, lengths: np.ndarray) -> List[list]:
+    """Each row of a flat symbol column, as a list of Python ints."""
+    flat, ends = symbols.tolist(), np.cumsum(lengths).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends, ends)]
 
 
 @dataclass(frozen=True)
@@ -343,22 +373,41 @@ class ScenarioDataset:
 
     def sequences(self, split: Optional[str] = None) -> List[Tuple[int, ...]]:
         data = self.subset(split)
-        flat, ends = data.symbols.tolist(), np.cumsum(data.lengths).tolist()
-        return [tuple(flat[start:end]) for start, end in zip([0] + ends, ends)]
+        return list(map(tuple, _rows(data.symbols, data.lengths)))
 
     def labeled(self, split: Optional[str] = None):
         data = self.subset(split)
         return list(zip(data.sequences(), data.labels))
 
 
+def _json_values(values) -> list:
+    """``json.dumps`` of each value: a finite float is its ``repr`` and each
+    distinct string is encoded once (only strings are memoized, since
+    ``True == 1`` would share a dict entry)."""
+    strings, out = {}, []
+    for value in values:
+        if type(value) is str:
+            text = strings.get(value)
+            if text is None:
+                text = strings[value] = json.dumps(value)
+        elif type(value) is float and math.isfinite(value):
+            text = repr(value)
+        else:
+            text = json.dumps(value)
+        out.append(text)
+    return out
+
+
 def save_dataset(dataset: ScenarioDataset, path) -> None:
-    """One JSON object per line: {"sequence", "label", "prob", "split"}."""
+    """One JSON object per line: {"sequence", "label", "prob", "split"}.
+
+    Each line is written from the columns, byte for byte as ``json.dumps``
+    writes the record's dict."""
+    sequences = _rows(dataset.symbols, dataset.lengths)
+    line = '{"sequence": %r, "label": %s, "prob": %s, "split": %s}\n'.__mod__
     with open(path, "w") as fh:
-        for sequence, label, prob, split in zip(dataset.sequences(), dataset.labels,
-                                                dataset.probs, dataset.splits):
-            payload = {"sequence": sequence, "label": label,
-                       "prob": prob, "split": split}
-            fh.write(json.dumps(payload) + "\n")
+        fh.writelines(map(line, zip(sequences, *map(_json_values, (
+            dataset.labels, dataset.probs, dataset.splits)))))
 
 
 _decode = json.JSONDecoder().raw_decode
@@ -445,13 +494,15 @@ def load_dataset(path, alphabet_size: Optional[int] = None) -> ScenarioDataset:
 
 
 def build_datasets(system: SystemModel, *, max_len: int = 4, p_min: float = 1e-3,
-                   test_fraction: float = 0.25, seed: int = 0, out_dir=None):
+                   test_fraction: float = 0.25, seed: int = 0, out_dir=None, work=None):
     """Enumerate, encode, and split the two scenario classes.
 
     ``round(test_fraction * class size)`` records per class go to the test
     split, chosen by a seeded shuffle; record order stays the enumeration
     order. With ``out_dir`` set, ``probable.jsonl`` and
-    ``no_probable.jsonl`` are written there.
+    ``no_probable.jsonl`` are written there. ``work``, when a
+    :class:`collections.Counter`, has the enumeration's walk steps and the
+    scenario count of each class added to it.
 
     Returns
     -------
@@ -459,24 +510,26 @@ def build_datasets(system: SystemModel, *, max_len: int = 4, p_min: float = 1e-3
     """
     if not 0.0 < test_fraction < 1.0:
         raise InputError("test_fraction must lie in (0, 1)")
-    probable, no_probable = enumerate_scenarios(system, max_len=max_len, p_min=p_min)
-    if not probable or not no_probable:
+    symbols, lengths, probs, walk_steps = _scenario_columns(system, max_len)
+    probable = probs > p_min
+    counts = {PROBABLE: int(np.count_nonzero(probable))}
+    counts[NO_PROBABLE] = len(probs) - counts[PROBABLE]
+    if not all(counts.values()):
         raise DatasetConstructionError(
-            f"enumeration produced {len(probable)} probable and "
-            f"{len(no_probable)} no_probable scenarios; adjust max_len or "
+            f"enumeration produced {counts[PROBABLE]} probable and "
+            f"{counts[NO_PROBABLE]} no_probable scenarios; adjust max_len or "
             "p_min so both classes are populated")
     rng = np.random.default_rng(seed)
     datasets = []
-    for scenarios in (probable, no_probable):
-        n_test = int(round(test_fraction * len(scenarios)))
-        test = np.zeros(len(scenarios), dtype=bool)
-        test[rng.permutation(len(scenarios))[:n_test]] = True
-        sequences = [sc.symbols for sc in scenarios]
+    for label, keep in ((PROBABLE, probable), (NO_PROBABLE, ~probable)):
+        size = counts[label]
+        test = np.zeros(size, dtype=bool)
+        test[rng.permutation(size)[:int(round(test_fraction * size))]] = True
         datasets.append(ScenarioDataset.from_columns(
-            system.alphabet_size, np.fromiter(chain.from_iterable(sequences), np.int64),
-            np.fromiter(map(len, sequences), np.int64, len(sequences)),
-            [sc.label for sc in scenarios], [sc.probability for sc in scenarios],
-            np.where(test, "test", "train").tolist()))
+            system.alphabet_size, symbols[np.repeat(keep, lengths)], lengths[keep],
+            [label] * size, probs[keep].tolist(), np.where(test, "test", "train").tolist()))
+    if work is not None:
+        work.update(walk_steps=walk_steps, **counts)
     if out_dir is not None:
         from pathlib import Path
         out = Path(out_dir)

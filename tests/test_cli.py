@@ -162,6 +162,24 @@ class TestMakeDataset:
         assert manifest["command"] == "make-dataset"
         assert manifest["seed"] == 0
 
+    @pytest.mark.parametrize("system, max_len, walk_steps", [
+        ("three", 4, 84),
+        # README's count: a psa.MAX_WALK_STEPS of 102,979 rejects this search
+        ("four", 10, 102_980),
+    ])
+    def test_manifest_counts_the_enumeration(self, tmp_path, system, max_len,
+                                             walk_steps):
+        path = tmp_path / "system.json"
+        getattr(psa, f"reference_{system}_event_system")().save(path)
+        out = tmp_path / "out"
+        assert run("make-dataset", "--system", path, "--out", out, "--seed", 0,
+                   "--max-len", max_len) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        sizes = {label: len((out / f"{label}.jsonl").read_text().splitlines())
+                 for label in ("probable", "no_probable")}
+        assert manifest["enumeration"] == {"walk_steps": walk_steps, **sizes}
+        assert "scoring" not in manifest
+
     def test_missing_system_exits_two(self, tmp_path, capsys):
         code = run("make-dataset", "--system", tmp_path / "nope.json",
                    "--out", tmp_path / "out", "--seed", 0)
@@ -244,6 +262,17 @@ class TestTrain:
                                                       kind, flags):
         out = tmp_path / "out"
         assert train_small(dataset_dir, out, kind=kind, **flags) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["hmm", "qhmm"])
+    def test_one_symbol_alphabet_exits_two(self, tmp_path, capsys, kind):
+        # DA needs at least two symbols, so no scoring command could use the model
+        data = tmp_path / "zeros.jsonl"
+        data.write_text('{"sequence": [0, 0]}\n{"sequence": [0]}\n')
+        out = tmp_path / "out"
+        assert run("train", "--kind", kind, "--data", data, "--out", out, "--split", "all",
+                   "--alphabet-size", 1, "--K", 2, "--epochs", 1, "--seed", 0) == 2
+        assert "at least two symbols" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -980,7 +1009,8 @@ class TestRunContract:
         fails with."""
         model = tmp_path / "model" / "model.json"
         assert train_small(dataset_dir, model.parent) == 0
-        # a one-symbol model trains, but DA needs at least two symbols
+        # a one-symbol model loads, but DA needs at least two symbols (train
+        # rejects such an alphabet, so the model is saved directly)
         one_symbol = tmp_path / "one-symbol.json"
         save_model(CategoricalHmm([[1.0]], [[1.0]], [1.0]), one_symbol)
         zeros = tmp_path / "zeros.jsonl"

@@ -154,8 +154,30 @@ class TestEnumerate:
         assert {s for s, _ in got} == {s for s, _ in want}
         want_probs = dict(want)
         for steps, prob in got:
-            assert prob == pytest.approx(want_probs[steps], rel=1e-15)
+            assert prob == want_probs[steps]
         assert len(probable) == 8 and len(no_probable) == 8
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_systems_match_bfs_oracle_exactly(self, seed):
+        # 1-6 events, 1-3 severe subsets, max_len 1-7: the same scenarios,
+        # probabilities equal bit for bit, each class in (-prob, symbols) order
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        events = [BasicEvent(f"E{i}", *map(float, rng.uniform(0.01, 0.99, 2)))
+                  for i in range(n)]
+        severe = [[f"E{i}" for i in rng.choice(n, int(rng.integers(1, n + 1)),
+                                                 replace=False)]
+                  for _ in range(int(rng.integers(1, 4)))]
+        system = SystemModel("random", events, severe)
+        max_len = int(rng.integers(1, 8))
+        want = bfs_scenarios(system, 0, max_len)
+        p_min = float(np.median([prob for _, prob in want])) if want else 1e-3
+        probable, no_probable = enumerate_scenarios(system, max_len=max_len, p_min=p_min)
+        for label, group in (("probable", probable), ("no_probable", no_probable)):
+            keyed = sorted((-prob, tuple(encode_scenario(system, steps)), steps)
+                           for steps, prob in want if (prob > p_min) == (label == "probable"))
+            assert [(sc.steps, sc.probability, sc.symbols, sc.label) for sc in group] == \
+                [(steps, -key, symbols, label) for key, symbols, steps in keyed]
 
     def test_scenarios_end_severe_without_severe_prefix(self, ref_system):
         probable, no_probable = enumerate_scenarios(ref_system, max_len=4, p_min=1e-3)
@@ -218,6 +240,15 @@ class TestEnumerate:
         monkeypatch.setattr(psa, "MAX_WALK_STEPS", 83)
         with pytest.raises(ResourceLimitError, match="walk steps"):
             enumerate_scenarios(ref_system, max_len=4)
+
+    def test_walk_budget_of_the_four_event_system(self, monkeypatch):
+        # README's count: 102,980 walk steps at max_len 10
+        system = reference_four_event_system()
+        monkeypatch.setattr(psa, "MAX_WALK_STEPS", 102_980)
+        assert psa._scenario_columns(system, 10)[3] == 102_980
+        monkeypatch.setattr(psa, "MAX_WALK_STEPS", 102_979)
+        with pytest.raises(ResourceLimitError, match="walk steps"):
+            build_datasets(system, max_len=10)
 
 
 class TestBuildDatasets:
@@ -338,6 +369,23 @@ class TestDatasetIo:
                 (no_probable.labels, no_probable.probs, no_probable.splits)
         save_dataset(rebuilt, tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+    def test_lines_are_json_dumps_of_the_records(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        labels = [None, 'say "hi"', "back\\slash", "naïve ✓ \n", ["a", 1], "probable",
+                  'say "hi"', True, 1]
+        probs = [None, 1e-05, 1e16, -0.0, nan, inf, -inf, 0.1 + 0.2, np.float64(0.5)]
+        splits = [True, 1, 1.0, "train", "test", "train", 7, 2 ** 70, False]
+        lengths = np.arange(1, len(labels) + 1, dtype=np.int64)
+        symbols = np.arange(lengths.sum(), dtype=np.int64) % 6
+        dataset = ScenarioDataset.from_columns(6, symbols, lengths, labels, probs, splits)
+        path = tmp_path / "data.jsonl"
+        save_dataset(dataset, path)
+        want = [json.dumps({"sequence": list(seq), "label": label, "prob": prob,
+                            "split": split}) + "\n"
+                for seq, label, prob, split in zip(dataset.sequences(), labels, probs,
+                                                   splits)]
+        assert path.read_text(encoding="utf-8").splitlines(keepends=True) == want
 
     def test_record_constructor_rejects_empty_sequences(self):
         with pytest.raises(InputError):
