@@ -17,8 +17,8 @@ from .errors import (AlphabetMismatchError, DatasetConstructionError,
                      ScengenError, StepFailureError, TrainingError,
                      TransitionError)
 from .hmm import (BaumWelchResult, CategoricalHmm, TrellisResult,
-                  baum_welch_fit, hmm_backward, hmm_forward, hmm_posterior,
-                  hmm_sample, hmm_samples)
+                  baum_welch_fit, baum_welch_fits, hmm_backward, hmm_forward,
+                  hmm_posterior, hmm_sample, hmm_samples)
 from .metrics import (average_da, da_for_sequence, da_nonlinearity, da_score,
                       da_scores, log_likelihoods, sequence_log_prob,
                       write_da_report)

@@ -20,7 +20,6 @@ import sys
 import time
 from collections import Counter, defaultdict
 from datetime import datetime, timezone
-from itertools import chain, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +27,11 @@ import numpy as np
 from . import __version__
 from .classifier import TwoModelClassifier, write_classification_report
 from .errors import AlphabetMismatchError, InputError, ScengenError, TrainingError
-from .hmm import CategoricalHmm, baum_welch_fit, hmm_samples
+from .hmm import CategoricalHmm, baum_welch_fit, baum_welch_fits, hmm_samples
 from .metrics import _scores, write_da_report
 from .psa import (SystemModel, apply_event, build_datasets, decode_scenario,
                   load_dataset)
-from .qhmm import KrausModel, qhmm_samples, validate_kraus
+from .qhmm import qhmm_samples, validate_kraus
 from .serialization import load_model, save_model
 from .trainer import (TrainConfig, TrainRecord, train_qhmm, train_qhmm_datasets,
                       write_training_log)
@@ -53,11 +52,32 @@ _OUTPUTS = {
 }
 
 
-def _out_dir(args) -> Path:
-    """--out, created just before a command writes, after its inputs have loaded."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _Run:
+    """What one command call leaves for main: its work, added to a block of
+    ``work`` (block name -> Counter; each nonempty block goes into the
+    manifest), and the directories that creating --out made, deepest first,
+    which main removes when the call fails."""
+
+    def __init__(self, out):
+        self.out, self.work, self.created = Path(out), defaultdict(Counter), []
+
+    def out_dir(self) -> Path:
+        """--out, created just before a command writes, after its inputs
+        have loaded, with the parents it lacks."""
+        pending = [self.out]
+        while pending:
+            try:
+                pending[-1].mkdir()
+            except FileNotFoundError:  # its parent is missing too
+                pending.append(pending[-1].parent)
+                continue
+            except FileExistsError:
+                if not pending[-1].is_dir():
+                    raise
+            else:
+                self.created.insert(0, pending[-1])
+            pending.pop()
+        return self.out
 
 
 @functools.cache
@@ -152,49 +172,48 @@ def _qhmm_config(args, seed: int) -> TrainConfig:
                        multiplicity=args.mu, seed=seed)
 
 
-def _train_one(kind: str, sequences, alphabet_size: int, args, seed: int):
-    """Train one model of the requested kind; returns (model, loss records)."""
-    if kind == "qhmm":
-        return train_qhmm(sequences, _qhmm_config(args, seed), alphabet_size)
-    result = baum_welch_fit(sequences, args.K, alphabet_size=alphabet_size,
-                            max_iters=args.epochs, tol=args.tol, seed=seed)
-    records = [TrainRecord(i, 0, -ll / len(sequences), 0.0)
-               for i, ll in enumerate(result.log_likelihoods)]
-    return result.model, records
-
-
-# each command writes its _OUTPUTS files and adds its work to a block of
-# ``work`` (block name -> Counter): make-dataset its "enumeration", the scoring
-# commands their "scoring" (see metrics._scores); main writes the manifest
-def cmd_make_dataset(args, work: dict) -> None:
+# each command writes its _OUTPUTS files into run.out_dir() and adds its work
+# to a block of run.work: make-dataset its "enumeration", the scoring commands
+# their "scoring" (see metrics._scores), the HMM fits of train and compare
+# their "em" (see hmm.baum_welch_fits); main writes the manifest
+def cmd_make_dataset(args, run: _Run) -> None:
     build_datasets(SystemModel.load(args.system), max_len=args.max_len,
                    p_min=args.p_min, test_fraction=args.test_fraction,
-                   seed=args.seed, out_dir=args.out, work=work["enumeration"])
+                   seed=args.seed, out_dir=run.out_dir(), work=run.work["enumeration"])
 
 
-def cmd_train(args, work: dict) -> None:
+def cmd_train(args, run: _Run) -> None:
     data = _load_split(args)
     if data.alphabet_size < 2:  # no scoring command could use the model
         raise InputError(f"--alphabet-size {data.alphabet_size}: a model needs at "
                          "least two symbols to be scored (DA)")
-    model, records = _train_one(args.kind, data.sequences(), data.alphabet_size,
-                                args, args.seed)
-    if isinstance(model, KrausModel) and not validate_kraus(model).passes:
-        raise TrainingError("trained model fails the completeness check")
-    out = _out_dir(args)
+    sequences = data.sequences()
+    if args.kind == "qhmm":
+        model, records = train_qhmm(sequences, _qhmm_config(args, args.seed),
+                                    data.alphabet_size)
+        if not validate_kraus(model).passes:
+            raise TrainingError("trained model fails the completeness check")
+    else:
+        result = baum_welch_fit(sequences, args.K, alphabet_size=data.alphabet_size,
+                                max_iters=args.epochs, tol=args.tol, seed=args.seed,
+                                work=run.work["em"])
+        model = result.model
+        records = [TrainRecord(i, 0, -ll / len(sequences), 0.0)
+                   for i, ll in enumerate(result.log_likelihoods)]
+    out = run.out_dir()
     save_model(model, out / "model.json")
     write_training_log(out / "loss.csv", records)
 
 
-def cmd_eval(args, work: dict) -> None:
+def cmd_eval(args, run: _Run) -> None:
     model = load_model(args.model)
     data = _load_split(args, model.alphabet_size)
-    mean = write_da_report(_out_dir(args) / "report.csv", model, data,
-                           work=work["scoring"])
+    mean = write_da_report(run.out_dir() / "report.csv", model, data,
+                           work=run.work["scoring"])
     print(f"mean_da {mean!r}")
 
 
-def cmd_generate(args, work: dict) -> None:
+def cmd_generate(args, run: _Run) -> None:
     model = load_model(args.model)
     prefix = tuple(args.prefix)
     system = SystemModel.load(args.system) if args.system else None
@@ -218,7 +237,7 @@ def cmd_generate(args, work: dict) -> None:
     # size. Opening the file after the draw saves about 3% of a 100-row call.
     rng = np.random.default_rng(args.seed)
     rows = max(1, _GENERATE_CHUNK // max(args.length, 1))
-    path, illegal = _out_dir(args) / "sequences.jsonl", 0
+    path, illegal = run.out_dir() / "sequences.jsonl", 0
     for start in range(0, max(args.count, 1), rows):
         chunk = sample(model, args.length, min(args.count - start, rows), rng, prefix=prefix)
         lines = {}  # the chunk's line of each distinct sample, and if it is illegal
@@ -250,17 +269,17 @@ def _sequence_line(sequence: tuple, system, decode_start: int):
     return json.dumps(payload) + "\n", payload["steps"] is None
 
 
-def cmd_classify(args, work: dict) -> None:
+def cmd_classify(args, run: _Run) -> None:
     clf = TwoModelClassifier(load_model(args.model_probable),
                              load_model(args.model_no_probable))
     data = _load_split(args, clf.alphabet_size)
-    accuracy = write_classification_report(_out_dir(args) / "report.csv", clf, data,
-                                           work=work["scoring"])
+    accuracy = write_classification_report(run.out_dir() / "report.csv", clf, data,
+                                           work=run.work["scoring"])
     if accuracy is not None:
         print(f"accuracy {accuracy!r}")
 
 
-def cmd_compare(args, work: dict) -> None:
+def cmd_compare(args, run: _Run) -> None:
     if not args.seeds:
         raise InputError("at least one seed is required")
     datasets = []
@@ -270,23 +289,16 @@ def cmd_compare(args, work: dict) -> None:
         if not len(train) or not len(test):
             raise InputError(f"{data_path}: both train and test splits are required")
         datasets.append((data_path, data.alphabet_size, train.sequences(), train, test))
-    # one (model, records) pair or TrainingError per dataset and seed; the
-    # QHMM runs of all datasets train in shared stacks
-    qhmm_fits = train_qhmm_datasets([(seqs, alphabet_size)
-                                     for _, alphabet_size, seqs, _, _ in datasets],
-                                    _qhmm_config(args, args.seeds[0]), args.seeds)
+    # one fit or TrainingError per dataset and seed; the runs of each kind
+    # train in shared stacks across all datasets
+    training = [(seqs, alphabet_size) for _, alphabet_size, seqs, _, _ in datasets]
+    qhmm_fits = train_qhmm_datasets(training, _qhmm_config(args, args.seeds[0]),
+                                    args.seeds)
+    hmm_fits = baum_welch_fits(training, args.K, args.seeds, max_iters=args.epochs,
+                               tol=args.tol, work=run.work["em"])
     rows = []
-    for (data_path, alphabet_size, train_seqs, train, test), qhmm in zip(datasets,
-                                                                          qhmm_fits):
-        # the HMM seeds train one at a time up to the first failure
-        hmm_fits = []
-        for seed in args.seeds:
-            try:
-                hmm_fits.append(_train_one("hmm", train_seqs, alphabet_size, args, seed))
-            except TrainingError as exc:
-                hmm_fits.append(exc)
-                break
-        for kind, fits in (("hmm", hmm_fits), ("qhmm", qhmm)):
+    for (data_path, _, _, train, test), qhmm, hmm in zip(datasets, qhmm_fits, hmm_fits):
+        for kind, fits in (("hmm", hmm), ("qhmm", qhmm)):
             failure = next(((seed, fit) for seed, fit in zip(args.seeds, fits)
                             if isinstance(fit, TrainingError)), None)
             if failure is not None:
@@ -295,13 +307,14 @@ def cmd_compare(args, work: dict) -> None:
                 rows += [[str(data_path), kind, split, "failed", "failed"]
                          for split in ("train", "test")]
                 continue
+            models = [fit.model if kind == "hmm" else fit[0] for fit in fits]
             # each split is padded once and scored under all of the kind's models
             for split, split_data in (("train", train), ("test", test)):
-                values = _scores([model for model, _ in fits], split_data,
-                                 work=work["scoring"])[2].mean(axis=1)
+                values = _scores(models, split_data,
+                                 work=run.work["scoring"])[2].mean(axis=1)
                 rows.append([str(data_path), kind, split,
                              repr(float(values.mean())), repr(float(values.std()))])
-    with open(_out_dir(args) / "comparison.csv", "w", newline="") as fh:
+    with open(run.out_dir() / "comparison.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "model_kind", "split", "mean_da", "std_da"])
         writer.writerows(rows)
@@ -398,19 +411,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started, clock = datetime.now(timezone.utc).isoformat(), time.perf_counter()
-    out, work = Path(args.out), defaultdict(Counter)
-    created = list(takewhile(lambda d: not d.exists(), chain([out], out.parents)))
+    run = _Run(args.out)
     try:
-        args.func(args, work)
-        _write_manifest(args, out, work, started, clock)
+        args.func(args, run)
+        _write_manifest(args, run.out, run.work, started, clock)
         return 0
     except Exception as exc:
         # a command leaves its outputs and manifest, or none of its files; the
         # manifest goes first, so a run whose files cannot all go never looks done
         with contextlib.suppress(OSError):
             for name in ("manifest.json", *_OUTPUTS[args.command]):
-                (out / name).unlink(missing_ok=True)
-            for directory in created:  # --out and the parents this call made, deepest first
+                (run.out / name).unlink(missing_ok=True)
+            for directory in run.created:  # --out and the parents this call made
                 directory.rmdir()
         if isinstance(exc, FileNotFoundError):
             print(f"error: missing file: {exc.filename}", file=sys.stderr)

@@ -3,13 +3,15 @@
 Likelihoods come from the per-step scaled forward/backward recursions of
 Rabiner (1989), so long sequences stay inside the float range; the
 log-likelihood is accumulated from the per-step normalizers. One batched
-kernel runs them over zero-padded rows, longest first, in row blocks; the
-per-sequence trellises, Baum-Welch and dataset scoring all call it. A
-sequence the model cannot produce is reported with a ``-inf``
-log-likelihood instead of an error. Unlike a Kraus-operator model's, an
-HMM's dataset scores do not share the filtering of common prefixes: a
-row's last bits depend on its longest-first block (see
-:func:`_trellis_blocks`).
+kernel, :func:`_trellis_blocks`, runs them over zero-padded rows, longest
+first, in row blocks, for a stack of models: the per-sequence trellises
+and dataset scoring call it with one model, and Baum-Welch
+(:func:`baum_welch_fits`) with every live run of a stack of EM runs, so
+that several fits share each E-step. A sequence the model cannot produce
+is reported with a ``-inf`` log-likelihood instead of an error. Unlike a
+Kraus-operator model's, an HMM's dataset scores do not share the
+filtering of common prefixes: a row's last bits depend on its
+longest-first block (see :func:`_trellis_layout`).
 
 Models are immutable after construction and every operation here is a
 pure function, so concurrent use across threads is safe.
@@ -18,7 +20,7 @@ pure function, so concurrent use across threads is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -175,20 +177,57 @@ def _row_blocks(count: int, row_entries: int, budget: int) -> list:
     return [slice(start, start + size) for start in range(0, count, size)]
 
 
-def _trellis_blocks(model: CategoricalHmm, padded: np.ndarray, lengths: np.ndarray,
+def _stack(model: CategoricalHmm):
+    """A model's parameters as a stack of one, as :func:`_trellis_blocks` takes them."""
+    return model.transition[None], model.emission[None], model.start[None]
+
+
+def _trellis_blocks(transition: np.ndarray, emission: np.ndarray, start: np.ndarray,
+                    padded: np.ndarray, lengths: np.ndarray, runs=None,
                     backward: bool = False):
-    """Scaled forward (and backward) passes of Rabiner (1989) over padded rows.
+    """Scaled forward (and backward) passes of Rabiner (1989) over padded rows
+    of a stack of models.
 
-    Rows come longest first, so the rows still running at step t are a
-    leading slice. Yields ``(rows, log_probs, forward, scaling, backward)``
-    for each block of rows (``backward`` is None unless asked for); past a
-    row's end its trellis entries are zero and its scalings one. A row
-    whose step total reaches 0 scores -inf while the other rows carry on;
-    its forward rows from that step on, its later scalings and its whole
-    backward trellis are zero.
+    ``transition``, ``emission`` and ``start`` stack R models as ``(R, K, K)``,
+    ``(R, K, M)`` and ``(R, K)`` arrays; row i runs under model ``runs[i]``
+    (model 0 for every row when ``runs`` is None). Each model's rows are
+    consecutive and longest first. They are cut into the blocks of at most
+    ``_TRELLIS_BUDGET // K`` rows that they would make alone, and
+    consecutive blocks that hold that many rows together share one pass
+    (see :func:`_trellis_layout`). Yields ``(rows, log_probs, forward,
+    scaling, backward)`` per pass, where ``rows`` is the slice of input rows
+    it covers and ``backward`` is None unless asked for. The pass is as
+    wide as its longest row; past a row's end its trellis entries are zero
+    and its scalings one. A row whose step total reaches 0 scores -inf
+    while the other rows carry on; its forward rows from that step on, its
+    later scalings and its whole backward trellis are zero.
+    """
+    layout = _trellis_layout(padded, lengths, runs, transition.shape[1], emission.shape[2])
+    return _trellis_passes(transition, _emission_table(emission), start, layout, backward)
 
-    A row's bits depend on its block in two ways, so a caller that must
-    reproduce them keeps these blocks:
+
+class _Pass(NamedTuple):
+    """One pass of :func:`_trellis_layout`."""
+
+    rows: slice  # the input rows of the pass
+    blocks: list  # (model, row slice within the pass) of each block
+    models: np.ndarray  # each row's model
+    lengths: np.ndarray  # the rows' lengths
+    symbols: np.ndarray  # the emission table row of each (row, step)
+    plan: list  # per step, (model, first row, end row) of each block still running
+    gaps: list  # (rows, step) of the rows that a step runs past their end
+    narrow: tuple  # (block, width) of each block narrower than the pass
+
+
+def _trellis_layout(padded: np.ndarray, lengths: np.ndarray, runs, num_states: int,
+                    alphabet_size: int) -> list:
+    """The passes of :func:`_trellis_blocks`, which depend on the rows alone:
+    a caller that runs the same rows under changing models lays them out
+    once.
+
+    A row's bits depend on its block in two ways, which a pass keeps for
+    each of its blocks, so that a row gets the bits of its model's rows
+    run alone:
 
     - its log-probability sums the logs of the block's full width of
       scalings, padding included; numpy sums 8 or more terms pairwise, so
@@ -198,33 +237,103 @@ def _trellis_blocks(model: CategoricalHmm, padded: np.ndarray, lengths: np.ndarr
       the transition matrix, which numpy hands to BLAS as a matrix-vector
       product, whose rounding differs from that of the matrix product of
       two or more rows (seen with OpenBLAS 0.3.31 from K = 4 on).
+
+    So each block takes its own per-step product with its model's
+    transition matrix, and sums its own width; the emission gathers and
+    the normalisation run once over the pass.
     """
-    emission_of = model.emission.T  # row x: emission probability of x per state
-    for rows in _row_blocks(len(lengths), model.num_states, _TRELLIS_BUDGET):
-        symbols, block_len = padded[rows], lengths[rows]
-        count, steps = len(block_len), block_len[0]
-        forward = np.zeros((count, steps, model.num_states))
+    count = len(lengths)
+    if runs is None:
+        runs, edges, symbols = np.zeros(count, np.int64), [0, count], padded
+    else:
+        edges = [0, *(np.flatnonzero(runs[1:] != runs[:-1]) + 1).tolist(), count]
+        symbols = padded + alphabet_size * runs[:, None]  # the emission table rows
+    size, groups, used = max(1, _TRELLIS_BUDGET // num_states), [], 0
+    for first, end in zip(edges, edges[1:]):
+        for block in _row_blocks(end - first, num_states, _TRELLIS_BUDGET):
+            lo, hi = first + block.start, min(first + block.stop, end)
+            if groups and used + hi - lo <= size:
+                groups[-1].append((lo, hi))
+                used += hi - lo
+            else:
+                groups.append([(lo, hi)])
+                used = hi - lo
+    # the rows of each block still running at each step
+    running = np.add.reduceat(lengths[:, None] > np.arange(padded.shape[1]),
+                              [lo for group in groups for lo, _ in group], axis=0, dtype=np.intp)
+    passes, seen = [], 0
+    for group in groups:
+        base = group[0][0]
+        heads = [(int(runs[lo]), lo - base, hi - base) for lo, hi in group]
+        widths = [int(lengths[lo]) for lo, _ in group]
+        width = max(widths)
+        counts = running[seen:seen + len(group), :width].tolist()
+        seen += len(group)
+        plan = [[(model, lo, lo + n) for (model, lo, _), n in zip(heads, step) if n]
+                for step in zip(*counts)]
+        # step t runs the rows up to the last one still running, so in a
+        # pass of several blocks it runs the ended rows of a block that a
+        # later block outlasts too
+        gaps = [(slice(lo + n, hi), t) for (_, lo, hi), steps in zip(heads[:-1], counts)
+                for t, n in enumerate(steps) if lo + n < hi < plan[t][-1][2]]
+        blocks = [(model, slice(lo, hi)) for model, lo, hi in heads]
+        narrow = tuple((block, w) for (_, block), w in zip(blocks, widths) if w < width)
+        rows = slice(base, group[-1][1])
+        passes.append(_Pass(rows, blocks, runs[rows], lengths[rows], symbols[rows, :width],
+                            plan, gaps, narrow))
+    return passes
+
+
+def _emission_table(emission: np.ndarray) -> np.ndarray:
+    """The emission rows that :func:`_trellis_layout`'s symbols index: row
+    ``r * M + x`` holds the emission probability of x per state under
+    model r of the stack."""
+    return emission.transpose(0, 2, 1).reshape(-1, emission.shape[1])
+
+
+def _trellis_passes(transition: np.ndarray, table: np.ndarray, start: np.ndarray,
+                    layout: list, backward: bool = False):
+    """:func:`_trellis_blocks` over the passes of a :func:`_trellis_layout`,
+    with the models' :func:`_emission_table`."""
+    k = transition.shape[1]
+    for rows, _, models, lengths, symbols, plan, gaps, narrow in layout:
+        count, steps = len(lengths), len(plan)
+        # each block's product goes into the buffer; the ended rows that a
+        # step runs get finite values there, and the forward rows and
+        # scalings of padding once the steps are done
+        buffer = start[models]
+        forward = np.zeros((count, steps, k))
         scaling = np.ones((count, steps))  # padding counts as a factor 1
-        running = (block_len[:, None] > np.arange(steps)).sum(axis=0).tolist()
-        prior = model.start[None]
-        for t, n in enumerate(running):
+        for t, running in enumerate(plan):
+            n = running[-1][2]
             if t:
-                prior = forward[:n, t - 1] @ model.transition
-            vec = prior * emission_of[symbols[:n, t]]
+                for model, lo, hi in running:
+                    np.matmul(forward[lo:hi, t - 1], transition[model], out=buffer[lo:hi])
+            vec = buffer[:n] * table[symbols[:n, t]]
             scaling[:n, t] = total = vec.sum(axis=1)
             total[total <= 0.0] = np.inf  # the row keeps zero forward rows from here on
             forward[:n, t] = vec / total[:, None]
+        for ended, t in gaps:
+            forward[ended, t] = 0.0
+            scaling[ended, t] = 1.0
         with np.errstate(divide="ignore"):  # a total of 0 scores -inf
-            log_probs = np.log(scaling.clip(0.0)).sum(axis=1)
+            logs = np.log(scaling.clip(0.0))
+        log_probs = logs.sum(axis=1)
+        for block, width in narrow:
+            log_probs[block] = logs[block, :width].sum(axis=1)
         back = None
         if backward:
             back = np.zeros_like(forward)
-            back[np.arange(count), block_len - 1] = 1.0
+            back[np.arange(count), lengths - 1] = 1.0
             divisor = np.where(scaling > 0.0, scaling, 1.0)
             for t in range(steps - 2, -1, -1):
-                n = running[t + 1]
-                weighted = emission_of[symbols[:n, t + 1]] * back[:n, t + 1]
-                back[:n, t] = (weighted @ model.transition.T) / divisor[:n, t + 1, None]
+                running = plan[t + 1]
+                n = running[-1][2]
+                weighted = table[symbols[:n, t + 1]] * back[:n, t + 1]
+                buffer[:n] = back[:n, t]  # rows not running at t + 1 keep their 0 or 1
+                for model, lo, hi in running:
+                    np.matmul(weighted[lo:hi], transition[model].T, out=buffer[lo:hi])
+                back[:n, t] = buffer[:n] / divisor[:n, t + 1, None]
             back[log_probs == -np.inf] = 0.0
         yield rows, log_probs, forward, scaling, back
 
@@ -242,7 +351,7 @@ def hmm_forward(model: CategoricalHmm, sequence) -> TrellisResult:
     """
     seq = _as_symbols(sequence, model.alphabet_size)
     _, log_probs, forward, scaling, _ = next(
-        _trellis_blocks(model, seq[None], np.array([seq.size])))
+        _trellis_blocks(*_stack(model), seq[None], np.array([seq.size])))
     return TrellisResult(float(log_probs[0]), forward[0], scaling[0])
 
 
@@ -256,7 +365,7 @@ def hmm_backward(model: CategoricalHmm, sequence) -> TrellisResult:
     """
     seq = _as_symbols(sequence, model.alphabet_size)
     _, log_probs, forward, scaling, backward = next(
-        _trellis_blocks(model, seq[None], np.array([seq.size]), backward=True))
+        _trellis_blocks(*_stack(model), seq[None], np.array([seq.size]), backward=True))
     return TrellisResult(float(log_probs[0]), forward[0], scaling[0], backward[0])
 
 
@@ -284,11 +393,12 @@ def hmm_posterior(model: CategoricalHmm, sequence, position: int) -> np.ndarray:
 
 
 def _rows_or_uniform(numerators: np.ndarray) -> np.ndarray:
-    # rows with no expected mass fall back to uniform instead of NaN
-    sums = numerators.sum(axis=1, keepdims=True)
+    # rows (along the last axis) with no expected mass fall back to uniform
+    # instead of NaN
+    sums = numerators.sum(axis=-1, keepdims=True)
     out = np.where(sums > 0.0, numerators / np.where(sums > 0.0, sums, 1.0),
-                   1.0 / numerators.shape[1])
-    return out / out.sum(axis=1, keepdims=True)
+                   1.0 / numerators.shape[-1])
+    return out / out.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -300,7 +410,8 @@ class BaumWelchResult:
 
 
 def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = None,
-                   max_iters: int = 100, tol: float = 1e-6, seed: int = 0) -> BaumWelchResult:
+                   max_iters: int = 100, tol: float = 1e-6, seed: int = 0,
+                   work=None) -> BaumWelchResult:
     """Fit a :class:`CategoricalHmm` by expectation-maximization.
 
     Rows are initialized from flat Dirichlet draws seeded by ``seed``. The
@@ -311,6 +422,11 @@ def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = N
     initialization untouched. A negative ``max_iters`` and a NaN ``tol``
     (which no improvement falls below) are input errors.
 
+    This is the one-run call of :func:`baum_welch_fits`, whose E-step runs
+    the trellis kernel that scoring runs (:func:`_trellis_passes`); it
+    raises the :class:`TrainingError` of a training sequence that the
+    current parameters cannot produce.
+
     Parameters
     ----------
     dataset : list of sequences
@@ -319,59 +435,165 @@ def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = N
         Number of hidden states K of the fitted model.
     alphabet_size : int, optional
         Inferred as ``1 + max symbol`` when omitted.
+    work : collections.Counter, optional
+        Has the fit's ``em_iterations``, ``em_passes`` and ``runs_failed``
+        added to it, as :func:`baum_welch_fits` counts them.
     """
-    symbols, lengths = _flatten(dataset)
-    if not len(lengths):
-        raise InputError("dataset must contain at least one sequence")
+    ((result,),) = baum_welch_fits([(dataset, alphabet_size)], num_states, [seed],
+                                   max_iters=max_iters, tol=tol, work=work)
+    if isinstance(result, TrainingError):
+        raise result
+    return result
+
+
+class _EmRun:
+    """The EM state of one (dataset, seed) run within a stack."""
+
+    def __init__(self, padded, lengths, alphabet_size: int, num_states: int, seed):
+        # the dataset's padded rows (longest first) and lengths, shared by
+        # the runs of one dataset
+        self.padded, self.lengths, self.alphabet_size = padded, lengths, alphabet_size
+        rng = np.random.default_rng(seed)
+        k, m = num_states, alphabet_size
+        self.transition = rng.dirichlet(np.ones(k), size=k)
+        self.emission = rng.dirichlet(np.ones(m), size=k)
+        self.start = rng.dirichlet(np.ones(k))
+        self.history = []
+        self.error = None  # the TrainingError that ended the run
+
+
+def baum_welch_fits(datasets, num_states: int, seeds, *, max_iters: int = 100,
+                    tol: float = 1e-6, work=None) -> list:
+    """Fit one HMM per seed on each dataset, all runs in shared stacks.
+
+    ``datasets`` holds ``(sequences, alphabet_size)`` pairs (an alphabet
+    size of None is inferred as in :func:`baum_welch_fit`). Returns one list
+    per dataset with one entry per seed, in order: the
+    :class:`BaumWelchResult` that :func:`baum_welch_fit` returns for that
+    dataset and seed, bit for bit, or the :class:`TrainingError` it raises.
+
+    Runs are packed in order into stacks whose rows fit one trellis block
+    of ``_TRELLIS_BUDGET // K`` rows (a larger run is a stack of its own).
+    Each EM iteration of a stack is one E-step: one trellis call over the
+    rows of all its live runs, each run keeping its own row blocks (see
+    :func:`_trellis_blocks`), and one batched M-step. A run leaves the
+    stack when it converges, reaches ``max_iters`` or fails; the others
+    carry on. ``work``, when a :class:`collections.Counter`, has added to
+    it the E-steps summed over runs (``em_iterations``), the stacked
+    E-steps (``em_passes``) and the failed runs (``runs_failed``).
+    """
     if num_states < 1:
         raise InputError("num_states must be >= 1")
     if max_iters < 0:
         raise InputError("max_iters must be >= 0")
     if np.isnan(tol):
         raise InputError("tol must not be NaN")
-    if alphabet_size is None:
-        alphabet_size = 1 + int(symbols.max())  # _pad reports a negative symbol
-    padded, lengths, _ = _pad(symbols, lengths, alphabet_size)
+    seeds, groups = list(seeds), []
+    for sequences, alphabet_size in datasets:
+        symbols, lengths = _flatten(sequences)
+        if not len(lengths):
+            raise InputError("dataset must contain at least one sequence")
+        if alphabet_size is None:
+            alphabet_size = 1 + int(symbols.max())  # _pad reports a negative symbol
+        padded, lengths, _ = _pad(symbols, lengths, alphabet_size)
+        groups.append([_EmRun(padded, lengths, alphabet_size, num_states, seed)
+                       for seed in seeds])
+    size, stacks = max(1, _TRELLIS_BUDGET // num_states), []
+    for run in (run for group in groups for run in group):
+        if stacks and used + len(run.lengths) <= size:
+            stacks[-1].append(run)
+            used += len(run.lengths)
+        else:
+            stacks.append([run])
+            used = len(run.lengths)
+    counts = {"em_iterations": 0, "em_passes": 0}
+    for stack in stacks:
+        if max_iters:
+            _fit_stack(stack, max_iters, tol, counts)
+    if work is not None:
+        work.update(counts, runs_failed=sum(run.error is not None for group in groups
+                                            for run in group))
+    return [[run.error if run.error is not None else
+             BaumWelchResult(CategoricalHmm(run.transition, run.emission, run.start),
+                             run.history)
+             for run in group] for group in groups]
 
-    rng = np.random.default_rng(seed)
-    k, m = num_states, alphabet_size
-    model = CategoricalHmm(
-        rng.dirichlet(np.ones(k), size=k),
-        rng.dirichlet(np.ones(m), size=k),
-        rng.dirichlet(np.ones(k)),
-    )
 
-    history: list = []
-    for _ in range(max_iters):
-        start_acc = np.zeros(k)
-        trans_acc = np.zeros((k, k))
-        emit_acc = np.zeros((k, m))
-        total_ll = 0.0
-        for rows, log_probs, forward, scaling, backward in _trellis_blocks(
-                model, padded, lengths, backward=True):
-            symbols = padded[rows, :scaling.shape[1]]
-            if log_probs.min() == -np.inf:
-                raise TrainingError("a training sequence has zero probability "
-                                    "under the current parameters")
-            total_ll += log_probs.sum()
+def _fit_stack(runs, max_iters: int, tol: float, counts: dict) -> None:
+    """:func:`baum_welch_fits` for the runs of one stack."""
+    k = runs[0].transition.shape[0]
+    alphabet = max(run.alphabet_size for run in runs)
+    width = max(run.padded.shape[1] for run in runs)
+    live, layout = list(runs), None
+    while live:
+        if layout is None:
+            # the rows of the live runs, one run after another, laid out
+            # once for the E-steps until a run leaves
+            padded = np.concatenate([np.pad(run.padded,
+                                            ((0, 0), (0, width - run.padded.shape[1])))
+                                     for run in live])
+            lengths = np.concatenate([run.lengths for run in live])
+            owners = np.repeat(np.arange(len(live)), [len(run.lengths) for run in live])
+            layout = _trellis_layout(padded, lengths, owners, k, alphabet)
+            cells = np.arange(len(live) * k * alphabet)  # (run, state, symbol)
+        transition = np.stack([run.transition for run in live])
+        emission = np.zeros((len(live), k, alphabet))
+        for slot, run in zip(emission, live):
+            slot[:, :run.alphabet_size] = run.emission
+        table = _emission_table(emission)
+        total = [0.0] * len(live)
+        failed = [False] * len(live)
+        start_acc = np.zeros(len(live) * k)
+        trans_acc = np.zeros((len(live), k, k))
+        emit_acc = np.zeros(len(cells))
+        for part, (rows, log_probs, forward, scaling, backward) in zip(layout, _trellis_passes(
+                transition, table, np.stack([run.start for run in live]), layout, True)):
             gamma = forward * backward
-            start_acc += gamma[:, 0].sum(axis=0)
-            np.add.at(emit_acc.T, symbols, gamma)
+            states = k * part.models[:, None] + np.arange(k)  # the (run, state) of each entry
+            start_acc += np.bincount(states.ravel(), gamma[:, 0].ravel(),
+                                     minlength=len(start_acc))
+            # each emission count is summed in the order of its run on its
+            # own: the count so far, then the pass's rows, step by step
+            emit_acc = np.bincount(
+                np.concatenate([cells, (alphabet * states[:, None]
+                                        + padded[rows, :len(part.plan), None]).ravel()]),
+                np.concatenate([emit_acc, gamma.ravel()]))
             # expected k -> l transitions without their common factor
             # transition[k, l], applied once at the update; the summand is
-            # zero past each row's end, where backward is zero
-            arriving = (model.emission.T[symbols[:, 1:]] * backward[:, 1:]
-                        / scaling[:, 1:, None])
-            trans_acc += np.einsum("ntk,ntl->kl", forward[:, :-1], arriving)
-        history.append(float(total_ll))
-        if len(history) > 1 and history[-1] - history[-2] < tol:
-            break
-        model = CategoricalHmm(
-            _rows_or_uniform(trans_acc * model.transition),
-            _rows_or_uniform(emit_acc),
-            _rows_or_uniform(start_acc[None, :])[0],
-        )
-    return BaumWelchResult(model, history)
+            # zero past each row's end, where backward is zero. A failed
+            # run's rows may divide 0 by 0; its sums are not used.
+            with np.errstate(invalid="ignore"):
+                arriving = (table[part.symbols[:, 1:]] * backward[:, 1:]
+                            / scaling[:, 1:, None])
+            dead = log_probs == -np.inf
+            for run, block in part.blocks:
+                if dead[block].any():
+                    failed[run] = True
+                    continue
+                steps = part.lengths[block.start] - 1
+                total[run] += log_probs[block].sum()
+                trans_acc[run] += np.einsum("ntk,ntl->kl", forward[block, :steps],
+                                            arriving[block, :steps])
+        counts["em_passes"] += 1
+        counts["em_iterations"] += len(live)
+        new_transition = _rows_or_uniform(trans_acc * transition)
+        new_start = _rows_or_uniform(start_acc.reshape(len(live), k))
+        emit_acc = emit_acc.reshape(len(live), k, alphabet)
+        staying = []
+        for i, run in enumerate(live):
+            if failed[i]:
+                run.error = TrainingError("a training sequence has zero probability "
+                                          "under the current parameters")
+                continue
+            run.history.append(float(total[i]))
+            if len(run.history) > 1 and run.history[-1] - run.history[-2] < tol:
+                continue  # converged: the parameters of this E-step are the fit
+            run.transition, run.start = new_transition[i], new_start[i]
+            run.emission = _rows_or_uniform(emit_acc[i, :, :run.alphabet_size])
+            if len(run.history) < max_iters:
+                staying.append(run)
+        if len(staying) < len(live):
+            live, layout = staying, None
 
 
 def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

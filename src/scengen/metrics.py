@@ -14,7 +14,7 @@ beliefs as one per symbol position would. The results do not depend on it:
 a row's Kraus update does not depend on the rows beside it, and each row's
 log-probability is the running sum along its own path, so every row gets
 the bits of a filter over that row alone. An HMM keeps its longest-first
-rows (see :func:`hmm._trellis_blocks` for why sharing would move its bits).
+rows (see :func:`hmm._trellis_layout` for why sharing would move its bits).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .hmm import CategoricalHmm, _flatten, _pad, _row_blocks, _trellis_blocks
+from .hmm import CategoricalHmm, _flatten, _pad, _row_blocks, _stack, _trellis_blocks
 from .psa import ScenarioDataset
 from .qhmm import _BLOCK_BUDGET, KrausModel, _filter
 
@@ -146,7 +146,7 @@ def _scores(models, data, da: bool = True, work=None):
     kraus = {}  # the Kraus models and their score rows, by K
     for model, scores in zip(models, log_probs):
         if isinstance(model, CategoricalHmm):
-            for block, block_scores, *_ in _trellis_blocks(model, padded, row_lengths):
+            for block, block_scores, *_ in _trellis_blocks(*_stack(model), padded, row_lengths):
                 scores[order[block]] = block_scores
             filtered += positions
         else:

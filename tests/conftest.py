@@ -100,3 +100,32 @@ def capped_steps(monkeypatch, patch_steps):
         monkeypatch.setattr(trainer, "MAX_STEP_HALVINGS", max_halvings)
 
     return configure
+
+
+@pytest.fixture
+def emissions_without(monkeypatch):
+    """Make ``np.random.default_rng(seed)`` draw Dirichlet rows over
+    ``alphabet_size`` symbols that give ``symbol`` probability 0, as the
+    initial emissions of an HMM fit, for one seed (every seed when None);
+    returns the setter ``install(symbol, alphabet_size, seed=None)``."""
+    real_rng = np.random.default_rng
+
+    def install(symbol, alphabet_size, seed=None):
+        class WithoutSymbol:
+            def __init__(self, rng_seed=None):
+                self._rng = real_rng(rng_seed)
+                self._zero = seed is None or rng_seed == seed
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def dirichlet(self, alpha, size=None):
+                draw = self._rng.dirichlet(alpha, size=size)
+                if self._zero and len(alpha) == alphabet_size:
+                    draw[..., symbol] = 0.0
+                    draw /= draw.sum(axis=-1, keepdims=True)
+                return draw
+
+        monkeypatch.setattr(np.random, "default_rng", WithoutSymbol)
+
+    return install

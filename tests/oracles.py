@@ -123,6 +123,58 @@ def baum_welch_reference(dataset, num_states, alphabet_size, max_iters=100,
     return model, history
 
 
+def baum_welch_blockwise_reference(dataset, num_states, alphabet_size, max_iters=100,
+                                   tol=1e-6, seed=0):
+    """Baum-Welch that adds each trellis row block's counts in turn.
+
+    The E-step runs the package's trellis (``hmm._trellis_blocks``) with
+    one model and adds each block's expected counts the way a one-run fit
+    orders its additions: start and transition counts one block sum at a
+    time, emission counts row by row and step by step through ``np.add.at``.
+    So it gives :func:`scengen.baum_welch_fit` bit for bit, whatever the
+    fit does to batch its sums; returns ``(model, history)``.
+    """
+    from scengen import CategoricalHmm, TrainingError
+    from scengen.hmm import _flatten, _pad, _rows_or_uniform, _stack, _trellis_blocks
+
+    padded, lengths, _ = _pad(*_flatten(dataset), alphabet_size)
+    rng = np.random.default_rng(seed)
+    k, m = num_states, alphabet_size
+    model = CategoricalHmm(
+        rng.dirichlet(np.ones(k), size=k),
+        rng.dirichlet(np.ones(m), size=k),
+        rng.dirichlet(np.ones(k)),
+    )
+    history = []
+    for _ in range(max_iters):
+        start_acc = np.zeros(k)
+        trans_acc = np.zeros((k, k))
+        emit_acc = np.zeros((k, m))
+        total_ll = 0.0
+        for rows, log_probs, forward, scaling, backward in _trellis_blocks(
+                *_stack(model), padded, lengths, backward=True):
+            symbols = padded[rows, :scaling.shape[1]]
+            if log_probs.min() == -np.inf:
+                raise TrainingError("a training sequence has zero probability "
+                                    "under the current parameters")
+            total_ll += log_probs.sum()
+            gamma = forward * backward
+            start_acc += gamma[:, 0].sum(axis=0)
+            np.add.at(emit_acc.T, symbols, gamma)
+            arriving = (model.emission.T[symbols[:, 1:]] * backward[:, 1:]
+                        / scaling[:, 1:, None])
+            trans_acc += np.einsum("ntk,ntl->kl", forward[:, :-1], arriving)
+        history.append(float(total_ll))
+        if len(history) > 1 and history[-1] - history[-2] < tol:
+            break
+        model = CategoricalHmm(
+            _rows_or_uniform(trans_acc * model.transition),
+            _rows_or_uniform(emit_acc),
+            _rows_or_uniform(start_acc[None, :])[0],
+        )
+    return model, history
+
+
 def kraus_path_probability(model, sequence):
     """P(sequence) by enumerating every Kraus-index path.
 

@@ -15,7 +15,7 @@ from scengen import (CategoricalHmm, InputError, TrainConfig, TrainingError,
                      validate_kraus)
 from scengen import cli, psa
 from scengen.cli import main
-from scengen.hmm import _trellis_blocks
+from scengen.hmm import _stack, _trellis_blocks
 from scengen.qhmm import _BLOCK_BUDGET, _propagate
 
 from oracles import (distinct_prefixes_per_block, hmm_sample_reference, pad_reference,
@@ -69,7 +69,7 @@ def reference_scores(model, sequences):
     padded, lengths, order = pad_reference(sequences, model.alphabet_size)
     log_probs = np.empty(len(sequences))
     if isinstance(model, CategoricalHmm):
-        for rows, block, *_ in _trellis_blocks(model, padded, lengths):
+        for rows, block, *_ in _trellis_blocks(*_stack(model), padded, lengths):
             log_probs[order[rows]] = block
     else:
         log_probs[order] = _propagate(model.operators, model.initial_state.matrix,
@@ -693,6 +693,27 @@ class TestCompare:
                                      repr(float(values.std()))])
         assert (out / "comparison.csv").read_bytes() == want.getvalue().encode()
 
+    def test_desk_hmm_seeds_fit_in_one_stack(self, system_path, tmp_path):
+        # the six desk HMM runs share one stack: its E-steps number the
+        # longest run's iterations, not their sum
+        data = tmp_path / "desk"
+        assert run("make-dataset", "--system", system_path, "--out", data, "--seed", 9) == 0
+        paths = [data / "probable.jsonl", data / "no_probable.jsonl"]
+        out = tmp_path / "cmp"
+        assert run("compare", "--data", paths[0], "--data", paths[1], "--out", out,
+                   "--K", 4, "--seeds", "0,1,2") == 0
+        iterations = []
+        for path in paths:
+            ds = load_dataset(path)
+            iterations += [len(baum_welch_fit(ds.sequences("train"), 4,
+                                              alphabet_size=ds.alphabet_size,
+                                              seed=seed).log_likelihoods)
+                           for seed in (0, 1, 2)]
+        em = json.loads((out / "manifest.json").read_text())["em"]
+        assert em == {"em_iterations": sum(iterations), "em_passes": max(iterations),
+                      "runs_failed": 0}
+        assert em["em_passes"] < em["em_iterations"]
+
     def test_failing_seed_warns_once_in_seed_order(self, dataset_dir, tmp_path, capsys,
                                                    capped_steps):
         # with steps capped, seed 0 trains, seed 3 fails at epoch 0 batch 4
@@ -724,25 +745,18 @@ class TestCompare:
             float(row[3])
 
     def test_failing_hmm_seed_leaves_the_qhmm_rows_alone(self, dataset_dir, tmp_path,
-                                                         capsys, monkeypatch):
+                                                         capsys, emissions_without):
         path = dataset_dir / "probable.jsonl"
         argv = ["compare", "--data", path, "--K", 2, "--epochs", 3, "--seeds", "0,1,2"]
         assert run(*argv, "--out", tmp_path / "ok") == 0
-        real_fit, fitted = cli.baum_welch_fit, []
-
-        def fit(*args, seed, **kwargs):
-            fitted.append(seed)
-            if seed == 1:
-                raise TrainingError("EM failed")
-            return real_fit(*args, seed=seed, **kwargs)
-
-        monkeypatch.setattr(cli, "baum_welch_fit", fit)
+        # seed 1's initial emissions never produce a symbol of the first
+        # training sequence, so its first E-step fails
+        emissions_without(load_dataset(path).sequences("train")[0][0], 6, seed=1)
         capsys.readouterr()
         assert run(*argv, "--out", tmp_path / "cmp") == 0
-        # the HMM seeds stop at the first failure
-        assert fitted == [0, 1]
         assert capsys.readouterr().err.splitlines() == [
-            f"warning: hmm training failed on {path} (seed 1): EM failed"]
+            f"warning: hmm training failed on {path} (seed 1): a training sequence "
+            "has zero probability under the current parameters"]
         rows = {}
         for name in ("ok", "cmp"):
             with open(tmp_path / name / "comparison.csv", newline="") as fh:
@@ -751,6 +765,9 @@ class TestCompare:
                                     for split in ("train", "test")]
         assert rows["cmp"][3:] == rows["ok"][3:]
         assert "failed" not in rows["ok"][1] + rows["ok"][2]
+        # the seeds after the failing one still fit: the stack runs all three
+        em = json.loads((tmp_path / "cmp" / "manifest.json").read_text())["em"]
+        assert em["runs_failed"] == 1 and em["em_iterations"] == 1 + 2 * 3
 
     @pytest.fixture
     def two_systems(self, dataset_dir, tmp_path):
@@ -894,6 +911,25 @@ class TestManifest:
         for command in ("qhmm", "hmm"):
             assert "scoring" not in json.loads(
                 (tmp_path / command / "manifest.json").read_text())
+
+    def test_em_block_of_the_hmm_fits(self, dataset_dir, tmp_path):
+        for kind in ("hmm", "qhmm"):
+            assert train_small(dataset_dir, tmp_path / kind, kind=kind) == 0
+        iterations = len((tmp_path / "hmm" / "loss.csv").read_text().splitlines()) - 1
+        manifest = json.loads((tmp_path / "hmm" / "manifest.json").read_text())
+        assert manifest["em"] == {"em_iterations": iterations, "em_passes": iterations,
+                                  "runs_failed": 0}
+        assert "em" not in json.loads((tmp_path / "qhmm" / "manifest.json").read_text())
+        out = tmp_path / "compare"
+        assert run("compare", "--data", dataset_dir / "probable.jsonl", "--K", 2,
+                   "--epochs", 2, "--seeds", "0,1", "--out", out) == 0
+        em = json.loads((out / "manifest.json").read_text())["em"]
+        assert em == {"em_iterations": 4, "em_passes": 2, "runs_failed": 0}
+        # the counts live in the manifest only
+        for path in (tmp_path / "hmm" / "loss.csv", tmp_path / "hmm" / "model.json",
+                     out / "comparison.csv"):
+            assert not any(key in path.read_bytes()
+                           for key in (b"em_iterations", b"em_passes", b"runs_failed"))
 
     def test_environment_block(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

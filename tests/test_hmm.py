@@ -1,14 +1,16 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from scengen import (CategoricalHmm, InputError, PosteriorUndefinedError,
-                     TrainingError, baum_welch_fit, hmm_backward, hmm_forward,
-                     hmm_posterior, hmm_sample, hmm_samples)
-from scengen.hmm import _TRELLIS_BUDGET, _flatten, _pad
+                     TrainingError, baum_welch_fit, baum_welch_fits, hmm_backward,
+                     hmm_forward, hmm_posterior, hmm_sample, hmm_samples)
+from scengen.hmm import _TRELLIS_BUDGET, _flatten, _pad, _stack, _trellis_blocks
 
-from oracles import (all_sequences, baum_welch_reference, hmm_sample_reference,
-                     pad_reference, path_sum_probability, posterior_by_enumeration,
-                     random_hmm)
+from oracles import (all_sequences, baum_welch_blockwise_reference, baum_welch_reference,
+                     hmm_sample_reference, pad_reference, path_sum_probability,
+                     posterior_by_enumeration, random_hmm)
 
 # frozen with the path-sum oracle before the recursions were written
 LN_P_011 = -2.3018853378797726
@@ -127,6 +129,57 @@ class TestPad:
         # [[0, "1"]]
         with pytest.raises(InputError):
             _pad(*_flatten(sequences), 4)
+
+
+class TestStackedTrellis:
+    def trellis(self, stack, padded, lengths, runs=None):
+        """Each input row's (log_prob, forward, scaling, backward)."""
+        out = []
+        for rows, log_probs, forward, scaling, backward in _trellis_blocks(
+                *stack, padded, lengths, runs, backward=True):
+            assert rows.start == len(out)
+            out += zip(log_probs, forward, scaling, backward)
+        return out
+
+    def test_each_model_gets_the_trellis_of_its_rows_alone(self):
+        # K=4 passes hold 256 rows: models 0 and 1 share the first pass,
+        # model 2 makes a pass of its own and shares its last block with
+        # model 3, so rows that have ended sit among rows still running
+        rng = np.random.default_rng(12)
+        k, m = 4, 5
+        models = [random_hmm(rng, k, m) for _ in range(4)]
+        emission = models[1].emission.copy()
+        emission[:, 4] = 0.0
+        models[1] = CategoricalHmm(models[1].transition,
+                                   emission / emission.sum(axis=1, keepdims=True),
+                                   models[1].start)
+        data = [[list(rng.integers(0, m, size=int(rng.integers(1, width + 1))))
+                 for _ in range(count)] for count, width in ((200, 9), (50, 3), (300, 6), (20, 8))]
+        data[1] = [[symbol % 4 for symbol in row] for row in data[1]]
+        data[1][7] = [0, 4, 1]  # the one row that model 1 cannot produce
+        alone = []
+        for model, sequences in zip(models, data):
+            padded, lengths, _ = _pad(*_flatten(sequences), m)
+            alone.append((padded, lengths, self.trellis(_stack(model), padded, lengths)))
+        width = max(padded.shape[1] for padded, _, _ in alone)
+        padded = np.concatenate([np.pad(p, ((0, 0), (0, width - p.shape[1])))
+                                 for p, _, _ in alone])
+        lengths = np.concatenate([lengths for _, lengths, _ in alone])
+        runs = np.repeat(np.arange(4), [len(lengths) for _, lengths, _ in alone])
+        stack = [np.stack([getattr(model, name) for model in models])
+                 for name in ("transition", "emission", "start")]
+        got = self.trellis(stack, padded, lengths, runs)
+        want = [row for _, _, rows in alone for row in rows]
+        assert len(got) == len(want) == 570
+        assert sum(lp == -np.inf for lp, *_ in got) == 1
+        for (log_prob, forward, scaling, backward), (want_lp, want_f, want_s, want_b) in zip(
+                got, want):
+            assert log_prob == want_lp
+            steps = len(want_s)
+            for array, expected, rest in ((forward, want_f, 0.0), (scaling, want_s, 1.0),
+                                          (backward, want_b, 0.0)):
+                np.testing.assert_array_equal(array[:steps], expected)
+                assert np.all(array[steps:] == rest)
 
 
 class TestBackward:
@@ -287,30 +340,128 @@ class TestBaumWelch:
             np.testing.assert_allclose(getattr(got.model, name), getattr(model, name),
                                        rtol=0, atol=1e-12)
 
-    def test_zero_probability_row_raises(self, monkeypatch):
+    @pytest.mark.parametrize("k, m", [(2, 3), (8, 5)])
+    def test_equals_the_blockwise_reference_bit_for_bit(self, k, m):
+        # several row blocks, whose counts a one-run fit adds in block order
+        rng = np.random.default_rng(20 + k)
+        truth = random_hmm(rng, 3, m)
+        count = 2 * (_TRELLIS_BUDGET // k) + 7
+        dataset = [hmm_sample(truth, int(rng.integers(1, 10)), rng) for _ in range(count)]
+        got = baum_welch_fit(dataset, k, alphabet_size=m, max_iters=6, seed=k)
+        model, history = baum_welch_blockwise_reference(dataset, k, m, max_iters=6, seed=k)
+        assert got.log_likelihoods == history
+        for name in ("transition", "emission", "start"):
+            np.testing.assert_array_equal(getattr(got.model, name), getattr(model, name))
+
+    def test_zero_probability_row_raises(self, emissions_without):
         # initial emissions that never produce symbol 2; only one row, in the
         # middle of a batch of several row blocks, contains it
-        real_rng = np.random.default_rng
-
-        class RngWithoutSymbolTwo:
-            def __init__(self, seed):
-                self._rng = real_rng(seed)
-
-            def dirichlet(self, alpha, size=None):
-                draw = self._rng.dirichlet(alpha, size=size)
-                if len(alpha) == 3:
-                    draw[..., 2] = 0.0
-                    draw /= draw.sum(axis=-1, keepdims=True)
-                return draw
-
-        rng = real_rng(4)
+        rng = np.random.default_rng(4)
         dataset = [list(rng.integers(0, 2, size=int(rng.integers(1, 7))))
                    for _ in range(3 * (_TRELLIS_BUDGET // 2))]
         dataset[len(dataset) // 2] = [0, 2, 1]
-        monkeypatch.setattr(np.random, "default_rng", RngWithoutSymbolTwo)
+        emissions_without(2, 3)
         for fit in (baum_welch_fit, baum_welch_reference):
             with pytest.raises(TrainingError):
                 fit(dataset, 2, alphabet_size=3, seed=0)
+
+
+def sampled_dataset(rng, alphabet_size, count, max_len):
+    truth = random_hmm(rng, 3, alphabet_size)
+    return [hmm_sample(truth, int(rng.integers(1, max_len + 1)), rng) for _ in range(count)]
+
+
+class TestBaumWelchFits:
+    """Stacked fits against separate one-run fits, bit for bit."""
+
+    def separate(self, datasets, k, seeds, **options):
+        out = []
+        for sequences, alphabet_size in datasets:
+            row = []
+            for seed in seeds:
+                try:
+                    row.append(baum_welch_fit(sequences, k, alphabet_size=alphabet_size,
+                                              seed=seed, **options))
+                except TrainingError as exc:
+                    row.append(exc)
+            out.append(row)
+        return out
+
+    def assert_same(self, got, want):
+        assert len(got) == len(want)
+        for got_row, want_row in zip(got, want):
+            assert len(got_row) == len(want_row)
+            for g, w in zip(got_row, want_row):
+                if isinstance(w, TrainingError):
+                    assert isinstance(g, TrainingError) and str(g) == str(w)
+                    continue
+                assert g.log_likelihoods == w.log_likelihoods
+                for name in ("transition", "emission", "start"):
+                    np.testing.assert_array_equal(getattr(g.model, name),
+                                                  getattr(w.model, name))
+
+    def test_mixed_alphabets_and_widths(self):
+        rng = np.random.default_rng(11)
+        datasets = [(sampled_dataset(rng, 6, 9, 4), 6), (sampled_dataset(rng, 8, 14, 7), 8),
+                    (sampled_dataset(rng, 6, 5, 9), None)]
+        got = baum_welch_fits(datasets, 4, [0, 1, 2], max_iters=25)
+        self.assert_same(got, self.separate(datasets, 4, [0, 1, 2], max_iters=25))
+        assert got[1][0].model.alphabet_size == 8 and got[0][0].model.alphabet_size == 6
+
+    def test_runs_larger_than_a_block(self):
+        # K=8 blocks hold 128 rows: the first dataset's runs are stacks of
+        # their own, of several blocks, and the small ones after it share one
+        rng = np.random.default_rng(5)
+        k = 8
+        big = sampled_dataset(rng, 4, 2 * (_TRELLIS_BUDGET // k) + 9, 6)
+        datasets = [(big, 4), (sampled_dataset(rng, 4, 7, 5), 4),
+                    (sampled_dataset(rng, 5, 6, 3), 5)]
+        work = Counter()
+        got = baum_welch_fits(datasets, k, [3, 4], max_iters=6, work=work)
+        self.assert_same(got, self.separate(datasets, k, [3, 4], max_iters=6))
+        # two stacks of one big run and one stack of the four small runs
+        assert work == Counter(em_iterations=6 * 6, em_passes=3 * 6, runs_failed=0)
+
+    def test_runs_converge_at_different_iterations(self):
+        rng = np.random.default_rng(2)
+        datasets = [(sampled_dataset(rng, 3, 12, 6), 3), (sampled_dataset(rng, 3, 8, 4), 3)]
+        seeds = range(5)
+        work = Counter()
+        got = baum_welch_fits(datasets, 3, seeds, max_iters=200, tol=1e-4, work=work)
+        self.assert_same(got, self.separate(datasets, 3, seeds, max_iters=200, tol=1e-4))
+        iterations = [len(fit.log_likelihoods) for row in got for fit in row]
+        assert len(set(iterations)) > 3 and max(iterations) < 200
+        assert work == Counter(em_iterations=sum(iterations), em_passes=max(iterations),
+                               runs_failed=0)
+
+    def test_zero_iterations_return_the_seeded_initializations(self):
+        datasets = [([[0, 1], [1]], 2), ([[2, 0, 1]], 3)]
+        work = Counter()
+        got = baum_welch_fits(datasets, 2, [3, 7], max_iters=0, work=work)
+        self.assert_same(got, self.separate(datasets, 2, [3, 7], max_iters=0))
+        assert all(fit.log_likelihoods == [] for row in got for fit in row)
+        assert work == Counter(em_iterations=0, em_passes=0, runs_failed=0)
+
+    def test_one_failing_run_leaves_the_others(self, emissions_without):
+        # seed 1's initial emissions on the first dataset never produce
+        # symbol 2, which one of its rows contains
+        rng = np.random.default_rng(8)
+        datasets = [(sampled_dataset(rng, 3, 10, 5), 3), (sampled_dataset(rng, 4, 10, 5), 4)]
+        datasets[0][0][4] = [0, 2, 1]
+        emissions_without(2, 3, seed=1)
+        work = Counter()
+        got = baum_welch_fits(datasets, 2, [0, 1, 2], max_iters=10, work=work)
+        want = self.separate(datasets, 2, [0, 1, 2], max_iters=10)
+        assert isinstance(want[0][1], TrainingError)
+        assert sum(isinstance(fit, TrainingError) for row in want for fit in row) == 1
+        self.assert_same(got, want)
+        assert work["runs_failed"] == 1
+
+    def test_input_errors(self):
+        with pytest.raises(InputError, match="num_states must be >= 1"):
+            baum_welch_fits([([[0, 1]], 2)], 0, [0])
+        with pytest.raises(InputError, match="dataset must contain at least one sequence"):
+            baum_welch_fits([([[0, 1]], 2), ([], 2)], 2, [0])
 
 
 class TestSample:

@@ -11,7 +11,7 @@ from scengen import (CategoricalHmm, InputError, average_da, da_for_sequence,
                      hmm_forward, log_likelihoods, qhmm_log_likelihood,
                      reference_four_event_system, sequence_log_prob, write_da_report)
 from scengen import qhmm, trainer
-from scengen.hmm import _TRELLIS_BUDGET, _trellis_blocks
+from scengen.hmm import _TRELLIS_BUDGET, _stack, _trellis_blocks
 from scengen.metrics import _scores
 from scengen.qhmm import _BLOCK_BUDGET
 
@@ -256,7 +256,7 @@ def row_wise_log_probs(model, sequences):
         return np.array([qhmm_log_likelihood(model, seq) for seq in sequences])
     padded, lengths, order = pad_reference(sequences, model.alphabet_size)
     log_probs = np.empty(len(sequences))
-    for rows, block, *_ in _trellis_blocks(model, padded, lengths):
+    for rows, block, *_ in _trellis_blocks(*_stack(model), padded, lengths):
         log_probs[order[rows]] = block
     return log_probs
 
