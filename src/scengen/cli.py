@@ -175,7 +175,8 @@ def _qhmm_config(args, seed: int) -> TrainConfig:
 # each command writes its _OUTPUTS files into run.out_dir() and adds its work
 # to a block of run.work: make-dataset its "enumeration", the scoring commands
 # their "scoring" (see metrics._scores), the HMM fits of train and compare
-# their "em" (see hmm.baum_welch_fits); main writes the manifest
+# their "em" (see hmm.baum_welch_fits), QHMM training its "training" (see
+# trainer.train_qhmm_datasets); main writes the manifest
 def cmd_make_dataset(args, run: _Run) -> None:
     build_datasets(SystemModel.load(args.system), max_len=args.max_len,
                    p_min=args.p_min, test_fraction=args.test_fraction,
@@ -190,8 +191,10 @@ def cmd_train(args, run: _Run) -> None:
     sequences = data.sequences()
     if args.kind == "qhmm":
         model, records = train_qhmm(sequences, _qhmm_config(args, args.seed),
-                                    data.alphabet_size)
-        if not validate_kraus(model).passes:
+                                    data.alphabet_size, work=run.work["training"])
+        report = validate_kraus(model)
+        run.work["training"]["completeness_residual"] = report.completeness_residual
+        if not report.passes:
             raise TrainingError("trained model fails the completeness check")
     else:
         result = baum_welch_fit(sequences, args.K, alphabet_size=data.alphabet_size,

@@ -11,7 +11,9 @@ a per-step layout: which of the previous step's beliefs continue, with
 which symbols. Training runs padded rows, each its own path
 (:func:`_propagate`); scoring runs a prefix tree, in which rows that share
 a prefix share its beliefs (:func:`metrics._scores`). Both give each row
-the same bits.
+the same bits. Every row's first step starts from the one initial belief,
+so a call with more rows than symbols computes each symbol's first step
+once, into a table its row blocks gather from (:func:`_first_steps`).
 """
 
 from __future__ import annotations
@@ -207,7 +209,17 @@ def _running_layout(padded: np.ndarray, lengths: np.ndarray, log_probs: np.ndarr
     return [(slice(n), padded[:n, t], log_probs[:n]) for t, n in enumerate(running.tolist())]
 
 
-def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[list] = None):
+def _first_steps(operators: np.ndarray, rho0: np.ndarray, rows: int):
+    """The first-step table of ``rows`` rows filtered from ``rho0``: every
+    symbol's Kraus update of ``rho0`` and its probability, or None when the
+    rows are no more than the symbols, and gathering would save nothing."""
+    if rows <= len(operators):
+        return None
+    return _kraus_step(operators, rho0[None], np.arange(len(operators)))
+
+
+def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[list] = None,
+            first=None):
     """Filter the nodes of a per-step layout from ``rho0``, writing each
     node's natural-log probability.
 
@@ -219,7 +231,9 @@ def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[li
     step probability underflows scores -inf, as does every node continuing
     it; that probability is taken as 1, so its belief stays finite. When
     ``history`` is a list, the beliefs entering each step and the step
-    probabilities, with that 1 in place, are appended to it.
+    probabilities, with that 1 in place, are appended to it. ``first``, a
+    table of :func:`_first_steps`, gives step 0's updates and probabilities
+    by symbol: the same operands make the same bits as the step itself.
 
     A node's belief and log-probability depend only on its own path: the
     Kraus update of a row does not depend on the rows beside it, and each
@@ -230,7 +244,10 @@ def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[li
     rho, previous = rho0[None], None  # rho0 broadcasts against step 0's nodes
     for t, (parents, symbols, log_probs) in enumerate(steps):
         rho = rho[parents]
-        updated, probs = _kraus_step(operators, rho, symbols)
+        if t == 0 and first is not None:
+            updated, probs = first[0][symbols], first[1][symbols]
+        else:
+            updated, probs = _kraus_step(operators, rho, symbols)
         dead = None
         if probs.min() <= UNDERFLOW_PROB:
             dead = probs <= UNDERFLOW_PROB
@@ -249,7 +266,8 @@ def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[li
 
 
 def _propagate(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
-               lengths: np.ndarray, history: Optional[list] = None) -> np.ndarray:
+               lengths: np.ndarray, history: Optional[list] = None,
+               first=None) -> np.ndarray:
     """Natural-log probability of each padded row, filtering from ``rho0``.
 
     Rows come longest first, so the rows still running at step t are a
@@ -257,12 +275,16 @@ def _propagate(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     its own path (:func:`_running_layout`). A row whose step probability
     underflows scores -inf while the other rows carry on. When ``history``
     is a list, :func:`_filter` appends to it; callers collecting history
-    pass one row block at a time.
+    pass one row block at a time, and may pass the first-step table of all
+    their rows as ``first``. Without one, a call with more rows than
+    symbols makes its own (:func:`_first_steps`), shared by its row blocks.
     """
+    if first is None:
+        first = _first_steps(operators, rho0, len(lengths))
     log_probs = np.zeros(len(lengths))
     for rows in _row_blocks(len(lengths), rho0.shape[0] ** 2, _BLOCK_BUDGET):
         _filter(operators, rho0, _running_layout(padded[rows], lengths[rows],
-                                                 log_probs[rows]), history)
+                                                 log_probs[rows]), history, first)
     return log_probs
 
 

@@ -6,7 +6,10 @@ Cayley-style retraction, so the completeness constraint holds after every
 accepted step. The retraction is written once, for stacks of points, and
 one point is a stack of one. Per-sequence loss terms within a batch are
 independent and reduced longest sequence first, so results are
-deterministic for a fixed seed.
+deterministic for a fixed seed. The gradient runs the forward filter
+backwards (:func:`_adjoint`): at each position the scaled dual times the
+position's operators is formed once, and gives both the position's
+gradient term and the dual passed back, three products per belief.
 
 Several runs, one per (dataset, seed) pair, train in one stacked pass.
 Every step stacks the operators of all runs symbol by symbol, so each
@@ -59,7 +62,7 @@ from .errors import (GradientUndefinedError, InputError, StepFailureError,
                      TrainingError)
 from .hmm import _flatten, _pad, _row_blocks
 from .qhmm import (_BLOCK_BUDGET, COMPLETENESS_TOL, DensityMatrix, KrausModel,
-                   _as_matrix, _kraus_step, _partition, _propagate,
+                   _as_matrix, _first_steps, _partition, _propagate,
                    orthonormality_residual)
 
 MAX_STEP_HALVINGS = 30
@@ -170,15 +173,17 @@ def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
 
     This is the forward pass, :func:`_propagate` keeping history, then
     :func:`_adjoint` over that history, one row block at a time, so history
-    is held for one block only. A training step whose rows an earlier pass
-    already filtered under ``ops`` runs :func:`_adjoint` alone.
+    is held for one block only; the blocks share one first-step table. A
+    training step whose rows an earlier pass already filtered under ``ops``
+    runs :func:`_adjoint` alone.
     """
     log_probs = np.zeros(len(lengths))
+    first = _first_steps(ops, rho0, len(lengths))
 
     def forward():
         for rows in _row_blocks(len(lengths), ops.shape[2] ** 2, _BLOCK_BUDGET):
             block, history = padded[rows], []
-            log_probs[rows] = _propagate(ops, rho0, block, lengths[rows], history)
+            log_probs[rows] = _propagate(ops, rho0, block, lengths[rows], history, first)
             yield block, history
 
     return log_probs, _adjoint(ops, forward())
@@ -199,6 +204,12 @@ def _adjoint(ops: np.ndarray, blocks) -> np.ndarray:
     takes that step's probability as 1, so the row adds finite terms, and
     only to the operators of the symbols it holds. A caller whose rows
     score -inf discards its own part of the gradient.
+
+    Each position forms P = S A_x once, from the scaled dual S and the
+    position's operators A_x: its term is P rho and the dual it passes back
+    is sum_l A_{x,l}^dagger P_l. The pull-back thus rounds as
+    A^dagger (S A), not as (A^dagger S) A, so gradients differ from a
+    four-product adjoint in the last bits.
     """
     m, _, k, _ = ops.shape
     adjoint_ops = ops.conj().swapaxes(2, 3)
@@ -213,11 +224,11 @@ def _adjoint(ops: np.ndarray, blocks) -> np.ndarray:
             rho, probs = history[t]
             n = len(probs)
             x = block[:n, t]
-            scaled = dual[:n] / probs[:, None, None]
-            terms = scaled[:, None] @ ops[x] @ rho[:, None]
+            product = (dual[:n] / probs[:, None, None])[:, None] @ ops[x]
+            terms = product @ rho[:, None]
             grad -= (x == symbol_ids) @ terms.reshape(n, -1)
             if t:
-                dual[:n] = _kraus_step(adjoint_ops, scaled, x)[0]
+                dual[:n] = (adjoint_ops[x] @ product).sum(axis=1)
         # freed before the next block's forward pass records its own
         del history
     return grad.reshape(ops.shape)
@@ -386,7 +397,7 @@ class TrainRecord:
     tau: float
 
 
-def train_qhmm(dataset, config: TrainConfig, alphabet_size: int):
+def train_qhmm(dataset, config: TrainConfig, alphabet_size: int, work=None):
     """Fit Kraus operators to a dataset of symbol sequences.
 
     Returns ``(model, records)``: the trained model (stacked operators
@@ -394,9 +405,12 @@ def train_qhmm(dataset, config: TrainConfig, alphabet_size: int):
     processed batch. The initial state is maximally mixed, not learned. A
     step whose solve fails or whose post-step batch loss is not finite is
     retried with tau halved, up to 30 times, before training aborts with a
-    :class:`TrainingError`.
+    :class:`TrainingError`. ``work``, when a :class:`collections.Counter`,
+    has the run's counts added to it, as :func:`train_qhmm_datasets` adds
+    them.
     """
-    ((result,),) = train_qhmm_datasets([(dataset, alphabet_size)], config, [config.seed])
+    ((result,),) = train_qhmm_datasets([(dataset, alphabet_size)], config, [config.seed],
+                                       work=work)
     if isinstance(result, TrainingError):
         raise result
     return result
@@ -417,16 +431,21 @@ class _Run:
         self.error = None  # the TrainingError that ended the run
         # the current step: pre-step loss and gradient, and the step size
         self.loss = self.grad = self.step_tau = None
+        # the step halvings so far, and how many of them a failed check made
+        self.halvings = self.failed_checks = 0
 
 
-def train_qhmm_datasets(datasets, config: TrainConfig, seeds) -> list:
+def train_qhmm_datasets(datasets, config: TrainConfig, seeds, work=None) -> list:
     """Train one model per seed on each dataset, all runs in shared stacks.
 
     ``datasets`` holds ``(sequences, alphabet_size)`` pairs. Returns one list
     per dataset with one entry per seed, in order: the ``(model, records)``
     pair that :func:`train_qhmm` returns on that dataset for ``config`` with
     its seed replaced by that seed, or the :class:`TrainingError` it raises.
-    A failing run leaves its stack and the others carry on.
+    A failing run leaves its stack and the others carry on. ``work``, when a
+    :class:`collections.Counter`, has added to it the accepted steps
+    (``steps``), the halvings of tau (``step_halvings``) and the candidates
+    whose batch loss was not finite (``failed_checks``), summed over runs.
     """
     # each dataset is validated and padded once, all to one width; each
     # mini-batch is a set of rows, kept longest first by taking the row
@@ -458,6 +477,11 @@ def train_qhmm_datasets(datasets, config: TrainConfig, seeds) -> list:
             used = batch_rows
     for stack in stacks:
         _train_stack(stack, config)
+    if work is not None:
+        runs = [run for group in groups for run in group]
+        work.update(steps=sum(len(run.records) for run in runs),
+                    step_halvings=sum(run.halvings for run in runs),
+                    failed_checks=sum(run.failed_checks for run in runs))
     initial_state = DensityMatrix.maximally_mixed(config.dim)
     return [[run.error if run.error is not None else
              (KrausModel.from_stiefel(run.kappa.matrix, run.alphabet_size,
@@ -604,6 +628,8 @@ def _train_stack(runs, config: TrainConfig) -> None:
                     run.kappa = candidates[run]
                     stepping.remove(run)
                 elif run in stepping:  # its step or its candidate failed
+                    run.failed_checks += run in candidates
+                    run.halvings += 1
                     run.step_tau /= 2.0
         for run in stepping:
             run.error = TrainingError(

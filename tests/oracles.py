@@ -362,6 +362,36 @@ def cayley_step_reference(kappa, gradient, tau):
     return StiefelPoint(new)
 
 
+def adjoint_reference(ops, blocks):
+    """Gradient w.r.t. conj(ops) of the negated log-probability sum of
+    padded rows, from the history of their forward pass, as
+    :func:`scengen.trainer._adjoint` takes them: ``blocks`` yields one
+    ``(padded, history)`` pair per row block.
+
+    The four-product adjoint: each position adds S A_x rho to the gradient,
+    S the dual over the step probability, and passes back the dual
+    sum_l A_{x,l}^dagger S A_{x,l}, formed as the Kraus update of S by the
+    adjoint operators, (A^dagger S) A.
+    """
+    from scengen.qhmm import _kraus_step
+
+    m, _, k, _ = ops.shape
+    adjoint_ops = ops.conj().swapaxes(2, 3)
+    grad = np.zeros((m, ops[0].size), dtype=complex)
+    for block, history in blocks:
+        dual = np.repeat(np.eye(k, dtype=complex)[None], len(block), axis=0)
+        for t in range(len(history) - 1, -1, -1):
+            rho, probs = history[t]
+            n = len(probs)
+            x = block[:n, t]
+            scaled = dual[:n] / probs[:, None, None]
+            terms = scaled[:, None] @ ops[x] @ rho[:, None]
+            grad -= (x == np.arange(m)[:, None]) @ terms.reshape(n, -1)
+            if t:
+                dual[:n] = _kraus_step(adjoint_ops, scaled, x)[0]
+    return grad.reshape(ops.shape)
+
+
 def train_qhmm_reference(dataset, config, alphabet_size):
     """QHMM training one seed at a time, one mini-batch step after another.
 

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 from collections import Counter
 
@@ -930,6 +931,32 @@ class TestManifest:
                      out / "comparison.csv"):
             assert not any(key in path.read_bytes()
                            for key in (b"em_iterations", b"em_passes", b"runs_failed"))
+
+    @pytest.mark.parametrize("cap", [None, 0.02])
+    def test_training_block_of_qhmm_training(self, dataset_dir, tmp_path, capped_steps,
+                                             cap):
+        # with the cap, steps longer than it fail and halve tau
+        if cap is not None:
+            capped_steps(cap)
+        for kind in ("qhmm", "hmm"):
+            assert train_small(dataset_dir, tmp_path / kind, kind=kind, epochs=20) == 0
+        out = tmp_path / "qhmm"
+        with open(out / "loss.csv", newline="") as fh:
+            records = list(csv.DictReader(fh))
+        halvings = sum(round(math.log2(0.05 * 0.95 ** int(r["epoch"]) / float(r["tau"])))
+                       for r in records)
+        assert (halvings > 0) == (cap is not None)
+        residual = validate_kraus(load_model(out / "model.json")).completeness_residual
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["training"] == {"steps": len(records), "step_halvings": halvings,
+                                        "failed_checks": 0,
+                                        "completeness_residual": residual}
+        assert 0 < residual <= 1e-8
+        assert "training" not in json.loads((tmp_path / "hmm" / "manifest.json").read_text())
+        # the counts live in the manifest only
+        for name in ("loss.csv", "model.json"):
+            assert not any(key in (out / name).read_bytes()
+                           for key in (b"steps", b"halvings", b"checks", b"residual"))
 
     def test_environment_block(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -394,9 +394,11 @@ class TestScoringWork:
         padded, lengths, _ = pad_reference(sequences, 3)
         trainer._loss_and_gradient(model.operators, model.initial_state.matrix,
                                    padded, lengths)
+        # one first step per symbol for all 300 rows, then each block's
+        # later steps
         block = _BLOCK_BUDGET // 4 ** 2
-        want = [int(np.count_nonzero(lengths[start:start + block] > t))
-                for start in range(0, len(lengths), block)
-                for t in range(lengths[start])]
+        want = [3] + [int(np.count_nonzero(lengths[start:start + block] > t))
+                      for start in range(0, len(lengths), block)
+                      for t in range(1, lengths[start])]
         assert len(want) > lengths[0]  # more than one row block
         assert recorded_kraus_rows == want

@@ -4,7 +4,8 @@ import pytest
 from scengen import (DensityMatrix, InputError, KrausModel,
                      belief_update, embed_hmm, hmm_forward,
                      next_symbol_distribution, qhmm, qhmm_log_likelihood,
-                     qhmm_sample, qhmm_samples, random_stiefel, validate_kraus)
+                     qhmm_sample, qhmm_samples, random_stiefel, trainer,
+                     validate_kraus)
 from scengen.hmm import _row_blocks
 from scengen.qhmm import _BLOCK_BUDGET
 
@@ -243,6 +244,85 @@ class TestPropagate:
         blocks = _row_blocks(300, 16, _BLOCK_BUDGET)
         assert len(blocks) == 3
         assert len(calls) == sum(lengths[rows][0] - 1 for rows in blocks)
+
+
+class TestFirstStepTable:
+    """Rows that take their first step from the shared table keep the bits
+    of the same rows filtered one at a time: a single row is no more than
+    the symbols, so it computes its own first step."""
+
+    @staticmethod
+    def instance(k, m, mu, count):
+        # symbol m - 1 cannot be emitted, so the rows starting with it
+        # underflow at their first step and the rows holding it later
+        rng = np.random.default_rng(10 * k + m)
+        ops = random_kraus_model(rng, k, m, mu).operators.copy()
+        ops[m - 1] = 0.0
+        lengths = np.sort(rng.integers(1, 8, size=count))[::-1]
+        padded = rng.integers(0, m - 1, size=(count, 7)) * (np.arange(7) < lengths[:, None])
+        padded[::7, 0] = m - 1
+        padded[3::11, 2] = m - 1
+        return ops, DensityMatrix.maximally_mixed(k).matrix, padded, lengths
+
+    @staticmethod
+    def one_row_at_a_time(ops, rho0, padded, lengths):
+        assert qhmm._first_steps(ops, rho0, 1) is None
+        rows = []
+        for i in range(len(lengths)):
+            history = []
+            log_prob = qhmm._propagate(ops, rho0, padded[i:i + 1], lengths[i:i + 1],
+                                       history)
+            rows.append((log_prob[0], history))
+        return rows
+
+    @pytest.mark.parametrize("k, m, mu, count", [(4, 3, 1, 300), (16, 8, 2, 40)])
+    def test_propagate_is_bit_identical_to_one_row_calls(self, monkeypatch, k, m, mu,
+                                                         count):
+        ops, rho0, padded, lengths = self.instance(k, m, mu, count)
+        want = self.one_row_at_a_time(ops, rho0, padded, lengths)
+        real_filter, tables = qhmm._filter, []
+
+        def recording(operators, rho0, steps, history=None, first=None):
+            tables.append(first)
+            return real_filter(operators, rho0, steps, history, first)
+
+        monkeypatch.setattr(qhmm, "_filter", recording)
+        got = qhmm._propagate(ops, rho0, padded, lengths)
+        # every row block gathers from one table
+        blocks = _row_blocks(count, k * k, _BLOCK_BUDGET)
+        assert len(blocks) >= 3 and len(tables) == len(blocks)
+        assert tables[0] is not None and all(table is tables[0] for table in tables)
+        np.testing.assert_array_equal(got, [log_prob for log_prob, _ in want])
+        assert np.isinf(got).sum() > 1 and np.isfinite(got).sum() > 1
+
+    @pytest.mark.parametrize("k, m, mu, count", [(4, 3, 1, 300), (16, 8, 2, 40)])
+    def test_loss_and_gradient_forward_is_bit_identical_to_one_row_calls(
+            self, monkeypatch, k, m, mu, count):
+        ops, rho0, padded, lengths = self.instance(k, m, mu, count)
+        want = self.one_row_at_a_time(ops, rho0, padded, lengths)
+        real_propagate, blocks = trainer._propagate, []
+
+        def recording(ops, rho0, padded, lengths, history=None, first=None):
+            blocks.append((len(lengths), history, first))
+            return real_propagate(ops, rho0, padded, lengths, history, first)
+
+        monkeypatch.setattr(trainer, "_propagate", recording)
+        log_probs, _ = trainer._loss_and_gradient(ops, rho0, padded, lengths)
+        np.testing.assert_array_equal(log_probs, [log_prob for log_prob, _ in want])
+        # the blocks share the table of all the rows, and each row's history
+        # is its own call's
+        assert len(blocks) >= 3
+        assert blocks[0][2] is not None and all(first is blocks[0][2]
+                                                for _, _, first in blocks)
+        start = 0
+        for rows, history, _ in blocks:
+            for t, (rho, probs) in enumerate(history):
+                for j in range(len(probs)):
+                    want_rho, want_probs = want[start + j][1][t]
+                    np.testing.assert_array_equal(probs[j:j + 1], want_probs)
+                    np.testing.assert_array_equal(rho[j:j + 1] if t else rho, want_rho)
+            start += rows
+        assert start == count
 
 
 class TestSample:

@@ -1,5 +1,6 @@
 import csv
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,13 +9,16 @@ import pytest
 from scengen import (DensityMatrix, GradientUndefinedError, InputError,
                      StepFailureError, StiefelPoint, TrainConfig, TrainingError,
                      build_datasets, cayley_step, embed_hmm, nll_gradient,
-                     nll_loss, qhmm_log_likelihood, qhmm_sample, random_stiefel,
-                     reference_four_event_system, reference_three_event_system,
-                     train_qhmm, train_qhmm_datasets, trainer, validate_kraus,
-                     write_training_log)
+                     nll_loss, qhmm, qhmm_log_likelihood, qhmm_sample,
+                     random_stiefel, reference_four_event_system,
+                     reference_three_event_system, train_qhmm, train_qhmm_datasets,
+                     trainer, validate_kraus, write_training_log)
+from scengen.hmm import _row_blocks
+from scengen.qhmm import _BLOCK_BUDGET
 
-from oracles import (cayley_step_reference, central_difference_gradient,
-                     pad_reference, random_kraus_model, train_qhmm_reference)
+from oracles import (adjoint_reference, cayley_step_reference,
+                     central_difference_gradient, pad_reference, random_kraus_model,
+                     train_qhmm_reference)
 
 
 def random_instance(rng, dim=None, alphabet=None, mu=None, batch_size=3, max_len=5):
@@ -135,6 +139,36 @@ class TestNllGradient:
             with pytest.raises(GradientUndefinedError):
                 nll_gradient(model.to_stiefel(), batch, model.initial_state,
                              model.alphabet_size, model.multiplicity)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16])
+    @pytest.mark.parametrize("mu", [1, 2, 3])
+    def test_adjoint_is_within_ulps_of_the_four_product_reference(self, dim, mu):
+        # the operators of two models stacked, alphabets 2 and 3, over rows
+        # of lengths 1 to 9; symbol 4 cannot be emitted, and the one row
+        # holding it underflows at its third step
+        rng = np.random.default_rng(10 * dim + mu)
+        ops = np.concatenate([random_kraus_model(rng, dim, 2, mu).operators,
+                              random_kraus_model(rng, dim, 3, mu).operators])
+        ops[4] = 0.0
+        rows = [rng.integers(0, 2, size=int(rng.integers(1, 10))) for _ in range(20)]
+        rows += [2 + rng.integers(0, 2, size=int(rng.integers(1, 10))) for _ in range(20)]
+        rows.append([2, 3, 4, 2])
+        padded, lengths, _ = pad_reference([tuple(row) for row in rows], 5)
+        rho0 = DensityMatrix.maximally_mixed(dim).matrix
+        log_probs, got = trainer._loss_and_gradient(ops, rho0, padded, lengths)
+        assert np.isinf(log_probs).sum() == 1
+
+        def forward():
+            for block in _row_blocks(len(lengths), dim ** 2, _BLOCK_BUDGET):
+                history = []
+                qhmm._propagate(ops, rho0, padded[block], lengths[block], history)
+                yield padded[block], history
+
+        want = adjoint_reference(ops, forward())
+        # A^dagger (S A) and (A^dagger S) A round apart: every entry stays
+        # within 8 ulps of the gradient's largest entry (2.3 at most here)
+        assert np.isfinite(want).all()
+        assert np.abs(got - want).max() <= 8 * np.spacing(np.abs(want).max())
 
     def test_underflowing_row_leaves_the_other_operators_alone(self, absorbing_hmm,
                                                                 underflow_batch):
@@ -492,10 +526,10 @@ def record_kernels(monkeypatch):
                 calls.append(("forward", padded, lengths, False, ops))
             return real_adjoint(ops, blocks)
 
-        def propagate(ops, rho0, padded, lengths, history=None):
+        def propagate(ops, rho0, padded, lengths, history=None, first=None):
             if not inside_loss:
                 calls.append(("check", padded, lengths, history is not None, ops))
-            return real_propagate(ops, rho0, padded, lengths, history)
+            return real_propagate(ops, rho0, padded, lengths, history, first)
 
         def step(kappa, gradient, tau):
             calls.append(("step", len(tau)))
@@ -671,13 +705,16 @@ class TestTrainQhmmSeeds:
 
         patch_steps(poisoned)
         solo = [train_qhmm_reference(data, replace(config, seed=s), 2) for s in seeds]
-        calls = record_kernels()
-        results = train_qhmm_datasets([(data, 2)], config, seeds)[0]
+        calls, work = record_kernels(), Counter()
+        results = train_qhmm_datasets([(data, 2)], config, seeds, work=work)[0]
         for got, want in zip(results, solo):
             assert_same_fit(got, want)
         halved = [[(r.epoch, r.batch) for r in records if halvings([r], config)]
                   for _, records in results]
         assert halved[0] == halved[2] == [(0, last)] and halved[1] == []
+        # each of those halvings followed a failed check
+        assert work == Counter(steps=sum(len(records) for _, records in results),
+                               step_halvings=2, failed_checks=2)
         # the rejected round's check and the passing round's both carried
         # the next rows, and the step after the halving ran only the adjoint
         fresh = assert_one_forward_per_step(calls, config.dim)
