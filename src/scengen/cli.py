@@ -296,7 +296,7 @@ def cmd_compare(args, run: _Run) -> None:
     # train in shared stacks across all datasets
     training = [(seqs, alphabet_size) for _, alphabet_size, seqs, _, _ in datasets]
     qhmm_fits = train_qhmm_datasets(training, _qhmm_config(args, args.seeds[0]),
-                                    args.seeds)
+                                    args.seeds, work=run.work["training"])
     hmm_fits = baum_welch_fits(training, args.K, args.seeds, max_iters=args.epochs,
                                tol=args.tol, work=run.work["em"])
     rows = []

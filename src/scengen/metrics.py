@@ -8,13 +8,15 @@ sentinel (the open lower bound, "impossible under the model").
 Scoring pads a dataset once for all the models of a call. A Kraus-operator
 model filters the rows in lexicographic order, cut into the row blocks of
 its kernel, and filters each distinct prefix of a block once: a prefix's
-belief comes from its parent's by one Kraus update. Enumerated scenarios
-share most of their prefixes, so this filters about a quarter as many
-beliefs as one per symbol position would. The results do not depend on it:
+belief comes from its parent's by one Kraus update (see
+:func:`qhmm._prefix_layout`). Enumerated scenarios share most of their
+prefixes, so this filters about a quarter as many beliefs as one per
+symbol position would. The results do not depend on it:
 a row's Kraus update does not depend on the rows beside it, and each row's
 log-probability is the running sum along its own path, so every row gets
 the bits of a filter over that row alone. An HMM keeps its longest-first
-rows (see :func:`hmm._trellis_layout` for why sharing would move its bits).
+rows, laid out once for all the HMMs of one K (see
+:func:`hmm._trellis_layout` for why sharing would move its bits).
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .hmm import CategoricalHmm, _flatten, _pad, _row_blocks, _stack, _trellis_blocks
+from .hmm import (CategoricalHmm, _emission_table, _flatten, _pad, _row_blocks, _stack,
+                  _trellis_layout, _trellis_passes)
 from .psa import ScenarioDataset
-from .qhmm import _BLOCK_BUDGET, KrausModel, _filter
+from .qhmm import _BLOCK_BUDGET, KrausModel, _filter, _lexicographic, _prefix_layout
 
 _LOGPROB_SLACK = 1e-9
 
@@ -117,11 +120,13 @@ def _scores(models, data, da: bool = True, work=None):
 
     The models must share one alphabet, which callers check: the data are
     padded once, by :func:`hmm._pad` against the first model's alphabet,
-    and every model scores the same rows. An HMM runs them longest first
-    through :func:`hmm._trellis_blocks`. The Kraus-operator models take
-    them in lexicographic order, sorted once per call, and cut into their
-    kernel's row blocks; each block's prefix tree (:func:`_prefix_layout`)
-    is built once for all the models of its K, which filter each distinct
+    and every model scores the same rows. The HMMs run them longest first,
+    laid out once for all the models of their K (:func:`hmm._trellis_layout`,
+    which depends on the rows, K and M alone), through
+    :func:`hmm._trellis_passes`. The Kraus-operator models take them in
+    lexicographic order, sorted once per call, and cut into their kernel's
+    row blocks; each block's prefix tree (:func:`qhmm._prefix_layout`) is
+    built once for all the models of its K, which filter each distinct
     prefix of the block once. This gives each row the bits of a filter
     over that row alone (:func:`qhmm._filter`).
 
@@ -143,14 +148,20 @@ def _scores(models, data, da: bool = True, work=None):
     lengths[order] = row_lengths
     log_probs = np.empty((len(models), len(lengths)))
     positions, filtered = int(row_lengths.sum()), 0
-    kraus = {}  # the Kraus models and their score rows, by K
+    hmms, kraus = {}, {}  # each kind's models and their score rows, by K
     for model, scores in zip(models, log_probs):
         if isinstance(model, CategoricalHmm):
-            for block, block_scores, *_ in _trellis_blocks(*_stack(model), padded, row_lengths):
-                scores[order[block]] = block_scores
-            filtered += positions
+            hmms.setdefault(model.num_states, []).append((model, scores))
         else:
             kraus.setdefault(model.dim, []).append((model, scores))
+    for k, group in hmms.items():
+        layout = _trellis_layout(padded, row_lengths, None, k, alphabet_size)
+        for model, scores in group:
+            transition, emission, start = _stack(model)
+            for block, block_scores, *_ in _trellis_passes(
+                    transition, _emission_table(emission), start, layout):
+                scores[order[block]] = block_scores
+            filtered += positions
     if kraus:
         places, starts = _lexicographic(padded, row_lengths)
         rows_of, place_lengths = order[places], row_lengths[places]
@@ -166,47 +177,6 @@ def _scores(models, data, da: bool = True, work=None):
         work.update(sequences_scored=len(models) * len(lengths),
                     symbol_positions=len(models) * positions, prefixes_filtered=filtered)
     return lengths, log_probs, da_scores(log_probs, lengths, alphabet_size) if da else None
-
-
-def _lexicographic(padded: np.ndarray, lengths: np.ndarray):
-    """The padded rows in lexicographic order, each sequence before its
-    extensions: ``(places, starts)``, where place i holds row ``places[i]``
-    and ``starts[i, t]`` is whether place i's prefix through position t
-    exists and differs from place i - 1's.
-
-    In this order the rows sharing a prefix are adjacent, so within any run
-    of places each distinct prefix starts at exactly one place.
-    """
-    keys = padded + 1
-    keys *= lengths[:, None] > np.arange(padded.shape[1])  # a row's end, 0, sorts first
-    places = np.lexsort(keys.T[::-1])
-    keys = keys[places]
-    starts = np.ones(keys.shape, dtype=bool)
-    np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1, out=starts[1:])
-    return places, np.logical_and(starts, keys, out=starts)  # keys are 0 past the end
-
-
-def _prefix_layout(symbols: np.ndarray, lengths: np.ndarray, starts: np.ndarray):
-    """The per-step layout, as :func:`qhmm._filter` takes it, of a run of
-    places from :func:`_lexicographic` in which each distinct prefix is one
-    node, numbered by depth, then by place: ``(steps, nodes, leaves)``,
-    where the filter writes each node's log-probability to ``nodes`` and
-    ``leaves[i]`` is the node of place i's whole sequence."""
-    depth, last = int(lengths.max()), lengths - 1
-    starts = starts[:, :depth].copy()
-    starts[0, :lengths[0]] = True  # the run's first place starts each of its prefixes
-    counts = starts.cumsum(axis=0)  # per depth, the nodes up to each place
-    bounds = counts[-1].cumsum()
-    at = starts.T
-    node_symbols = symbols[:, :depth].T[at]
-    parents = counts[:, :-1].T[at[1:]] - 1  # numbered within their depth
-    leaves = counts[np.arange(len(last)), last] + (bounds - counts[-1] - 1)[last]
-    bounds = bounds.tolist()
-    first, nodes = bounds[0], np.empty(bounds[-1])
-    steps = [(slice(first), node_symbols[:first], nodes[:first])]
-    steps += [(parents[start - first:stop - first], node_symbols[start:stop],
-               nodes[start:stop]) for start, stop in zip(bounds, bounds[1:])]
-    return steps, nodes, leaves
 
 
 def average_da(model, dataset) -> float:

@@ -291,13 +291,22 @@ def enumerate_scenarios(system: SystemModel, max_len: int = 4, p_min: float = 1e
     symbols, lengths, probs, _ = _scenario_columns(system, max_len)
     probable: List[Scenario] = []
     no_probable: List[Scenario] = []
-    for row, prob in zip(map(tuple, _rows(symbols, lengths)), probs.tolist()):
+    for row, prob, label in zip(map(tuple, _rows(symbols, lengths)), probs.tolist(),
+                                _probable(probs, p_min).tolist()):
         steps = tuple((s >> 1, REPAIR if s & 1 else FAIL) for s in row)
-        if prob > p_min:
+        if label:
             probable.append(Scenario(steps, prob, PROBABLE, row))
         else:
             no_probable.append(Scenario(steps, prob, NO_PROBABLE, row))
     return probable, no_probable
+
+
+def _probable(probs: np.ndarray, p_min: float) -> np.ndarray:
+    """Whether each scenario is probable: its probability is above ``p_min``.
+    A NaN ``p_min`` would label every scenario no_probable, so it is rejected."""
+    if math.isnan(p_min):
+        raise InputError("p_min must not be NaN")
+    return probs > p_min
 
 
 def _rows(symbols: np.ndarray, lengths: np.ndarray) -> List[list]:
@@ -511,7 +520,7 @@ def build_datasets(system: SystemModel, *, max_len: int = 4, p_min: float = 1e-3
     if not 0.0 < test_fraction < 1.0:
         raise InputError("test_fraction must lie in (0, 1)")
     symbols, lengths, probs, walk_steps = _scenario_columns(system, max_len)
-    probable = probs > p_min
+    probable = _probable(probs, p_min)
     counts = {PROBABLE: int(np.count_nonzero(probable))}
     counts[NO_PROBABLE] = len(probs) - counts[PROBABLE]
     if not all(counts.values()):

@@ -9,11 +9,13 @@ sequences is safe.
 One filter loop, :func:`_filter`, runs every batched likelihood. It takes
 a per-step layout: which of the previous step's beliefs continue, with
 which symbols. Training runs padded rows, each its own path
-(:func:`_propagate`); scoring runs a prefix tree, in which rows that share
-a prefix share its beliefs (:func:`metrics._scores`). Both give each row
-the same bits. Every row's first step starts from the one initial belief,
-so a call with more rows than symbols computes each symbol's first step
-once, into a table its row blocks gather from (:func:`_first_steps`).
+(:func:`_running_layout`); scoring runs a prefix tree, in which rows that
+share a prefix share its beliefs (:func:`_prefix_layout`). Both give each
+row the same bits. Every row's first step starts from the one initial
+belief, so a call with more rows than symbols computes each symbol's first
+step once, into a table its row blocks gather from (:func:`_first_steps`).
+The training loss and gradient (:func:`_loss_and_gradient`) run the filter
+backwards over the beliefs it kept, which never leave this module.
 """
 
 from __future__ import annotations
@@ -209,6 +211,47 @@ def _running_layout(padded: np.ndarray, lengths: np.ndarray, log_probs: np.ndarr
     return [(slice(n), padded[:n, t], log_probs[:n]) for t, n in enumerate(running.tolist())]
 
 
+def _lexicographic(padded: np.ndarray, lengths: np.ndarray):
+    """The padded rows in lexicographic order, each sequence before its
+    extensions: ``(places, starts)``, where place i holds row ``places[i]``
+    and ``starts[i, t]`` is whether place i's prefix through position t
+    exists and differs from place i - 1's.
+
+    In this order the rows sharing a prefix are adjacent, so within any run
+    of places each distinct prefix starts at exactly one place.
+    """
+    keys = padded + 1
+    keys *= lengths[:, None] > np.arange(padded.shape[1])  # a row's end, 0, sorts first
+    places = np.lexsort(keys.T[::-1])
+    keys = keys[places]
+    starts = np.ones(keys.shape, dtype=bool)
+    np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1, out=starts[1:])
+    return places, np.logical_and(starts, keys, out=starts)  # keys are 0 past the end
+
+
+def _prefix_layout(symbols: np.ndarray, lengths: np.ndarray, starts: np.ndarray):
+    """The per-step layout, as :func:`_filter` takes it, of a run of
+    places from :func:`_lexicographic` in which each distinct prefix is one
+    node, numbered by depth, then by place: ``(steps, nodes, leaves)``,
+    where the filter writes each node's log-probability to ``nodes`` and
+    ``leaves[i]`` is the node of place i's whole sequence."""
+    depth, last = int(lengths.max()), lengths - 1
+    starts = starts[:, :depth].copy()
+    starts[0, :lengths[0]] = True  # the run's first place starts each of its prefixes
+    counts = starts.cumsum(axis=0)  # per depth, the nodes up to each place
+    bounds = counts[-1].cumsum()
+    at = starts.T
+    node_symbols = symbols[:, :depth].T[at]
+    parents = counts[:, :-1].T[at[1:]] - 1  # numbered within their depth
+    leaves = counts[np.arange(len(last)), last] + (bounds - counts[-1] - 1)[last]
+    bounds = bounds.tolist()
+    first, nodes = bounds[0], np.empty(bounds[-1])
+    steps = [(slice(first), node_symbols[:first], nodes[:first])]
+    steps += [(parents[start - first:stop - first], node_symbols[start:stop],
+               nodes[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    return steps, nodes, leaves
+
+
 def _first_steps(operators: np.ndarray, rho0: np.ndarray, rows: int):
     """The first-step table of ``rows`` rows filtered from ``rho0``: every
     symbol's Kraus update of ``rho0`` and its probability, or None when the
@@ -266,26 +309,80 @@ def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[li
 
 
 def _propagate(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
-               lengths: np.ndarray, history: Optional[list] = None,
-               first=None) -> np.ndarray:
+               lengths: np.ndarray) -> np.ndarray:
     """Natural-log probability of each padded row, filtering from ``rho0``.
 
     Rows come longest first, so the rows still running at step t are a
     leading slice, and :func:`_filter` runs each row block with every row
     its own path (:func:`_running_layout`). A row whose step probability
-    underflows scores -inf while the other rows carry on. When ``history``
-    is a list, :func:`_filter` appends to it; callers collecting history
-    pass one row block at a time, and may pass the first-step table of all
-    their rows as ``first``. Without one, a call with more rows than
-    symbols makes its own (:func:`_first_steps`), shared by its row blocks.
+    underflows scores -inf while the other rows carry on. A call with more
+    rows than symbols shares one first-step table (:func:`_first_steps`)
+    across its row blocks.
     """
-    if first is None:
-        first = _first_steps(operators, rho0, len(lengths))
+    first = _first_steps(operators, rho0, len(lengths))
     log_probs = np.zeros(len(lengths))
     for rows in _row_blocks(len(lengths), rho0.shape[0] ** 2, _BLOCK_BUDGET):
         _filter(operators, rho0, _running_layout(padded[rows], lengths[rows],
-                                                 log_probs[rows]), history, first)
+                                                 log_probs[rows]), None, first)
     return log_probs
+
+
+def _loss_and_gradient(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
+                       lengths: np.ndarray, graded=None):
+    """Natural-log probability of each padded row (longest first), as
+    :func:`_propagate` computes it, and the gradient w.r.t. conj(operators)
+    of the negated log-probability sum of the ``graded`` rows; callers
+    divide by their row counts.
+
+    ``graded``, an increasing index array into rows that fit one kernel row
+    block, or None for every row, names the rows the gradient differentiates;
+    it equals that of a call over those rows alone, bit for bit. Each row
+    block is filtered keeping its history, which is run backwards before the
+    next block is filtered. A row that underflows adds finite terms (its
+    step probability is taken as 1), and only to the operators of the
+    symbols it holds; a caller whose rows score -inf discards its part.
+
+    Each position forms P = S A_x once, from the scaled dual S and the
+    position's operators A_x: its term is P rho and the dual it passes back
+    is sum_l A_{x,l}^dagger P_l, which rounds as A^dagger (S A), not as
+    (A^dagger S) A, so gradients differ from a four-product adjoint in the
+    last bits.
+    """
+    m, _, k, _ = operators.shape
+    adjoint_ops = operators.conj().swapaxes(2, 3)
+    symbol_ids = np.arange(m)[:, None]
+    grad = np.zeros((m, operators[0].size), dtype=complex)
+    first = _first_steps(operators, rho0, len(lengths))
+    log_probs = np.zeros(len(lengths))
+    blocks = [slice(None)] if graded is not None else \
+        _row_blocks(len(lengths), k ** 2, _BLOCK_BUDGET)
+    for rows in blocks:
+        history, block = [], padded[rows]
+        _filter(operators, rho0, _running_layout(block, lengths[rows], log_probs[rows]),
+                history, first)
+        if graded is not None:
+            # the graded rows running at step t are a leading slice of them,
+            # as many as fall among that step's beliefs; every row shares
+            # step 0's belief
+            running = np.searchsorted(graded, [len(probs) for _, probs in history])
+            history = [(rho if t == 0 else rho[graded[:n]], probs[graded[:n]])
+                       for t, ((rho, probs), n) in enumerate(zip(history, running.tolist()))
+                       if n]
+            block = block[graded]
+        # last step first: each position adds its term, then the dual
+        # matrix is pulled back through that position's operators (the
+        # first position has no earlier one to pass it to)
+        dual = np.repeat(np.eye(k, dtype=complex)[None], len(block), axis=0)
+        for t in range(len(history) - 1, -1, -1):
+            rho, probs = history[t]
+            n = len(probs)
+            x = block[:n, t]
+            product = (dual[:n] / probs[:, None, None])[:, None] @ operators[x]
+            terms = product @ rho[:, None]
+            grad -= (x == symbol_ids) @ terms.reshape(n, -1)
+            if t:
+                dual[:n] = (adjoint_ops[x] @ product).sum(axis=1)
+    return log_probs, grad.reshape(operators.shape)
 
 
 def belief_update(rho, model: KrausModel, symbol) -> Tuple[Optional[DensityMatrix], float]:

@@ -6,10 +6,9 @@ Cayley-style retraction, so the completeness constraint holds after every
 accepted step. The retraction is written once, for stacks of points, and
 one point is a stack of one. Per-sequence loss terms within a batch are
 independent and reduced longest sequence first, so results are
-deterministic for a fixed seed. The gradient runs the forward filter
-backwards (:func:`_adjoint`): at each position the scaled dual times the
-position's operators is formed once, and gives both the position's
-gradient term and the dual passed back, three products per belief.
+deterministic for a fixed seed. The loss and its gradient come from one
+kernel, :func:`qhmm._loss_and_gradient`, which runs the forward filter and
+then backwards over the history it kept; the history never leaves it.
 
 Several runs, one per (dataset, seed) pair, train in one stacked pass.
 Every step stacks the operators of all runs symbol by symbol, so each
@@ -27,17 +26,17 @@ its point).
 
 Once a step's last candidate passes, its check has filtered under the
 operators the next step starts from. So whenever both steps' rows fit one
-kernel row block, every check also filters the next step's rows and keeps
-their history, and the last check that ran is the next step's forward
-pass: that step runs only the adjoint, over the history gathered into its
-own layout, which was stacked one step early. A step runs its own forward
-pass only at a stack's first step, when its rows and the next step's
-overflow one row block, and after a step in which no check ran (every run
-of it failed) or that was skipped: a step whose runs have all failed,
-which the lookahead stacked before they did, runs no pass. Every row is
-filtered by the same arithmetic in either pass, and the one-hot scatter
-sums the same rows in the same order, so nothing depends on which pass
-filtered a row.
+kernel row block, every check filters the next step's rows too and grades
+them: it returns their log-probabilities and the gradient of their loss
+along with its own rows' scores, and the last check that ran carries
+both to the next step, whose rows were stacked one step early. A step
+runs its own pass only at a stack's first step, when its rows and the
+next step's overflow one row block, and after a step in which no check
+ran (every run of it failed) or that was skipped: a step whose runs have
+all failed, which the lookahead stacked before they did, runs no pass.
+Every row is filtered by the same arithmetic in either pass, and the
+one-hot scatter sums the same rows in the same order, so nothing depends
+on which pass filtered a row.
 
 Step sizes, halvings, random streams and failures stay per run, so every
 run gets the model, loss trace and error of a run on its own, bit for
@@ -62,7 +61,7 @@ from .errors import (GradientUndefinedError, InputError, StepFailureError,
                      TrainingError)
 from .hmm import _flatten, _pad, _row_blocks
 from .qhmm import (_BLOCK_BUDGET, COMPLETENESS_TOL, DensityMatrix, KrausModel,
-                   _as_matrix, _first_steps, _partition, _propagate,
+                   _as_matrix, _loss_and_gradient, _partition, _propagate,
                    orthonormality_residual)
 
 MAX_STEP_HALVINGS = 30
@@ -165,75 +164,6 @@ def nll_gradient(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -
     return grad.reshape(-1, ops.shape[3]) / len(lengths)
 
 
-def _loss_and_gradient(ops: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
-                       lengths: np.ndarray):
-    """Natural-log probability of each padded row (longest first), as
-    :func:`_propagate` computes it, and the gradient of their negated sum
-    w.r.t. conj(ops); callers divide by their row counts.
-
-    This is the forward pass, :func:`_propagate` keeping history, then
-    :func:`_adjoint` over that history, one row block at a time, so history
-    is held for one block only; the blocks share one first-step table. A
-    training step whose rows an earlier pass already filtered under ``ops``
-    runs :func:`_adjoint` alone.
-    """
-    log_probs = np.zeros(len(lengths))
-    first = _first_steps(ops, rho0, len(lengths))
-
-    def forward():
-        for rows in _row_blocks(len(lengths), ops.shape[2] ** 2, _BLOCK_BUDGET):
-            block, history = padded[rows], []
-            log_probs[rows] = _propagate(ops, rho0, block, lengths[rows], history, first)
-            yield block, history
-
-    return log_probs, _adjoint(ops, forward())
-
-
-def _adjoint(ops: np.ndarray, blocks) -> np.ndarray:
-    """Gradient w.r.t. conj(ops) of the negated log-probability sum of
-    padded rows, from the history their forward pass recorded.
-
-    ``blocks`` yields ``(padded, history)`` pairs, one per row block: the
-    block's rows, longest first, and the history :func:`_propagate` kept
-    while filtering them. The terms of each block are summed into the
-    gradient in order, by a one-hot matrix product over the block's rows,
-    so the result depends on the rows and their order, not on which pass
-    filtered them.
-
-    The gradient is finite even when a row underflows: :func:`_propagate`
-    takes that step's probability as 1, so the row adds finite terms, and
-    only to the operators of the symbols it holds. A caller whose rows
-    score -inf discards its own part of the gradient.
-
-    Each position forms P = S A_x once, from the scaled dual S and the
-    position's operators A_x: its term is P rho and the dual it passes back
-    is sum_l A_{x,l}^dagger P_l. The pull-back thus rounds as
-    A^dagger (S A), not as (A^dagger S) A, so gradients differ from a
-    four-product adjoint in the last bits.
-    """
-    m, _, k, _ = ops.shape
-    adjoint_ops = ops.conj().swapaxes(2, 3)
-    symbol_ids = np.arange(m)[:, None]
-    grad = np.zeros((m, ops[0].size), dtype=complex)
-    for block, history in blocks:
-        # last step first: each position adds its term, then the dual
-        # matrix is pulled back through that position's operators (the
-        # first position has no earlier one to pass it to)
-        dual = np.repeat(np.eye(k, dtype=complex)[None], len(block), axis=0)
-        for t in range(len(history) - 1, -1, -1):
-            rho, probs = history[t]
-            n = len(probs)
-            x = block[:n, t]
-            product = (dual[:n] / probs[:, None, None])[:, None] @ ops[x]
-            terms = product @ rho[:, None]
-            grad -= (x == symbol_ids) @ terms.reshape(n, -1)
-            if t:
-                dual[:n] = (adjoint_ops[x] @ product).sum(axis=1)
-        # freed before the next block's forward pass records its own
-        del history
-    return grad.reshape(ops.shape)
-
-
 def cayley_step(kappa, gradient, tau):
     """One descent step along the manifold.
 
@@ -293,31 +223,33 @@ def _cayley_steps(points, gradients, taus) -> list:
 def _stacked_steps(inputs, taus) -> list:
     """:func:`cayley_step`'s arithmetic on an (S, rows, cols) stack of
     ``(kappa, gradient)`` pairs, with one batched Gram residual: one point,
-    or the StepFailureError it earns, per pair."""
+    or the StepFailureError it earns, per pair. Arithmetic that overflows
+    fails its entry with that error, not with a warning."""
     arr = np.array([entry[0] for entry in inputs])
     grad = np.array([entry[1] for entry in inputs])
     tau = np.array(taus)[:, None, None]
-    u = np.concatenate([grad, arr], axis=2)
-    v = np.concatenate([arr, -grad], axis=2)
-    vh = v.conj().swapaxes(1, 2)
-    lhs = np.eye(u.shape[2], dtype=complex) + (tau / 2.0) * (vh @ u)
-    rhs = vh @ arr
-    singular = set()
-    try:
-        y = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        # the batched solve fails as a whole; find the singular entries
-        y = np.zeros_like(rhs)
-        for j in range(len(inputs)):
-            try:
-                y[j] = np.linalg.solve(lhs[j], rhs[j])
-            except np.linalg.LinAlgError:
-                singular.add(j)
-    new = arr - tau * (u @ y)
-    new.setflags(write=False)
-    finite = np.isfinite(new).all(axis=(1, 2))
-    gram = new.conj().swapaxes(1, 2) @ new
-    residual = np.abs(gram - np.eye(new.shape[2])).max(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.concatenate([grad, arr], axis=2)
+        v = np.concatenate([arr, -grad], axis=2)
+        vh = v.conj().swapaxes(1, 2)
+        lhs = np.eye(u.shape[2], dtype=complex) + (tau / 2.0) * (vh @ u)
+        rhs = vh @ arr
+        singular = set()
+        try:
+            y = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            # the batched solve fails as a whole; find the singular entries
+            y = np.zeros_like(rhs)
+            for j in range(len(inputs)):
+                try:
+                    y[j] = np.linalg.solve(lhs[j], rhs[j])
+                except np.linalg.LinAlgError:
+                    singular.add(j)
+        new = arr - tau * (u @ y)
+        new.setflags(write=False)
+        finite = np.isfinite(new).all(axis=(1, 2))
+        gram = new.conj().swapaxes(1, 2) @ new
+        residual = np.abs(gram - np.eye(new.shape[2])).max(axis=(1, 2))
     results = []
     for j in range(len(inputs)):
         if j in singular:
@@ -360,8 +292,8 @@ class TrainConfig:
                 raise InputError(f"{name} must be {noun}, not {value!r}")
         if self.dim < 1:
             raise InputError("dim must be >= 1")
-        if not self.learning_rate > 0:
-            raise InputError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise InputError("learning_rate must be positive and finite")
         if not 0.0 < self.decay <= 1.0:
             raise InputError("decay must lie in (0, 1]")
         if self.num_batches < 1:
@@ -493,8 +425,8 @@ def _train_stack(runs, config: TrainConfig) -> None:
     """:func:`train_qhmm_datasets` for runs that share every kernel call."""
     rho0 = DensityMatrix.maximally_mixed(config.dim).matrix
     shape = (-1, config.multiplicity, config.dim, config.dim)
-    # the rows of one kernel row block, the most a pass keeping history may
-    # filter at once
+    # the rows of one kernel row block, the most a check grading the next
+    # step's rows may filter
     block_rows = max(1, _BLOCK_BUDGET // config.dim ** 2)
     # every step stacks the operators of all runs, so each run's symbols are
     # offset once, by the alphabet sizes of the runs before it
@@ -544,20 +476,9 @@ def _train_stack(runs, config: TrainConfig) -> None:
     def stacked_ops(points):
         return np.concatenate([point.matrix.reshape(shape) for point in points])
 
-    def gathered(history, positions):
-        # the history of the rows at ``positions`` of a check's rows (longest
-        # first, so the rows running at step t are a leading slice, as many
-        # as that step's probabilities); the first step's belief is the one
-        # that all rows share
-        running = np.searchsorted(positions, [len(probs) for _, probs in history])
-        return [(rho if t == 0 else rho[positions[:n]], probs[positions[:n]])
-                for t, ((rho, probs), n) in enumerate(zip(history, running.tolist()))
-                if n]
-
     schedule = batches()
-    # carried: the operators, log-probabilities and history of the last
-    # check that ran, and the positions of the next step's rows in it, when
-    # it filtered them
+    # carried: the next step's log-probabilities and gradient, from the last
+    # check that ran, when it filtered the next step's rows
     upcoming, carried = next(schedule, None), None
     while upcoming is not None:
         (epoch, index, tau, batch, (padded, lens, members)), upcoming = \
@@ -574,10 +495,7 @@ def _train_stack(runs, config: TrainConfig) -> None:
             ops = stacked_ops([run.kappa for run in runs])
             log_probs, grad = _loss_and_gradient(ops, rho0, padded, lens)
         else:
-            ops, scored, history, positions = carried
-            log_probs = scored[positions]
-            grad = _adjoint(ops, [(padded, gathered(history, positions))])
-            carried = None
+            (log_probs, grad), carried = carried, None
         stepping = []
         for (run, rows), own_rows in zip(batch, members):
             # the layout was stacked one step early: a run that failed in
@@ -597,8 +515,8 @@ def _train_stack(runs, config: TrainConfig) -> None:
         # once a step's last candidate passes, its check has filtered under
         # the operators the next step starts from; so when both steps' rows
         # fit one row block, every check also filters the next step's rows
-        # and keeps their history, and the last one is the next step's
-        # forward pass
+        # and grades them, and the last one gives the next step its
+        # log-probabilities and gradient
         check = None
         if upcoming is not None and len(lens) + len(upcoming[4][1]) <= block_rows:
             check = merge([(padded, lens), upcoming[4][:2]])
@@ -618,10 +536,11 @@ def _train_stack(runs, config: TrainConfig) -> None:
                 if check is None:
                     log_probs = _propagate(ops, rho0, padded, lens)
                 else:
-                    (check_padded, check_lens, (this_rows, next_rows)), history = check, []
-                    scored = _propagate(ops, rho0, check_padded, check_lens, history)
+                    check_padded, check_lens, (this_rows, next_rows) = check
+                    scored, grad = _loss_and_gradient(ops, rho0, check_padded, check_lens,
+                                                      next_rows)
                     log_probs = scored[this_rows]
-                    carried = ops, scored, history, next_rows
+                    carried = scored[next_rows], grad
             for (run, _), rows in zip(batch, members):
                 if run in candidates and log_probs[rows].min() > -math.inf:
                     run.records.append(TrainRecord(epoch, index, run.loss, run.step_tau))

@@ -364,9 +364,9 @@ def cayley_step_reference(kappa, gradient, tau):
 
 def adjoint_reference(ops, blocks):
     """Gradient w.r.t. conj(ops) of the negated log-probability sum of
-    padded rows, from the history of their forward pass, as
-    :func:`scengen.trainer._adjoint` takes them: ``blocks`` yields one
-    ``(padded, history)`` pair per row block.
+    padded rows, from the history :func:`scengen.qhmm._filter` keeps while
+    filtering them: ``blocks`` yields one ``(padded, history)`` pair per row
+    block.
 
     The four-product adjoint: each position adds S A_x rho to the gradient,
     S the dual over the step probability, and passes back the dual
@@ -405,8 +405,8 @@ def train_qhmm_reference(dataset, config, alphabet_size):
 
     from scengen import (DensityMatrix, KrausModel, StepFailureError,
                          StiefelPoint, TrainingError, TrainRecord, trainer)
-    from scengen.qhmm import _propagate
-    from scengen.trainer import _draw_stiefel, _loss_and_gradient
+    from scengen.qhmm import _loss_and_gradient, _propagate
+    from scengen.trainer import _draw_stiefel
 
     # looked up in the module, as the library does, so tests can patch them
     cayley_step, max_halvings = trainer.cayley_step, trainer.MAX_STEP_HALVINGS

@@ -14,7 +14,7 @@ from scengen import (CategoricalHmm, InputError, TrainConfig, TrainingError,
                      decode_scenario, embed_hmm, load_dataset, load_model,
                      random_stiefel, reference_four_event_system, save_model,
                      validate_kraus)
-from scengen import cli, psa
+from scengen import cli, metrics, psa
 from scengen.cli import main
 from scengen.hmm import _stack, _trellis_blocks
 from scengen.qhmm import _BLOCK_BUDGET, _propagate
@@ -195,6 +195,7 @@ class TestMakeDataset:
     @pytest.mark.parametrize("argv, code", [
         (["--test-fraction", 1.5], 2),
         (["--p-min", 0.9], 1),   # no probable scenario
+        (["--p-min", "nan"], 2),
     ])
     def test_failing_make_dataset_leaves_no_output_directory(self, system_path, tmp_path,
                                                              argv, code):
@@ -258,12 +259,19 @@ class TestTrain:
 
     @pytest.mark.parametrize("kind, flags", [
         ("qhmm", {"K": 0}), ("hmm", {"K": 0}), ("qhmm", {"lr": -1}),
-        ("qhmm", {"epochs": -3}), ("hmm", {"epochs": -3}), ("hmm", {"tol": "nan"})])
+        ("qhmm", {"epochs": -3}), ("hmm", {"epochs": -3}), ("hmm", {"tol": "nan"}),
+        ("qhmm", {"lr": "inf"})])
     def test_failing_train_leaves_no_output_directory(self, dataset_dir, tmp_path,
                                                       kind, flags):
         out = tmp_path / "out"
         assert train_small(dataset_dir, out, kind=kind, **flags) == 2
         assert not out.exists()
+
+    def test_overflowing_steps_warn_nothing(self, dataset_dir, tmp_path, capsys):
+        # at tau = 1e308 Cayley steps overflow, fail with their own error and
+        # halve; the suite turns any warning into an error
+        assert train_small(dataset_dir, tmp_path / "out", lr=1e308) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("kind", ["hmm", "qhmm"])
     def test_one_symbol_alphabet_exits_two(self, tmp_path, capsys, kind):
@@ -650,7 +658,7 @@ class TestCompare:
                    "--K", 2, "--epochs", 1, "--seeds", "0") == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["--K", 0], ["--batches", 0]])
+    @pytest.mark.parametrize("argv", [["--K", 0], ["--batches", 0], ["--lr", "inf"]])
     def test_failing_compare_leaves_no_output_directory(self, dataset_dir, tmp_path,
                                                         argv):
         out = tmp_path / "cmp"
@@ -714,6 +722,35 @@ class TestCompare:
         assert em == {"em_iterations": sum(iterations), "em_passes": max(iterations),
                       "runs_failed": 0}
         assert em["em_passes"] < em["em_iterations"]
+
+    def test_each_hmm_split_is_laid_out_once(self, system_path, tmp_path, monkeypatch):
+        # the three seeds' HMMs score each split of each dataset through one
+        # layout, and each gets the scores of its own trellis
+        data = tmp_path / "desk"
+        assert run("make-dataset", "--system", system_path, "--out", data, "--seed", 9) == 0
+        real_layout, real_scores, layouts, scored = metrics._trellis_layout, cli._scores, [], []
+
+        def layout(padded, lengths, runs, num_states, alphabet_size):
+            layouts.append((len(lengths), num_states))
+            return real_layout(padded, lengths, runs, num_states, alphabet_size)
+
+        def scores(models, split, **kwargs):
+            result = real_scores(models, split, **kwargs)
+            if isinstance(models[0], CategoricalHmm):
+                scored.append((models, split, result[1]))
+            return result
+
+        monkeypatch.setattr(metrics, "_trellis_layout", layout)
+        monkeypatch.setattr(cli, "_scores", scores)
+        assert run("compare", "--data", data / "probable.jsonl", "--data",
+                   data / "no_probable.jsonl", "--out", tmp_path / "cmp", "--K", 4,
+                   "--epochs", 5, "--seeds", "0,1,2") == 0
+        assert len(scored) == 4  # two splits of two datasets
+        assert layouts == [(len(split), 4) for _, split, _ in scored]
+        for models, split, log_probs in scored:
+            assert len(models) == 3
+            for model, got in zip(models, log_probs):
+                assert got.tolist() == reference_scores(model, split.sequences())[0]
 
     def test_failing_seed_warns_once_in_seed_order(self, dataset_dir, tmp_path, capsys,
                                                    capped_steps):
@@ -957,6 +994,19 @@ class TestManifest:
         for name in ("loss.csv", "model.json"):
             assert not any(key in (out / name).read_bytes()
                            for key in (b"steps", b"halvings", b"checks", b"residual"))
+
+    def test_training_block_of_compare(self, system_path, tmp_path):
+        # the README's compare: three seeds on each desk class, 500 steps each
+        data = tmp_path / "desk"
+        assert run("make-dataset", "--system", system_path, "--out", data, "--seed", 9) == 0
+        out = tmp_path / "cmp"
+        assert run("compare", "--data", data / "probable.jsonl", "--data",
+                   data / "no_probable.jsonl", "--out", out, "--K", 4,
+                   "--seeds", "0,1,2") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["training"] == {"steps": 3000, "step_halvings": 0, "failed_checks": 0}
+        assert not any(key in (out / "comparison.csv").read_bytes()
+                       for key in (b"steps", b"halvings", b"checks"))
 
     def test_environment_block(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -10,7 +10,7 @@ from scengen import (CategoricalHmm, InputError, average_da, da_for_sequence,
                      da_nonlinearity, da_score, da_scores, embed_hmm, enumerate_scenarios,
                      hmm_forward, log_likelihoods, qhmm_log_likelihood,
                      reference_four_event_system, sequence_log_prob, write_da_report)
-from scengen import qhmm, trainer
+from scengen import metrics, qhmm
 from scengen.hmm import _TRELLIS_BUDGET, _stack, _trellis_blocks
 from scengen.metrics import _scores
 from scengen.qhmm import _BLOCK_BUDGET
@@ -332,6 +332,22 @@ class TestPrefixSharedScores:
         assert len({width for width in widths if width >= 8}) >= 3
         assert_scores_equal_row_wise([model], sequences)
 
+    def test_hmms_of_one_k_share_one_layout(self, monkeypatch):
+        # the layout depends on the rows, K and M alone
+        rng = np.random.default_rng(7)
+        models = [random_hmm(rng, 4, 3), random_hmm(rng, 3, 3), random_kraus_model(rng, 4, 3),
+                  random_hmm(rng, 4, 3), random_hmm(rng, 3, 3), random_hmm(rng, 4, 3)]
+        sequences = stem_sequences(rng, 3, 300, 9)
+        real_layout, layouts = metrics._trellis_layout, []
+
+        def recording(padded, lengths, runs, num_states, alphabet_size):
+            layouts.append(num_states)
+            return real_layout(padded, lengths, runs, num_states, alphabet_size)
+
+        monkeypatch.setattr(metrics, "_trellis_layout", recording)
+        assert_scores_equal_row_wise(models, sequences)
+        assert layouts == [4, 3]
+
     def test_qhmm_and_hmm_share_one_padding(self):
         rng = np.random.default_rng(6)
         models = [random_kraus_model(rng, 4, 3), random_hmm(rng, 4, 3),
@@ -392,8 +408,8 @@ class TestScoringWork:
         model = random_kraus_model(rng, 4, 3)
         sequences = stem_sequences(rng, 3, 300, 7)
         padded, lengths, _ = pad_reference(sequences, 3)
-        trainer._loss_and_gradient(model.operators, model.initial_state.matrix,
-                                   padded, lengths)
+        qhmm._loss_and_gradient(model.operators, model.initial_state.matrix,
+                                padded, lengths)
         # one first step per symbol for all 300 rows, then each block's
         # later steps
         block = _BLOCK_BUDGET // 4 ** 2

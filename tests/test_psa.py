@@ -269,6 +269,13 @@ class TestBuildDatasets:
                     for name in ("probable.jsonl", "no_probable.jsonl"))
         assert got == digests
 
+    def test_nan_p_min_is_rejected(self, ref_system):
+        # NaN compares false, so every scenario would be labeled no_probable
+        with pytest.raises(InputError, match="p_min"):
+            enumerate_scenarios(ref_system, max_len=4, p_min=float("nan"))
+        with pytest.raises(InputError, match="p_min"):
+            build_datasets(ref_system, p_min=float("nan"), seed=0)
+
     def test_split_sizes(self, ref_system):
         probable, no_probable = build_datasets(ref_system, test_fraction=0.25, seed=0)
         for ds in (probable, no_probable):

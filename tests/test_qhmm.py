@@ -9,8 +9,8 @@ from scengen import (DensityMatrix, InputError, KrausModel,
 from scengen.hmm import _row_blocks
 from scengen.qhmm import _BLOCK_BUDGET
 
-from oracles import (all_sequences, kraus_path_probability, qhmm_sample_reference,
-                     random_kraus_model)
+from oracles import (all_sequences, kraus_path_probability, pad_reference,
+                     qhmm_sample_reference, random_kraus_model)
 
 LN_P_011 = -2.3018853378797726
 
@@ -211,6 +211,14 @@ def filter_renormalizing_every_step(operators, rho0, padded, lengths, history):
     return log_probs
 
 
+def filtered_history(ops, rho0, padded, lengths, first=None):
+    """Log-probabilities of padded rows that fit one row block, each its own
+    path, and the history :func:`qhmm._filter` keeps while filtering them."""
+    log_probs, history = np.zeros(len(lengths)), []
+    qhmm._filter(ops, rho0, qhmm._running_layout(padded, lengths, log_probs), history, first)
+    return log_probs, history
+
+
 class TestPropagate:
     def test_skipping_each_blocks_last_renormalization_changes_nothing(
             self, monkeypatch):
@@ -233,17 +241,21 @@ class TestPropagate:
             return real(updated, probs)
 
         monkeypatch.setattr(qhmm, "_renormalize", counted)
-        history = []
-        got = qhmm._propagate(ops, rho0, padded, lengths, history)
+        got = qhmm._propagate(ops, rho0, padded, lengths)
         np.testing.assert_array_equal(got, want)
-        assert len(history) == len(want_history)
-        for (rho, probs), (want_rho, want_probs) in zip(history, want_history):
-            np.testing.assert_array_equal(rho, want_rho)
-            np.testing.assert_array_equal(probs, want_probs)
         # steps - 1 renormalizations per block
         blocks = _row_blocks(300, 16, _BLOCK_BUDGET)
         assert len(blocks) == 3
         assert len(calls) == sum(lengths[rows][0] - 1 for rows in blocks)
+        # the history that the loss and gradient run backwards over
+        first = qhmm._first_steps(ops, rho0, 300)
+        history = [entry for rows in blocks
+                   for entry in filtered_history(ops, rho0, padded[rows], lengths[rows],
+                                                 first)[1]]
+        assert len(history) == len(want_history)
+        for (rho, probs), (want_rho, want_probs) in zip(history, want_history):
+            np.testing.assert_array_equal(rho, want_rho)
+            np.testing.assert_array_equal(probs, want_probs)
 
 
 class TestFirstStepTable:
@@ -269,9 +281,8 @@ class TestFirstStepTable:
         assert qhmm._first_steps(ops, rho0, 1) is None
         rows = []
         for i in range(len(lengths)):
-            history = []
-            log_prob = qhmm._propagate(ops, rho0, padded[i:i + 1], lengths[i:i + 1],
-                                       history)
+            log_prob, history = filtered_history(ops, rho0, padded[i:i + 1],
+                                                 lengths[i:i + 1])
             rows.append((log_prob[0], history))
         return rows
 
@@ -300,14 +311,14 @@ class TestFirstStepTable:
             self, monkeypatch, k, m, mu, count):
         ops, rho0, padded, lengths = self.instance(k, m, mu, count)
         want = self.one_row_at_a_time(ops, rho0, padded, lengths)
-        real_propagate, blocks = trainer._propagate, []
+        real_filter, blocks = qhmm._filter, []
 
-        def recording(ops, rho0, padded, lengths, history=None, first=None):
-            blocks.append((len(lengths), history, first))
-            return real_propagate(ops, rho0, padded, lengths, history, first)
+        def recording(operators, rho0, steps, history=None, first=None):
+            blocks.append((len(steps[0][2]), history, first))
+            return real_filter(operators, rho0, steps, history, first)
 
-        monkeypatch.setattr(trainer, "_propagate", recording)
-        log_probs, _ = trainer._loss_and_gradient(ops, rho0, padded, lengths)
+        monkeypatch.setattr(qhmm, "_filter", recording)
+        log_probs, _ = qhmm._loss_and_gradient(ops, rho0, padded, lengths)
         np.testing.assert_array_equal(log_probs, [log_prob for log_prob, _ in want])
         # the blocks share the table of all the rows, and each row's history
         # is its own call's
@@ -323,6 +334,56 @@ class TestFirstStepTable:
                     np.testing.assert_array_equal(rho[j:j + 1] if t else rho, want_rho)
             start += rows
         assert start == count
+
+
+class TestLossAndGradient:
+    """A check's call grades the next step's rows among its own: the merged
+    rows' log-probabilities are those of the forward pass, and the gradient
+    is that of a call over the graded rows alone."""
+
+    @pytest.mark.parametrize("k, mu", [(1, 1), (4, 1), (16, 2)])
+    def test_graded_rows_get_the_gradient_of_their_own_call(self, k, mu):
+        # two stacked models, alphabets 2 and 3; symbol 4 cannot be emitted,
+        # so the rows holding it underflow. A and B hold rows of both
+        # alphabets with tied lengths, and A's row 1 is also in B, as a row
+        # of an epoch's last batch may be in the next epoch's first
+        rng = np.random.default_rng(k + mu)
+        ops = np.concatenate([random_kraus_model(rng, k, 2, mu).operators,
+                              random_kraus_model(rng, k, 3, mu).operators])
+        ops[4] = 0.0
+        rho0 = DensityMatrix.maximally_mixed(k).matrix
+        half = min(10, _BLOCK_BUDGET // k ** 2 // 2)
+
+        def rows(count):
+            return [tuple(int(x) + 2 * (i % 2) for x in rng.integers(0, 2, size=1 + i % 4))
+                    for i in range(count)]
+
+        a, b = rows(half), rows(half - 2)
+        b += [a[1], (2, 4, 3)]
+        parts = [pad_reference(part, 5)[:2] for part in (a, b)]
+        # merged longest first; B's positions among the merged rows
+        lengths = np.concatenate([part[1] for part in parts])
+        merged = np.argsort(-lengths, kind="stable")
+        position = np.empty_like(merged)
+        position[merged] = np.arange(len(merged))
+        width = max(part[0].shape[1] for part in parts)
+        padded = np.concatenate([np.pad(part[0], ((0, 0), (0, width - part[0].shape[1])))
+                                 for part in parts])[merged]
+        lengths, graded = lengths[merged], position[len(a):]
+        assert len(lengths) <= _BLOCK_BUDGET // k ** 2
+        assert len(set(lengths.tolist())) < len(lengths)  # ties
+
+        log_probs, grad = qhmm._loss_and_gradient(ops, rho0, padded, lengths, graded)
+        np.testing.assert_array_equal(log_probs, qhmm._propagate(ops, rho0, padded, lengths))
+        want_log_probs, want = qhmm._loss_and_gradient(ops, rho0, *parts[1])
+        np.testing.assert_array_equal(log_probs[graded], want_log_probs)
+        np.testing.assert_array_equal(grad, want)
+        assert np.isinf(want_log_probs).sum() == 1 and np.isfinite(want).all()
+        assert np.abs(want[:2]).max() > 0 and np.abs(want[2:]).max() > 0
+        # grading every row is the call without graded rows
+        every = qhmm._loss_and_gradient(ops, rho0, padded, lengths, np.arange(len(lengths)))
+        np.testing.assert_array_equal(every[1], qhmm._loss_and_gradient(
+            ops, rho0, padded, lengths)[1])
 
 
 class TestSample:

@@ -155,13 +155,14 @@ class TestNllGradient:
         rows.append([2, 3, 4, 2])
         padded, lengths, _ = pad_reference([tuple(row) for row in rows], 5)
         rho0 = DensityMatrix.maximally_mixed(dim).matrix
-        log_probs, got = trainer._loss_and_gradient(ops, rho0, padded, lengths)
+        log_probs, got = qhmm._loss_and_gradient(ops, rho0, padded, lengths)
         assert np.isinf(log_probs).sum() == 1
 
         def forward():
             for block in _row_blocks(len(lengths), dim ** 2, _BLOCK_BUDGET):
-                history = []
-                qhmm._propagate(ops, rho0, padded[block], lengths[block], history)
+                history, steps = [], qhmm._running_layout(padded[block], lengths[block],
+                                                          np.zeros(len(lengths[block])))
+                qhmm._filter(ops, rho0, steps, history)
                 yield padded[block], history
 
         want = adjoint_reference(ops, forward())
@@ -180,11 +181,10 @@ class TestNllGradient:
         stacked = live_batch + [tuple(x + 2 for x in seq) for seq in underflow_batch]
         ops = np.concatenate([live.operators, dead.operators])
         rho0 = live.initial_state.matrix
-        log_probs, grad = trainer._loss_and_gradient(ops, rho0,
-                                                     *pad_reference(stacked, 5)[:2])
+        log_probs, grad = qhmm._loss_and_gradient(ops, rho0, *pad_reference(stacked, 5)[:2])
         assert np.isinf(log_probs).sum() == 1 and np.isfinite(grad).all()
-        _, want = trainer._loss_and_gradient(live.operators, rho0,
-                                             *pad_reference(live_batch, 2)[:2])
+        _, want = qhmm._loss_and_gradient(live.operators, rho0,
+                                          *pad_reference(live_batch, 2)[:2])
         np.testing.assert_array_equal(grad[:2], want)
 
 
@@ -211,6 +211,14 @@ class TestCayleyStep:
             grad = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
             tau = float(rng.uniform(0.01, 0.5))
             assert cayley_step(kappa, grad, tau).residual() <= 1e-8
+
+    @pytest.mark.parametrize("tau, message", [(1e308, "non-finite entries"),
+                                              (math.inf, "non-finite entries"),
+                                              (1e200, "inner solve is singular")])
+    def test_overflowing_step_fails_with_its_own_error(self, tau, message):
+        # the suite turns warnings into errors, so an overflow warning fails
+        with pytest.raises(StepFailureError, match=message):
+            cayley_step(random_stiefel(6, 2, 0), np.ones((6, 2), dtype=complex), tau)
 
     def test_scalar_radial_direction_is_a_fixed_point(self):
         # a gradient proportional to kappa is normal to the manifold, so the
@@ -374,6 +382,7 @@ class TestTrainConfig:
         {"dim": 2, "decay": None},
         {"dim": 2, "seed": -1}, {"dim": 2, "seed": True}, {"dim": 2, "seed": 1.5},
         {"dim": 2, "seed": "3"}, {"dim": 2, "seed": None},
+        {"dim": 2, "learning_rate": float("inf")},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(InputError):
@@ -490,54 +499,55 @@ def record_kernels(monkeypatch):
     returns a new list that it records their calls into, in order:
 
     - ``("stack",)`` starts each training stack;
-    - ``("forward", padded, lengths, fresh, ops)`` starts each step, fresh
-      when the step ran its own forward pass and not when it ran only the
-      adjoint over history an earlier check kept;
+    - ``("forward", padded, lengths, fresh, ops)`` starts each step. A fresh
+      step ran its own pass, a ``_loss_and_gradient`` call without graded
+      rows. Any other step took its log-probabilities and gradient from the
+      last check, and gets the rows that check graded and its operators;
+      it starts when its runs take their losses;
     - ``("step", entries)`` is a :func:`cayley_step` call;
-    - ``("check", padded, lengths, kept, ops)`` is a candidate check, kept
-      when it kept history for the next step.
+    - ``("check", padded, lengths, kept, ops)`` is a candidate check: kept
+      when it graded the next step's rows too (``_loss_and_gradient`` with
+      graded rows), and not when it filtered its own alone (``_propagate``).
     """
 
-    real_loss, real_adjoint = trainer._loss_and_gradient, trainer._adjoint
-    real_propagate, real_stack = trainer._propagate, trainer._train_stack
+    real_loss, real_propagate = trainer._loss_and_gradient, trainer._propagate
+    real_stack, real_run = trainer._train_stack, trainer._Run
 
     def install():
-        calls, inside_loss = [], []
+        calls, graded = [], [(None, None, None)]
         real_step = trainer.cayley_step
+
+        class Run(real_run):
+            def __setattr__(self, name, value):
+                # a step's runs take their losses one after another
+                if name == "loss" and value is not None and calls[-1][0] != "forward":
+                    calls.append(("forward", graded[0][0], graded[0][1], False,
+                                  graded[0][2]))
+                super().__setattr__(name, value)
 
         def train_stack(runs, config):
             calls.append(("stack",))
             return real_stack(runs, config)
 
-        def loss(ops, rho0, padded, lengths):
-            calls.append(("forward", padded, lengths, True, ops))
-            inside_loss.append(True)
-            try:
-                return real_loss(ops, rho0, padded, lengths)
-            finally:
-                inside_loss.pop()
+        def loss(ops, rho0, padded, lengths, rows=None):
+            if rows is None:
+                calls.append(("forward", padded, lengths, True, ops))
+            else:
+                calls.append(("check", padded, lengths, True, ops))
+                graded[0] = padded[rows], lengths[rows], ops
+            return real_loss(ops, rho0, padded, lengths, rows)
 
-        def adjoint(ops, blocks):
-            if not inside_loss:
-                ((padded, history),) = blocks = list(blocks)
-                # a row runs for as many steps as the history has entries for it
-                lengths = np.array([sum(len(probs) > row for _, probs in history)
-                                    for row in range(len(padded))])
-                calls.append(("forward", padded, lengths, False, ops))
-            return real_adjoint(ops, blocks)
-
-        def propagate(ops, rho0, padded, lengths, history=None, first=None):
-            if not inside_loss:
-                calls.append(("check", padded, lengths, history is not None, ops))
-            return real_propagate(ops, rho0, padded, lengths, history, first)
+        def propagate(ops, rho0, padded, lengths):
+            calls.append(("check", padded, lengths, False, ops))
+            return real_propagate(ops, rho0, padded, lengths)
 
         def step(kappa, gradient, tau):
             calls.append(("step", len(tau)))
             return real_step(kappa, gradient, tau)
 
+        monkeypatch.setattr(trainer, "_Run", Run)
         monkeypatch.setattr(trainer, "_train_stack", train_stack)
         monkeypatch.setattr(trainer, "_loss_and_gradient", loss)
-        monkeypatch.setattr(trainer, "_adjoint", adjoint)
         monkeypatch.setattr(trainer, "_propagate", propagate)
         monkeypatch.setattr(trainer, "cayley_step", step)
         return calls
@@ -576,10 +586,10 @@ def assert_one_forward_per_step(calls, dim):
       its rows and the next step's overflow one kernel row block, and after
       a step in which no check ran;
     - every check filters its step's rows, merged longest first with the
-      next step's and keeping history when both fit one row block, and
-      alone otherwise;
-    - a step that ran no forward pass of its own ran the adjoint under the
-      operators of the previous step's last check;
+      next step's and grading those when both fit one row block, and alone
+      otherwise;
+    - a step that ran no pass of its own took its log-probabilities and
+      gradient from the previous step's last check, under its operators;
     - the one-hot scatter sees a step's rows only, at most 128 of them.
 
     Returns, per step, whether it ran its own forward pass."""
@@ -668,7 +678,7 @@ class TestTrainQhmmSeeds:
                 if halvings([r], config) and r.batch == config.num_batches - 1] \
             == [(0, 4), (2, 4)]
         # halving rounds do not make a step run its own forward pass: the
-        # last check of a step that halved carried the next step's rows
+        # last check of a step that halved graded the next step's rows
         fresh = assert_one_forward_per_step(calls, config.dim)
         assert fresh == [True] + [False] * (len(fresh) - 1)
         assert any(sum(call[0] == "check" for call in step) > 1
@@ -715,8 +725,8 @@ class TestTrainQhmmSeeds:
         # each of those halvings followed a failed check
         assert work == Counter(steps=sum(len(records) for _, records in results),
                                step_halvings=2, failed_checks=2)
-        # the rejected round's check and the passing round's both carried
-        # the next rows, and the step after the halving ran only the adjoint
+        # the rejected round's check and the passing round's both graded
+        # the next rows, and the step after the halving ran no pass
         fresh = assert_one_forward_per_step(calls, config.dim)
         assert fresh == [True] + [False] * (len(fresh) - 1)
         assert [call[0] for call in recorded_steps(calls)[last][1:]] \
