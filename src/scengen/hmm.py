@@ -3,15 +3,16 @@
 Likelihoods come from the per-step scaled forward/backward recursions of
 Rabiner (1989), so long sequences stay inside the float range; the
 log-likelihood is accumulated from the per-step normalizers. One batched
-kernel, :func:`_trellis_blocks`, runs them over zero-padded rows, longest
+kernel, :func:`_trellis_passes`, runs them over zero-padded rows, longest
 first, in row blocks, for a stack of models: the per-sequence trellises
-and dataset scoring call it with one model, and Baum-Welch
-(:func:`baum_welch_fits`) with every live run of a stack of EM runs, so
-that several fits share each E-step. A sequence the model cannot produce
-is reported with a ``-inf`` log-likelihood instead of an error. Unlike a
-Kraus-operator model's, an HMM's dataset scores do not share the
-filtering of common prefixes: a row's last bits depend on its
-longest-first block (see :func:`_trellis_layout`).
+(:func:`_trellis_blocks`) and dataset scoring (:func:`_log_likelihoods`)
+run it with one model, and Baum-Welch (:func:`baum_welch_fits`) with every
+live run of a stack of EM runs, so that several fits share each E-step. A
+sequence the model cannot produce is reported with a ``-inf``
+log-likelihood instead of an error. Unlike a Kraus-operator model's, an
+HMM's dataset scores do not share the filtering of common prefixes: a
+row's last bits depend on its longest-first block (see
+:func:`_trellis_layout`).
 
 Models are immutable after construction and every operation here is a
 pure function, so concurrent use across threads is safe.
@@ -177,6 +178,20 @@ def _row_blocks(count: int, row_entries: int, budget: int) -> list:
     return [slice(start, start + size) for start in range(0, count, size)]
 
 
+def _packed(items, sizes, cap: int) -> list:
+    """``items`` cut, in order, into groups whose ``sizes`` sum to at most
+    ``cap``; an item larger than that is a group of its own."""
+    groups = []
+    for item, size in zip(items, sizes):
+        if groups and used + size <= cap:
+            groups[-1].append(item)
+            used += size
+        else:
+            groups.append([item])
+            used = size
+    return groups
+
+
 def _stack(model: CategoricalHmm):
     """A model's parameters as a stack of one, as :func:`_trellis_blocks` takes them."""
     return model.transition[None], model.emission[None], model.start[None]
@@ -248,16 +263,11 @@ def _trellis_layout(padded: np.ndarray, lengths: np.ndarray, runs, num_states: i
     else:
         edges = [0, *(np.flatnonzero(runs[1:] != runs[:-1]) + 1).tolist(), count]
         symbols = padded + alphabet_size * runs[:, None]  # the emission table rows
-    size, groups, used = max(1, _TRELLIS_BUDGET // num_states), [], 0
-    for first, end in zip(edges, edges[1:]):
-        for block in _row_blocks(end - first, num_states, _TRELLIS_BUDGET):
-            lo, hi = first + block.start, min(first + block.stop, end)
-            if groups and used + hi - lo <= size:
-                groups[-1].append((lo, hi))
-                used += hi - lo
-            else:
-                groups.append([(lo, hi)])
-                used = hi - lo
+    blocks = [(first + block.start, min(first + block.stop, end))
+              for first, end in zip(edges, edges[1:])
+              for block in _row_blocks(end - first, num_states, _TRELLIS_BUDGET)]
+    groups = _packed(blocks, [hi - lo for lo, hi in blocks],
+                     max(1, _TRELLIS_BUDGET // num_states))
     # the rows of each block still running at each step
     running = np.add.reduceat(lengths[:, None] > np.arange(padded.shape[1]),
                               [lo for group in groups for lo, _ in group], axis=0, dtype=np.intp)
@@ -336,6 +346,21 @@ def _trellis_passes(transition: np.ndarray, table: np.ndarray, start: np.ndarray
                 back[:n, t] = buffer[:n] / divisor[:n, t + 1, None]
             back[log_probs == -np.inf] = 0.0
         yield rows, log_probs, forward, scaling, back
+
+
+def _log_likelihoods(models, padded: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Natural-log probability of each padded row (longest first) under each
+    HMM of one K and M, as a ``(models, rows)`` array: the rows are laid out
+    once (:func:`_trellis_layout` depends on the rows, K and M alone) and
+    every model runs :func:`_trellis_passes` over that layout."""
+    layout = _trellis_layout(padded, lengths, None, *models[0].emission.shape)  # K, M
+    log_probs = np.empty((len(models), len(lengths)))
+    for model, scores in zip(models, log_probs):
+        transition, emission, start = _stack(model)
+        for rows, block_scores, *_ in _trellis_passes(transition, _emission_table(emission),
+                                                      start, layout):
+            scores[rows] = block_scores
+    return log_probs
 
 
 def hmm_forward(model: CategoricalHmm, sequence) -> TrellisResult:
@@ -498,21 +523,14 @@ def baum_welch_fits(datasets, num_states: int, seeds, *, max_iters: int = 100,
         padded, lengths, _ = _pad(symbols, lengths, alphabet_size)
         groups.append([_EmRun(padded, lengths, alphabet_size, num_states, seed)
                        for seed in seeds])
-    size, stacks = max(1, _TRELLIS_BUDGET // num_states), []
-    for run in (run for group in groups for run in group):
-        if stacks and used + len(run.lengths) <= size:
-            stacks[-1].append(run)
-            used += len(run.lengths)
-        else:
-            stacks.append([run])
-            used = len(run.lengths)
+    runs = [run for group in groups for run in group]
     counts = {"em_iterations": 0, "em_passes": 0}
-    for stack in stacks:
+    for stack in _packed(runs, [len(run.lengths) for run in runs],
+                         max(1, _TRELLIS_BUDGET // num_states)):
         if max_iters:
             _fit_stack(stack, max_iters, tol, counts)
     if work is not None:
-        work.update(counts, runs_failed=sum(run.error is not None for group in groups
-                                            for run in group))
+        work.update(counts, runs_failed=sum(run.error is not None for run in runs))
     return [[run.error if run.error is not None else
              BaumWelchResult(CategoricalHmm(run.transition, run.emission, run.start),
                              run.history)

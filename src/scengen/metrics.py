@@ -5,18 +5,12 @@ certainty, 0 matches a uniform model over the alphabet, and anything above
 0 beats random. Sequences a model cannot produce are reported with the -1
 sentinel (the open lower bound, "impossible under the model").
 
-Scoring pads a dataset once for all the models of a call. A Kraus-operator
-model filters the rows in lexicographic order, cut into the row blocks of
-its kernel, and filters each distinct prefix of a block once: a prefix's
-belief comes from its parent's by one Kraus update (see
-:func:`qhmm._prefix_layout`). Enumerated scenarios share most of their
-prefixes, so this filters about a quarter as many beliefs as one per
-symbol position would. The results do not depend on it:
-a row's Kraus update does not depend on the rows beside it, and each row's
-log-probability is the running sum along its own path, so every row gets
-the bits of a filter over that row alone. An HMM keeps its longest-first
-rows, laid out once for all the HMMs of one K (see
-:func:`hmm._trellis_layout` for why sharing would move its bits).
+Scoring pads a dataset once for all the models of a call, and the models
+of each kind and K score the rows in one call of their module's
+forward-only entry: :func:`qhmm._log_likelihoods` filters each distinct
+prefix of a row block once, and :func:`hmm._log_likelihoods` lays the rows
+out once. Every row gets the bits of its model kind's filter over that row
+alone (for an HMM, over its longest-first row block).
 """
 
 from __future__ import annotations
@@ -26,11 +20,11 @@ import math
 
 import numpy as np
 
+from . import hmm, qhmm
 from .errors import InputError
-from .hmm import (CategoricalHmm, _emission_table, _flatten, _pad, _row_blocks, _stack,
-                  _trellis_layout, _trellis_passes)
+from .hmm import CategoricalHmm, _flatten, _pad
 from .psa import ScenarioDataset
-from .qhmm import _BLOCK_BUDGET, KrausModel, _filter, _lexicographic, _prefix_layout
+from .qhmm import KrausModel
 
 _LOGPROB_SLACK = 1e-9
 
@@ -120,15 +114,8 @@ def _scores(models, data, da: bool = True, work=None):
 
     The models must share one alphabet, which callers check: the data are
     padded once, by :func:`hmm._pad` against the first model's alphabet,
-    and every model scores the same rows. The HMMs run them longest first,
-    laid out once for all the models of their K (:func:`hmm._trellis_layout`,
-    which depends on the rows, K and M alone), through
-    :func:`hmm._trellis_passes`. The Kraus-operator models take them in
-    lexicographic order, sorted once per call, and cut into their kernel's
-    row blocks; each block's prefix tree (:func:`qhmm._prefix_layout`) is
-    built once for all the models of its K, which filter each distinct
-    prefix of the block once. This gives each row the bits of a filter
-    over that row alone (:func:`qhmm._filter`).
+    and the models of each kind and K score the same rows in one call of
+    :func:`qhmm._log_likelihoods` or :func:`hmm._log_likelihoods`.
 
     Returns ``(lengths, log_probs, das)``, with one row per model in
     ``log_probs`` and ``das``; ``da=False`` leaves ``das`` None (a
@@ -140,39 +127,26 @@ def _scores(models, data, da: bool = True, work=None):
     for model in models:
         _check_model(model)
     alphabet_size = models[0].alphabet_size
-    if isinstance(data, ScenarioDataset):
-        padded, row_lengths, order = _pad(data.symbols, data.lengths, alphabet_size)
-    else:
-        padded, row_lengths, order = _pad(*_flatten(data), alphabet_size)
-    lengths = np.empty_like(row_lengths)
-    lengths[order] = row_lengths
+    symbols, lengths = ((data.symbols, data.lengths) if isinstance(data, ScenarioDataset)
+                        else _flatten(data))
+    padded, row_lengths, order = _pad(symbols, lengths, alphabet_size)
     log_probs = np.empty((len(models), len(lengths)))
     positions, filtered = int(row_lengths.sum()), 0
-    hmms, kraus = {}, {}  # each kind's models and their score rows, by K
-    for model, scores in zip(models, log_probs):
+    hmms, kraus = {}, {}  # the indices of each kind's models, by K
+    for i, model in enumerate(models):
         if isinstance(model, CategoricalHmm):
-            hmms.setdefault(model.num_states, []).append((model, scores))
+            hmms.setdefault(model.num_states, []).append(i)
         else:
-            kraus.setdefault(model.dim, []).append((model, scores))
-    for k, group in hmms.items():
-        layout = _trellis_layout(padded, row_lengths, None, k, alphabet_size)
-        for model, scores in group:
-            transition, emission, start = _stack(model)
-            for block, block_scores, *_ in _trellis_passes(
-                    transition, _emission_table(emission), start, layout):
-                scores[order[block]] = block_scores
-            filtered += positions
-    if kraus:
-        places, starts = _lexicographic(padded, row_lengths)
-        rows_of, place_lengths = order[places], row_lengths[places]
-    for dim, group in kraus.items():
-        for rows in _row_blocks(len(lengths), dim ** 2, _BLOCK_BUDGET):
-            steps, nodes, leaves = _prefix_layout(padded[places[rows]], place_lengths[rows],
-                                                  starts[rows])
-            for model, scores in group:
-                _filter(model.operators, model.initial_state.matrix, steps)
-                scores[rows_of[rows]] = nodes[leaves]
-                filtered += len(nodes)
+            kraus.setdefault(model.dim, []).append(i)
+    for members in hmms.values():
+        log_probs[np.ix_(members, order)] = hmm._log_likelihoods(
+            [models[i] for i in members], padded, row_lengths)
+        filtered += len(members) * positions
+    for members in kraus.values():
+        log_probs[np.ix_(members, order)], nodes = qhmm._log_likelihoods(
+            [(models[i].operators, models[i].initial_state.matrix) for i in members],
+            padded, row_lengths)
+        filtered += nodes
     if work is not None:
         work.update(sequences_scored=len(models) * len(lengths),
                     symbol_positions=len(models) * positions, prefixes_filtered=filtered)

@@ -72,7 +72,10 @@ class SystemModel:
         self._index = {eid: i for i, eid in enumerate(ids)}
         sets: List[frozenset] = []
         masks: List[int] = []
-        for subset in severe_states:
+        for subset in [severe_states] if isinstance(severe_states, str) else severe_states:
+            if isinstance(subset, str):  # frozenset would split it into characters
+                raise InputError("severe_states must be a list of lists of event ids, "
+                                 f"not {subset!r}")
             subset = frozenset(subset)
             if not subset:
                 raise InputError("severe states must not be empty")

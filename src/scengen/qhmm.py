@@ -8,14 +8,16 @@ sequences is safe.
 
 One filter loop, :func:`_filter`, runs every batched likelihood. It takes
 a per-step layout: which of the previous step's beliefs continue, with
-which symbols. Training runs padded rows, each its own path
-(:func:`_running_layout`); scoring runs a prefix tree, in which rows that
-share a prefix share its beliefs (:func:`_prefix_layout`). Both give each
-row the same bits. Every row's first step starts from the one initial
-belief, so a call with more rows than symbols computes each symbol's first
-step once, into a table its row blocks gather from (:func:`_first_steps`).
-The training loss and gradient (:func:`_loss_and_gradient`) run the filter
-backwards over the beliefs it kept, which never leave this module.
+which symbols. Every forward-only likelihood (:func:`_log_likelihoods`:
+scoring, :func:`qhmm_log_likelihood`, :func:`trainer.nll_loss` and the
+training checks that grade no rows) runs a prefix tree, in which rows
+that share a prefix share its beliefs (:func:`_prefix_layout`). The loss
+and gradient (:func:`_loss_and_gradient`) run padded rows, each its own
+path (:func:`_running_layout`), because the adjoint runs backwards along
+each row over the beliefs the filter kept, which never leave this module;
+a call with more rows than symbols computes each symbol's first step
+once, into a table its row blocks gather from (:func:`_first_steps`).
+Both layouts give each row the same bits.
 """
 
 from __future__ import annotations
@@ -308,31 +310,35 @@ def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[li
             rho = _renormalize(updated, probs)
 
 
-def _propagate(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
-               lengths: np.ndarray) -> np.ndarray:
-    """Natural-log probability of each padded row, filtering from ``rho0``.
+def _log_likelihoods(pairs, padded: np.ndarray, lengths: np.ndarray):
+    """Natural-log probability of each padded row under each ``(operators,
+    rho0)`` pair of one K, as a ``(pairs, rows)`` array in row order, and
+    the number of beliefs filtered, summed over the pairs.
 
-    Rows come longest first, so the rows still running at step t are a
-    leading slice, and :func:`_filter` runs each row block with every row
-    its own path (:func:`_running_layout`). A row whose step probability
-    underflows scores -inf while the other rows carry on. A call with more
-    rows than symbols shares one first-step table (:func:`_first_steps`)
-    across its row blocks.
+    The rows are sorted once (:func:`_lexicographic`) and cut into row
+    blocks; each block's prefix tree (:func:`_prefix_layout`) is built once
+    for all the pairs, which filter each distinct prefix of it once. A row
+    that underflows scores -inf, and every row gets the bits of a filter
+    over that row alone (see :func:`_filter`).
     """
-    first = _first_steps(operators, rho0, len(lengths))
-    log_probs = np.zeros(len(lengths))
-    for rows in _row_blocks(len(lengths), rho0.shape[0] ** 2, _BLOCK_BUDGET):
-        _filter(operators, rho0, _running_layout(padded[rows], lengths[rows],
-                                                 log_probs[rows]), None, first)
-    return log_probs
+    places, starts = _lexicographic(padded, lengths)
+    padded, lengths = padded[places], lengths[places]
+    log_probs, filtered = np.empty((len(pairs), len(lengths))), 0
+    for rows in _row_blocks(len(lengths), pairs[0][1].shape[0] ** 2, _BLOCK_BUDGET):
+        steps, nodes, leaves = _prefix_layout(padded[rows], lengths[rows], starts[rows])
+        for (operators, rho0), scores in zip(pairs, log_probs):
+            _filter(operators, rho0, steps)
+            scores[places[rows]] = nodes[leaves]
+        filtered += len(pairs) * len(nodes)
+    return log_probs, filtered
 
 
 def _loss_and_gradient(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
                        lengths: np.ndarray, graded=None):
-    """Natural-log probability of each padded row (longest first), as
-    :func:`_propagate` computes it, and the gradient w.r.t. conj(operators)
-    of the negated log-probability sum of the ``graded`` rows; callers
-    divide by their row counts.
+    """Natural-log probability of each padded row (longest first), with the
+    bits of :func:`_log_likelihoods`, and the gradient w.r.t.
+    conj(operators) of the negated log-probability sum of the ``graded``
+    rows; callers divide by their row counts.
 
     ``graded``, an increasing index array into rows that fit one kernel row
     block, or None for every row, names the rows the gradient differentiates;
@@ -412,8 +418,8 @@ def qhmm_log_likelihood(model: KrausModel, sequence) -> float:
     underflows.
     """
     seq = _as_symbols(sequence, model.alphabet_size)
-    return float(_propagate(model.operators, model.initial_state.matrix,
-                            seq[None], np.array([seq.size]))[0])
+    return float(_log_likelihoods([(model.operators, model.initial_state.matrix)], seq[None],
+                                  np.array([seq.size]))[0][0, 0])
 
 
 def _effects(operators: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ one point is a stack of one. Per-sequence loss terms within a batch are
 independent and reduced longest sequence first, so results are
 deterministic for a fixed seed. The loss and its gradient come from one
 kernel, :func:`qhmm._loss_and_gradient`, which runs the forward filter and
-then backwards over the history it kept; the history never leaves it.
+then backwards over the history it kept; the history never leaves it. A
+loss alone (:func:`nll_loss`, or a check that grades no rows) comes from
+the forward-only :func:`qhmm._log_likelihoods`, which scoring runs too.
 
 Several runs, one per (dataset, seed) pair, train in one stacked pass.
 Every step stacks the operators of all runs symbol by symbol, so each
@@ -59,9 +61,9 @@ import numpy as np
 
 from .errors import (GradientUndefinedError, InputError, StepFailureError,
                      TrainingError)
-from .hmm import _flatten, _pad, _row_blocks
+from .hmm import _flatten, _packed, _pad, _row_blocks
 from .qhmm import (_BLOCK_BUDGET, COMPLETENESS_TOL, DensityMatrix, KrausModel,
-                   _as_matrix, _loss_and_gradient, _partition, _propagate,
+                   _as_matrix, _log_likelihoods, _loss_and_gradient, _partition,
                    orthonormality_residual)
 
 MAX_STEP_HALVINGS = 30
@@ -140,7 +142,8 @@ def nll_loss(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -> fl
     """
     ops = _partition(_as_kappa(kappa), alphabet_size, multiplicity)
     padded, lengths, _ = _pad(*_flatten(batch), alphabet_size)
-    return float(-_propagate(ops, _as_matrix(pi0), padded, lengths).sum() / len(lengths))
+    log_probs, _ = _log_likelihoods([(ops, _as_matrix(pi0))], padded, lengths)
+    return float(-log_probs[0].sum() / len(lengths))
 
 
 def nll_gradient(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -> np.ndarray:
@@ -179,6 +182,8 @@ def cayley_step(kappa, gradient, tau):
 
     Raises
     ------
+    InputError
+        If a gradient's shape differs from its point's, or a tau is not finite and >= 0.
     StepFailureError
         If the inner solve is singular or orthonormality is lost to
         roundoff; callers halve tau and retry.
@@ -205,8 +210,8 @@ def _cayley_steps(points, gradients, taus) -> list:
         arr, grad = _as_kappa(kappa), np.asarray(gradient, dtype=complex)
         if grad.shape != arr.shape:
             raise InputError("gradient shape must match kappa")
-        if tau < 0:
-            raise InputError("tau must be >= 0")
+        if not 0 <= tau < math.inf:  # halving never makes a NaN or infinite tau finite
+            raise InputError("tau must be >= 0 and finite")
         inputs.append((arr, grad))
         if tau == 0.0:
             results[i] = kappa if isinstance(kappa, StiefelPoint) else StiefelPoint(arr)
@@ -398,19 +403,11 @@ def train_qhmm_datasets(datasets, config: TrainConfig, seeds, work=None) -> list
     # The scatter's matrix product sums every stacked row, and OpenBLAS
     # may group a sum of more than 128 rows differently from each run's
     # own sum, so a stack holds at most 128 rows.
-    block_rows, stacks = min(_BLOCK_BUDGET // config.dim ** 2, _STACK_ROWS), []
-    for run in (run for group in groups for run in group):
-        batch_rows = -(-len(run.lengths) // config.num_batches)
-        if stacks and used + batch_rows <= block_rows:
-            stacks[-1].append(run)
-            used += batch_rows
-        else:
-            stacks.append([run])
-            used = batch_rows
-    for stack in stacks:
+    runs = [run for group in groups for run in group]
+    for stack in _packed(runs, [-(-len(run.lengths) // config.num_batches) for run in runs],
+                         min(_BLOCK_BUDGET // config.dim ** 2, _STACK_ROWS)):
         _train_stack(stack, config)
     if work is not None:
-        runs = [run for group in groups for run in group]
         work.update(steps=sum(len(run.records) for run in runs),
                     step_halvings=sum(run.halvings for run in runs),
                     failed_checks=sum(run.failed_checks for run in runs))
@@ -534,7 +531,7 @@ def _train_stack(runs, config: TrainConfig) -> None:
             if candidates:
                 ops = stacked_ops([candidates.get(run, run.kappa) for run in runs])
                 if check is None:
-                    log_probs = _propagate(ops, rho0, padded, lens)
+                    log_probs = _log_likelihoods([(ops, rho0)], padded, lens)[0][0]
                 else:
                     check_padded, check_lens, (this_rows, next_rows) = check
                     scored, grad = _loss_and_gradient(ops, rho0, check_padded, check_lens,

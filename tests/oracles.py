@@ -405,7 +405,7 @@ def train_qhmm_reference(dataset, config, alphabet_size):
 
     from scengen import (DensityMatrix, KrausModel, StepFailureError,
                          StiefelPoint, TrainingError, TrainRecord, trainer)
-    from scengen.qhmm import _loss_and_gradient, _propagate
+    from scengen.qhmm import _loss_and_gradient
     from scengen.trainer import _draw_stiefel
 
     # looked up in the module, as the library does, so tests can patch them
@@ -443,7 +443,9 @@ def train_qhmm_reference(dataset, config, alphabet_size):
                 except StepFailureError:
                     step_tau /= 2.0
                     continue
-                if _propagate(candidate.matrix.reshape(shape), rho0, *batch).min() > -math.inf:
+                # the row filter, which builds no prefix tree
+                log_probs, _ = _loss_and_gradient(candidate.matrix.reshape(shape), rho0, *batch)
+                if log_probs.min() > -math.inf:
                     break
                 step_tau /= 2.0
             else:

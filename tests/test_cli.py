@@ -14,10 +14,10 @@ from scengen import (CategoricalHmm, InputError, TrainConfig, TrainingError,
                      decode_scenario, embed_hmm, load_dataset, load_model,
                      random_stiefel, reference_four_event_system, save_model,
                      validate_kraus)
-from scengen import cli, metrics, psa
+from scengen import cli, psa
 from scengen.cli import main
-from scengen.hmm import _stack, _trellis_blocks
-from scengen.qhmm import _BLOCK_BUDGET, _propagate
+from scengen.hmm import _stack, _trellis_blocks, _trellis_layout
+from scengen.qhmm import _BLOCK_BUDGET, _loss_and_gradient
 
 from oracles import (distinct_prefixes_per_block, hmm_sample_reference, pad_reference,
                      qhmm_sample_reference, train_qhmm_reference)
@@ -66,15 +66,17 @@ def reference_split(path, split):
 
 
 def reference_scores(model, sequences):
-    """Log-probabilities of reference-padded rows and the scalar DA of each."""
+    """Log-probabilities of reference-padded rows and the scalar DA of each;
+    a Kraus model's come from the row filter of the loss's forward pass,
+    which builds no prefix tree."""
     padded, lengths, order = pad_reference(sequences, model.alphabet_size)
     log_probs = np.empty(len(sequences))
     if isinstance(model, CategoricalHmm):
         for rows, block, *_ in _trellis_blocks(*_stack(model), padded, lengths):
             log_probs[order[rows]] = block
     else:
-        log_probs[order] = _propagate(model.operators, model.initial_state.matrix,
-                                      padded, lengths)
+        log_probs[order], _ = _loss_and_gradient(model.operators, model.initial_state.matrix,
+                                                 padded, lengths)
     return log_probs.tolist(), [da_score(lp, len(seq), model.alphabet_size)
                                 for lp, seq in zip(log_probs, sequences)]
 
@@ -202,6 +204,16 @@ class TestMakeDataset:
         out = tmp_path / "out"
         assert run("make-dataset", "--system", system_path, "--out", out, "--seed", 0,
                    *argv) == code
+        assert not out.exists()
+
+    def test_severe_state_written_as_a_string_exits_two(self, ref_system, tmp_path, capsys):
+        payload = ref_system.to_dict()
+        payload["severe_states"] = ["AB"]
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert run("make-dataset", "--system", system, "--out", out, "--seed", 0) == 2
+        assert "list of lists of event ids" in capsys.readouterr().err
         assert not out.exists()
 
     def test_reruns_are_byte_identical(self, system_path, tmp_path):
@@ -728,26 +740,28 @@ class TestCompare:
         # layout, and each gets the scores of its own trellis
         data = tmp_path / "desk"
         assert run("make-dataset", "--system", system_path, "--out", data, "--seed", 9) == 0
-        real_layout, real_scores, layouts, scored = metrics._trellis_layout, cli._scores, [], []
+        real_scores, layouts, scored = cli._scores, [], []
 
         def layout(padded, lengths, runs, num_states, alphabet_size):
             layouts.append((len(lengths), num_states))
-            return real_layout(padded, lengths, runs, num_states, alphabet_size)
+            return _trellis_layout(padded, lengths, runs, num_states, alphabet_size)
 
         def scores(models, split, **kwargs):
+            # Baum-Welch lays its rows out too; keep the scoring call's layouts
+            layouts.clear()
             result = real_scores(models, split, **kwargs)
             if isinstance(models[0], CategoricalHmm):
-                scored.append((models, split, result[1]))
+                scored.append((models, split, result[1], list(layouts)))
             return result
 
-        monkeypatch.setattr(metrics, "_trellis_layout", layout)
+        monkeypatch.setattr("scengen.hmm._trellis_layout", layout)
         monkeypatch.setattr(cli, "_scores", scores)
         assert run("compare", "--data", data / "probable.jsonl", "--data",
                    data / "no_probable.jsonl", "--out", tmp_path / "cmp", "--K", 4,
                    "--epochs", 5, "--seeds", "0,1,2") == 0
         assert len(scored) == 4  # two splits of two datasets
-        assert layouts == [(len(split), 4) for _, split, _ in scored]
-        for models, split, log_probs in scored:
+        for models, split, log_probs, split_layouts in scored:
+            assert split_layouts == [(len(split), 4)]
             assert len(models) == 3
             for model, got in zip(models, log_probs):
                 assert got.tolist() == reference_scores(model, split.sequences())[0]

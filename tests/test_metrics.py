@@ -10,7 +10,7 @@ from scengen import (CategoricalHmm, InputError, average_da, da_for_sequence,
                      da_nonlinearity, da_score, da_scores, embed_hmm, enumerate_scenarios,
                      hmm_forward, log_likelihoods, qhmm_log_likelihood,
                      reference_four_event_system, sequence_log_prob, write_da_report)
-from scengen import metrics, qhmm
+from scengen import hmm, qhmm
 from scengen.hmm import _TRELLIS_BUDGET, _stack, _trellis_blocks
 from scengen.metrics import _scores
 from scengen.qhmm import _BLOCK_BUDGET
@@ -248,12 +248,15 @@ class TestReport:
 
 
 def row_wise_log_probs(model, sequences):
-    """Each sequence's log-probability from a filter over its own row: a
-    one-row :func:`qhmm_log_likelihood` for a Kraus model; for an HMM, the
-    longest-first row blocks of the reference padding, whose per-block
-    widths and one-row products fix the last bits of every row."""
+    """Each sequence's log-probability from a filter over its own row: for
+    a Kraus model, the forward pass of a one-row
+    :func:`qhmm._loss_and_gradient`, which builds no prefix tree; for an
+    HMM, the longest-first row blocks of the reference padding, whose
+    per-block widths and one-row products fix the last bits of every row."""
     if not isinstance(model, CategoricalHmm):
-        return np.array([qhmm_log_likelihood(model, seq) for seq in sequences])
+        return np.array([qhmm._loss_and_gradient(model.operators, model.initial_state.matrix,
+                                                 np.array([seq]), np.array([len(seq)]))[0][0]
+                         for seq in sequences])
     padded, lengths, order = pad_reference(sequences, model.alphabet_size)
     log_probs = np.empty(len(sequences))
     for rows, block, *_ in _trellis_blocks(*_stack(model), padded, lengths):
@@ -338,15 +341,19 @@ class TestPrefixSharedScores:
         models = [random_hmm(rng, 4, 3), random_hmm(rng, 3, 3), random_kraus_model(rng, 4, 3),
                   random_hmm(rng, 4, 3), random_hmm(rng, 3, 3), random_hmm(rng, 4, 3)]
         sequences = stem_sequences(rng, 3, 300, 9)
-        real_layout, layouts = metrics._trellis_layout, []
+        real_layout, layouts = hmm._trellis_layout, []
 
         def recording(padded, lengths, runs, num_states, alphabet_size):
             layouts.append(num_states)
             return real_layout(padded, lengths, runs, num_states, alphabet_size)
 
-        monkeypatch.setattr(metrics, "_trellis_layout", recording)
-        assert_scores_equal_row_wise(models, sequences)
+        # the row-wise reference lays its rows out too, so only the scoring
+        # call runs under the spy
+        monkeypatch.setattr(hmm, "_trellis_layout", recording)
+        _scores(models, sequences)
+        monkeypatch.undo()
         assert layouts == [4, 3]
+        assert_scores_equal_row_wise(models, sequences)
 
     def test_qhmm_and_hmm_share_one_padding(self):
         rng = np.random.default_rng(6)

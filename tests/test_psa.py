@@ -33,6 +33,17 @@ class TestSystemModel:
         with pytest.raises(InputError):
             SystemModel("bad", [BasicEvent("A", 0.1, 0.2)], [()])
 
+    @pytest.mark.parametrize("ids, severe_states", [
+        (["A", "B"], "AB"),  # would be two one-event states, {A} and {B}
+        (["A", "B"], ["AB"]),  # would be {A, B}
+        (["pump", "m", "u", "p"], ["pump"]),  # would name the events m, p and u
+    ])
+    def test_severe_state_written_as_a_string_rejected(self, ids, severe_states):
+        payload = {"name": "bad", "severe_states": severe_states,
+                   "events": [{"id": eid, "p_down": 0.1, "p_repair": 0.2} for eid in ids]}
+        with pytest.raises(InputError, match="must be a list of lists of event ids"):
+            SystemModel.from_dict(payload)
+
     def test_probability_bounds(self):
         with pytest.raises(InputError):
             BasicEvent("A", 0.0, 0.5)

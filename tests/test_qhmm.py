@@ -193,8 +193,8 @@ class TestLogLikelihood:
 
 
 def filter_renormalizing_every_step(operators, rho0, padded, lengths, history):
-    """:func:`qhmm._propagate`'s filter with the beliefs renormalized after
-    every step of a block, its last step included."""
+    """The row filter of :func:`qhmm._loss_and_gradient` with the beliefs
+    renormalized after every step of a block, its last step included."""
     log_probs = np.zeros(len(lengths))
     for rows in _row_blocks(len(lengths), rho0.shape[0] ** 2, _BLOCK_BUDGET):
         symbols, block_ll, block_len = padded[rows], log_probs[rows], lengths[rows]
@@ -241,7 +241,7 @@ class TestPropagate:
             return real(updated, probs)
 
         monkeypatch.setattr(qhmm, "_renormalize", counted)
-        got = qhmm._propagate(ops, rho0, padded, lengths)
+        got, _ = qhmm._loss_and_gradient(ops, rho0, padded, lengths)
         np.testing.assert_array_equal(got, want)
         # steps - 1 renormalizations per block
         blocks = _row_blocks(300, 16, _BLOCK_BUDGET)
@@ -259,9 +259,10 @@ class TestPropagate:
 
 
 class TestFirstStepTable:
-    """Rows that take their first step from the shared table keep the bits
-    of the same rows filtered one at a time: a single row is no more than
-    the symbols, so it computes its own first step."""
+    """Rows that take their first step from the shared table, and rows
+    filtered on a prefix tree, keep the bits of the same rows filtered one
+    at a time: a single row is no more than the symbols, so it computes its
+    own first step."""
 
     @staticmethod
     def instance(k, m, mu, count):
@@ -287,24 +288,33 @@ class TestFirstStepTable:
         return rows
 
     @pytest.mark.parametrize("k, m, mu, count", [(4, 3, 1, 300), (16, 8, 2, 40)])
-    def test_propagate_is_bit_identical_to_one_row_calls(self, monkeypatch, k, m, mu,
-                                                         count):
+    def test_log_likelihoods_match_the_row_filter(self, monkeypatch, k, m, mu, count):
+        # the prefix tree against rows filtered one at a time and the
+        # forward pass of the loss, over several row blocks with
+        # underflowing rows; several pairs in one call share each block's
+        # tree and equal one call per pair
         ops, rho0, padded, lengths = self.instance(k, m, mu, count)
+        other = random_kraus_model(np.random.default_rng(k), k, m, mu).operators
+        pairs = [(ops, rho0), (other, rho0), (ops, DensityMatrix.pure(k).matrix)]
+        real_layout, trees = qhmm._prefix_layout, []
+
+        def recording(symbols, lengths, starts):
+            trees.append(len(lengths))
+            return real_layout(symbols, lengths, starts)
+
+        monkeypatch.setattr(qhmm, "_prefix_layout", recording)
+        got, filtered = qhmm._log_likelihoods(pairs, padded, lengths)
+        assert trees == [len(lengths[rows]) for rows in _row_blocks(count, k * k, _BLOCK_BUDGET)]
+        monkeypatch.undo()
         want = self.one_row_at_a_time(ops, rho0, padded, lengths)
-        real_filter, tables = qhmm._filter, []
-
-        def recording(operators, rho0, steps, history=None, first=None):
-            tables.append(first)
-            return real_filter(operators, rho0, steps, history, first)
-
-        monkeypatch.setattr(qhmm, "_filter", recording)
-        got = qhmm._propagate(ops, rho0, padded, lengths)
-        # every row block gathers from one table
-        blocks = _row_blocks(count, k * k, _BLOCK_BUDGET)
-        assert len(blocks) >= 3 and len(tables) == len(blocks)
-        assert tables[0] is not None and all(table is tables[0] for table in tables)
-        np.testing.assert_array_equal(got, [log_prob for log_prob, _ in want])
-        assert np.isinf(got).sum() > 1 and np.isfinite(got).sum() > 1
+        np.testing.assert_array_equal(got[0], [log_prob for log_prob, _ in want])
+        for (operators, initial), row in zip(pairs, got):
+            np.testing.assert_array_equal(
+                row, qhmm._loss_and_gradient(operators, initial, padded, lengths)[0])
+            alone, nodes = qhmm._log_likelihoods([(operators, initial)], padded, lengths)
+            np.testing.assert_array_equal(alone[0], row)
+            assert filtered == 3 * nodes
+        assert np.isinf(got[0]).sum() > 1 and np.isfinite(got[0]).sum() > 1
 
     @pytest.mark.parametrize("k, m, mu, count", [(4, 3, 1, 300), (16, 8, 2, 40)])
     def test_loss_and_gradient_forward_is_bit_identical_to_one_row_calls(
@@ -374,7 +384,8 @@ class TestLossAndGradient:
         assert len(set(lengths.tolist())) < len(lengths)  # ties
 
         log_probs, grad = qhmm._loss_and_gradient(ops, rho0, padded, lengths, graded)
-        np.testing.assert_array_equal(log_probs, qhmm._propagate(ops, rho0, padded, lengths))
+        np.testing.assert_array_equal(log_probs,
+                                      qhmm._log_likelihoods([(ops, rho0)], padded, lengths)[0][0])
         want_log_probs, want = qhmm._loss_and_gradient(ops, rho0, *parts[1])
         np.testing.assert_array_equal(log_probs[graded], want_log_probs)
         np.testing.assert_array_equal(grad, want)

@@ -1,0 +1,41 @@
+"""Each likelihood layout is private to the model module that owns it: no
+other module of the package imports it or reaches it through the module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scengen"
+OWNED = {
+    "qhmm": {"_filter", "_lexicographic", "_prefix_layout", "_running_layout",
+             "_first_steps"},
+    "hmm": {"_trellis_layout", "_trellis_passes", "_emission_table"},
+}
+
+
+def owned_names_used(tree):
+    """(owner, name) of each owned name that a module imports from its owner
+    or reads as an attribute of the owner's module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            owner = (node.module or "").rsplit(".", 1)[-1]
+            yield from ((owner, alias.name) for alias in node.names
+                        if alias.name in OWNED.get(owner, ()))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.attr in OWNED.get(node.value.id, ()):
+                yield node.value.id, node.attr
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_layouts_stay_in_their_module(path):
+    used = {(owner, name) for owner, name in owned_names_used(ast.parse(path.read_text()))
+            if owner != path.stem}
+    assert not used, f"{path.name} uses layout internals of another module: {sorted(used)}"
+
+
+def test_the_check_sees_an_import_and_an_attribute():
+    tree = ast.parse("from .qhmm import KrausModel, _filter\n"
+                     "from . import hmm\n"
+                     "hmm._trellis_passes(hmm._log_likelihoods)\n")
+    assert sorted(owned_names_used(tree)) == [("hmm", "_trellis_passes"), ("qhmm", "_filter")]

@@ -213,7 +213,6 @@ class TestCayleyStep:
             assert cayley_step(kappa, grad, tau).residual() <= 1e-8
 
     @pytest.mark.parametrize("tau, message", [(1e308, "non-finite entries"),
-                                              (math.inf, "non-finite entries"),
                                               (1e200, "inner solve is singular")])
     def test_overflowing_step_fails_with_its_own_error(self, tau, message):
         # the suite turns warnings into errors, so an overflow warning fails
@@ -233,8 +232,9 @@ class TestCayleyStep:
         kappa = random_stiefel(4, 2, 0)
         with pytest.raises(InputError):
             cayley_step(kappa, np.ones((2, 2), dtype=complex), 0.1)
-        with pytest.raises(InputError):
-            cayley_step(kappa, np.ones((4, 2), dtype=complex), -0.1)
+        for tau in (-0.1, math.nan, math.inf):
+            with pytest.raises(InputError, match="^tau must be >= 0 and finite$"):
+                cayley_step(kappa, np.ones((4, 2), dtype=complex), tau)
 
     def test_nan_gradient_raises_step_failure(self):
         gradient = np.zeros((4, 2), dtype=complex)
@@ -352,7 +352,9 @@ class TestCayleyStepList:
         entries = step_entries(np.random.default_rng(7), [(6, 1, 4)] * 3)
         point, grad, tau = entries[position]
         for bad, message in (((point, grad[:-1], tau), "gradient shape must match kappa"),
-                             ((point, grad, -0.1), "tau must be >= 0")):
+                             ((point, grad, -0.1), "tau must be >= 0"),
+                             ((point, grad, math.nan), "tau must be >= 0 and finite"),
+                             ((point, grad, math.inf), "tau must be >= 0 and finite")):
             with pytest.raises(InputError, match=message):
                 cayley_step(*bad)
             wrong = list(entries)
@@ -507,10 +509,11 @@ def record_kernels(monkeypatch):
     - ``("step", entries)`` is a :func:`cayley_step` call;
     - ``("check", padded, lengths, kept, ops)`` is a candidate check: kept
       when it graded the next step's rows too (``_loss_and_gradient`` with
-      graded rows), and not when it filtered its own alone (``_propagate``).
+      graded rows), and not when it filtered its own alone
+      (``_log_likelihoods``).
     """
 
-    real_loss, real_propagate = trainer._loss_and_gradient, trainer._propagate
+    real_loss, real_likelihoods = trainer._loss_and_gradient, trainer._log_likelihoods
     real_stack, real_run = trainer._train_stack, trainer._Run
 
     def install():
@@ -537,9 +540,10 @@ def record_kernels(monkeypatch):
                 graded[0] = padded[rows], lengths[rows], ops
             return real_loss(ops, rho0, padded, lengths, rows)
 
-        def propagate(ops, rho0, padded, lengths):
+        def likelihoods(pairs, padded, lengths):
+            ((ops, _),) = pairs
             calls.append(("check", padded, lengths, False, ops))
-            return real_propagate(ops, rho0, padded, lengths)
+            return real_likelihoods(pairs, padded, lengths)
 
         def step(kappa, gradient, tau):
             calls.append(("step", len(tau)))
@@ -548,7 +552,7 @@ def record_kernels(monkeypatch):
         monkeypatch.setattr(trainer, "_Run", Run)
         monkeypatch.setattr(trainer, "_train_stack", train_stack)
         monkeypatch.setattr(trainer, "_loss_and_gradient", loss)
-        monkeypatch.setattr(trainer, "_propagate", propagate)
+        monkeypatch.setattr(trainer, "_log_likelihoods", likelihoods)
         monkeypatch.setattr(trainer, "cayley_step", step)
         return calls
 
