@@ -9,15 +9,15 @@ sequences is safe.
 One filter loop, :func:`_filter`, runs every batched likelihood. It takes
 a per-step layout: which of the previous step's beliefs continue, with
 which symbols. Every forward-only likelihood (:func:`_log_likelihoods`:
-scoring, :func:`qhmm_log_likelihood`, :func:`trainer.nll_loss` and the
-training checks that grade no rows) runs a prefix tree, in which rows
-that share a prefix share its beliefs (:func:`_prefix_layout`). The loss
-and gradient (:func:`_loss_and_gradient`) run padded rows, each its own
-path (:func:`_running_layout`), because the adjoint runs backwards along
-each row over the beliefs the filter kept, which never leave this module;
-a call with more rows than symbols computes each symbol's first step
-once, into a table its row blocks gather from (:func:`_first_steps`).
-Both layouts give each row the same bits.
+scoring, :func:`qhmm_log_likelihood` and :func:`trainer.nll_loss`) runs a
+prefix tree, in which rows that share a prefix share its beliefs
+(:func:`_prefix_layout`). The loss and gradient
+(:func:`_loss_and_gradient`), which training runs on every pass, run
+padded rows, each its own path (:func:`_running_layout`), because the
+adjoint runs backwards along each row over the beliefs the filter kept,
+which never leave this module; a call with more rows than symbols computes
+each symbol's first step once, into a table its row blocks gather from
+(:func:`_first_steps`). Both layouts give each row the same bits.
 """
 
 from __future__ import annotations
@@ -334,19 +334,20 @@ def _log_likelihoods(pairs, padded: np.ndarray, lengths: np.ndarray):
 
 
 def _loss_and_gradient(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
-                       lengths: np.ndarray, graded=None):
+                       lengths: np.ndarray):
     """Natural-log probability of each padded row (longest first), with the
     bits of :func:`_log_likelihoods`, and the gradient w.r.t.
-    conj(operators) of the negated log-probability sum of the ``graded``
-    rows; callers divide by their row counts.
+    conj(operators) of the negated log-probability sum; callers divide by
+    their row counts.
 
-    ``graded``, an increasing index array into rows that fit one kernel row
-    block, or None for every row, names the rows the gradient differentiates;
-    it equals that of a call over those rows alone, bit for bit. Each row
-    block is filtered keeping its history, which is run backwards before the
-    next block is filtered. A row that underflows adds finite terms (its
-    step probability is taken as 1), and only to the operators of the
-    symbols it holds; a caller whose rows score -inf discards its part.
+    Each row block is filtered keeping its history, which is run backwards
+    before the next block is filtered. A row that underflows adds finite
+    terms (its step probability is taken as 1), and only to the operators
+    of the symbols it holds; a caller whose rows score -inf discards its
+    part. So at most 128 rows over disjoint symbol sets that fit one row
+    block, merged longest first, give each set's operators the gradient of
+    a call over that set alone, bit for bit, which the training stacks rely
+    on (over longer sums OpenBLAS may group a product's terms differently).
 
     Each position forms P = S A_x once, from the scaled dual S and the
     position's operators A_x: its term is P rho and the dual it passes back
@@ -360,21 +361,10 @@ def _loss_and_gradient(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarr
     grad = np.zeros((m, operators[0].size), dtype=complex)
     first = _first_steps(operators, rho0, len(lengths))
     log_probs = np.zeros(len(lengths))
-    blocks = [slice(None)] if graded is not None else \
-        _row_blocks(len(lengths), k ** 2, _BLOCK_BUDGET)
-    for rows in blocks:
+    for rows in _row_blocks(len(lengths), k ** 2, _BLOCK_BUDGET):
         history, block = [], padded[rows]
         _filter(operators, rho0, _running_layout(block, lengths[rows], log_probs[rows]),
                 history, first)
-        if graded is not None:
-            # the graded rows running at step t are a leading slice of them,
-            # as many as fall among that step's beliefs; every row shares
-            # step 0's belief
-            running = np.searchsorted(graded, [len(probs) for _, probs in history])
-            history = [(rho if t == 0 else rho[graded[:n]], probs[graded[:n]])
-                       for t, ((rho, probs), n) in enumerate(zip(history, running.tolist()))
-                       if n]
-            block = block[graded]
         # last step first: each position adds its term, then the dual
         # matrix is pulled back through that position's operators (the
         # first position has no earlier one to pass it to)
@@ -384,8 +374,15 @@ def _loss_and_gradient(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarr
             n = len(probs)
             x = block[:n, t]
             product = (dual[:n] / probs[:, None, None])[:, None] @ operators[x]
-            terms = product @ rho[:, None]
-            grad -= (x == symbol_ids) @ terms.reshape(n, -1)
+            terms = (product @ rho[:, None]).reshape(n, -1)
+            if terms.shape[1] == 1:
+                # a one-column product is a matrix-vector one, whose sums
+                # OpenBLAS groups by position, so that other symbols' rows
+                # would move a symbol's sum; bincount adds each row in turn
+                grad[:, 0] -= (np.bincount(x, terms.real[:, 0], m)
+                               + 1j * np.bincount(x, terms.imag[:, 0], m))
+            else:
+                grad -= (x == symbol_ids) @ terms
             if t:
                 dual[:n] = (adjoint_ops[x] @ product).sum(axis=1)
     return log_probs, grad.reshape(operators.shape)

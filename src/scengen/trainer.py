@@ -9,36 +9,30 @@ independent and reduced longest sequence first, so results are
 deterministic for a fixed seed. The loss and its gradient come from one
 kernel, :func:`qhmm._loss_and_gradient`, which runs the forward filter and
 then backwards over the history it kept; the history never leaves it. A
-loss alone (:func:`nll_loss`, or a check that grades no rows) comes from
-the forward-only :func:`qhmm._log_likelihoods`, which scoring runs too.
+loss alone (:func:`nll_loss`) comes from the forward-only
+:func:`qhmm._log_likelihoods`, which scoring runs too.
+
+A step's candidate passes when every row of the run's next mini-batch (the
+next one that has rows; at the run's last step, its own batch) has a
+nonzero probability under it, and the pass that checks this gives the next
+step its loss and gradient. So every step starts from the pass that
+accepted the step before it (the first, from a pass over the first batch),
+no pass filters rows whose result is thrown away, and a candidate that
+fails is halved, as is a step whose Cayley solve fails.
 
 Several runs, one per (dataset, seed) pair, train in one stacked pass.
-Every step stacks the operators of all runs symbol by symbol, so each
+Every pass stacks the operators of all runs symbol by symbol, so each
 run's symbols are offset once, by the alphabet sizes of the runs before it
 (datasets of different systems may differ in M); every dataset is
-zero-padded to one width, and the mini-batch rows of all runs are merged
-longest first. The batched kernels then run unchanged on the stack, and
-the one-hot gradient scatter keeps each run's gradient apart. A run that
-fails keeps its last point, which nothing reads, and its rows are ignored
-from then on: a run whose batch rows underflow leaves the step with its
-error, each round of step halvings retracts the runs still stepping with
-one call of the list form of :func:`cayley_step`, and one filter pass over
-the step's rows checks their candidates (a run without a candidate keeps
-its point).
-
-Once a step's last candidate passes, its check has filtered under the
-operators the next step starts from. So whenever both steps' rows fit one
-kernel row block, every check filters the next step's rows too and grades
-them: it returns their log-probabilities and the gradient of their loss
-along with its own rows' scores, and the last check that ran carries
-both to the next step, whose rows were stacked one step early. A step
-runs its own pass only at a stack's first step, when its rows and the
-next step's overflow one row block, and after a step in which no check
-ran (every run of it failed) or that was skipped: a step whose runs have
-all failed, which the lookahead stacked before they did, runs no pass.
-Every row is filtered by the same arithmetic in either pass, and the
-one-hot scatter sums the same rows in the same order, so nothing depends
-on which pass filtered a row.
+zero-padded to one width, and the rows of a pass are merged longest first.
+The batched kernels then run unchanged on the stack, and the one-hot
+gradient scatter keeps each run's gradient apart. A stack opens with one
+pass over every run's first batch. Each round of step halvings then
+retracts the runs still stepping with one call of the list form of
+:func:`cayley_step` and checks their candidates with one pass over the
+candidates' next rows, under the operators with each candidate in place of
+its run's point; a run without a candidate keeps its point. A run that
+fails keeps its last point, which nothing reads, and steps no more.
 
 Step sizes, halvings, random streams and failures stay per run, so every
 run gets the model, loss trace and error of a run on its own, bit for
@@ -340,11 +334,13 @@ def train_qhmm(dataset, config: TrainConfig, alphabet_size: int, work=None):
     Returns ``(model, records)``: the trained model (stacked operators
     repartitioned, fixed initial state) and one :class:`TrainRecord` per
     processed batch. The initial state is maximally mixed, not learned. A
-    step whose solve fails or whose post-step batch loss is not finite is
-    retried with tau halved, up to 30 times, before training aborts with a
-    :class:`TrainingError`. ``work``, when a :class:`collections.Counter`,
-    has the run's counts added to it, as :func:`train_qhmm_datasets` adds
-    them.
+    step whose solve fails, or whose candidate gives a row of the next
+    mini-batch (at the last step, of its own) zero probability, is retried
+    with tau halved, up to 30 times, before training aborts with a
+    :class:`TrainingError`; so does a first batch with a row of zero
+    probability under the initialization. ``work``, when a
+    :class:`collections.Counter`, has the run's counts added to it, as
+    :func:`train_qhmm_datasets` adds them.
     """
     ((result,),) = train_qhmm_datasets([(dataset, alphabet_size)], config, [config.seed],
                                        work=work)
@@ -354,22 +350,40 @@ def train_qhmm(dataset, config: TrainConfig, alphabet_size: int, work=None):
 
 
 class _Run:
-    """The training state of one (dataset, seed) run within a stacked pass."""
+    """The training state of one (dataset, seed) run within a stacked pass:
+    its schedule of steps, drawn up front, its point, and the loss and
+    gradient its current step starts from."""
 
     def __init__(self, padded, lengths, row_of, alphabet_size: int, seed, config):
-        # the dataset's padded rows (longest first), their lengths, and the
-        # row of each input sequence; shared by the runs of one dataset
-        self.padded, self.lengths, self.row_of = padded, lengths, row_of
+        # the dataset's padded rows (longest first) and their lengths; shared
+        # by the runs of one dataset
+        self.padded, self.lengths = padded, lengths
         self.alphabet_size = alphabet_size
-        self.rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         self.kappa = StiefelPoint(_draw_stiefel(
-            self.rng, alphabet_size * config.multiplicity * config.dim, config.dim))
+            rng, alphabet_size * config.multiplicity * config.dim, config.dim))
+        # the steps still to take, last first: (epoch, index, tau, rows) per
+        # mini-batch that has rows, its rows in increasing order (longest
+        # first); the permutations are the run's only draws after its
+        # initialization, so they are all drawn here
+        self.pending, tau = [], config.learning_rate
+        for epoch in range(config.epochs):
+            chunks = np.array_split(rng.permutation(len(lengths)), config.num_batches)
+            self.pending += [(epoch, index, tau, np.sort(row_of[chunk]))
+                             for index, chunk in enumerate(chunks) if chunk.size]
+            tau *= config.decay
+        self.pending.reverse()
         self.records = []
         self.error = None  # the TrainingError that ended the run
         # the current step: pre-step loss and gradient, and the step size
         self.loss = self.grad = self.step_tau = None
         # the step halvings so far, and how many of them a failed check made
         self.halvings = self.failed_checks = 0
+
+    def next_rows(self) -> np.ndarray:
+        """The rows a candidate of the current step is checked on: the next
+        step's, or the current step's own at the run's last step."""
+        return self.pending[-2 if len(self.pending) > 1 else -1][3]
 
 
 def train_qhmm_datasets(datasets, config: TrainConfig, seeds, work=None) -> list:
@@ -382,7 +396,8 @@ def train_qhmm_datasets(datasets, config: TrainConfig, seeds, work=None) -> list
     A failing run leaves its stack and the others carry on. ``work``, when a
     :class:`collections.Counter`, has added to it the accepted steps
     (``steps``), the halvings of tau (``step_halvings``) and the candidates
-    whose batch loss was not finite (``failed_checks``), summed over runs.
+    under which a row of the run's next mini-batch had zero probability
+    (``failed_checks``), summed over runs.
     """
     # each dataset is validated and padded once, all to one width; each
     # mini-batch is a set of rows, kept longest first by taking the row
@@ -394,8 +409,7 @@ def train_qhmm_datasets(datasets, config: TrainConfig, seeds, work=None) -> list
     for (rows, lengths, order), (_, alphabet_size) in zip(padded, datasets):
         if rows.shape[1] < width:
             rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
-        row_of = np.argsort(order)
-        groups.append([_Run(rows, lengths, row_of, alphabet_size, seed, config)
+        groups.append([_Run(rows, lengths, np.argsort(order), alphabet_size, seed, config)
                        for seed in seeds])
     # a stack pays while its runs' mini-batches fit one row block of the
     # kernels together: past that the blocks are full anyway, and the
@@ -422,135 +436,87 @@ def _train_stack(runs, config: TrainConfig) -> None:
     """:func:`train_qhmm_datasets` for runs that share every kernel call."""
     rho0 = DensityMatrix.maximally_mixed(config.dim).matrix
     shape = (-1, config.multiplicity, config.dim, config.dim)
-    # the rows of one kernel row block, the most a check grading the next
-    # step's rows may filter
-    block_rows = max(1, _BLOCK_BUDGET // config.dim ** 2)
-    # every step stacks the operators of all runs, so each run's symbols are
+    # every pass stacks the operators of all runs, so each run's symbols are
     # offset once, by the alphabet sizes of the runs before it
     offsets = dict(zip(runs, accumulate([run.alphabet_size for run in runs[:-1]],
                                         initial=0)))
     symbols = {run: run.padded + offset for run, offset in offsets.items()}
 
-    def merge(parts):
-        # (symbols, lengths) row sets, each longest first, merged longest
-        # first; also the positions of each set's rows among the merged
-        # rows, in increasing order, as the rows keep their order
-        lens = np.concatenate([part[1] for part in parts])
-        merged = np.argsort(-lens, kind="stable")
-        position = np.empty_like(merged)
-        position[merged] = np.arange(len(merged))
-        ends = list(accumulate(len(part[1]) for part in parts))
-        return (np.concatenate([part[0] for part in parts])[merged], lens[merged],
-                [position[start:end] for start, end in zip([0] + ends, ends)])
-
-    def stack(batch):
-        # the batch's rows and lengths, and members[j], the positions of
-        # batch[j]'s rows among them
+    def stacked_pass(batch, points):
+        # one loss-and-gradient pass over the rows of batch, (run, rows)
+        # pairs, merged longest first, under the runs' stacked operators
+        # with each run in points at its point there: per run, its loss on
+        # its rows and its gradient
         if len(batch) == 1:
             # nothing to merge; merging one run anyway made desk one-run
             # training about 10% slower
             ((run, rows),) = batch
-            return symbols[run][rows], run.lengths[rows], [slice(None)]
-        return merge([(symbols[run][rows], run.lengths[rows]) for run, rows in batch])
-
-    def batches():
-        # every mini-batch that has rows, in order, as (epoch, index, tau,
-        # [(run, rows)], layout), over the runs with rows in it; each batch
-        # is looked ahead to one step early, so an epoch's permutations are
-        # drawn at the previous epoch's last batch, from the same stream
-        tau = config.learning_rate
-        for epoch in range(config.epochs):
-            chunks = [np.array_split(run.rng.permutation(len(run.lengths)),
-                                     config.num_batches) for run in runs]
-            for index in range(config.num_batches):
-                batch = [(run, np.sort(run.row_of[chunk[index]]))
-                         for run, chunk in zip(runs, chunks)
-                         if run.error is None and chunk[index].size]
-                if batch:
-                    yield epoch, index, tau, batch, stack(batch)
-            tau *= config.decay
-
-    def stacked_ops(points):
-        return np.concatenate([point.matrix.reshape(shape) for point in points])
-
-    schedule = batches()
-    # carried: the next step's log-probabilities and gradient, from the last
-    # check that ran, when it filtered the next step's rows
-    upcoming, carried = next(schedule, None), None
-    while upcoming is not None:
-        (epoch, index, tau, batch, (padded, lens, members)), upcoming = \
-            upcoming, next(schedule, None)
-        if all(run.error is not None for run, _ in batch):
-            # the lookahead stacked this step before its runs failed: no
-            # pass over its rows would be read, and the next step runs its
-            # own forward pass
-            carried = None
-            continue
-        if carried is None:
-            # held until replaced: freeing it before the Cayley step let glibc trim the
-            # heap, and at K=16 the step's temporaries re-faulted (10x on wide compare)
-            ops = stacked_ops([run.kappa for run in runs])
-            log_probs, grad = _loss_and_gradient(ops, rho0, padded, lens)
+            padded, lens, members = symbols[run][rows], run.lengths[rows], [slice(None)]
         else:
-            (log_probs, grad), carried = carried, None
-        stepping = []
+            # the merged rows keep each run's in order, so members[j], the
+            # positions of batch[j]'s rows, increase
+            lens = np.concatenate([run.lengths[rows] for run, rows in batch])
+            merged = np.argsort(-lens, kind="stable")
+            position = np.empty_like(merged)
+            position[merged] = np.arange(len(merged))
+            padded = np.concatenate([symbols[run][rows] for run, rows in batch])[merged]
+            lens, ends = lens[merged], list(accumulate(len(rows) for _, rows in batch))
+            members = [position[start:end] for start, end in zip([0] + ends, ends)]
+        ops = np.concatenate([points.get(run, run.kappa).matrix.reshape(shape)
+                              for run in runs])
+        log_probs, grad = _loss_and_gradient(ops, rho0, padded, lens)
+        results = {}
         for (run, rows), own_rows in zip(batch, members):
-            # the layout was stacked one step early: a run that failed in
-            # that step keeps its rows in it, and they are ignored
-            if run.error is not None:
-                continue
-            run.loss = float(-log_probs[own_rows].sum() / len(rows))
             own = grad[offsets[run]:offsets[run] + run.alphabet_size]
             own /= len(rows)
-            run.grad = own.reshape(run.kappa.matrix.shape)  # a view
-            run.step_tau = tau
-            if math.isfinite(run.loss):
-                stepping.append(run)
-            else:
+            results[run] = (float(-log_probs[own_rows].sum() / len(rows)),
+                            own.reshape(run.kappa.matrix.shape))  # a view
+        return results
+
+    if config.epochs == 0:
+        return
+    # one pass over every run's first batch gives each its first loss and
+    # gradient; every later pass checks a round's candidates
+    first = [(run, run.pending[-1][3]) for run in runs]
+    for run, (loss, grad) in stacked_pass(first, {}).items():
+        run.loss, run.grad = loss, grad
+        if not math.isfinite(loss):
+            epoch, index = run.pending[-1][:2]
+            run.error = TrainingError(f"batch loss is not finite at epoch {epoch} batch {index}")
+    for epoch in range(config.epochs):
+        for index in range(config.num_batches):
+            stepping = [run for run in runs if run.error is None and run.pending
+                        and run.pending[-1][:2] == (epoch, index)]
+            for run in stepping:
+                run.step_tau = run.pending[-1][2]
+            # every run still halving tries one step per round, all in one
+            # call; a candidate passes when every row the run's next step
+            # needs has a nonzero probability under it, and that pass gives
+            # the run its next loss and gradient
+            for _ in range(1 + MAX_STEP_HALVINGS):
+                if not stepping:
+                    break
+                steps = cayley_step([run.kappa for run in stepping],
+                                    [run.grad for run in stepping],
+                                    [run.step_tau for run in stepping])
+                candidates = {run: step for run, step in zip(stepping, steps)
+                              if not isinstance(step, StepFailureError)}
+                checked = stacked_pass([(run, run.next_rows()) for run in candidates],
+                                       candidates) if candidates else {}
+                for run in list(stepping):
+                    if run in candidates and math.isfinite(checked[run][0]):
+                        run.records.append(TrainRecord(epoch, index, run.loss, run.step_tau))
+                        run.kappa, (run.loss, run.grad) = candidates[run], checked[run]
+                        run.pending.pop()
+                        stepping.remove(run)
+                    else:  # its step or its candidate failed
+                        run.failed_checks += run in candidates
+                        run.halvings += 1
+                        run.step_tau /= 2.0
+            for run in stepping:
                 run.error = TrainingError(
-                    f"batch loss is not finite at epoch {epoch} batch {index}")
-        # once a step's last candidate passes, its check has filtered under
-        # the operators the next step starts from; so when both steps' rows
-        # fit one row block, every check also filters the next step's rows
-        # and grades them, and the last one gives the next step its
-        # log-probabilities and gradient
-        check = None
-        if upcoming is not None and len(lens) + len(upcoming[4][1]) <= block_rows:
-            check = merge([(padded, lens), upcoming[4][:2]])
-        # every run still halving tries one step per round, all in one
-        # call; their candidates are checked together for a finite batch
-        # loss, each run without one keeping its point
-        for _ in range(1 + MAX_STEP_HALVINGS):
-            if not stepping:
-                break
-            steps = cayley_step([run.kappa for run in stepping],
-                                [run.grad for run in stepping],
-                                [run.step_tau for run in stepping])
-            candidates = {run: step for run, step in zip(stepping, steps)
-                          if not isinstance(step, StepFailureError)}
-            if candidates:
-                ops = stacked_ops([candidates.get(run, run.kappa) for run in runs])
-                if check is None:
-                    log_probs = _log_likelihoods([(ops, rho0)], padded, lens)[0][0]
-                else:
-                    check_padded, check_lens, (this_rows, next_rows) = check
-                    scored, grad = _loss_and_gradient(ops, rho0, check_padded, check_lens,
-                                                      next_rows)
-                    log_probs = scored[this_rows]
-                    carried = scored[next_rows], grad
-            for (run, _), rows in zip(batch, members):
-                if run in candidates and log_probs[rows].min() > -math.inf:
-                    run.records.append(TrainRecord(epoch, index, run.loss, run.step_tau))
-                    run.kappa = candidates[run]
-                    stepping.remove(run)
-                elif run in stepping:  # its step or its candidate failed
-                    run.failed_checks += run in candidates
-                    run.halvings += 1
-                    run.step_tau /= 2.0
-        for run in stepping:
-            run.error = TrainingError(
-                f"step failed after {MAX_STEP_HALVINGS} halvings at "
-                f"epoch {epoch} batch {index} (loss {run.loss:.6g}, tau {tau:.3g})")
+                    f"step failed after {MAX_STEP_HALVINGS} halvings at epoch {epoch} "
+                    f"batch {index} (loss {run.loss:.6g}, tau {run.pending[-1][2]:.3g})")
 
 
 def write_training_log(path, records) -> None:

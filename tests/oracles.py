@@ -395,11 +395,13 @@ def adjoint_reference(ops, blocks):
 def train_qhmm_reference(dataset, config, alphabet_size):
     """QHMM training one seed at a time, one mini-batch step after another.
 
-    The serial loop :func:`scengen.train_qhmm` ran before seeds were
-    stacked: the same kernels, initialization, batching, halving rule and
-    error messages, with each step's loss, gradient and candidate check
-    computed on this seed's rows alone. Returns ``(model, records)`` or
-    raises :class:`scengen.TrainingError`.
+    A serial loop over the same kernels, initialization, batching, halving
+    rule and error messages as :func:`scengen.train_qhmm`, with every loss,
+    gradient and candidate check computed on this seed's rows alone. A
+    step's candidate passes when every row of the next mini-batch (at the
+    last step, the step's own) has a nonzero probability under it, and
+    that pass gives the next step its loss and gradient. Returns
+    ``(model, records)`` or raises :class:`scengen.TrainingError`.
     """
     import math
 
@@ -420,41 +422,44 @@ def train_qhmm_reference(dataset, config, alphabet_size):
 
     rng = np.random.default_rng(config.seed)
     kappa = StiefelPoint(_draw_stiefel(rng, alphabet_size * mu * k, k))
+    # the permutations are the only draws after the initialization
+    schedule, tau = [], config.learning_rate
+    for epoch in range(config.epochs):
+        chunks = np.array_split(rng.permutation(len(lengths)), config.num_batches)
+        schedule += [(epoch, index, tau, np.sort(row_of[chunk]))
+                     for index, chunk in enumerate(chunks) if chunk.size]
+        tau *= config.decay
+
+    def loss_and_gradient(point, rows):
+        log_probs, grad = _loss_and_gradient(point.matrix.reshape(shape), rho0,
+                                             padded[rows], lengths[rows])
+        return float(-log_probs.sum() / len(rows)), grad.reshape(point.matrix.shape) / len(rows)
 
     records = []
-    tau = config.learning_rate
-    for epoch in range(config.epochs):
-        permutation = rng.permutation(len(lengths))
-        for index, chunk in enumerate(np.array_split(permutation, config.num_batches)):
-            if chunk.size == 0:
-                continue
-            rows = np.sort(row_of[chunk])
-            batch = padded[rows], lengths[rows]
-            log_probs, grad = _loss_and_gradient(kappa.matrix.reshape(shape), rho0, *batch)
-            if log_probs.min() == -math.inf:
-                raise TrainingError(
-                    f"batch loss is not finite at epoch {epoch} batch {index}")
-            loss = float(-log_probs.sum() / len(rows))
-            grad = grad.reshape(kappa.matrix.shape) / len(rows)
-            step_tau = tau
-            for _ in range(1 + max_halvings):
-                try:
-                    candidate = cayley_step(kappa, grad, step_tau)
-                except StepFailureError:
-                    step_tau /= 2.0
-                    continue
-                # the row filter, which builds no prefix tree
-                log_probs, _ = _loss_and_gradient(candidate.matrix.reshape(shape), rho0, *batch)
-                if log_probs.min() > -math.inf:
-                    break
+    if schedule:
+        epoch, index, _, rows = schedule[0]
+        loss, grad = loss_and_gradient(kappa, rows)
+        if not math.isfinite(loss):
+            raise TrainingError(f"batch loss is not finite at epoch {epoch} batch {index}")
+    for i, (epoch, index, tau, rows) in enumerate(schedule):
+        next_rows = schedule[min(i + 1, len(schedule) - 1)][3]
+        step_tau = tau
+        for _ in range(1 + max_halvings):
+            try:
+                candidate = cayley_step(kappa, grad, step_tau)
+            except StepFailureError:
                 step_tau /= 2.0
-            else:
-                raise TrainingError(
-                    f"step failed after {max_halvings} halvings at "
-                    f"epoch {epoch} batch {index} (loss {loss:.6g}, tau {tau:.3g})")
-            records.append(TrainRecord(epoch, index, loss, step_tau))
-            kappa = candidate
-        tau *= config.decay
+                continue
+            next_loss, next_grad = loss_and_gradient(candidate, next_rows)
+            if math.isfinite(next_loss):
+                break
+            step_tau /= 2.0
+        else:
+            raise TrainingError(
+                f"step failed after {max_halvings} halvings at "
+                f"epoch {epoch} batch {index} (loss {loss:.6g}, tau {tau:.3g})")
+        records.append(TrainRecord(epoch, index, loss, step_tau))
+        kappa, loss, grad = candidate, next_loss, next_grad
     model = KrausModel.from_stiefel(kappa.matrix, alphabet_size, mu, initial_state)
     return model, records
 

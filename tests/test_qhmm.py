@@ -347,54 +347,53 @@ class TestFirstStepTable:
 
 
 class TestLossAndGradient:
-    """A check's call grades the next step's rows among its own: the merged
-    rows' log-probabilities are those of the forward pass, and the gradient
-    is that of a call over the graded rows alone."""
+    """A training pass stacks the operators of several runs and merges their
+    rows longest first: one call gives each run the log-probabilities and
+    the gradient block of a call over its own rows and operators."""
 
     @pytest.mark.parametrize("k, mu", [(1, 1), (4, 1), (16, 2)])
-    def test_graded_rows_get_the_gradient_of_their_own_call(self, k, mu):
-        # two stacked models, alphabets 2 and 3; symbol 4 cannot be emitted,
-        # so the rows holding it underflow. A and B hold rows of both
-        # alphabets with tied lengths, and A's row 1 is also in B, as a row
-        # of an epoch's last batch may be in the next epoch's first
+    def test_merged_runs_get_the_results_of_their_own_calls(self, k, mu):
+        # runs A and B, alphabets 2 and 3, stacked as symbols 0-1 and 2-4;
+        # B's symbol 2 cannot be emitted, so its one row holding it
+        # underflows. The rows have tied lengths, and A's row 1 is also one
+        # of B's, as two seeds of one dataset share their rows
         rng = np.random.default_rng(k + mu)
-        ops = np.concatenate([random_kraus_model(rng, k, 2, mu).operators,
-                              random_kraus_model(rng, k, 3, mu).operators])
-        ops[4] = 0.0
+        models = [random_kraus_model(rng, k, m, mu).operators.copy() for m in (2, 3)]
+        models[1][2] = 0.0
+        ops = np.concatenate(models)
         rho0 = DensityMatrix.maximally_mixed(k).matrix
         half = min(10, _BLOCK_BUDGET // k ** 2 // 2)
 
         def rows(count):
-            return [tuple(int(x) + 2 * (i % 2) for x in rng.integers(0, 2, size=1 + i % 4))
+            return [tuple(int(x) for x in rng.integers(0, 2, size=1 + i % 4))
                     for i in range(count)]
 
         a, b = rows(half), rows(half - 2)
-        b += [a[1], (2, 4, 3)]
-        parts = [pad_reference(part, 5)[:2] for part in (a, b)]
-        # merged longest first; B's positions among the merged rows
+        b += [a[1], (0, 2, 1)]
+        parts = [pad_reference(a, 2)[:2], pad_reference(b, 3)[:2]]
+        # merged longest first, B's symbols offset past A's; each run's
+        # positions among the merged rows, and its operators
         lengths = np.concatenate([part[1] for part in parts])
         merged = np.argsort(-lengths, kind="stable")
         position = np.empty_like(merged)
         position[merged] = np.arange(len(merged))
         width = max(part[0].shape[1] for part in parts)
-        padded = np.concatenate([np.pad(part[0], ((0, 0), (0, width - part[0].shape[1])))
-                                 for part in parts])[merged]
-        lengths, graded = lengths[merged], position[len(a):]
+        padded = np.concatenate([np.pad(part[0] + offset, ((0, 0), (0, width - part[0].shape[1])))
+                                 for part, offset in zip(parts, (0, 2))])[merged]
+        lengths = lengths[merged]
+        runs = [(position[:len(a)], slice(0, 2)), (position[len(a):], slice(2, 5))]
         assert len(lengths) <= _BLOCK_BUDGET // k ** 2
         assert len(set(lengths.tolist())) < len(lengths)  # ties
 
-        log_probs, grad = qhmm._loss_and_gradient(ops, rho0, padded, lengths, graded)
+        log_probs, grad = qhmm._loss_and_gradient(ops, rho0, padded, lengths)
         np.testing.assert_array_equal(log_probs,
                                       qhmm._log_likelihoods([(ops, rho0)], padded, lengths)[0][0])
-        want_log_probs, want = qhmm._loss_and_gradient(ops, rho0, *parts[1])
-        np.testing.assert_array_equal(log_probs[graded], want_log_probs)
-        np.testing.assert_array_equal(grad, want)
-        assert np.isinf(want_log_probs).sum() == 1 and np.isfinite(want).all()
-        assert np.abs(want[:2]).max() > 0 and np.abs(want[2:]).max() > 0
-        # grading every row is the call without graded rows
-        every = qhmm._loss_and_gradient(ops, rho0, padded, lengths, np.arange(len(lengths)))
-        np.testing.assert_array_equal(every[1], qhmm._loss_and_gradient(
-            ops, rho0, padded, lengths)[1])
+        for part, model, (members, symbols) in zip(parts, models, runs):
+            want_log_probs, want = qhmm._loss_and_gradient(model, rho0, *part)
+            np.testing.assert_array_equal(log_probs[members], want_log_probs)
+            np.testing.assert_array_equal(grad[symbols], want)
+        assert np.isinf(log_probs).sum() == 1 and np.isfinite(grad).all()
+        assert np.abs(grad[:2]).max() > 0 and np.abs(grad[2:]).max() > 0
 
 
 class TestSample:

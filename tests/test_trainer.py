@@ -2,6 +2,7 @@ import csv
 import math
 from collections import Counter
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -500,56 +501,48 @@ def record_kernels(monkeypatch):
     ``cayley_step`` as it is then (so it goes after any patch of it), and
     returns a new list that it records their calls into, in order:
 
-    - ``("stack",)`` starts each training stack;
-    - ``("forward", padded, lengths, fresh, ops)`` starts each step. A fresh
-      step ran its own pass, a ``_loss_and_gradient`` call without graded
-      rows. Any other step took its log-probabilities and gradient from the
-      last check, and gets the rows that check graded and its operators;
-      it starts when its runs take their losses;
-    - ``("step", entries)`` is a :func:`cayley_step` call;
-    - ``("check", padded, lengths, kept, ops)`` is a candidate check: kept
-      when it graded the next step's rows too (``_loss_and_gradient`` with
-      graded rows), and not when it filtered its own alone
-      (``_log_likelihoods``).
+    - ``("stack", runs, batches)`` starts each training stack; ``batches``
+      maps each run to its mini-batches' rows, in step order, as
+      (length, stacked symbols) pairs;
+    - ``("step", runs, results)`` is a list call of :func:`cayley_step`,
+      with the runs whose gradients it took;
+    - ``("pass", rows, ops, state)`` is a ``_loss_and_gradient`` call, with
+      its rows as (length, symbols) pairs and its operators; ``state`` maps
+      each run of the stack to its point and its accepted steps so far;
+    - ``("forward-only",)`` is a ``_log_likelihoods`` call.
     """
 
     real_loss, real_likelihoods = trainer._loss_and_gradient, trainer._log_likelihoods
-    real_stack, real_run = trainer._train_stack, trainer._Run
+    real_stack = trainer._train_stack
 
     def install():
-        calls, graded = [], [(None, None, None)]
+        calls, current = [], []
         real_step = trainer.cayley_step
 
-        class Run(real_run):
-            def __setattr__(self, name, value):
-                # a step's runs take their losses one after another
-                if name == "loss" and value is not None and calls[-1][0] != "forward":
-                    calls.append(("forward", graded[0][0], graded[0][1], False,
-                                  graded[0][2]))
-                super().__setattr__(name, value)
-
         def train_stack(runs, config):
-            calls.append(("stack",))
+            current[:] = runs
+            offsets = accumulate([run.alphabet_size for run in runs[:-1]], initial=0)
+            batches = {run: [as_rows(run.padded[rows] + offset, run.lengths[rows])
+                             for *_, rows in reversed(run.pending)]
+                       for run, offset in zip(runs, offsets)}
+            calls.append(("stack", list(runs), batches))
             return real_stack(runs, config)
 
-        def loss(ops, rho0, padded, lengths, rows=None):
-            if rows is None:
-                calls.append(("forward", padded, lengths, True, ops))
-            else:
-                calls.append(("check", padded, lengths, True, ops))
-                graded[0] = padded[rows], lengths[rows], ops
-            return real_loss(ops, rho0, padded, lengths, rows)
+        def loss(ops, rho0, padded, lengths):
+            state = {run: (run.kappa.matrix, len(run.records)) for run in current}
+            calls.append(("pass", as_rows(padded, lengths), ops, state))
+            return real_loss(ops, rho0, padded, lengths)
 
         def likelihoods(pairs, padded, lengths):
-            ((ops, _),) = pairs
-            calls.append(("check", padded, lengths, False, ops))
+            calls.append(("forward-only",))
             return real_likelihoods(pairs, padded, lengths)
 
         def step(kappa, gradient, tau):
-            calls.append(("step", len(tau)))
-            return real_step(kappa, gradient, tau)
+            results = real_step(kappa, gradient, tau)
+            calls.append(("step", [next(run for run in current if run.grad is grad)
+                                   for grad in gradient], results))
+            return results
 
-        monkeypatch.setattr(trainer, "_Run", Run)
         monkeypatch.setattr(trainer, "_train_stack", train_stack)
         monkeypatch.setattr(trainer, "_loss_and_gradient", loss)
         monkeypatch.setattr(trainer, "_log_likelihoods", likelihoods)
@@ -559,66 +552,54 @@ def record_kernels(monkeypatch):
     return install
 
 
-def recorded_stacks(calls):
-    """The recorded kernel calls split into stacks, each a list of steps led
-    by their forward passes."""
-    stacks = []
-    for call in calls:
-        if call[0] == "stack":
-            stacks.append([])
-        elif call[0] == "forward":
-            stacks[-1].append([call])
-        else:
-            stacks[-1][-1].append(call)
-    return stacks
-
-
-def recorded_steps(calls):
-    """The recorded kernel calls split into steps, each led by its forward pass."""
-    return [step for stack in recorded_stacks(calls) for step in stack]
-
-
 def as_rows(padded, lengths):
-    return [(length, tuple(symbols)) for length, symbols in zip(lengths.tolist(),
-                                                                padded.tolist())]
+    return [(length, tuple(symbols[:length])) for length, symbols in zip(lengths.tolist(),
+                                                                         padded.tolist())]
 
 
-def assert_one_forward_per_step(calls, dim):
+def assert_call_pattern(calls):
     """Check the recorded calls of a training, stack after stack:
 
-    - a step runs its own forward pass only at its stack's first step, when
-      its rows and the next step's overflow one kernel row block, and after
-      a step in which no check ran;
-    - every check filters its step's rows, merged longest first with the
-      next step's and grading those when both fit one row block, and alone
-      otherwise;
-    - a step that ran no pass of its own took its log-probabilities and
-      gradient from the previous step's last check, under its operators;
-    - the one-hot scatter sees a step's rows only, at most 128 of them.
+    - a stack opens with one pass over every run's first batch, merged
+      longest first, under the runs' points;
+    - each halving round is one :func:`cayley_step` call and, when it makes
+      a candidate, exactly one pass: over the candidates' next batches
+      (their own at a last step), merged longest first, under operators in
+      which only the candidates differ from the runs' points;
+    - no pass holds more than 128 rows, and no call is forward-only.
 
-    Returns, per step, whether it ran its own forward pass."""
-    fresh = []
-    for stack in recorded_stacks(calls):
-        assert stack[0][0][3]
-        for i, ((_, padded, lengths, own, _), *rest) in enumerate(stack):
-            assert len(lengths) <= 128
-            rows = as_rows(padded, lengths)
-            checks = [call[1:] for call in rest if call[0] == "check"]
-            following, fits = None, False
-            if i + 1 < len(stack):
-                _, next_padded, next_lengths, next_own, next_ops = stack[i + 1][0]
-                following = as_rows(next_padded, next_lengths)
-                fits = len(rows) + len(following) <= 2048 // dim ** 2
-            for check_padded, check_lengths, kept, _ in checks:
-                assert kept == fits
-                assert as_rows(check_padded, check_lengths) == (
-                    sorted(rows + following, key=lambda row: -row[0]) if fits else rows)
-            if following is not None:
-                assert next_own == (not (fits and checks))
-                if not next_own:
-                    assert next_ops is checks[-1][3]
-            fresh.append(own)
-    return fresh
+    Returns, per stack, the number of entries of each step call."""
+    assert ("forward-only",) not in calls
+    stacks, expect = [], None  # expect: the pass due next, (opening, candidates)
+    for call in calls:
+        if call[0] == "stack":
+            assert expect is None
+            _, runs, batches = call
+            stacks.append([])
+            expect = True, {}
+        elif call[0] == "step":
+            assert expect is None
+            _, stepping, results = call
+            stacks[-1].append(len(stepping))
+            candidates = {run: result for run, result in zip(stepping, results)
+                          if isinstance(result, StiefelPoint)}
+            expect = (False, candidates) if candidates else None
+        else:
+            _, rows, ops, state = call
+            assert expect is not None and len(rows) <= 128
+            opening, candidates = expect
+            want = []
+            for run in runs if opening else candidates:
+                steps = batches[run]
+                at = state[run][1] if opening else min(state[run][1] + 1, len(steps) - 1)
+                want += steps[at]
+            assert rows == sorted(want, key=lambda row: -row[0])
+            np.testing.assert_array_equal(ops, np.concatenate([
+                (candidates[run].matrix if run in candidates else state[run][0]).reshape(
+                    -1, *ops.shape[1:]) for run in runs]))
+            expect = None
+    assert expect is None
+    return stacks
 
 
 class TestTrainQhmmSeeds:
@@ -638,8 +619,9 @@ class TestTrainQhmmSeeds:
         (3, 1, 3, 5),      # 227-row blocks, stacks capped at 128 rows
         (2, 1, 1, 5),      # one epoch: the last step has no next batch
         (4, 1, 2, 400),    # 82 empty batches closing each epoch
+        (1, 1, 2, 5),      # a one-column gradient scatter
     ], ids=["4-1-3-5", "16-2-1-5", "16-2-1-106", "2-1-3-5", "3-1-3-5", "2-1-1-5",
-            "4-1-2-400"])
+            "4-1-2-400", "1-1-2-5"])
     def test_four_event_seeds_match_separate_runs(self, dim, mu, epochs, num_batches):
         _, no_probable = build_datasets(reference_four_event_system(), max_len=6,
                                         p_min=1e-3, test_fraction=0.25, seed=1)
@@ -681,12 +663,12 @@ class TestTrainQhmmSeeds:
         assert [(r.epoch, r.batch) for r in results[2][1]
                 if halvings([r], config) and r.batch == config.num_batches - 1] \
             == [(0, 4), (2, 4)]
-        # halving rounds do not make a step run its own forward pass: the
-        # last check of a step that halved graded the next step's rows
-        fresh = assert_one_forward_per_step(calls, config.dim)
-        assert fresh == [True] + [False] * (len(fresh) - 1)
-        assert any(sum(call[0] == "check" for call in step) > 1
-                   for step in recorded_steps(calls))
+        # one stack and one step call per halving round: the rounds after a
+        # step's first hold only the seeds that halve, and a round whose
+        # steps all fail runs no pass
+        (sizes,) = assert_call_pattern(calls)
+        assert min(sizes) < len(seeds)
+        assert sum(call[0] == "pass" for call in calls) < 1 + len(sizes)
 
     def test_candidate_rejected_at_an_epochs_last_batch(self, monkeypatch, patch_steps,
                                                         record_kernels):
@@ -729,16 +711,46 @@ class TestTrainQhmmSeeds:
         # each of those halvings followed a failed check
         assert work == Counter(steps=sum(len(records) for _, records in results),
                                step_halvings=2, failed_checks=2)
-        # the rejected round's check and the passing round's both graded
-        # the next rows, and the step after the halving ran no pass
-        fresh = assert_one_forward_per_step(calls, config.dim)
-        assert fresh == [True] + [False] * (len(fresh) - 1)
-        assert [call[0] for call in recorded_steps(calls)[last][1:]] \
-            == ["step", "check"] * 2
+        # the rejected round and the passing round each ran one pass, the
+        # second over the halving seeds' rows alone
+        (sizes,) = assert_call_pattern(calls)
+        assert sizes == [3] * (last + 1) + [2] + [3] * (len(sizes) - last - 2)
+
+    def test_candidate_under_which_the_next_batch_underflows_halves(self, patch_steps):
+        # every seed's first candidate cannot emit symbol 0, and every seed's
+        # second batch holds a 0: each first step halves once. Checked on
+        # their own rows instead, the candidates of the seeds whose first
+        # batch holds no 0 would be accepted, and those runs would end at
+        # their second batch with a loss that is not finite
+        data = [(1,), (1, 1), (0, 1), (1, 0), (0,), (0, 0)]
+        config = TrainConfig(dim=2, epochs=2, num_batches=len(data))
+        seeds = list(range(8))
+        starts = [random_stiefel(4, 2, seed).matrix for seed in seeds]
+        silent_zero = StiefelPoint(np.vstack([np.zeros((2, 2)), np.eye(2)]))
+
+        def poisoned(kappa, gradient, tau):
+            if tau == config.learning_rate and any(np.array_equal(kappa.matrix, start)
+                                                   for start in starts):
+                return silent_zero
+            return None
+
+        patch_steps(poisoned)
+        work = Counter()
+        results = train_qhmm_datasets([(data, 2)], config, seeds, work=work)[0]
+        assert not any(isinstance(got, TrainingError) for got in results)
+        for seed, got in zip(seeds, results):
+            assert_same_fit(got, train_qhmm_reference(data, replace(config, seed=seed), 2))
+            _, records = got
+            assert len(records) == 12
+            assert [(r.epoch, r.batch) for r in records if halvings([r], config)] == [(0, 0)]
+        assert work == Counter(steps=96, step_halvings=8, failed_checks=8)
 
     # the steps of seeds 3 and 7 land on operators that cannot emit symbol
-    # 0: seed 3 accepts one and then meets a batch with a 0, the candidates
-    # of seed 7 fail the check on its first batch
+    # 0 and emit 1 with probability 1. Seed 3's second batch holds a 0, so
+    # every candidate of its first step fails its check. Seed 7's second and
+    # third batches hold no 0, so it takes two such steps, and every
+    # candidate of its third fails the check on its fourth batch, which
+    # holds a 0
     impossible_data = [(1,), (0, 1), (1, 1), (1, 0), (1, 1, 1), (0,)]
     impossible_config = TrainConfig(dim=2, epochs=2, num_batches=len(impossible_data))
 
@@ -760,14 +772,15 @@ class TestTrainQhmmSeeds:
 
     def test_impossible_batches_drop_only_their_seeds(self, patch_steps):
         self.poison_steps(patch_steps)
-        # without seed 7 every candidate of the first step passes, so seed
-        # 3's batch underflows in the forward pass of that step's check
+        # seed 3's next batch has zero probability under every candidate of
+        # its first step, so that step halves until it fails: no candidate
+        # is accepted onto a point under which a later batch underflows
         for seeds in ([5, 3, 6, 7], [5, 3, 6]):
             results = self.train_impossible(seeds)
             for seed, got in zip(seeds, results):
                 assert_same_fit(got, reference_or_error(
                     self.impossible_data, replace(self.impossible_config, seed=seed), 2))
-            assert str(results[1]) == "batch loss is not finite at epoch 0 batch 1"
+            assert str(results[1]).startswith("step failed after 30 halvings at epoch 0 batch 0")
             assert not isinstance(results[0], TrainingError)
             assert not isinstance(results[2], TrainingError)
             if 7 in seeds:
@@ -776,42 +789,31 @@ class TestTrainQhmmSeeds:
     def test_one_stack_layout_per_step(self, monkeypatch, patch_steps, record_kernels):
         self.poison_steps(patch_steps)
         poisoned = trainer.cayley_step
-        for seeds, fresh, kept, step_sizes in [
-            # seed 7's candidate fails the first step's check; seed 7 then
-            # halves alone and fails, each of its checks filtering both
-            # steps' rows; its rows of the second step are ignored there,
-            # and seed 3 fails in the forward pass of the first step's last
-            # check
-            ([5, 3, 6, 7], [True] + [False] * 11, [True] * 11 + [False],
-             [4] + [1] * 30 + [2] * 11),
-            # every candidate of the first step passes: seed 3 fails in the
-            # forward pass of that step's check
-            ([5, 3, 6], [True] + [False] * 11, [True] * 11 + [False], [3] + [2] * 11),
-            # seed 3 alone fails in its second step, before any check; its
-            # third step was stacked a step early, and is skipped
-            ([3], [True, False], [True, False], [1]),
+        for seeds, step_sizes in [
+            # seed 3 halves alone at the first step and fails; seeds 5, 6 and
+            # 7 take two steps, then seed 7 halves alone and fails, and seeds
+            # 5 and 6 take the other nine
+            ([5, 3, 6, 7], [4] + [1] * 30 + [3, 3] + [1] * 30 + [2] * 9),
+            ([5, 3, 6], [3] + [1] * 30 + [2] * 11),
+            ([3], [1] * 31),
         ]:
             monkeypatch.setattr(trainer, "cayley_step", poisoned)
             calls = record_kernels()
             results = self.train_impossible(seeds)
             assert [isinstance(got, TrainingError) for got in results] \
                 == [seed in (3, 7) for seed in seeds]
-            # a fresh forward pass at the first step, and after a step in
-            # which no check ran, though runs fail and halve; the last step
-            # has no next batch to check
-            assert assert_one_forward_per_step(calls, self.impossible_config.dim) == fresh
-            assert [any(call[0] == "check" and call[3] for call in step)
-                    for step in recorded_steps(calls)] == kept
-            # one step call per halving round, and one check after each
-            assert [call[1] for call in calls if call[0] == "step"] == step_sizes
-            assert sum(call[0] == "check" for call in calls) == len(step_sizes)
+            # one stack, one step call per halving round, and one pass after
+            # each, as every round makes a candidate
+            assert assert_call_pattern(calls) == [step_sizes]
+            assert sum(call[0] == "pass" for call in calls) == 1 + len(step_sizes)
 
     def test_step_after_a_skipped_step_runs_its_own_forward(self, patch_steps,
                                                              record_kernels):
-        # seed 7 fails after 30 halvings at the first batch, and every check
-        # of that step carries the second batch, which holds seed 7's rows
-        # alone and is skipped; the one-sequence dataset has rows only in
-        # each epoch's first batch, so its run steps next at epoch 1
+        # seed 7 fails after 30 halvings at epoch 0 batch 2 (see
+        # impossible_data). The one-sequence dataset has rows only in each
+        # epoch's first batch, so its run skips the other five steps of an
+        # epoch: its first candidate is checked on its row of epoch 1, and
+        # its last, at epoch 1, on its own rows
         self.poison_steps(patch_steps)
         datasets = [(self.impossible_data, 2), ([(1, 1)], 2)]
         solo = [reference_or_error(data, replace(self.impossible_config, seed=7), alphabet)
@@ -821,11 +823,12 @@ class TestTrainQhmmSeeds:
                    train_qhmm_datasets(datasets, self.impossible_config, [7])]
         for got, want in zip(results, solo):
             assert_same_fit(got, want)
-        assert str(results[0]).startswith("step failed after 30 halvings at epoch 0 batch 0")
-        steps = recorded_steps(calls)
-        assert [step[0][3] for step in steps] == [True, True]
-        assert all(call[3] for call in steps[0] if call[0] == "check")
-        assert steps[1][0][2].tolist() == [2]
+        assert str(results[0]).startswith("step failed after 30 halvings at epoch 0 batch 2")
+        assert [(r.epoch, r.batch) for r in results[1][1]] == [(0, 0), (1, 0)]
+        assert assert_call_pattern(calls) == [[2] + [1] * 33]
+        passes = [call[1] for call in calls if call[0] == "pass"]
+        row = (2, (3, 3))  # the one sequence, offset past the first run's symbols
+        assert row in passes[1] and passes[-1] == [row]
 
     def test_no_seeds_train_nothing(self):
         assert train_qhmm_datasets([([(0, 1)], 2)], TrainConfig(dim=2), []) == [[]]
@@ -851,14 +854,12 @@ class TestTrainQhmmDatasets:
 
     @pytest.mark.parametrize("desk_first", [True, False])
     @pytest.mark.parametrize("dim, num_batches", [
-        # two stacks per step, one of them holding runs of both datasets;
-        # two steps' rows never fit one row block, so every step runs its
-        # own forward pass
+        # two stacks, one of them holding runs of both datasets
         (4, 5),
-        # one stack of all six runs, in a 512-row block: the desk runs' last
-        # two chunks of every epoch are empty, so the set of runs changes
-        # at batches 6 and 0, and still only the first step runs its own
-        # forward pass
+        # one stack of all six runs, capped at 128 rows: the desk runs' last
+        # two chunks of every epoch are empty, so the set of runs changes at
+        # batches 6 and 0, and a desk run's candidate at batch 5 is checked
+        # on the next epoch's first batch
         (2, 8),
     ])
     def test_runs_of_two_systems_are_bit_identical_to_separate_runs(
@@ -873,11 +874,13 @@ class TestTrainQhmmDatasets:
             for seed, got in zip(self.seeds, group):
                 assert_same_fit(got, train_qhmm_reference(
                     dataset, replace(config, seed=seed), alphabet))
-        fresh = assert_one_forward_per_step(calls, dim)
+        # no run halves: per stack, one step call per step, over its runs
+        # that have rows in the step's batch
+        sizes = assert_call_pattern(calls)
         if num_batches == 5:
-            assert fresh == [True] * 2 * config.epochs * num_batches
+            assert sorted(sizes) == [[2] * 15, [4] * 15]
         else:
-            assert fresh == [True] + [False] * (config.epochs * num_batches - 1)
+            assert sizes == [([6] * 6 + [3] * 2) * config.epochs]
 
     @pytest.mark.parametrize("cap, max_halvings", [
         (0.02, 2),   # every desk run fails, the four-event runs halve
