@@ -1,18 +1,16 @@
 """Categorical hidden Markov models.
 
 Likelihoods come from the per-step scaled forward/backward recursions of
-Rabiner (1989), so long sequences stay inside the float range; the
-log-likelihood is accumulated from the per-step normalizers. One batched
-kernel, :func:`_trellis_passes`, runs them over zero-padded rows, longest
-first, in row blocks, for a stack of models: the per-sequence trellises
-(:func:`_trellis_blocks`) and dataset scoring (:func:`_log_likelihoods`)
-run it with one model, and Baum-Welch (:func:`baum_welch_fits`) with every
-live run of a stack of EM runs, so that several fits share each E-step. A
+Rabiner (1989), so long sequences stay inside the float range; a row's
+log-likelihood is the running sum of its per-step log-normalizers. One
+batched recursion, :func:`_trellis`, runs them over zero-padded rows,
+longest first, each row under its own model of a stack: dataset scoring
+(:func:`_log_likelihoods`) and the one-sequence trellises run it with one
+model, and Baum-Welch (:func:`baum_welch_fits`) with every live run of a
+stack of EM runs, so that several fits share each E-step. A row's results
+depend on that row alone, bit for bit, not on the rows beside it. A
 sequence the model cannot produce is reported with a ``-inf``
-log-likelihood instead of an error. Unlike a Kraus-operator model's, an
-HMM's dataset scores do not share the filtering of common prefixes: a
-row's last bits depend on its longest-first block (see
-:func:`_trellis_layout`).
+log-likelihood instead of an error.
 
 Models are immutable after construction and every operation here is a
 pure function, so concurrent use across threads is safe.
@@ -21,7 +19,7 @@ pure function, so concurrent use across threads is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,11 +27,14 @@ from .errors import InputError, PosteriorUndefinedError, TrainingError
 
 ROW_SUM_TOL = 1e-9
 _ENTRY_TOL = 1e-12
-# rows per block of the batched trellis are this many float64 entries over K
+# rows per block of the batched trellis are this many float64 entries over
+# K; blocks bound the trellis history and do not change a row's bits
 _TRELLIS_BUDGET = 1024
 
 
 def _check_rows(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} entries must be finite")
     if np.any(arr < -_ENTRY_TOL) or np.any(arr > 1.0 + _ENTRY_TOL):
         raise InputError(f"{name} entries must lie in [0, 1]")
     dev = np.max(np.abs(arr.sum(axis=-1) - 1.0))
@@ -193,174 +194,91 @@ def _packed(items, sizes, cap: int) -> list:
 
 
 def _stack(model: CategoricalHmm):
-    """A model's parameters as a stack of one, as :func:`_trellis_blocks` takes them."""
+    """A model's parameters as a stack of one, as :func:`_per_row` takes them."""
     return model.transition[None], model.emission[None], model.start[None]
 
 
-def _trellis_blocks(transition: np.ndarray, emission: np.ndarray, start: np.ndarray,
-                    padded: np.ndarray, lengths: np.ndarray, runs=None,
-                    backward: bool = False):
-    """Scaled forward (and backward) passes of Rabiner (1989) over padded rows
-    of a stack of models.
+def _per_row(transition: np.ndarray, emission: np.ndarray, start: np.ndarray,
+             padded: np.ndarray, runs: np.ndarray):
+    """The parameters of each padded row's model, as :func:`_trellis` takes
+    them: ``transition``, ``emission`` and ``start`` stack R models as
+    ``(R, K, K)``, ``(R, K, M)`` and ``(R, K)`` arrays, and row i runs under
+    model ``runs[i]``. Returns each row's transition matrix, the emission
+    probability of each row's symbol per state at each step, as a ``(steps,
+    rows, K)`` array, and each row's start distribution."""
+    table = emission.transpose(0, 2, 1).reshape(-1, emission.shape[1])  # row r * M + x
+    return (transition[runs], table[(padded + emission.shape[2] * runs[:, None]).T],
+            start[runs])
 
-    ``transition``, ``emission`` and ``start`` stack R models as ``(R, K, K)``,
-    ``(R, K, M)`` and ``(R, K)`` arrays; row i runs under model ``runs[i]``
-    (model 0 for every row when ``runs`` is None). Each model's rows are
-    consecutive and longest first. They are cut into the blocks of at most
-    ``_TRELLIS_BUDGET // K`` rows that they would make alone, and
-    consecutive blocks that hold that many rows together share one pass
-    (see :func:`_trellis_layout`). Yields ``(rows, log_probs, forward,
-    scaling, backward)`` per pass, where ``rows`` is the slice of input rows
-    it covers and ``backward`` is None unless asked for. The pass is as
-    wide as its longest row; past a row's end its trellis entries are zero
-    and its scalings one. A row whose step total reaches 0 scores -inf
-    while the other rows carry on; its forward rows from that step on, its
-    later scalings and its whole backward trellis are zero.
+
+def _trellis(transition: np.ndarray, emitted: np.ndarray, start: np.ndarray,
+             lengths: np.ndarray, backward: bool = False):
+    """Scaled forward (and backward) passes of Rabiner (1989) over rows,
+    longest first, each under its own parameters (:func:`_per_row`).
+
+    Returns ``(log_probs, forward, scaling, backward)``: the trellises are
+    step-major, ``(steps, rows, K)`` and ``(steps, rows)``, and
+    ``backward`` is None unless asked for. Each step multiplies every
+    running row by its own transition matrix in one stack of one-row
+    products, and a row's log-probability is the running sum of its own
+    step logs, so every row gets the bits of a call over that row alone.
+    Past a row's end its trellis entries are zero and its scalings one. A
+    row whose step total reaches 0 scores -inf while the other rows carry
+    on; its forward rows from that step on, its later scalings and its
+    whole backward trellis are zero.
     """
-    layout = _trellis_layout(padded, lengths, runs, transition.shape[1], emission.shape[2])
-    return _trellis_passes(transition, _emission_table(emission), start, layout, backward)
-
-
-class _Pass(NamedTuple):
-    """One pass of :func:`_trellis_layout`."""
-
-    rows: slice  # the input rows of the pass
-    blocks: list  # (model, row slice within the pass) of each block
-    models: np.ndarray  # each row's model
-    lengths: np.ndarray  # the rows' lengths
-    symbols: np.ndarray  # the emission table row of each (row, step)
-    plan: list  # per step, (model, first row, end row) of each block still running
-    gaps: list  # (rows, step) of the rows that a step runs past their end
-    narrow: tuple  # (block, width) of each block narrower than the pass
-
-
-def _trellis_layout(padded: np.ndarray, lengths: np.ndarray, runs, num_states: int,
-                    alphabet_size: int) -> list:
-    """The passes of :func:`_trellis_blocks`, which depend on the rows alone:
-    a caller that runs the same rows under changing models lays them out
-    once.
-
-    A row's bits depend on its block in two ways, which a pass keeps for
-    each of its blocks, so that a row gets the bits of its model's rows
-    run alone:
-
-    - its log-probability sums the logs of the block's full width of
-      scalings, padding included; numpy sums 8 or more terms pairwise, so
-      the same scalings summed over another width can differ in the last
-      bits;
-    - a step that runs one row alone multiplies a (1, K) forward row by
-      the transition matrix, which numpy hands to BLAS as a matrix-vector
-      product, whose rounding differs from that of the matrix product of
-      two or more rows (seen with OpenBLAS 0.3.31 from K = 4 on).
-
-    So each block takes its own per-step product with its model's
-    transition matrix, and sums its own width; the emission gathers and
-    the normalisation run once over the pass.
-    """
-    count = len(lengths)
-    if runs is None:
-        runs, edges, symbols = np.zeros(count, np.int64), [0, count], padded
-    else:
-        edges = [0, *(np.flatnonzero(runs[1:] != runs[:-1]) + 1).tolist(), count]
-        symbols = padded + alphabet_size * runs[:, None]  # the emission table rows
-    blocks = [(first + block.start, min(first + block.stop, end))
-              for first, end in zip(edges, edges[1:])
-              for block in _row_blocks(end - first, num_states, _TRELLIS_BUDGET)]
-    groups = _packed(blocks, [hi - lo for lo, hi in blocks],
-                     max(1, _TRELLIS_BUDGET // num_states))
-    # the rows of each block still running at each step
-    running = np.add.reduceat(lengths[:, None] > np.arange(padded.shape[1]),
-                              [lo for group in groups for lo, _ in group], axis=0, dtype=np.intp)
-    passes, seen = [], 0
-    for group in groups:
-        base = group[0][0]
-        heads = [(int(runs[lo]), lo - base, hi - base) for lo, hi in group]
-        widths = [int(lengths[lo]) for lo, _ in group]
-        width = max(widths)
-        counts = running[seen:seen + len(group), :width].tolist()
-        seen += len(group)
-        plan = [[(model, lo, lo + n) for (model, lo, _), n in zip(heads, step) if n]
-                for step in zip(*counts)]
-        # step t runs the rows up to the last one still running, so in a
-        # pass of several blocks it runs the ended rows of a block that a
-        # later block outlasts too
-        gaps = [(slice(lo + n, hi), t) for (_, lo, hi), steps in zip(heads[:-1], counts)
-                for t, n in enumerate(steps) if lo + n < hi < plan[t][-1][2]]
-        blocks = [(model, slice(lo, hi)) for model, lo, hi in heads]
-        narrow = tuple((block, w) for (_, block), w in zip(blocks, widths) if w < width)
-        rows = slice(base, group[-1][1])
-        passes.append(_Pass(rows, blocks, runs[rows], lengths[rows], symbols[rows, :width],
-                            plan, gaps, narrow))
-    return passes
-
-
-def _emission_table(emission: np.ndarray) -> np.ndarray:
-    """The emission rows that :func:`_trellis_layout`'s symbols index: row
-    ``r * M + x`` holds the emission probability of x per state under
-    model r of the stack."""
-    return emission.transpose(0, 2, 1).reshape(-1, emission.shape[1])
-
-
-def _trellis_passes(transition: np.ndarray, table: np.ndarray, start: np.ndarray,
-                    layout: list, backward: bool = False):
-    """:func:`_trellis_blocks` over the passes of a :func:`_trellis_layout`,
-    with the models' :func:`_emission_table`."""
-    k = transition.shape[1]
-    for rows, _, models, lengths, symbols, plan, gaps, narrow in layout:
-        count, steps = len(lengths), len(plan)
-        # each block's product goes into the buffer; the ended rows that a
-        # step runs get finite values there, and the forward rows and
-        # scalings of padding once the steps are done
-        buffer = start[models]
-        forward = np.zeros((count, steps, k))
-        scaling = np.ones((count, steps))  # padding counts as a factor 1
-        for t, running in enumerate(plan):
-            n = running[-1][2]
-            if t:
-                for model, lo, hi in running:
-                    np.matmul(forward[lo:hi, t - 1], transition[model], out=buffer[lo:hi])
-            vec = buffer[:n] * table[symbols[:n, t]]
-            scaling[:n, t] = total = vec.sum(axis=1)
-            total[total <= 0.0] = np.inf  # the row keeps zero forward rows from here on
-            forward[:n, t] = vec / total[:, None]
-        for ended, t in gaps:
-            forward[ended, t] = 0.0
-            scaling[ended, t] = 1.0
-        with np.errstate(divide="ignore"):  # a total of 0 scores -inf
-            logs = np.log(scaling.clip(0.0))
-        log_probs = logs.sum(axis=1)
-        for block, width in narrow:
-            log_probs[block] = logs[block, :width].sum(axis=1)
-        back = None
-        if backward:
-            back = np.zeros_like(forward)
-            back[np.arange(count), lengths - 1] = 1.0
-            divisor = np.where(scaling > 0.0, scaling, 1.0)
-            for t in range(steps - 2, -1, -1):
-                running = plan[t + 1]
-                n = running[-1][2]
-                weighted = table[symbols[:n, t + 1]] * back[:n, t + 1]
-                buffer[:n] = back[:n, t]  # rows not running at t + 1 keep their 0 or 1
-                for model, lo, hi in running:
-                    np.matmul(weighted[lo:hi], transition[model].T, out=buffer[lo:hi])
-                back[:n, t] = buffer[:n] / divisor[:n, t + 1, None]
-            back[log_probs == -np.inf] = 0.0
-        yield rows, log_probs, forward, scaling, back
+    steps, count, k = emitted.shape
+    running = np.searchsorted(-lengths, -np.arange(steps)).tolist()  # rows with length > t
+    forward = np.zeros((steps, count, k))
+    scaling = np.ones((steps, count))  # padding counts as a factor 1
+    vec = start * emitted[0]
+    for t, n in enumerate(running):
+        if t:
+            vec = (forward[t - 1, :n, None] @ transition[:n])[:, 0]
+            vec *= emitted[t, :n]
+        scaling[t, :n] = total = vec.sum(axis=1)
+        total[total <= 0.0] = np.inf  # the row keeps zero forward rows from here on
+        np.divide(vec, total[:, None], out=forward[t, :n])
+    with np.errstate(divide="ignore"):  # a total of 0 scores -inf
+        # the running sum of each row's step logs (accumulate adds in order,
+        # where a sum pairs 8 or more terms); padding adds log 1 = 0
+        log_probs = np.add.accumulate(np.log(scaling.clip(0.0)))[-1]
+    back = None
+    if backward:
+        back = np.zeros_like(forward)
+        back[lengths - 1, np.arange(count)] = 1.0
+        divisor = np.where(scaling > 0.0, scaling, 1.0)
+        transposed = transition.transpose(0, 2, 1)
+        for t in range(steps - 2, -1, -1):
+            n = running[t + 1]  # rows not running at t + 1 keep their 0 or 1
+            weighted = emitted[t + 1, :n] * back[t + 1, :n]
+            np.divide((weighted[:, None] @ transposed[:n])[:, 0], divisor[t + 1, :n, None],
+                      out=back[t, :n])
+        back[:, log_probs == -np.inf] = 0.0
+    return log_probs, forward, scaling, back
 
 
 def _log_likelihoods(models, padded: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Natural-log probability of each padded row (longest first) under each
-    HMM of one K and M, as a ``(models, rows)`` array: the rows are laid out
-    once (:func:`_trellis_layout` depends on the rows, K and M alone) and
-    every model runs :func:`_trellis_passes` over that layout."""
-    layout = _trellis_layout(padded, lengths, None, *models[0].emission.shape)  # K, M
+    HMM of one K, as a ``(models, rows)`` array: :func:`_trellis` over row
+    blocks of at most ``_TRELLIS_BUDGET // K`` rows, which bound its
+    history and leave every row's bits as they are."""
+    runs = np.zeros(len(lengths), np.intp)
     log_probs = np.empty((len(models), len(lengths)))
-    for model, scores in zip(models, log_probs):
-        transition, emission, start = _stack(model)
-        for rows, block_scores, *_ in _trellis_passes(transition, _emission_table(emission),
-                                                      start, layout):
-            scores[rows] = block_scores
+    for rows in _row_blocks(len(lengths), models[0].num_states, _TRELLIS_BUDGET):
+        block = padded[rows, :lengths[rows.start]]
+        for model, scores in zip(models, log_probs):
+            scores[rows] = _trellis(*_per_row(*_stack(model), block, runs[rows]),
+                                    lengths[rows])[0]
     return log_probs
+
+
+def _sequence_trellis(model: CategoricalHmm, sequence, backward: bool) -> TrellisResult:
+    seq = _as_symbols(sequence, model.alphabet_size)[None]
+    log_probs, forward, scaling, back = _trellis(
+        *_per_row(*_stack(model), seq, np.zeros(1, np.intp)), np.array([seq.size]), backward)
+    return TrellisResult(float(log_probs[0]), forward[:, 0], scaling[:, 0],
+                         None if back is None else back[:, 0])
 
 
 def hmm_forward(model: CategoricalHmm, sequence) -> TrellisResult:
@@ -374,10 +292,7 @@ def hmm_forward(model: CategoricalHmm, sequence) -> TrellisResult:
         produce the sequence it is ``-inf`` and trellis rows past the
         extinction point stay zero.
     """
-    seq = _as_symbols(sequence, model.alphabet_size)
-    _, log_probs, forward, scaling, _ = next(
-        _trellis_blocks(*_stack(model), seq[None], np.array([seq.size])))
-    return TrellisResult(float(log_probs[0]), forward[0], scaling[0])
+    return _sequence_trellis(model, sequence, False)
 
 
 def hmm_backward(model: CategoricalHmm, sequence) -> TrellisResult:
@@ -388,10 +303,7 @@ def hmm_backward(model: CategoricalHmm, sequence) -> TrellisResult:
     probability as :func:`hmm_forward`. The backward trellis of a sequence
     the model cannot produce is all zero.
     """
-    seq = _as_symbols(sequence, model.alphabet_size)
-    _, log_probs, forward, scaling, backward = next(
-        _trellis_blocks(*_stack(model), seq[None], np.array([seq.size]), backward=True))
-    return TrellisResult(float(log_probs[0]), forward[0], scaling[0], backward[0])
+    return _sequence_trellis(model, sequence, True)
 
 
 def hmm_posterior(model: CategoricalHmm, sequence, position: int) -> np.ndarray:
@@ -448,9 +360,9 @@ def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = N
     (which no improvement falls below) are input errors.
 
     This is the one-run call of :func:`baum_welch_fits`, whose E-step runs
-    the trellis kernel that scoring runs (:func:`_trellis_passes`); it
-    raises the :class:`TrainingError` of a training sequence that the
-    current parameters cannot produce.
+    the recursion that scoring runs (:func:`_trellis`); it raises the
+    :class:`TrainingError` of a training sequence that the current
+    parameters cannot produce.
 
     Parameters
     ----------
@@ -499,11 +411,10 @@ def baum_welch_fits(datasets, num_states: int, seeds, *, max_iters: int = 100,
 
     Runs are packed in order into stacks whose rows fit one trellis block
     of ``_TRELLIS_BUDGET // K`` rows (a larger run is a stack of its own).
-    Each EM iteration of a stack is one E-step: one trellis call over the
-    rows of all its live runs, each run keeping its own row blocks (see
-    :func:`_trellis_blocks`), and one batched M-step. A run leaves the
-    stack when it converges, reaches ``max_iters`` or fails; the others
-    carry on. ``work``, when a :class:`collections.Counter`, has added to
+    Each EM iteration of a stack is one E-step, :func:`_trellis` over the
+    rows of all its live runs, which sums each run's counts over its own
+    rows in their order, and one batched M-step. A run leaves the stack
+    when it converges, reaches ``max_iters`` or fails; the others carry on. ``work``, when a :class:`collections.Counter`, has added to
     it the E-steps summed over runs (``em_iterations``), the stacked
     E-steps (``em_passes``) and the failed runs (``runs_failed``).
     """
@@ -541,57 +452,63 @@ def _fit_stack(runs, max_iters: int, tol: float, counts: dict) -> None:
     """:func:`baum_welch_fits` for the runs of one stack."""
     k = runs[0].transition.shape[0]
     alphabet = max(run.alphabet_size for run in runs)
-    width = max(run.padded.shape[1] for run in runs)
-    live, layout = list(runs), None
+    live, blocks = list(runs), None
     while live:
-        if layout is None:
-            # the rows of the live runs, one run after another, laid out
-            # once for the E-steps until a run leaves
+        if blocks is None:
+            # the live runs' rows, longest first, and each run's rows in each
+            # row block, in their order, for the E-steps until a run leaves
+            width = max(run.padded.shape[1] for run in live)
             padded = np.concatenate([np.pad(run.padded,
                                             ((0, 0), (0, width - run.padded.shape[1])))
                                      for run in live])
             lengths = np.concatenate([run.lengths for run in live])
             owners = np.repeat(np.arange(len(live)), [len(run.lengths) for run in live])
-            layout = _trellis_layout(padded, lengths, owners, k, alphabet)
+            order = np.argsort(-lengths, kind="stable")
+            padded, lengths, owners = padded[order], lengths[order], owners[order]
+            blocks = []
+            for rows in _row_blocks(len(lengths), k, _TRELLIS_BUDGET):
+                members = [(run, np.flatnonzero(owners[rows] == run))
+                           for run in np.unique(owners[rows]).tolist()]
+                blocks.append((rows, padded[rows, :lengths[rows.start]], members))
             cells = np.arange(len(live) * k * alphabet)  # (run, state, symbol)
         transition = np.stack([run.transition for run in live])
         emission = np.zeros((len(live), k, alphabet))
         for slot, run in zip(emission, live):
             slot[:, :run.alphabet_size] = run.emission
-        table = _emission_table(emission)
+        start = np.stack([run.start for run in live])
         total = [0.0] * len(live)
         failed = [False] * len(live)
         start_acc = np.zeros(len(live) * k)
         trans_acc = np.zeros((len(live), k, k))
         emit_acc = np.zeros(len(cells))
-        for part, (rows, log_probs, forward, scaling, backward) in zip(layout, _trellis_passes(
-                transition, table, np.stack([run.start for run in live]), layout, True)):
+        for rows, symbols, members in blocks:
+            block_transition, emitted, block_start = _per_row(transition, emission, start,
+                                                              symbols, owners[rows])
+            log_probs, forward, scaling, backward = _trellis(
+                block_transition, emitted, block_start, lengths[rows], True)
             gamma = forward * backward
-            states = k * part.models[:, None] + np.arange(k)  # the (run, state) of each entry
-            start_acc += np.bincount(states.ravel(), gamma[:, 0].ravel(),
+            states = k * owners[rows, None] + np.arange(k)  # the (run, state) of each entry
+            start_acc += np.bincount(states.ravel(), gamma[0].ravel(),
                                      minlength=len(start_acc))
             # each emission count is summed in the order of its run on its
-            # own: the count so far, then the pass's rows, step by step
+            # own: the count so far, then step by step, the block's rows
             emit_acc = np.bincount(
-                np.concatenate([cells, (alphabet * states[:, None]
-                                        + padded[rows, :len(part.plan), None]).ravel()]),
+                np.concatenate([cells, (alphabet * states + symbols.T[:, :, None]).ravel()]),
                 np.concatenate([emit_acc, gamma.ravel()]))
             # expected k -> l transitions without their common factor
             # transition[k, l], applied once at the update; the summand is
             # zero past each row's end, where backward is zero. A failed
             # run's rows may divide 0 by 0; its sums are not used.
             with np.errstate(invalid="ignore"):
-                arriving = (table[part.symbols[:, 1:]] * backward[:, 1:]
-                            / scaling[:, 1:, None])
-            dead = log_probs == -np.inf
-            for run, block in part.blocks:
-                if dead[block].any():
+                arriving = emitted[1:] * backward[1:] / scaling[1:, :, None]
+            for run, mine in members:
+                if log_probs[mine].min() == -np.inf:
                     failed[run] = True
                     continue
-                steps = part.lengths[block.start] - 1
-                total[run] += log_probs[block].sum()
-                trans_acc[run] += np.einsum("ntk,ntl->kl", forward[block, :steps],
-                                            arriving[block, :steps])
+                steps = lengths[rows][mine[0]] - 1
+                total[run] += log_probs[mine].sum()
+                trans_acc[run] += np.einsum("tnk,tnl->kl", forward[:steps].take(mine, axis=1),
+                                            arriving[:steps].take(mine, axis=1))
         counts["em_passes"] += 1
         counts["em_iterations"] += len(live)
         new_transition = _rows_or_uniform(trans_acc * transition)
@@ -611,7 +528,7 @@ def _fit_stack(runs, max_iters: int, tol: float, counts: dict) -> None:
             if len(run.history) < max_iters:
                 staying.append(run)
         if len(staying) < len(live):
-            live, layout = staying, None
+            live, blocks = staying, None
 
 
 def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -115,7 +115,9 @@ def _scores(models, data, da: bool = True, work=None):
     The models must share one alphabet, which callers check: the data are
     padded once, by :func:`hmm._pad` against the first model's alphabet,
     and the models of each kind and K score the same rows in one call of
-    :func:`qhmm._log_likelihoods` or :func:`hmm._log_likelihoods`.
+    :func:`qhmm._log_likelihoods` or :func:`hmm._log_likelihoods`. Every
+    row gets the bits of a call over that row alone, for both kinds, so a
+    row's scores do not depend on the other rows of the call.
 
     Returns ``(lengths, log_probs, das)``, with one row per model in
     ``log_probs`` and ``das``; ``da=False`` leaves ``das`` None (a

@@ -67,6 +67,8 @@ class DensityMatrix:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError("density matrix must be square")
+        if not np.isfinite(m).all():
+            raise InputError("density matrix entries must be finite")
         res = hermiticity_residual(m)
         if res > HERMITICITY_TOL:
             raise InputError(f"matrix is not Hermitian (residual {res:.3e})")
@@ -116,6 +118,8 @@ class KrausModel:
         ops = np.array(operators, dtype=complex)
         if ops.ndim != 4 or ops.shape[2] != ops.shape[3]:
             raise InputError("operators must have shape (M, mu, K, K)")
+        if not np.isfinite(ops).all():
+            raise InputError("operator entries must be finite")
         if not isinstance(initial_state, DensityMatrix):
             initial_state = DensityMatrix(initial_state)
         if initial_state.dim != ops.shape[2]:
@@ -162,10 +166,11 @@ class KrausModel:
     def from_dict(cls, payload: dict) -> "KrausModel":
         if payload.get("type") != "qhmm":
             raise InputError("payload does not describe a Kraus-operator model")
-        ops = np.asarray(payload["kraus_re"], dtype=float) \
-            + 1j * np.asarray(payload["kraus_im"], dtype=float)
-        pi0 = np.asarray(payload["pi0_re"], dtype=float) \
-            + 1j * np.asarray(payload["pi0_im"], dtype=float)
+        with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, rejected below
+            ops = np.asarray(payload["kraus_re"], dtype=float) \
+                + 1j * np.asarray(payload["kraus_im"], dtype=float)
+            pi0 = np.asarray(payload["pi0_re"], dtype=float) \
+                + 1j * np.asarray(payload["pi0_im"], dtype=float)
         model = cls(ops, DensityMatrix(pi0))
         shape = (payload.get("M"), payload.get("mu"), payload.get("K"), payload.get("K"))
         if model.operators.shape != shape:

@@ -127,15 +127,17 @@ def baum_welch_blockwise_reference(dataset, num_states, alphabet_size, max_iters
                                    tol=1e-6, seed=0):
     """Baum-Welch that adds each trellis row block's counts in turn.
 
-    The E-step runs the package's trellis (``hmm._trellis_blocks``) with
-    one model and adds each block's expected counts the way a one-run fit
-    orders its additions: start and transition counts one block sum at a
-    time, emission counts row by row and step by step through ``np.add.at``.
-    So it gives :func:`scengen.baum_welch_fit` bit for bit, whatever the
-    fit does to batch its sums; returns ``(model, history)``.
+    The E-step runs the package's recursion (``hmm._trellis``) with one
+    model over the row blocks of ``hmm._row_blocks`` and adds each block's
+    expected counts the way a one-run fit orders its additions: start and
+    transition counts one block sum at a time, emission counts step by step
+    and row by row through ``np.add.at``. So it gives
+    :func:`scengen.baum_welch_fit` bit for bit, whatever the fit does to
+    batch its sums; returns ``(model, history)``.
     """
     from scengen import CategoricalHmm, TrainingError
-    from scengen.hmm import _flatten, _pad, _rows_or_uniform, _stack, _trellis_blocks
+    from scengen.hmm import (_TRELLIS_BUDGET, _flatten, _pad, _per_row, _row_blocks,
+                             _rows_or_uniform, _stack, _trellis)
 
     padded, lengths, _ = _pad(*_flatten(dataset), alphabet_size)
     rng = np.random.default_rng(seed)
@@ -151,19 +153,21 @@ def baum_welch_blockwise_reference(dataset, num_states, alphabet_size, max_iters
         trans_acc = np.zeros((k, k))
         emit_acc = np.zeros((k, m))
         total_ll = 0.0
-        for rows, log_probs, forward, scaling, backward in _trellis_blocks(
-                *_stack(model), padded, lengths, backward=True):
-            symbols = padded[rows, :scaling.shape[1]]
+        for rows in _row_blocks(len(lengths), k, _TRELLIS_BUDGET):
+            symbols = padded[rows, :lengths[rows.start]]
+            log_probs, forward, scaling, backward = _trellis(
+                *_per_row(*_stack(model), symbols, np.zeros(len(symbols), np.intp)),
+                lengths[rows], backward=True)
             if log_probs.min() == -np.inf:
                 raise TrainingError("a training sequence has zero probability "
                                     "under the current parameters")
             total_ll += log_probs.sum()
-            gamma = forward * backward
-            start_acc += gamma[:, 0].sum(axis=0)
-            np.add.at(emit_acc.T, symbols, gamma)
-            arriving = (model.emission.T[symbols[:, 1:]] * backward[:, 1:]
-                        / scaling[:, 1:, None])
-            trans_acc += np.einsum("ntk,ntl->kl", forward[:, :-1], arriving)
+            gamma = forward * backward  # (steps, rows, K)
+            start_acc += gamma[0].sum(axis=0)
+            np.add.at(emit_acc.T, symbols.T, gamma)
+            arriving = (model.emission.T[symbols.T[1:]] * backward[1:]
+                        / scaling[1:, :, None])
+            trans_acc += np.einsum("tnk,tnl->kl", forward[:-1], arriving)
         history.append(float(total_ll))
         if len(history) > 1 and history[-1] - history[-2] < tol:
             break

@@ -11,12 +11,11 @@ import pytest
 
 from scengen import (CategoricalHmm, InputError, TrainConfig, TrainingError,
                      apply_event, average_da, baum_welch_fit, da_score,
-                     decode_scenario, embed_hmm, load_dataset, load_model,
+                     decode_scenario, embed_hmm, hmm_forward, load_dataset, load_model,
                      random_stiefel, reference_four_event_system, save_model,
                      validate_kraus)
 from scengen import cli, psa
 from scengen.cli import main
-from scengen.hmm import _stack, _trellis_blocks, _trellis_layout
 from scengen.qhmm import _BLOCK_BUDGET, _loss_and_gradient
 
 from oracles import (distinct_prefixes_per_block, hmm_sample_reference, pad_reference,
@@ -66,15 +65,15 @@ def reference_split(path, split):
 
 
 def reference_scores(model, sequences):
-    """Log-probabilities of reference-padded rows and the scalar DA of each;
-    a Kraus model's come from the row filter of the loss's forward pass,
-    which builds no prefix tree."""
-    padded, lengths, order = pad_reference(sequences, model.alphabet_size)
-    log_probs = np.empty(len(sequences))
+    """Log-probabilities of the sequences and the scalar DA of each: an
+    HMM's from one-row :func:`hmm_forward` calls, a Kraus model's from the
+    row filter of the loss's forward pass over reference-padded rows, which
+    builds no prefix tree."""
     if isinstance(model, CategoricalHmm):
-        for rows, block, *_ in _trellis_blocks(*_stack(model), padded, lengths):
-            log_probs[order[rows]] = block
+        log_probs = np.array([hmm_forward(model, seq).log_likelihood for seq in sequences])
     else:
+        padded, lengths, order = pad_reference(sequences, model.alphabet_size)
+        log_probs = np.empty(len(sequences))
         log_probs[order], _ = _loss_and_gradient(model.operators, model.initial_state.matrix,
                                                  padded, lengths)
     return log_probs.tolist(), [da_score(lp, len(seq), model.alphabet_size)
@@ -127,6 +126,26 @@ class TestReadPathAgainstReferences:
                           in enumerate(zip(sequences, log_probs, scores))])
         assert (tmp_path / "report.csv").read_bytes() == want
         assert capsys.readouterr().out == f"mean_da {float(np.mean(scores))!r}\n"
+
+    @pytest.mark.parametrize("kind", ["qhmm", "hmm"])
+    def test_eval_of_a_split_gives_each_row_its_whole_file_bits(self, four_event_run,
+                                                                 tmp_path, kind):
+        # a model of the no_probable class scores every row finite
+        data = four_event_run / "data" / "no_probable.jsonl"
+        model_path = tmp_path / "model" / "model.json"
+        assert run("train", "--kind", kind, "--data", data, "--out", model_path.parent,
+                   "--K", 4, "--epochs", 2, "--seed", 1) == 0
+        reports = {}
+        for split in ("test", "all"):
+            assert run("eval", "--model", model_path, "--data", data, "--out",
+                       tmp_path / split, "--split", split) == 0
+            with open(tmp_path / split / "report.csv", newline="") as fh:
+                reports[split] = [row[1:] for row in list(csv.reader(fh))[1:]]
+        places = [i for i, line in enumerate(data.read_text().splitlines())
+                  if json.loads(line)["split"] == "test"]
+        assert len(reports["test"]) == len(places) == 874
+        assert "-inf" not in {log_prob for _, log_prob, _ in reports["all"]}
+        assert reports["test"] == [reports["all"][i] for i in places]
 
     @pytest.mark.parametrize("data_name", ["data/no_probable.jsonl",
                                            "data/probable.jsonl",
@@ -337,7 +356,9 @@ class TestEval:
         {"type": "hmm", "K": 1, "M": 2, "transition": [[1.0]],
          "emission": [[0.5, 0.5]], "start": ["one"]},
         [{"type": "hmm"}],
-    ], ids=["hmm-no-arrays", "qhmm-no-operators", "text-start", "list"])
+        {"type": "hmm", "K": 1, "M": 2, "transition": [[float("nan")]],
+         "emission": [[0.5, 0.5]], "start": [1.0]},
+    ], ids=["hmm-no-arrays", "qhmm-no-operators", "text-start", "list", "nan-transition"])
     def test_malformed_model_file_exits_two(self, tmp_path, capsys, payload):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(payload))
@@ -734,37 +755,6 @@ class TestCompare:
         assert em == {"em_iterations": sum(iterations), "em_passes": max(iterations),
                       "runs_failed": 0}
         assert em["em_passes"] < em["em_iterations"]
-
-    def test_each_hmm_split_is_laid_out_once(self, system_path, tmp_path, monkeypatch):
-        # the three seeds' HMMs score each split of each dataset through one
-        # layout, and each gets the scores of its own trellis
-        data = tmp_path / "desk"
-        assert run("make-dataset", "--system", system_path, "--out", data, "--seed", 9) == 0
-        real_scores, layouts, scored = cli._scores, [], []
-
-        def layout(padded, lengths, runs, num_states, alphabet_size):
-            layouts.append((len(lengths), num_states))
-            return _trellis_layout(padded, lengths, runs, num_states, alphabet_size)
-
-        def scores(models, split, **kwargs):
-            # Baum-Welch lays its rows out too; keep the scoring call's layouts
-            layouts.clear()
-            result = real_scores(models, split, **kwargs)
-            if isinstance(models[0], CategoricalHmm):
-                scored.append((models, split, result[1], list(layouts)))
-            return result
-
-        monkeypatch.setattr("scengen.hmm._trellis_layout", layout)
-        monkeypatch.setattr(cli, "_scores", scores)
-        assert run("compare", "--data", data / "probable.jsonl", "--data",
-                   data / "no_probable.jsonl", "--out", tmp_path / "cmp", "--K", 4,
-                   "--epochs", 5, "--seeds", "0,1,2") == 0
-        assert len(scored) == 4  # two splits of two datasets
-        for models, split, log_probs, split_layouts in scored:
-            assert split_layouts == [(len(split), 4)]
-            assert len(models) == 3
-            for model, got in zip(models, log_probs):
-                assert got.tolist() == reference_scores(model, split.sequences())[0]
 
     def test_failing_seed_warns_once_in_seed_order(self, dataset_dir, tmp_path, capsys,
                                                    capped_steps):

@@ -6,7 +6,7 @@ import pytest
 from scengen import (CategoricalHmm, InputError, PosteriorUndefinedError,
                      TrainingError, baum_welch_fit, baum_welch_fits, hmm_backward,
                      hmm_forward, hmm_posterior, hmm_sample, hmm_samples)
-from scengen.hmm import _TRELLIS_BUDGET, _flatten, _pad, _stack, _trellis_blocks
+from scengen.hmm import _TRELLIS_BUDGET, _flatten, _pad, _per_row, _trellis
 
 from oracles import (all_sequences, baum_welch_blockwise_reference, baum_welch_reference,
                      hmm_sample_reference, pad_reference, path_sum_probability,
@@ -131,55 +131,46 @@ class TestPad:
             _pad(*_flatten(sequences), 4)
 
 
-class TestStackedTrellis:
-    def trellis(self, stack, padded, lengths, runs=None):
-        """Each input row's (log_prob, forward, scaling, backward)."""
-        out = []
-        for rows, log_probs, forward, scaling, backward in _trellis_blocks(
-                *stack, padded, lengths, runs, backward=True):
-            assert rows.start == len(out)
-            out += zip(log_probs, forward, scaling, backward)
-        return out
+class TestPerRowTrellis:
+    """Each row of a batched :func:`hmm._trellis` call, whichever models and
+    rows are beside it, equals the one-row call of its model at tolerance 0."""
 
-    def test_each_model_gets_the_trellis_of_its_rows_alone(self):
-        # K=4 passes hold 256 rows: models 0 and 1 share the first pass,
-        # model 2 makes a pass of its own and shares its last block with
-        # model 3, so rows that have ended sit among rows still running
-        rng = np.random.default_rng(12)
-        k, m = 4, 5
-        models = [random_hmm(rng, k, m) for _ in range(4)]
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_a_batched_row_equals_its_one_row_call(self, k):
+        # three models, one of which cannot emit symbol 4, so that the one
+        # row holding it under that model scores -inf among live rows
+        rng = np.random.default_rng(12 + k)
+        m = 5
+        models = [random_hmm(rng, k, m) for _ in range(3)]
         emission = models[1].emission.copy()
         emission[:, 4] = 0.0
         models[1] = CategoricalHmm(models[1].transition,
                                    emission / emission.sum(axis=1, keepdims=True),
                                    models[1].start)
-        data = [[list(rng.integers(0, m, size=int(rng.integers(1, width + 1))))
-                 for _ in range(count)] for count, width in ((200, 9), (50, 3), (300, 6), (20, 8))]
-        data[1] = [[symbol % 4 for symbol in row] for row in data[1]]
-        data[1][7] = [0, 4, 1]  # the one row that model 1 cannot produce
-        alone = []
-        for model, sequences in zip(models, data):
-            padded, lengths, _ = _pad(*_flatten(sequences), m)
-            alone.append((padded, lengths, self.trellis(_stack(model), padded, lengths)))
-        width = max(padded.shape[1] for padded, _, _ in alone)
-        padded = np.concatenate([np.pad(p, ((0, 0), (0, width - p.shape[1])))
-                                 for p, _, _ in alone])
-        lengths = np.concatenate([lengths for _, lengths, _ in alone])
-        runs = np.repeat(np.arange(4), [len(lengths) for _, lengths, _ in alone])
+        sequences = [list(rng.integers(0, m, size=int(rng.integers(1, 10))))
+                     for _ in range(300)]
+        runs = rng.integers(0, 3, size=len(sequences))
+        for i in np.flatnonzero(runs == 1):
+            sequences[i] = [symbol % 4 for symbol in sequences[i]]
+        impossible = int(np.flatnonzero(runs == 1)[5])
+        sequences[impossible] = [0, 4, 1]
+        padded, lengths, order = _pad(*_flatten(sequences), m)
         stack = [np.stack([getattr(model, name) for model in models])
                  for name in ("transition", "emission", "start")]
-        got = self.trellis(stack, padded, lengths, runs)
-        want = [row for _, _, rows in alone for row in rows]
-        assert len(got) == len(want) == 570
-        assert sum(lp == -np.inf for lp, *_ in got) == 1
-        for (log_prob, forward, scaling, backward), (want_lp, want_f, want_s, want_b) in zip(
-                got, want):
-            assert log_prob == want_lp
-            steps = len(want_s)
-            for array, expected, rest in ((forward, want_f, 0.0), (scaling, want_s, 1.0),
-                                          (backward, want_b, 0.0)):
-                np.testing.assert_array_equal(array[:steps], expected)
-                assert np.all(array[steps:] == rest)
+        log_probs, forward, scaling, backward = _trellis(
+            *_per_row(*stack, padded, runs[order]), lengths, backward=True)
+        assert log_probs.tolist().count(-np.inf) == 1
+        assert log_probs[order.tolist().index(impossible)] == -np.inf
+        for row, i in enumerate(order):
+            want = hmm_backward(models[runs[i]], sequences[i])
+            assert log_probs[row] == want.log_likelihood
+            assert hmm_forward(models[runs[i]], sequences[i]).log_likelihood == log_probs[row]
+            steps = len(sequences[i])
+            for array, expected, rest in ((forward, want.forward, 0.0),
+                                          (scaling, want.scaling, 1.0),
+                                          (backward, want.backward, 0.0)):
+                np.testing.assert_array_equal(array[:steps, row], expected)
+                assert np.all(array[steps:, row] == rest)
 
 
 class TestBackward:

@@ -11,7 +11,7 @@ from scengen import (CategoricalHmm, InputError, average_da, da_for_sequence,
                      hmm_forward, log_likelihoods, qhmm_log_likelihood,
                      reference_four_event_system, sequence_log_prob, write_da_report)
 from scengen import hmm, qhmm
-from scengen.hmm import _TRELLIS_BUDGET, _stack, _trellis_blocks
+from scengen.hmm import _TRELLIS_BUDGET
 from scengen.metrics import _scores
 from scengen.qhmm import _BLOCK_BUDGET
 
@@ -251,17 +251,12 @@ def row_wise_log_probs(model, sequences):
     """Each sequence's log-probability from a filter over its own row: for
     a Kraus model, the forward pass of a one-row
     :func:`qhmm._loss_and_gradient`, which builds no prefix tree; for an
-    HMM, the longest-first row blocks of the reference padding, whose
-    per-block widths and one-row products fix the last bits of every row."""
-    if not isinstance(model, CategoricalHmm):
-        return np.array([qhmm._loss_and_gradient(model.operators, model.initial_state.matrix,
-                                                 np.array([seq]), np.array([len(seq)]))[0][0]
-                         for seq in sequences])
-    padded, lengths, order = pad_reference(sequences, model.alphabet_size)
-    log_probs = np.empty(len(sequences))
-    for rows, block, *_ in _trellis_blocks(*_stack(model), padded, lengths):
-        log_probs[order[rows]] = block
-    return log_probs
+    HMM, a one-row :func:`hmm_forward` call."""
+    if isinstance(model, CategoricalHmm):
+        return np.array([hmm_forward(model, seq).log_likelihood for seq in sequences])
+    return np.array([qhmm._loss_and_gradient(model.operators, model.initial_state.matrix,
+                                             np.array([seq]), np.array([len(seq)]))[0][0]
+                     for seq in sequences])
 
 
 def stem_sequences(rng, alphabet_size, count, max_len, stems=3):
@@ -322,38 +317,32 @@ class TestPrefixSharedScores:
         assert_scores_equal_row_wise([random_kraus_model(rng, 4, 3), random_hmm(rng, 4, 3)],
                                      [sequence])
 
-    def test_hmm_rows_of_length_eight_and_more_in_blocks_of_different_widths(self):
-        # 16 rows a block at K=64: longest-first blocks of widths 12 down to
-        # 1, most with a longest row that runs on alone; shared prefixes
-        # would give each row the same scalings, but summed over other widths
-        # and multiplied by other products than its own block's
-        rng = np.random.default_rng(5)
-        model = random_hmm(rng, 64, 3)
-        sequences = stem_sequences(rng, 3, 200, 12)
-        lengths = sorted(map(len, sequences), reverse=True)
-        widths = set(lengths[::_TRELLIS_BUDGET // 64])
-        assert len({width for width in widths if width >= 8}) >= 3
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_hmm_rows_equal_their_one_row_calls(self, k):
+        # more rows than a block, of lengths up to 12, and one row that the
+        # model cannot produce
+        rng = np.random.default_rng(5 + k)
+        model = random_hmm(rng, k, 3)
+        emission = model.emission.copy()
+        emission[:, 2] = 0.0
+        model = CategoricalHmm(model.transition, emission / emission.sum(axis=1, keepdims=True),
+                               model.start)
+        sequences = [[symbol % 2 for symbol in seq]
+                     for seq in stem_sequences(rng, 3, _TRELLIS_BUDGET // k + 40, 12)]
+        sequences[len(sequences) // 3] = [0, 1, 2, 0]
+        log_probs = _scores([model], sequences)[1][0]
+        assert np.flatnonzero(np.isinf(log_probs)).tolist() == [len(sequences) // 3]
         assert_scores_equal_row_wise([model], sequences)
 
-    def test_hmms_of_one_k_share_one_layout(self, monkeypatch):
-        # the layout depends on the rows, K and M alone
-        rng = np.random.default_rng(7)
-        models = [random_hmm(rng, 4, 3), random_hmm(rng, 3, 3), random_kraus_model(rng, 4, 3),
-                  random_hmm(rng, 4, 3), random_hmm(rng, 3, 3), random_hmm(rng, 4, 3)]
-        sequences = stem_sequences(rng, 3, 300, 9)
-        real_layout, layouts = hmm._trellis_layout, []
-
-        def recording(padded, lengths, runs, num_states, alphabet_size):
-            layouts.append(num_states)
-            return real_layout(padded, lengths, runs, num_states, alphabet_size)
-
-        # the row-wise reference lays its rows out too, so only the scoring
-        # call runs under the spy
-        monkeypatch.setattr(hmm, "_trellis_layout", recording)
-        _scores(models, sequences)
-        monkeypatch.undo()
-        assert layouts == [4, 3]
-        assert_scores_equal_row_wise(models, sequences)
+    def test_hmm_bits_do_not_depend_on_the_row_blocks(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        models = [random_hmm(rng, 4, 3), random_hmm(rng, 16, 3), random_hmm(rng, 4, 3)]
+        sequences = stem_sequences(rng, 3, 300, 10)
+        want = _scores(models, sequences)
+        monkeypatch.setattr(hmm, "_TRELLIS_BUDGET", 1)  # one row a block
+        got = _scores(models, sequences)
+        for got_array, want_array in zip(got, want):
+            np.testing.assert_array_equal(got_array, want_array)
 
     def test_qhmm_and_hmm_share_one_padding(self):
         rng = np.random.default_rng(6)

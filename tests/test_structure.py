@@ -10,7 +10,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scengen"
 OWNED = {
     "qhmm": {"_filter", "_lexicographic", "_prefix_layout", "_running_layout",
              "_first_steps"},
-    "hmm": {"_trellis_layout", "_trellis_passes", "_emission_table"},
+    "hmm": {"_trellis", "_per_row"},
 }
 
 
@@ -37,5 +37,5 @@ def test_layouts_stay_in_their_module(path):
 def test_the_check_sees_an_import_and_an_attribute():
     tree = ast.parse("from .qhmm import KrausModel, _filter\n"
                      "from . import hmm\n"
-                     "hmm._trellis_passes(hmm._log_likelihoods)\n")
-    assert sorted(owned_names_used(tree)) == [("hmm", "_trellis_passes"), ("qhmm", "_filter")]
+                     "hmm._trellis(hmm._log_likelihoods)\n")
+    assert sorted(owned_names_used(tree)) == [("hmm", "_trellis"), ("qhmm", "_filter")]
