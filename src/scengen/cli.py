@@ -293,7 +293,7 @@ def cmd_compare(args, run: _Run) -> None:
             raise InputError(f"{data_path}: both train and test splits are required")
         datasets.append((data_path, data.alphabet_size, train.sequences(), train, test))
     # one fit or TrainingError per dataset and seed; the runs of each kind
-    # train in shared stacks across all datasets
+    # train together across all datasets
     training = [(seqs, alphabet_size) for _, alphabet_size, seqs, _, _ in datasets]
     qhmm_fits = train_qhmm_datasets(training, _qhmm_config(args, args.seeds[0]),
                                     args.seeds, work=run.work["training"])

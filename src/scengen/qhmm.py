@@ -15,20 +15,22 @@ prefix tree, in which rows that share a prefix share its beliefs
 (:func:`_loss_and_gradient`), which training runs on every pass, run
 padded rows, each its own path (:func:`_running_layout`), because the
 adjoint runs backwards along each row over the beliefs the filter kept,
-which never leave this module; a call with more rows than symbols computes
-each symbol's first step once, into a table its row blocks gather from
-(:func:`_first_steps`). Both layouts give each row the same bits.
+which never leave this module. Both layouts give each row the same bits.
+Training passes its runs to :func:`_loss_and_gradient`, which packs them
+into kernel calls of whole runs (:func:`_row_kernel`) that give each run
+the bits of a call of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import InputError
-from .hmm import CategoricalHmm, _as_symbols, _inverse_cdf, _row_blocks
+from .hmm import CategoricalHmm, _as_symbols, _inverse_cdf, _packed, _row_blocks
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -259,17 +261,7 @@ def _prefix_layout(symbols: np.ndarray, lengths: np.ndarray, starts: np.ndarray)
     return steps, nodes, leaves
 
 
-def _first_steps(operators: np.ndarray, rho0: np.ndarray, rows: int):
-    """The first-step table of ``rows`` rows filtered from ``rho0``: every
-    symbol's Kraus update of ``rho0`` and its probability, or None when the
-    rows are no more than the symbols, and gathering would save nothing."""
-    if rows <= len(operators):
-        return None
-    return _kraus_step(operators, rho0[None], np.arange(len(operators)))
-
-
-def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[list] = None,
-            first=None):
+def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[list] = None):
     """Filter the nodes of a per-step layout from ``rho0``, writing each
     node's natural-log probability.
 
@@ -281,9 +273,7 @@ def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[li
     step probability underflows scores -inf, as does every node continuing
     it; that probability is taken as 1, so its belief stays finite. When
     ``history`` is a list, the beliefs entering each step and the step
-    probabilities, with that 1 in place, are appended to it. ``first``, a
-    table of :func:`_first_steps`, gives step 0's updates and probabilities
-    by symbol: the same operands make the same bits as the step itself.
+    probabilities, with that 1 in place, are appended to it.
 
     A node's belief and log-probability depend only on its own path: the
     Kraus update of a row does not depend on the rows beside it, and each
@@ -294,10 +284,7 @@ def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[li
     rho, previous = rho0[None], None  # rho0 broadcasts against step 0's nodes
     for t, (parents, symbols, log_probs) in enumerate(steps):
         rho = rho[parents]
-        if t == 0 and first is not None:
-            updated, probs = first[0][symbols], first[1][symbols]
-        else:
-            updated, probs = _kraus_step(operators, rho, symbols)
+        updated, probs = _kraus_step(operators, rho, symbols)
         dead = None
         if probs.min() <= UNDERFLOW_PROB:
             dead = probs <= UNDERFLOW_PROB
@@ -338,21 +325,62 @@ def _log_likelihoods(pairs, padded: np.ndarray, lengths: np.ndarray):
     return log_probs, filtered
 
 
-def _loss_and_gradient(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
-                       lengths: np.ndarray):
-    """Natural-log probability of each padded row (longest first), with the
-    bits of :func:`_log_likelihoods`, and the gradient w.r.t.
-    conj(operators) of the negated log-probability sum; callers divide by
-    their row counts.
+def _loss_and_gradient(runs, rho0: np.ndarray) -> list:
+    """Per run of ``runs``, ``(operators, padded, lengths)`` triples of one
+    K and mu whose padded rows run longest first: the natural-log
+    probability of each row, in the run's row order and with the bits of
+    :func:`_log_likelihoods`, and the gradient w.r.t. conj(operators) of the
+    run's negated log-probability sum; callers divide by their row counts.
+
+    The runs are packed in order into kernel calls of whole runs that fit
+    one row block and ``_STACK_ROWS`` rows together; a larger run is a call
+    of its own. A call of several runs offsets each run's symbols past the
+    runs before it, stacks their operators, zero-pads their rows to its
+    widest run and merges them longest first. Every run gets the bits of a
+    call over its own rows (see :func:`_row_kernel`).
+    """
+    cap = min(_BLOCK_BUDGET // rho0.shape[0] ** 2, _STACK_ROWS)
+    results = []
+    for call in _packed(runs, [len(lengths) for *_, lengths in runs], cap):
+        if len(call) == 1:  # nothing to merge; merging would cost it about 13 us
+            ((operators, padded, lengths),) = call
+            results.append(_row_kernel(operators, rho0, padded, lengths))
+            continue
+        operators, padded, lengths = zip(*call)
+        offsets = list(accumulate((len(ops) for ops in operators), initial=0))
+        starts = list(accumulate((len(rows) for rows in padded), initial=0))
+        symbols = np.zeros((starts[-1], max(rows.shape[1] for rows in padded)), np.int64)
+        for rows, offset, start in zip(padded, offsets, starts):
+            np.add(rows, offset, out=symbols[start:start + len(rows), :rows.shape[1]])
+        lengths = np.concatenate(lengths)
+        merged = np.argsort(-lengths, kind="stable")  # keeps each run's rows in order
+        log_probs = np.empty(len(merged))
+        log_probs[merged], grad = _row_kernel(np.concatenate(operators), rho0,
+                                              symbols[merged], lengths[merged])
+        results += [(log_probs[start:stop], grad[offset:end]) for start, stop, offset, end
+                    in zip(starts, starts[1:], offsets, offsets[1:])]
+    return results
+
+
+# OpenBLAS (0.3.31) may group the scatter's sum over more than this many
+# rows differently from a shorter one, so a call of several runs holds at
+# most this many rows: then each run's gradient keeps the bits of its own
+_STACK_ROWS = 128
+
+
+def _row_kernel(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
+                lengths: np.ndarray):
+    """:func:`_loss_and_gradient` of one kernel call: the natural-log
+    probability of each padded row (longest first) and the gradient w.r.t.
+    conj(operators) of the negated log-probability sum.
 
     Each row block is filtered keeping its history, which is run backwards
     before the next block is filtered. A row that underflows adds finite
     terms (its step probability is taken as 1), and only to the operators
     of the symbols it holds; a caller whose rows score -inf discards its
-    part. So at most 128 rows over disjoint symbol sets that fit one row
-    block, merged longest first, give each set's operators the gradient of
-    a call over that set alone, bit for bit, which the training stacks rely
-    on (over longer sums OpenBLAS may group a product's terms differently).
+    part. So at most ``_STACK_ROWS`` rows over disjoint symbol sets that
+    fit one row block, merged longest first, give each set's operators the
+    gradient of a call over that set alone, bit for bit.
 
     Each position forms P = S A_x once, from the scaled dual S and the
     position's operators A_x: its term is P rho and the dual it passes back
@@ -364,12 +392,11 @@ def _loss_and_gradient(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarr
     adjoint_ops = operators.conj().swapaxes(2, 3)
     symbol_ids = np.arange(m)[:, None]
     grad = np.zeros((m, operators[0].size), dtype=complex)
-    first = _first_steps(operators, rho0, len(lengths))
     log_probs = np.zeros(len(lengths))
     for rows in _row_blocks(len(lengths), k ** 2, _BLOCK_BUDGET):
         history, block = [], padded[rows]
         _filter(operators, rho0, _running_layout(block, lengths[rows], log_probs[rows]),
-                history, first)
+                history)
         # last step first: each position adds its term, then the dual
         # matrix is pulled back through that position's operators (the
         # first position has no earlier one to pass it to)

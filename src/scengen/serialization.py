@@ -5,6 +5,7 @@ saved model reloads bit-identically and reruns are byte-stable.
 """
 
 import json
+import math
 
 from .errors import InputError
 from .hmm import CategoricalHmm
@@ -13,44 +14,28 @@ from .qhmm import KrausModel
 
 def save_model(model, path) -> None:
     with open(path, "w") as fh:
-        fh.writelines(_json_text(model.to_dict()))
+        fh.write(_json_text(model.to_dict()))
 
 
-def _json_text(payload: dict):
-    """The pieces of ``json.dumps(payload, indent=2) + "\n"``, one field at a
-    time, for a nonempty mapping of scalars and rectangular nested float
-    lists, such as a model's ``to_dict``.
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2) + "\n"`` for a nonempty mapping of
+    scalars and nested lists, such as a model's ``to_dict``.
 
-    With an indent, json runs its pure-Python encoder, one token at a time.
-    Here ``repr`` writes each nonempty list of finite floats compactly, with
-    the floats as json writes them, and one replacement per nesting level
-    lays its separators out; a list's brackets meet only in separators, and
-    the longest are laid out first.
+    With an indent, json runs its pure-Python encoder one token at a time.
+    This join lays nested lists out itself and writes each finite float in
+    one with ``repr``, as json does; the rest (empty lists, NaN,
+    infinities, other scalars) goes to json.
     """
-    separator = "{\n"
-    for key, value in payload.items():
-        ndim, inner = 0, value
-        while isinstance(inner, list) and inner:
-            ndim, inner = ndim + 1, inner[0]
-        # repr writes a list of finite floats as compact json does, one
-        # float string at a time; json spells nan and inf out
-        text = repr(value) if ndim and not isinstance(inner, list) else None
-        if text is None or "n" in text:  # a scalar, a list holding [], nan or inf
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        else:
-            opening = ["[\n" + "  " * (level + 2) for level in range(ndim)]
-            closing = ["\n" + "  " * (level + 1) + "]" for level in range(ndim)]
-            text = text[ndim:-ndim]
-            for level in range(ndim):
-                depth = ndim - 1 - level  # the lists each separator closes and opens
-                text = text.replace(
-                    "]" * depth + ", " + "[" * depth,
-                    "".join(closing[level + 1:][::-1]) + ",\n" + "  " * (level + 2)
-                    + "".join(opening[level + 1:]))
-            text = "".join(opening) + text + "".join(closing[::-1])
-        yield f"{separator}  {json.dumps(key)}: {text}"
-        separator = ",\n"
-    yield "\n}\n"
+    def text(value, indent):
+        if not (isinstance(value, list) and value):
+            return json.dumps(value)
+        inner, deeper = "\n" + indent + "  ", indent + "  "
+        items = [repr(item) if type(item) is float and math.isfinite(item) else text(item, deeper)
+                 for item in value]
+        return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+    fields = (f"  {json.dumps(key)}: {text(value, '  ')}" for key, value in payload.items())
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def load_model(path):

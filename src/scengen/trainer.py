@@ -20,27 +20,19 @@ accepted the step before it (the first, from a pass over the first batch),
 no pass filters rows whose result is thrown away, and a candidate that
 fails is halved, as is a step whose Cayley solve fails.
 
-Several runs, one per (dataset, seed) pair, train in one stacked pass.
-Every pass stacks the operators of all runs symbol by symbol, so each
-run's symbols are offset once, by the alphabet sizes of the runs before it
-(datasets of different systems may differ in M); every dataset is
-zero-padded to one width, and the rows of a pass are merged longest first.
-The batched kernels then run unchanged on the stack, and the one-hot
-gradient scatter keeps each run's gradient apart. A stack opens with one
-pass over every run's first batch. Each round of step halvings then
+Several runs, one per (dataset, seed) pair, train together, and this
+module keeps only their optimizer policy. Training opens with one pass
+over every run's first batch. Then, round after round, every run still
+training takes the next step of its own schedule: each halving round
 retracts the runs still stepping with one call of the list form of
-:func:`cayley_step` and checks their candidates with one pass over the
-candidates' next rows, under the operators with each candidate in place of
-its run's point; a run without a candidate keeps its point. A run that
+:func:`cayley_step` and checks their candidates with one call of
+:func:`qhmm._loss_and_gradient` over the candidates' next rows. How the
+runs of a call share kernel calls is ``qhmm``'s to decide. A run that
 fails keeps its last point, which nothing reads, and steps no more.
 
-Step sizes, halvings, random streams and failures stay per run, so every
-run gets the model, loss trace and error of a run on its own, bit for
-bit. Runs are packed greedily, in order, into stacks whose mini-batches
-fit one row block of the kernels together and hold at most 128 rows: over
-longer sums the scatter's matrix product may group its terms differently
-in OpenBLAS (0.3.31), and a run would then differ from its own in the
-last bits.
+Step sizes, halvings, random streams and failures stay per run, and the
+kernel gives each run the bits of a call over its own rows, so every run
+gets the model, loss trace and error of a run on its own, bit for bit.
 """
 
 from __future__ import annotations
@@ -48,21 +40,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass, fields
-from itertools import accumulate
 from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import (GradientUndefinedError, InputError, StepFailureError,
                      TrainingError)
-from .hmm import _flatten, _packed, _pad, _row_blocks
+from .hmm import _flatten, _pad, _row_blocks
 from .qhmm import (_BLOCK_BUDGET, COMPLETENESS_TOL, DensityMatrix, KrausModel,
                    _as_matrix, _log_likelihoods, _loss_and_gradient, _partition,
                    orthonormality_residual)
 
 MAX_STEP_HALVINGS = 30
-# the most mini-batch rows a training stack holds
-_STACK_ROWS = 128
 
 
 @dataclass
@@ -155,7 +144,7 @@ def nll_gradient(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -
     """
     ops = _partition(_as_kappa(kappa), alphabet_size, multiplicity)
     padded, lengths, _ = _pad(*_flatten(batch), alphabet_size)
-    log_probs, grad = _loss_and_gradient(ops, _as_matrix(pi0), padded, lengths)
+    ((log_probs, grad),) = _loss_and_gradient([(ops, padded, lengths)], _as_matrix(pi0))
     if log_probs.min() == -math.inf:
         raise GradientUndefinedError("loss is not finite on this batch")
     return grad.reshape(-1, ops.shape[3]) / len(lengths)
@@ -350,9 +339,9 @@ def train_qhmm(dataset, config: TrainConfig, alphabet_size: int, work=None):
 
 
 class _Run:
-    """The training state of one (dataset, seed) run within a stacked pass:
-    its schedule of steps, drawn up front, its point, and the loss and
-    gradient its current step starts from."""
+    """The training state of one (dataset, seed) run: its schedule of steps,
+    drawn up front, its point, and the loss and gradient its current step
+    starts from."""
 
     def __init__(self, padded, lengths, row_of, alphabet_size: int, seed, config):
         # the dataset's padded rows (longest first) and their lengths; shared
@@ -387,136 +376,94 @@ class _Run:
 
 
 def train_qhmm_datasets(datasets, config: TrainConfig, seeds, work=None) -> list:
-    """Train one model per seed on each dataset, all runs in shared stacks.
+    """Train one model per seed on each dataset, all runs together.
 
     ``datasets`` holds ``(sequences, alphabet_size)`` pairs. Returns one list
     per dataset with one entry per seed, in order: the ``(model, records)``
     pair that :func:`train_qhmm` returns on that dataset for ``config`` with
     its seed replaced by that seed, or the :class:`TrainingError` it raises.
-    A failing run leaves its stack and the others carry on. ``work``, when a
-    :class:`collections.Counter`, has added to it the accepted steps
-    (``steps``), the halvings of tau (``step_halvings``) and the candidates
-    under which a row of the run's next mini-batch had zero probability
-    (``failed_checks``), summed over runs.
+    A failing run stops and the others carry on. The datasets may differ in
+    alphabet size and sequence length. In each round of steps, every run
+    still training takes the next step of its own schedule; each halving
+    round retracts the runs still stepping in one :func:`cayley_step` call
+    and checks their candidates in one :func:`qhmm._loss_and_gradient`
+    call. ``work``, when a :class:`collections.Counter`, has added to it the
+    accepted steps (``steps``), the halvings of tau (``step_halvings``) and
+    the candidates under which a row of the run's next mini-batch had zero
+    probability (``failed_checks``), summed over runs.
     """
-    # each dataset is validated and padded once, all to one width; each
-    # mini-batch is a set of rows, kept longest first by taking the row
-    # indices in increasing order
-    padded = [_pad(*_flatten(sequences), alphabet_size)
-              for sequences, alphabet_size in datasets]
-    width = max((rows.shape[1] for rows, _, _ in padded), default=0)
+    # each dataset is validated and padded once; each mini-batch is a set
+    # of rows, kept longest first by taking the row indices in increasing
+    # order
     seeds, groups = list(seeds), []
-    for (rows, lengths, order), (_, alphabet_size) in zip(padded, datasets):
-        if rows.shape[1] < width:
-            rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
-        groups.append([_Run(rows, lengths, np.argsort(order), alphabet_size, seed, config)
+    for sequences, alphabet_size in datasets:
+        padded, lengths, order = _pad(*_flatten(sequences), alphabet_size)
+        groups.append([_Run(padded, lengths, np.argsort(order), alphabet_size, seed, config)
                        for seed in seeds])
-    # a stack pays while its runs' mini-batches fit one row block of the
-    # kernels together: past that the blocks are full anyway, and the
-    # one-hot gradient scatter grows with the number of stacked symbols.
-    # The scatter's matrix product sums every stacked row, and OpenBLAS
-    # may group a sum of more than 128 rows differently from each run's
-    # own sum, so a stack holds at most 128 rows.
     runs = [run for group in groups for run in group]
-    for stack in _packed(runs, [-(-len(run.lengths) // config.num_batches) for run in runs],
-                         min(_BLOCK_BUDGET // config.dim ** 2, _STACK_ROWS)):
-        _train_stack(stack, config)
-    if work is not None:
-        work.update(steps=sum(len(run.records) for run in runs),
-                    step_halvings=sum(run.halvings for run in runs),
-                    failed_checks=sum(run.failed_checks for run in runs))
     initial_state = DensityMatrix.maximally_mixed(config.dim)
-    return [[run.error if run.error is not None else
-             (KrausModel.from_stiefel(run.kappa.matrix, run.alphabet_size,
-                                      config.multiplicity, initial_state), run.records)
-             for run in group] for group in groups]
-
-
-def _train_stack(runs, config: TrainConfig) -> None:
-    """:func:`train_qhmm_datasets` for runs that share every kernel call."""
-    rho0 = DensityMatrix.maximally_mixed(config.dim).matrix
+    rho0 = initial_state.matrix
     shape = (-1, config.multiplicity, config.dim, config.dim)
-    # every pass stacks the operators of all runs, so each run's symbols are
-    # offset once, by the alphabet sizes of the runs before it
-    offsets = dict(zip(runs, accumulate([run.alphabet_size for run in runs[:-1]],
-                                        initial=0)))
-    symbols = {run: run.padded + offset for run, offset in offsets.items()}
 
-    def stacked_pass(batch, points):
-        # one loss-and-gradient pass over the rows of batch, (run, rows)
-        # pairs, merged longest first, under the runs' stacked operators
-        # with each run in points at its point there: per run, its loss on
-        # its rows and its gradient
-        if len(batch) == 1:
-            # nothing to merge; merging one run anyway made desk one-run
-            # training about 10% slower
-            ((run, rows),) = batch
-            padded, lens, members = symbols[run][rows], run.lengths[rows], [slice(None)]
-        else:
-            # the merged rows keep each run's in order, so members[j], the
-            # positions of batch[j]'s rows, increase
-            lens = np.concatenate([run.lengths[rows] for run, rows in batch])
-            merged = np.argsort(-lens, kind="stable")
-            position = np.empty_like(merged)
-            position[merged] = np.arange(len(merged))
-            padded = np.concatenate([symbols[run][rows] for run, rows in batch])[merged]
-            lens, ends = lens[merged], list(accumulate(len(rows) for _, rows in batch))
-            members = [position[start:end] for start, end in zip([0] + ends, ends)]
-        ops = np.concatenate([points.get(run, run.kappa).matrix.reshape(shape)
-                              for run in runs])
-        log_probs, grad = _loss_and_gradient(ops, rho0, padded, lens)
-        results = {}
-        for (run, rows), own_rows in zip(batch, members):
-            own = grad[offsets[run]:offsets[run] + run.alphabet_size]
-            own /= len(rows)
-            results[run] = (float(-log_probs[own_rows].sum() / len(rows)),
-                            own.reshape(run.kappa.matrix.shape))  # a view
-        return results
+    def losses_and_gradients(batch):
+        # per (run, point, rows) triple, the run's loss on those rows at
+        # that point and its gradient there, all from one kernel entry call
+        results = _loss_and_gradient([(point.matrix.reshape(shape), run.padded[rows],
+                                       run.lengths[rows]) for run, point, rows in batch], rho0)
+        return [(float(-log_probs.sum() / len(rows)),
+                 grad.reshape(point.matrix.shape) / len(rows))
+                for (_, point, rows), (log_probs, grad) in zip(batch, results)]
 
-    if config.epochs == 0:
-        return
     # one pass over every run's first batch gives each its first loss and
     # gradient; every later pass checks a round's candidates
-    first = [(run, run.pending[-1][3]) for run in runs]
-    for run, (loss, grad) in stacked_pass(first, {}).items():
+    stepping = [run for run in runs if run.pending]
+    first = losses_and_gradients([(run, run.kappa, run.pending[-1][3]) for run in stepping])
+    for run, (loss, grad) in zip(stepping, first):
         run.loss, run.grad = loss, grad
         if not math.isfinite(loss):
             epoch, index = run.pending[-1][:2]
             run.error = TrainingError(f"batch loss is not finite at epoch {epoch} batch {index}")
-    for epoch in range(config.epochs):
-        for index in range(config.num_batches):
-            stepping = [run for run in runs if run.error is None and run.pending
-                        and run.pending[-1][:2] == (epoch, index)]
-            for run in stepping:
-                run.step_tau = run.pending[-1][2]
-            # every run still halving tries one step per round, all in one
-            # call; a candidate passes when every row the run's next step
-            # needs has a nonzero probability under it, and that pass gives
-            # the run its next loss and gradient
-            for _ in range(1 + MAX_STEP_HALVINGS):
-                if not stepping:
-                    break
-                steps = cayley_step([run.kappa for run in stepping],
-                                    [run.grad for run in stepping],
-                                    [run.step_tau for run in stepping])
-                candidates = {run: step for run, step in zip(stepping, steps)
-                              if not isinstance(step, StepFailureError)}
-                checked = stacked_pass([(run, run.next_rows()) for run in candidates],
-                                       candidates) if candidates else {}
-                for run in list(stepping):
-                    if run in candidates and math.isfinite(checked[run][0]):
-                        run.records.append(TrainRecord(epoch, index, run.loss, run.step_tau))
-                        run.kappa, (run.loss, run.grad) = candidates[run], checked[run]
-                        run.pending.pop()
-                        stepping.remove(run)
-                    else:  # its step or its candidate failed
-                        run.failed_checks += run in candidates
-                        run.halvings += 1
-                        run.step_tau /= 2.0
-            for run in stepping:
-                run.error = TrainingError(
-                    f"step failed after {MAX_STEP_HALVINGS} halvings at epoch {epoch} "
-                    f"batch {index} (loss {run.loss:.6g}, tau {run.pending[-1][2]:.3g})")
+    while stepping := [run for run in runs if run.error is None and run.pending]:
+        for run in stepping:
+            run.step_tau = run.pending[-1][2]
+        # every run still halving tries one step per round, all in one call;
+        # a candidate passes when every row the run's next step needs has a
+        # nonzero probability under it, and that pass gives the run its next
+        # loss and gradient
+        for _ in range(1 + MAX_STEP_HALVINGS):
+            steps = cayley_step([run.kappa for run in stepping], [run.grad for run in stepping],
+                                [run.step_tau for run in stepping])
+            candidates = [(run, step) for run, step in zip(stepping, steps)
+                          if not isinstance(step, StepFailureError)]
+            checked = {}
+            if candidates:
+                checked = dict(zip((run for run, _ in candidates), losses_and_gradients(
+                    [(run, step, run.next_rows()) for run, step in candidates])))
+            for run, step in zip(list(stepping), steps):
+                if run in checked and math.isfinite(checked[run][0]):
+                    epoch, index = run.pending.pop()[:2]
+                    run.records.append(TrainRecord(epoch, index, run.loss, run.step_tau))
+                    run.kappa, (run.loss, run.grad) = step, checked[run]
+                    stepping.remove(run)
+                else:  # its step or its candidate failed
+                    run.failed_checks += run in checked
+                    run.halvings += 1
+                    run.step_tau /= 2.0
+            if not stepping:
+                break
+        for run in stepping:
+            epoch, index, tau, _ = run.pending[-1]
+            run.error = TrainingError(
+                f"step failed after {MAX_STEP_HALVINGS} halvings at epoch {epoch} "
+                f"batch {index} (loss {run.loss:.6g}, tau {tau:.3g})")
+    if work is not None:
+        work.update(steps=sum(len(run.records) for run in runs),
+                    step_halvings=sum(run.halvings for run in runs),
+                    failed_checks=sum(run.failed_checks for run in runs))
+    return [[run.error if run.error is not None else
+             (KrausModel.from_stiefel(run.kappa.matrix, run.alphabet_size,
+                                      config.multiplicity, initial_state), run.records)
+             for run in group] for group in groups]
 
 
 def write_training_log(path, records) -> None:

@@ -435,8 +435,8 @@ def train_qhmm_reference(dataset, config, alphabet_size):
         tau *= config.decay
 
     def loss_and_gradient(point, rows):
-        log_probs, grad = _loss_and_gradient(point.matrix.reshape(shape), rho0,
-                                             padded[rows], lengths[rows])
+        ((log_probs, grad),) = _loss_and_gradient(
+            [(point.matrix.reshape(shape), padded[rows], lengths[rows])], rho0)
         return float(-log_probs.sum() / len(rows)), grad.reshape(point.matrix.shape) / len(rows)
 
     records = []

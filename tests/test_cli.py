@@ -74,8 +74,8 @@ def reference_scores(model, sequences):
     else:
         padded, lengths, order = pad_reference(sequences, model.alphabet_size)
         log_probs = np.empty(len(sequences))
-        log_probs[order], _ = _loss_and_gradient(model.operators, model.initial_state.matrix,
-                                                 padded, lengths)
+        ((log_probs[order], _),) = _loss_and_gradient([(model.operators, padded, lengths)],
+                                                      model.initial_state.matrix)
     return log_probs.tolist(), [da_score(lp, len(seq), model.alphabet_size)
                                 for lp, seq in zip(log_probs, sequences)]
 

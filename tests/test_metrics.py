@@ -254,8 +254,9 @@ def row_wise_log_probs(model, sequences):
     HMM, a one-row :func:`hmm_forward` call."""
     if isinstance(model, CategoricalHmm):
         return np.array([hmm_forward(model, seq).log_likelihood for seq in sequences])
-    return np.array([qhmm._loss_and_gradient(model.operators, model.initial_state.matrix,
-                                             np.array([seq]), np.array([len(seq)]))[0][0]
+    return np.array([qhmm._loss_and_gradient([(model.operators, np.array([seq]),
+                                               np.array([len(seq)]))],
+                                             model.initial_state.matrix)[0][0][0]
                      for seq in sequences])
 
 
@@ -404,13 +405,12 @@ class TestScoringWork:
         model = random_kraus_model(rng, 4, 3)
         sequences = stem_sequences(rng, 3, 300, 7)
         padded, lengths, _ = pad_reference(sequences, 3)
-        qhmm._loss_and_gradient(model.operators, model.initial_state.matrix,
-                                padded, lengths)
-        # one first step per symbol for all 300 rows, then each block's
-        # later steps
+        qhmm._loss_and_gradient([(model.operators, padded, lengths)],
+                                model.initial_state.matrix)
+        # each block's steps, one row per sequence still running
         block = _BLOCK_BUDGET // 4 ** 2
-        want = [3] + [int(np.count_nonzero(lengths[start:start + block] > t))
-                      for start in range(0, len(lengths), block)
-                      for t in range(1, lengths[start])]
+        want = [int(np.count_nonzero(lengths[start:start + block] > t))
+                for start in range(0, len(lengths), block)
+                for t in range(lengths[start])]
         assert len(want) > lengths[0]  # more than one row block
         assert recorded_kraus_rows == want

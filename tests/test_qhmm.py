@@ -192,6 +192,12 @@ class TestLogLikelihood:
         assert qhmm_log_likelihood(model, [0, 1]) == float("-inf")
 
 
+def loss_and_gradient(operators, rho0, padded, lengths):
+    """:func:`qhmm._loss_and_gradient` of one run."""
+    ((log_probs, grad),) = qhmm._loss_and_gradient([(operators, padded, lengths)], rho0)
+    return log_probs, grad
+
+
 def filter_renormalizing_every_step(operators, rho0, padded, lengths, history):
     """The row filter of :func:`qhmm._loss_and_gradient` with the beliefs
     renormalized after every step of a block, its last step included."""
@@ -211,11 +217,11 @@ def filter_renormalizing_every_step(operators, rho0, padded, lengths, history):
     return log_probs
 
 
-def filtered_history(ops, rho0, padded, lengths, first=None):
+def filtered_history(ops, rho0, padded, lengths):
     """Log-probabilities of padded rows that fit one row block, each its own
     path, and the history :func:`qhmm._filter` keeps while filtering them."""
     log_probs, history = np.zeros(len(lengths)), []
-    qhmm._filter(ops, rho0, qhmm._running_layout(padded, lengths, log_probs), history, first)
+    qhmm._filter(ops, rho0, qhmm._running_layout(padded, lengths, log_probs), history)
     return log_probs, history
 
 
@@ -241,28 +247,24 @@ class TestPropagate:
             return real(updated, probs)
 
         monkeypatch.setattr(qhmm, "_renormalize", counted)
-        got, _ = qhmm._loss_and_gradient(ops, rho0, padded, lengths)
+        got, _ = loss_and_gradient(ops, rho0, padded, lengths)
         np.testing.assert_array_equal(got, want)
         # steps - 1 renormalizations per block
         blocks = _row_blocks(300, 16, _BLOCK_BUDGET)
         assert len(blocks) == 3
         assert len(calls) == sum(lengths[rows][0] - 1 for rows in blocks)
         # the history that the loss and gradient run backwards over
-        first = qhmm._first_steps(ops, rho0, 300)
         history = [entry for rows in blocks
-                   for entry in filtered_history(ops, rho0, padded[rows], lengths[rows],
-                                                 first)[1]]
+                   for entry in filtered_history(ops, rho0, padded[rows], lengths[rows])[1]]
         assert len(history) == len(want_history)
         for (rho, probs), (want_rho, want_probs) in zip(history, want_history):
             np.testing.assert_array_equal(rho, want_rho)
             np.testing.assert_array_equal(probs, want_probs)
 
 
-class TestFirstStepTable:
-    """Rows that take their first step from the shared table, and rows
-    filtered on a prefix tree, keep the bits of the same rows filtered one
-    at a time: a single row is no more than the symbols, so it computes its
-    own first step."""
+class TestRowFilterBits:
+    """Rows filtered together in row blocks, and rows filtered on a prefix
+    tree, keep the bits of the same rows filtered one at a time."""
 
     @staticmethod
     def instance(k, m, mu, count):
@@ -279,7 +281,6 @@ class TestFirstStepTable:
 
     @staticmethod
     def one_row_at_a_time(ops, rho0, padded, lengths):
-        assert qhmm._first_steps(ops, rho0, 1) is None
         rows = []
         for i in range(len(lengths)):
             log_prob, history = filtered_history(ops, rho0, padded[i:i + 1],
@@ -310,7 +311,7 @@ class TestFirstStepTable:
         np.testing.assert_array_equal(got[0], [log_prob for log_prob, _ in want])
         for (operators, initial), row in zip(pairs, got):
             np.testing.assert_array_equal(
-                row, qhmm._loss_and_gradient(operators, initial, padded, lengths)[0])
+                row, loss_and_gradient(operators, initial, padded, lengths)[0])
             alone, nodes = qhmm._log_likelihoods([(operators, initial)], padded, lengths)
             np.testing.assert_array_equal(alone[0], row)
             assert filtered == 3 * nodes
@@ -323,20 +324,17 @@ class TestFirstStepTable:
         want = self.one_row_at_a_time(ops, rho0, padded, lengths)
         real_filter, blocks = qhmm._filter, []
 
-        def recording(operators, rho0, steps, history=None, first=None):
-            blocks.append((len(steps[0][2]), history, first))
-            return real_filter(operators, rho0, steps, history, first)
+        def recording(operators, rho0, steps, history=None):
+            blocks.append((len(steps[0][2]), history))
+            return real_filter(operators, rho0, steps, history)
 
         monkeypatch.setattr(qhmm, "_filter", recording)
-        log_probs, _ = qhmm._loss_and_gradient(ops, rho0, padded, lengths)
+        log_probs, _ = loss_and_gradient(ops, rho0, padded, lengths)
         np.testing.assert_array_equal(log_probs, [log_prob for log_prob, _ in want])
-        # the blocks share the table of all the rows, and each row's history
-        # is its own call's
+        # each row's history is its own call's
         assert len(blocks) >= 3
-        assert blocks[0][2] is not None and all(first is blocks[0][2]
-                                                for _, _, first in blocks)
         start = 0
-        for rows, history, _ in blocks:
+        for rows, history in blocks:
             for t, (rho, probs) in enumerate(history):
                 for j in range(len(probs)):
                     want_rho, want_probs = want[start + j][1][t]
@@ -346,13 +344,31 @@ class TestFirstStepTable:
         assert start == count
 
 
+def kernel_rows(padded, lengths):
+    """Padded rows as (length, symbols) pairs."""
+    return [(length, tuple(row[:length])) for length, row in zip(lengths.tolist(),
+                                                                 padded.tolist())]
+
+
 class TestLossAndGradient:
-    """A training pass stacks the operators of several runs and merges their
-    rows longest first: one call gives each run the log-probabilities and
-    the gradient block of a call over its own rows and operators."""
+    """Runs passed to one call share kernel calls of whole runs, which stack
+    their operators and merge their rows longest first; each run gets the
+    log-probabilities and the gradient of a call over its own rows and
+    operators."""
+
+    @staticmethod
+    def record_row_kernel(monkeypatch):
+        real, calls = qhmm._row_kernel, []
+
+        def recording(operators, rho0, padded, lengths):
+            calls.append((len(operators), kernel_rows(padded, lengths), padded.shape[1]))
+            return real(operators, rho0, padded, lengths)
+
+        monkeypatch.setattr(qhmm, "_row_kernel", recording)
+        return calls
 
     @pytest.mark.parametrize("k, mu", [(1, 1), (4, 1), (16, 2)])
-    def test_merged_runs_get_the_results_of_their_own_calls(self, k, mu):
+    def test_merged_runs_get_the_results_of_their_own_calls(self, monkeypatch, k, mu):
         # runs A and B, alphabets 2 and 3, stacked as symbols 0-1 and 2-4;
         # B's symbol 2 cannot be emitted, so its one row holding it
         # underflows. The rows have tied lengths, and A's row 1 is also one
@@ -360,7 +376,6 @@ class TestLossAndGradient:
         rng = np.random.default_rng(k + mu)
         models = [random_kraus_model(rng, k, m, mu).operators.copy() for m in (2, 3)]
         models[1][2] = 0.0
-        ops = np.concatenate(models)
         rho0 = DensityMatrix.maximally_mixed(k).matrix
         half = min(10, _BLOCK_BUDGET // k ** 2 // 2)
 
@@ -370,30 +385,61 @@ class TestLossAndGradient:
 
         a, b = rows(half), rows(half - 2)
         b += [a[1], (0, 2, 1)]
-        parts = [pad_reference(a, 2)[:2], pad_reference(b, 3)[:2]]
-        # merged longest first, B's symbols offset past A's; each run's
-        # positions among the merged rows, and its operators
-        lengths = np.concatenate([part[1] for part in parts])
-        merged = np.argsort(-lengths, kind="stable")
-        position = np.empty_like(merged)
-        position[merged] = np.arange(len(merged))
-        width = max(part[0].shape[1] for part in parts)
-        padded = np.concatenate([np.pad(part[0] + offset, ((0, 0), (0, width - part[0].shape[1])))
-                                 for part, offset in zip(parts, (0, 2))])[merged]
-        lengths = lengths[merged]
-        runs = [(position[:len(a)], slice(0, 2)), (position[len(a):], slice(2, 5))]
-        assert len(lengths) <= _BLOCK_BUDGET // k ** 2
-        assert len(set(lengths.tolist())) < len(lengths)  # ties
+        runs = [(model, *pad_reference(part, len(model))[:2])
+                for model, part in zip(models, (a, b))]
+        calls = self.record_row_kernel(monkeypatch)
+        got = qhmm._loss_and_gradient(runs, rho0)
+        # one kernel call over both runs, B's symbols offset past A's
+        ((symbols, merged, _),) = calls
+        rows_a, rows_b = (kernel_rows(*run[1:]) for run in runs)
+        rows_b = [(length, tuple(x + 2 for x in row)) for length, row in rows_b]
+        assert symbols == 5 and merged == sorted(rows_a + rows_b, key=lambda row: -row[0])
+        assert len(set(length for length, _ in merged)) < len(merged)  # ties
+        for (model, padded, lengths), (log_probs, grad) in zip(runs, got):
+            want_log_probs, want = qhmm._loss_and_gradient([(model, padded, lengths)], rho0)[0]
+            np.testing.assert_array_equal(log_probs, want_log_probs)
+            np.testing.assert_array_equal(grad, want)
+            np.testing.assert_array_equal(
+                log_probs, qhmm._log_likelihoods([(model, rho0)], padded, lengths)[0][0])
+            assert np.isfinite(grad).all() and np.abs(grad).max() > 0
+        assert [np.isinf(log_probs).sum() for log_probs, _ in got] == [0, 1]
 
-        log_probs, grad = qhmm._loss_and_gradient(ops, rho0, padded, lengths)
-        np.testing.assert_array_equal(log_probs,
-                                      qhmm._log_likelihoods([(ops, rho0)], padded, lengths)[0][0])
-        for part, model, (members, symbols) in zip(parts, models, runs):
-            want_log_probs, want = qhmm._loss_and_gradient(model, rho0, *part)
-            np.testing.assert_array_equal(log_probs[members], want_log_probs)
-            np.testing.assert_array_equal(grad[symbols], want)
-        assert np.isinf(log_probs).sum() == 1 and np.isfinite(grad).all()
-        assert np.abs(grad[:2]).max() > 0 and np.abs(grad[2:]).max() > 0
+    @pytest.mark.parametrize("k", [2, 4, 8, 16])
+    def test_runs_share_calls_of_whole_runs_up_to_the_cap(self, monkeypatch, k):
+        # five runs of alphabets 2 and 3 and of widths 2 to 6, packed in
+        # order into calls of at most min(one row block, 128) rows: A and B
+        # fill the first call, C is above the cap and a call of its own, and
+        # D and E share the last
+        cap = min(_BLOCK_BUDGET // k ** 2, 128)
+        rng = np.random.default_rng(k)
+        rho0 = DensityMatrix.maximally_mixed(k).matrix
+
+        def run(alphabet, count, width):
+            rows = [tuple(rng.integers(0, alphabet, size=width).tolist())]
+            rows += [tuple(rng.integers(0, alphabet, size=int(rng.integers(1, width + 1))))
+                     for _ in range(count - 1)]
+            return (random_kraus_model(rng, k, alphabet).operators,
+                    *pad_reference(rows, alphabet)[:2])
+
+        runs = [run(2, cap // 2, 3), run(3, cap - cap // 2, 6), run(2, cap + 1, 4),
+                run(3, 1, 2), run(2, 2, 5)]
+        calls = self.record_row_kernel(monkeypatch)
+        got = qhmm._loss_and_gradient(runs, rho0)
+        assert [(symbols, len(rows), width) for symbols, rows, width in calls] \
+            == [(5, cap, 6), (2, cap + 1, 4), (5, 3, 5)]
+        for (_, rows, _), members in zip(calls, [runs[:2], runs[2:3], runs[3:]]):
+            offsets, want = [0, len(members[0][0])], []
+            for (_, padded, lengths), offset in zip(members, offsets):
+                want += [(length, tuple(x + offset for x in row))
+                         for length, row in kernel_rows(padded, lengths)]
+            assert rows == sorted(want, key=lambda row: -row[0])
+        monkeypatch.undo()
+        assert len(got) == len(runs)
+        for one_run, (log_probs, grad) in zip(runs, got):
+            ((want_log_probs, want),) = qhmm._loss_and_gradient([one_run], rho0)
+            np.testing.assert_array_equal(log_probs, want_log_probs)
+            np.testing.assert_array_equal(grad, want)
+            assert grad.shape == one_run[0].shape
 
 
 class TestSample:

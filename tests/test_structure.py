@@ -1,5 +1,6 @@
-"""Each likelihood layout is private to the model module that owns it: no
-other module of the package imports it or reaches it through the module."""
+"""Each likelihood layout, and the rule by which training runs share a
+kernel call, is private to the model module that owns it: no other module
+of the package imports it or reaches it through the module."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scengen"
 OWNED = {
     "qhmm": {"_filter", "_lexicographic", "_prefix_layout", "_running_layout",
-             "_first_steps"},
+             "_row_kernel", "_STACK_ROWS"},
     "hmm": {"_trellis", "_per_row"},
 }
 
@@ -39,3 +40,21 @@ def test_the_check_sees_an_import_and_an_attribute():
                      "from . import hmm\n"
                      "hmm._trellis(hmm._log_likelihoods)\n")
     assert sorted(owned_names_used(tree)) == [("hmm", "_trellis"), ("qhmm", "_filter")]
+
+
+def defined_names(tree):
+    """The names a module's top level defines: functions, classes and
+    assigned names (not the ones it imports)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (target.id for target in targets if isinstance(target, ast.Name))
+
+
+@pytest.mark.parametrize("owner", sorted(OWNED))
+def test_every_owned_name_is_defined_by_its_module(owner):
+    # a stale entry guards nothing
+    tree = ast.parse((PACKAGE / f"{owner}.py").read_text())
+    assert not sorted(OWNED[owner] - set(defined_names(tree)))

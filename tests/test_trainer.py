@@ -156,7 +156,7 @@ class TestNllGradient:
         rows.append([2, 3, 4, 2])
         padded, lengths, _ = pad_reference([tuple(row) for row in rows], 5)
         rho0 = DensityMatrix.maximally_mixed(dim).matrix
-        log_probs, got = qhmm._loss_and_gradient(ops, rho0, padded, lengths)
+        ((log_probs, got),) = qhmm._loss_and_gradient([(ops, padded, lengths)], rho0)
         assert np.isinf(log_probs).sum() == 1
 
         def forward():
@@ -172,21 +172,31 @@ class TestNllGradient:
         assert np.isfinite(want).all()
         assert np.abs(got - want).max() <= 8 * np.spacing(np.abs(want).max())
 
-    def test_underflowing_row_leaves_the_other_operators_alone(self, absorbing_hmm,
+    def test_underflowing_row_leaves_the_other_operators_alone(self, monkeypatch,
+                                                                absorbing_hmm,
                                                                 underflow_batch):
-        # a stack of two models, symbols 0-1 and 2-4; one row of the second
-        # underflows, and the first model's gradient is still its own
+        # two runs in one kernel call, stacked as symbols 0-1 and 2-4; one
+        # row of the second underflows, and the first run's gradient is
+        # still its own
         live = random_kraus_model(np.random.default_rng(8), 2, 2, 2)
         dead = embed_hmm(absorbing_hmm)  # starts maximally mixed, as live does
-        live_batch = [(0, 1, 1), (1, 0)]
-        stacked = live_batch + [tuple(x + 2 for x in seq) for seq in underflow_batch]
-        ops = np.concatenate([live.operators, dead.operators])
+        runs = [(live.operators, *pad_reference([(0, 1, 1), (1, 0)], 2)[:2]),
+                (dead.operators, *pad_reference(underflow_batch, 3)[:2])]
         rho0 = live.initial_state.matrix
-        log_probs, grad = qhmm._loss_and_gradient(ops, rho0, *pad_reference(stacked, 5)[:2])
-        assert np.isinf(log_probs).sum() == 1 and np.isfinite(grad).all()
-        _, want = qhmm._loss_and_gradient(live.operators, rho0,
-                                          *pad_reference(live_batch, 2)[:2])
-        np.testing.assert_array_equal(grad[:2], want)
+        real_kernel, kernel_calls = qhmm._row_kernel, []
+
+        def kernel(ops, *args):
+            kernel_calls.append(len(ops))
+            return real_kernel(ops, *args)
+
+        monkeypatch.setattr(qhmm, "_row_kernel", kernel)
+        (live_log_probs, grad), (dead_log_probs, dead_grad) = \
+            qhmm._loss_and_gradient(runs, rho0)
+        assert kernel_calls == [5]
+        assert np.isinf(dead_log_probs).sum() == 1 and np.isfinite(dead_grad).all()
+        want_log_probs, want = qhmm._loss_and_gradient(runs[:1], rho0)[0]
+        np.testing.assert_array_equal(live_log_probs, want_log_probs)
+        np.testing.assert_array_equal(grad, want)
 
 
 class TestCayleyStep:
@@ -501,50 +511,61 @@ def record_kernels(monkeypatch):
     ``cayley_step`` as it is then (so it goes after any patch of it), and
     returns a new list that it records their calls into, in order:
 
-    - ``("stack", runs, batches)`` starts each training stack; ``batches``
-      maps each run to its mini-batches' rows, in step order, as
-      (length, stacked symbols) pairs;
-    - ``("step", runs, results)`` is a list call of :func:`cayley_step`,
-      with the runs whose gradients it took;
-    - ``("pass", rows, ops, state)`` is a ``_loss_and_gradient`` call, with
-      its rows as (length, symbols) pairs and its operators; ``state`` maps
-      each run of the stack to its point and its accepted steps so far;
+    - ``("runs", runs, batches)`` opens the training; ``batches`` maps each
+      run to its mini-batches' rows, in step order, as (length, symbols)
+      pairs;
+    - ``("step", runs, results, live, fresh)`` is a list call of
+      :func:`cayley_step`, with the runs whose gradients it took; ``live``
+      holds the runs then still training, and ``fresh`` whether each run
+      stepped at its step's scheduled tau;
+    - ``("pass", entries, state)`` is a call of the loss-and-gradient entry,
+      with each run's rows, as (length, symbols) pairs, and operators;
+      ``state`` maps each run to its point and its accepted steps so far;
+    - ``("kernel", rows, ops)`` is a row-kernel call that entry makes;
     - ``("forward-only",)`` is a ``_log_likelihoods`` call.
     """
 
-    real_loss, real_likelihoods = trainer._loss_and_gradient, trainer._log_likelihoods
-    real_stack = trainer._train_stack
+    real_entry, real_likelihoods = trainer._loss_and_gradient, trainer._log_likelihoods
+    real_kernel, real_run = qhmm._row_kernel, trainer._Run
 
     def install():
-        calls, current = [], []
+        calls, runs, batches = [], [], {}
         real_step = trainer.cayley_step
 
-        def train_stack(runs, config):
-            current[:] = runs
-            offsets = accumulate([run.alphabet_size for run in runs[:-1]], initial=0)
-            batches = {run: [as_rows(run.padded[rows] + offset, run.lengths[rows])
-                             for *_, rows in reversed(run.pending)]
-                       for run, offset in zip(runs, offsets)}
-            calls.append(("stack", list(runs), batches))
-            return real_stack(runs, config)
+        class Run(real_run):
+            def __init__(self, *args):
+                super().__init__(*args)
+                if not runs:
+                    calls.append(("runs", runs, batches))
+                runs.append(self)
+                batches[self] = [as_rows(self.padded[rows], self.lengths[rows])
+                                 for *_, rows in reversed(self.pending)]
 
-        def loss(ops, rho0, padded, lengths):
-            state = {run: (run.kappa.matrix, len(run.records)) for run in current}
-            calls.append(("pass", as_rows(padded, lengths), ops, state))
-            return real_loss(ops, rho0, padded, lengths)
+        def entry(entries, rho0):
+            state = {run: (run.kappa.matrix, len(run.records)) for run in runs}
+            calls.append(("pass", [(as_rows(padded, lengths), ops)
+                                   for ops, padded, lengths in entries], state))
+            return real_entry(entries, rho0)
+
+        def kernel(ops, rho0, padded, lengths):
+            calls.append(("kernel", as_rows(padded, lengths), ops))
+            return real_kernel(ops, rho0, padded, lengths)
 
         def likelihoods(pairs, padded, lengths):
             calls.append(("forward-only",))
             return real_likelihoods(pairs, padded, lengths)
 
         def step(kappa, gradient, tau):
+            stepping = [next(run for run in runs if run.grad is grad) for grad in gradient]
+            live = [run for run in runs if run.error is None and run.pending]
+            fresh = [run.step_tau == run.pending[-1][2] for run in stepping]
             results = real_step(kappa, gradient, tau)
-            calls.append(("step", [next(run for run in current if run.grad is grad)
-                                   for grad in gradient], results))
+            calls.append(("step", stepping, results, live, fresh))
             return results
 
-        monkeypatch.setattr(trainer, "_train_stack", train_stack)
-        monkeypatch.setattr(trainer, "_loss_and_gradient", loss)
+        monkeypatch.setattr(trainer, "_Run", Run)
+        monkeypatch.setattr(trainer, "_loss_and_gradient", entry)
+        monkeypatch.setattr(qhmm, "_row_kernel", kernel)
         monkeypatch.setattr(trainer, "_log_likelihoods", likelihoods)
         monkeypatch.setattr(trainer, "cayley_step", step)
         return calls
@@ -557,49 +578,80 @@ def as_rows(padded, lengths):
                                                                          padded.tolist())]
 
 
-def assert_call_pattern(calls):
-    """Check the recorded calls of a training, stack after stack:
+def assert_kernel_calls(entries, kernels):
+    """Check that the row-kernel calls of one entry call hold its runs'
+    ``(rows, ops)`` entries whole and in order: a call of several runs
+    holds at most one row block and 128 rows, merged longest first, with
+    each run's symbols offset past the runs before it in the call, under
+    exactly those runs' operators."""
+    rest = list(entries)
+    for rows, ops in kernels:
+        members, symbols = [], 0
+        while symbols < len(ops):
+            members.append(rest.pop(0))
+            symbols += len(members[-1][1])
+        assert symbols == len(ops)
+        np.testing.assert_array_equal(ops, np.concatenate([op for _, op in members]))
+        if len(members) > 1:
+            assert len(rows) <= min(_BLOCK_BUDGET // ops.shape[-1] ** 2, 128)
+        want, offsets = [], accumulate([len(op) for _, op in members], initial=0)
+        for (own, _), offset in zip(members, offsets):
+            want += [(length, tuple(x + offset for x in row)) for length, row in own]
+        assert rows == sorted(want, key=lambda row: -row[0])
+    assert not rest
 
-    - a stack opens with one pass over every run's first batch, merged
-      longest first, under the runs' points;
+
+def assert_call_pattern(calls):
+    """Check the recorded calls of a training:
+
+    - it opens with one pass over every run's first batch, under the runs'
+      points;
+    - a round of steps opens with one :func:`cayley_step` call over every
+      run still training, at the step's scheduled tau; each later halving
+      round of it steps only runs that halve;
     - each halving round is one :func:`cayley_step` call and, when it makes
       a candidate, exactly one pass: over the candidates' next batches
-      (their own at a last step), merged longest first, under operators in
-      which only the candidates differ from the runs' points;
-    - no pass holds more than 128 rows, and no call is forward-only.
+      (their own at a last step), each under its candidate;
+    - every pass runs its rows in row-kernel calls of whole runs (see
+      :func:`assert_kernel_calls`), and no call is forward-only.
 
-    Returns, per stack, the number of entries of each step call."""
+    Returns the number of entries of each step call."""
     assert ("forward-only",) not in calls
-    stacks, expect = [], None  # expect: the pass due next, (opening, candidates)
-    for call in calls:
-        if call[0] == "stack":
-            assert expect is None
+    sizes, expect, kernels = [], None, []  # expect: the pass due next, (opening, candidates)
+    for call in calls + [("end",)]:
+        if call[0] == "kernel":
+            kernels.append(call[1:])
+            continue
+        if kernels:
+            assert_kernel_calls(entries, kernels)
+            kernels = []
+        if call[0] == "runs":
+            assert not sizes and expect is None
             _, runs, batches = call
-            stacks.append([])
             expect = True, {}
         elif call[0] == "step":
             assert expect is None
-            _, stepping, results = call
-            stacks[-1].append(len(stepping))
+            _, stepping, results, live, fresh = call
+            assert (all(fresh) and stepping == live) or not any(fresh)
+            sizes.append(len(stepping))
             candidates = {run: result for run, result in zip(stepping, results)
                           if isinstance(result, StiefelPoint)}
             expect = (False, candidates) if candidates else None
-        else:
-            _, rows, ops, state = call
-            assert expect is not None and len(rows) <= 128
+        elif call[0] == "pass":
+            _, entries, state = call
+            assert expect is not None
             opening, candidates = expect
-            want = []
-            for run in runs if opening else candidates:
+            members = [run for run in runs if batches[run]] if opening else list(candidates)
+            assert len(entries) == len(members)
+            for (rows, ops), run in zip(entries, members):
                 steps = batches[run]
                 at = state[run][1] if opening else min(state[run][1] + 1, len(steps) - 1)
-                want += steps[at]
-            assert rows == sorted(want, key=lambda row: -row[0])
-            np.testing.assert_array_equal(ops, np.concatenate([
-                (candidates[run].matrix if run in candidates else state[run][0]).reshape(
-                    -1, *ops.shape[1:]) for run in runs]))
+                assert rows == steps[at]
+                point = candidates[run].matrix if run in candidates else state[run][0]
+                np.testing.assert_array_equal(ops, point.reshape(ops.shape))
             expect = None
     assert expect is None
-    return stacks
+    return sizes
 
 
 class TestTrainQhmmSeeds:
@@ -663,10 +715,10 @@ class TestTrainQhmmSeeds:
         assert [(r.epoch, r.batch) for r in results[2][1]
                 if halvings([r], config) and r.batch == config.num_batches - 1] \
             == [(0, 4), (2, 4)]
-        # one stack and one step call per halving round: the rounds after a
-        # step's first hold only the seeds that halve, and a round whose
-        # steps all fail runs no pass
-        (sizes,) = assert_call_pattern(calls)
+        # one step call per halving round: the rounds after a step's first
+        # hold only the seeds that halve, and a round whose steps all fail
+        # runs no pass
+        sizes = assert_call_pattern(calls)
         assert min(sizes) < len(seeds)
         assert sum(call[0] == "pass" for call in calls) < 1 + len(sizes)
 
@@ -713,7 +765,7 @@ class TestTrainQhmmSeeds:
                                step_halvings=2, failed_checks=2)
         # the rejected round and the passing round each ran one pass, the
         # second over the halving seeds' rows alone
-        (sizes,) = assert_call_pattern(calls)
+        sizes = assert_call_pattern(calls)
         assert sizes == [3] * (last + 1) + [2] + [3] * (len(sizes) - last - 2)
 
     def test_candidate_under_which_the_next_batch_underflows_halves(self, patch_steps):
@@ -802,18 +854,18 @@ class TestTrainQhmmSeeds:
             results = self.train_impossible(seeds)
             assert [isinstance(got, TrainingError) for got in results] \
                 == [seed in (3, 7) for seed in seeds]
-            # one stack, one step call per halving round, and one pass after
-            # each, as every round makes a candidate
-            assert assert_call_pattern(calls) == [step_sizes]
+            # one step call per halving round, and one pass after each, as
+            # every round makes a candidate
+            assert assert_call_pattern(calls) == step_sizes
             assert sum(call[0] == "pass" for call in calls) == 1 + len(step_sizes)
 
     def test_step_after_a_skipped_step_runs_its_own_forward(self, patch_steps,
                                                              record_kernels):
         # seed 7 fails after 30 halvings at epoch 0 batch 2 (see
         # impossible_data). The one-sequence dataset has rows only in each
-        # epoch's first batch, so its run skips the other five steps of an
-        # epoch: its first candidate is checked on its row of epoch 1, and
-        # its last, at epoch 1, on its own rows
+        # epoch's first batch, so its run has two steps, which it takes
+        # beside the other run's first two: its first candidate is checked
+        # on its row of epoch 1, and its last, at epoch 1, on its own rows
         self.poison_steps(patch_steps)
         datasets = [(self.impossible_data, 2), ([(1, 1)], 2)]
         solo = [reference_or_error(data, replace(self.impossible_config, seed=7), alphabet)
@@ -825,10 +877,13 @@ class TestTrainQhmmSeeds:
             assert_same_fit(got, want)
         assert str(results[0]).startswith("step failed after 30 halvings at epoch 0 batch 2")
         assert [(r.epoch, r.batch) for r in results[1][1]] == [(0, 0), (1, 0)]
-        assert assert_call_pattern(calls) == [[2] + [1] * 33]
-        passes = [call[1] for call in calls if call[0] == "pass"]
-        row = (2, (3, 3))  # the one sequence, offset past the first run's symbols
-        assert row in passes[1] and passes[-1] == [row]
+        assert assert_call_pattern(calls) == [2, 2] + [1] * 31
+        passes = [[rows for rows, _ in call[1]] for call in calls if call[0] == "pass"]
+        assert passes[1][1] == passes[2][1] == [(2, (1, 1))] and len(passes[3]) == 1
+        # in the kernel call beside the other run's row, the one sequence's
+        # symbols are offset past the other run's
+        kernels = [call[1] for call in calls if call[0] == "kernel"]
+        assert (2, (3, 3)) in kernels[1] and (2, (3, 3)) in kernels[2]
 
     def test_no_seeds_train_nothing(self):
         assert train_qhmm_datasets([([(0, 1)], 2)], TrainConfig(dim=2), []) == [[]]
@@ -846,20 +901,21 @@ def two_system_training_sets():
 
 
 class TestTrainQhmmDatasets:
-    # at K=4 a kernel row block holds 128 rows, and the runs are packed in
-    # order: the three desk runs (1-2 rows per batch) share a stack with one
-    # four-event run (63-64 rows), and two four-event runs fill the other
+    # at K=4 a kernel row block holds 128 rows, and the runs of a pass are
+    # packed in order: the three desk runs (1-2 rows per batch) share a
+    # kernel call with one four-event run (63-64 rows), and two four-event
+    # runs fill another
     config = TrainConfig(dim=4, epochs=3)
     seeds = [0, 1, 2]
 
     @pytest.mark.parametrize("desk_first", [True, False])
     @pytest.mark.parametrize("dim, num_batches", [
-        # two stacks, one of them holding runs of both datasets
+        # two kernel calls per pass, one of them holding runs of both datasets
         (4, 5),
-        # one stack of all six runs, capped at 128 rows: the desk runs' last
-        # two chunks of every epoch are empty, so the set of runs changes at
-        # batches 6 and 0, and a desk run's candidate at batch 5 is checked
-        # on the next epoch's first batch
+        # kernel calls capped at 128 rows: the desk runs' last two chunks of
+        # every epoch are empty, so they have 18 steps and the four-event
+        # runs 24, and a desk run's candidate at batch 5 is checked on the
+        # next epoch's first batch
         (2, 8),
     ])
     def test_runs_of_two_systems_are_bit_identical_to_separate_runs(
@@ -874,13 +930,13 @@ class TestTrainQhmmDatasets:
             for seed, got in zip(self.seeds, group):
                 assert_same_fit(got, train_qhmm_reference(
                     dataset, replace(config, seed=seed), alphabet))
-        # no run halves: per stack, one step call per step, over its runs
-        # that have rows in the step's batch
+        # no run halves: one step call per step, over every run that still
+        # has steps
         sizes = assert_call_pattern(calls)
         if num_batches == 5:
-            assert sorted(sizes) == [[2] * 15, [4] * 15]
+            assert sizes == [6] * 15
         else:
-            assert sizes == [([6] * 6 + [3] * 2) * config.epochs]
+            assert sizes == [6] * 18 + [3] * 6
 
     @pytest.mark.parametrize("cap, max_halvings", [
         (0.02, 2),   # every desk run fails, the four-event runs halve
