@@ -4,10 +4,12 @@ Likelihoods come from the per-step scaled forward/backward recursions of
 Rabiner (1989), so long sequences stay inside the float range; a row's
 log-likelihood is the running sum of its per-step log-normalizers. One
 batched recursion, :func:`_trellis`, runs them over zero-padded rows,
-longest first, each row under its own model of a stack: dataset scoring
-(:func:`_log_likelihoods`) and the one-sequence trellises run it with one
-model, and Baum-Welch (:func:`baum_welch_fits`) with every live run of a
-stack of EM runs, so that several fits share each E-step. A row's results
+longest first, under one model (dataset scoring, :func:`_log_likelihoods`,
+and the one-sequence trellises) or under each row's own (Baum-Welch,
+:func:`baum_welch_fits`, over every live run of a stack of EM runs, so that
+several fits share each E-step). Training runs of both model kinds share a
+call by one rule, :func:`_merged`: rows merge longest first, each run's
+symbols offset into its own part of the stacked parameters. A row's results
 depend on that row alone, bit for bit, not on the rows beside it. A
 sequence the model cannot produce is reported with a ``-inf``
 log-likelihood instead of an error.
@@ -19,6 +21,7 @@ pure function, so concurrent use across threads is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -193,28 +196,28 @@ def _packed(items, sizes, cap: int) -> list:
     return groups
 
 
-def _stack(model: CategoricalHmm):
-    """A model's parameters as a stack of one, as :func:`_per_row` takes them."""
-    return model.transition[None], model.emission[None], model.start[None]
-
-
-def _per_row(transition: np.ndarray, emission: np.ndarray, start: np.ndarray,
-             padded: np.ndarray, runs: np.ndarray):
-    """The parameters of each padded row's model, as :func:`_trellis` takes
-    them: ``transition``, ``emission`` and ``start`` stack R models as
-    ``(R, K, K)``, ``(R, K, M)`` and ``(R, K)`` arrays, and row i runs under
-    model ``runs[i]``. Returns each row's transition matrix, the emission
-    probability of each row's symbol per state at each step, as a ``(steps,
-    rows, K)`` array, and each row's start distribution."""
-    table = emission.transpose(0, 2, 1).reshape(-1, emission.shape[1])  # row r * M + x
-    return (transition[runs], table[(padded + emission.shape[2] * runs[:, None]).T],
-            start[runs])
+def _merged(runs, offsets):
+    """The padded rows of several runs, each a ``(padded, lengths)`` pair of
+    rows longest first, merged longest first with run r's symbols offset by
+    ``offsets[r]``: ``(padded, lengths, order)``, where merged row i is row
+    ``order[i]`` of the runs' rows taken in turn. The sort is stable, so each
+    run's rows keep their order."""
+    starts = list(accumulate((len(lengths) for _, lengths in runs), initial=0))
+    symbols = np.zeros((starts[-1], max(padded.shape[1] for padded, _ in runs)), np.int64)
+    for (padded, _), offset, start in zip(runs, offsets, starts):
+        np.add(padded, offset, out=symbols[start:start + len(padded), :padded.shape[1]])
+    lengths = np.concatenate([lengths for _, lengths in runs])
+    order = np.argsort(-lengths, kind="stable")
+    return symbols[order], lengths[order], order
 
 
 def _trellis(transition: np.ndarray, emitted: np.ndarray, start: np.ndarray,
              lengths: np.ndarray, backward: bool = False):
     """Scaled forward (and backward) passes of Rabiner (1989) over rows,
-    longest first, each under its own parameters (:func:`_per_row`).
+    longest first, each under its own parameters: ``(rows, K, K)``
+    transition matrices, the ``(steps, rows, K)`` emission probabilities of
+    each row's symbols and ``(rows, K)`` start distributions, or one model's
+    transition and start as a stack of one that every row shares.
 
     Returns ``(log_probs, forward, scaling, backward)``: the trellises are
     step-major, ``(steps, rows, K)`` and ``(steps, rows)``, and
@@ -263,20 +266,20 @@ def _log_likelihoods(models, padded: np.ndarray, lengths: np.ndarray) -> np.ndar
     HMM of one K, as a ``(models, rows)`` array: :func:`_trellis` over row
     blocks of at most ``_TRELLIS_BUDGET // K`` rows, which bound its
     history and leave every row's bits as they are."""
-    runs = np.zeros(len(lengths), np.intp)
     log_probs = np.empty((len(models), len(lengths)))
     for rows in _row_blocks(len(lengths), models[0].num_states, _TRELLIS_BUDGET):
-        block = padded[rows, :lengths[rows.start]]
+        block = padded[rows, :lengths[rows.start]].T
         for model, scores in zip(models, log_probs):
-            scores[rows] = _trellis(*_per_row(*_stack(model), block, runs[rows]),
-                                    lengths[rows])[0]
+            scores[rows] = _trellis(model.transition[None], model.emission.T[block],
+                                    model.start[None], lengths[rows])[0]
     return log_probs
 
 
 def _sequence_trellis(model: CategoricalHmm, sequence, backward: bool) -> TrellisResult:
-    seq = _as_symbols(sequence, model.alphabet_size)[None]
+    seq = _as_symbols(sequence, model.alphabet_size)
     log_probs, forward, scaling, back = _trellis(
-        *_per_row(*_stack(model), seq, np.zeros(1, np.intp)), np.array([seq.size]), backward)
+        model.transition[None], model.emission.T[seq[:, None]], model.start[None],
+        np.array([seq.size]), backward)
     return TrellisResult(float(log_probs[0]), forward[:, 0], scaling[:, 0],
                          None if back is None else back[:, 0])
 
@@ -412,11 +415,12 @@ def baum_welch_fits(datasets, num_states: int, seeds, *, max_iters: int = 100,
     Runs are packed in order into stacks whose rows fit one trellis block
     of ``_TRELLIS_BUDGET // K`` rows (a larger run is a stack of its own).
     Each EM iteration of a stack is one E-step, :func:`_trellis` over the
-    rows of all its live runs, which sums each run's counts over its own
-    rows in their order, and one batched M-step. A run leaves the stack
-    when it converges, reaches ``max_iters`` or fails; the others carry on. ``work``, when a :class:`collections.Counter`, has added to
-    it the E-steps summed over runs (``em_iterations``), the stacked
-    E-steps (``em_passes``) and the failed runs (``runs_failed``).
+    rows of all its live runs (:func:`_merged`), which sums each run's
+    counts over its own rows in their order, and one batched M-step. A run
+    leaves the stack when it converges, reaches ``max_iters`` or fails; the
+    others carry on. ``work``, when a :class:`collections.Counter`, has
+    added to it the E-steps summed over runs (``em_iterations``), the
+    stacked E-steps (``em_passes``) and the failed runs (``runs_failed``).
     """
     if num_states < 1:
         raise InputError("num_states must be >= 1")
@@ -451,50 +455,41 @@ def baum_welch_fits(datasets, num_states: int, seeds, *, max_iters: int = 100,
 def _fit_stack(runs, max_iters: int, tol: float, counts: dict) -> None:
     """:func:`baum_welch_fits` for the runs of one stack."""
     k = runs[0].transition.shape[0]
-    alphabet = max(run.alphabet_size for run in runs)
     live, blocks = list(runs), None
     while live:
         if blocks is None:
-            # the live runs' rows, longest first, and each run's rows in each
-            # row block, in their order, for the E-steps until a run leaves
-            width = max(run.padded.shape[1] for run in live)
-            padded = np.concatenate([np.pad(run.padded,
-                                            ((0, 0), (0, width - run.padded.shape[1])))
-                                     for run in live])
-            lengths = np.concatenate([run.lengths for run in live])
-            owners = np.repeat(np.arange(len(live)), [len(run.lengths) for run in live])
-            order = np.argsort(-lengths, kind="stable")
-            padded, lengths, owners = padded[order], lengths[order], owners[order]
+            # the live runs' rows merged longest first, each run's symbols
+            # offset past the alphabets of the runs before it, and each run's
+            # rows in each row block, for the E-steps until a run leaves
+            offsets = list(accumulate((run.alphabet_size for run in live), initial=0))
+            padded, lengths, order = _merged([(run.padded, run.lengths) for run in live], offsets)
+            owners = np.repeat(np.arange(len(live)), [len(run.lengths) for run in live])[order]
             blocks = []
             for rows in _row_blocks(len(lengths), k, _TRELLIS_BUDGET):
                 members = [(run, np.flatnonzero(owners[rows] == run))
                            for run in np.unique(owners[rows]).tolist()]
-                blocks.append((rows, padded[rows, :lengths[rows.start]], members))
-            cells = np.arange(len(live) * k * alphabet)  # (run, state, symbol)
+                symbols = padded[rows, :lengths[rows.start]].T
+                cells = (symbols[:, :, None] + offsets[-1] * np.arange(k)).ravel()
+                blocks.append((rows, symbols, cells, members))
         transition = np.stack([run.transition for run in live])
-        emission = np.zeros((len(live), k, alphabet))
-        for slot, run in zip(emission, live):
-            slot[:, :run.alphabet_size] = run.emission
+        table = np.concatenate([run.emission.T for run in live])  # (offset symbol, state)
         start = np.stack([run.start for run in live])
         total = [0.0] * len(live)
         failed = [False] * len(live)
         start_acc = np.zeros(len(live) * k)
         trans_acc = np.zeros((len(live), k, k))
-        emit_acc = np.zeros(len(cells))
-        for rows, symbols, members in blocks:
-            block_transition, emitted, block_start = _per_row(transition, emission, start,
-                                                              symbols, owners[rows])
+        emit_acc = np.zeros((k, offsets[-1]))  # run r's counts in its own columns
+        for rows, symbols, cells, members in blocks:
+            emitted = table[symbols]
             log_probs, forward, scaling, backward = _trellis(
-                block_transition, emitted, block_start, lengths[rows], True)
+                transition[owners[rows]], emitted, start[owners[rows]], lengths[rows], True)
             gamma = forward * backward
             states = k * owners[rows, None] + np.arange(k)  # the (run, state) of each entry
             start_acc += np.bincount(states.ravel(), gamma[0].ravel(),
                                      minlength=len(start_acc))
-            # each emission count is summed in the order of its run on its
-            # own: the count so far, then step by step, the block's rows
-            emit_acc = np.bincount(
-                np.concatenate([cells, (alphabet * states + symbols.T[:, :, None]).ravel()]),
-                np.concatenate([emit_acc, gamma.ravel()]))
+            # each emission count adds the block's entries step by step and
+            # row by row, in the order of its run on its own
+            np.add.at(emit_acc.reshape(-1), cells, gamma.ravel())
             # expected k -> l transitions without their common factor
             # transition[k, l], applied once at the update; the summand is
             # zero past each row's end, where backward is zero. A failed
@@ -513,7 +508,6 @@ def _fit_stack(runs, max_iters: int, tol: float, counts: dict) -> None:
         counts["em_iterations"] += len(live)
         new_transition = _rows_or_uniform(trans_acc * transition)
         new_start = _rows_or_uniform(start_acc.reshape(len(live), k))
-        emit_acc = emit_acc.reshape(len(live), k, alphabet)
         staying = []
         for i, run in enumerate(live):
             if failed[i]:
@@ -524,7 +518,7 @@ def _fit_stack(runs, max_iters: int, tol: float, counts: dict) -> None:
             if len(run.history) > 1 and run.history[-1] - run.history[-2] < tol:
                 continue  # converged: the parameters of this E-step are the fit
             run.transition, run.start = new_transition[i], new_start[i]
-            run.emission = _rows_or_uniform(emit_acc[i, :, :run.alphabet_size])
+            run.emission = _rows_or_uniform(emit_acc[:, offsets[i]:offsets[i + 1]])
             if len(run.history) < max_iters:
                 staying.append(run)
         if len(staying) < len(live):

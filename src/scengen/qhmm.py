@@ -18,7 +18,8 @@ adjoint runs backwards along each row over the beliefs the filter kept,
 which never leave this module. Both layouts give each row the same bits.
 Training passes its runs to :func:`_loss_and_gradient`, which packs them
 into kernel calls of whole runs (:func:`_row_kernel`) that give each run
-the bits of a call of its own.
+the bits of a call of its own; a call of several merges their rows by the
+rule that HMM training shares (:func:`hmm._merged`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InputError
-from .hmm import CategoricalHmm, _as_symbols, _inverse_cdf, _packed, _row_blocks
+from .hmm import CategoricalHmm, _as_symbols, _inverse_cdf, _merged, _packed, _row_blocks
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -334,10 +335,10 @@ def _loss_and_gradient(runs, rho0: np.ndarray) -> list:
 
     The runs are packed in order into kernel calls of whole runs that fit
     one row block and ``_STACK_ROWS`` rows together; a larger run is a call
-    of its own. A call of several runs offsets each run's symbols past the
-    runs before it, stacks their operators, zero-pads their rows to its
-    widest run and merges them longest first. Every run gets the bits of a
-    call over its own rows (see :func:`_row_kernel`).
+    of its own. A call of several runs stacks their operators and merges
+    their rows longest first (:func:`hmm._merged`), each run's symbols
+    offset past the operators of the runs before it. Every run gets the
+    bits of a call over its own rows (see :func:`_row_kernel`).
     """
     cap = min(_BLOCK_BUDGET // rho0.shape[0] ** 2, _STACK_ROWS)
     results = []
@@ -346,17 +347,12 @@ def _loss_and_gradient(runs, rho0: np.ndarray) -> list:
             ((operators, padded, lengths),) = call
             results.append(_row_kernel(operators, rho0, padded, lengths))
             continue
-        operators, padded, lengths = zip(*call)
-        offsets = list(accumulate((len(ops) for ops in operators), initial=0))
-        starts = list(accumulate((len(rows) for rows in padded), initial=0))
-        symbols = np.zeros((starts[-1], max(rows.shape[1] for rows in padded)), np.int64)
-        for rows, offset, start in zip(padded, offsets, starts):
-            np.add(rows, offset, out=symbols[start:start + len(rows), :rows.shape[1]])
-        lengths = np.concatenate(lengths)
-        merged = np.argsort(-lengths, kind="stable")  # keeps each run's rows in order
-        log_probs = np.empty(len(merged))
-        log_probs[merged], grad = _row_kernel(np.concatenate(operators), rho0,
-                                              symbols[merged], lengths[merged])
+        operators = [ops for ops, *_ in call]
+        offsets = list(accumulate(map(len, operators), initial=0))
+        starts = list(accumulate((len(lengths) for *_, lengths in call), initial=0))
+        symbols, lengths, order = _merged([run[1:] for run in call], offsets)
+        log_probs = np.empty(len(order))
+        log_probs[order], grad = _row_kernel(np.concatenate(operators), rho0, symbols, lengths)
         results += [(log_probs[start:stop], grad[offset:end]) for start, stop, offset, end
                     in zip(starts, starts[1:], offsets, offsets[1:])]
     return results

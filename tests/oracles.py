@@ -136,8 +136,8 @@ def baum_welch_blockwise_reference(dataset, num_states, alphabet_size, max_iters
     batch its sums; returns ``(model, history)``.
     """
     from scengen import CategoricalHmm, TrainingError
-    from scengen.hmm import (_TRELLIS_BUDGET, _flatten, _pad, _per_row, _row_blocks,
-                             _rows_or_uniform, _stack, _trellis)
+    from scengen.hmm import (_TRELLIS_BUDGET, _flatten, _pad, _row_blocks, _rows_or_uniform,
+                             _trellis)
 
     padded, lengths, _ = _pad(*_flatten(dataset), alphabet_size)
     rng = np.random.default_rng(seed)
@@ -156,7 +156,7 @@ def baum_welch_blockwise_reference(dataset, num_states, alphabet_size, max_iters
         for rows in _row_blocks(len(lengths), k, _TRELLIS_BUDGET):
             symbols = padded[rows, :lengths[rows.start]]
             log_probs, forward, scaling, backward = _trellis(
-                *_per_row(*_stack(model), symbols, np.zeros(len(symbols), np.intp)),
+                model.transition[None], model.emission.T[symbols.T], model.start[None],
                 lengths[rows], backward=True)
             if log_probs.min() == -np.inf:
                 raise TrainingError("a training sequence has zero probability "

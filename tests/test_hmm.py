@@ -6,7 +6,7 @@ import pytest
 from scengen import (CategoricalHmm, InputError, PosteriorUndefinedError,
                      TrainingError, baum_welch_fit, baum_welch_fits, hmm_backward,
                      hmm_forward, hmm_posterior, hmm_sample, hmm_samples)
-from scengen.hmm import _TRELLIS_BUDGET, _flatten, _pad, _per_row, _trellis
+from scengen.hmm import _TRELLIS_BUDGET, _flatten, _merged, _pad, _trellis
 
 from oracles import (all_sequences, baum_welch_blockwise_reference, baum_welch_reference,
                      hmm_sample_reference, pad_reference, path_sum_probability,
@@ -155,10 +155,14 @@ class TestPerRowTrellis:
         impossible = int(np.flatnonzero(runs == 1)[5])
         sequences[impossible] = [0, 4, 1]
         padded, lengths, order = _pad(*_flatten(sequences), m)
-        stack = [np.stack([getattr(model, name) for model in models])
-                 for name in ("transition", "emission", "start")]
-        log_probs, forward, scaling, backward = _trellis(
-            *_per_row(*stack, padded, runs[order]), lengths, backward=True)
+        # each row's own parameters, gathered; model r's symbol x is row
+        # m * r + x of the emission table
+        transition, start = (np.stack([getattr(model, name) for model in models])[runs[order]]
+                             for name in ("transition", "start"))
+        table = np.concatenate([model.emission.T for model in models])
+        got = _trellis(transition, table[(padded + m * runs[order, None]).T], start, lengths,
+                       backward=True)
+        log_probs, forward, scaling, backward = got
         assert log_probs.tolist().count(-np.inf) == 1
         assert log_probs[order.tolist().index(impossible)] == -np.inf
         for row, i in enumerate(order):
@@ -171,6 +175,41 @@ class TestPerRowTrellis:
                                           (backward, want.backward, 0.0)):
                 np.testing.assert_array_equal(array[:steps, row], expected)
                 assert np.all(array[steps:, row] == rest)
+        # one model's parameters as a stack of one, which its rows share,
+        # give those rows the bits of the gathered call
+        for r, model in enumerate(models):
+            rows = np.flatnonzero(runs[order] == r)
+            alone = _trellis(model.transition[None],
+                             model.emission.T[padded[rows, :lengths[rows[0]]].T],
+                             model.start[None], lengths[rows], backward=True)
+            np.testing.assert_array_equal(alone[0], log_probs[rows])
+            for array, want in zip(alone[1:], got[1:]):
+                np.testing.assert_array_equal(array, want[:lengths[rows[0]], rows])
+
+
+class TestMerged:
+    def test_rows_merge_longest_first_with_offset_symbols(self):
+        # three runs of widths 4, 5 and 2 and alphabets 3, 4 and 6, with
+        # lengths tied across runs
+        rng = np.random.default_rng(4)
+        alphabets, widths = [3, 4, 6], [4, 5, 2]
+        runs = []
+        for m, width in zip(alphabets, widths):
+            sequences = [list(rng.integers(0, m, size=length))
+                         for length in rng.integers(1, width + 1, size=7)]
+            sequences[0] = list(rng.integers(0, m, size=width))
+            runs.append(_pad(*_flatten(sequences), m)[:2])
+        offsets = [0, 3, 7]
+        padded, lengths, order = _merged(runs, offsets)
+        assert padded.shape == (21, 5) and padded.dtype == np.int64
+        assert np.all(np.diff(lengths) <= 0)
+        owners, places = np.divmod(order, 7)  # each run holds 7 rows
+        for r, (rows, run_lengths) in enumerate(runs):
+            mine = owners == r
+            assert places[mine].tolist() == list(range(7))  # in the run's order
+            for row, length, place in zip(padded[mine], lengths[mine], places[mine]):
+                assert length == run_lengths[place]
+                np.testing.assert_array_equal(row[:length], rows[place, :length] + offsets[r])
 
 
 class TestBackward:
@@ -414,8 +453,11 @@ class TestBaumWelchFits:
         assert work == Counter(em_iterations=6 * 6, em_passes=3 * 6, runs_failed=0)
 
     def test_runs_converge_at_different_iterations(self):
+        # the third dataset's alphabet differs, so each run that leaves
+        # moves the symbol offsets of the runs after it
         rng = np.random.default_rng(2)
-        datasets = [(sampled_dataset(rng, 3, 12, 6), 3), (sampled_dataset(rng, 3, 8, 4), 3)]
+        datasets = [(sampled_dataset(rng, 3, 12, 6), 3), (sampled_dataset(rng, 3, 8, 4), 3),
+                    (sampled_dataset(rng, 5, 10, 5), 5)]
         seeds = range(5)
         work = Counter()
         got = baum_welch_fits(datasets, 3, seeds, max_iters=200, tol=1e-4, work=work)

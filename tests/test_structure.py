@@ -1,6 +1,8 @@
 """Each likelihood layout, and the rule by which training runs share a
 kernel call, is private to the model module that owns it: no other module
-of the package imports it or reaches it through the module."""
+of the package imports it or reaches it through the module. The row merge
+(``hmm._merged``), like ``hmm._packed``, is shared from ``hmm``, so that
+both model kinds place a run's rows and symbols by one rule."""
 
 import ast
 from pathlib import Path
@@ -11,7 +13,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scengen"
 OWNED = {
     "qhmm": {"_filter", "_lexicographic", "_prefix_layout", "_running_layout",
              "_row_kernel", "_STACK_ROWS"},
-    "hmm": {"_trellis", "_per_row"},
+    "hmm": {"_trellis"},
 }
 
 
