@@ -25,7 +25,7 @@ from .metrics import (average_da, da_for_sequence, da_nonlinearity, da_score,
 from .psa import (FAIL, NO_PROBABLE, PROBABLE, REPAIR, BasicEvent, Scenario,
                   ScenarioDataset, ScenarioRecord, SystemModel, apply_event,
                   build_datasets, decode_scenario, encode_scenario,
-                  enumerate_scenarios, is_severe, load_dataset,
+                  enumerate_scenarios, is_severe, legal_walks, load_dataset,
                   reference_four_event_system, reference_three_event_system,
                   save_dataset, scenario_probability)
 from .qhmm import (DensityMatrix, KrausModel, KrausValidationReport,

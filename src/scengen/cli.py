@@ -27,17 +27,18 @@ import numpy as np
 from . import __version__
 from .classifier import TwoModelClassifier, write_classification_report
 from .errors import AlphabetMismatchError, InputError, ScengenError, TrainingError
-from .hmm import CategoricalHmm, baum_welch_fit, baum_welch_fits, hmm_samples
+from .hmm import CategoricalHmm, _as_symbols, baum_welch_fit, baum_welch_fits, hmm_samples
 from .metrics import _scores, write_da_report
-from .psa import (SystemModel, apply_event, build_datasets, decode_scenario,
-                  load_dataset)
+from .psa import (FAIL, REPAIR, SystemModel, apply_event, build_datasets,
+                  decode_scenario, legal_walks, load_dataset)
 from .qhmm import qhmm_samples, validate_kraus
 from .serialization import load_model, save_model
 from .trainer import (TrainConfig, TrainRecord, train_qhmm, train_qhmm_datasets,
                       write_training_log)
 
 
-# symbols that generate draws and writes at a time (at least one row): its memory bound
+# symbols that generate draws and writes at a time (at least one row), each
+# row counted as at least K^2 of them: its memory bound
 _GENERATE_CHUNK = 4096 * 8
 
 # the files each command writes into --out: main lists them in the manifest,
@@ -176,7 +177,8 @@ def _qhmm_config(args, seed: int) -> TrainConfig:
 # to a block of run.work: make-dataset its "enumeration", the scoring commands
 # their "scoring" (see metrics._scores), the HMM fits of train and compare
 # their "em" (see hmm.baum_welch_fits), QHMM training its "training" (see
-# trainer.train_qhmm_datasets); main writes the manifest
+# trainer.train_qhmm_datasets), generate its "generation"; main writes the
+# manifest
 def cmd_make_dataset(args, run: _Run) -> None:
     build_datasets(SystemModel.load(args.system), max_len=args.max_len,
                    p_min=args.p_min, test_fraction=args.test_fraction,
@@ -223,6 +225,8 @@ def cmd_generate(args, run: _Run) -> None:
     if system is not None and system.alphabet_size != model.alphabet_size:
         raise AlphabetMismatchError(f"the system alphabet has size {system.alphabet_size} "
                                     f"but the model alphabet has size {model.alphabet_size}")
+    if prefix:  # a symbol outside the alphabet is an error, not an illegal walk
+        _as_symbols(prefix, model.alphabet_size)
     # generated sequences continue the prefix, so step decoding starts from
     # the system state the prefix walks to (all-up when there is none)
     decode_start = 0
@@ -233,43 +237,43 @@ def cmd_generate(args, run: _Run) -> None:
         except InputError as exc:
             print(f"warning: prefix is not a legal walk ({exc}); "
                   "decoding from the all-up state", file=sys.stderr)
-    sample = hmm_samples if isinstance(model, CategoricalHmm) else qhmm_samples
+    if system is not None:  # each symbol's entry of "steps", as json.dumps writes it
+        steps = [json.dumps([event.id, action]) for event in system.events
+                 for action in (FAIL, REPAIR)]
+    work = run.work["generation"]
+    if isinstance(model, CategoricalHmm):
+        sample, k = hmm_samples, model.num_states
+    else:
+        sample, k = functools.partial(qhmm_samples, work=work), model.dim
     # rows are drawn and written a chunk at a time from one generator (one draw
     # at least, which checks the length, count and prefix); row i of a call
     # equals the i-th one-row call, so the file does not depend on the chunk
-    # size. Opening the file after the draw saves about 3% of a 100-row call.
+    # size. A row counts as at least K^2 symbols, the entries of the belief a
+    # Kraus model may hold for it. Opening the file after the draw saves
+    # about 3% of a 100-row call.
     rng = np.random.default_rng(args.seed)
-    rows = max(1, _GENERATE_CHUNK // max(args.length, 1))
-    path, illegal = run.out_dir() / "sequences.jsonl", 0
+    rows = max(1, _GENERATE_CHUNK // max(args.length, k * k))
+    path, legal = run.out_dir() / "sequences.jsonl", 0
     for start in range(0, max(args.count, 1), rows):
-        chunk = sample(model, args.length, min(args.count - start, rows), rng, prefix=prefix)
-        lines = {}  # the chunk's line of each distinct sample, and if it is illegal
-        text = []  # the chunk's lines in row order
-        for sequence in map(tuple, chunk.tolist()):
-            if sequence not in lines:
-                lines[sequence] = _sequence_line(sequence, system, decode_start)
-            line, bad = lines[sequence]
-            illegal += bad
-            text.append(line)
+        chunk = sample(model, args.length, min(args.count - start, rows), rng,
+                       prefix=prefix)
+        # a list of ints prints as json.dumps writes it
+        if system is None:
+            text = ['{"sequence": %s}\n' % row for row in chunk.tolist()]
+        else:
+            walks = legal_walks(system, chunk, decode_start).tolist()
+            legal += sum(walks)
+            text = ['{"sequence": %s, "steps": %s}\n'
+                    % (row, "[" + ", ".join([steps[x] for x in row]) + "]" if ok else "null")
+                    for row, ok in zip(chunk.tolist(), walks)]
         with open(path, "a" if start else "w") as fh:
             fh.writelines(text)
-    if illegal:
-        print(f"warning: {illegal} of {args.count} sequences do not decode "
-              "as legal walks", file=sys.stderr)
-
-
-def _sequence_line(sequence: tuple, system, decode_start: int):
-    """The JSON line of one generated sequence, decoded into steps from
-    ``decode_start`` when a system is given, and whether it failed to decode."""
-    payload = {"sequence": list(sequence)}
-    if system is None:
-        return json.dumps(payload) + "\n", False
-    try:
-        steps = decode_scenario(system, sequence, initial_state=decode_start)
-        payload["steps"] = [[system.events[idx].id, action] for idx, action in steps]
-    except InputError:
-        payload["steps"] = None
-    return json.dumps(payload) + "\n", payload["steps"] is None
+    work["samples"] = args.count
+    if system is not None:
+        work["legal_walks"] = legal
+        if legal < args.count:
+            print(f"warning: {args.count - legal} of {args.count} sequences do not "
+                  "decode as legal walks", file=sys.stderr)
 
 
 def cmd_classify(args, run: _Run) -> None:

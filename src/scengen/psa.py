@@ -148,6 +148,25 @@ def apply_event(state: int, event_index: int, action: str) -> int:
     return state ^ bit
 
 
+def legal_walks(system: SystemModel, symbols, initial_state: int = 0) -> np.ndarray:
+    """Whether each row of a ``(rows, length)`` symbol array is a legal walk
+    from ``initial_state``, that is, whether :func:`decode_scenario` decodes
+    it: the rows' states advance together, one position at a time. Symbols
+    outside the alphabet raise InputError, as they do there."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    if symbols.size and not 0 <= symbols.min() <= symbols.max() < system.alphabet_size:
+        bad = symbols.flat[np.argmax((symbols < 0) | (symbols >= system.alphabet_size))]
+        raise InputError(f"symbol {bad} outside alphabet of size {system.alphabet_size}")
+    state = np.full(len(symbols), initial_state, dtype=np.int64)
+    legal = np.ones(len(symbols), dtype=bool)
+    for column in symbols.T:
+        bit = 1 << (column >> 1)
+        # failing an event requires it up, repairing it requires it down
+        legal &= ((state & bit) != 0) == ((column & 1) == 1)
+        state ^= bit
+    return legal
+
+
 def is_severe(state: int, system: SystemModel) -> bool:
     """True when some severe subset is entirely down in this state."""
     return any((state & mask) == mask for mask in system.severe_masks)

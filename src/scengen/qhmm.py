@@ -39,7 +39,8 @@ PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
 UNDERFLOW_PROB = 1e-300
 # rows per block of the batched filter are this many entries over K^2, the
-# entries of one belief; the sampler's over mu * K^2, one belief's Kraus update
+# entries of one belief; the beliefs of one sampler call over mu * K^2, the
+# entries of one belief's Kraus update
 _BLOCK_BUDGET = 2048
 
 
@@ -468,7 +469,7 @@ def next_symbol_distribution(model: KrausModel, rho) -> np.ndarray:
 
 
 def qhmm_samples(model: KrausModel, length: int, count: int, rng_seed, *,
-                 prefix=()) -> np.ndarray:
+                 prefix=(), work=None) -> np.ndarray:
     """Draw ``count`` symbol sequences of the given length as the rows of a
     ``(count, length)`` int array, deterministic per seed.
 
@@ -476,21 +477,27 @@ def qhmm_samples(model: KrausModel, length: int, count: int, rng_seed, *,
     complete model) is read from each row's belief through the symbols'
     effects, a symbol is drawn, and only then does the belief advance, by
     the drawn symbol's Kraus operators alone, renormalized by the trace of
-    that update; the rows run together in blocks. A nonempty ``prefix``
-    first filters the belief through those symbols; every row continues the
-    prefix without including it. Each row takes ``length`` uniforms in
-    order, so row i equals the i-th of ``count`` one-row calls on one
-    generator. Raises InputError for a zero-probability prefix, or when the
-    probabilities miss 1 by more than K * COMPLETENESS_TOL, the most a model
-    passing :func:`validate_kraus` can move them.
+    that update. Rows whose drawn prefixes agree share one belief, so each
+    step advances each distinct drawn prefix once, in kernel calls of at
+    most ``_BLOCK_BUDGET // (mu * K^2)`` beliefs; a belief depends only on
+    its own prefix, so every row gets the bits of a call of its own. A
+    nonempty ``prefix`` first filters the belief through those symbols;
+    every row continues the prefix without including it. Each row takes
+    ``length`` uniforms in order, so row i equals the i-th of ``count``
+    one-row calls on one generator. ``work``, when a
+    :class:`collections.Counter`, has the beliefs advanced by drawn symbols
+    added to it as ``beliefs_advanced``. Raises InputError for a
+    zero-probability prefix, or when the probabilities miss 1 by more than
+    K * COMPLETENESS_TOL, the most a model passing :func:`validate_kraus`
+    can move them.
     """
     if length < 1:
         raise InputError("length must be >= 1")
     if count < 0:
         raise InputError("count must be >= 0")
-    operators, k = model.operators, model.dim
+    operators, k, m = model.operators, model.dim, model.alphabet_size
     rho = model.initial_state.matrix[None]
-    for x in _as_symbols(prefix, model.alphabet_size).tolist() if len(prefix) else ():
+    for x in _as_symbols(prefix, m).tolist() if len(prefix) else ():
         updated, probs = _kraus_step(operators, rho, np.array([x]))
         if probs[0] <= UNDERFLOW_PROB:
             raise InputError("prefix has zero probability under the model")
@@ -498,18 +505,26 @@ def qhmm_samples(model: KrausModel, length: int, count: int, rng_seed, *,
     effects = _effects(operators)
     uniforms = np.random.default_rng(rng_seed).random((count, length))
     samples = np.empty((count, length), dtype=np.int64)
-    for rows in _row_blocks(count, model.multiplicity * k ** 2, _BLOCK_BUDGET):
-        block = uniforms[rows]
-        beliefs = rho  # the block's rows share one belief until their first draw
-        for t in range(length):
-            table = _symbol_probabilities(effects, beliefs)
-            if np.abs(table.sum(axis=1) - 1.0).max() > k * COMPLETENESS_TOL:
-                raise InputError("per-symbol probabilities do not sum to 1; "
-                                 "the operators are not complete")
-            drawn = samples[rows, t] = _inverse_cdf(table, block[:, t])
-            if t + 1 < length:
-                updated, probs = _kraus_step(operators, beliefs, drawn)
-                beliefs = _renormalize(updated, np.maximum(probs, 0.0))
+    # row i's belief is beliefs[node[i]]; every row starts at the one belief
+    beliefs, node, advanced = rho, np.zeros(count, dtype=np.int64), 0
+    for t in range(length if count else 0):  # a call of no rows reads no belief
+        table = _symbol_probabilities(effects, beliefs)
+        if np.abs(table.sum(axis=1) - 1.0).max() > k * COMPLETENESS_TOL:
+            raise InputError("per-symbol probabilities do not sum to 1; "
+                             "the operators are not complete")
+        drawn = samples[:, t] = _inverse_cdf(table[node], uniforms[:, t])
+        if t + 1 < length:  # nothing reads the last step's beliefs
+            prefixes, node = np.unique(node * m + drawn, return_inverse=True)
+            parents, symbols = np.divmod(prefixes, m)
+            blocks = []
+            for rows in _row_blocks(len(prefixes), model.multiplicity * k ** 2,
+                                    _BLOCK_BUDGET):
+                updated, probs = _kraus_step(operators, beliefs[parents[rows]], symbols[rows])
+                blocks.append(_renormalize(updated, np.maximum(probs, 0.0)))
+            beliefs = np.concatenate(blocks)
+            advanced += len(prefixes)
+    if work is not None:
+        work.update(beliefs_advanced=advanced)
     return samples
 
 

@@ -14,12 +14,13 @@ from scengen import (CategoricalHmm, InputError, TrainConfig, TrainingError,
                      decode_scenario, embed_hmm, hmm_forward, load_dataset, load_model,
                      random_stiefel, reference_four_event_system, save_model,
                      validate_kraus)
-from scengen import cli, psa
+from scengen import cli, psa, qhmm
 from scengen.cli import main
 from scengen.qhmm import _BLOCK_BUDGET, _loss_and_gradient
 
 from oracles import (distinct_prefixes_per_block, hmm_sample_reference, pad_reference,
-                     qhmm_sample_reference, train_qhmm_reference)
+                     qhmm_sample_reference, random_hmm, random_kraus_model,
+                     train_qhmm_reference)
 
 
 def run(*argv):
@@ -479,6 +480,27 @@ class TestGenerate:
                    *argv) == 2
         assert not out.exists()
 
+    @staticmethod
+    def reference_lines(model, system, count, length, seed, prefix):
+        """The generated file as bytes, drawn one sample at a time and each
+        decoded with :func:`decode_scenario` from the post-prefix state."""
+        sample = (hmm_sample_reference if isinstance(model, CategoricalHmm)
+                  else qhmm_sample_reference)
+        start = 0
+        for idx, action in decode_scenario(system, prefix):
+            start = apply_event(start, idx, action)
+        rng = np.random.default_rng(seed)
+        want = ""
+        for _ in range(count):
+            sequence = sample(model, length, rng, prefix=prefix)
+            try:
+                steps = [[system.events[idx].id, action] for idx, action
+                         in decode_scenario(system, sequence, initial_state=start)]
+            except InputError:
+                steps = None
+            want += json.dumps({"sequence": sequence, "steps": steps}) + "\n"
+        return want.encode()
+
     @pytest.mark.parametrize("kind", ["qhmm", "hmm"])
     def test_readme_output_equals_reference_loop(self, ref_system, system_path,
                                                  tmp_path, kind):
@@ -491,31 +513,42 @@ class TestGenerate:
                    "--count", 10, "--length", 4, "--seed", 1, "--prefix", "0",
                    "--system", system_path) == 0
         model = load_model(model_dir / "model.json")
-        sample = qhmm_sample_reference if kind == "qhmm" else hmm_sample_reference
-        start = 0
-        for idx, action in decode_scenario(ref_system, [0]):
-            start = apply_event(start, idx, action)
-        rng = np.random.default_rng(1)
-        want = ""
-        for _ in range(10):
-            sequence = sample(model, 4, rng, prefix=[0])
-            try:
-                steps = [[ref_system.events[idx].id, action] for idx, action
-                         in decode_scenario(ref_system, sequence, initial_state=start)]
-            except InputError:
-                steps = None
-            want += json.dumps({"sequence": sequence, "steps": steps}) + "\n"
-        assert (out / "sequences.jsonl").read_bytes() == want.encode()
+        assert (out / "sequences.jsonl").read_bytes() == \
+            self.reference_lines(model, ref_system, 10, 4, 1, [0])
+
+    @pytest.mark.parametrize("kind", ["qhmm", "hmm"])
+    def test_event_ids_needing_json_escapes(self, tmp_path, monkeypatch, kind):
+        # each step is written as json.dumps writes it: quotes and
+        # backslashes escaped, non-ASCII as \u escapes; 60 rows in at least 4 chunks
+        system = psa.SystemModel("escapes", [psa.BasicEvent('say "up"', 0.1, 0.3),
+                                             psa.BasicEvent("back\\slash", 0.2, 0.4),
+                                             psa.BasicEvent("caf\u00e9", 0.05, 0.5)],
+                                 [('say "up"', "back\\slash")])
+        system.save(tmp_path / "system.json")
+        rng = np.random.default_rng(8)  # each event has a legal step
+        model = (random_hmm(rng, 3, 6) if kind == "hmm"
+                 else random_kraus_model(rng, 2, 6, 2))
+        save_model(model, tmp_path / "model.json")
+        monkeypatch.setattr(cli, "_GENERATE_CHUNK", 60)
+        out = tmp_path / "gen"
+        assert run("generate", "--model", tmp_path / "model.json", "--out", out,
+                   "--count", 60, "--length", 3, "--seed", 3, "--prefix", "2",
+                   "--system", tmp_path / "system.json") == 0
+        got = (out / "sequences.jsonl").read_bytes()
+        assert got == self.reference_lines(model, system, 60, 3, 3, [2])
+        for text in (b'"say \\"up\\""', b'"back\\\\slash"', b'"caf\\u00e9"'):
+            assert text in got
+        assert b'"steps": null' in got
 
     @staticmethod
     def chunk_rows(dataset_dir, system_path, tmp_path, monkeypatch, kind, prefix,
-                   symbols):
-        """The rows of each draw of an 11-row, length-4 call chunked at
+                   symbols, length=4):
+        """The rows of each draw of an 11-row call of a K=2 model chunked at
         ``symbols`` symbols, after checking its file equals the one-chunk file."""
         model_dir = tmp_path / "model"
         assert train_small(dataset_dir, model_dir, kind=kind) == 0
         argv = ["generate", "--model", model_dir / "model.json", "--count", 11,
-                "--length", 4, "--seed", 5, "--system", system_path, *prefix]
+                "--length", length, "--seed", 5, "--system", system_path, *prefix]
         assert run(*argv, "--out", tmp_path / "one") == 0
         name = f"{kind}_samples"
         real, rows = getattr(cli, name), []
@@ -537,6 +570,14 @@ class TestGenerate:
         # 12 symbols hold three rows of length 4
         assert self.chunk_rows(dataset_dir, system_path, tmp_path, monkeypatch, kind,
                                prefix, 12) == [3, 3, 3, 2]
+
+    @pytest.mark.parametrize("kind", ["hmm", "qhmm"])
+    def test_a_row_counts_as_k_squared_symbols_when_longer(
+            self, dataset_dir, system_path, tmp_path, monkeypatch, kind):
+        # a length-2 row of a K=2 model counts as 4 symbols, the entries of
+        # the belief a Kraus model may hold for it
+        assert self.chunk_rows(dataset_dir, system_path, tmp_path, monkeypatch, kind,
+                               [], 12, length=2) == [3, 3, 3, 2]
 
     @pytest.mark.parametrize("kind", ["hmm", "qhmm"])
     def test_rows_longer_than_a_chunk_are_drawn_one_at_a_time(
@@ -564,26 +605,72 @@ class TestGenerate:
         assert capsys.readouterr().err.splitlines()[-1] == "error: chunk failed"
         assert not (out / "sequences.jsonl").exists()
 
-    def test_each_distinct_sample_is_decoded_once(self, system_path, tmp_path,
-                                                  monkeypatch):
-        # two symbols over length 2 give at most 4 distinct samples of 40
+    def test_each_chunk_is_decoded_in_one_call(self, system_path, tmp_path,
+                                               monkeypatch):
+        # only the prefix goes through decode_scenario; each chunk's rows are
+        # decided by one legal_walks call from the post-prefix state
         model_path = tmp_path / "hmm.json"
         save_model(CategoricalHmm([[1.0]], [[0.5, 0.5, 0, 0, 0, 0]], [1.0]),
                    model_path)
-        real, decoded = cli.decode_scenario, []
+        real_decode, real_walks, decoded, calls = cli.decode_scenario, cli.legal_walks, [], []
 
-        def recording(system, sequence, **kwargs):
+        def recording_decode(system, sequence, **kwargs):
             decoded.append(tuple(sequence))
-            return real(system, sequence, **kwargs)
+            return real_decode(system, sequence, **kwargs)
 
-        monkeypatch.setattr(cli, "decode_scenario", recording)
+        def recording_walks(system, symbols, initial_state=0):
+            calls.append((symbols.tolist(), initial_state))
+            return real_walks(system, symbols, initial_state)
+
+        monkeypatch.setattr(cli, "decode_scenario", recording_decode)
+        monkeypatch.setattr(cli, "legal_walks", recording_walks)
+        monkeypatch.setattr(cli, "_GENERATE_CHUNK", 30)  # 15 rows of length 2
         out = tmp_path / "gen"
         assert run("generate", "--model", model_path, "--out", out, "--count", 40,
-                   "--length", 2, "--seed", 0, "--system", system_path) == 0
+                   "--length", 2, "--seed", 0, "--prefix", "0",
+                   "--system", system_path) == 0
         records = [json.loads(line) for line in
                    (out / "sequences.jsonl").read_text().splitlines()]
-        assert len(records) == 40
-        assert sorted(decoded) == sorted({tuple(r["sequence"]) for r in records})
+        assert decoded == [(0,)]
+        assert [len(rows) for rows, _ in calls] == [15, 15, 10]
+        assert [row for rows, _ in calls for row in rows] == [r["sequence"] for r in records]
+        assert {start for _, start in calls} == {0b001}  # [fail A] leaves A down
+
+    @pytest.mark.parametrize("kind", ["hmm", "qhmm"])
+    @pytest.mark.parametrize("prefix, message", [
+        ("6", "symbol out of range for alphabet of size 6"),
+        ("-1", "symbol -1 is negative"),
+    ])
+    def test_prefix_outside_the_alphabet_is_one_error_line(self, system_path, tmp_path,
+                                                           capsys, kind, prefix, message):
+        # an error, with no warning that the prefix is not a legal walk
+        hmm = CategoricalHmm([[1.0]], [[0.5, 0.5, 0, 0, 0, 0]], [1.0])
+        model_path = tmp_path / "model.json"
+        save_model(hmm if kind == "hmm" else embed_hmm(hmm), model_path)
+        out = tmp_path / "gen"
+        assert run("generate", "--model", model_path, "--out", out, "--count", 3,
+                   "--length", 2, "--seed", 0, f"--prefix={prefix}",
+                   "--system", system_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [1, 30, 1000])
+    def test_beliefs_held_per_chunk_stay_within_the_bound(self, tmp_path, monkeypatch,
+                                                          count):
+        # a chunk of _GENERATE_CHUNK // K^2 rows of a K=4 model at most,
+        # however many rows the call draws
+        real, held = qhmm._symbol_probabilities, []
+
+        def recording(effects, rho):
+            held.append(len(rho))
+            return real(effects, rho)
+
+        monkeypatch.setattr(qhmm, "_symbol_probabilities", recording)
+        monkeypatch.setattr(cli, "_GENERATE_CHUNK", 640)
+        save_model(random_kraus_model(np.random.default_rng(2), 4, 6), tmp_path / "m.json")
+        assert run("generate", "--model", tmp_path / "m.json", "--out", tmp_path / "gen",
+                   "--count", count, "--length", 6, "--seed", 0) == 0
+        assert max(held) == min(count, 640 // 4 ** 2)
 
     def test_system_of_another_alphabet_exits_two(self, system_path, tmp_path, capsys):
         # a four-event model (8 symbols) with the three-event system (6 symbols)
@@ -1012,6 +1099,32 @@ class TestManifest:
         assert not any(key in (out / "comparison.csv").read_bytes()
                        for key in (b"steps", b"halvings", b"checks"))
 
+    @pytest.mark.parametrize("kind", ["qhmm", "hmm"])
+    def test_generation_block(self, dataset_dir, system_path, tmp_path, kind):
+        # with --system, the legal walks are the lines whose steps are not
+        # null; a Kraus model advances each distinct drawn prefix once
+        model = tmp_path / "model" / "model.json"
+        assert train_small(dataset_dir, model.parent, kind=kind) == 0
+        for system in ([], ["--system", system_path]):
+            out = tmp_path / f"gen{len(system)}"
+            assert run("generate", "--model", model, "--out", out, "--count", 300,
+                       "--length", 5, "--seed", 4, *system) == 0
+            records = [json.loads(line) for line in
+                       (out / "sequences.jsonl").read_text().splitlines()]
+            rows = [tuple(r["sequence"]) for r in records]
+            want = {"samples": 300}
+            if system:
+                want["legal_walks"] = sum(r["steps"] is not None for r in records)
+                assert 0 < want["legal_walks"] < 300
+            if kind == "qhmm":
+                want["beliefs_advanced"] = sum(len({row[:t] for row in rows})
+                                               for t in range(1, 5))
+                assert want["beliefs_advanced"] < 4 * 300
+            assert json.loads((out / "manifest.json").read_text())["generation"] == want
+            # the counts live in the manifest only
+            assert not any(key in (out / "sequences.jsonl").read_bytes()
+                           for key in (b"samples", b"legal", b"beliefs"))
+
     def test_environment_block(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -1140,7 +1253,7 @@ class TestRunContract:
             "eval": (["eval", "--model", model, "--data", probable], 1),
             "eval-one-symbol": (["eval", "--model", one_symbol, "--data", zeros], 2),
             "generate": (["generate", "--model", model, "--count", 3, "--length", 2,
-                          "--seed", 0], 1),
+                          "--seed", 0, "--system", system_path], 1),
             "classify": (["classify", "--model-probable", model,
                           "--model-no-probable", model, "--data", probable], 1),
             "classify-one-symbol": (["classify", "--model-probable", one_symbol,
@@ -1153,7 +1266,7 @@ class TestRunContract:
     # the writer each case's failure is injected into, after it has written;
     # the one-symbol cases fail in scoring, after --out is created
     WRITERS = {"make-dataset": (psa, "save_dataset"), "train": (cli, "write_training_log"),
-               "eval": (cli, "write_da_report"), "generate": (cli, "_sequence_line"),
+               "eval": (cli, "write_da_report"), "generate": (cli, "legal_walks"),
                "classify": (cli, "write_classification_report"), "compare": (csv, "writer")}
 
     @pytest.mark.parametrize("case", ["make-dataset", "train", "eval", "eval-one-symbol",

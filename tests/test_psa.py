@@ -9,10 +9,11 @@ from scengen import (FAIL, REPAIR, BasicEvent, DatasetConstructionError,
                      InputError, ResourceLimitError, Scenario, ScenarioDataset,
                      SystemModel, TransitionError, apply_event, build_datasets,
                      decode_scenario, encode_scenario, enumerate_scenarios,
-                     is_severe, load_dataset, reference_four_event_system,
+                     is_severe, legal_walks, load_dataset,
+                     reference_four_event_system,
                      save_dataset, scenario_probability)
 
-from oracles import bfs_scenarios
+from oracles import all_sequences, bfs_scenarios
 
 
 class TestSystemModel:
@@ -139,6 +140,32 @@ class TestEncodeDecode:
             decode_scenario(ref_system, [1])
         with pytest.raises(InputError):
             decode_scenario(ref_system, [6])
+
+
+class TestLegalWalks:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_rows_are_legal_when_decode_scenario_decodes_them(self, ref_system, length):
+        rows = np.array(list(all_sequences(ref_system.alphabet_size, length)))
+        for start in range(1 << ref_system.num_events):
+            want = []
+            for row in rows.tolist():
+                try:
+                    decode_scenario(ref_system, row, initial_state=start)
+                except InputError:
+                    want.append(False)
+                else:
+                    want.append(True)
+            got = legal_walks(ref_system, rows, start)
+            assert got.dtype == bool and got.tolist() == want
+            assert 0 < sum(want) < len(want)
+
+    def test_no_rows(self, ref_system):
+        assert legal_walks(ref_system, np.zeros((0, 3), dtype=np.int64)).tolist() == []
+
+    @pytest.mark.parametrize("bad", [6, -1])
+    def test_symbols_outside_the_alphabet_raise(self, ref_system, bad):
+        with pytest.raises(InputError, match=f"symbol {bad} outside alphabet of size 6"):
+            legal_walks(ref_system, [[0, 1], [2, bad]])
 
 
 class TestEnumerate:

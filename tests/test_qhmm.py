@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,12 @@ from oracles import (all_sequences, kraus_path_probability, pad_reference,
                      qhmm_sample_reference, random_kraus_model)
 
 LN_P_011 = -2.3018853378797726
+
+
+def distinct_prefixes(rows, length):
+    """The distinct length-``length`` prefixes of an array's rows, sorted."""
+    return sorted({tuple(row[:length]) for row in rows.tolist()})
+
 
 # qhmm_samples rows of two seeded random_kraus_models, recorded before the
 # sampler read its probabilities from the effects (TestSamples.test_golden_rows)
@@ -527,8 +535,8 @@ class TestSamples:
 
     @pytest.mark.parametrize("prefix", [(), (0,), (1, 0)])
     @pytest.mark.parametrize("k, m, mu, count, blocks", [
-        (4, 8, 1, 400, 4),    # 128 rows per block
-        (16, 8, 2, 3, 1),     # 4 rows per block
+        (4, 8, 1, 400, 4),    # 128 beliefs per kernel call
+        (16, 8, 2, 3, 1),     # 4 beliefs per kernel call
         (16, 8, 2, 10, 3),
         (2, 3, 1, 0, 0),
     ])
@@ -546,10 +554,10 @@ class TestSamples:
         # the shared generator ends where the sequential calls left it
         assert got_rng.random() == want_rng.random()
 
-    @pytest.mark.parametrize("k, m, mu, count", [(4, 8, 1, 400), (16, 8, 2, 3)])
+    @pytest.mark.parametrize("k, m, mu, count", [(4, 8, 1, 400), (16, 8, 2, 40)])
     def test_kernel_calls_stay_within_one_row_block(self, monkeypatch, k, m, mu, count):
-        # the per-step temporaries hold one block of samples, one Kraus
-        # update each
+        # the per-step temporaries hold at most one block of beliefs, one
+        # Kraus update each, however many distinct prefixes a step advances
         real_step, rows = qhmm._kraus_step, []
 
         def recording_step(operators, rho, symbols):
@@ -558,8 +566,10 @@ class TestSamples:
 
         monkeypatch.setattr(qhmm, "_kraus_step", recording_step)
         model = random_kraus_model(np.random.default_rng(1), k, m, mu)
-        qhmm_samples(model, 4, count, 0, prefix=[0])
-        assert max(rows) == min(count, _BLOCK_BUDGET // (mu * k ** 2))
+        got = qhmm_samples(model, 4, count, 0, prefix=[0])
+        cap = _BLOCK_BUDGET // (mu * k ** 2)
+        assert max(len(distinct_prefixes(got, t)) for t in range(1, 4)) > cap
+        assert max(rows) == cap
 
     @pytest.mark.parametrize("prefix", [(), (2,), (1, 0, 2)])
     @pytest.mark.parametrize("k, m, mu, count", [(4, 8, 1, 300), (16, 3, 2, 9)])
@@ -574,14 +584,29 @@ class TestSamples:
         monkeypatch.setattr(qhmm, "_kraus_step", recording_step)
         model = random_kraus_model(np.random.default_rng(k + mu), k, m, mu)
         got = qhmm_samples(model, 5, count, 4, prefix=prefix)
-        blocks = _row_blocks(count, mu * k ** 2, _BLOCK_BUDGET)
-        assert len(blocks) >= 3
-        # each prefix symbol alone, then each block's drawn symbols of every
-        # step but the last, whose update nothing reads
-        want = [[x] for x in prefix] + [got[rows, t].tolist()
-                                        for rows in blocks for t in range(4)]
-        assert len(seen) == len(prefix) + sum(5 - 1 for _ in blocks)
+        cap = _BLOCK_BUDGET // (mu * k ** 2)
+        # each prefix symbol alone, then, at every step but the last (whose
+        # update nothing reads), each distinct drawn prefix once, in
+        # lexicographic order and in calls of at most cap beliefs
+        want = [[x] for x in prefix]
+        for t in range(1, 5):
+            last = [p[-1] for p in distinct_prefixes(got, t)]
+            want += [last[start:start + cap] for start in range(0, len(last), cap)]
+        assert len(distinct_prefixes(got, 4)) > cap
+        assert len(distinct_prefixes(got, 4)) < count
         assert seen == want
+
+    def test_work_counts_the_beliefs_advanced(self):
+        model = random_kraus_model(np.random.default_rng(6), 4, 3, 1)
+        work = Counter()
+        got = qhmm_samples(model, 6, 200, 8, work=work)
+        assert work == {"beliefs_advanced": sum(len(distinct_prefixes(got, t))
+                                                for t in range(1, 6))}
+        assert work["beliefs_advanced"] < 5 * 200
+        # the prefix's updates are not drawn ones
+        work = Counter()
+        qhmm_samples(model, 1, 200, 8, prefix=[0, 1], work=work)
+        assert work == {"beliefs_advanced": 0}
 
     def test_golden_rows(self):
         # rows recorded from the sampler that read every step's probabilities
