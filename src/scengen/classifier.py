@@ -3,12 +3,13 @@
 A sequence is scored under both models with the description-accuracy
 metric and assigned to the class whose model describes it better. An
 exact tie resolves to no_probable: in a safety assessment a tie is not
-evidence that a scenario is probable.
+evidence that a scenario is probable. Both models score a dataset in one
+:func:`metrics._scores` call, which sorts its rows once for both model
+kinds, and the report is written from columns.
 """
 
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import AlphabetMismatchError, InputError
 from .metrics import _check_model, _scores
 from .psa import NO_PROBABLE, PROBABLE, ScenarioDataset
+from .serialization import _write_columns
 
 LABELS = (PROBABLE, NO_PROBABLE)
 
@@ -132,13 +134,11 @@ def write_classification_report(path, clf: TwoModelClassifier, data, *,
     _check_labels(labels, unlabeled=(None,))
     predicted, da_p, da_n = (column.tolist()
                              for column in _predictions(clf, sequences, work))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sequence_id", "true_label", "pred_label",
-                         "da_probable", "da_no_probable"])
-        # csv writes a missing (None) label as an empty field
-        writer.writerows(zip(range(len(labels)), labels, predicted,
-                             map(repr, da_p), map(repr, da_n)))
+    # a missing (None) label is an empty field, as csv writes it
+    _write_columns(path, ["sequence_id", "true_label", "pred_label", "da_probable",
+                          "da_no_probable"],
+                   [range(len(labels)), ["" if label is None else label for label in labels],
+                    predicted, da_p, da_n])
     if None in labels:
         return None
     return sum(map(operator.eq, labels, predicted)) / len(labels)

@@ -3,13 +3,18 @@
 Likelihoods come from the per-step scaled forward/backward recursions of
 Rabiner (1989), so long sequences stay inside the float range; a row's
 log-likelihood is the running sum of its per-step log-normalizers. One
-batched recursion, :func:`_trellis`, runs them over zero-padded rows,
-longest first, under one model (dataset scoring, :func:`_log_likelihoods`,
-and the one-sequence trellises) or under each row's own (Baum-Welch,
+forward recursion, :func:`_trellis`, runs over a per-step layout as the
+Kraus filter does: zero-padded rows, longest first, each under its own
+parameters or under one model's (:func:`_row_trellis`: Baum-Welch,
 :func:`baum_welch_fits`, over every live run of a stack of EM runs, so that
-several fits share each E-step). Training runs of both model kinds share a
-call by one rule, :func:`_merged`: rows merge longest first, each run's
-symbols offset into its own part of the stacked parameters. A row's results
+several fits share each E-step, and the one-sequence trellises), or the
+nodes of a prefix tree under one model (dataset scoring,
+:func:`_log_likelihoods`). Scoring sorts a call's rows once
+(:func:`_prefix_rows`), and both model kinds score them on the prefix
+trees of :func:`_tree_log_likelihoods`, so each distinct prefix of a block
+is filtered once per model. Training runs of both model kinds share a call
+by one rule, :func:`_merged`: rows merge longest first, each run's symbols
+offset into its own part of the stacked parameters. A row's results
 depend on that row alone, bit for bit, not on the rows beside it. A
 sequence the model cannot produce is reported with a ``-inf``
 log-likelihood instead of an error.
@@ -20,7 +25,9 @@ pure function, so concurrent use across threads is safe.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from typing import Optional
 
@@ -33,6 +40,10 @@ _ENTRY_TOL = 1e-12
 # rows per block of the batched trellis are this many float64 entries over
 # K; blocks bound the trellis history and do not change a row's bits
 _TRELLIS_BUDGET = 1024
+# a scoring block's prefix tree holds at most this many float64 entries over
+# K nodes, which bounds the forward rows of its steps together; blocks do
+# not change a row's bits
+_TREE_BUDGET = 32768
 
 
 def _check_rows(name: str, arr: np.ndarray) -> None:
@@ -166,13 +177,9 @@ def _pad(symbols: np.ndarray, lengths: np.ndarray, alphabet_size: int):
         raise InputError("need at least one sequence")
     _check_range(symbols, alphabet_size)
     order = np.argsort(-lengths, kind="stable")
-    row_of = np.empty_like(order)
-    row_of[order] = np.arange(len(order))
-    starts = np.cumsum(lengths) - lengths
     padded = np.zeros((len(lengths), lengths[order[0]]), dtype=np.int64)
-    padded[np.repeat(row_of, lengths),
-           np.arange(len(symbols)) - np.repeat(starts, lengths)] = symbols
-    return padded, lengths[order], order
+    padded[lengths[:, None] > np.arange(padded.shape[1])] = symbols  # in input order
+    return padded[order], lengths[order], order
 
 
 def _row_blocks(count: int, row_entries: int, budget: int) -> list:
@@ -211,41 +218,160 @@ def _merged(runs, offsets):
     return symbols[order], lengths[order], order
 
 
-def _trellis(transition: np.ndarray, emitted: np.ndarray, start: np.ndarray,
-             lengths: np.ndarray, backward: bool = False):
+def _lexicographic(padded: np.ndarray, lengths: np.ndarray):
+    """The padded rows in lexicographic order, each sequence before its
+    extensions: ``(places, starts)``, where place i holds row ``places[i]``
+    and ``starts[i, t]`` is whether place i's prefix through position t
+    exists and differs from place i - 1's.
+
+    In this order the rows sharing a prefix are adjacent, so within any run
+    of places each distinct prefix starts at exactly one place. One row is
+    its own order.
+    """
+    running = lengths[:, None] > np.arange(padded.shape[1])
+    if len(lengths) == 1:
+        return np.zeros(1, np.int64), running
+    keys = padded + running  # symbol + 1, and 0 past a row's end, which sorts first
+    places = np.lexsort(keys.T[::-1])
+    keys = keys[places]
+    starts = np.ones(keys.shape, dtype=bool)
+    np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1, out=starts[1:])
+    return places, np.logical_and(starts, keys, out=starts)  # keys are 0 past the end
+
+
+def _prefix_rows(symbols: np.ndarray, lengths: np.ndarray, alphabet_size: int):
+    """The sequences of :func:`_pad` as zero-padded rows in lexicographic
+    order (:func:`_lexicographic`): ``(padded, lengths, order, starts)``,
+    where row i holds input sequence ``order[i]``. Both model kinds score
+    these rows on their prefix trees (:func:`_tree_log_likelihoods`)."""
+    padded, lengths, order = _pad(symbols, lengths, alphabet_size)
+    places, starts = _lexicographic(padded, lengths)
+    return padded[places], lengths[places], order[places], starts
+
+
+def _prefix_layout(symbols: np.ndarray, lengths: np.ndarray, starts: np.ndarray):
+    """The per-step layout, as :func:`_trellis` and :func:`qhmm._filter`
+    take it, of a run of places from :func:`_lexicographic` in which each
+    distinct prefix is one node, numbered by depth, then by place:
+    ``(steps, nodes, leaves)``, where the filter writes each node's
+    log-probability to ``nodes`` and ``leaves[i]`` is the node of place i's
+    whole sequence. One place is its own path."""
+    depth, last = int(lengths.max()), lengths - 1
+    if len(lengths) == 1:
+        nodes = np.empty(depth)
+        return ([(slice(1), symbols[0, t:t + 1], nodes[t:t + 1]) for t in range(depth)],
+                nodes, last)
+    starts = starts[:, :depth].copy()
+    starts[0, :lengths[0]] = True  # the run's first place starts each of its prefixes
+    counts = starts.cumsum(axis=0)  # per depth, the nodes up to each place
+    bounds = counts[-1].cumsum()
+    at = starts.T
+    node_symbols = symbols[:, :depth].T[at]
+    parents = counts[:, :-1].T[at[1:]] - 1  # numbered within their depth
+    leaves = counts[np.arange(len(last)), last] + (bounds - counts[-1] - 1)[last]
+    bounds = bounds.tolist()
+    first, nodes = bounds[0], np.empty(bounds[-1])
+    steps = [(slice(first), node_symbols[:first], nodes[:first])]
+    steps += [(parents[start - first:stop - first], node_symbols[start:stop],
+               nodes[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    return steps, nodes, leaves
+
+
+def _tree_log_likelihoods(filters, padded: np.ndarray, lengths: np.ndarray,
+                          starts: np.ndarray, blocks) -> tuple:
+    """Natural-log probability of each row of :func:`_prefix_rows` under each
+    filter, as a ``(filters, rows)`` array in row order, and the number of
+    nodes filtered, summed over the filters.
+
+    Each block, a slice of rows, gets one prefix tree (:func:`_prefix_layout`),
+    which every filter (a function of the tree's per-step layout that
+    writes each node's log-probability) runs once; a row's score is that of
+    the node of its whole sequence.
+    """
+    log_probs, filtered = np.empty((len(filters), len(lengths))), 0
+    for rows in blocks:
+        steps, nodes, leaves = _prefix_layout(padded[rows], lengths[rows], starts[rows])
+        for run, scores in zip(filters, log_probs):
+            run(steps)
+            scores[rows] = nodes[leaves]
+        filtered += len(filters) * len(nodes)
+    return log_probs, filtered
+
+
+def _trellis(transition: np.ndarray, table: np.ndarray, start: np.ndarray, steps,
+             trellis: Optional[tuple] = None) -> None:
+    """The scaled forward pass of Rabiner (1989) over the nodes of a per-step
+    layout, writing each node's natural-log probability.
+
+    ``steps`` holds one ``(parents, symbols, log_probs)`` triple per step,
+    as :func:`qhmm._filter` takes it: node j of step t continues node
+    ``parents[j]`` of step t - 1, emits ``symbols[j]``, whose probability in
+    each state is that symbol's row of the ``(symbols, K)`` ``table``, and
+    gets its log-probability written to ``log_probs[j]``. The nodes are
+    running rows, longest first (:func:`_row_trellis`), each under its own
+    ``(rows, K, K)`` transition matrix and ``(rows, K)`` start distribution,
+    or the nodes of a prefix tree (:func:`_prefix_layout`) under one
+    model's transition and start as a stack of one.
+
+    Each step multiplies every node's forward row by its transition matrix
+    in one stack of one-row products, and a node's log-probability is its
+    parent's plus its own step log, as a running sum along one row would
+    be, so every node gets the bits of a call over one row ending there. A
+    node whose step total reaches 0 scores -inf, and so does every node
+    continuing it; its forward rows are zero. ``trellis``, a ``(forward,
+    scaling)`` pair of step-major ``(steps, rows, K)`` and ``(steps, rows)``
+    arrays, has each step's forward rows and totals of running rows written
+    to its leading rows.
+    """
+    forward, previous = start, None  # the start broadcasts against step 0's nodes
+    with np.errstate(divide="ignore"):  # a total of 0 scores -inf
+        for t, (parents, symbols, log_probs) in enumerate(steps):
+            n = len(log_probs)
+            if previous is None:
+                vec = forward[parents] * table[symbols]
+            else:
+                vec = (forward[parents][:, None] @ transition[:n])[:, 0]
+                vec *= table[symbols]
+            total = vec.sum(axis=1)
+            if previous is None:  # step 0 adds to 0, which leaves its logs as they are
+                np.log(total, out=log_probs)
+            else:
+                np.add(previous[parents], np.log(total), out=log_probs)
+            previous, out = log_probs, None
+            if trellis is not None:
+                out = trellis[0][t, :n]
+                trellis[1][t, :n] = total
+            total[total <= 0.0] = np.inf  # the node keeps zero forward rows from here on
+            forward = np.divide(vec, total[:, None], out=out)
+
+
+def _row_trellis(transition: np.ndarray, emitted: np.ndarray, start: np.ndarray,
+                 lengths: np.ndarray, backward: bool = False):
     """Scaled forward (and backward) passes of Rabiner (1989) over rows,
     longest first, each under its own parameters: ``(rows, K, K)``
     transition matrices, the ``(steps, rows, K)`` emission probabilities of
     each row's symbols and ``(rows, K)`` start distributions, or one model's
     transition and start as a stack of one that every row shares.
 
-    Returns ``(log_probs, forward, scaling, backward)``: the trellises are
-    step-major, ``(steps, rows, K)`` and ``(steps, rows)``, and
-    ``backward`` is None unless asked for. Each step multiplies every
-    running row by its own transition matrix in one stack of one-row
-    products, and a row's log-probability is the running sum of its own
-    step logs, so every row gets the bits of a call over that row alone.
-    Past a row's end its trellis entries are zero and its scalings one. A
-    row whose step total reaches 0 scores -inf while the other rows carry
-    on; its forward rows from that step on, its later scalings and its
-    whole backward trellis are zero.
+    Returns ``(log_probs, forward, scaling, backward)``: :func:`_trellis`
+    over the rows' running layout, whose symbols index the emission
+    probabilities, keeping its step-major trellises, ``(steps, rows, K)``
+    and ``(steps, rows)``; ``backward`` is None unless asked for. Every row
+    gets the bits of a call over that row alone. Past a row's end its
+    trellis entries are zero and its scalings one. A row whose step total
+    reaches 0 scores -inf while the other rows carry on; its forward rows
+    from that step on, its later scalings and its whole backward trellis
+    are zero.
     """
     steps, count, k = emitted.shape
-    running = np.searchsorted(-lengths, -np.arange(steps)).tolist()  # rows with length > t
-    forward = np.zeros((steps, count, k))
+    log_probs, forward = np.empty(count), np.zeros_like(emitted)
     scaling = np.ones((steps, count))  # padding counts as a factor 1
-    vec = start * emitted[0]
-    for t, n in enumerate(running):
-        if t:
-            vec = (forward[t - 1, :n, None] @ transition[:n])[:, 0]
-            vec *= emitted[t, :n]
-        scaling[t, :n] = total = vec.sum(axis=1)
-        total[total <= 0.0] = np.inf  # the row keeps zero forward rows from here on
-        np.divide(vec, total[:, None], out=forward[t, :n])
-    with np.errstate(divide="ignore"):  # a total of 0 scores -inf
-        # the running sum of each row's step logs (accumulate adds in order,
-        # where a sum pairs 8 or more terms); padding adds log 1 = 0
-        log_probs = np.add.accumulate(np.log(scaling.clip(0.0)))[-1]
+    # the rows still running at step t, a leading slice of the previous
+    # step's, emit rows t * count onwards of the flattened probabilities
+    running = np.searchsorted(-lengths, -np.arange(steps)).tolist()  # rows with length > t
+    _trellis(transition, emitted.reshape(-1, k), start,
+             [(slice(n), slice(t * count, t * count + n), log_probs[:n])
+              for t, n in enumerate(running)], (forward, scaling))
     back = None
     if backward:
         back = np.zeros_like(forward)
@@ -261,23 +387,45 @@ def _trellis(transition: np.ndarray, emitted: np.ndarray, start: np.ndarray,
     return log_probs, forward, scaling, back
 
 
-def _log_likelihoods(models, padded: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Natural-log probability of each padded row (longest first) under each
-    HMM of one K, as a ``(models, rows)`` array: :func:`_trellis` over row
-    blocks of at most ``_TRELLIS_BUDGET // K`` rows, which bound its
-    history and leave every row's bits as they are."""
-    log_probs = np.empty((len(models), len(lengths)))
-    for rows in _row_blocks(len(lengths), models[0].num_states, _TRELLIS_BUDGET):
-        block = padded[rows, :lengths[rows.start]].T
-        for model, scores in zip(models, log_probs):
-            scores[rows] = _trellis(model.transition[None], model.emission.T[block],
-                                    model.start[None], lengths[rows])[0]
-    return log_probs
+def _log_likelihoods(models, padded: np.ndarray, lengths: np.ndarray,
+                     starts: np.ndarray) -> tuple:
+    """Natural-log probability of each row of :func:`_prefix_rows` under each
+    HMM of one K, as a ``(models, rows)`` array in row order, and the number
+    of tree nodes filtered, summed over the models.
+
+    :func:`_tree_log_likelihoods` runs :func:`_trellis` on the prefix tree
+    of blocks of rows cut by :func:`_node_blocks` so that a block's nodes
+    times K stay within ``_TREE_BUDGET``: tree scoring keeps no trellis
+    history, so a block bounds the forward rows of its steps together. Each
+    row gets the bits of a one-row call.
+    """
+    k = models[0].num_states
+    filters = [partial(_trellis, model.transition[None], model.emission.T, model.start[None])
+               for model in models]
+    return _tree_log_likelihoods(filters, padded, lengths, starts,
+                                 _node_blocks(lengths, starts, _TREE_BUDGET // k))
+
+
+def _node_blocks(lengths: np.ndarray, starts: np.ndarray, cap: int) -> list:
+    """Slices of consecutive rows of :func:`_prefix_rows` whose prefix trees
+    hold at most ``cap`` nodes (at least one row each): a block's first row
+    starts a node at each of its positions, and every later row one per
+    prefix that differs from the row before's (``starts``)."""
+    if np.count_nonzero(starts) <= cap:  # the nodes of all rows as one tree
+        return [slice(0, len(lengths))]
+    fresh = np.cumsum(np.count_nonzero(starts, axis=1)).tolist()  # the nodes of rows 0..i
+    blocks, first = [], 0
+    while first < len(fresh):
+        # the tree of rows first..i holds lengths[first] + fresh[i] - fresh[first] nodes
+        stop = bisect_right(fresh, cap - int(lengths[first]) + fresh[first], first + 1)
+        blocks.append(slice(first, stop))
+        first = stop
+    return blocks
 
 
 def _sequence_trellis(model: CategoricalHmm, sequence, backward: bool) -> TrellisResult:
     seq = _as_symbols(sequence, model.alphabet_size)
-    log_probs, forward, scaling, back = _trellis(
+    log_probs, forward, scaling, back = _row_trellis(
         model.transition[None], model.emission.T[seq[:, None]], model.start[None],
         np.array([seq.size]), backward)
     return TrellisResult(float(log_probs[0]), forward[:, 0], scaling[:, 0],
@@ -481,7 +629,7 @@ def _fit_stack(runs, max_iters: int, tol: float, counts: dict) -> None:
         emit_acc = np.zeros((k, offsets[-1]))  # run r's counts in its own columns
         for rows, symbols, cells, members in blocks:
             emitted = table[symbols]
-            log_probs, forward, scaling, backward = _trellis(
+            log_probs, forward, scaling, backward = _row_trellis(
                 transition[owners[rows]], emitted, start[owners[rows]], lengths[rows], True)
             gamma = forward * backward
             states = k * owners[rows, None] + np.arange(k)  # the (run, state) of each entry

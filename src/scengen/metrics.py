@@ -5,26 +5,26 @@ certainty, 0 matches a uniform model over the alphabet, and anything above
 0 beats random. Sequences a model cannot produce are reported with the -1
 sentinel (the open lower bound, "impossible under the model").
 
-Scoring pads a dataset once for all the models of a call, and the models
-of each kind and K score the rows in one call of their module's
-forward-only entry: :func:`qhmm._log_likelihoods` filters each distinct
-prefix of a row block once, and :func:`hmm._log_likelihoods` lays the rows
-out once. Every row gets the bits of its model kind's filter over that row
-alone (for an HMM, over its longest-first row block).
+Scoring sorts a dataset's rows once for all the models of a call
+(:func:`hmm._prefix_rows`), and the models of each kind and K score them in
+one call of their module's forward-only entry, :func:`qhmm._log_likelihoods`
+or :func:`hmm._log_likelihoods`, which both filter each distinct prefix of
+a block of rows once. Every row gets the bits of its model kind's filter
+over that row alone. The report is written from columns.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 
 from . import hmm, qhmm
 from .errors import InputError
-from .hmm import CategoricalHmm, _flatten, _pad
+from .hmm import CategoricalHmm, _flatten, _prefix_rows
 from .psa import ScenarioDataset
 from .qhmm import KrausModel
+from .serialization import _write_columns
 
 _LOGPROB_SLACK = 1e-9
 
@@ -96,9 +96,9 @@ def log_likelihoods(model, sequences) -> np.ndarray:
     """Natural-log probability of each sequence under either model kind, in input order.
 
     ``sequences`` is a list of sequences or a :class:`ScenarioDataset`. They
-    are padded into rows, longest first, and scored by one batched call:
-    the scaled forward pass of a categorical HMM, or the belief filter of a
-    Kraus-operator model.
+    are sorted into rows once and scored on their prefix tree by one
+    batched call: the scaled forward pass of a categorical HMM, or the
+    belief filter of a Kraus-operator model.
     """
     return _scores([model], sequences, da=False)[1][0]
 
@@ -113,25 +113,27 @@ def _scores(models, data, da: bool = True, work=None):
     description accuracies of a list of sequences or a :class:`ScenarioDataset`.
 
     The models must share one alphabet, which callers check: the data are
-    padded once, by :func:`hmm._pad` against the first model's alphabet,
-    and the models of each kind and K score the same rows in one call of
-    :func:`qhmm._log_likelihoods` or :func:`hmm._log_likelihoods`. Every
-    row gets the bits of a call over that row alone, for both kinds, so a
-    row's scores do not depend on the other rows of the call.
+    padded and sorted once, by :func:`hmm._prefix_rows` against the first
+    model's alphabet, and the models of each kind and K score the same rows
+    in one call of :func:`qhmm._log_likelihoods` or
+    :func:`hmm._log_likelihoods`. Every row gets the bits of a call over
+    that row alone, for both kinds, so a row's scores do not depend on the
+    other rows of the call.
 
     Returns ``(lengths, log_probs, das)``, with one row per model in
     ``log_probs`` and ``das``; ``da=False`` leaves ``das`` None (a
     one-symbol alphabet has no DA). ``work``, when a
     :class:`collections.Counter`, has the call's scoring work added to it,
     summed over the models: the sequences scored, their symbol positions
-    and the rows filtered, one per prefix a filter step computed.
+    and the prefixes filtered, one per prefix-tree node a filter step
+    computed, for both kinds.
     """
     for model in models:
         _check_model(model)
     alphabet_size = models[0].alphabet_size
     symbols, lengths = ((data.symbols, data.lengths) if isinstance(data, ScenarioDataset)
                         else _flatten(data))
-    padded, row_lengths, order = _pad(symbols, lengths, alphabet_size)
+    padded, row_lengths, order, starts = _prefix_rows(symbols, lengths, alphabet_size)
     log_probs = np.empty((len(models), len(lengths)))
     positions, filtered = int(row_lengths.sum()), 0
     hmms, kraus = {}, {}  # the indices of each kind's models, by K
@@ -141,13 +143,13 @@ def _scores(models, data, da: bool = True, work=None):
         else:
             kraus.setdefault(model.dim, []).append(i)
     for members in hmms.values():
-        log_probs[np.ix_(members, order)] = hmm._log_likelihoods(
-            [models[i] for i in members], padded, row_lengths)
-        filtered += len(members) * positions
+        log_probs[np.ix_(members, order)], nodes = hmm._log_likelihoods(
+            [models[i] for i in members], padded, row_lengths, starts)
+        filtered += nodes
     for members in kraus.values():
         log_probs[np.ix_(members, order)], nodes = qhmm._log_likelihoods(
             [(models[i].operators, models[i].initial_state.matrix) for i in members],
-            padded, row_lengths)
+            padded, row_lengths, starts)
         filtered += nodes
     if work is not None:
         work.update(sequences_scored=len(models) * len(lengths),
@@ -171,9 +173,6 @@ def write_da_report(path, model, dataset, *, work=None) -> float:
     as :func:`_scores` does.
     """
     lengths, (log_probs,), (scores,) = _scores([model], dataset, work=work)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sequence_id", "length", "log_prob", "da"])
-        writer.writerows(zip(range(len(scores)), lengths.tolist(),
-                             map(repr, log_probs.tolist()), map(repr, scores.tolist())))
+    _write_columns(path, ["sequence_id", "length", "log_prob", "da"],
+                   [range(len(scores)), lengths.tolist(), log_probs.tolist(), scores.tolist()])
     return float(np.mean(scores))

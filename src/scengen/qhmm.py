@@ -10,8 +10,9 @@ One filter loop, :func:`_filter`, runs every batched likelihood. It takes
 a per-step layout: which of the previous step's beliefs continue, with
 which symbols. Every forward-only likelihood (:func:`_log_likelihoods`:
 scoring, :func:`qhmm_log_likelihood` and :func:`trainer.nll_loss`) runs a
-prefix tree, in which rows that share a prefix share its beliefs
-(:func:`_prefix_layout`). The loss and gradient
+prefix tree, in which rows that share a prefix share its beliefs; HMM
+scoring runs the same trees (:func:`hmm._tree_log_likelihoods`), built
+from rows that :func:`hmm._prefix_rows` sorts once. The loss and gradient
 (:func:`_loss_and_gradient`), which training runs on every pass, run
 padded rows, each its own path (:func:`_running_layout`), because the
 adjoint runs backwards along each row over the beliefs the filter kept,
@@ -25,13 +26,15 @@ rule that HMM training shares (:func:`hmm._merged`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import InputError
-from .hmm import CategoricalHmm, _as_symbols, _inverse_cdf, _merged, _packed, _row_blocks
+from .hmm import (CategoricalHmm, _as_symbols, _inverse_cdf, _merged, _packed, _row_blocks,
+                  _tree_log_likelihoods)
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -222,47 +225,6 @@ def _running_layout(padded: np.ndarray, lengths: np.ndarray, log_probs: np.ndarr
     return [(slice(n), padded[:n, t], log_probs[:n]) for t, n in enumerate(running.tolist())]
 
 
-def _lexicographic(padded: np.ndarray, lengths: np.ndarray):
-    """The padded rows in lexicographic order, each sequence before its
-    extensions: ``(places, starts)``, where place i holds row ``places[i]``
-    and ``starts[i, t]`` is whether place i's prefix through position t
-    exists and differs from place i - 1's.
-
-    In this order the rows sharing a prefix are adjacent, so within any run
-    of places each distinct prefix starts at exactly one place.
-    """
-    keys = padded + 1
-    keys *= lengths[:, None] > np.arange(padded.shape[1])  # a row's end, 0, sorts first
-    places = np.lexsort(keys.T[::-1])
-    keys = keys[places]
-    starts = np.ones(keys.shape, dtype=bool)
-    np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1, out=starts[1:])
-    return places, np.logical_and(starts, keys, out=starts)  # keys are 0 past the end
-
-
-def _prefix_layout(symbols: np.ndarray, lengths: np.ndarray, starts: np.ndarray):
-    """The per-step layout, as :func:`_filter` takes it, of a run of
-    places from :func:`_lexicographic` in which each distinct prefix is one
-    node, numbered by depth, then by place: ``(steps, nodes, leaves)``,
-    where the filter writes each node's log-probability to ``nodes`` and
-    ``leaves[i]`` is the node of place i's whole sequence."""
-    depth, last = int(lengths.max()), lengths - 1
-    starts = starts[:, :depth].copy()
-    starts[0, :lengths[0]] = True  # the run's first place starts each of its prefixes
-    counts = starts.cumsum(axis=0)  # per depth, the nodes up to each place
-    bounds = counts[-1].cumsum()
-    at = starts.T
-    node_symbols = symbols[:, :depth].T[at]
-    parents = counts[:, :-1].T[at[1:]] - 1  # numbered within their depth
-    leaves = counts[np.arange(len(last)), last] + (bounds - counts[-1] - 1)[last]
-    bounds = bounds.tolist()
-    first, nodes = bounds[0], np.empty(bounds[-1])
-    steps = [(slice(first), node_symbols[:first], nodes[:first])]
-    steps += [(parents[start - first:stop - first], node_symbols[start:stop],
-               nodes[start:stop]) for start, stop in zip(bounds, bounds[1:])]
-    return steps, nodes, leaves
-
-
 def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[list] = None):
     """Filter the nodes of a per-step layout from ``rho0``, writing each
     node's natural-log probability.
@@ -304,27 +266,19 @@ def _filter(operators: np.ndarray, rho0: np.ndarray, steps, history: Optional[li
             rho = _renormalize(updated, probs)
 
 
-def _log_likelihoods(pairs, padded: np.ndarray, lengths: np.ndarray):
-    """Natural-log probability of each padded row under each ``(operators,
-    rho0)`` pair of one K, as a ``(pairs, rows)`` array in row order, and
-    the number of beliefs filtered, summed over the pairs.
+def _log_likelihoods(pairs, padded: np.ndarray, lengths: np.ndarray, starts: np.ndarray):
+    """Natural-log probability of each row of :func:`hmm._prefix_rows` under
+    each ``(operators, rho0)`` pair of one K, as a ``(pairs, rows)`` array in
+    row order, and the number of beliefs filtered, summed over the pairs.
 
-    The rows are sorted once (:func:`_lexicographic`) and cut into row
-    blocks; each block's prefix tree (:func:`_prefix_layout`) is built once
-    for all the pairs, which filter each distinct prefix of it once. A row
-    that underflows scores -inf, and every row gets the bits of a filter
-    over that row alone (see :func:`_filter`).
+    :func:`hmm._tree_log_likelihoods` runs :func:`_filter` on the prefix
+    tree of each row block, so the pairs filter each distinct prefix of a
+    block once. A row that underflows scores -inf, and every row gets the
+    bits of a filter over that row alone.
     """
-    places, starts = _lexicographic(padded, lengths)
-    padded, lengths = padded[places], lengths[places]
-    log_probs, filtered = np.empty((len(pairs), len(lengths))), 0
-    for rows in _row_blocks(len(lengths), pairs[0][1].shape[0] ** 2, _BLOCK_BUDGET):
-        steps, nodes, leaves = _prefix_layout(padded[rows], lengths[rows], starts[rows])
-        for (operators, rho0), scores in zip(pairs, log_probs):
-            _filter(operators, rho0, steps)
-            scores[places[rows]] = nodes[leaves]
-        filtered += len(pairs) * len(nodes)
-    return log_probs, filtered
+    filters = [partial(_filter, operators, rho0) for operators, rho0 in pairs]
+    blocks = _row_blocks(len(lengths), pairs[0][1].shape[0] ** 2, _BLOCK_BUDGET)
+    return _tree_log_likelihoods(filters, padded, lengths, starts, blocks)
 
 
 def _loss_and_gradient(runs, rho0: np.ndarray) -> list:
@@ -445,7 +399,7 @@ def qhmm_log_likelihood(model: KrausModel, sequence) -> float:
     """
     seq = _as_symbols(sequence, model.alphabet_size)
     return float(_log_likelihoods([(model.operators, model.initial_state.matrix)], seq[None],
-                                  np.array([seq.size]))[0][0, 0])
+                                  np.array([seq.size]), np.ones((1, seq.size), bool))[0][0, 0])
 
 
 def _effects(operators: np.ndarray) -> np.ndarray:

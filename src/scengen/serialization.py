@@ -1,4 +1,5 @@
-"""JSON persistence for trained models.
+"""JSON persistence for trained models, and the CSV writer of the per-row
+reports.
 
 Floats are written with Python's shortest round-trip representation, so a
 saved model reloads bit-identically and reruns are byte-stable.
@@ -36,6 +37,22 @@ def _json_text(payload: dict) -> str:
 
     fields = (f"  {json.dumps(key)}: {text(value, '  ')}" for key, value in payload.items())
     return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
+def _write_columns(path, header, columns) -> None:
+    """Write a CSV file of ``header`` and one row per entry of ``columns``
+    (equal-length sequences, one per field) byte for byte as ``csv.writer``
+    writes them when no field needs quoting: fields joined by ``,``, each
+    line ended by ``\r\n``, and each entry written by ``%s``, which writes
+    a Python float as its shortest round-trip ``repr``.
+
+    Callers pass only integers, floats and strings from a fixed set (the
+    class labels, with ``""`` for a missing one), none of which csv quotes.
+    """
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(line.__mod__, zip(*columns)))
 
 
 def load_model(path):

@@ -37,7 +37,6 @@ gets the model, loss trace and error of a run on its own, bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
@@ -46,10 +45,11 @@ import numpy as np
 
 from .errors import (GradientUndefinedError, InputError, StepFailureError,
                      TrainingError)
-from .hmm import _flatten, _pad, _row_blocks
+from .hmm import _flatten, _pad, _prefix_rows, _row_blocks
 from .qhmm import (_BLOCK_BUDGET, COMPLETENESS_TOL, DensityMatrix, KrausModel,
                    _as_matrix, _log_likelihoods, _loss_and_gradient, _partition,
                    orthonormality_residual)
+from .serialization import _write_columns
 
 MAX_STEP_HALVINGS = 30
 
@@ -124,8 +124,8 @@ def nll_loss(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -> fl
     loss differentiable for finite-difference probes.
     """
     ops = _partition(_as_kappa(kappa), alphabet_size, multiplicity)
-    padded, lengths, _ = _pad(*_flatten(batch), alphabet_size)
-    log_probs, _ = _log_likelihoods([(ops, _as_matrix(pi0))], padded, lengths)
+    padded, lengths, _, starts = _prefix_rows(*_flatten(batch), alphabet_size)
+    log_probs, _ = _log_likelihoods([(ops, _as_matrix(pi0))], padded, lengths, starts)
     return float(-log_probs[0].sum() / len(lengths))
 
 
@@ -468,8 +468,5 @@ def train_qhmm_datasets(datasets, config: TrainConfig, seeds, work=None) -> list
 
 def write_training_log(path, records) -> None:
     """Write the per-batch loss trace as CSV with header epoch,batch,loss,tau."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "batch", "loss", "tau"])
-        for rec in records:
-            writer.writerow([rec.epoch, rec.batch, repr(rec.loss), repr(rec.tau)])
+    header = ["epoch", "batch", "loss", "tau"]
+    _write_columns(path, header, [[getattr(rec, name) for rec in records] for name in header])

@@ -127,7 +127,7 @@ def baum_welch_blockwise_reference(dataset, num_states, alphabet_size, max_iters
                                    tol=1e-6, seed=0):
     """Baum-Welch that adds each trellis row block's counts in turn.
 
-    The E-step runs the package's recursion (``hmm._trellis``) with one
+    The E-step runs the package's recursion (``hmm._row_trellis``) with one
     model over the row blocks of ``hmm._row_blocks`` and adds each block's
     expected counts the way a one-run fit orders its additions: start and
     transition counts one block sum at a time, emission counts step by step
@@ -136,8 +136,8 @@ def baum_welch_blockwise_reference(dataset, num_states, alphabet_size, max_iters
     batch its sums; returns ``(model, history)``.
     """
     from scengen import CategoricalHmm, TrainingError
-    from scengen.hmm import (_TRELLIS_BUDGET, _flatten, _pad, _row_blocks, _rows_or_uniform,
-                             _trellis)
+    from scengen.hmm import (_TRELLIS_BUDGET, _flatten, _pad, _row_blocks, _row_trellis,
+                             _rows_or_uniform)
 
     padded, lengths, _ = _pad(*_flatten(dataset), alphabet_size)
     rng = np.random.default_rng(seed)
@@ -155,7 +155,7 @@ def baum_welch_blockwise_reference(dataset, num_states, alphabet_size, max_iters
         total_ll = 0.0
         for rows in _row_blocks(len(lengths), k, _TRELLIS_BUDGET):
             symbols = padded[rows, :lengths[rows.start]]
-            log_probs, forward, scaling, backward = _trellis(
+            log_probs, forward, scaling, backward = _row_trellis(
                 model.transition[None], model.emission.T[symbols.T], model.start[None],
                 lengths[rows], backward=True)
             if log_probs.min() == -np.inf:

@@ -999,8 +999,8 @@ class TestManifest:
 
     def test_scoring_work_of_the_scoring_commands(self, dataset_dir, tmp_path):
         # K=2 models: a Kraus model filters each distinct prefix of a
-        # lexicographic row block of 2048 // 2**2 rows once, an HMM every
-        # symbol position
+        # lexicographic row block of 2048 // 2**2 rows once, an HMM each
+        # distinct prefix of the split, whose tree fits one block
         probable = dataset_dir / "probable.jsonl"
         no_probable = dataset_dir / "no_probable.jsonl"
         for kind in ("qhmm", "hmm"):
@@ -1011,9 +1011,10 @@ class TestManifest:
             sequences = [seq for seq, _ in reference_split(path, split)]
             positions = sum(map(len, sequences))
             prefixes = sum(distinct_prefixes_per_block(sequences, _BLOCK_BUDGET // 2 ** 2))
+            nodes = sum(distinct_prefixes_per_block(sequences, len(sequences)))
             return Counter(sequences_scored=(kraus_models + hmm_models) * len(sequences),
                            symbol_positions=(kraus_models + hmm_models) * positions,
-                           prefixes_filtered=kraus_models * prefixes + hmm_models * positions)
+                           prefixes_filtered=kraus_models * prefixes + hmm_models * nodes)
 
         runs = {
             "eval": (["eval", "--model", qhmm_model, "--data", probable, "--split", "test"],

@@ -6,7 +6,8 @@ import pytest
 from scengen import (CategoricalHmm, InputError, PosteriorUndefinedError,
                      TrainingError, baum_welch_fit, baum_welch_fits, hmm_backward,
                      hmm_forward, hmm_posterior, hmm_sample, hmm_samples)
-from scengen.hmm import _TRELLIS_BUDGET, _flatten, _merged, _pad, _trellis
+from scengen import hmm
+from scengen.hmm import _TRELLIS_BUDGET, _flatten, _merged, _pad, _prefix_rows, _row_trellis
 
 from oracles import (all_sequences, baum_welch_blockwise_reference, baum_welch_reference,
                      hmm_sample_reference, pad_reference, path_sum_probability,
@@ -132,7 +133,7 @@ class TestPad:
 
 
 class TestPerRowTrellis:
-    """Each row of a batched :func:`hmm._trellis` call, whichever models and
+    """Each row of a batched :func:`hmm._row_trellis` call, whichever models and
     rows are beside it, equals the one-row call of its model at tolerance 0."""
 
     @pytest.mark.parametrize("k", [1, 4, 16])
@@ -160,8 +161,8 @@ class TestPerRowTrellis:
         transition, start = (np.stack([getattr(model, name) for model in models])[runs[order]]
                              for name in ("transition", "start"))
         table = np.concatenate([model.emission.T for model in models])
-        got = _trellis(transition, table[(padded + m * runs[order, None]).T], start, lengths,
-                       backward=True)
+        got = _row_trellis(transition, table[(padded + m * runs[order, None]).T], start,
+                           lengths, backward=True)
         log_probs, forward, scaling, backward = got
         assert log_probs.tolist().count(-np.inf) == 1
         assert log_probs[order.tolist().index(impossible)] == -np.inf
@@ -179,12 +180,65 @@ class TestPerRowTrellis:
         # give those rows the bits of the gathered call
         for r, model in enumerate(models):
             rows = np.flatnonzero(runs[order] == r)
-            alone = _trellis(model.transition[None],
-                             model.emission.T[padded[rows, :lengths[rows[0]]].T],
-                             model.start[None], lengths[rows], backward=True)
+            alone = _row_trellis(model.transition[None],
+                                 model.emission.T[padded[rows, :lengths[rows[0]]].T],
+                                 model.start[None], lengths[rows], backward=True)
             np.testing.assert_array_equal(alone[0], log_probs[rows])
             for array, want in zip(alone[1:], got[1:]):
                 np.testing.assert_array_equal(array, want[:lengths[rows[0]], rows])
+
+
+class TestTreeScores:
+    """HMM scoring on the prefix tree (:func:`hmm._log_likelihoods` over the
+    rows of :func:`hmm._prefix_rows`) gives every row the bits of its
+    one-row :func:`hmm._row_trellis` call."""
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_tree_rows_equal_their_one_row_calls(self, k):
+        # symbol 3 cannot be emitted, so the prefix [0, 3] and every
+        # extension of it score -inf; [0, 1] and [2] end at interior nodes
+        rng = np.random.default_rng(40 + k)
+        m = 4
+        model = random_hmm(rng, k, m)
+        emission = model.emission.copy()
+        emission[:, 3] = 0.0
+        model = CategoricalHmm(model.transition, emission / emission.sum(axis=1, keepdims=True),
+                               model.start)
+        sequences = [[0, 1, 2, 1], [0, 1], [0, 1, 2], [0, 3], [0, 3, 1, 2], [0, 3, 0], [2],
+                     [2, 2, 2, 2, 2], [1, 0], [0, 1], [2, 1]]
+        sequences += [rng.integers(0, 3, size=int(rng.integers(1, 9))).tolist()
+                      for _ in range(60)]
+        sequences = [sequences[i] for i in rng.permutation(len(sequences))]
+        padded, lengths, order, starts = _prefix_rows(*_flatten(sequences), m)
+        got, nodes = hmm._log_likelihoods([model], padded, lengths, starts)
+        for row, i in enumerate(order.tolist()):
+            seq = np.array(sequences[i])
+            alone = _row_trellis(model.transition[None], model.emission.T[seq[:, None]],
+                                 model.start[None], np.array([len(seq)]))[0]
+            np.testing.assert_array_equal(got[0, row:row + 1], alone)
+            assert (got[0, row] == -np.inf) == (sequences[i][:2] == [0, 3])
+        assert nodes == len({tuple(seq[:depth]) for seq in sequences
+                             for depth in range(1, len(seq) + 1)})
+
+    @pytest.mark.parametrize("cap", [1, 5, 12, 40])
+    def test_node_blocks_bound_each_tree(self, cap):
+        rng = np.random.default_rng(cap)
+        sequences = [rng.integers(0, 3, size=int(rng.integers(1, 7))).tolist()
+                     for _ in range(80)]
+        padded, lengths, order, starts = _prefix_rows(*_flatten(sequences), 3)
+        rows = [tuple(sequences[i]) for i in order.tolist()]
+
+        def nodes(block):
+            return len({row[:depth] for row in block for depth in range(1, len(row) + 1)})
+
+        blocks = hmm._node_blocks(lengths, starts, cap)
+        assert [i for block in blocks for i in range(len(rows))[block]] == list(range(len(rows)))
+        for block in blocks:
+            # within the cap unless one row alone exceeds it, and no longer
+            # block from the same first row would fit
+            assert nodes(rows[block]) <= cap or block.stop - block.start == 1
+            if block.stop < len(rows):
+                assert nodes(rows[block.start:block.stop + 1]) > cap
 
 
 class TestMerged:

@@ -319,6 +319,17 @@ class TestPrefixSharedScores:
                                      [sequence])
 
     @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_a_one_row_call_has_the_bits_of_its_row_in_a_sorted_call(self, k):
+        # a one-row call is its own tree: it skips the sort and the layout
+        rng = np.random.default_rng(20 + k)
+        models = [random_kraus_model(rng, k, 3), random_hmm(rng, k, 3)]
+        sequences = stem_sequences(rng, 3, 30, 8)
+        together = _scores(models, sequences)[1]
+        for i, seq in enumerate(sequences):
+            np.testing.assert_array_equal(_scores(models, [seq])[1][:, 0], together[:, i])
+            assert qhmm_log_likelihood(models[0], seq) == together[0, i]
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
     def test_hmm_rows_equal_their_one_row_calls(self, k):
         # more rows than a block, of lengths up to 12, and one row that the
         # model cannot produce
@@ -340,7 +351,7 @@ class TestPrefixSharedScores:
         models = [random_hmm(rng, 4, 3), random_hmm(rng, 16, 3), random_hmm(rng, 4, 3)]
         sequences = stem_sequences(rng, 3, 300, 10)
         want = _scores(models, sequences)
-        monkeypatch.setattr(hmm, "_TRELLIS_BUDGET", 1)  # one row a block
+        monkeypatch.setattr(hmm, "_TREE_BUDGET", 1)  # one row a block
         got = _scores(models, sequences)
         for got_array, want_array in zip(got, want):
             np.testing.assert_array_equal(got_array, want_array)
@@ -387,6 +398,17 @@ class TestScoringWork:
                     for depth in range(1, len(seq) + 1)}) == 6712
         np.testing.assert_array_equal(got, row_wise_log_probs(model, sequences))
 
+    def test_hmm_scores_the_four_event_scenarios_on_one_tree(self):
+        # 6712 nodes at K=4 fit one tree block of 32768 // 4 nodes
+        _, no_probable = enumerate_scenarios(reference_four_event_system(), 8)
+        sequences = [list(scenario.symbols) for scenario in no_probable]
+        model = random_hmm(np.random.default_rng(7), 4, 8)
+        work = Counter()
+        got = _scores([model], sequences, work=work)[1][0]
+        assert work == Counter(sequences_scored=3496, symbol_positions=25880,
+                               prefixes_filtered=6712)
+        np.testing.assert_array_equal(got, row_wise_log_probs(model, sequences))
+
     def test_every_model_adds_its_work(self):
         rng = np.random.default_rng(8)
         sequences = [[0, 1], [0, 1, 2], [0, 1], [2]]
@@ -394,10 +416,10 @@ class TestScoringWork:
                   random_kraus_model(rng, 16, 3, 2)]
         work = Counter(prefixes_filtered=1)
         _scores(models, sequences, work=work)
-        # the Kraus models filter the prefixes 0, 01, 012 and 2, the HMM
-        # every position; at K=16, mu=2 a block holds 8 rows, all four here
+        # every model filters the prefixes 0, 01, 012 and 2; at K=16, mu=2 a
+        # Kraus block holds 8 rows, all four here
         assert work == Counter(sequences_scored=12, symbol_positions=24,
-                               prefixes_filtered=1 + 4 + 8 + 4)
+                               prefixes_filtered=1 + 4 + 4 + 4)
 
     def test_training_filters_one_row_per_running_sequence_per_step(
             self, recorded_kraus_rows):

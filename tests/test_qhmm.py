@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from scengen import (DensityMatrix, InputError, KrausModel,
+from scengen import (DensityMatrix, InputError, KrausModel, hmm,
                      belief_update, embed_hmm, hmm_forward,
                      next_symbol_distribution, qhmm, qhmm_log_likelihood,
                      qhmm_sample, qhmm_samples, random_stiefel, trainer,
@@ -225,6 +225,17 @@ def filter_renormalizing_every_step(operators, rho0, padded, lengths, history):
     return log_probs
 
 
+def tree_log_likelihoods(pairs, padded, lengths):
+    """:func:`qhmm._log_likelihoods` of padded rows in any order: sorted by
+    :func:`hmm._lexicographic`, as :func:`hmm._prefix_rows` sorts them, and
+    returned in row order."""
+    places, starts = hmm._lexicographic(padded, lengths)
+    got, filtered = qhmm._log_likelihoods(pairs, padded[places], lengths[places], starts)
+    log_probs = np.empty_like(got)
+    log_probs[:, places] = got
+    return log_probs, filtered
+
+
 def filtered_history(ops, rho0, padded, lengths):
     """Log-probabilities of padded rows that fit one row block, each its own
     path, and the history :func:`qhmm._filter` keeps while filtering them."""
@@ -305,14 +316,14 @@ class TestRowFilterBits:
         ops, rho0, padded, lengths = self.instance(k, m, mu, count)
         other = random_kraus_model(np.random.default_rng(k), k, m, mu).operators
         pairs = [(ops, rho0), (other, rho0), (ops, DensityMatrix.pure(k).matrix)]
-        real_layout, trees = qhmm._prefix_layout, []
+        real_layout, trees = hmm._prefix_layout, []
 
         def recording(symbols, lengths, starts):
             trees.append(len(lengths))
             return real_layout(symbols, lengths, starts)
 
-        monkeypatch.setattr(qhmm, "_prefix_layout", recording)
-        got, filtered = qhmm._log_likelihoods(pairs, padded, lengths)
+        monkeypatch.setattr(hmm, "_prefix_layout", recording)
+        got, filtered = tree_log_likelihoods(pairs, padded, lengths)
         assert trees == [len(lengths[rows]) for rows in _row_blocks(count, k * k, _BLOCK_BUDGET)]
         monkeypatch.undo()
         want = self.one_row_at_a_time(ops, rho0, padded, lengths)
@@ -320,7 +331,7 @@ class TestRowFilterBits:
         for (operators, initial), row in zip(pairs, got):
             np.testing.assert_array_equal(
                 row, loss_and_gradient(operators, initial, padded, lengths)[0])
-            alone, nodes = qhmm._log_likelihoods([(operators, initial)], padded, lengths)
+            alone, nodes = tree_log_likelihoods([(operators, initial)], padded, lengths)
             np.testing.assert_array_equal(alone[0], row)
             assert filtered == 3 * nodes
         assert np.isinf(got[0]).sum() > 1 and np.isfinite(got[0]).sum() > 1
@@ -408,7 +419,7 @@ class TestLossAndGradient:
             np.testing.assert_array_equal(log_probs, want_log_probs)
             np.testing.assert_array_equal(grad, want)
             np.testing.assert_array_equal(
-                log_probs, qhmm._log_likelihoods([(model, rho0)], padded, lengths)[0][0])
+                log_probs, tree_log_likelihoods([(model, rho0)], padded, lengths)[0][0])
             assert np.isfinite(grad).all() and np.abs(grad).max() > 0
         assert [np.isinf(log_probs).sum() for log_probs, _ in got] == [0, 1]
 

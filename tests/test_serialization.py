@@ -1,9 +1,14 @@
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from scengen import InputError, KrausModel, load_model, save_model
+from scengen import (CategoricalHmm, InputError, KrausModel, TrainRecord, TwoModelClassifier,
+                     classifier, load_model, metrics, save_model, write_classification_report,
+                     write_da_report, write_training_log)
 from scengen.serialization import _json_text
 
 from oracles import random_hmm, random_kraus_model
@@ -80,3 +85,95 @@ class TestLoadModel:
         path.write_text(json.dumps(payload))
         with pytest.raises(InputError, match="malformed model"):
             load_model(path)
+
+
+def csv_writer_bytes(header, rows):
+    """The bytes ``csv.writer`` writes for a header and rows: the reference
+    for the report writers, which write from columns."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+# floats whose repr is unusual: a signed zero, the smallest subnormal, a
+# large exponent, infinities and the -1 DA sentinel
+LOG_PROBS = [-math.inf, -0.0, -5e-324, -1e300, 0.0, -2.5]
+DAS = [-1.0, -0.0, 5e-324, 1e300, 1.0, -0.3]
+
+
+class TestReportWriters:
+    """The three per-row writers write the bytes ``csv.writer`` wrote."""
+
+    @pytest.mark.parametrize("rows", [1, len(DAS)])
+    def test_da_report(self, monkeypatch, tmp_path, rows):
+        lengths = np.arange(1, rows + 1)
+        log_probs, das = np.array(LOG_PROBS[:rows]), np.array(DAS[:rows])
+        monkeypatch.setattr(metrics, "_scores",
+                            lambda models, data, work=None: (lengths, log_probs[None], das[None]))
+        path = tmp_path / "report.csv"
+        write_da_report(path, None, None)
+        assert path.read_bytes() == csv_writer_bytes(
+            ["sequence_id", "length", "log_prob", "da"],
+            zip(range(rows), lengths.tolist(), map(repr, LOG_PROBS), map(repr, DAS)))
+
+    def test_da_report_of_a_model(self, tmp_path, det_hmm):
+        # [1, 0] cannot be produced: a -inf log-probability and the -1 sentinel
+        sequences = [[0, 0], [1, 0], [0]]
+        path = tmp_path / "report.csv"
+        write_da_report(path, det_hmm, sequences)
+        lengths, (log_probs,), (das,) = metrics._scores([det_hmm], sequences)
+        assert log_probs[1] == -math.inf and das[1] == -1.0
+        assert path.read_bytes() == csv_writer_bytes(
+            ["sequence_id", "length", "log_prob", "da"],
+            zip(range(3), lengths.tolist(), map(repr, log_probs.tolist()),
+                map(repr, das.tolist())))
+
+    @pytest.mark.parametrize("rows", [1, len(DAS)])
+    def test_classification_report(self, monkeypatch, tmp_path, det_hmm, rows):
+        # unlabeled records, which csv writes as an empty field, among
+        # labeled ones
+        labels = [None, "probable", "no_probable", None, "no_probable", "probable"][:rows]
+        da_p, da_n = np.array(DAS[:rows]), np.array(DAS[::-1][:rows])
+        monkeypatch.setattr(classifier, "_scores",
+                            lambda models, data, work=None: (None, None, np.array([da_p, da_n])))
+        clf = TwoModelClassifier(det_hmm, det_hmm)
+        path = tmp_path / "report.csv"
+        write_classification_report(path, clf, [([0], label) for label in labels])
+        predicted = ["probable" if p > n else "no_probable" for p, n in zip(da_p, da_n)]
+        assert path.read_bytes() == csv_writer_bytes(
+            ["sequence_id", "true_label", "pred_label", "da_probable", "da_no_probable"],
+            zip(range(rows), labels, predicted, map(repr, da_p.tolist()),
+                map(repr, da_n.tolist())))
+
+    def test_classification_report_of_models(self, tmp_path, det_hmm):
+        # the -1 sentinel under det_hmm, and an unlabeled record
+        uniform = CategoricalHmm([[1.0]], [[0.5, 0.5]], [1.0])
+        clf = TwoModelClassifier(det_hmm, uniform)
+        records = [([0, 0], "probable"), ([1, 0], None), ([1, 1], "no_probable")]
+        path = tmp_path / "report.csv"
+        assert write_classification_report(path, clf, records) is None
+        predicted, da_p, da_n = classifier._predictions(clf, [seq for seq, _ in records])
+        assert da_p[1] == -1.0
+        assert path.read_bytes() == csv_writer_bytes(
+            ["sequence_id", "true_label", "pred_label", "da_probable", "da_no_probable"],
+            zip(range(3), [label for _, label in records], predicted.tolist(),
+                map(repr, da_p.tolist()), map(repr, da_n.tolist())))
+
+    def test_a_label_that_needs_quoting_is_unknown(self, tmp_path, det_hmm):
+        path = tmp_path / "report.csv"
+        with pytest.raises(InputError, match="unknown label 'no,probable'"):
+            write_classification_report(path, TwoModelClassifier(det_hmm, det_hmm),
+                                        [([0], "probable"), ([0], "no,probable")])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rows", [0, 1, len(DAS)])
+    def test_training_log(self, tmp_path, rows):
+        records = [TrainRecord(epoch, epoch % 3, loss, tau)
+                   for epoch, loss, tau in zip(range(rows), DAS, LOG_PROBS[::-1])]
+        path = tmp_path / "loss.csv"
+        write_training_log(path, records)
+        assert path.read_bytes() == csv_writer_bytes(
+            ["epoch", "batch", "loss", "tau"],
+            [[rec.epoch, rec.batch, repr(rec.loss), repr(rec.tau)] for rec in records])

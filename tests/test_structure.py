@@ -2,7 +2,11 @@
 kernel call, is private to the model module that owns it: no other module
 of the package imports it or reaches it through the module. The row merge
 (``hmm._merged``), like ``hmm._packed``, is shared from ``hmm``, so that
-both model kinds place a run's rows and symbols by one rule."""
+both model kinds place a run's rows and symbols by one rule. The prefix
+tree's layouts (``hmm._lexicographic``, ``hmm._prefix_layout``) are
+shared from ``hmm`` like ``_merged``: ``hmm._tree_log_likelihoods`` runs
+either kind's filter on them, and scoring sorts each call's rows once
+(``hmm._prefix_rows``), so no other module imports them."""
 
 import ast
 from pathlib import Path
@@ -11,9 +15,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scengen"
 OWNED = {
-    "qhmm": {"_filter", "_lexicographic", "_prefix_layout", "_running_layout",
-             "_row_kernel", "_STACK_ROWS"},
-    "hmm": {"_trellis"},
+    "qhmm": {"_filter", "_running_layout", "_row_kernel", "_STACK_ROWS"},
+    "hmm": {"_trellis", "_lexicographic", "_prefix_layout"},
 }
 
 
