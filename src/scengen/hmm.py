@@ -2,22 +2,20 @@
 
 Likelihoods come from the per-step scaled forward/backward recursions of
 Rabiner (1989), so long sequences stay inside the float range; a row's
-log-likelihood is the running sum of its per-step log-normalizers. One
-forward recursion, :func:`_trellis`, runs over a per-step layout as the
-Kraus filter does: zero-padded rows, longest first, each under its own
-parameters or under one model's (:func:`_row_trellis`: Baum-Welch,
-:func:`baum_welch_fits`, over every live run of a stack of EM runs, so that
-several fits share each E-step, and the one-sequence trellises), or the
-nodes of a prefix tree under one model (dataset scoring,
-:func:`_log_likelihoods`). Scoring sorts a call's rows once
-(:func:`_prefix_rows`), and both model kinds score them on the prefix
-trees of :func:`_tree_log_likelihoods`, so each distinct prefix of a block
-is filtered once per model. Training runs of both model kinds share a call
-by one rule, :func:`_merged`: rows merge longest first, each run's symbols
-offset into its own part of the stacked parameters. A row's results
-depend on that row alone, bit for bit, not on the rows beside it. A
-sequence the model cannot produce is reported with a ``-inf``
-log-likelihood instead of an error.
+log-likelihood is the running sum of its per-step log-normalizers. Every
+pass runs on one layout, the prefix tree, in which rows that share a
+prefix share its node. Rows are sorted once (:func:`_prefix_rows`) and cut
+into blocks of bounded trees (:func:`_node_blocks`). One forward
+recursion, :func:`_trellis`, runs over a tree's per-step layout as the
+Kraus filter does, under one model or a stack of runs: dataset scoring
+(:func:`_log_likelihoods`, on the trees of :func:`_tree_log_likelihoods`,
+which both model kinds share), the one-sequence trellises, and the E-step
+of Baum-Welch (:func:`baum_welch_fits`), where every seed of a dataset
+shares its trees. One backward sweep over the tree (:func:`_duals`) gives
+the E-step its expected counts and is, for one row, Rabiner's scaled
+backward pass. A row's results depend on that row alone, bit for bit, not
+on the rows beside it. A sequence the model cannot produce is reported
+with a ``-inf`` log-likelihood instead of an error.
 
 Models are immutable after construction and every operation here is a
 pure function, so concurrent use across threads is safe.
@@ -37,12 +35,10 @@ from .errors import InputError, PosteriorUndefinedError, TrainingError
 
 ROW_SUM_TOL = 1e-9
 _ENTRY_TOL = 1e-12
-# rows per block of the batched trellis are this many float64 entries over
-# K; blocks bound the trellis history and do not change a row's bits
-_TRELLIS_BUDGET = 1024
-# a scoring block's prefix tree holds at most this many float64 entries over
-# K nodes, which bounds the forward rows of its steps together; blocks do
-# not change a row's bits
+# a block's prefix tree holds at most this many float64 entries over K
+# nodes, which bounds the forward rows of a scoring block's steps together
+# and each run's per-node arrays of an E-step; blocks do not change a row's
+# bits
 _TREE_BUDGET = 32768
 
 
@@ -155,11 +151,15 @@ class CategoricalHmm:
 class TrellisResult:
     """Scaled forward/backward trellis for one observation sequence.
 
-    ``forward[t]`` sums to 1 at every position reached with positive
-    probability; ``scaling`` holds the per-step normalizers whose log-sum
-    is ``log_likelihood``. ``backward[t]`` is the backward vector divided
-    by the normalizers of positions t+1..L, so ``forward * backward`` rows
-    are exactly the smoothing posteriors.
+    Its rows are the nodes of the sequence's one-row prefix tree: the
+    forward rows and step totals that :func:`_trellis` keeps, and the duals
+    of :func:`_duals`. ``forward[t]`` sums to 1 at every position reached
+    with positive probability; ``scaling`` holds the per-step normalizers
+    whose log-sum is ``log_likelihood``. ``backward[t]`` is the backward
+    vector divided by the normalizers of positions t+1..L, so ``forward *
+    backward`` rows are exactly the smoothing posteriors. From the step at
+    which a sequence the model cannot produce dies out, its forward rows
+    and scalings are zero, and so is its whole backward trellis.
     """
 
     log_likelihood: float
@@ -187,35 +187,6 @@ def _row_blocks(count: int, row_entries: int, budget: int) -> list:
     bounds the per-step temporaries of a batched recursion."""
     size = max(1, budget // row_entries)
     return [slice(start, start + size) for start in range(0, count, size)]
-
-
-def _packed(items, sizes, cap: int) -> list:
-    """``items`` cut, in order, into groups whose ``sizes`` sum to at most
-    ``cap``; an item larger than that is a group of its own."""
-    groups = []
-    for item, size in zip(items, sizes):
-        if groups and used + size <= cap:
-            groups[-1].append(item)
-            used += size
-        else:
-            groups.append([item])
-            used = size
-    return groups
-
-
-def _merged(runs, offsets):
-    """The padded rows of several runs, each a ``(padded, lengths)`` pair of
-    rows longest first, merged longest first with run r's symbols offset by
-    ``offsets[r]``: ``(padded, lengths, order)``, where merged row i is row
-    ``order[i]`` of the runs' rows taken in turn. The sort is stable, so each
-    run's rows keep their order."""
-    starts = list(accumulate((len(lengths) for _, lengths in runs), initial=0))
-    symbols = np.zeros((starts[-1], max(padded.shape[1] for padded, _ in runs)), np.int64)
-    for (padded, _), offset, start in zip(runs, offsets, starts):
-        np.add(padded, offset, out=symbols[start:start + len(padded), :padded.shape[1]])
-    lengths = np.concatenate([lengths for _, lengths in runs])
-    order = np.argsort(-lengths, kind="stable")
-    return symbols[order], lengths[order], order
 
 
 def _lexicographic(padded: np.ndarray, lengths: np.ndarray):
@@ -299,92 +270,81 @@ def _tree_log_likelihoods(filters, padded: np.ndarray, lengths: np.ndarray,
 
 
 def _trellis(transition: np.ndarray, table: np.ndarray, start: np.ndarray, steps,
-             trellis: Optional[tuple] = None) -> None:
-    """The scaled forward pass of Rabiner (1989) over the nodes of a per-step
-    layout, writing each node's natural-log probability.
+             kept: Optional[tuple] = None) -> None:
+    """The scaled forward pass of Rabiner (1989) over the nodes of a prefix
+    tree's per-step layout (:func:`_prefix_layout`), writing each node's
+    natural-log probability.
 
     ``steps`` holds one ``(parents, symbols, log_probs)`` triple per step,
     as :func:`qhmm._filter` takes it: node j of step t continues node
     ``parents[j]`` of step t - 1, emits ``symbols[j]``, whose probability in
     each state is that symbol's row of the ``(symbols, K)`` ``table``, and
-    gets its log-probability written to ``log_probs[j]``. The nodes are
-    running rows, longest first (:func:`_row_trellis`), each under its own
-    ``(rows, K, K)`` transition matrix and ``(rows, K)`` start distribution,
-    or the nodes of a prefix tree (:func:`_prefix_layout`) under one
-    model's transition and start as a stack of one.
+    gets its log-probability written to ``log_probs[..., j]``. The
+    ``(K, K)`` transition matrix, the table and the ``(K,)`` start
+    distribution are one model's, or a stack of runs' along a leading axis
+    that ``log_probs`` and ``kept`` share.
 
-    Each step multiplies every node's forward row by its transition matrix
-    in one stack of one-row products, and a node's log-probability is its
-    parent's plus its own step log, as a running sum along one row would
-    be, so every node gets the bits of a call over one row ending there. A
-    node whose step total reaches 0 scores -inf, and so does every node
-    continuing it; its forward rows are zero. ``trellis``, a ``(forward,
-    scaling)`` pair of step-major ``(steps, rows, K)`` and ``(steps, rows)``
-    arrays, has each step's forward rows and totals of running rows written
-    to its leading rows.
+    Each step multiplies every node's forward row by its run's transition
+    matrix in one stack of one-row products, and a node's log-probability is
+    its parent's plus its own step log, as a running sum along one row would
+    be, so every node gets the bits of a one-row call of its run. A node
+    whose step total reaches 0 scores -inf, and so does every node
+    continuing it; its forward rows are zero. ``kept``, a ``(forward,
+    totals)`` pair of ``(..., nodes, K)`` and ``(..., nodes)`` arrays, has
+    each node's forward row and step total written to it, the nodes
+    numbered step by step.
     """
-    forward, previous = start, None  # the start broadcasts against step 0's nodes
+    forward, previous, at = start[..., None, :], None, 0  # broadcasts against step 0's nodes
+    transition = transition[..., None, :, :]
     with np.errstate(divide="ignore"):  # a total of 0 scores -inf
-        for t, (parents, symbols, log_probs) in enumerate(steps):
-            n = len(log_probs)
+        for parents, symbols, log_probs in steps:
+            n = log_probs.shape[-1]
             if previous is None:
-                vec = forward[parents] * table[symbols]
+                vec = forward[..., parents, :] * table[..., symbols, :]
             else:
-                vec = (forward[parents][:, None] @ transition[:n])[:, 0]
-                vec *= table[symbols]
-            total = vec.sum(axis=1)
+                vec = (forward[..., parents, None, :] @ transition)[..., 0, :]
+                vec *= table[..., symbols, :]
+            total = vec.sum(axis=-1)
             if previous is None:  # step 0 adds to 0, which leaves its logs as they are
                 np.log(total, out=log_probs)
             else:
-                np.add(previous[parents], np.log(total), out=log_probs)
+                np.add(previous[..., parents], np.log(total), out=log_probs)
             previous, out = log_probs, None
-            if trellis is not None:
-                out = trellis[0][t, :n]
-                trellis[1][t, :n] = total
+            if kept is not None:
+                out = kept[0][..., at:at + n, :]
+                kept[1][..., at:at + n] = total
+                at += n
             total[total <= 0.0] = np.inf  # the node keeps zero forward rows from here on
-            forward = np.divide(vec, total[:, None], out=out)
+            forward = np.divide(vec, total[..., None], out=out)
 
 
-def _row_trellis(transition: np.ndarray, emitted: np.ndarray, start: np.ndarray,
-                 lengths: np.ndarray, backward: bool = False):
-    """Scaled forward (and backward) passes of Rabiner (1989) over rows,
-    longest first, each under its own parameters: ``(rows, K, K)``
-    transition matrices, the ``(steps, rows, K)`` emission probabilities of
-    each row's symbols and ``(rows, K)`` start distributions, or one model's
-    transition and start as a stack of one that every row shares.
+def _duals(transition: np.ndarray, emitted: np.ndarray, totals: np.ndarray, ends: np.ndarray,
+           bounds: list, parents: np.ndarray) -> np.ndarray:
+    """The backward sweep over a prefix tree whose step totals :func:`_trellis`
+    kept: each node's dual, a ``(..., nodes, K)`` array.
 
-    Returns ``(log_probs, forward, scaling, backward)``: :func:`_trellis`
-    over the rows' running layout, whose symbols index the emission
-    probabilities, keeping its step-major trellises, ``(steps, rows, K)``
-    and ``(steps, rows)``; ``backward`` is None unless asked for. Every row
-    gets the bits of a call over that row alone. Past a row's end its
-    trellis entries are zero and its scalings one. A row whose step total
-    reaches 0 scores -inf while the other rows carry on; its forward rows
-    from that step on, its later scalings and its whole backward trellis
-    are zero.
+    A node's dual is the number of rows ending there (``ends``) times 1, plus
+    each child's pull-back ``((e(x_child) * dual_child)[:, None] @ T.T)[:, 0]
+    / c_child`` summed into it, deepest step first. ``emitted`` holds each
+    node's emission probabilities, ``(..., nodes, K)``, and ``bounds`` and
+    ``parents`` number the nodes as :func:`_trees` does; a leading run axis
+    is shared as in :func:`_trellis`. For one row the dual is Rabiner's
+    scaled backward variable; for a tree it is the sum of those of the rows
+    through the node, so the node's forward row times its dual is their
+    smoothing posteriors summed. A node whose total is 0 gives its ancestors
+    duals that are not finite.
     """
-    steps, count, k = emitted.shape
-    log_probs, forward = np.empty(count), np.zeros_like(emitted)
-    scaling = np.ones((steps, count))  # padding counts as a factor 1
-    # the rows still running at step t, a leading slice of the previous
-    # step's, emit rows t * count onwards of the flattened probabilities
-    running = np.searchsorted(-lengths, -np.arange(steps)).tolist()  # rows with length > t
-    _trellis(transition, emitted.reshape(-1, k), start,
-             [(slice(n), slice(t * count, t * count + n), log_probs[:n])
-              for t, n in enumerate(running)], (forward, scaling))
-    back = None
-    if backward:
-        back = np.zeros_like(forward)
-        back[lengths - 1, np.arange(count)] = 1.0
-        divisor = np.where(scaling > 0.0, scaling, 1.0)
-        transposed = transition.transpose(0, 2, 1)
-        for t in range(steps - 2, -1, -1):
-            n = running[t + 1]  # rows not running at t + 1 keep their 0 or 1
-            weighted = emitted[t + 1, :n] * back[t + 1, :n]
-            np.divide((weighted[:, None] @ transposed[:n])[:, 0], divisor[t + 1, :n, None],
-                      out=back[t, :n])
-        back[:, log_probs == -np.inf] = 0.0
-    return log_probs, forward, scaling, back
+    dual = np.zeros(emitted.shape)
+    dual += ends[:, None]
+    transposed = transition.swapaxes(-1, -2)[..., None, :, :]
+    for t in reversed(range(1, len(bounds) - 1)):
+        first, stop = bounds[t], bounds[t + 1]
+        pulled = ((emitted[..., first:stop, :] * dual[..., first:stop, :])[..., None, :]
+                  @ transposed)[..., 0, :]
+        pulled /= totals[..., first:stop, None]
+        # siblings add into their parent one by one, in node order
+        np.add.at(dual, (..., parents[first - bounds[1]:stop - bounds[1]], slice(None)), pulled)
+    return dual
 
 
 def _log_likelihoods(models, padded: np.ndarray, lengths: np.ndarray,
@@ -400,7 +360,7 @@ def _log_likelihoods(models, padded: np.ndarray, lengths: np.ndarray,
     row gets the bits of a one-row call.
     """
     k = models[0].num_states
-    filters = [partial(_trellis, model.transition[None], model.emission.T, model.start[None])
+    filters = [partial(_trellis, model.transition, model.emission.T, model.start)
                for model in models]
     return _tree_log_likelihoods(filters, padded, lengths, starts,
                                  _node_blocks(lengths, starts, _TREE_BUDGET // k))
@@ -424,12 +384,23 @@ def _node_blocks(lengths: np.ndarray, starts: np.ndarray, cap: int) -> list:
 
 
 def _sequence_trellis(model: CategoricalHmm, sequence, backward: bool) -> TrellisResult:
-    seq = _as_symbols(sequence, model.alphabet_size)
-    log_probs, forward, scaling, back = _row_trellis(
-        model.transition[None], model.emission.T[seq[:, None]], model.start[None],
-        np.array([seq.size]), backward)
-    return TrellisResult(float(log_probs[0]), forward[:, 0], scaling[:, 0],
-                         None if back is None else back[:, 0])
+    """:func:`_trellis` on the one-row tree of a sequence, keeping its forward
+    rows and totals, and, when asked, :func:`_duals` on it."""
+    padded, lengths, _, starts = _prefix_rows(*_flatten([sequence]), model.alphabet_size)
+    ((steps, _, bounds, symbols, parents, ends, _),) = _trees(
+        padded, lengths, starts, model.num_states, model.alphabet_size)
+    forward, scaling = np.empty((bounds[-1], model.num_states)), np.empty(bounds[-1])
+    _trellis(model.transition, model.emission.T, model.start, steps, (forward, scaling))
+    log_likelihood = float(steps[-1][2][0])  # the last step's one node
+    back = None
+    if backward:
+        # an extinct row divides by its zero totals; its duals are zeroed
+        with np.errstate(divide="ignore", invalid="ignore"):
+            back = _duals(model.transition, model.emission.T[symbols], scaling, ends,
+                          bounds, parents)
+        if log_likelihood == -np.inf:
+            back[:] = 0.0
+    return TrellisResult(log_likelihood, forward, scaling, back)
 
 
 def hmm_forward(model: CategoricalHmm, sequence) -> TrellisResult:
@@ -511,7 +482,8 @@ def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = N
     (which no improvement falls below) are input errors.
 
     This is the one-run call of :func:`baum_welch_fits`, whose E-step runs
-    the recursion that scoring runs (:func:`_trellis`); it raises the
+    the recursion that scoring runs (:func:`_trellis`) on the prefix trees
+    that scoring builds; it raises the
     :class:`TrainingError` of a training sequence that the current
     parameters cannot produce.
 
@@ -537,10 +509,7 @@ def baum_welch_fit(dataset, num_states: int, *, alphabet_size: Optional[int] = N
 class _EmRun:
     """The EM state of one (dataset, seed) run within a stack."""
 
-    def __init__(self, padded, lengths, alphabet_size: int, num_states: int, seed):
-        # the dataset's padded rows (longest first) and lengths, shared by
-        # the runs of one dataset
-        self.padded, self.lengths, self.alphabet_size = padded, lengths, alphabet_size
+    def __init__(self, alphabet_size: int, num_states: int, seed):
         rng = np.random.default_rng(seed)
         k, m = num_states, alphabet_size
         self.transition = rng.dirichlet(np.ones(k), size=k)
@@ -552,7 +521,7 @@ class _EmRun:
 
 def baum_welch_fits(datasets, num_states: int, seeds, *, max_iters: int = 100,
                     tol: float = 1e-6, work=None) -> list:
-    """Fit one HMM per seed on each dataset, all runs in shared stacks.
+    """Fit one HMM per seed on each dataset, each dataset's runs in one stack.
 
     ``datasets`` holds ``(sequences, alphabet_size)`` pairs (an alphabet
     size of None is inferred as in :func:`baum_welch_fit`). Returns one list
@@ -560,15 +529,18 @@ def baum_welch_fits(datasets, num_states: int, seeds, *, max_iters: int = 100,
     :class:`BaumWelchResult` that :func:`baum_welch_fit` returns for that
     dataset and seed, bit for bit, or the :class:`TrainingError` it raises.
 
-    Runs are packed in order into stacks whose rows fit one trellis block
-    of ``_TRELLIS_BUDGET // K`` rows (a larger run is a stack of its own).
-    Each EM iteration of a stack is one E-step, :func:`_trellis` over the
-    rows of all its live runs (:func:`_merged`), which sums each run's
-    counts over its own rows in their order, and one batched M-step. A run
-    leaves the stack when it converges, reaches ``max_iters`` or fails; the
-    others carry on. ``work``, when a :class:`collections.Counter`, has
-    added to it the E-steps summed over runs (``em_iterations``), the
-    stacked E-steps (``em_passes``) and the failed runs (``runs_failed``).
+    Each dataset's rows are sorted once (:func:`_prefix_rows`) and cut into
+    the prefix trees that scoring would build (:func:`_trees`). Each EM
+    iteration of a dataset's stack is one E-step over the trees for all its
+    live runs along a leading run axis, :func:`_trellis` keeping its
+    forward rows and totals and then :func:`_duals`, and one batched
+    M-step. So a run's counts depend on its own parameters and its
+    dataset's trees alone, whichever runs share its stack and in whatever
+    order the rows come. A run leaves the stack when it converges, reaches
+    ``max_iters`` or fails; the others carry on. ``work``, when a
+    :class:`collections.Counter`, has added to it the E-steps summed over
+    runs (``em_iterations``), the stacked E-steps summed over datasets
+    (``em_passes``) and the failed runs (``runs_failed``).
     """
     if num_states < 1:
         raise InputError("num_states must be >= 1")
@@ -576,101 +548,103 @@ def baum_welch_fits(datasets, num_states: int, seeds, *, max_iters: int = 100,
         raise InputError("max_iters must be >= 0")
     if np.isnan(tol):
         raise InputError("tol must not be NaN")
-    seeds, groups = list(seeds), []
+    seeds, stacks = list(seeds), []
     for sequences, alphabet_size in datasets:
         symbols, lengths = _flatten(sequences)
         if not len(lengths):
             raise InputError("dataset must contain at least one sequence")
         if alphabet_size is None:
             alphabet_size = 1 + int(symbols.max())  # _pad reports a negative symbol
-        padded, lengths, _ = _pad(symbols, lengths, alphabet_size)
-        groups.append([_EmRun(padded, lengths, alphabet_size, num_states, seed)
-                       for seed in seeds])
-    runs = [run for group in groups for run in group]
+        padded, lengths, _, starts = _prefix_rows(symbols, lengths, alphabet_size)
+        stacks.append(([_EmRun(alphabet_size, num_states, seed) for seed in seeds],
+                       _trees(padded, lengths, starts, num_states, alphabet_size)))
     counts = {"em_iterations": 0, "em_passes": 0}
-    for stack in _packed(runs, [len(run.lengths) for run in runs],
-                         max(1, _TRELLIS_BUDGET // num_states)):
-        if max_iters:
-            _fit_stack(stack, max_iters, tol, counts)
+    if max_iters and seeds:
+        for runs, trees in stacks:
+            _fit_stack(runs, trees, max_iters, tol, counts)
     if work is not None:
-        work.update(counts, runs_failed=sum(run.error is not None for run in runs))
+        work.update(counts, runs_failed=sum(run.error is not None
+                                            for runs, _ in stacks for run in runs))
     return [[run.error if run.error is not None else
              BaumWelchResult(CategoricalHmm(run.transition, run.emission, run.start),
                              run.history)
-             for run in group] for group in groups]
+             for run in runs] for runs, _ in stacks]
 
 
-def _fit_stack(runs, max_iters: int, tol: float, counts: dict) -> None:
-    """:func:`baum_welch_fits` for the runs of one stack."""
-    k = runs[0].transition.shape[0]
-    live, blocks = list(runs), None
+def _trees(padded: np.ndarray, lengths: np.ndarray, starts: np.ndarray, num_states: int,
+           alphabet_size: int) -> list:
+    """The prefix trees of rows of :func:`_prefix_rows`, one per block of
+    :func:`_node_blocks` whose nodes times K stay within ``_TREE_BUDGET``, as
+    the passes that keep a trellis take them: ``(steps, leaves, bounds,
+    symbols, parents, ends, onehot)``. ``steps`` and ``leaves`` are the
+    tree's :func:`_prefix_layout`; step t holds nodes ``bounds[t]`` up to
+    ``bounds[t + 1]``, node j emits ``symbols[j]``, node ``bounds[1] + i``
+    continues node ``parents[i]``, ``ends[j]`` rows end at node j, and row j
+    of ``onehot`` is its symbol. The cut depends on K alone."""
+    trees = []
+    for rows in _node_blocks(lengths, starts, _TREE_BUDGET // num_states):
+        steps, _, leaves = _prefix_layout(padded[rows], lengths[rows], starts[rows])
+        bounds = list(accumulate((len(log_probs) for *_, log_probs in steps), initial=0))
+        symbols = np.concatenate([symbols for _, symbols, _ in steps])
+        parents = np.concatenate([np.arange(first, stop)[step[0]] for step, first, stop
+                                  in zip(steps[1:], bounds, bounds[1:])] + [np.zeros(0, np.int64)])
+        ends = np.bincount(leaves, minlength=bounds[-1]).astype(float)
+        onehot = (symbols[:, None] == np.arange(alphabet_size)).astype(float)
+        trees.append((steps, leaves, bounds, symbols, parents, ends, onehot))
+    return trees
+
+
+def _fit_stack(runs, trees, max_iters: int, tol: float, counts: dict) -> None:
+    """:func:`baum_welch_fits` for the runs of one dataset on its trees."""
+    live = list(runs)
+    transition, emission, start = (np.stack([getattr(run, name) for run in live])
+                                   for name in ("transition", "emission", "start"))
     while live:
-        if blocks is None:
-            # the live runs' rows merged longest first, each run's symbols
-            # offset past the alphabets of the runs before it, and each run's
-            # rows in each row block, for the E-steps until a run leaves
-            offsets = list(accumulate((run.alphabet_size for run in live), initial=0))
-            padded, lengths, order = _merged([(run.padded, run.lengths) for run in live], offsets)
-            owners = np.repeat(np.arange(len(live)), [len(run.lengths) for run in live])[order]
-            blocks = []
-            for rows in _row_blocks(len(lengths), k, _TRELLIS_BUDGET):
-                members = [(run, np.flatnonzero(owners[rows] == run))
-                           for run in np.unique(owners[rows]).tolist()]
-                symbols = padded[rows, :lengths[rows.start]].T
-                cells = (symbols[:, :, None] + offsets[-1] * np.arange(k)).ravel()
-                blocks.append((rows, symbols, cells, members))
-        transition = np.stack([run.transition for run in live])
-        table = np.concatenate([run.emission.T for run in live])  # (offset symbol, state)
-        start = np.stack([run.start for run in live])
-        total = [0.0] * len(live)
-        failed = [False] * len(live)
-        start_acc = np.zeros(len(live) * k)
-        trans_acc = np.zeros((len(live), k, k))
-        emit_acc = np.zeros((k, offsets[-1]))  # run r's counts in its own columns
-        for rows, symbols, cells, members in blocks:
-            emitted = table[symbols]
-            log_probs, forward, scaling, backward = _row_trellis(
-                transition[owners[rows]], emitted, start[owners[rows]], lengths[rows], True)
-            gamma = forward * backward
-            states = k * owners[rows, None] + np.arange(k)  # the (run, state) of each entry
-            start_acc += np.bincount(states.ravel(), gamma[0].ravel(),
-                                     minlength=len(start_acc))
-            # each emission count adds the block's entries step by step and
-            # row by row, in the order of its run on its own
-            np.add.at(emit_acc.reshape(-1), cells, gamma.ravel())
-            # expected k -> l transitions without their common factor
-            # transition[k, l], applied once at the update; the summand is
-            # zero past each row's end, where backward is zero. A failed
-            # run's rows may divide 0 by 0; its sums are not used.
-            with np.errstate(invalid="ignore"):
-                arriving = emitted[1:] * backward[1:] / scaling[1:, :, None]
-            for run, mine in members:
-                if log_probs[mine].min() == -np.inf:
-                    failed[run] = True
-                    continue
-                steps = lengths[rows][mine[0]] - 1
-                total[run] += log_probs[mine].sum()
-                trans_acc[run] += np.einsum("tnk,tnl->kl", forward[:steps].take(mine, axis=1),
-                                            arriving[:steps].take(mine, axis=1))
+        table = emission.swapaxes(1, 2)  # (run, symbol, state)
+        total = np.zeros(len(live))
+        start_acc = np.zeros(start.shape)
+        trans_acc = np.zeros(transition.shape)
+        emit_acc = np.zeros(emission.shape)
+        # a failed run's sums may divide 0 by 0; they are not used
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # arrays taken along the node axis keep C order, so that every
+            # sum over nodes runs in one order whatever the number of runs
+            for steps, leaves, bounds, symbols, parents, ends, onehot in trees:
+                emitted = table.take(symbols, axis=1)  # each node's emission probabilities
+                forward, totals, logs = (np.empty(emitted.shape), np.empty(emitted.shape[:2]),
+                                         np.empty(emitted.shape[:2]))
+                _trellis(transition, emitted, start,
+                         [(step[0], slice(first, stop), logs[:, first:stop])
+                          for step, first, stop in zip(steps, bounds, bounds[1:])],
+                         (forward, totals))
+                dual = _duals(transition, emitted, totals, ends, bounds, parents)
+                gamma = forward * dual
+                total += logs.take(leaves, axis=1).sum(axis=1)
+                start_acc += gamma[:, :bounds[1]].sum(axis=1)
+                emit_acc += gamma.swapaxes(1, 2) @ onehot
+                # expected k -> l transitions on each edge without their
+                # common factor transition[k, l], applied once at the update
+                arriving = emitted[:, bounds[1]:] * dual[:, bounds[1]:]
+                arriving /= totals[:, bounds[1]:, None]
+                trans_acc += forward.take(parents, axis=1).swapaxes(1, 2) @ arriving
         counts["em_passes"] += 1
         counts["em_iterations"] += len(live)
-        new_transition = _rows_or_uniform(trans_acc * transition)
-        new_start = _rows_or_uniform(start_acc.reshape(len(live), k))
+        updated = (_rows_or_uniform(trans_acc * transition), _rows_or_uniform(emit_acc),
+                   _rows_or_uniform(start_acc))
         staying = []
         for i, run in enumerate(live):
-            if failed[i]:
+            if total[i] == -np.inf:
                 run.error = TrainingError("a training sequence has zero probability "
                                           "under the current parameters")
                 continue
             run.history.append(float(total[i]))
             if len(run.history) > 1 and run.history[-1] - run.history[-2] < tol:
                 continue  # converged: the parameters of this E-step are the fit
-            run.transition, run.start = new_transition[i], new_start[i]
-            run.emission = _rows_or_uniform(emit_acc[:, offsets[i]:offsets[i + 1]])
+            run.transition, run.emission, run.start = (array[i] for array in updated)
             if len(run.history) < max_iters:
-                staying.append(run)
-        if len(staying) < len(live):
-            live, blocks = staying, None
+                staying.append(i)
+        live = [live[i] for i in staying]
+        transition, emission, start = (array[staying] for array in updated)
 
 
 def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ adjoint runs backwards along each row over the beliefs the filter kept,
 which never leave this module. Both layouts give each row the same bits.
 Training passes its runs to :func:`_loss_and_gradient`, which packs them
 into kernel calls of whole runs (:func:`_row_kernel`) that give each run
-the bits of a call of its own; a call of several merges their rows by the
-rule that HMM training shares (:func:`hmm._merged`).
+the bits of a call of its own; a call of several merges their rows
+(:func:`_merged`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InputError
-from .hmm import (CategoricalHmm, _as_symbols, _inverse_cdf, _merged, _packed, _row_blocks,
+from .hmm import (CategoricalHmm, _as_symbols, _inverse_cdf, _row_blocks,
                   _tree_log_likelihoods)
 
 HERMITICITY_TOL = 1e-10
@@ -291,7 +291,7 @@ def _loss_and_gradient(runs, rho0: np.ndarray) -> list:
     The runs are packed in order into kernel calls of whole runs that fit
     one row block and ``_STACK_ROWS`` rows together; a larger run is a call
     of its own. A call of several runs stacks their operators and merges
-    their rows longest first (:func:`hmm._merged`), each run's symbols
+    their rows longest first (:func:`_merged`), each run's symbols
     offset past the operators of the runs before it. Every run gets the
     bits of a call over its own rows (see :func:`_row_kernel`).
     """
@@ -311,6 +311,35 @@ def _loss_and_gradient(runs, rho0: np.ndarray) -> list:
         results += [(log_probs[start:stop], grad[offset:end]) for start, stop, offset, end
                     in zip(starts, starts[1:], offsets, offsets[1:])]
     return results
+
+
+def _packed(items, sizes, cap: int) -> list:
+    """``items`` cut, in order, into groups whose ``sizes`` sum to at most
+    ``cap``; an item larger than that is a group of its own."""
+    groups = []
+    for item, size in zip(items, sizes):
+        if groups and used + size <= cap:
+            groups[-1].append(item)
+            used += size
+        else:
+            groups.append([item])
+            used = size
+    return groups
+
+
+def _merged(runs, offsets):
+    """The padded rows of several runs, each a ``(padded, lengths)`` pair of
+    rows longest first, merged longest first with run r's symbols offset by
+    ``offsets[r]``: ``(padded, lengths, order)``, where merged row i is row
+    ``order[i]`` of the runs' rows taken in turn. The sort is stable, so each
+    run's rows keep their order."""
+    starts = list(accumulate((len(lengths) for _, lengths in runs), initial=0))
+    symbols = np.zeros((starts[-1], max(padded.shape[1] for padded, _ in runs)), np.int64)
+    for (padded, _), offset, start in zip(runs, offsets, starts):
+        np.add(padded, offset, out=symbols[start:start + len(padded), :padded.shape[1]])
+    lengths = np.concatenate([lengths for _, lengths in runs])
+    order = np.argsort(-lengths, kind="stable")
+    return symbols[order], lengths[order], order
 
 
 # OpenBLAS (0.3.31) may group the scatter's sum over more than this many

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scengen import (CategoricalHmm, StepFailureError, reference_three_event_system,
+from scengen import (CategoricalHmm, StepFailureError, hmm, reference_three_event_system,
                      trainer)
 
 
@@ -127,5 +127,20 @@ def emissions_without(monkeypatch):
                 return draw
 
         monkeypatch.setattr(np.random, "default_rng", WithoutSymbol)
+
+    return install
+
+
+@pytest.fixture
+def tree_cap(monkeypatch):
+    """Cap the HMM prefix trees at K states to ``nodes`` nodes each, through
+    ``hmm._TREE_BUDGET``; returns ``install(nodes, k, sequences,
+    alphabet_size)``, which also gives the number of trees the sequences
+    take under that cap."""
+
+    def install(nodes, k, sequences, alphabet_size):
+        monkeypatch.setattr(hmm, "_TREE_BUDGET", nodes * k)
+        _, lengths, _, starts = hmm._prefix_rows(*hmm._flatten(sequences), alphabet_size)
+        return len(hmm._node_blocks(lengths, starts, nodes))
 
     return install

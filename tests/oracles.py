@@ -123,62 +123,6 @@ def baum_welch_reference(dataset, num_states, alphabet_size, max_iters=100,
     return model, history
 
 
-def baum_welch_blockwise_reference(dataset, num_states, alphabet_size, max_iters=100,
-                                   tol=1e-6, seed=0):
-    """Baum-Welch that adds each trellis row block's counts in turn.
-
-    The E-step runs the package's recursion (``hmm._row_trellis``) with one
-    model over the row blocks of ``hmm._row_blocks`` and adds each block's
-    expected counts the way a one-run fit orders its additions: start and
-    transition counts one block sum at a time, emission counts step by step
-    and row by row through ``np.add.at``. So it gives
-    :func:`scengen.baum_welch_fit` bit for bit, whatever the fit does to
-    batch its sums; returns ``(model, history)``.
-    """
-    from scengen import CategoricalHmm, TrainingError
-    from scengen.hmm import (_TRELLIS_BUDGET, _flatten, _pad, _row_blocks, _row_trellis,
-                             _rows_or_uniform)
-
-    padded, lengths, _ = _pad(*_flatten(dataset), alphabet_size)
-    rng = np.random.default_rng(seed)
-    k, m = num_states, alphabet_size
-    model = CategoricalHmm(
-        rng.dirichlet(np.ones(k), size=k),
-        rng.dirichlet(np.ones(m), size=k),
-        rng.dirichlet(np.ones(k)),
-    )
-    history = []
-    for _ in range(max_iters):
-        start_acc = np.zeros(k)
-        trans_acc = np.zeros((k, k))
-        emit_acc = np.zeros((k, m))
-        total_ll = 0.0
-        for rows in _row_blocks(len(lengths), k, _TRELLIS_BUDGET):
-            symbols = padded[rows, :lengths[rows.start]]
-            log_probs, forward, scaling, backward = _row_trellis(
-                model.transition[None], model.emission.T[symbols.T], model.start[None],
-                lengths[rows], backward=True)
-            if log_probs.min() == -np.inf:
-                raise TrainingError("a training sequence has zero probability "
-                                    "under the current parameters")
-            total_ll += log_probs.sum()
-            gamma = forward * backward  # (steps, rows, K)
-            start_acc += gamma[0].sum(axis=0)
-            np.add.at(emit_acc.T, symbols.T, gamma)
-            arriving = (model.emission.T[symbols.T[1:]] * backward[1:]
-                        / scaling[1:, :, None])
-            trans_acc += np.einsum("tnk,tnl->kl", forward[:-1], arriving)
-        history.append(float(total_ll))
-        if len(history) > 1 and history[-1] - history[-2] < tol:
-            break
-        model = CategoricalHmm(
-            _rows_or_uniform(trans_acc * model.transition),
-            _rows_or_uniform(emit_acc),
-            _rows_or_uniform(start_acc[None, :])[0],
-        )
-    return model, history
-
-
 def kraus_path_probability(model, sequence):
     """P(sequence) by enumerating every Kraus-index path.
 

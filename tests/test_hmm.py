@@ -7,11 +7,10 @@ from scengen import (CategoricalHmm, InputError, PosteriorUndefinedError,
                      TrainingError, baum_welch_fit, baum_welch_fits, hmm_backward,
                      hmm_forward, hmm_posterior, hmm_sample, hmm_samples)
 from scengen import hmm
-from scengen.hmm import _TRELLIS_BUDGET, _flatten, _merged, _pad, _prefix_rows, _row_trellis
+from scengen.hmm import _flatten, _pad, _prefix_rows
 
-from oracles import (all_sequences, baum_welch_blockwise_reference, baum_welch_reference,
-                     hmm_sample_reference, pad_reference, path_sum_probability,
-                     posterior_by_enumeration, random_hmm)
+from oracles import (all_sequences, baum_welch_reference, hmm_sample_reference, pad_reference,
+                     path_sum_probability, posterior_by_enumeration, random_hmm)
 
 # frozen with the path-sum oracle before the recursions were written
 LN_P_011 = -2.3018853378797726
@@ -132,66 +131,10 @@ class TestPad:
             _pad(*_flatten(sequences), 4)
 
 
-class TestPerRowTrellis:
-    """Each row of a batched :func:`hmm._row_trellis` call, whichever models and
-    rows are beside it, equals the one-row call of its model at tolerance 0."""
-
-    @pytest.mark.parametrize("k", [1, 4, 16])
-    def test_a_batched_row_equals_its_one_row_call(self, k):
-        # three models, one of which cannot emit symbol 4, so that the one
-        # row holding it under that model scores -inf among live rows
-        rng = np.random.default_rng(12 + k)
-        m = 5
-        models = [random_hmm(rng, k, m) for _ in range(3)]
-        emission = models[1].emission.copy()
-        emission[:, 4] = 0.0
-        models[1] = CategoricalHmm(models[1].transition,
-                                   emission / emission.sum(axis=1, keepdims=True),
-                                   models[1].start)
-        sequences = [list(rng.integers(0, m, size=int(rng.integers(1, 10))))
-                     for _ in range(300)]
-        runs = rng.integers(0, 3, size=len(sequences))
-        for i in np.flatnonzero(runs == 1):
-            sequences[i] = [symbol % 4 for symbol in sequences[i]]
-        impossible = int(np.flatnonzero(runs == 1)[5])
-        sequences[impossible] = [0, 4, 1]
-        padded, lengths, order = _pad(*_flatten(sequences), m)
-        # each row's own parameters, gathered; model r's symbol x is row
-        # m * r + x of the emission table
-        transition, start = (np.stack([getattr(model, name) for model in models])[runs[order]]
-                             for name in ("transition", "start"))
-        table = np.concatenate([model.emission.T for model in models])
-        got = _row_trellis(transition, table[(padded + m * runs[order, None]).T], start,
-                           lengths, backward=True)
-        log_probs, forward, scaling, backward = got
-        assert log_probs.tolist().count(-np.inf) == 1
-        assert log_probs[order.tolist().index(impossible)] == -np.inf
-        for row, i in enumerate(order):
-            want = hmm_backward(models[runs[i]], sequences[i])
-            assert log_probs[row] == want.log_likelihood
-            assert hmm_forward(models[runs[i]], sequences[i]).log_likelihood == log_probs[row]
-            steps = len(sequences[i])
-            for array, expected, rest in ((forward, want.forward, 0.0),
-                                          (scaling, want.scaling, 1.0),
-                                          (backward, want.backward, 0.0)):
-                np.testing.assert_array_equal(array[:steps, row], expected)
-                assert np.all(array[steps:, row] == rest)
-        # one model's parameters as a stack of one, which its rows share,
-        # give those rows the bits of the gathered call
-        for r, model in enumerate(models):
-            rows = np.flatnonzero(runs[order] == r)
-            alone = _row_trellis(model.transition[None],
-                                 model.emission.T[padded[rows, :lengths[rows[0]]].T],
-                                 model.start[None], lengths[rows], backward=True)
-            np.testing.assert_array_equal(alone[0], log_probs[rows])
-            for array, want in zip(alone[1:], got[1:]):
-                np.testing.assert_array_equal(array, want[:lengths[rows[0]], rows])
-
-
 class TestTreeScores:
     """HMM scoring on the prefix tree (:func:`hmm._log_likelihoods` over the
     rows of :func:`hmm._prefix_rows`) gives every row the bits of its
-    one-row :func:`hmm._row_trellis` call."""
+    one-row :func:`hmm_forward` call."""
 
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_tree_rows_equal_their_one_row_calls(self, k):
@@ -212,10 +155,7 @@ class TestTreeScores:
         padded, lengths, order, starts = _prefix_rows(*_flatten(sequences), m)
         got, nodes = hmm._log_likelihoods([model], padded, lengths, starts)
         for row, i in enumerate(order.tolist()):
-            seq = np.array(sequences[i])
-            alone = _row_trellis(model.transition[None], model.emission.T[seq[:, None]],
-                                 model.start[None], np.array([len(seq)]))[0]
-            np.testing.assert_array_equal(got[0, row:row + 1], alone)
+            assert got[0, row] == hmm_forward(model, sequences[i]).log_likelihood
             assert (got[0, row] == -np.inf) == (sequences[i][:2] == [0, 3])
         assert nodes == len({tuple(seq[:depth]) for seq in sequences
                              for depth in range(1, len(seq) + 1)})
@@ -239,31 +179,6 @@ class TestTreeScores:
             assert nodes(rows[block]) <= cap or block.stop - block.start == 1
             if block.stop < len(rows):
                 assert nodes(rows[block.start:block.stop + 1]) > cap
-
-
-class TestMerged:
-    def test_rows_merge_longest_first_with_offset_symbols(self):
-        # three runs of widths 4, 5 and 2 and alphabets 3, 4 and 6, with
-        # lengths tied across runs
-        rng = np.random.default_rng(4)
-        alphabets, widths = [3, 4, 6], [4, 5, 2]
-        runs = []
-        for m, width in zip(alphabets, widths):
-            sequences = [list(rng.integers(0, m, size=length))
-                         for length in rng.integers(1, width + 1, size=7)]
-            sequences[0] = list(rng.integers(0, m, size=width))
-            runs.append(_pad(*_flatten(sequences), m)[:2])
-        offsets = [0, 3, 7]
-        padded, lengths, order = _merged(runs, offsets)
-        assert padded.shape == (21, 5) and padded.dtype == np.int64
-        assert np.all(np.diff(lengths) <= 0)
-        owners, places = np.divmod(order, 7)  # each run holds 7 rows
-        for r, (rows, run_lengths) in enumerate(runs):
-            mine = owners == r
-            assert places[mine].tolist() == list(range(7))  # in the run's order
-            for row, length, place in zip(padded[mine], lengths[mine], places[mine]):
-                assert length == run_lengths[place]
-                np.testing.assert_array_equal(row[:length], rows[place, :length] + offsets[r])
 
 
 class TestBackward:
@@ -410,12 +325,13 @@ class TestBaumWelch:
             baum_welch_fit([[0, -1]], 2)
 
     @pytest.mark.parametrize("k", [3, 8])
-    def test_matches_per_sequence_reference(self, k):
-        # mixed lengths over several row blocks of the batched E-step
+    def test_matches_per_sequence_reference(self, tree_cap, k):
+        # mixed lengths over several prefix-tree blocks of the E-step
         rng = np.random.default_rng(k)
         truth = random_hmm(rng, 3, 4)
-        count = 2 * (_TRELLIS_BUDGET // k) + 7
+        count = 2 * (1024 // k) + 7
         dataset = [hmm_sample(truth, int(rng.integers(1, 9)), rng) for _ in range(count)]
+        assert tree_cap(64, k, dataset, 4) > 3
         got = baum_welch_fit(dataset, k, alphabet_size=4, max_iters=12, seed=k)
         model, history = baum_welch_reference(dataset, k, 4, max_iters=12, seed=k)
         assert len(got.log_likelihoods) == len(history)
@@ -424,26 +340,14 @@ class TestBaumWelch:
             np.testing.assert_allclose(getattr(got.model, name), getattr(model, name),
                                        rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("k, m", [(2, 3), (8, 5)])
-    def test_equals_the_blockwise_reference_bit_for_bit(self, k, m):
-        # several row blocks, whose counts a one-run fit adds in block order
-        rng = np.random.default_rng(20 + k)
-        truth = random_hmm(rng, 3, m)
-        count = 2 * (_TRELLIS_BUDGET // k) + 7
-        dataset = [hmm_sample(truth, int(rng.integers(1, 10)), rng) for _ in range(count)]
-        got = baum_welch_fit(dataset, k, alphabet_size=m, max_iters=6, seed=k)
-        model, history = baum_welch_blockwise_reference(dataset, k, m, max_iters=6, seed=k)
-        assert got.log_likelihoods == history
-        for name in ("transition", "emission", "start"):
-            np.testing.assert_array_equal(getattr(got.model, name), getattr(model, name))
-
-    def test_zero_probability_row_raises(self, emissions_without):
-        # initial emissions that never produce symbol 2; only one row, in the
-        # middle of a batch of several row blocks, contains it
+    def test_zero_probability_row_raises(self, emissions_without, tree_cap):
+        # initial emissions that never produce symbol 2; only one row, in a
+        # middle one of several tree blocks, contains it
         rng = np.random.default_rng(4)
         dataset = [list(rng.integers(0, 2, size=int(rng.integers(1, 7))))
-                   for _ in range(3 * (_TRELLIS_BUDGET // 2))]
+                   for _ in range(3 * (1024 // 2))]
         dataset[len(dataset) // 2] = [0, 2, 1]
+        assert tree_cap(16, 2, dataset, 3) > 3
         emissions_without(2, 3)
         for fit in (baum_welch_fit, baum_welch_reference):
             with pytest.raises(TrainingError):
@@ -492,23 +396,21 @@ class TestBaumWelchFits:
         self.assert_same(got, self.separate(datasets, 4, [0, 1, 2], max_iters=25))
         assert got[1][0].model.alphabet_size == 8 and got[0][0].model.alphabet_size == 6
 
-    def test_runs_larger_than_a_block(self):
-        # K=8 blocks hold 128 rows: the first dataset's runs are stacks of
-        # their own, of several blocks, and the small ones after it share one
+    def test_runs_larger_than_a_block(self, tree_cap):
+        # the first dataset's trees span several blocks, the small ones one
         rng = np.random.default_rng(5)
         k = 8
-        big = sampled_dataset(rng, 4, 2 * (_TRELLIS_BUDGET // k) + 9, 6)
+        big = sampled_dataset(rng, 4, 2 * (1024 // k) + 9, 6)
         datasets = [(big, 4), (sampled_dataset(rng, 4, 7, 5), 4),
                     (sampled_dataset(rng, 5, 6, 3), 5)]
+        assert tree_cap(64, k, big, 4) > 3 and tree_cap(64, k, datasets[1][0], 4) == 1
         work = Counter()
         got = baum_welch_fits(datasets, k, [3, 4], max_iters=6, work=work)
         self.assert_same(got, self.separate(datasets, k, [3, 4], max_iters=6))
-        # two stacks of one big run and one stack of the four small runs
+        # one stack per dataset, each of two runs
         assert work == Counter(em_iterations=6 * 6, em_passes=3 * 6, runs_failed=0)
 
     def test_runs_converge_at_different_iterations(self):
-        # the third dataset's alphabet differs, so each run that leaves
-        # moves the symbol offsets of the runs after it
         rng = np.random.default_rng(2)
         datasets = [(sampled_dataset(rng, 3, 12, 6), 3), (sampled_dataset(rng, 3, 8, 4), 3),
                     (sampled_dataset(rng, 5, 10, 5), 5)]
@@ -516,10 +418,12 @@ class TestBaumWelchFits:
         work = Counter()
         got = baum_welch_fits(datasets, 3, seeds, max_iters=200, tol=1e-4, work=work)
         self.assert_same(got, self.separate(datasets, 3, seeds, max_iters=200, tol=1e-4))
-        iterations = [len(fit.log_likelihoods) for row in got for fit in row]
-        assert len(set(iterations)) > 3 and max(iterations) < 200
-        assert work == Counter(em_iterations=sum(iterations), em_passes=max(iterations),
-                               runs_failed=0)
+        iterations = [[len(fit.log_likelihoods) for fit in row] for row in got]
+        assert len({n for row in iterations for n in row}) > 3
+        assert max(map(max, iterations)) < 200
+        # each dataset's stack runs until its longest run ends
+        assert work == Counter(em_iterations=sum(map(sum, iterations)),
+                               em_passes=sum(map(max, iterations)), runs_failed=0)
 
     def test_zero_iterations_return_the_seeded_initializations(self):
         datasets = [([[0, 1], [1]], 2), ([[2, 0, 1]], 3)]
@@ -543,6 +447,36 @@ class TestBaumWelchFits:
         assert sum(isinstance(fit, TrainingError) for row in want for fit in row) == 1
         self.assert_same(got, want)
         assert work["runs_failed"] == 1
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_stacks_over_several_trees_with_a_failing_run(self, emissions_without, tree_cap,
+                                                          k):
+        # seed 1's initial emissions on the first dataset never produce
+        # symbol 2, which one of its rows contains; each dataset's trees
+        # span several blocks
+        rng = np.random.default_rng(30 + k)
+        datasets = [(sampled_dataset(rng, 5, 40, 6), 5), (sampled_dataset(rng, 6, 30, 5), 6)]
+        datasets[0][0][4] = [0, 2, 1]
+        assert min(tree_cap(12, k, rows, m) for rows, m in datasets) > 3
+        emissions_without(2, 5, seed=1)
+        seeds = [0, 1, 2]
+        work = Counter()
+        got = baum_welch_fits(datasets, k, seeds, max_iters=8, work=work)
+        want = self.separate(datasets, k, seeds, max_iters=8)
+        assert [isinstance(fit, TrainingError) for row in want for fit in row] == \
+            [False, True, False, False, False, False]
+        self.assert_same(got, want)
+        assert work["runs_failed"] == 1
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_fits_do_not_depend_on_the_row_order(self, tree_cap, k):
+        rng = np.random.default_rng(50 + k)
+        datasets = [(sampled_dataset(rng, 4, 60, 7), 4), (sampled_dataset(rng, 3, 9, 4), 3)]
+        assert tree_cap(12, k, datasets[0][0], 4) > 3
+        shuffled = [([rows[i] for i in rng.permutation(len(rows))], m) for rows, m in datasets]
+        assert shuffled[0][0] != datasets[0][0]
+        self.assert_same(baum_welch_fits(shuffled, k, [0, 1], max_iters=8),
+                         baum_welch_fits(datasets, k, [0, 1], max_iters=8))
 
     def test_input_errors(self):
         with pytest.raises(InputError, match="num_states must be >= 1"):

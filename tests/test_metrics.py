@@ -11,7 +11,6 @@ from scengen import (CategoricalHmm, InputError, average_da, da_for_sequence,
                      hmm_forward, log_likelihoods, qhmm_log_likelihood,
                      reference_four_event_system, sequence_log_prob, write_da_report)
 from scengen import hmm, qhmm
-from scengen.hmm import _TRELLIS_BUDGET
 from scengen.metrics import _scores
 from scengen.qhmm import _BLOCK_BUDGET
 
@@ -200,21 +199,24 @@ class TestLogLikelihoods:
             assert got[i] == qhmm_log_likelihood(model, underflow_batch[i])
 
     @pytest.mark.parametrize("k", [2, 5])
-    def test_hmm_batch_matches_path_sum(self, k):
-        # mixed lengths, more rows than one block of the batched forward pass
+    def test_hmm_batch_matches_path_sum(self, tree_cap, k):
+        # mixed lengths, over several prefix-tree blocks of the forward pass
         rng = np.random.default_rng(k)
         model = random_hmm(rng, k, 3)
         seqs = [tuple(rng.integers(0, 3, size=int(rng.integers(1, 5))))
-                for _ in range(_TRELLIS_BUDGET // k + 40)]
+                for _ in range(1024 // k + 40)]
+        assert tree_cap(16, k, seqs, 3) > 3
         oracle = {s: path_sum_probability(model, s) for s in set(seqs)}
         got = log_likelihoods(model, seqs)
         np.testing.assert_allclose(np.exp(got), [oracle[s] for s in seqs], rtol=1e-12)
 
-    def test_impossible_hmm_row_is_isolated(self, absorbing_hmm, underflow_batch):
+    def test_impossible_hmm_row_is_isolated(self, absorbing_hmm, underflow_batch, tree_cap):
+        # one tree block per distinct row
         possible = [underflow_batch[i] for i in (0, 2, 3)]
-        seqs = [possible[i % 3] for i in range(_TRELLIS_BUDGET // 2 + 11)]
+        seqs = [possible[i % 3] for i in range(1024 // 2 + 11)]
         middle = len(seqs) // 2
         seqs[middle] = underflow_batch[1]
+        assert tree_cap(5, 2, seqs, 3) == 4
         got = log_likelihoods(absorbing_hmm, seqs)
         assert np.flatnonzero(np.isinf(got)).tolist() == [middle]
         assert got[middle] == float("-inf")
@@ -330,9 +332,9 @@ class TestPrefixSharedScores:
             assert qhmm_log_likelihood(models[0], seq) == together[0, i]
 
     @pytest.mark.parametrize("k", [1, 4, 16])
-    def test_hmm_rows_equal_their_one_row_calls(self, k):
-        # more rows than a block, of lengths up to 12, and one row that the
-        # model cannot produce
+    def test_hmm_rows_equal_their_one_row_calls(self, tree_cap, k):
+        # several prefix-tree blocks of rows of lengths up to 12, and one row
+        # that the model cannot produce
         rng = np.random.default_rng(5 + k)
         model = random_hmm(rng, k, 3)
         emission = model.emission.copy()
@@ -340,8 +342,9 @@ class TestPrefixSharedScores:
         model = CategoricalHmm(model.transition, emission / emission.sum(axis=1, keepdims=True),
                                model.start)
         sequences = [[symbol % 2 for symbol in seq]
-                     for seq in stem_sequences(rng, 3, _TRELLIS_BUDGET // k + 40, 12)]
+                     for seq in stem_sequences(rng, 3, 1024 // k + 40, 12)]
         sequences[len(sequences) // 3] = [0, 1, 2, 0]
+        assert tree_cap(12, k, sequences, 3) > 3
         log_probs = _scores([model], sequences)[1][0]
         assert np.flatnonzero(np.isinf(log_probs)).tolist() == [len(sequences) // 3]
         assert_scores_equal_row_wise([model], sequences)

@@ -8,8 +8,8 @@ from scengen import (DensityMatrix, InputError, KrausModel, hmm,
                      next_symbol_distribution, qhmm, qhmm_log_likelihood,
                      qhmm_sample, qhmm_samples, random_stiefel, trainer,
                      validate_kraus)
-from scengen.hmm import _row_blocks
-from scengen.qhmm import _BLOCK_BUDGET
+from scengen.hmm import _flatten, _pad, _row_blocks
+from scengen.qhmm import _BLOCK_BUDGET, _merged
 
 from oracles import (all_sequences, kraus_path_probability, pad_reference,
                      qhmm_sample_reference, random_kraus_model)
@@ -731,3 +731,28 @@ class TestValidateKraus:
         report = validate_kraus(model)
         assert report.completeness_residual <= 1e-8
         assert report.passes
+
+
+class TestMerged:
+    def test_rows_merge_longest_first_with_offset_symbols(self):
+        # three runs of widths 4, 5 and 2 and alphabets 3, 4 and 6, with
+        # lengths tied across runs
+        rng = np.random.default_rng(4)
+        alphabets, widths = [3, 4, 6], [4, 5, 2]
+        runs = []
+        for m, width in zip(alphabets, widths):
+            sequences = [list(rng.integers(0, m, size=length))
+                         for length in rng.integers(1, width + 1, size=7)]
+            sequences[0] = list(rng.integers(0, m, size=width))
+            runs.append(_pad(*_flatten(sequences), m)[:2])
+        offsets = [0, 3, 7]
+        padded, lengths, order = _merged(runs, offsets)
+        assert padded.shape == (21, 5) and padded.dtype == np.int64
+        assert np.all(np.diff(lengths) <= 0)
+        owners, places = np.divmod(order, 7)  # each run holds 7 rows
+        for r, (rows, run_lengths) in enumerate(runs):
+            mine = owners == r
+            assert places[mine].tolist() == list(range(7))  # in the run's order
+            for row, length, place in zip(padded[mine], lengths[mine], places[mine]):
+                assert length == run_lengths[place]
+                np.testing.assert_array_equal(row[:length], rows[place, :length] + offsets[r])
