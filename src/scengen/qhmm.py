@@ -20,7 +20,8 @@ which never leave this module. Both layouts give each row the same bits.
 Training passes its runs to :func:`_loss_and_gradient`, which packs them
 into kernel calls of whole runs (:func:`_row_kernel`) that give each run
 the bits of a call of its own; a call of several merges their rows
-(:func:`_merged`).
+(:func:`_merged`) into one row block, and each step's bincount adds the
+gradient terms of each symbol's rows in row order.
 """
 
 from __future__ import annotations
@@ -289,16 +290,16 @@ def _loss_and_gradient(runs, rho0: np.ndarray) -> list:
     run's negated log-probability sum; callers divide by their row counts.
 
     The runs are packed in order into kernel calls of whole runs that fit
-    one row block and ``_STACK_ROWS`` rows together; a larger run is a call
-    of its own. A call of several runs stacks their operators and merges
-    their rows longest first (:func:`_merged`), each run's symbols
-    offset past the operators of the runs before it. Every run gets the
-    bits of a call over its own rows (see :func:`_row_kernel`).
+    one row block together; a larger run is a call of its own. A call of
+    several runs stacks their operators and merges their rows longest
+    first (:func:`_merged`), each run's symbols offset past the operators
+    of the runs before it. Every run gets the bits of a call over its own
+    rows (see :func:`_row_kernel`).
     """
-    cap = min(_BLOCK_BUDGET // rho0.shape[0] ** 2, _STACK_ROWS)
     results = []
-    for call in _packed(runs, [len(lengths) for *_, lengths in runs], cap):
-        if len(call) == 1:  # nothing to merge; merging would cost it about 13 us
+    for call in _packed(runs, [len(lengths) for *_, lengths in runs],
+                        _BLOCK_BUDGET // rho0.shape[0] ** 2):
+        if len(call) == 1:  # nothing to merge; merging would cost it 12-18 us
             ((operators, padded, lengths),) = call
             results.append(_row_kernel(operators, rho0, padded, lengths))
             continue
@@ -342,12 +343,6 @@ def _merged(runs, offsets):
     return symbols[order], lengths[order], order
 
 
-# OpenBLAS (0.3.31) may group the scatter's sum over more than this many
-# rows differently from a shorter one, so a call of several runs holds at
-# most this many rows: then each run's gradient keeps the bits of its own
-_STACK_ROWS = 128
-
-
 def _row_kernel(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
                 lengths: np.ndarray):
     """:func:`_loss_and_gradient` of one kernel call: the natural-log
@@ -358,9 +353,11 @@ def _row_kernel(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     before the next block is filtered. A row that underflows adds finite
     terms (its step probability is taken as 1), and only to the operators
     of the symbols it holds; a caller whose rows score -inf discards its
-    part. So at most ``_STACK_ROWS`` rows over disjoint symbol sets that
-    fit one row block, merged longest first, give each set's operators the
-    gradient of a call over that set alone, bit for bit.
+    part. Each step scatters its rows' terms with one bincount, which adds
+    the terms of each symbol's rows one after another, whatever rows sit
+    beside them. So rows over disjoint symbol sets that fit one row block,
+    merged longest first, give each set's operators the gradient of a call
+    over that set alone, bit for bit.
 
     Each position forms P = S A_x once, from the scaled dual S and the
     position's operators A_x: its term is P rho and the dual it passes back
@@ -370,8 +367,9 @@ def _row_kernel(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     """
     m, _, k, _ = operators.shape
     adjoint_ops = operators.conj().swapaxes(2, 3)
-    symbol_ids = np.arange(m)[:, None]
-    grad = np.zeros((m, operators[0].size), dtype=complex)
+    # one symbol's gradient row as floats, real and imaginary parts interleaved
+    columns = np.arange(2 * operators[0].size)
+    grad = np.zeros(m * len(columns))
     log_probs = np.zeros(len(lengths))
     for rows in _row_blocks(len(lengths), k ** 2, _BLOCK_BUDGET):
         history, block = [], padded[rows]
@@ -386,18 +384,12 @@ def _row_kernel(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
             n = len(probs)
             x = block[:n, t]
             product = (dual[:n] / probs[:, None, None])[:, None] @ operators[x]
-            terms = (product @ rho[:, None]).reshape(n, -1)
-            if terms.shape[1] == 1:
-                # a one-column product is a matrix-vector one, whose sums
-                # OpenBLAS groups by position, so that other symbols' rows
-                # would move a symbol's sum; bincount adds each row in turn
-                grad[:, 0] -= (np.bincount(x, terms.real[:, 0], m)
-                               + 1j * np.bincount(x, terms.imag[:, 0], m))
-            else:
-                grad -= (x == symbol_ids) @ terms
+            terms = (product @ rho[:, None]).reshape(n, -1).view(float)
+            grad -= np.bincount((x[:, None] * len(columns) + columns).ravel(), terms.ravel(),
+                                len(grad))
             if t:
                 dual[:n] = (adjoint_ops[x] @ product).sum(axis=1)
-    return log_probs, grad.reshape(operators.shape)
+    return log_probs, grad.view(complex).reshape(operators.shape)
 
 
 def belief_update(rho, model: KrausModel, symbol) -> Tuple[Optional[DensityMatrix], float]:

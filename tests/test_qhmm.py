@@ -423,13 +423,40 @@ class TestLossAndGradient:
             assert np.isfinite(grad).all() and np.abs(grad).max() > 0
         assert [np.isinf(log_probs).sum() for log_probs, _ in got] == [0, 1]
 
+    @pytest.mark.parametrize("k, mu", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_merged_calls_of_more_than_128_rows_match_their_own_calls(
+            self, monkeypatch, k, mu):
+        # four runs of alphabets 2 to 5 whose rows, of lengths 1 to 8, merge
+        # into one call of 400 rows (at K=3 one 227-row block), so each
+        # symbol's gradient sums the terms of many rows beside other runs'
+        rng = np.random.default_rng(10 * k + mu)
+        rho0 = DensityMatrix.maximally_mixed(k).matrix
+        total = min(_BLOCK_BUDGET // k ** 2, 400)
+        counts = [total // 4, total // 3, total // 5]
+        counts.append(total - sum(counts))
+        runs = []
+        for alphabet, count in zip((3, 2, 5, 4), counts):
+            rows = [tuple(rng.integers(0, alphabet, size=int(rng.integers(1, 9))).tolist())
+                    for _ in range(count)]
+            runs.append((random_kraus_model(rng, k, alphabet, mu).operators,
+                         *pad_reference(rows, alphabet)[:2]))
+        calls = self.record_row_kernel(monkeypatch)
+        got = qhmm._loss_and_gradient(runs, rho0)
+        ((symbols, merged, _),) = calls
+        assert symbols == 14 and len(merged) == total > 128
+        monkeypatch.undo()
+        for one_run, (log_probs, grad) in zip(runs, got):
+            ((want_log_probs, want),) = qhmm._loss_and_gradient([one_run], rho0)
+            np.testing.assert_array_equal(log_probs, want_log_probs)
+            np.testing.assert_array_equal(grad, want)
+
     @pytest.mark.parametrize("k", [2, 4, 8, 16])
     def test_runs_share_calls_of_whole_runs_up_to_the_cap(self, monkeypatch, k):
         # five runs of alphabets 2 and 3 and of widths 2 to 6, packed in
-        # order into calls of at most min(one row block, 128) rows: A and B
-        # fill the first call, C is above the cap and a call of its own, and
-        # D and E share the last
-        cap = min(_BLOCK_BUDGET // k ** 2, 128)
+        # order into calls of at most one row block: A and B fill the first
+        # call, C is above the cap and a call of its own, and D and E share
+        # the last
+        cap = _BLOCK_BUDGET // k ** 2
         rng = np.random.default_rng(k)
         rho0 = DensityMatrix.maximally_mixed(k).matrix
 

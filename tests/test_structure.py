@@ -13,7 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scengen"
 OWNED = {
-    "qhmm": {"_filter", "_running_layout", "_row_kernel", "_STACK_ROWS", "_merged", "_packed"},
+    "qhmm": {"_filter", "_running_layout", "_row_kernel", "_merged", "_packed"},
     "hmm": {"_trellis", "_lexicographic", "_prefix_layout"},
 }
 

@@ -581,9 +581,9 @@ def as_rows(padded, lengths):
 def assert_kernel_calls(entries, kernels):
     """Check that the row-kernel calls of one entry call hold its runs'
     ``(rows, ops)`` entries whole and in order: a call of several runs
-    holds at most one row block and 128 rows, merged longest first, with
-    each run's symbols offset past the runs before it in the call, under
-    exactly those runs' operators."""
+    holds at most one row block, merged longest first, with each run's
+    symbols offset past the runs before it in the call, under exactly
+    those runs' operators."""
     rest = list(entries)
     for rows, ops in kernels:
         members, symbols = [], 0
@@ -593,7 +593,7 @@ def assert_kernel_calls(entries, kernels):
         assert symbols == len(ops)
         np.testing.assert_array_equal(ops, np.concatenate([op for _, op in members]))
         if len(members) > 1:
-            assert len(rows) <= min(_BLOCK_BUDGET // ops.shape[-1] ** 2, 128)
+            assert len(rows) <= _BLOCK_BUDGET // ops.shape[-1] ** 2
         want, offsets = [], accumulate([len(op) for _, op in members], initial=0)
         for (own, _), offset in zip(members, offsets):
             want += [(length, tuple(x + offset for x in row)) for length, row in own]
@@ -667,11 +667,11 @@ class TestTrainQhmmSeeds:
         (4, 1, 3, 5),      # 64-row batches, two seeds per 128-row block
         (16, 2, 1, 5),     # 64-row batches over 8-row blocks, no stacking
         (16, 2, 1, 106),   # 3-row batches, two seeds per 8-row block
-        (2, 1, 3, 5),      # 512-row blocks, stacks capped at 128 rows
-        (3, 1, 3, 5),      # 227-row blocks, stacks capped at 128 rows
+        (2, 1, 3, 5),      # 512-row blocks, three seeds' batches in one call
+        (3, 1, 3, 5),      # 227-row blocks, three seeds' batches in one call
         (2, 1, 1, 5),      # one epoch: the last step has no next batch
         (4, 1, 2, 400),    # 82 empty batches closing each epoch
-        (1, 1, 2, 5),      # a one-column gradient scatter
+        (1, 1, 2, 5),      # one gradient entry per symbol
     ], ids=["4-1-3-5", "16-2-1-5", "16-2-1-106", "2-1-3-5", "3-1-3-5", "2-1-1-5",
             "4-1-2-400", "1-1-2-5"])
     def test_four_event_seeds_match_separate_runs(self, dim, mu, epochs, num_batches):
@@ -912,10 +912,10 @@ class TestTrainQhmmDatasets:
     @pytest.mark.parametrize("dim, num_batches", [
         # two kernel calls per pass, one of them holding runs of both datasets
         (4, 5),
-        # kernel calls capped at 128 rows: the desk runs' last two chunks of
-        # every epoch are empty, so they have 18 steps and the four-event
-        # runs 24, and a desk run's candidate at batch 5 is checked on the
-        # next epoch's first batch
+        # each pass one kernel call, within K=2's 512-row block: the desk
+        # runs' last two chunks of every epoch are empty, so they have 18
+        # steps and the four-event runs 24, and a desk run's candidate at
+        # batch 5 is checked on the next epoch's first batch
         (2, 8),
     ])
     def test_runs_of_two_systems_are_bit_identical_to_separate_runs(
