@@ -168,17 +168,23 @@ class TrellisResult:
     backward: Optional[np.ndarray] = None
 
 
-def _pad(symbols: np.ndarray, lengths: np.ndarray, alphabet_size: int):
+def _padded(symbols: np.ndarray, lengths: np.ndarray, alphabet_size: int) -> np.ndarray:
     """Flat int64 symbols of sequences with the given lengths as zero-padded
-    rows, longest first: ``(padded, lengths, order)``, where row i holds
-    input sequence ``order[i]``. A list of sequences is first flattened by
+    rows in input order. A list of sequences is first flattened by
     :func:`_flatten`."""
     if not len(lengths):
         raise InputError("need at least one sequence")
     _check_range(symbols, alphabet_size)
+    padded = np.zeros((len(lengths), lengths.max()), dtype=np.int64)
+    padded[lengths[:, None] > np.arange(padded.shape[1])] = symbols
+    return padded
+
+
+def _pad(symbols: np.ndarray, lengths: np.ndarray, alphabet_size: int):
+    """The rows of :func:`_padded`, longest first: ``(padded, lengths,
+    order)``, where row i holds input sequence ``order[i]``."""
+    padded = _padded(symbols, lengths, alphabet_size)
     order = np.argsort(-lengths, kind="stable")
-    padded = np.zeros((len(lengths), lengths[order[0]]), dtype=np.int64)
-    padded[lengths[:, None] > np.arange(padded.shape[1])] = symbols  # in input order
     return padded[order], lengths[order], order
 
 
@@ -211,13 +217,14 @@ def _lexicographic(padded: np.ndarray, lengths: np.ndarray):
 
 
 def _prefix_rows(symbols: np.ndarray, lengths: np.ndarray, alphabet_size: int):
-    """The sequences of :func:`_pad` as zero-padded rows in lexicographic
-    order (:func:`_lexicographic`): ``(padded, lengths, order, starts)``,
-    where row i holds input sequence ``order[i]``. Both model kinds score
-    these rows on their prefix trees (:func:`_tree_log_likelihoods`)."""
-    padded, lengths, order = _pad(symbols, lengths, alphabet_size)
-    places, starts = _lexicographic(padded, lengths)
-    return padded[places], lengths[places], order[places], starts
+    """The rows of :func:`_padded` in lexicographic order
+    (:func:`_lexicographic`), the one sort they get: ``(padded, lengths,
+    order, starts)``, where row i holds input sequence ``order[i]``. Both
+    model kinds score these rows on their prefix trees
+    (:func:`_tree_log_likelihoods`)."""
+    padded = _padded(symbols, lengths, alphabet_size)
+    order, starts = _lexicographic(padded, lengths)
+    return padded[order], lengths[order], order, starts
 
 
 def _prefix_layout(symbols: np.ndarray, lengths: np.ndarray, starts: np.ndarray):
@@ -554,7 +561,7 @@ def baum_welch_fits(datasets, num_states: int, seeds, *, max_iters: int = 100,
         if not len(lengths):
             raise InputError("dataset must contain at least one sequence")
         if alphabet_size is None:
-            alphabet_size = 1 + int(symbols.max())  # _pad reports a negative symbol
+            alphabet_size = 1 + int(symbols.max())  # _padded reports a negative symbol
         padded, lengths, _, starts = _prefix_rows(symbols, lengths, alphabet_size)
         stacks.append(([_EmRun(alphabet_size, num_states, seed) for seed in seeds],
                        _trees(padded, lengths, starts, num_states, alphabet_size)))

@@ -412,16 +412,27 @@ class ScenarioDataset:
 
 
 def _json_values(values) -> list:
-    """``json.dumps`` of each value: a finite float is its ``repr`` and each
-    distinct string is encoded once (only strings are memoized, since
-    ``True == 1`` would share a dict entry)."""
-    strings, out = {}, []
+    """``json.dumps`` of each value, where each distinct string and each
+    distinct nonzero finite float is encoded once.
+
+    A finite float's text is its ``repr``. Zeros are encoded one by one,
+    since ``0.0 == -0.0`` would share a dict entry although they print
+    differently; so are NaN, the infinities and every other type (``True ==
+    1 == 1.0`` would share one too). The float memo pays because the
+    permutations of the same fail/repair steps share one probability.
+    """
+    strings, floats, out = {}, {}, []
     for value in values:
-        if type(value) is str:
+        kind = type(value)
+        if kind is str:
             text = strings.get(value)
             if text is None:
                 text = strings[value] = json.dumps(value)
-        elif type(value) is float and math.isfinite(value):
+        elif kind is float and value and math.isfinite(value):
+            text = floats.get(value)
+            if text is None:
+                text = floats[value] = repr(value)
+        elif kind is float and math.isfinite(value):
             text = repr(value)
         else:
             text = json.dumps(value)
@@ -433,7 +444,9 @@ def save_dataset(dataset: ScenarioDataset, path) -> None:
     """One JSON object per line: {"sequence", "label", "prob", "split"}.
 
     Each line is written from the columns, byte for byte as ``json.dumps``
-    writes the record's dict."""
+    writes the record's dict. Each distinct label, split and nonzero finite
+    probability is encoded once (:func:`_json_values`): a no_probable set
+    holds many orderings of the same steps, which share one probability."""
     sequences = _rows(dataset.symbols, dataset.lengths)
     line = '{"sequence": %r, "label": %s, "prob": %s, "split": %s}\n'.__mod__
     with open(path, "w") as fh:

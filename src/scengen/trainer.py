@@ -354,12 +354,15 @@ class _Run:
         # the steps still to take, last first: (epoch, index, tau, rows) per
         # mini-batch that has rows, its rows in increasing order (longest
         # first); the permutations are the run's only draws after its
-        # initialization, so they are all drawn here
+        # initialization, so they are all drawn here; each permutation is cut
+        # where np.array_split cuts it, at bounds found once
+        batches = [(index, slice(chunk[0], chunk[-1] + 1)) for index, chunk in enumerate(
+            np.array_split(range(len(lengths)), config.num_batches)) if chunk.size]
         self.pending, tau = [], config.learning_rate
         for epoch in range(config.epochs):
-            chunks = np.array_split(rng.permutation(len(lengths)), config.num_batches)
-            self.pending += [(epoch, index, tau, np.sort(row_of[chunk]))
-                             for index, chunk in enumerate(chunks) if chunk.size]
+            permutation = rng.permutation(len(lengths))
+            self.pending += [(epoch, index, tau, np.sort(row_of[permutation[chunk]]))
+                             for index, chunk in batches]
             tau *= config.decay
         self.pending.reverse()
         self.records = []

@@ -131,6 +131,34 @@ class TestPad:
             _pad(*_flatten(sequences), 4)
 
 
+class TestPrefixRows:
+    """:func:`hmm._prefix_rows` sorts the rows once and gives what the
+    longest-first rows of :func:`_pad` sorted by :func:`hmm._lexicographic`
+    give."""
+
+    @staticmethod
+    def reference(symbols, lengths, alphabet_size):
+        padded, lengths, order = _pad(symbols, lengths, alphabet_size)
+        places, starts = hmm._lexicographic(padded, lengths)
+        return padded[places], lengths[places], order[places], starts
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: [[0, 1, 2], [3], [0, 1, 2], [1, 1], [3], [0, 1], [0, 1, 2, 0]],
+        lambda rng: [[2, 0, 1]],
+        lambda rng: [[1, 0], [0, 1], [3, 3], [0, 1], [2, 2]],
+        lambda rng: [[0], [0], [0]],
+        lambda rng: [rng.integers(0, 2, size=int(rng.integers(1, 5))).tolist()
+                     for _ in range(200)],
+    ])
+    def test_rows_equal_the_two_sort_reference(self, make):
+        sequences = make(np.random.default_rng(7))
+        got = _prefix_rows(*_flatten(sequences), 4)
+        want = self.reference(*_flatten(sequences), 4)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
 class TestTreeScores:
     """HMM scoring on the prefix tree (:func:`hmm._log_likelihoods` over the
     rows of :func:`hmm._prefix_rows`) gives every row the bits of its

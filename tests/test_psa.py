@@ -417,10 +417,14 @@ class TestDatasetIo:
 
     def test_lines_are_json_dumps_of_the_records(self, tmp_path):
         nan, inf = float("nan"), float("inf")
+        # repeated strings and nonzero finite floats are encoded once; the
+        # values equal to one of them but printed differently keep their own
+        repeats = [0.25, 1e-05, 0.25, 0.0, -0.0, 0.0, -0.0, 1.0, True, 1, 1.0, True,
+                   np.float64(0.5), 0.5, np.float64(0.5), 0.5, "0.25", 0.25]
         labels = [None, 'say "hi"', "back\\slash", "naïve ✓ \n", ["a", 1], "probable",
-                  'say "hi"', True, 1]
-        probs = [None, 1e-05, 1e16, -0.0, nan, inf, -inf, 0.1 + 0.2, np.float64(0.5)]
-        splits = [True, 1, 1.0, "train", "test", "train", 7, 2 ** 70, False]
+                  'say "hi"', True, 1] + repeats
+        probs = [None, 1e-05, 1e16, -0.0, nan, inf, -inf, 0.1 + 0.2, np.float64(0.5)] + repeats
+        splits = [True, 1, 1.0, "train", "test", "train", 7, 2 ** 70, False] + repeats[::-1]
         lengths = np.arange(1, len(labels) + 1, dtype=np.int64)
         symbols = np.arange(lengths.sum(), dtype=np.int64) % 6
         dataset = ScenarioDataset.from_columns(6, symbols, lengths, labels, probs, splits)

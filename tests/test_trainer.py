@@ -477,6 +477,31 @@ class TestTrainQhmm:
         assert validate_kraus(model).passes
 
 
+class TestSchedule:
+    """A run cuts each epoch's permutation where ``np.array_split`` cuts it,
+    and draws what it drew with ``np.array_split``."""
+
+    @pytest.mark.parametrize("rows, num_batches", [(3, 5), (5, 5), (11, 4), (1, 1)])
+    def test_batches_equal_array_split(self, rows, num_batches):
+        config = TrainConfig(dim=2, num_batches=num_batches, epochs=3, seed=4)
+        lengths = np.arange(rows, 0, -1)
+        row_of = np.random.default_rng(1).permutation(rows)
+        run = trainer._Run(np.zeros((rows, rows), np.int64), lengths, row_of, 2,
+                           config.seed, config)
+        rng = np.random.default_rng(config.seed)
+        trainer._draw_stiefel(rng, 2 * config.multiplicity * config.dim, config.dim)
+        want, tau = [], config.learning_rate
+        for epoch in range(config.epochs):
+            chunks = np.array_split(rng.permutation(rows), num_batches)
+            want += [(epoch, index, tau, np.sort(row_of[chunk]))
+                     for index, chunk in enumerate(chunks) if chunk.size]
+            tau *= config.decay
+        got = run.pending[::-1]
+        assert [entry[:3] for entry in got] == [entry[:3] for entry in want]
+        for (*_, got_rows), (*_, want_rows) in zip(got, want):
+            np.testing.assert_array_equal(got_rows, want_rows)
+
+
 def desk_training_sets():
     """Train splits of the README pipeline's two datasets (split seed 9)."""
     datasets = build_datasets(reference_three_event_system(), max_len=4, p_min=1e-3,
