@@ -32,7 +32,7 @@ from .metrics import _scores, write_da_report
 from .psa import (FAIL, REPAIR, SystemModel, apply_event, build_datasets,
                   decode_scenario, legal_walks, load_dataset)
 from .qhmm import qhmm_samples, validate_kraus
-from .serialization import load_model, save_model
+from .serialization import _overwrite, load_model, save_model
 from .trainer import (TrainConfig, TrainRecord, train_qhmm, train_qhmm_datasets,
                       write_training_log)
 
@@ -122,7 +122,7 @@ def _write_manifest(args, out: Path, work: dict, started_wall: str,
     }
     manifest.update((block, dict(counts)) for block, counts in work.items() if counts)
     # one write: json.dump with an indent writes each token on its own
-    with open(out / "manifest.json", "w") as fh:
+    with _overwrite(out / "manifest.json") as fh:
         fh.write(json.dumps(manifest, indent=2, default=str) + "\n")
 
 
@@ -249,24 +249,24 @@ def cmd_generate(args, run: _Run) -> None:
     # at least, which checks the length, count and prefix); row i of a call
     # equals the i-th one-row call, so the file does not depend on the chunk
     # size. A row counts as at least K^2 symbols, the entries of the belief a
-    # Kraus model may hold for it. Opening the file after the draw saves
-    # about 3% of a 100-row call.
+    # Kraus model may hold for it. The file is opened once, around every
+    # chunk: writing over its old bytes makes the open cheap wherever it sits.
     rng = np.random.default_rng(args.seed)
-    rows = max(1, _GENERATE_CHUNK // max(args.length, k * k))
-    path, legal = run.out_dir() / "sequences.jsonl", 0
-    for start in range(0, max(args.count, 1), rows):
-        chunk = sample(model, args.length, min(args.count - start, rows), rng,
-                       prefix=prefix)
-        # a list of ints prints as json.dumps writes it
-        if system is None:
-            text = ['{"sequence": %s}\n' % row for row in chunk.tolist()]
-        else:
-            walks = legal_walks(system, chunk, decode_start).tolist()
-            legal += sum(walks)
-            text = ['{"sequence": %s, "steps": %s}\n'
-                    % (row, "[" + ", ".join([steps[x] for x in row]) + "]" if ok else "null")
-                    for row, ok in zip(chunk.tolist(), walks)]
-        with open(path, "a" if start else "w") as fh:
+    rows, legal = max(1, _GENERATE_CHUNK // max(args.length, k * k)), 0
+    with _overwrite(run.out_dir() / "sequences.jsonl") as fh:
+        for start in range(0, max(args.count, 1), rows):
+            chunk = sample(model, args.length, min(args.count - start, rows), rng,
+                           prefix=prefix)
+            # a list of ints prints as json.dumps writes it
+            if system is None:
+                text = ['{"sequence": %s}\n' % row for row in chunk.tolist()]
+            else:
+                walks = legal_walks(system, chunk, decode_start).tolist()
+                legal += sum(walks)
+                text = ['{"sequence": %s, "steps": %s}\n'
+                        % (row, "[" + ", ".join([steps[x] for x in row]) + "]" if ok
+                           else "null")
+                        for row, ok in zip(chunk.tolist(), walks)]
             fh.writelines(text)
     work["samples"] = args.count
     if system is not None:
@@ -321,7 +321,7 @@ def cmd_compare(args, run: _Run) -> None:
                                  work=run.work["scoring"])[2].mean(axis=1)
                 rows.append([str(data_path), kind, split,
                              repr(float(values.mean())), repr(float(values.std()))])
-    with open(run.out_dir() / "comparison.csv", "w", newline="") as fh:
+    with _overwrite(run.out_dir() / "comparison.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "model_kind", "split", "mean_da", "std_da"])
         writer.writerows(rows)

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (DatasetConstructionError, InputError, ResourceLimitError,
                      TransitionError)
 from .hmm import _flatten
+from .serialization import _overwrite
 
 FAIL = "fail"
 REPAIR = "repair"
@@ -117,7 +118,7 @@ class SystemModel:
             raise InputError(f"malformed system payload: {exc}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        with _overwrite(path) as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
 
@@ -449,7 +450,7 @@ def save_dataset(dataset: ScenarioDataset, path) -> None:
     holds many orderings of the same steps, which share one probability."""
     sequences = _rows(dataset.symbols, dataset.lengths)
     line = '{"sequence": %r, "label": %s, "prob": %s, "split": %s}\n'.__mod__
-    with open(path, "w") as fh:
+    with _overwrite(path) as fh:
         fh.writelines(map(line, zip(sequences, *map(_json_values, (
             dataset.labels, dataset.probs, dataset.splits)))))
 

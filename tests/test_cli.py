@@ -1223,6 +1223,16 @@ class TestUsage:
         assert excinfo.value.code == 0
 
 
+def mode(path):
+    return os.stat(path).st_mode & 0o777
+
+
+def current_umask():
+    umask = os.umask(0)
+    os.umask(umask)
+    return umask
+
+
 def write_then_fail(real):
     """``real``, made to raise once it has written."""
     def failing(*args, **kwargs):
@@ -1296,6 +1306,72 @@ class TestRunContract:
             assert [p.name for p in out.iterdir()] == ["notes.txt"]
         else:
             assert not (tmp_path / "new").exists()
+
+    @pytest.fixture
+    def shorter_reruns(self, dataset_dir):
+        """Each command's flags (beside those of ``calls``) of an earlier run
+        whose files are longer than a rerun's, and of the rerun."""
+        return {"make-dataset": (["--max-len", 6], []),
+                "train": (["--epochs", 4], []),
+                "eval": ([], ["--split", "test"]),
+                "generate": (["--count", 40], []),
+                "classify": ([], ["--split", "test"]),
+                "compare": (["--data", dataset_dir / "no_probable.jsonl"], [])}
+
+    @pytest.mark.parametrize("command", list(cli._OUTPUTS))
+    def test_a_rerun_over_a_larger_run_writes_a_fresh_runs_bytes(
+            self, calls, shorter_reruns, tmp_path, command):
+        argv = calls[command][0]
+        earlier, later = shorter_reruns[command]
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert run(*argv, *later, "--out", fresh) == 0
+        assert run(*argv, *earlier, "--out", out) == 0
+        longer = read_data_files(out)
+        assert run(*argv, *later, "--out", out) == 0
+        assert read_data_files(out) == read_data_files(fresh)
+        assert any(len(longer[name]) > len(data)
+                   for name, data in read_data_files(fresh).items())
+
+    @pytest.mark.parametrize("command", list(cli._OUTPUTS))
+    def test_a_rerun_over_padded_files_writes_a_fresh_runs_bytes(self, calls, tmp_path,
+                                                                 monkeypatch, command):
+        # generate writes its three rows in three chunks
+        monkeypatch.setattr(cli, "_GENERATE_CHUNK", 4)
+        argv = calls[command][0]
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        for directory in (fresh, out):
+            assert run(*argv, "--out", directory) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name in (*cli._OUTPUTS[command], "manifest.json"):
+            with open(out / name, "a") as fh:
+                fh.write("a tail from an earlier, longer run\n" * 50)
+            (out / name).chmod(0o640)
+        assert run(*argv, "--out", out) == 0
+        assert read_data_files(out) == read_data_files(fresh)
+        rewritten = json.loads((out / "manifest.json").read_text())
+        for key in ("started_at", "duration_seconds"):
+            del manifest[key], rewritten[key]
+        assert rewritten == manifest
+        assert {mode(out / name) for name in (*cli._OUTPUTS[command], "manifest.json")} \
+            == {0o640}
+
+    @pytest.mark.parametrize("command", list(cli._OUTPUTS))
+    def test_outputs_that_are_symlinks_are_written_through(self, calls, tmp_path, command):
+        argv = calls[command][0]
+        fresh, out, elsewhere = tmp_path / "fresh", tmp_path / "out", tmp_path / "elsewhere"
+        assert run(*argv, "--out", fresh) == 0
+        out.mkdir()
+        elsewhere.mkdir()
+        for name in cli._OUTPUTS[command]:
+            (elsewhere / name).write_text("an earlier, longer file\n" * 200)
+            (out / name).symlink_to(elsewhere / name)
+        assert run(*argv, "--out", out) == 0
+        for name in cli._OUTPUTS[command]:
+            assert (out / name).is_symlink()
+            assert (elsewhere / name).read_bytes() == (fresh / name).read_bytes()
+        # a new file gets the mode open(path, "w") gives it
+        assert mode(out / "manifest.json") == mode(fresh / "manifest.json") \
+            == 0o666 & ~current_umask()
 
     def test_outputs_table_names_every_command(self):
         (commands,) = [action.choices for action in cli.build_parser()._actions

@@ -57,6 +57,14 @@ class TestSystemModel:
         loaded = SystemModel.load(path)
         assert loaded.to_dict() == ref_system.to_dict()
 
+    def test_save_over_a_longer_file(self, ref_system, tmp_path):
+        path, fresh = tmp_path / "system.json", tmp_path / "fresh.json"
+        reference_four_event_system().save(path)
+        ref_system.save(fresh)
+        assert path.stat().st_size > fresh.stat().st_size
+        ref_system.save(path)
+        assert path.read_bytes() == fresh.read_bytes()
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -374,6 +382,15 @@ class TestDatasetIo:
         loaded = load_dataset(path)
         assert loaded.alphabet_size == probable.alphabet_size
         assert loaded.records == probable.records
+
+    def test_save_over_a_longer_file(self, ref_system, tmp_path):
+        probable, no_probable = build_datasets(ref_system, seed=0)
+        path, fresh = tmp_path / "data.jsonl", tmp_path / "fresh.jsonl"
+        save_dataset(no_probable, path)
+        save_dataset(probable, fresh)
+        assert path.stat().st_size > fresh.stat().st_size
+        save_dataset(probable, path)
+        assert path.read_bytes() == fresh.read_bytes()
 
     def test_alphabet_inference_rounds_up_to_even(self, tmp_path):
         path = tmp_path / "data.jsonl"

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from scengen import (CategoricalHmm, InputError, KrausModel, TrainRecord, TwoModelClassifier,
                      classifier, load_model, metrics, save_model, write_classification_report,
                      write_da_report, write_training_log)
-from scengen.serialization import _json_text
+from scengen.serialization import _json_text, _overwrite
 
 from oracles import random_hmm, random_kraus_model
 
@@ -59,6 +61,16 @@ class TestSaveModel:
         for token in ("NaN", "Infinity", "-Infinity", "-0.0"):
             assert token in text
 
+    def test_a_longer_file_is_written_as_a_new_one(self, tmp_path):
+        rng = np.random.default_rng(5)
+        small, large = random_hmm(rng, 2, 2), random_kraus_model(rng, 3, 8, 2)
+        save_model(small, tmp_path / "fresh.json")
+        path = tmp_path / "model.json"
+        save_model(large, path)
+        assert path.stat().st_size > (tmp_path / "fresh.json").stat().st_size
+        save_model(small, path)
+        assert path.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
     @pytest.mark.parametrize("payload", [
         {"a": []}, {"a": [[], []]}, {"a": [[[], []], [[], []]]},
         {"a": np.zeros((2, 0, 3)).tolist(), "b": np.zeros((0, 3)).tolist()},
@@ -66,6 +78,57 @@ class TestSaveModel:
     ])
     def test_empty_lists_and_scalars(self, payload):
         assert "".join(_json_text(payload)) == json.dumps(payload, indent=2) + "\n"
+
+
+def mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+class TestOverwrite:
+    """The one writer keeps the semantics of ``open(path, "w")`` but writes
+    over the old bytes and cuts the file at the written length."""
+
+    @pytest.mark.parametrize("newline, text, want", [
+        (None, "new\n", b"new\n"), ("", "a,b\r\n", b"a,b\r\n"), (None, "", b"")])
+    def test_a_longer_file_is_cut_to_the_new_bytes(self, tmp_path, newline, text, want):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old bytes\r\n" * 100)
+        with _overwrite(path, newline=newline) as fh:
+            fh.write(text)
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("target_exists", [True, False], ids=["target", "dangling"])
+    def test_a_symlink_is_written_through(self, tmp_path, target_exists):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        if target_exists:
+            target.write_text("old and longer bytes\n")
+        link.symlink_to(target)
+        with _overwrite(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"new\n"
+
+    def test_a_hard_link_and_the_permission_bits_are_kept(self, tmp_path):
+        path, other = tmp_path / "out.txt", tmp_path / "other.txt"
+        path.write_text("old and longer bytes\n")
+        path.chmod(0o640)
+        os.link(path, other)
+        with _overwrite(path) as fh:
+            fh.write("new\n")
+        assert mode(path) == 0o640
+        assert os.path.samefile(path, other) and other.read_bytes() == b"new\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000], ids=oct)
+    def test_a_new_file_gets_the_mode_open_gives_it(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference.txt", "w"):
+                pass
+            with _overwrite(tmp_path / "new.txt"):
+                pass
+        finally:
+            os.umask(old)
+        assert mode(tmp_path / "new.txt") == mode(tmp_path / "reference.txt")
 
 
 class TestLoadModel:

@@ -61,3 +61,67 @@ def test_every_owned_name_is_defined_by_its_module(owner):
     # a stale entry guards nothing
     tree = ast.parse((PACKAGE / f"{owner}.py").read_text())
     assert not sorted(OWNED[owner] - set(defined_names(tree)))
+
+
+# every file the package writes is opened by serialization._overwrite
+WRITER = ("serialization", "_overwrite")
+
+
+def file_writes(tree, writer=None):
+    """(line, call) of each call in ``tree`` that may write a file outside the
+    function named ``writer``: ``open`` or a ``.open`` method whose mode
+    holds ``w``, ``a``, ``x`` or ``+`` (or is not a literal), ``os.open``, and
+    ``.write_text`` and ``.write_bytes``."""
+    def walk(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == writer:
+            return
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            owner = func.value.id if (isinstance(func, ast.Attribute)
+                                      and isinstance(func.value, ast.Name)) else None
+            if (owner, name) == ("os", "open") or name in ("write_text", "write_bytes"):
+                yield node.lineno, ast.unparse(func)
+            elif name == "open":
+                # a method's mode is its first argument, open's its second
+                modes = node.args[isinstance(func, ast.Name):][:1] + [
+                    kw.value for kw in node.keywords if kw.arg == "mode"]
+                if any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+                       or set(mode.value) & set("wax+") for mode in modes):
+                    yield node.lineno, ast.unparse(func)
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child)
+
+    yield from walk(tree)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_every_file_is_written_by_the_one_writer(path):
+    writer = WRITER[1] if path.stem == WRITER[0] else None
+    writes = list(file_writes(ast.parse(path.read_text()), writer))
+    assert not writes, f"{path.name} writes files outside {'.'.join(WRITER)}: {writes}"
+
+
+def test_the_writer_check_sees_every_way_to_write():
+    tree = ast.parse("import os\n"
+                     "open(p)\n"
+                     "open(p, 'rb')\n"
+                     "open(p, 'w')\n"
+                     "open(p, mode='a', newline='')\n"
+                     "path.open('x')\n"
+                     "path.open()\n"
+                     "open(p, mode)\n"
+                     "os.open(p, os.O_RDONLY)\n"
+                     "path.write_text('')\n"
+                     "def _overwrite(p):\n"
+                     "    os.open(p, os.O_WRONLY)\n"
+                     "    return open(p, 'r+')\n")
+    assert [line for line, _ in file_writes(tree)] == [4, 5, 6, 8, 9, 10, 12, 13]
+    assert [line for line, _ in file_writes(tree, "_overwrite")] == [4, 5, 6, 8, 9, 10]
+
+
+def test_the_writer_is_defined_where_the_check_allows_it():
+    # a stale entry guards nothing
+    tree = ast.parse((PACKAGE / f"{WRITER[0]}.py").read_text())
+    assert WRITER[1] in set(defined_names(tree))
+    assert list(file_writes(tree))
