@@ -19,7 +19,7 @@ from .qhmm import KrausModel
 @contextlib.contextmanager
 def _overwrite(path, newline=None):
     """``open(path, "w", newline=newline)`` that writes over the file's old
-    bytes and cuts it at the written length when the body returns.
+    bytes and cuts it at the written length when the body ends.
 
     Truncating a file that holds data on open costs far more than writing
     over it (a 0.2-20 KB file on ext4 mounted with ``discard`` took 95-116 us
@@ -28,13 +28,21 @@ def _overwrite(path, newline=None):
 
     As with ``"w"``, a symlink is written through, a hard link and the
     permission bits of an existing file are kept, and a new file gets mode
-    ``0o666`` less the umask. A body that raises, or a process killed while
-    writing, leaves what was written over the start of the old bytes (a
-    failed command's outputs are removed by ``cli.main``).
+    ``0o666`` less the umask. A body that raises, ``KeyboardInterrupt``
+    included, also has the file cut, so it leaves a prefix of the new bytes
+    as ``"w"`` does; only a process killed while writing (or a cut that
+    fails after the body raised) leaves the new bytes followed by the old
+    file's tail.
     """
     with open(path, "w", newline=newline,
               opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
-        yield fh
+        try:
+            yield fh
+        except BaseException:
+            # the body's exception is the one to report
+            with contextlib.suppress(OSError):
+                fh.truncate()
+            raise
         fh.truncate()
 
 

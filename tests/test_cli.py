@@ -605,6 +605,30 @@ class TestGenerate:
         assert capsys.readouterr().err.splitlines()[-1] == "error: chunk failed"
         assert not (out / "sequences.jsonl").exists()
 
+    def test_an_interrupted_rerun_leaves_a_prefix_of_the_new_rows(self, dataset_dir, tmp_path,
+                                                                 monkeypatch):
+        # Ctrl-C skips main's cleanup; the interrupted file must still not
+        # end in the rows of the earlier, longer run
+        model_dir, fresh, out = tmp_path / "model", tmp_path / "fresh", tmp_path / "gen"
+        assert train_small(dataset_dir, model_dir) == 0
+        argv = ("generate", "--model", model_dir / "model.json", "--length", 3, "--seed", 0)
+        monkeypatch.setattr(cli, "_GENERATE_CHUNK", 2)
+        assert run(*argv, "--count", 5, "--out", fresh) == 0
+        assert run(*argv, "--count", 40, "--out", out) == 0
+        real, calls = cli.qhmm_samples, []
+
+        def interrupted_third_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "qhmm_samples", interrupted_third_call)
+        with pytest.raises(KeyboardInterrupt):
+            run(*argv, "--count", 5, "--out", out)
+        rows = (fresh / "sequences.jsonl").read_text().splitlines(keepends=True)
+        assert (out / "sequences.jsonl").read_text() == "".join(rows[:2])
+
     def test_each_chunk_is_decoded_in_one_call(self, system_path, tmp_path,
                                                monkeypatch):
         # only the prefix goes through decode_scenario; each chunk's rows are

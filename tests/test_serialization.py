@@ -97,6 +97,23 @@ class TestOverwrite:
             fh.write(text)
         assert path.read_bytes() == want
 
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_a_body_that_raises_leaves_a_prefix_as_open_does(self, tmp_path, error):
+        # the prefix of the new bytes that open(path, "w") leaves, with no
+        # tail of the longer old file
+        def write_then_raise(fh):
+            fh.write("new bytes\n" * 3)
+            raise error("interrupted")
+
+        reference, path = tmp_path / "reference.txt", tmp_path / "out.txt"
+        for target in (reference, path):
+            target.write_bytes(b"old bytes\n" * 100)
+        with pytest.raises(error), open(reference, "w") as fh:
+            write_then_raise(fh)
+        with pytest.raises(error), _overwrite(path) as fh:
+            write_then_raise(fh)
+        assert path.read_bytes() == reference.read_bytes() == b"new bytes\n" * 3
+
     @pytest.mark.parametrize("target_exists", [True, False], ids=["target", "dangling"])
     def test_a_symlink_is_written_through(self, tmp_path, target_exists):
         target, link = tmp_path / "target.txt", tmp_path / "link.txt"
