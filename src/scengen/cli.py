@@ -423,20 +423,24 @@ def main(argv=None) -> int:
         args.func(args, run)
         _write_manifest(args, run.out, run.work, started, clock)
         return 0
-    except Exception as exc:
-        # a command leaves its outputs and manifest, or none of its files; the
-        # manifest goes first, so a run whose files cannot all go never looks done
+    except BaseException as exc:
+        # a command leaves its outputs and manifest, or none of its files, also
+        # when interrupted; the manifest goes first, so a run whose files cannot
+        # all go never looks done
         with contextlib.suppress(OSError):
             for name in ("manifest.json", *_OUTPUTS[args.command]):
                 (run.out / name).unlink(missing_ok=True)
             for directory in run.created:  # --out and the parents this call made
                 directory.rmdir()
+        if not isinstance(exc, (ScengenError, OSError)):  # a bug, Ctrl-C or an exit
+            raise
         if isinstance(exc, FileNotFoundError):
             print(f"error: missing file: {exc.filename}", file=sys.stderr)
             return 2
-        if not isinstance(exc, (ScengenError, OSError)):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
+        hint = ("; train infers a model's alphabet from its data file, so train each model "
+                "with --alphabet-size 2n for a system of n events"
+                if isinstance(exc, AlphabetMismatchError) else "")
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 1
 
 

@@ -23,6 +23,7 @@ pure function, so concurrent use across threads is safe.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
@@ -178,14 +179,6 @@ def _padded(symbols: np.ndarray, lengths: np.ndarray, alphabet_size: int) -> np.
     padded = np.zeros((len(lengths), lengths.max()), dtype=np.int64)
     padded[lengths[:, None] > np.arange(padded.shape[1])] = symbols
     return padded
-
-
-def _pad(symbols: np.ndarray, lengths: np.ndarray, alphabet_size: int):
-    """The rows of :func:`_padded`, longest first: ``(padded, lengths,
-    order)``, where row i holds input sequence ``order[i]``."""
-    padded = _padded(symbols, lengths, alphabet_size)
-    order = np.argsort(-lengths, kind="stable")
-    return padded[order], lengths[order], order
 
 
 def _row_blocks(count: int, row_entries: int, budget: int) -> list:
@@ -449,6 +442,10 @@ def hmm_posterior(model: CategoricalHmm, sequence, position: int) -> np.ndarray:
         If the sequence has zero probability under the model.
     """
     seq = _as_symbols(sequence, model.alphabet_size)
+    try:  # a bool is rejected: True would index as position 1
+        position = operator.index(None if isinstance(position, bool) else position)
+    except TypeError:
+        raise InputError(f"position must be an integer, not {position!r}") from None
     if not 1 <= position <= len(seq):
         raise InputError(f"position {position} outside 1..{len(seq)}")
     res = hmm_backward(model, seq)

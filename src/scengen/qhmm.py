@@ -17,11 +17,13 @@ from rows that :func:`hmm._prefix_rows` sorts once. The loss and gradient
 padded rows, each its own path (:func:`_running_layout`), because the
 adjoint runs backwards along each row over the beliefs the filter kept,
 which never leave this module. Both layouts give each row the same bits.
-Training passes its runs to :func:`_loss_and_gradient`, which packs them
-into kernel calls of whole runs (:func:`_row_kernel`) that give each run
-the bits of a call of its own; a call of several merges their rows
-(:func:`_merged`) into one row block, and each step's bincount adds the
-gradient terms of each symbol's rows in row order.
+Training passes its runs to :func:`_loss_and_gradient` with their rows in
+its own order; the entry packs them into kernel calls of whole runs
+(:func:`_row_kernel`) and sorts each call's rows itself, longest first,
+so that the rows still running at each step are a leading slice. A call
+of several runs merges their rows (:func:`_merged`) into one row block,
+and each step's bincount adds the gradient terms of each symbol's rows in
+row order, so every run gets the bits of a call of its own.
 """
 
 from __future__ import annotations
@@ -284,33 +286,35 @@ def _log_likelihoods(pairs, padded: np.ndarray, lengths: np.ndarray, starts: np.
 
 def _loss_and_gradient(runs, rho0: np.ndarray) -> list:
     """Per run of ``runs``, ``(operators, padded, lengths)`` triples of one
-    K and mu whose padded rows run longest first: the natural-log
-    probability of each row, in the run's row order and with the bits of
-    :func:`_log_likelihoods`, and the gradient w.r.t. conj(operators) of the
-    run's negated log-probability sum; callers divide by their row counts.
+    K and mu whose padded rows may come in any order: the sum of the
+    natural-log probabilities of the run's rows, and the gradient w.r.t.
+    conj(operators) of its negation; callers divide by their row counts.
+    A row that underflows makes its run's sum -inf.
 
     The runs are packed in order into kernel calls of whole runs that fit
     one row block together; a larger run is a call of its own. A call of
-    several runs stacks their operators and merges their rows longest
-    first (:func:`_merged`), each run's symbols offset past the operators
-    of the runs before it. Every run gets the bits of a call over its own
-    rows (see :func:`_row_kernel`).
+    several runs stacks their operators and merges their rows
+    (:func:`_merged`), each run's symbols offset past the operators of the
+    runs before it. Each call's rows are sorted longest first, as
+    :func:`_row_kernel` takes them, with a stable sort, so rows of equal
+    length keep the order the runs give them; each sum adds its run's
+    log-probabilities in that order. Every run gets the bits of a call over
+    its own rows.
     """
     results = []
     for call in _packed(runs, [len(lengths) for *_, lengths in runs],
                         _BLOCK_BUDGET // rho0.shape[0] ** 2):
-        if len(call) == 1:  # nothing to merge; merging would cost it 12-18 us
-            ((operators, padded, lengths),) = call
-            results.append(_row_kernel(operators, rho0, padded, lengths))
+        offsets = list(accumulate((len(ops) for ops, *_ in call), initial=0))
+        # one run has nothing to merge, so it skips the offset copy
+        operators, padded, lengths = call[0] if len(call) == 1 else _merged(call, offsets)
+        order = np.argsort(-lengths, kind="stable")
+        log_probs, grad = _row_kernel(operators, rho0, padded[order], lengths[order])
+        if len(call) == 1:
+            results.append((log_probs.sum(), grad))
             continue
-        operators = [ops for ops, *_ in call]
-        offsets = list(accumulate(map(len, operators), initial=0))
-        starts = list(accumulate((len(lengths) for *_, lengths in call), initial=0))
-        symbols, lengths, order = _merged([run[1:] for run in call], offsets)
-        log_probs = np.empty(len(order))
-        log_probs[order], grad = _row_kernel(np.concatenate(operators), rho0, symbols, lengths)
-        results += [(log_probs[start:stop], grad[offset:end]) for start, stop, offset, end
-                    in zip(starts, starts[1:], offsets, offsets[1:])]
+        owners = np.repeat(np.arange(len(call)), [len(run[2]) for run in call])[order]
+        results += [(log_probs[owners == r].sum(), grad[offset:end])
+                     for r, (offset, end) in enumerate(zip(offsets, offsets[1:]))]
     return results
 
 
@@ -329,25 +333,22 @@ def _packed(items, sizes, cap: int) -> list:
 
 
 def _merged(runs, offsets):
-    """The padded rows of several runs, each a ``(padded, lengths)`` pair of
-    rows longest first, merged longest first with run r's symbols offset by
-    ``offsets[r]``: ``(padded, lengths, order)``, where merged row i is row
-    ``order[i]`` of the runs' rows taken in turn. The sort is stable, so each
-    run's rows keep their order."""
-    starts = list(accumulate((len(lengths) for _, lengths in runs), initial=0))
-    symbols = np.zeros((starts[-1], max(padded.shape[1] for padded, _ in runs)), np.int64)
-    for (padded, _), offset, start in zip(runs, offsets, starts):
+    """Several runs' ``(operators, padded, lengths)`` triples as one: their
+    operators stacked, and their padded rows stacked in turn with run r's
+    symbols offset by ``offsets[r]``, past the operators before its own."""
+    starts = list(accumulate((len(lengths) for *_, lengths in runs), initial=0))
+    symbols = np.zeros((starts[-1], max(padded.shape[1] for _, padded, _ in runs)), np.int64)
+    for (_, padded, _), offset, start in zip(runs, offsets, starts):
         np.add(padded, offset, out=symbols[start:start + len(padded), :padded.shape[1]])
-    lengths = np.concatenate([lengths for _, lengths in runs])
-    order = np.argsort(-lengths, kind="stable")
-    return symbols[order], lengths[order], order
+    return (np.concatenate([ops for ops, *_ in runs]), symbols,
+            np.concatenate([lengths for *_, lengths in runs]))
 
 
 def _row_kernel(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
                 lengths: np.ndarray):
-    """:func:`_loss_and_gradient` of one kernel call: the natural-log
-    probability of each padded row (longest first) and the gradient w.r.t.
-    conj(operators) of the negated log-probability sum.
+    """One kernel call of :func:`_loss_and_gradient`, over the padded rows
+    it sorted longest first: the natural-log probability of each row and
+    the gradient w.r.t. conj(operators) of the negated log-probability sum.
 
     Each row block is filtered keeping its history, which is run backwards
     before the next block is filtered. A row that underflows adds finite
@@ -356,8 +357,8 @@ def _row_kernel(operators: np.ndarray, rho0: np.ndarray, padded: np.ndarray,
     part. Each step scatters its rows' terms with one bincount, which adds
     the terms of each symbol's rows one after another, whatever rows sit
     beside them. So rows over disjoint symbol sets that fit one row block,
-    merged longest first, give each set's operators the gradient of a call
-    over that set alone, bit for bit.
+    sorted together, give each set's operators the gradient of a call over
+    that set's rows alone, in their order, bit for bit.
 
     Each position forms P = S A_x once, from the scaled dual S and the
     position's operators A_x: its term is P rho and the dual it passes back

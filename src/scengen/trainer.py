@@ -5,12 +5,11 @@ with orthonormal columns; each update moves along the manifold with a
 Cayley-style retraction, so the completeness constraint holds after every
 accepted step. The retraction is written once, for stacks of points, and
 one point is a stack of one. Per-sequence loss terms within a batch are
-independent and reduced longest sequence first, so results are
-deterministic for a fixed seed. The loss and its gradient come from one
-kernel, :func:`qhmm._loss_and_gradient`, which runs the forward filter and
-then backwards over the history it kept; the history never leaves it. A
-loss alone (:func:`nll_loss`) comes from the forward-only
-:func:`qhmm._log_likelihoods`, which scoring runs too.
+independent, and results are deterministic for a fixed seed. The loss and
+its gradient come from one kernel, :func:`qhmm._loss_and_gradient`, which
+runs the forward filter and then backwards over the history it kept; the
+history never leaves it. A loss alone (:func:`nll_loss`) comes from the
+forward-only :func:`qhmm._log_likelihoods`, which scoring runs too.
 
 A step's candidate passes when every row of the run's next mini-batch (the
 next one that has rows; at the run's last step, its own batch) has a
@@ -45,7 +44,7 @@ import numpy as np
 
 from .errors import (GradientUndefinedError, InputError, StepFailureError,
                      TrainingError)
-from .hmm import _flatten, _pad, _prefix_rows, _row_blocks
+from .hmm import _flatten, _padded, _prefix_rows, _row_blocks
 from .qhmm import (_BLOCK_BUDGET, COMPLETENESS_TOL, DensityMatrix, KrausModel,
                    _as_matrix, _log_likelihoods, _loss_and_gradient, _partition,
                    orthonormality_residual)
@@ -143,9 +142,10 @@ def nll_gradient(kappa, batch, pi0, alphabet_size: int, multiplicity: int = 1) -
         If the loss is not finite on the batch.
     """
     ops = _partition(_as_kappa(kappa), alphabet_size, multiplicity)
-    padded, lengths, _ = _pad(*_flatten(batch), alphabet_size)
-    ((log_probs, grad),) = _loss_and_gradient([(ops, padded, lengths)], _as_matrix(pi0))
-    if log_probs.min() == -math.inf:
+    symbols, lengths = _flatten(batch)
+    ((total, grad),) = _loss_and_gradient(
+        [(ops, _padded(symbols, lengths, alphabet_size), lengths)], _as_matrix(pi0))
+    if total == -math.inf:
         raise GradientUndefinedError("loss is not finite on this batch")
     return grad.reshape(-1, ops.shape[3]) / len(lengths)
 
@@ -343,25 +343,25 @@ class _Run:
     drawn up front, its point, and the loss and gradient its current step
     starts from."""
 
-    def __init__(self, padded, lengths, row_of, alphabet_size: int, seed, config):
-        # the dataset's padded rows (longest first) and their lengths; shared
-        # by the runs of one dataset
+    def __init__(self, padded, lengths, alphabet_size: int, seed, config):
+        # the dataset's padded rows and their lengths; shared by the runs of
+        # one dataset
         self.padded, self.lengths = padded, lengths
         self.alphabet_size = alphabet_size
         rng = np.random.default_rng(seed)
         self.kappa = StiefelPoint(_draw_stiefel(
             rng, alphabet_size * config.multiplicity * config.dim, config.dim))
         # the steps still to take, last first: (epoch, index, tau, rows) per
-        # mini-batch that has rows, its rows in increasing order (longest
-        # first); the permutations are the run's only draws after its
-        # initialization, so they are all drawn here; each permutation is cut
-        # where np.array_split cuts it, at bounds found once
+        # mini-batch that has rows, its rows in increasing order; the
+        # permutations are the run's only draws after its initialization, so
+        # they are all drawn here; each permutation is cut where
+        # np.array_split cuts it, at bounds found once
         batches = [(index, slice(chunk[0], chunk[-1] + 1)) for index, chunk in enumerate(
             np.array_split(range(len(lengths)), config.num_batches)) if chunk.size]
         self.pending, tau = [], config.learning_rate
         for epoch in range(config.epochs):
             permutation = rng.permutation(len(lengths))
-            self.pending += [(epoch, index, tau, np.sort(row_of[permutation[chunk]]))
+            self.pending += [(epoch, index, tau, np.sort(permutation[chunk]))
                              for index, chunk in batches]
             tau *= config.decay
         self.pending.reverse()
@@ -395,14 +395,12 @@ def train_qhmm_datasets(datasets, config: TrainConfig, seeds, work=None) -> list
     the candidates under which a row of the run's next mini-batch had zero
     probability (``failed_checks``), summed over runs.
     """
-    # each dataset is validated and padded once; each mini-batch is a set
-    # of rows, kept longest first by taking the row indices in increasing
-    # order
+    # each dataset is validated and padded once
     seeds, groups = list(seeds), []
     for sequences, alphabet_size in datasets:
-        padded, lengths, order = _pad(*_flatten(sequences), alphabet_size)
-        groups.append([_Run(padded, lengths, np.argsort(order), alphabet_size, seed, config)
-                       for seed in seeds])
+        symbols, lengths = _flatten(sequences)
+        padded = _padded(symbols, lengths, alphabet_size)
+        groups.append([_Run(padded, lengths, alphabet_size, seed, config) for seed in seeds])
     runs = [run for group in groups for run in group]
     initial_state = DensityMatrix.maximally_mixed(config.dim)
     rho0 = initial_state.matrix
@@ -413,9 +411,8 @@ def train_qhmm_datasets(datasets, config: TrainConfig, seeds, work=None) -> list
         # that point and its gradient there, all from one kernel entry call
         results = _loss_and_gradient([(point.matrix.reshape(shape), run.padded[rows],
                                        run.lengths[rows]) for run, point, rows in batch], rho0)
-        return [(float(-log_probs.sum() / len(rows)),
-                 grad.reshape(point.matrix.shape) / len(rows))
-                for (_, point, rows), (log_probs, grad) in zip(batch, results)]
+        return [(float(-total / len(rows)), grad.reshape(point.matrix.shape) / len(rows))
+                for (_, point, rows), (total, grad) in zip(batch, results)]
 
     # one pass over every run's first batch gives each its first loss and
     # gradient; every later pass checks a round's candidates

@@ -224,9 +224,8 @@ def distinct_prefixes_per_block(sequences, rows_per_block):
 
 
 def pad_reference(sequences, alphabet_size):
-    """Validated sequences as zero-padded rows, longest first, built one
-    sequence at a time: ``(padded, lengths, order)``, where row i holds input
-    sequence ``order[i]``."""
+    """Validated sequences as zero-padded rows in input order, built one
+    sequence at a time: ``(padded, lengths)``."""
     from scengen import InputError
 
     seqs = []
@@ -243,11 +242,10 @@ def pad_reference(sequences, alphabet_size):
     if not seqs:
         raise InputError("need at least one sequence")
     lengths = np.array([s.size for s in seqs])
-    order = np.argsort(-lengths, kind="stable")
-    padded = np.zeros((len(seqs), lengths[order[0]]), dtype=np.int64)
-    for row, i in enumerate(order):
-        padded[row, :lengths[i]] = seqs[i]
-    return padded, lengths[order], order
+    padded = np.zeros((len(seqs), lengths.max()), dtype=np.int64)
+    for row, seq in enumerate(seqs):
+        padded[row, :seq.size] = seq
+    return padded, lengths
 
 
 def da_score_reference(log_prob, length, alphabet_size):
@@ -361,8 +359,7 @@ def train_qhmm_reference(dataset, config, alphabet_size):
     # looked up in the module, as the library does, so tests can patch them
     cayley_step, max_halvings = trainer.cayley_step, trainer.MAX_STEP_HALVINGS
 
-    padded, lengths, order = pad_reference(dataset, alphabet_size)
-    row_of = np.argsort(order)
+    padded, lengths = pad_reference(dataset, alphabet_size)
     k, mu = config.dim, config.multiplicity
     shape = (alphabet_size, mu, k, k)
     initial_state = DensityMatrix.maximally_mixed(k)
@@ -374,14 +371,14 @@ def train_qhmm_reference(dataset, config, alphabet_size):
     schedule, tau = [], config.learning_rate
     for epoch in range(config.epochs):
         chunks = np.array_split(rng.permutation(len(lengths)), config.num_batches)
-        schedule += [(epoch, index, tau, np.sort(row_of[chunk]))
+        schedule += [(epoch, index, tau, np.sort(chunk))
                      for index, chunk in enumerate(chunks) if chunk.size]
         tau *= config.decay
 
     def loss_and_gradient(point, rows):
-        ((log_probs, grad),) = _loss_and_gradient(
+        ((total, grad),) = _loss_and_gradient(
             [(point.matrix.reshape(shape), padded[rows], lengths[rows])], rho0)
-        return float(-log_probs.sum() / len(rows)), grad.reshape(point.matrix.shape) / len(rows)
+        return float(-total / len(rows)), grad.reshape(point.matrix.shape) / len(rows)
 
     records = []
     if schedule:

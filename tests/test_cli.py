@@ -69,14 +69,16 @@ def reference_scores(model, sequences):
     """Log-probabilities of the sequences and the scalar DA of each: an
     HMM's from one-row :func:`hmm_forward` calls, a Kraus model's from the
     row filter of the loss's forward pass over reference-padded rows, which
-    builds no prefix tree."""
+    builds no prefix tree: one call with each row a run of its own, whose
+    log-probability sum is that row's."""
     if isinstance(model, CategoricalHmm):
         log_probs = np.array([hmm_forward(model, seq).log_likelihood for seq in sequences])
     else:
-        padded, lengths, order = pad_reference(sequences, model.alphabet_size)
-        log_probs = np.empty(len(sequences))
-        ((log_probs[order], _),) = _loss_and_gradient([(model.operators, padded, lengths)],
-                                                      model.initial_state.matrix)
+        padded, lengths = pad_reference(sequences, model.alphabet_size)
+        runs = [(model.operators, padded[i:i + 1], lengths[i:i + 1])
+                for i in range(len(lengths))]
+        log_probs = np.array([total for total, _ in _loss_and_gradient(
+            runs, model.initial_state.matrix)])
     return log_probs.tolist(), [da_score(lp, len(seq), model.alphabet_size)
                                 for lp, seq in zip(log_probs, sequences)]
 
@@ -315,6 +317,43 @@ class TestTrain:
                    "--alphabet-size", 1, "--K", 2, "--epochs", 1, "--seed", 0) == 2
         assert "at least two symbols" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_class_without_the_last_event_needs_the_systems_alphabet(self, tmp_path,
+                                                                        capsys):
+        # event C almost never fails, so no probable scenario holds symbols 4
+        # or 5 and train infers 4 symbols from probable.jsonl; a model of
+        # that alphabet fails every command that meets the system's 6 symbols,
+        # and the error names the remedy, which passes
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({
+            "name": "abc", "severe_states": [["A", "B"]],
+            "events": [{"id": "A", "p_down": 0.5, "p_repair": 0.3},
+                       {"id": "B", "p_down": 0.5, "p_repair": 0.4},
+                       {"id": "C", "p_down": 0.001, "p_repair": 0.5}]}))
+        data = tmp_path / "data"
+        assert run("make-dataset", "--system", system, "--out", data, "--max-len", 4,
+                   "--seed", 1) == 0
+        models = {}
+        for name in ("probable", "no_probable"):
+            models[name] = tmp_path / name / "model.json"
+            assert run("train", "--kind", "qhmm", "--data", data / f"{name}.jsonl", "--out",
+                       models[name].parent, "--K", 2, "--epochs", 2, "--seed", 0) == 0
+        commands = [
+            ("classify", "--model-probable", models["probable"], "--model-no-probable",
+             models["no_probable"], "--data", data / "probable.jsonl"),
+            ("eval", "--model", models["probable"], "--data", data / "no_probable.jsonl"),
+            ("generate", "--model", models["probable"], "--count", 3, "--length", 3,
+             "--seed", 0, "--system", system)]
+        assert load_model(models["probable"]).alphabet_size == 4
+        capsys.readouterr()
+        for i, argv in enumerate(commands):
+            assert run(*argv, "--out", tmp_path / f"out{i}") == 2
+            assert "train each model with --alphabet-size 2n" in capsys.readouterr().err
+        assert run("train", "--kind", "qhmm", "--data", data / "probable.jsonl", "--out",
+                   models["probable"].parent, "--K", 2, "--epochs", 2, "--seed", 0,
+                   "--alphabet-size", 6) == 0
+        for i, argv in enumerate(commands):
+            assert run(*argv, "--out", tmp_path / f"out{i}") == 0
 
 
 class TestEval:
@@ -605,16 +644,17 @@ class TestGenerate:
         assert capsys.readouterr().err.splitlines()[-1] == "error: chunk failed"
         assert not (out / "sequences.jsonl").exists()
 
-    def test_an_interrupted_rerun_leaves_a_prefix_of_the_new_rows(self, dataset_dir, tmp_path,
-                                                                 monkeypatch):
-        # Ctrl-C skips main's cleanup; the interrupted file must still not
-        # end in the rows of the earlier, longer run
-        model_dir, fresh, out = tmp_path / "model", tmp_path / "fresh", tmp_path / "gen"
+    def test_an_interrupted_rerun_removes_the_earlier_runs_files(self, dataset_dir, tmp_path,
+                                                                monkeypatch):
+        # Ctrl-C runs main's cleanup and is raised again: the earlier, longer
+        # run's rows and manifest go, so the directory does not look done;
+        # --out stays, since this call did not create it
+        model_dir, out = tmp_path / "model", tmp_path / "gen"
         assert train_small(dataset_dir, model_dir) == 0
         argv = ("generate", "--model", model_dir / "model.json", "--length", 3, "--seed", 0)
         monkeypatch.setattr(cli, "_GENERATE_CHUNK", 2)
-        assert run(*argv, "--count", 5, "--out", fresh) == 0
         assert run(*argv, "--count", 40, "--out", out) == 0
+        assert (out / "manifest.json").exists()
         real, calls = cli.qhmm_samples, []
 
         def interrupted_third_call(*args, **kwargs):
@@ -626,8 +666,7 @@ class TestGenerate:
         monkeypatch.setattr(cli, "qhmm_samples", interrupted_third_call)
         with pytest.raises(KeyboardInterrupt):
             run(*argv, "--count", 5, "--out", out)
-        rows = (fresh / "sequences.jsonl").read_text().splitlines(keepends=True)
-        assert (out / "sequences.jsonl").read_text() == "".join(rows[:2])
+        assert len(calls) == 3 and out.is_dir() and not any(out.iterdir())
 
     def test_each_chunk_is_decoded_in_one_call(self, system_path, tmp_path,
                                                monkeypatch):
@@ -704,7 +743,9 @@ class TestGenerate:
         assert run("generate", "--model", model_path, "--out", out, "--count", 20,
                    "--length", 4, "--seed", 0, "--system", system_path) == 2
         assert capsys.readouterr().err == (
-            "error: the system alphabet has size 6 but the model alphabet has size 8\n")
+            "error: the system alphabet has size 6 but the model alphabet has size 8; "
+            "train infers a model's alphabet from its data file, so train each model "
+            "with --alphabet-size 2n for a system of n events\n")
         assert not out.exists()
 
     def test_symbols_stay_in_alphabet(self, dataset_dir, tmp_path):

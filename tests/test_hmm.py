@@ -7,7 +7,7 @@ from scengen import (CategoricalHmm, InputError, PosteriorUndefinedError,
                      TrainingError, baum_welch_fit, baum_welch_fits, hmm_backward,
                      hmm_forward, hmm_posterior, hmm_sample, hmm_samples)
 from scengen import hmm
-from scengen.hmm import _flatten, _pad, _prefix_rows
+from scengen.hmm import _flatten, _padded, _prefix_rows
 
 from oracles import (all_sequences, baum_welch_reference, hmm_sample_reference, pad_reference,
                      path_sum_probability, posterior_by_enumeration, random_hmm)
@@ -115,7 +115,8 @@ class TestPad:
     ])
     def test_rows_equal_reference(self, make):
         want = pad_reference(make(), 4)
-        got = _pad(*_flatten(make()), 4)
+        symbols, lengths = _flatten(make())
+        got = _padded(symbols, lengths, 4), lengths
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
@@ -128,19 +129,18 @@ class TestPad:
         # the reference leaks a bare ValueError or TypeError on [[0, [1]]] and
         # [[0, "1"]]
         with pytest.raises(InputError):
-            _pad(*_flatten(sequences), 4)
+            _padded(*_flatten(sequences), 4)
 
 
 class TestPrefixRows:
-    """:func:`hmm._prefix_rows` sorts the rows once and gives what the
-    longest-first rows of :func:`_pad` sorted by :func:`hmm._lexicographic`
-    give."""
+    """:func:`hmm._prefix_rows` gives what the rows of :func:`_padded`
+    sorted by :func:`hmm._lexicographic` give."""
 
     @staticmethod
     def reference(symbols, lengths, alphabet_size):
-        padded, lengths, order = _pad(symbols, lengths, alphabet_size)
+        padded = _padded(symbols, lengths, alphabet_size)
         places, starts = hmm._lexicographic(padded, lengths)
-        return padded[places], lengths[places], order[places], starts
+        return padded[places], lengths[places], places, starts
 
     @pytest.mark.parametrize("make", [
         lambda rng: [[0, 1, 2], [3], [0, 1, 2], [1, 1], [3], [0, 1], [0, 1, 2, 0]],
@@ -283,10 +283,11 @@ class TestPosterior:
             hmm_posterior(det_hmm, [0, 1], 1)
 
     def test_position_bounds(self, ref_hmm):
-        with pytest.raises(InputError):
-            hmm_posterior(ref_hmm, [0, 1], 0)
-        with pytest.raises(InputError):
-            hmm_posterior(ref_hmm, [0, 1], 3)
+        for position in (0, 3, 1.5, 2.0, "1", True, None, np.float64(1.0), np.array([1, 2])):
+            with pytest.raises(InputError):
+                hmm_posterior(ref_hmm, [0, 1], position)
+        np.testing.assert_array_equal(hmm_posterior(ref_hmm, [0, 1], np.int64(2)),
+                                      hmm_posterior(ref_hmm, [0, 1], 2))
 
 
 class TestBaumWelch:

@@ -258,7 +258,7 @@ def row_wise_log_probs(model, sequences):
         return np.array([hmm_forward(model, seq).log_likelihood for seq in sequences])
     return np.array([qhmm._loss_and_gradient([(model.operators, np.array([seq]),
                                                np.array([len(seq)]))],
-                                             model.initial_state.matrix)[0][0][0]
+                                             model.initial_state.matrix)[0][0]
                      for seq in sequences])
 
 
@@ -429,10 +429,11 @@ class TestScoringWork:
         rng = np.random.default_rng(9)
         model = random_kraus_model(rng, 4, 3)
         sequences = stem_sequences(rng, 3, 300, 7)
-        padded, lengths, _ = pad_reference(sequences, 3)
-        qhmm._loss_and_gradient([(model.operators, padded, lengths)],
+        qhmm._loss_and_gradient([(model.operators, *pad_reference(sequences, 3))],
                                 model.initial_state.matrix)
-        # each block's steps, one row per sequence still running
+        # each block's steps, one row per sequence still running in the
+        # kernel's order
+        lengths = np.sort([len(seq) for seq in sequences])[::-1]
         block = _BLOCK_BUDGET // 4 ** 2
         want = [int(np.count_nonzero(lengths[start:start + block] > t))
                 for start in range(0, len(lengths), block)

@@ -8,7 +8,7 @@ from scengen import (DensityMatrix, InputError, KrausModel, hmm,
                      next_symbol_distribution, qhmm, qhmm_log_likelihood,
                      qhmm_sample, qhmm_samples, random_stiefel, trainer,
                      validate_kraus)
-from scengen.hmm import _flatten, _pad, _row_blocks
+from scengen.hmm import _row_blocks
 from scengen.qhmm import _BLOCK_BUDGET, _merged
 
 from oracles import (all_sequences, kraus_path_probability, pad_reference,
@@ -200,14 +200,8 @@ class TestLogLikelihood:
         assert qhmm_log_likelihood(model, [0, 1]) == float("-inf")
 
 
-def loss_and_gradient(operators, rho0, padded, lengths):
-    """:func:`qhmm._loss_and_gradient` of one run."""
-    ((log_probs, grad),) = qhmm._loss_and_gradient([(operators, padded, lengths)], rho0)
-    return log_probs, grad
-
-
 def filter_renormalizing_every_step(operators, rho0, padded, lengths, history):
-    """The row filter of :func:`qhmm._loss_and_gradient` with the beliefs
+    """The row filter of :func:`qhmm._row_kernel` with the beliefs
     renormalized after every step of a block, its last step included."""
     log_probs = np.zeros(len(lengths))
     for rows in _row_blocks(len(lengths), rho0.shape[0] ** 2, _BLOCK_BUDGET):
@@ -266,7 +260,7 @@ class TestPropagate:
             return real(updated, probs)
 
         monkeypatch.setattr(qhmm, "_renormalize", counted)
-        got, _ = loss_and_gradient(ops, rho0, padded, lengths)
+        got, _ = qhmm._row_kernel(ops, rho0, padded, lengths)
         np.testing.assert_array_equal(got, want)
         # steps - 1 renormalizations per block
         blocks = _row_blocks(300, 16, _BLOCK_BUDGET)
@@ -330,7 +324,7 @@ class TestRowFilterBits:
         np.testing.assert_array_equal(got[0], [log_prob for log_prob, _ in want])
         for (operators, initial), row in zip(pairs, got):
             np.testing.assert_array_equal(
-                row, loss_and_gradient(operators, initial, padded, lengths)[0])
+                row, qhmm._row_kernel(operators, initial, padded, lengths)[0])
             alone, nodes = tree_log_likelihoods([(operators, initial)], padded, lengths)
             np.testing.assert_array_equal(alone[0], row)
             assert filtered == 3 * nodes
@@ -348,7 +342,7 @@ class TestRowFilterBits:
             return real_filter(operators, rho0, steps, history)
 
         monkeypatch.setattr(qhmm, "_filter", recording)
-        log_probs, _ = loss_and_gradient(ops, rho0, padded, lengths)
+        log_probs, _ = qhmm._row_kernel(ops, rho0, padded, lengths)
         np.testing.assert_array_equal(log_probs, [log_prob for log_prob, _ in want])
         # each row's history is its own call's
         assert len(blocks) >= 3
@@ -369,11 +363,19 @@ def kernel_rows(padded, lengths):
                                                                  padded.tolist())]
 
 
+def own_kernel_call(operators, rho0, padded, lengths):
+    """A run's rows through one :func:`qhmm._row_kernel` call of their own,
+    longest first with ties in the run's order: each row's log-probability
+    in that order, the gradient, and the run's row at each place."""
+    key = np.argsort(-lengths, kind="stable")
+    return (*qhmm._row_kernel(operators, rho0, padded[key], lengths[key]), key)
+
+
 class TestLossAndGradient:
     """Runs passed to one call share kernel calls of whole runs, which stack
     their operators and merge their rows longest first; each run gets the
-    log-probabilities and the gradient of a call over its own rows and
-    operators."""
+    log-probability sum and the gradient of a kernel call over its own rows
+    and operators."""
 
     @staticmethod
     def record_row_kernel(monkeypatch):
@@ -404,7 +406,7 @@ class TestLossAndGradient:
 
         a, b = rows(half), rows(half - 2)
         b += [a[1], (0, 2, 1)]
-        runs = [(model, *pad_reference(part, len(model))[:2])
+        runs = [(model, *pad_reference(part, len(model)))
                 for model, part in zip(models, (a, b))]
         calls = self.record_row_kernel(monkeypatch)
         got = qhmm._loss_and_gradient(runs, rho0)
@@ -414,14 +416,16 @@ class TestLossAndGradient:
         rows_b = [(length, tuple(x + 2 for x in row)) for length, row in rows_b]
         assert symbols == 5 and merged == sorted(rows_a + rows_b, key=lambda row: -row[0])
         assert len(set(length for length, _ in merged)) < len(merged)  # ties
-        for (model, padded, lengths), (log_probs, grad) in zip(runs, got):
-            want_log_probs, want = qhmm._loss_and_gradient([(model, padded, lengths)], rho0)[0]
-            np.testing.assert_array_equal(log_probs, want_log_probs)
+        underflows = []
+        for (model, padded, lengths), (total, grad) in zip(runs, got):
+            log_probs, want, key = own_kernel_call(model, rho0, padded, lengths)
+            np.testing.assert_array_equal(total, log_probs.sum())
             np.testing.assert_array_equal(grad, want)
             np.testing.assert_array_equal(
-                log_probs, tree_log_likelihoods([(model, rho0)], padded, lengths)[0][0])
+                log_probs, tree_log_likelihoods([(model, rho0)], padded, lengths)[0][0][key])
             assert np.isfinite(grad).all() and np.abs(grad).max() > 0
-        assert [np.isinf(log_probs).sum() for log_probs, _ in got] == [0, 1]
+            underflows.append(np.isinf(log_probs).sum())
+        assert underflows == [0, 1] and got[1][0] == -np.inf
 
     @pytest.mark.parametrize("k, mu", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
     def test_merged_calls_of_more_than_128_rows_match_their_own_calls(
@@ -439,15 +443,15 @@ class TestLossAndGradient:
             rows = [tuple(rng.integers(0, alphabet, size=int(rng.integers(1, 9))).tolist())
                     for _ in range(count)]
             runs.append((random_kraus_model(rng, k, alphabet, mu).operators,
-                         *pad_reference(rows, alphabet)[:2]))
+                         *pad_reference(rows, alphabet)))
         calls = self.record_row_kernel(monkeypatch)
         got = qhmm._loss_and_gradient(runs, rho0)
         ((symbols, merged, _),) = calls
         assert symbols == 14 and len(merged) == total > 128
         monkeypatch.undo()
-        for one_run, (log_probs, grad) in zip(runs, got):
-            ((want_log_probs, want),) = qhmm._loss_and_gradient([one_run], rho0)
-            np.testing.assert_array_equal(log_probs, want_log_probs)
+        for one_run, (total, grad) in zip(runs, got):
+            ((want_total, want),) = qhmm._loss_and_gradient([one_run], rho0)
+            np.testing.assert_array_equal(total, want_total)
             np.testing.assert_array_equal(grad, want)
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16])
@@ -465,7 +469,7 @@ class TestLossAndGradient:
             rows += [tuple(rng.integers(0, alphabet, size=int(rng.integers(1, width + 1))))
                      for _ in range(count - 1)]
             return (random_kraus_model(rng, k, alphabet).operators,
-                    *pad_reference(rows, alphabet)[:2])
+                    *pad_reference(rows, alphabet))
 
         runs = [run(2, cap // 2, 3), run(3, cap - cap // 2, 6), run(2, cap + 1, 4),
                 run(3, 1, 2), run(2, 2, 5)]
@@ -481,11 +485,48 @@ class TestLossAndGradient:
             assert rows == sorted(want, key=lambda row: -row[0])
         monkeypatch.undo()
         assert len(got) == len(runs)
-        for one_run, (log_probs, grad) in zip(runs, got):
-            ((want_log_probs, want),) = qhmm._loss_and_gradient([one_run], rho0)
-            np.testing.assert_array_equal(log_probs, want_log_probs)
+        for one_run, (total, grad) in zip(runs, got):
+            ((want_total, want),) = qhmm._loss_and_gradient([one_run], rho0)
+            np.testing.assert_array_equal(total, want_total)
             np.testing.assert_array_equal(grad, want)
             assert grad.shape == one_run[0].shape
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    @pytest.mark.parametrize("mu", [1, 2])
+    def test_rows_in_any_order_give_the_bits_of_their_kernel_order(self, monkeypatch, k, mu):
+        # a run of alphabet 3 whose rows, of lengths 1 to 5 with ties, come
+        # in dataset order and shuffled with tied rows kept in their order,
+        # each alone and between runs of alphabets 2 and 4 in one call
+        rng = np.random.default_rng(10 * k + mu)
+        rho0 = DensityMatrix.maximally_mixed(k).matrix
+        count = min(40, _BLOCK_BUDGET // k ** 2 // 2)
+        sequences = [rng.integers(0, 3, size=1 + i % 5).tolist() for i in range(count)]
+        rng.shuffle(sequences)
+        ops = random_kraus_model(rng, k, 3, mu).operators
+        padded, lengths = pad_reference(sequences, 3)
+        shuffled = rng.permutation(count)
+        for length in np.unique(lengths):
+            tied = lengths[shuffled] == length
+            shuffled[tied] = np.sort(shuffled[tied])
+        assert (np.diff(lengths) > 0).any() and (np.diff(lengths[shuffled]) > 0).any()
+        assert (shuffled != np.arange(count)).any()
+        log_probs, want, _ = own_kernel_call(ops, rho0, padded, lengths)
+        others = [(random_kraus_model(rng, k, m, mu).operators,
+                   *pad_reference([rng.integers(0, m, size=n).tolist() for n in (2, 4)], m))
+                  for m in (2, 4)]
+        want_others = [own_kernel_call(o, rho0, p, n)[:2] for o, p, n in others]
+        calls = self.record_row_kernel(monkeypatch)
+        for rows in (np.arange(count), shuffled):
+            run = (ops, padded[rows], lengths[rows])
+            ((alone, alone_grad),) = qhmm._loss_and_gradient([run], rho0)
+            merged = qhmm._loss_and_gradient([others[0], run, others[1]], rho0)
+            for total, grad in ((alone, alone_grad), merged[1]):
+                np.testing.assert_array_equal(total, log_probs.sum())
+                np.testing.assert_array_equal(grad, want)
+            for (total, grad), (other_probs, other_grad) in zip(merged[::2], want_others):
+                np.testing.assert_array_equal(total, other_probs.sum())
+                np.testing.assert_array_equal(grad, other_grad)
+        assert [symbols for symbols, *_ in calls] == [3, 9] * 2
 
 
 class TestSample:
@@ -761,25 +802,24 @@ class TestValidateKraus:
 
 
 class TestMerged:
-    def test_rows_merge_longest_first_with_offset_symbols(self):
-        # three runs of widths 4, 5 and 2 and alphabets 3, 4 and 6, with
-        # lengths tied across runs
+    def test_runs_stack_in_turn_with_offset_symbols(self):
+        # three runs of widths 4, 5 and 2 and alphabets 3, 4 and 6, their
+        # rows in no order of length
         rng = np.random.default_rng(4)
         alphabets, widths = [3, 4, 6], [4, 5, 2]
         runs = []
         for m, width in zip(alphabets, widths):
             sequences = [list(rng.integers(0, m, size=length))
                          for length in rng.integers(1, width + 1, size=7)]
-            sequences[0] = list(rng.integers(0, m, size=width))
-            runs.append(_pad(*_flatten(sequences), m)[:2])
-        offsets = [0, 3, 7]
-        padded, lengths, order = _merged(runs, offsets)
+            sequences[3] = list(rng.integers(0, m, size=width))
+            runs.append((random_kraus_model(rng, 2, m).operators,
+                         *pad_reference(sequences, m)))
+        offsets = [0, 3, 7, 13]
+        operators, padded, lengths = _merged(runs, offsets)
+        np.testing.assert_array_equal(operators, np.concatenate([ops for ops, *_ in runs]))
         assert padded.shape == (21, 5) and padded.dtype == np.int64
-        assert np.all(np.diff(lengths) <= 0)
-        owners, places = np.divmod(order, 7)  # each run holds 7 rows
-        for r, (rows, run_lengths) in enumerate(runs):
-            mine = owners == r
-            assert places[mine].tolist() == list(range(7))  # in the run's order
-            for row, length, place in zip(padded[mine], lengths[mine], places[mine]):
-                assert length == run_lengths[place]
-                np.testing.assert_array_equal(row[:length], rows[place, :length] + offsets[r])
+        for r, (_, rows, run_lengths) in enumerate(runs):
+            mine = slice(7 * r, 7 * r + 7)
+            np.testing.assert_array_equal(lengths[mine], run_lengths)
+            for row, length, want in zip(padded[mine], run_lengths, rows):
+                np.testing.assert_array_equal(row[:length], want[:length] + offsets[r])
